@@ -29,6 +29,7 @@ from .chains import (
     verify_chain,
 )
 from .errors import (
+    BudgetError,
     CompletenessError,
     ConvergenceError,
     DimensionMismatchError,

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import BudgetError, DimensionMismatchError
 from .objects import DensityMatrix, KrausChannel, derive_seed, generator, mix_kraus, random_unitary
 from .skew import commutator_frame
 
@@ -240,31 +240,39 @@ def _s_tables(data: ChainData) -> _STables:
 
 
 def _walk_lattice(tables: _STables, reading: Reading, sigma, tau, d: int):
-    """Yield ((p, q), value) along the traversal with labels sigma/tau applied."""
+    """Yield ((p, q), value) along the traversal with labels sigma/tau applied.
+
+    ``sigma[k]`` and ``tau[k]`` are the labels of slot k: ints for one
+    permutation pair, or broadcastable index arrays for a batch of pairs, in
+    which case each value is an array with the same operation order per entry.
+    Values are numpy float64 scalars or arrays, so every entry carries the
+    same bits as the one-pair walk.
+    """
     value = tables.start
     for p, q in lattice_order(d):
         r = sigma[p - 1]
         s = tau[q - 1]
         if reading == Reading.PRODUCT:
-            value -= float(tables.pair_product[r, s])
+            value = value - tables.pair_product[r, s]
             if q == 1:
-                value -= float(tables.diag_product[r])
+                value = value - tables.diag_product[r]
             if p == 2 and q == 1:
-                value -= float(tables.diag_product[tau[0]])
+                value = value - tables.diag_product[tau[0]]
         else:
-            value += float(tables.step_printed[r, s])
+            value = value + tables.step_printed[r, s]
         yield (p, q), value
 
 
-_IDENTITY_CACHE: dict = {}
+def _check_position(p: int, q: int, d: int) -> None:
+    if not (1 <= q < p <= d):
+        raise ValueError(f"need 1 <= q < p <= d, got (p, q) = ({p}, {q}) at d = {d}")
 
 
-def _identity(d: int) -> tuple:
-    perm = _IDENTITY_CACHE.get(d)
-    if perm is None:
-        perm = tuple(range(d))
-        _IDENTITY_CACHE[d] = perm
-    return perm
+def _value_at(tables: _STables, reading: Reading, sigma, tau, p: int, q: int, d: int):
+    for pos, value in _walk_lattice(tables, reading, sigma, tau, d):
+        if pos == (p, q):
+            return value
+    raise AssertionError("unreachable: (p, q) was validated against the lattice")
 
 
 def _check_permutation(perm, d: int) -> tuple:
@@ -300,8 +308,9 @@ def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 
 def _chain_from_data(data: ChainData, reading: Reading) -> BoundChain:
     tables = _s_tables(data)
-    ident = _identity(data.dim)
-    s_values = dict(_walk_lattice(tables, Reading(reading), ident, ident, data.dim))
+    ident = tuple(range(data.dim))
+    s_values = {pos: float(v) for pos, v in
+                _walk_lattice(tables, Reading(reading), ident, ident, data.dim)}
     return BoundChain(
         dim=data.dim,
         product=tables.start,
@@ -357,28 +366,21 @@ def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 
 def _permuted_value(tables: _STables, d: int, sigma, tau, p: int, q: int,
                     reading: Reading) -> float:
-    if not (1 <= q < p <= d):
-        raise ValueError(f"need 1 <= q < p <= d, got (p, q) = ({p}, {q}) at d = {d}")
+    _check_position(p, q, d)
     sigma = _check_permutation(sigma, d)
     tau = _check_permutation(tau, d)
-    value = tables.start
-    for pos, value in _walk_lattice(tables, Reading(reading), sigma, tau, d):
-        if pos == (p, q):
-            return value
-    raise AssertionError("unreachable: (p, q) was validated against the lattice")
+    return float(_value_at(tables, Reading(reading), sigma, tau, p, q, d))
 
 
 @dataclass(frozen=True)
 class PermutedBound:
-    """A permutation pair with its S-lattice value and convex mixing weight."""
+    """A permutation pair with its S-lattice value at (p, q)."""
 
     sigma: tuple
     tau: tuple
     p: int
     q: int
     value: float
-    t: float = 1.0
-    mixed_value: float = field(default=float("nan"))
 
 
 def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
@@ -387,10 +389,19 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
                           reading: Reading = Reading.PRODUCT) -> PermutedBound:
     """Maximize the permuted S value at (p, q) over permutation pairs.
 
-    Exhaustive enumeration walks all ``(d!)^2`` pairs in lexicographic order
-    (ties broken by first found) and requires ``(d!)^2 <= budget``.  Sampled
-    search draws ``budget`` seeded pairs and then hill-climbs over adjacent
-    transpositions; both are deterministic given the seed.
+    The value at (p, q) reads only the label prefixes ``sigma[1..p-1]`` and
+    ``tau[0..p-2]``, so exhaustive search enumerates those injective prefixes:
+    ``(d!/(d-p+1)!)^2`` prefix pairs, d^2 at the (2, 1) target.  It returns
+    exactly what a walk over all ``(d!)^2`` pairs in lexicographic order would,
+    keeping the first maximum: the completions are sigma = (smallest unused
+    label, prefix, the rest ascending) and tau = (prefix, the rest ascending).
+    It requires the prefix-pair count to be at most ``budget``.
+
+    Sampled search draws ``budget`` seeded pairs and then hill-climbs over
+    adjacent transpositions; it is deterministic given the seed, and a lower
+    estimate of the optimum.  ``strategy=None`` (auto) searches exhaustively
+    when the prefix pairs fit the budget (at (2, 1) with the default budget,
+    every d <= 120) and samples otherwise.
     """
     data = chain_data(rho, ch1, ch2)
     return _optimize(_s_tables(data), data.dim, p, q, strategy, budget, seed, reading)
@@ -398,56 +409,85 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
 
 def _optimize(tables: _STables, d: int, p: int, q: int, strategy, budget: int,
               seed: int, reading: Reading) -> PermutedBound:
-    n_pairs = math.factorial(d) ** 2
+    _check_position(p, q, d)
+    reading = Reading(reading)
+    n_pairs = math.perm(d, p - 1) ** 2
     if strategy is None:
         strategy = Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
-    strategy = Strategy(strategy)
-
-    def value(sig, tu):
-        return _permuted_value(tables, d, sig, tu, p, q, reading)
-
-    if strategy == Strategy.EXHAUSTIVE:
+    if Strategy(strategy) == Strategy.EXHAUSTIVE:
         if n_pairs > budget:
-            raise ValueError(
-                f"exhaustive search needs (d!)^2 = {n_pairs} evaluations > budget {budget}")
-        best = None
-        for sig in itertools.permutations(range(d)):
-            for tu in itertools.permutations(range(d)):
-                v = value(sig, tu)
-                if best is None or v > best[0]:
-                    best = (v, sig, tu)
-        v, sig, tu = best
+            raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
+                              f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
+        v, sig, tu = _exhaustive(tables, d, p, q, reading)
     else:
-        gen = generator(seed)
-        ident = _identity(d)
-        best = (value(ident, ident), ident, ident)
-        for _ in range(max(0, budget)):
-            sig = tuple(int(x) for x in gen.permutation(d))
-            tu = tuple(int(x) for x in gen.permutation(d))
-            v = value(sig, tu)
+        v, sig, tu = _sampled(tables, d, p, q, budget, seed, reading)
+    return PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
+
+
+def _exhaustive(tables: _STables, d: int, p: int, q: int, reading: Reading) -> tuple:
+    """Walk every pair of label prefixes at once, in the lexicographic search order.
+
+    The full search meets tau[0..p-2] = prefix first in (prefix, the rest
+    ascending), so tau prefixes come in lexicographic order.  It meets
+    sigma[1..p-1] = prefix first in (smallest unused label, prefix, the rest
+    ascending), so sigma prefixes are sorted by that permutation.  At (2, 1)
+    this is the closed form ``((start - pair[r, s]) - diag[r]) - diag[s]``
+    (product reading) or ``start + step[r, s]`` (as printed) on a d x d grid,
+    scanning r = sigma[1] as 1, 2, ..., d-1, 0 and s = tau[0] as 0, ..., d-1.
+    """
+    taus = list(itertools.permutations(range(d), p - 1))
+    sigmas = sorted(taus, key=lambda prefix: (_rest(prefix, d)[0], prefix))
+    rows = np.array(sigmas, dtype=np.intp)
+    cols = np.array(taus, dtype=np.intp)
+    sigma = [None] + [rows[:, k, None] for k in range(p - 1)]
+    tau = [cols[None, :, k] for k in range(p - 1)]
+    values = _value_at(tables, reading, sigma, tau, p, q, d)
+    # argmax keeps the first maximum, as the sigma-major, tau-minor scan did
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    rest = _rest(sigmas[i], d)
+    sig = (rest[0], *sigmas[i], *rest[1:])
+    tu = (*taus[j], *_rest(taus[j], d))
+    return float(values[i, j]), sig, tu
+
+
+def _rest(prefix, d: int) -> list:
+    return sorted(set(range(d)).difference(prefix))
+
+
+def _sampled(tables: _STables, d: int, p: int, q: int, budget: int, seed: int,
+             reading: Reading) -> tuple:
+    def value(sig, tu):
+        return float(_value_at(tables, reading, sig, tu, p, q, d))
+
+    gen = generator(seed)
+    ident = tuple(range(d))
+    best = (value(ident, ident), ident, ident)
+    for _ in range(max(0, budget)):
+        sig = tuple(int(x) for x in gen.permutation(d))
+        tu = tuple(int(x) for x in gen.permutation(d))
+        v = value(sig, tu)
+        if v > best[0]:
+            best = (v, sig, tu)
+    improved = True
+    while improved:
+        improved = False
+        _, sig, tu = best
+        for k in range(d - 1):
+            cand = list(sig)
+            cand[k], cand[k + 1] = cand[k + 1], cand[k]
+            v = value(tuple(cand), tu)
             if v > best[0]:
-                best = (v, sig, tu)
-        improved = True
-        while improved:
-            improved = False
-            _, sig, tu = best
-            for k in range(d - 1):
-                cand = list(sig)
-                cand[k], cand[k + 1] = cand[k + 1], cand[k]
-                v = value(tuple(cand), tu)
-                if v > best[0]:
-                    best = (v, tuple(cand), tu)
-                    improved = True
-            _, sig, tu = best
-            for k in range(d - 1):
-                cand = list(tu)
-                cand[k], cand[k + 1] = cand[k + 1], cand[k]
-                v = value(sig, tuple(cand))
-                if v > best[0]:
-                    best = (v, sig, tuple(cand))
-                    improved = True
-        v, sig, tu = best
-    return PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v, t=1.0, mixed_value=v)
+                best = (v, tuple(cand), tu)
+                improved = True
+        _, sig, tu = best
+        for k in range(d - 1):
+            cand = list(tu)
+            cand[k], cand[k + 1] = cand[k + 1], cand[k]
+            v = value(sig, tuple(cand))
+            if v > best[0]:
+                best = (v, sig, tuple(cand))
+                improved = True
+    return best
 
 
 def mixed_bound(chain: BoundChain, best: PermutedBound, t: float) -> tuple:
@@ -535,7 +575,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     data = chain_data(rho, ch1, ch2)
     tables = _s_tables(data)
     d = data.dim
-    ident = _identity(d)
+    ident = tuple(range(d))
     chain = _chain_from_data(data, Reading.PRODUCT)
     i_vals = chain.i_values
     checks = []

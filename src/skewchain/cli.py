@@ -35,7 +35,7 @@ from .chains import (
     optimize_permutations,
     verify_chain,
 )
-from .errors import SkewchainError
+from .errors import BudgetError, SkewchainError
 from .example import (
     ExampleParams,
     discrepancy_report,
@@ -119,6 +119,9 @@ def cmd_bounds(args) -> int:
                                          budget=args.budget, seed=args.seed, reading=reading)
         verdict = verify_chain(state, ch1, ch2, tol=args.tol,
                                perm_budget=args.budget, seed=args.seed)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SkewchainError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -240,17 +243,21 @@ def cmd_example(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reading = _reading(args)
     strategy = _strategy(args)
 
-    # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
-    surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading,
-                    strategy=strategy, budget=args.budget, seed=args.seed)
-    # Curve over theta at p = q = 1/2.
-    curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading,
-                  strategy=strategy, budget=args.budget, seed=args.seed)
+    try:
+        # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
+        surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading,
+                        strategy=strategy, budget=args.budget, seed=args.seed)
+        # Curve over theta at p = q = 1/2.
+        curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading,
+                      strategy=strategy, budget=args.budget, seed=args.seed)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(surface, out_dir / "figure1.csv")
     write_sweep_csv(surface, out_dir / "figure2.csv")
     write_sweep_csv(curve, out_dir / "figure3.csv")

@@ -66,5 +66,14 @@ class NotUnitaryError(SkewchainError):
         self.residual = residual
 
 
+class BudgetError(SkewchainError):
+    """A requested exhaustive search is larger than its evaluation budget."""
+
+    def __init__(self, message: str, needed: int, budget: int):
+        super().__init__(message)
+        self.needed = needed
+        self.budget = budget
+
+
 class ConvergenceError(SkewchainError):
     """Eigensolver failed to converge or produced an invalid decomposition."""

@@ -196,7 +196,8 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     """One SweepRow per grid point, ordered lexicographically in (theta, p, q, t).
 
     The permutation-optimized column maximizes the S value at ``perm_target``
-    over permutation pairs; the mixed columns convex-combine it with the
+    over permutation pairs (``strategy`` and ``budget`` as in
+    ``optimize_permutations``); the mixed columns convex-combine it with the
     trivial bounds at each t.  Chains are computed once per (theta, p, q) and
     shared across the t axis.
     """

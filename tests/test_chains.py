@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewchain.chains import (
     HARD_CHECK_NAMES,
@@ -19,6 +22,8 @@ from skewchain.chains import (
     s_chain,
     sum_chain,
     verify_chain,
+    _permuted_value,
+    _s_tables,
 )
 from skewchain.errors import DimensionMismatchError
 from skewchain.example import example_channels, rho_theta
@@ -103,6 +108,20 @@ def oracle_s_printed(dm, ch1, ch2):
                 s = s - (a[r] + b[t]) + abs(c[r] + c[t]) ** 2
                 out[(p, q)] += s
     return out
+
+
+def oracle_optimum(rho, ch1, ch2, p, q, reading):
+    """Exhaustive permutation search: all (d!)^2 pairs in lexicographic order,
+    first maximum kept.  The optimizer's exact search must reproduce it bit for bit."""
+    data = chain_data(rho, ch1, ch2)
+    tables = _s_tables(data)
+    best = None
+    for sig in itertools.permutations(range(data.dim)):
+        for tu in itertools.permutations(range(data.dim)):
+            v = _permuted_value(tables, data.dim, sig, tu, p, q, reading)
+            if best is None or v > best[0]:
+                best = (v, sig, tu)
+    return best
 
 
 def random_instance(d, seed, convention=Convention.COLUMN_SUM):
@@ -369,9 +388,10 @@ class TestOptimizePermutations:
         assert best.value == brute
 
     def test_budget_enforced(self):
+        # (2, 1) at d = 3 reads sigma[1] and tau[0]: 3 x 3 prefix pairs
         rho, ch1, ch2 = random_instance(3, 99)
         with pytest.raises(ValueError):
-            optimize_permutations(rho, ch1, ch2, 2, 1, Strategy.EXHAUSTIVE, budget=35)
+            optimize_permutations(rho, ch1, ch2, 2, 1, Strategy.EXHAUSTIVE, budget=8)
 
     def test_sampled_deterministic_and_dominates_identity(self):
         rho, ch1, ch2 = random_instance(4, 101)
@@ -385,6 +405,45 @@ class TestOptimizePermutations:
         rho, n1, n2 = example_instance(theta=0.5)
         best = optimize_permutations(rho, n1, n2, 2, 1, Strategy.EXHAUSTIVE)
         assert best.value == 0.0
+
+
+class TestExactSearchMatchesOracle:
+    @staticmethod
+    def assert_matches_oracle(rho, ch1, ch2):
+        for (p, q) in lattice_order(rho.dim):
+            for reading in Reading:
+                best = optimize_permutations(rho, ch1, ch2, p, q, Strategy.EXHAUSTIVE,
+                                             reading=reading)
+                assert (best.value, best.sigma, best.tau) \
+                    == oracle_optimum(rho, ch1, ch2, p, q, reading), (p, q, reading)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_instances(self, d, seed):
+        self.assert_matches_oracle(*random_instance(d, seed))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_worked_example_ties(self, theta):
+        # theta = 1/2 makes every candidate 0.0, so only the tie-break decides
+        for p in (0.0, 0.5, 1.0):
+            for q in (0.0, 0.5, 1.0):
+                self.assert_matches_oracle(*example_instance(theta, p, q))
+
+    def test_auto_is_exact_beyond_old_exhaustive_range(self):
+        # d = 6: (6!)^2 pairs, but (2, 1) only reads sigma[1] and tau[0]
+        rho, ch1, ch2 = random_instance(6, 111)
+
+        def with_label(label, slot):
+            perm = [k for k in range(6) if k != label]
+            perm.insert(slot, label)
+            return perm
+
+        best = optimize_permutations(rho, ch1, ch2, 2, 1)
+        brute = max(permute_s(rho, ch1, ch2, with_label(r, 1), with_label(s, 0), 2, 1)
+                    for r in range(6) for s in range(6))
+        assert best.value == brute
+        sampled = optimize_permutations(rho, ch1, ch2, 2, 1, Strategy.SAMPLED, budget=50)
+        assert best.value >= sampled.value
 
 
 class TestMixedBound:

@@ -103,6 +103,22 @@ class TestBounds:
         assert code == 2
 
 
+class TestSearchBudget:
+    # --perm exhaustive at d = 4 needs 16 prefix pairs for the (2, 1) optimum
+    @pytest.mark.parametrize("command", ["bounds", "example"])
+    def test_exhaustive_over_budget_exits_2(self, tmp_path, example_files, capsys, command):
+        state, ch1, ch2 = example_files
+        argv = {"bounds": ["bounds", "--state", str(state), "--channel1", str(ch1),
+                           "--channel2", str(ch2), "--out", str(tmp_path / "report.txt")],
+                "example": ["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5",
+                            "--out", str(tmp_path / "figs")]}[command]
+        code = main(argv + ["--perm", "exhaustive", "--budget", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "budget 10" in err and "Traceback" not in err
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "verdict.txt"
