@@ -8,25 +8,26 @@ variants, and numerical certification of every claimed inequality.
 
 from .chains import (
     BoundChain,
+    ChainData,
     ChainVerdict,
     InvarianceReport,
-    PartialSplit,
     PermutedBound,
     Reading,
     Strategy,
     SumBounds,
+    chain_data,
+    chain_from_data,
     compute_chain,
     cross_term_bound,
-    i_chain,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
+    optimize_from_data,
     optimize_permutations,
-    partial_splits,
     permute_s,
-    s_chain,
     sum_chain,
     verify_chain,
+    verify_from_data,
 )
 from .errors import (
     BudgetError,

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError
 from .objects import DensityMatrix, KrausChannel, derive_seed, generator, mix_kraus, random_unitary
-from .skew import commutator_frame
 
 __all__ = [
     "BoundChain",
@@ -52,24 +51,23 @@ __all__ = [
     "Check",
     "HARD_CHECK_NAMES",
     "InvarianceReport",
-    "PartialSplit",
     "PermutedBound",
     "Reading",
     "Strategy",
     "SumBounds",
     "chain_data",
+    "chain_from_data",
     "compute_chain",
     "cross_term_bound",
-    "i_chain",
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
+    "optimize_from_data",
     "optimize_permutations",
-    "partial_splits",
     "permute_s",
-    "s_chain",
     "sum_chain",
     "verify_chain",
+    "verify_from_data",
 ]
 
 
@@ -95,47 +93,23 @@ def lattice_order(d: int) -> list:
 
 
 @dataclass(frozen=True)
-class PartialSplit:
-    """Prefix/suffix split of one stacked frame vector at position m.
-
-    ``head_norm_sq`` and ``tail_norm_sq`` are the squared norms of the first
-    m columns and of the remainder; ``head_overlap`` accumulates the column
-    overlaps with a second frame over the same prefix.
-    """
-
-    m: int
-    head_norm_sq: float
-    tail_norm_sq: float
-    head_overlap: complex
-
-
-def partial_splits(frame_a, frame_b) -> list:
-    """PartialSplit list for m = 1..d; norms from frame_a, overlaps (a, b)."""
-    a = frame_a.column_norms_sq()
-    c = np.einsum("ij,ij->j", frame_a.matrix.conj(), frame_b.matrix)
-    d = a.shape[0]
-    total = math.fsum(a.tolist())
-    out = []
-    for m in range(1, d + 1):
-        head = math.fsum(a[:m].tolist())
-        overlap = complex(math.fsum(c[:m].real.tolist()), math.fsum(c[:m].imag.tolist()))
-        out.append(PartialSplit(m=m, head_norm_sq=head,
-                                tail_norm_sq=total - head, head_overlap=overlap))
-    return out
-
-
-@dataclass(frozen=True)
 class ChainData:
     """Per-instance column data of all commutator frames.
 
     ``e_norms[i, k]`` and ``f_norms[j, k]`` are squared column norms of the
     two frame families; ``overlaps[i, j, k]`` the complex column overlaps.
+    ``tables`` holds the S-lattice update terms summed over all Kraus pairs,
+    derived once on construction and shared by every reading and search.
     """
 
     dim: int
     e_norms: np.ndarray
     f_norms: np.ndarray
     overlaps: np.ndarray
+    tables: _STables = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", _s_tables(self))
 
     @property
     def n1(self) -> int:
@@ -152,18 +126,35 @@ class ChainData:
         return 0.5 * math.fsum(self.f_norms.ravel().tolist())
 
 
+def _frames(rho: DensityMatrix, channel: KrausChannel) -> np.ndarray:
+    """Commutator frames ``[sqrt(rho), K]`` of every Kraus operator, stacked (n, d, d)."""
+    s = rho.sqrt_rho
+    k = np.stack(channel.operators)
+    return s @ k - k @ s
+
+
 def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
+    """Column data of one (state, channel, channel) instance; every bound reads it."""
     if ch1.dim != rho.dim or ch2.dim != rho.dim:
         raise DimensionMismatchError(
             f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
-    e_frames = [commutator_frame(rho, k, i) for i, k in enumerate(ch1.operators)]
-    f_frames = [commutator_frame(rho, k, j) for j, k in enumerate(ch2.operators)]
-    e_norms = np.stack([f.column_norms_sq() for f in e_frames])
-    f_norms = np.stack([f.column_norms_sq() for f in f_frames])
-    overlaps = np.stack([
-        np.stack([np.einsum("ij,ij->j", e.matrix.conj(), f.matrix) for f in f_frames])
-        for e in e_frames])
+    e = _frames(rho, ch1)
+    f = _frames(rho, ch2)
+    e_conj = e.conj()
+    e_norms = np.einsum("nij,nij->nj", e_conj, e).real
+    f_norms = np.einsum("nij,nij->nj", f.conj(), f).real
+    overlaps = np.einsum("aij,bij->abj", e_conj, f)
     return ChainData(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
+
+
+def _mod_sq(c: np.ndarray) -> np.ndarray:
+    """``|c|^2`` entrywise, bit for bit as numpy's scalar ``abs(c) ** 2``.
+
+    The scalar form is libm ``hypot`` followed by ``pow``.  ``np.abs`` on a
+    complex array takes a SIMD path and ``x ** 2`` on an array squares as
+    ``x * x``; both differ from it in the last bit for some inputs.
+    """
+    return np.float_power(np.hypot(c.real, c.imag), 2.0)
 
 
 def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> float:
@@ -177,8 +168,7 @@ def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -
 
 def _cross_term(data: ChainData) -> float:
     totals = data.overlaps.sum(axis=2)  # full-frame inner products, per (i, j)
-    return 0.25 * math.fsum((abs(totals[i, j]) ** 2
-                             for i in range(data.n1) for j in range(data.n2)))
+    return 0.25 * math.fsum(_mod_sq(totals).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +176,20 @@ def _cross_term(data: ChainData) -> float:
 
 
 def _i_values(data: ChainData) -> tuple:
-    d = data.dim
-    a_pref = np.cumsum(data.e_norms, axis=1)
-    b_pref = np.cumsum(data.f_norms, axis=1)
-    c_pref = np.cumsum(data.overlaps, axis=2)
-    a_tot = a_pref[:, -1]
-    b_tot = b_pref[:, -1]
-    values = []
-    for m in range(1, d + 1):
-        terms = []
-        for i in range(data.n1):
-            for j in range(data.n2):
-                head_a = a_pref[i, m - 1]
-                tail_a = a_tot[i] - head_a
-                head_b = b_pref[j, m - 1]
-                tail_b = b_tot[j] - head_b
-                u = c_pref[i, j, m - 1]
-                terms.append(0.25 * (abs(u) ** 2 + head_a * tail_b
-                                     + tail_a * (head_b + tail_b)))
-        values.append(math.fsum(terms))
-    return tuple(values)
+    """``I_m`` for m = 1..d: per Kraus pair (i, j) and split m, the term
+    ``(1/4)(|u|^2 + head_a tail_b + tail_a (head_b + tail_b))``, summed exactly."""
+    a_head = np.cumsum(data.e_norms, axis=1)    # (n1, d)
+    b_head = np.cumsum(data.f_norms, axis=1)    # (n2, d)
+    u = np.cumsum(data.overlaps, axis=2)        # (n1, n2, d)
+    a_tail = a_head[:, -1:] - a_head
+    b_tail = b_head[:, -1:] - b_head
+    terms = 0.25 * (_mod_sq(u) + a_head[:, None, :] * b_tail[None, :, :]
+                    + a_tail[:, None, :] * (b_head + b_tail)[None, :, :])
+    return tuple(math.fsum(column.tolist()) for column in terms.reshape(-1, data.dim).T)
 
 
 # ---------------------------------------------------------------------------
-# S-lattice walks (shared by s_chain and permute_s)
+# S-lattice walks (shared by the chain, permute_s and the optimizer)
 
 
 @dataclass(frozen=True)
@@ -302,33 +282,26 @@ class BoundChain:
 def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
                   reading: Reading = Reading.PRODUCT) -> BoundChain:
     """Product, sum, I-chain, S-lattice and cross-term bound in one pass."""
-    data = chain_data(rho, ch1, ch2)
-    return _chain_from_data(data, reading)
+    return chain_from_data(chain_data(rho, ch1, ch2), reading)
 
 
-def _chain_from_data(data: ChainData, reading: Reading) -> BoundChain:
-    tables = _s_tables(data)
-    ident = tuple(range(data.dim))
-    s_values = {pos: float(v) for pos, v in
-                _walk_lattice(tables, Reading(reading), ident, ident, data.dim)}
+def chain_from_data(data: ChainData, reading: Reading = Reading.PRODUCT) -> BoundChain:
+    """``compute_chain`` on column data already built by ``chain_data``."""
     return BoundChain(
         dim=data.dim,
-        product=tables.start,
+        product=data.tables.start,
         sum=data.skew_1() + data.skew_2(),
         i_values=_i_values(data),
-        s_values=s_values,
+        s_values=_lattice_values(data, reading),
         cross_term=_cross_term(data),
         s_reading=Reading(reading),
     )
 
 
-def i_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> BoundChain:
-    return compute_chain(rho, ch1, ch2, Reading.PRODUCT)
-
-
-def s_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-            reading: Reading = Reading.PRODUCT) -> BoundChain:
-    return compute_chain(rho, ch1, ch2, reading)
+def _lattice_values(data: ChainData, reading: Reading) -> dict:
+    ident = tuple(range(data.dim))
+    return {pos: float(v) for pos, v in
+            _walk_lattice(data.tables, Reading(reading), ident, ident, data.dim)}
 
 
 @dataclass(frozen=True)
@@ -361,7 +334,7 @@ def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     The identity pair reproduces the unpermuted chain entry bit for bit.
     """
     data = chain_data(rho, ch1, ch2)
-    return _permuted_value(_s_tables(data), data.dim, sigma, tau, p, q, reading)
+    return _permuted_value(data.tables, data.dim, sigma, tau, p, q, reading)
 
 
 def _permuted_value(tables: _STables, d: int, sigma, tau, p: int, q: int,
@@ -403,8 +376,14 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
     when the prefix pairs fit the budget (at (2, 1) with the default budget,
     every d <= 120) and samples otherwise.
     """
-    data = chain_data(rho, ch1, ch2)
-    return _optimize(_s_tables(data), data.dim, p, q, strategy, budget, seed, reading)
+    return optimize_from_data(chain_data(rho, ch1, ch2), p, q, strategy, budget, seed, reading)
+
+
+def optimize_from_data(data: ChainData, p: int, q: int, strategy: Strategy | None = None,
+                       budget: int = 14400, seed: int = 0,
+                       reading: Reading = Reading.PRODUCT) -> PermutedBound:
+    """``optimize_permutations`` on column data already built by ``chain_data``."""
+    return _optimize(data.tables, data.dim, p, q, strategy, budget, seed, reading)
 
 
 def _optimize(tables: _STables, d: int, p: int, q: int, strategy, budget: int,
@@ -572,11 +551,14 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     refine.  Inequality rows pass when ``lhs >= rhs - tol``; equality rows
     report their deviation against the same tolerance.
     """
-    data = chain_data(rho, ch1, ch2)
-    tables = _s_tables(data)
+    return verify_from_data(chain_data(rho, ch1, ch2), tol, perm_budget, seed)
+
+
+def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 14400,
+                     seed: int = 0) -> ChainVerdict:
+    """``verify_chain`` on column data already built by ``chain_data``."""
     d = data.dim
-    ident = tuple(range(d))
-    chain = _chain_from_data(data, Reading.PRODUCT)
+    chain = chain_from_data(data, Reading.PRODUCT)
     i_vals = chain.i_values
     checks = []
 
@@ -588,10 +570,9 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     checks.append(_ge_check("i_monotone", -worst_step, 0.0, tol))
     checks.append(_eq_check("i_endpoint_eq_cross_term", i_vals[-1], chain.cross_term, tol))
 
-    s_by_reading = {}
-    for reading in (Reading.PRODUCT, Reading.AS_PRINTED):
-        s_vals = dict(_walk_lattice(tables, reading, ident, ident, d))
-        s_by_reading[reading] = s_vals
+    s_by_reading = {Reading.PRODUCT: chain.s_values,
+                    Reading.AS_PRINTED: _lattice_values(data, Reading.AS_PRINTED)}
+    for reading, s_vals in s_by_reading.items():
         label = reading.value.replace("-", "_")
         if s_vals:
             seq = [chain.product] + [s_vals[k] for k in lattice_order(d)]
@@ -613,7 +594,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     checks.append(_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
 
     if d >= 2:
-        best = _optimize(tables, d, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
+        best = _optimize(data.tables, d, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
         identity_value = s_by_reading[Reading.PRODUCT][(2, 1)]
         checks.append(_ge_check("opt_ge_identity", best.value, identity_value, tol))
         for t in (0.0, 0.5, 1.0):
@@ -650,28 +631,21 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
-    base_printed = compute_chain(rho, ch1, ch2, Reading.AS_PRINTED)
-    devs = {"product": 0.0, "sum": 0.0, "i_values": 0.0, "s_values": 0.0,
-            "s_values_as_printed": 0.0, "cross_term": 0.0}
+    base = _invariant_values(chain_data(rho, ch1, ch2))
+    devs = dict.fromkeys(base, 0.0)
     for trial in range(trials):
         u = random_unitary(ch1.n, derive_seed(seed, trial, 1))
         v = random_unitary(ch2.n, derive_seed(seed, trial, 2))
-        mixed1 = mix_kraus(ch1, u)
-        mixed2 = mix_kraus(ch2, v)
-        chain = compute_chain(rho, mixed1, mixed2, Reading.PRODUCT)
-        printed = compute_chain(rho, mixed1, mixed2, Reading.AS_PRINTED)
-        devs["product"] = max(devs["product"], abs(chain.product - base.product))
-        devs["sum"] = max(devs["sum"], abs(chain.sum - base.sum))
-        devs["cross_term"] = max(devs["cross_term"], abs(chain.cross_term - base.cross_term))
-        devs["i_values"] = max(devs["i_values"],
-                               max(abs(a - b) for a, b in zip(chain.i_values, base.i_values)))
-        if chain.s_values:
-            devs["s_values"] = max(devs["s_values"],
-                                   max(abs(chain.s_values[k] - base.s_values[k])
-                                       for k in chain.s_values))
-            devs["s_values_as_printed"] = max(
-                devs["s_values_as_printed"],
-                max(abs(printed.s_values[k] - base_printed.s_values[k])
-                    for k in printed.s_values))
+        mixed = _invariant_values(chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v)))
+        for name, values in mixed.items():
+            devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
     return InvarianceReport(trials=trials, tol=tol, deviations=devs)
+
+
+def _invariant_values(data: ChainData) -> dict:
+    """Every bound quantity of one Kraus pair, both readings from one ChainData."""
+    chain = chain_from_data(data, Reading.PRODUCT)
+    return {"product": (chain.product,), "sum": (chain.sum,), "i_values": chain.i_values,
+            "s_values": tuple(chain.s_values.values()),
+            "s_values_as_printed": tuple(_lattice_values(data, Reading.AS_PRINTED).values()),
+            "cross_term": (chain.cross_term,)}

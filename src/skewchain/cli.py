@@ -19,6 +19,7 @@ Exit codes: 0 success; 1 verdict failure (verify/example/invariance only);
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -28,12 +29,14 @@ from .chains import (
     HARD_CHECK_NAMES,
     Reading,
     Strategy,
-    compute_chain,
+    chain_data,
+    chain_from_data,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
-    optimize_permutations,
+    optimize_from_data,
     verify_chain,
+    verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
 from .example import (
@@ -101,6 +104,7 @@ def cmd_bounds(args) -> int:
         ch1 = load_channel(args.channel1, tol=args.tol)
         ch2 = load_channel(args.channel2, tol=args.tol)
         t_grid = parse_grid(args.t)
+        data = chain_data(state, ch1, ch2)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -110,15 +114,13 @@ def cmd_bounds(args) -> int:
 
     try:
         reading = _reading(args)
-        chain = compute_chain(state, ch1, ch2, reading)
+        chain = chain_from_data(data, reading)
         d = chain.dim
-        p, q = (2, 1) if d >= 2 else (None, None)
         best = None
-        if p is not None:
-            best = optimize_permutations(state, ch1, ch2, p, q, strategy=_strategy(args),
-                                         budget=args.budget, seed=args.seed, reading=reading)
-        verdict = verify_chain(state, ch1, ch2, tol=args.tol,
-                               perm_budget=args.budget, seed=args.seed)
+        if d >= 2:
+            best = optimize_from_data(data, 2, 1, strategy=_strategy(args),
+                                      budget=args.budget, seed=args.seed, reading=reading)
+        verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget, seed=args.seed)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -363,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not math.isfinite(args.tol):
+        print("error: tol must be finite", file=sys.stderr)
+        return 2
     # tol = 0 stays legal for invariance (it then reports floating noise and
     # exits 1); every other command treats a non-positive tol as bad config.
     if args.command == "invariance":
@@ -372,7 +377,14 @@ def main(argv=None) -> int:
     elif args.tol <= 0:
         print("error: tol must be > 0", file=sys.stderr)
         return 2
-    return args.func(args)
+    if args.seed < 0:
+        print("error: seed must be >= 0", file=sys.stderr)
+        return 2
+    try:
+        return args.func(args)
+    except OSError as exc:  # each command reads and checks its inputs itself
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,12 +26,10 @@ from .chains import (
     BoundChain,
     Reading,
     Strategy,
-    _chain_from_data,
-    _optimize,
-    _s_tables,
     chain_data,
-    lattice_order,
+    chain_from_data,
     mixed_bound,
+    optimize_from_data,
 )
 from .objects import Convention, DensityMatrix, validate_channel, validate_density
 from .serialize import write_text_atomic
@@ -209,13 +207,13 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
         raise ValueError("all sweep grids must be nonempty")
     rows = []
     for theta in sorted(thetas):
+        rho = rho_theta(theta)
         for p in sorted(ps):
             for q in sorted(qs):
-                n1, n2 = example_channels(p, q)
-                data = chain_data(rho_theta(theta), n1, n2)
-                chain = _chain_from_data(data, reading)
-                best = _optimize(_s_tables(data), data.dim, perm_target[0], perm_target[1],
-                                 strategy, budget, seed, reading)
+                data = chain_data(rho, *example_channels(p, q))
+                chain = chain_from_data(data, reading)
+                best = optimize_from_data(data, perm_target[0], perm_target[1],
+                                          strategy, budget, seed, reading)
                 forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
                 for t in sorted(ts):
                     mp, ms = mixed_bound(chain, best, t)
@@ -295,10 +293,11 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     params = list(param_grid)
     if not params:
         raise ValueError("the parameter grid must be nonempty")
+    states = {theta: rho_theta(theta) for theta in {pt.theta for pt in params}}
     rows = []
     for pt in params:
-        n1, n2 = example_channels(pt.p, pt.q)
-        chain = _chain_from_data(chain_data(rho_theta(pt.theta), n1, n2), Reading.PRODUCT)
+        chain = chain_from_data(chain_data(states[pt.theta], *example_channels(pt.p, pt.q)),
+                                Reading.PRODUCT)
         numeric = _numeric_targets(chain)
         forms = closed_forms(pt)
         for name in _FORM_NAMES:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +40,27 @@ def matrix_from_pairs(obj) -> np.ndarray:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temporary sibling and rename, so readers never see partials."""
+    """Write via a temporary sibling and rename, so readers never see partials.
+
+    The sibling has a unique name, so concurrent writers do not collide, and
+    it is removed if the write fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~_umask())  # mkstemp makes 0600; match a plain open
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def save_state(path, state: DensityMatrix) -> None:

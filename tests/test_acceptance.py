@@ -202,7 +202,8 @@ def test_criterion_6_mixed_bound_sandwich():
             details.append(f"({p},{q}) took {per_point:.1f}s")
     elapsed = time.perf_counter() - start
     _criterion("criterion 6 mixed-bound sandwich", ok,
-               f"6 lattice choices x 576 permutation pairs x 5 weights, "
+               f"6 lattice choices (16 / 144 / 576 prefix pairs at p = 2 / 3 / 4) "
+               f"x 5 weights, "
                f"{'; '.join(details) if details else 'all inside'}, "
                f"elapsed = {elapsed:.2f}s")
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewchain.chains import (
@@ -17,13 +17,14 @@ from skewchain.chains import (
     lattice_order,
     mixed_bound,
     optimize_permutations,
-    partial_splits,
     permute_s,
-    s_chain,
     sum_chain,
     verify_chain,
+    ChainData,
+    _cross_term,
+    _i_values,
+    _mod_sq,
     _permuted_value,
-    _s_tables,
 )
 from skewchain.errors import DimensionMismatchError
 from skewchain.example import example_channels, rho_theta
@@ -114,7 +115,7 @@ def oracle_optimum(rho, ch1, ch2, p, q, reading):
     """Exhaustive permutation search: all (d!)^2 pairs in lexicographic order,
     first maximum kept.  The optimizer's exact search must reproduce it bit for bit."""
     data = chain_data(rho, ch1, ch2)
-    tables = _s_tables(data)
+    tables = data.tables
     best = None
     for sig in itertools.permutations(range(data.dim)):
         for tu in itertools.permutations(range(data.dim)):
@@ -122,6 +123,50 @@ def oracle_optimum(rho, ch1, ch2, p, q, reading):
             if best is None or v > best[0]:
                 best = (v, sig, tu)
     return best
+
+
+# Per-pair loop forms of the batched kernels in chains.py.  The kernels must
+# reproduce them bit for bit: the byte-identity of every report rests on it.
+
+
+def loop_chain_data(rho, ch1, ch2):
+    e_frames = [commutator_frame(rho, k, i) for i, k in enumerate(ch1.operators)]
+    f_frames = [commutator_frame(rho, k, j) for j, k in enumerate(ch2.operators)]
+    e_norms = np.stack([f.column_norms_sq() for f in e_frames])
+    f_norms = np.stack([f.column_norms_sq() for f in f_frames])
+    overlaps = np.stack([
+        np.stack([np.einsum("ij,ij->j", e.matrix.conj(), f.matrix) for f in f_frames])
+        for e in e_frames])
+    return ChainData(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
+
+
+def loop_cross_term(data):
+    totals = data.overlaps.sum(axis=2)
+    return 0.25 * math.fsum((abs(totals[i, j]) ** 2
+                             for i in range(data.n1) for j in range(data.n2)))
+
+
+def loop_i_values(data):
+    d = data.dim
+    a_pref = np.cumsum(data.e_norms, axis=1)
+    b_pref = np.cumsum(data.f_norms, axis=1)
+    c_pref = np.cumsum(data.overlaps, axis=2)
+    a_tot = a_pref[:, -1]
+    b_tot = b_pref[:, -1]
+    values = []
+    for m in range(1, d + 1):
+        terms = []
+        for i in range(data.n1):
+            for j in range(data.n2):
+                head_a = a_pref[i, m - 1]
+                tail_a = a_tot[i] - head_a
+                head_b = b_pref[j, m - 1]
+                tail_b = b_tot[j] - head_b
+                u = c_pref[i, j, m - 1]
+                terms.append(0.25 * (abs(u) ** 2 + head_a * tail_b
+                                     + tail_a * (head_b + tail_b)))
+        values.append(math.fsum(terms))
+    return tuple(values)
 
 
 def random_instance(d, seed, convention=Convention.COLUMN_SUM):
@@ -137,6 +182,54 @@ def example_instance(theta=1.0, p=0.5, q=0.5):
 
 
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def kernel_instances(draw):
+    """(d, n1, n2, rank, row_sum, seed), leaning towards n = d^2 and rank 1."""
+    d = draw(st.integers(1, 6))
+    kraus_count = st.just(d * d) | st.integers(1, d * d)
+    return (d, draw(kraus_count), draw(kraus_count), draw(st.just(1) | st.integers(1, d)),
+            draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestBatchedKernelsMatchLoops:
+    @staticmethod
+    def assert_matches_loops(rho, ch1, ch2):
+        data = chain_data(rho, ch1, ch2)
+        loop = loop_chain_data(rho, ch1, ch2)
+        for name in ("e_norms", "f_norms", "overlaps"):
+            assert np.array_equal(getattr(data, name), getattr(loop, name)), name
+        assert _i_values(data) == loop_i_values(loop)
+        assert _cross_term(data) == loop_cross_term(loop)
+
+    # (d, n1, n2, rank, row_sum, seed).  Seed 268 is an instance where squaring
+    # hypot as x * x moves an I value; the others pin n = d^2, one of them with
+    # a rank-1 state and row-sum channels.
+    @settings(max_examples=40, deadline=None)
+    @given(params=kernel_instances())
+    @example(params=(5, 2, 5, 5, False, 268))
+    @example(params=(6, 36, 36, 1, True, 0))
+    @example(params=(4, 16, 16, 4, False, 1))
+    def test_random_instances(self, params):
+        d, n1, n2, rank, row_sum, seed = params
+        convention = Convention.ROW_SUM if row_sum else Convention.COLUMN_SUM
+        rho = random_density(d, rank, derive_seed(seed, 0))
+        ch1 = random_channel(d, n1, convention, derive_seed(seed, 1))
+        ch2 = random_channel(d, n2, convention, derive_seed(seed, 2))
+        self.assert_matches_loops(rho, ch1, ch2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_worked_example_points(self, theta):
+        for p in (0.0, 0.5, 1.0):
+            for q in (0.0, 0.5, 1.0):
+                self.assert_matches_loops(*example_instance(theta, p, q))
+
+    def test_mod_sq_is_scalar_abs_squared(self):
+        rng = np.random.default_rng(5)
+        c = ((rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
+             * np.exp(rng.uniform(-20.0, 2.0, 20000)))
+        assert _mod_sq(c).tolist() == [float(abs(z) ** 2) for z in c]
 
 
 class TestCrossTermBound:
@@ -161,25 +254,6 @@ class TestCrossTermBound:
             rho, ch1, ch2 = random_instance(d, 100 + seed)
             assert cross_term_bound(rho, ch1, ch2) == pytest.approx(
                 oracle_cross_term(rho, ch1, ch2), abs=1e-13)
-
-
-class TestPartialSplits:
-    def test_head_plus_tail_is_total(self):
-        rho, ch1, ch2 = random_instance(4, 7)
-        fe = commutator_frame(rho, ch1.operators[0])
-        ff = commutator_frame(rho, ch2.operators[0])
-        splits = partial_splits(fe, ff)
-        total = math.fsum(fe.column_norms_sq().tolist())
-        for split in splits:
-            assert split.head_norm_sq + split.tail_norm_sq == pytest.approx(total, abs=1e-12)
-
-    def test_full_overlap_is_frame_inner_product(self):
-        rho, ch1, ch2 = random_instance(3, 8)
-        fe = commutator_frame(rho, ch1.operators[0])
-        ff = commutator_frame(rho, ch2.operators[0])
-        last = partial_splits(fe, ff)[-1]
-        assert last.head_overlap == pytest.approx(hs_inner(fe.matrix, ff.matrix), abs=1e-12)
-        assert last.tail_norm_sq == pytest.approx(0.0, abs=1e-15)
 
 
 class TestIChain:
@@ -222,14 +296,14 @@ class TestSChain:
     def test_incoherent_point_all_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
         for reading in Reading:
-            chain = s_chain(rho, n1, n2, reading)
+            chain = compute_chain(rho, n1, n2, reading)
             assert all(v == 0.0 for v in chain.s_values.values())
 
     def test_product_reading_matches_oracle(self):
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 300 + seed)
-            chain = s_chain(rho, ch1, ch2, Reading.PRODUCT)
+            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
             oracle = oracle_s_product(rho, ch1, ch2)
             for key in lattice_order(d):
                 assert chain.s_values[key] == pytest.approx(oracle[key], abs=1e-12)
@@ -238,7 +312,7 @@ class TestSChain:
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 400 + seed)
-            chain = s_chain(rho, ch1, ch2, Reading.AS_PRINTED)
+            chain = compute_chain(rho, ch1, ch2, Reading.AS_PRINTED)
             oracle = oracle_s_printed(rho, ch1, ch2)
             for key in lattice_order(d):
                 assert chain.s_values[key] == pytest.approx(oracle[key], abs=1e-10)
@@ -248,7 +322,7 @@ class TestSChain:
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 500 + seed)
-            chain = s_chain(rho, ch1, ch2, Reading.PRODUCT)
+            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
             for p in range(2, d + 1):
                 assert chain.s_values[(p, p - 1)] == pytest.approx(
                     chain.i_values[p - 1], abs=1e-12)
@@ -258,7 +332,7 @@ class TestSChain:
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 600 + seed)
-            chain = s_chain(rho, ch1, ch2, Reading.PRODUCT)
+            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
             seq = [chain.product] + [chain.s_values[k] for k in lattice_order(d)]
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + 1e-12
@@ -267,12 +341,12 @@ class TestSChain:
         # documents why the as-printed reading is report-only: its updates mix
         # quadratic and quartic terms, so the lattice detaches from the I-chain
         rho, ch1, ch2 = example_instance()
-        chain = s_chain(rho, ch1, ch2, Reading.AS_PRINTED)
+        chain = compute_chain(rho, ch1, ch2, Reading.AS_PRINTED)
         assert abs(chain.s_values[(2, 1)] - chain.i_values[1]) > 1e-3
 
     def test_worked_example_product_reading_values(self):
         rho, n1, n2 = example_instance()
-        chain = s_chain(rho, n1, n2, Reading.PRODUCT)
+        chain = compute_chain(rho, n1, n2, Reading.PRODUCT)
         assert chain.s_values[(2, 1)] == pytest.approx(0.01687015286276604, abs=1e-12)
         assert chain.s_values[(3, 1)] == pytest.approx(0.013437810454795893, abs=1e-12)
         assert chain.s_values[(3, 2)] == pytest.approx(0.011149582182815795, abs=1e-12)
@@ -300,7 +374,7 @@ class TestSumChain:
 
     def test_negative_values_transfer_to_zero(self):
         rho, n1, n2 = example_instance()
-        chain = s_chain(rho, n1, n2, Reading.AS_PRINTED)
+        chain = compute_chain(rho, n1, n2, Reading.AS_PRINTED)
         bounds = sum_chain(chain)
         assert chain.s_values[(4, 3)] < 0.0
         assert bounds.s_values[(4, 3)] == 0.0
@@ -320,7 +394,7 @@ class TestPermuteS:
     def test_identity_is_bit_identical_to_chain(self):
         rho, ch1, ch2 = random_instance(4, 88)
         for reading in Reading:
-            chain = s_chain(rho, ch1, ch2, reading)
+            chain = compute_chain(rho, ch1, ch2, reading)
             ident = (0, 1, 2, 3)
             for (p, q) in lattice_order(4):
                 assert permute_s(rho, ch1, ch2, ident, ident, p, q, reading) \
@@ -341,7 +415,7 @@ class TestPermuteS:
                                        ch1.convention, tol=1e-9)
         relabeled_2 = validate_channel([perm @ k @ perm.T for k in ch2.operators],
                                        ch2.convention, tol=1e-9)
-        direct = s_chain(relabeled_rho, relabeled_1, relabeled_2, Reading.PRODUCT)
+        direct = compute_chain(relabeled_rho, relabeled_1, relabeled_2, Reading.PRODUCT)
         swapped = permute_s(rho, ch1, ch2, (1, 0), (1, 0), 2, 1, Reading.PRODUCT)
         assert swapped == pytest.approx(direct.s_values[(2, 1)], abs=1e-12)
 

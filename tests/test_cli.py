@@ -119,6 +119,38 @@ class TestSearchBudget:
         assert "budget 10" in err and "Traceback" not in err
 
 
+def _argv(case, tmp_path, files):
+    state, ch1, ch2 = files
+    inputs = ["--state", str(state), "--channel1", str(ch1), "--channel2", str(ch2)]
+    small = tmp_path / "small.json"
+    save_channel(small, random_channel(3, 2, Convention.COLUMN_SUM, seed=1))
+    return {
+        "verify_negative_seed": ["verify", "--dims", "2", "--instances", "1", "--seed", "-1",
+                                 "--out", str(tmp_path / "v.txt")],
+        "verify_nan_tol": ["verify", "--dims", "2", "--instances", "1", "--tol", "nan",
+                           "--out", str(tmp_path / "v.txt")],
+        "invariance_nan_tol": ["invariance", *inputs, "--trials", "1", "--tol", "nan",
+                               "--out", str(tmp_path / "inv.txt")],
+        "bounds_unwritable_out": ["bounds", *inputs,
+                                  "--out", str(tmp_path / "missing" / "report.txt")],
+        "bounds_dim_mismatch": ["bounds", "--state", str(state), "--channel1", str(small),
+                                "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")],
+    }[case]
+
+
+class TestBadInputExits2:
+    # each row once ended in a traceback or in exit 1 or 3
+    @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
+                                      "invariance_nan_tol", "bounds_unwritable_out",
+                                      "bounds_dim_mismatch"])
+    def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
+        code = main(_argv(case, tmp_path, example_files))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "verdict.txt"

@@ -23,7 +23,13 @@ from skewchain.objects import (
     validate_channel,
     validate_density,
 )
-from skewchain.serialize import load_channel, load_state, save_channel, save_state
+from skewchain.serialize import (
+    load_channel,
+    load_state,
+    save_channel,
+    save_state,
+    write_text_atomic,
+)
 
 
 class TestValidateDensity:
@@ -274,3 +280,21 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(CompletenessError):
             load_channel(path, tol=1e-9)
+
+    def test_atomic_write_replaces_and_keeps_open_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        write_text_atomic(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+    def test_failed_atomic_write_leaves_no_stray_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "bad \ud800 text\n")  # a lone surrogate cannot be encoded
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old\n"
