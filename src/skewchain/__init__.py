@@ -15,10 +15,12 @@ from .chains import (
     Reading,
     Strategy,
     SumBounds,
+    chain_batch,
     chain_data,
     chain_from_data,
     compute_chain,
     cross_term_bound,
+    invariance_from_data,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,

@@ -34,8 +34,10 @@ floor of zero and the product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,10 +57,12 @@ __all__ = [
     "Reading",
     "Strategy",
     "SumBounds",
+    "chain_batch",
     "chain_data",
     "chain_from_data",
     "compute_chain",
     "cross_term_bound",
+    "invariance_from_data",
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
@@ -90,6 +94,12 @@ def lattice_order(d: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Column data
+#
+# Every kernel below runs over a leading instance axis of B same-shape
+# instances.  Each slice sees the same BLAS calls, elementwise operations and
+# reductions as a lone instance, and every exact sum (``math.fsum``) stays per
+# instance, so a stack returns each instance's bits unchanged.  The
+# one-instance functions are stacks of one.
 
 
 @dataclass(frozen=True)
@@ -99,17 +109,15 @@ class ChainData:
     ``e_norms[i, k]`` and ``f_norms[j, k]`` are squared column norms of the
     two frame families; ``overlaps[i, j, k]`` the complex column overlaps.
     ``tables`` holds the S-lattice update terms summed over all Kraus pairs,
-    derived once on construction and shared by every reading and search.
+    derived once when the data is built and shared by every reading and
+    search.  Build it with ``chain_data`` or ``chain_batch``.
     """
 
     dim: int
     e_norms: np.ndarray
     f_norms: np.ndarray
     overlaps: np.ndarray
-    tables: _STables = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tables", _s_tables(self))
+    tables: _STables = field(repr=False, compare=False)
 
     @property
     def n1(self) -> int:
@@ -120,31 +128,72 @@ class ChainData:
         return self.f_norms.shape[0]
 
     def skew_1(self) -> float:
-        return 0.5 * math.fsum(self.e_norms.ravel().tolist())
+        return _skews(self.e_norms[None])[0]
 
     def skew_2(self) -> float:
-        return 0.5 * math.fsum(self.f_norms.ravel().tolist())
+        return _skews(self.f_norms[None])[0]
 
 
-def _frames(rho: DensityMatrix, channel: KrausChannel) -> np.ndarray:
-    """Commutator frames ``[sqrt(rho), K]`` of every Kraus operator, stacked (n, d, d)."""
-    s = rho.sqrt_rho
-    k = np.stack(channel.operators)
+def _skews(norms: np.ndarray) -> list:
+    """Channel skew information of each instance: half its summed squared column norms."""
+    return [0.5 * math.fsum(row) for row in norms.reshape(len(norms), -1).tolist()]
+
+
+def _columns(rhos, ch1s, ch2s) -> tuple:
+    """Stacked ``(e_norms, f_norms, overlaps)`` of B same-shape instances."""
+    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
+    if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
+        raise ValueError(f"need one or more instances, equally many of each part: "
+                         f"{len(rhos)} states, {len(ch1s)} and {len(ch2s)} channels")
+    shape = (rhos[0].dim, ch1s[0].n, ch2s[0].n)
+    for rho, ch1, ch2 in zip(rhos, ch1s, ch2s):
+        if ch1.dim != rho.dim or ch2.dim != rho.dim:
+            raise DimensionMismatchError(
+                f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
+        if (rho.dim, ch1.n, ch2.n) != shape:
+            raise DimensionMismatchError(f"instances of one batch must share (dim, n1, n2): "
+                                         f"{(rho.dim, ch1.n, ch2.n)} vs {shape}")
+    s = np.array([rho.sqrt_rho for rho in rhos])[:, None]  # (B, 1, d, d)
+    e = _frames(s, ch1s)
+    f = _frames(s, ch2s)
+    e_conj = e.conj()
+    e_norms = np.einsum("...nij,...nij->...nj", e_conj, e).real
+    f_norms = np.einsum("...nij,...nij->...nj", f.conj(), f).real
+    overlaps = np.einsum("...aij,...bij->...abj", e_conj, f)
+    return e_norms, f_norms, overlaps
+
+
+def _frames(s: np.ndarray, channels) -> np.ndarray:
+    """Commutator frames ``[sqrt(rho), K]`` of every Kraus operator, stacked (B, n, d, d)."""
+    k = np.array([ch.operators for ch in channels])
     return s @ k - k @ s
+
+
+def _datas(e_norms, f_norms, overlaps, tables) -> list:
+    d = e_norms.shape[-1]
+    return [ChainData(dim=d, e_norms=e_norms[b], f_norms=f_norms[b],
+                      overlaps=overlaps[b], tables=tables.instance(b))
+            for b in range(len(e_norms))]
 
 
 def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
     """Column data of one (state, channel, channel) instance; every bound reads it."""
-    if ch1.dim != rho.dim or ch2.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
-    e = _frames(rho, ch1)
-    f = _frames(rho, ch2)
-    e_conj = e.conj()
-    e_norms = np.einsum("nij,nij->nj", e_conj, e).real
-    f_norms = np.einsum("nij,nij->nj", f.conj(), f).real
-    overlaps = np.einsum("aij,bij->abj", e_conj, f)
-    return ChainData(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
+    columns = _columns([rho], [ch1], [ch2])
+    return _datas(*columns, _s_tables(*columns))[0]
+
+
+def chain_batch(rhos, ch1s, ch2s, reading: Reading = Reading.PRODUCT) -> tuple:
+    """``chain_data`` and ``chain_from_data`` of a stack of instances in one pass.
+
+    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
+    dimension and both Kraus counts.  Returns ``(datas, chains)``, two lists
+    in instance order, each entry bit for bit what the one-instance
+    functions return.  The stack's arrays scale with its length, so callers
+    with many instances pass them in blocks.
+    """
+    columns = _columns(rhos, ch1s, ch2s)
+    tables = _s_tables(*columns)
+    return _datas(*columns, tables), _chains(*columns, tables, reading)
 
 
 def _mod_sq(c: np.ndarray) -> np.ndarray:
@@ -163,29 +212,31 @@ def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -
     The comparison lower bound (the ``lemma1`` report column); identical to
     the I-chain endpoint.
     """
-    return _cross_term(chain_data(rho, ch1, ch2))
+    return _cross_terms(chain_data(rho, ch1, ch2).overlaps[None])[0]
 
 
-def _cross_term(data: ChainData) -> float:
-    totals = data.overlaps.sum(axis=2)  # full-frame inner products, per (i, j)
-    return 0.25 * math.fsum(_mod_sq(totals).ravel().tolist())
+def _cross_terms(overlaps: np.ndarray) -> list:
+    totals = overlaps.sum(axis=-1)  # full-frame inner products, per instance and (i, j)
+    return [0.25 * math.fsum(row)
+            for row in _mod_sq(totals).reshape(len(totals), -1).tolist()]
 
 
 # ---------------------------------------------------------------------------
 # I-chain
 
 
-def _i_values(data: ChainData) -> tuple:
-    """``I_m`` for m = 1..d: per Kraus pair (i, j) and split m, the term
-    ``(1/4)(|u|^2 + head_a tail_b + tail_a (head_b + tail_b))``, summed exactly."""
-    a_head = np.cumsum(data.e_norms, axis=1)    # (n1, d)
-    b_head = np.cumsum(data.f_norms, axis=1)    # (n2, d)
-    u = np.cumsum(data.overlaps, axis=2)        # (n1, n2, d)
-    a_tail = a_head[:, -1:] - a_head
-    b_tail = b_head[:, -1:] - b_head
-    terms = 0.25 * (_mod_sq(u) + a_head[:, None, :] * b_tail[None, :, :]
-                    + a_tail[:, None, :] * (b_head + b_tail)[None, :, :])
-    return tuple(math.fsum(column.tolist()) for column in terms.reshape(-1, data.dim).T)
+def _i_values(e_norms, f_norms, overlaps) -> list:
+    """``I_m`` for m = 1..d of each instance: per Kraus pair (i, j) and split m,
+    the term ``(1/4)(|u|^2 + head_a tail_b + tail_a (head_b + tail_b))``, summed exactly."""
+    a_head = np.cumsum(e_norms, axis=-1)    # (B, n1, d)
+    b_head = np.cumsum(f_norms, axis=-1)    # (B, n2, d)
+    u = np.cumsum(overlaps, axis=-1)        # (B, n1, n2, d)
+    a_tail = a_head[..., -1:] - a_head
+    b_tail = b_head[..., -1:] - b_head
+    terms = 0.25 * (_mod_sq(u) + a_head[:, :, None, :] * b_tail[:, None, :, :]
+                    + a_tail[:, :, None, :] * (b_head + b_tail)[:, None, :, :])
+    by_split = terms.reshape(len(terms), -1, terms.shape[-1]).transpose(0, 2, 1)
+    return [tuple(map(math.fsum, splits)) for splits in by_split.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -194,65 +245,121 @@ def _i_values(data: ChainData) -> tuple:
 
 @dataclass(frozen=True)
 class _STables:
-    """Update terms pre-summed over all Kraus pairs, indexed by column labels."""
+    """S-lattice update terms pre-summed over all Kraus pairs, one row per reading.
 
-    start: float                 # S_{1,0} = product of channel skew informations
-    pair_product: np.ndarray     # (d, d): product-reading pairwise deficit for labels (r, s)
-    diag_product: np.ndarray     # (d,):   product-reading diagonal deficit for label r
-    step_printed: np.ndarray     # (d, d): as-printed net update for labels (r, s)
-
-
-def _s_tables(data: ChainData) -> _STables:
-    a_sum = data.e_norms.sum(axis=0)  # (d,)
-    b_sum = data.f_norms.sum(axis=0)
-    # gram[r, s] = sum_ij conj(c_s) c_r, so its diagonal is sum_ij |c_r|^2
-    flat = data.overlaps.reshape(-1, data.dim)
-    gram = flat.T @ flat.conj()
-    ab = np.outer(a_sum, b_sum)
-    pair_product = 0.25 * (ab + ab.T - 2.0 * gram.real)
-    diag_product = 0.25 * (np.diagonal(ab) - np.diagonal(gram).real)
-    mod_sq = (np.diagonal(gram).real[:, None] + np.diagonal(gram).real[None, :]
-              + 2.0 * gram.real)  # sum_ij |c_r + c_s|^2
-    step_printed = mod_sq - (data.n2 * a_sum[:, None] + data.n1 * b_sum[None, :])
-    product = data.skew_1() * data.skew_2()
-    return _STables(start=product, pair_product=pair_product,
-                    diag_product=diag_product, step_printed=step_printed)
-
-
-def _walk_lattice(tables: _STables, reading: Reading, sigma, tau, d: int):
-    """Yield ((p, q), value) along the traversal with labels sigma/tau applied.
-
-    ``sigma[k]`` and ``tau[k]`` are the labels of slot k: ints for one
-    permutation pair, or broadcastable index arrays for a batch of pairs, in
-    which case each value is an array with the same operation order per entry.
-    Values are numpy float64 scalars or arrays, so every entry carries the
-    same bits as the one-pair walk.
+    Column 0 is the start S_{1,0}, the product of the channel skew
+    informations.  Labels (r, s) sit at column ``1 + r d + s``: the
+    product-reading pairwise deficit in ``product``, the as-printed net update
+    in ``printed``.  ``product`` goes on with the diagonal deficit of label r
+    at column ``1 + d^2 + r``.  A stack's tables have one row per instance.
     """
-    value = tables.start
+
+    product: np.ndarray   # (1 + d^2 + d,), or (B, 1 + d^2 + d) for a stack
+    printed: np.ndarray   # (1 + d^2,), or (B, 1 + d^2) for a stack
+
+    def instance(self, b: int) -> _STables:
+        return _STables(product=self.product[b], printed=self.printed[b])
+
+    def stack_of_one(self) -> _STables:
+        return _STables(product=self.product[None], printed=self.printed[None])
+
+
+def _s_tables(e_norms, f_norms, overlaps) -> _STables:
+    count = len(overlaps)
+    a_sum = e_norms.sum(axis=-2)  # (B, d)
+    b_sum = f_norms.sum(axis=-2)
+    # gram[b, r, s] = sum_ij conj(c_s) c_r, so its diagonal is sum_ij |c_r|^2
+    flat = overlaps.reshape(count, -1, overlaps.shape[-1])
+    gram = np.swapaxes(flat, -1, -2) @ flat.conj()
+    gram_re = gram.real
+    gram_diag = np.diagonal(gram_re, axis1=-2, axis2=-1)
+    ab = a_sum[:, :, None] * b_sum[:, None, :]
+    pair_product = 0.25 * (ab + np.swapaxes(ab, -1, -2) - 2.0 * gram_re)
+    diag_product = 0.25 * (np.diagonal(ab, axis1=-2, axis2=-1) - gram_diag)
+    mod_sq = gram_diag[:, :, None] + gram_diag[:, None, :] + 2.0 * gram_re  # sum_ij |c_r + c_s|^2
+    n1, n2 = e_norms.shape[-2], f_norms.shape[-2]
+    step_printed = mod_sq - (n2 * a_sum[:, :, None] + n1 * b_sum[:, None, :])
+    start = np.array([[s1 * s2] for s1, s2 in zip(_skews(e_norms), _skews(f_norms))])
+    return _STables(
+        product=np.concatenate([start, pair_product.reshape(count, -1), diag_product], axis=1),
+        printed=np.concatenate([start, step_printed.reshape(count, -1)], axis=1))
+
+
+def _updates(reading: Reading, sigma, tau, d: int):
+    """Yield ((p, q), columns) along the traversal with labels sigma/tau applied.
+
+    ``columns`` are the ``_STables`` columns the step applies, in order: the
+    product reading subtracts them from the running value and the as-printed
+    reading adds them.  ``sigma[k]`` and ``tau[k]`` are the labels of slot k:
+    ints for one permutation pair, or broadcastable index arrays for a batch
+    of pairs.
+    """
+    diag = 1 + d * d
     for p, q in lattice_order(d):
-        r = sigma[p - 1]
-        s = tau[q - 1]
-        if reading == Reading.PRODUCT:
-            value = value - tables.pair_product[r, s]
-            if q == 1:
-                value = value - tables.diag_product[r]
-            if p == 2 and q == 1:
-                value = value - tables.diag_product[tau[0]]
+        pair = 1 + sigma[p - 1] * d + tau[q - 1]
+        if reading != Reading.PRODUCT or q > 1:
+            yield (p, q), (pair,)
+        elif p > 2:
+            yield (p, q), (pair, diag + sigma[p - 1])
         else:
-            value = value + tables.step_printed[r, s]
-        yield (p, q), value
+            yield (p, q), (pair, diag + sigma[1], diag + tau[0])
+
+
+def _value_at(tables: _STables, reading: Reading, sigma, tau, p: int, q: int, d: int):
+    """One instance's S value at (p, q) with labels sigma/tau applied.
+
+    With index-array labels it is an array with the same operation order per
+    entry; values are numpy float64, so every entry carries the same bits as
+    the one-pair walk.
+    """
+    if reading == Reading.PRODUCT:
+        row, apply = tables.product, operator.sub
+    else:
+        row, apply = tables.printed, operator.add
+    value = row[0]
+    for pos, columns in _updates(reading, sigma, tau, d):
+        for column in columns:
+            value = apply(value, row[column])
+        if pos == (p, q):
+            return value
+    raise AssertionError("unreachable: (p, q) was validated against the lattice")
+
+
+@functools.lru_cache(maxsize=32)
+def _identity_plan(d: int, reading: Reading) -> tuple:
+    """The identity-label walk, built once per (d, reading): its lattice
+    positions, its ``_STables`` columns in order (the start first), and how
+    many columns lead up to each position's value."""
+    positions, order, ends = [], [0], []
+    for pos, columns in _updates(reading, range(d), range(d), d):
+        positions.append(pos)
+        order += columns
+        ends.append(len(order) - 1)
+    order, ends = np.array(order, dtype=np.intp), np.array(ends, dtype=np.intp)
+    order.setflags(write=False)
+    ends.setflags(write=False)
+    return tuple(positions), order, ends
+
+
+def _lattice_values(tables: _STables, reading: Reading, d: int) -> list:
+    """Identity-walk S values of each instance of a stack, one dict per instance.
+
+    The walk as one running subtraction (product reading) or sum (as printed)
+    over all instances; ``accumulate`` applies the updates in order, so each
+    value is the one ``_value_at`` gives with identity labels.
+    """
+    reading = Reading(reading)
+    positions, order, ends = _identity_plan(d, reading)
+    if reading == Reading.PRODUCT:
+        running = np.subtract.accumulate(tables.product[:, order], axis=1)
+    else:
+        running = np.add.accumulate(tables.printed[:, order], axis=1)
+    return [dict(zip(positions, row)) for row in running[:, ends].tolist()]
 
 
 def _check_position(p: int, q: int, d: int) -> None:
     if not (1 <= q < p <= d):
         raise ValueError(f"need 1 <= q < p <= d, got (p, q) = ({p}, {q}) at d = {d}")
-
-
-def _value_at(tables: _STables, reading: Reading, sigma, tau, p: int, q: int, d: int):
-    for pos, value in _walk_lattice(tables, reading, sigma, tau, d):
-        if pos == (p, q):
-            return value
-    raise AssertionError("unreachable: (p, q) was validated against the lattice")
 
 
 def _check_permutation(perm, d: int) -> tuple:
@@ -287,21 +394,25 @@ def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 
 def chain_from_data(data: ChainData, reading: Reading = Reading.PRODUCT) -> BoundChain:
     """``compute_chain`` on column data already built by ``chain_data``."""
-    return BoundChain(
-        dim=data.dim,
-        product=data.tables.start,
-        sum=data.skew_1() + data.skew_2(),
-        i_values=_i_values(data),
-        s_values=_lattice_values(data, reading),
-        cross_term=_cross_term(data),
-        s_reading=Reading(reading),
-    )
+    return _chains(data.e_norms[None], data.f_norms[None], data.overlaps[None],
+                   data.tables.stack_of_one(), reading)[0]
 
 
-def _lattice_values(data: ChainData, reading: Reading) -> dict:
-    ident = tuple(range(data.dim))
-    return {pos: float(v) for pos, v in
-            _walk_lattice(data.tables, Reading(reading), ident, ident, data.dim)}
+def _chains(e_norms, f_norms, overlaps, tables: _STables, reading: Reading) -> list:
+    """The BoundChain of each instance of a stack."""
+    reading = Reading(reading)
+    d = e_norms.shape[-1]
+    sums = [s1 + s2 for s1, s2 in zip(_skews(e_norms), _skews(f_norms))]
+    return [BoundChain(dim=d, product=product, sum=total, i_values=i_values,
+                       s_values=s_values, cross_term=cross_term, s_reading=reading)
+            for product, total, i_values, s_values, cross_term in zip(
+                tables.product[:, 0].tolist(), sums, _i_values(e_norms, f_norms, overlaps),
+                _lattice_values(tables, reading, d), _cross_terms(overlaps))]
+
+
+def _s_values(data: ChainData, reading: Reading) -> dict:
+    """One instance's identity-walk S values, without the rest of its chain."""
+    return _lattice_values(data.tables.stack_of_one(), reading, data.dim)[0]
 
 
 @dataclass(frozen=True)
@@ -571,7 +682,7 @@ def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 144
     checks.append(_eq_check("i_endpoint_eq_cross_term", i_vals[-1], chain.cross_term, tol))
 
     s_by_reading = {Reading.PRODUCT: chain.s_values,
-                    Reading.AS_PRINTED: _lattice_values(data, Reading.AS_PRINTED)}
+                    Reading.AS_PRINTED: _s_values(data, Reading.AS_PRINTED)}
     for reading, s_vals in s_by_reading.items():
         label = reading.value.replace("-", "_")
         if s_vals:
@@ -629,9 +740,17 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     The chain quantities are functions of the channels, not of the chosen
     Kraus families, so all deviations should sit at rounding level.
     """
+    return invariance_from_data(chain_data(rho, ch1, ch2), rho, ch1, ch2, trials, seed, tol)
+
+
+def invariance_from_data(data: ChainData, rho: DensityMatrix, ch1: KrausChannel,
+                         ch2: KrausChannel, trials: int, seed: int,
+                         tol: float = 1e-10) -> InvarianceReport:
+    """``kraus_invariance_check`` with the unmixed instance's column data already
+    built by ``chain_data``; the trials still need the state and channels."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base = _invariant_values(chain_data(rho, ch1, ch2))
+    base = _invariant_values(data)
     devs = dict.fromkeys(base, 0.0)
     for trial in range(trials):
         u = random_unitary(ch1.n, derive_seed(seed, trial, 1))
@@ -647,5 +766,5 @@ def _invariant_values(data: ChainData) -> dict:
     chain = chain_from_data(data, Reading.PRODUCT)
     return {"product": (chain.product,), "sum": (chain.sum,), "i_values": chain.i_values,
             "s_values": tuple(chain.s_values.values()),
-            "s_values_as_printed": tuple(_lattice_values(data, Reading.AS_PRINTED).values()),
+            "s_values_as_printed": tuple(_s_values(data, Reading.AS_PRINTED).values()),
             "cross_term": (chain.cross_term,)}

@@ -31,11 +31,11 @@ from .chains import (
     Strategy,
     chain_data,
     chain_from_data,
+    invariance_from_data,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
     optimize_from_data,
-    verify_chain,
     verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
@@ -177,6 +177,9 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"bad dims list {args.dims!r}")
         if args.instances < 1:
             raise ConfigError("instances must be >= 1")
+        if args.perm != "auto" or args.s_reading is not None:
+            raise ConfigError("verify always searches with --perm auto and reports both "
+                              "S-lattice readings; drop --perm and --s-reading")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,15 +194,16 @@ def cmd_verify(args) -> int:
             n2 = min(((k // 4) % 4) + 1, d * d)
             ch1 = random_channel(d, n1, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 1))
             ch2 = random_channel(d, n2, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 2))
-            verdict = verify_chain(rho, ch1, ch2, tol=args.tol, perm_budget=args.budget,
-                                   seed=derive_seed(args.seed, d, k, 3))
+            data = chain_data(rho, ch1, ch2)
+            verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
+                                       seed=derive_seed(args.seed, d, k, 3))
             for check in verdict.checks:
                 entry = stats.setdefault(check.name, [0, 0, 0.0])
                 entry[0] += 1
                 entry[1] += 0 if check.passed else 1
                 entry[2] = max(entry[2], check.deviation)
-            report = kraus_invariance_check(rho, ch1, ch2, trials=1,
-                                            seed=derive_seed(args.seed, d, k, 4), tol=args.tol)
+            report = invariance_from_data(data, rho, ch1, ch2, trials=1,
+                                          seed=derive_seed(args.seed, d, k, 4), tol=args.tol)
             invariance_worst = max(invariance_worst, report.max_deviation)
             total += 1
 
@@ -260,10 +264,9 @@ def cmd_example(args) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(surface, out_dir / "figure1.csv")
-    write_sweep_csv(surface, out_dir / "figure2.csv")
+    write_sweep_csv(surface, out_dir / "figure1.csv", out_dir / "figure2.csv",
+                    out_dir / "figure4.csv")
     write_sweep_csv(curve, out_dir / "figure3.csv")
-    write_sweep_csv(surface, out_dir / "figure4.csv")
 
     grid = [ExampleParams(theta=th, p=p, q=q)
             for th in _subsample(theta_grid) for p in _subsample(p_grid)
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     sp.add_argument("--instances", type=int, default=200, help="instances per dimension")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, s_reading=None)  # verify reports both readings
 
     sp = sub.add_parser("example", help="regenerate worked-example figure data")
     add_common(sp)

@@ -26,8 +26,7 @@ from .chains import (
     BoundChain,
     Reading,
     Strategy,
-    chain_data,
-    chain_from_data,
+    chain_batch,
     mixed_bound,
     optimize_from_data,
 )
@@ -188,6 +187,30 @@ def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
     return failures
 
 
+# Points per stacked chain pass.  A pass holds every array, ChainData and
+# BoundChain of its points at once, so the block bounds that memory.
+_BLOCK = 128
+
+
+def _stacked_chains(rho: DensityMatrix, channels: dict, points: list, reading: Reading):
+    """Yield ``((p, q), data, chain)`` for each point at one state, in order.
+
+    ``channels`` maps each (p, q) to its channel pair; the chains come from
+    one ``chain_batch`` pass per block of at most ``_BLOCK`` points.
+    """
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
+        pairs = [channels[pq] for pq in block]
+        datas, chains = chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
+                                    [n2 for _, n2 in pairs], reading)
+        yield from zip(block, datas, chains)
+
+
+def _channel_pairs(points) -> dict:
+    """``example_channels`` of each distinct (p, q), built once."""
+    return {pq: example_channels(*pq) for pq in dict.fromkeys(points)}
+
+
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
           perm_target: tuple = (2, 1), strategy: Strategy | None = None,
           budget: int = 14400, seed: int = 0) -> SweepTable:
@@ -196,8 +219,9 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     The permutation-optimized column maximizes the S value at ``perm_target``
     over permutation pairs (``strategy`` and ``budget`` as in
     ``optimize_permutations``); the mixed columns convex-combine it with the
-    trivial bounds at each t.  Chains are computed once per (theta, p, q) and
-    shared across the t axis.
+    trivial bounds at each t.  Each state and channel pair is built once,
+    chains are computed in stacked passes per theta and shared across the
+    t axis.
     """
     thetas = [_check_unit("theta", v) for v in theta_grid]
     ps = [_check_unit("p", v) for v in p_grid]
@@ -205,21 +229,20 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     ts = [_check_unit("t", v) for v in t_grid]
     if not (thetas and ps and qs and ts):
         raise ValueError("all sweep grids must be nonempty")
+    points = [(p, q) for p in sorted(ps) for q in sorted(qs)]
+    channels = _channel_pairs(points)
+    states = {theta: rho_theta(theta) for theta in dict.fromkeys(thetas)}
     rows = []
     for theta in sorted(thetas):
-        rho = rho_theta(theta)
-        for p in sorted(ps):
-            for q in sorted(qs):
-                data = chain_data(rho, *example_channels(p, q))
-                chain = chain_from_data(data, reading)
-                best = optimize_from_data(data, perm_target[0], perm_target[1],
-                                          strategy, budget, seed, reading)
-                forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
-                for t in sorted(ts):
-                    mp, ms = mixed_bound(chain, best, t)
-                    rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
-                                         chain=chain, perm_opt=best.value,
-                                         mixed_product=mp, mixed_sum=ms, forms=forms))
+        for (p, q), data, chain in _stacked_chains(states[theta], channels, points, reading):
+            best = optimize_from_data(data, perm_target[0], perm_target[1],
+                                      strategy, budget, seed, reading)
+            forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+            for t in sorted(ts):
+                mp, ms = mixed_bound(chain, best, t)
+                rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
+                                     chain=chain, perm_opt=best.value,
+                                     mixed_product=mp, mixed_sum=ms, forms=forms))
     return SweepTable(rows=tuple(rows), reading=Reading(reading))
 
 
@@ -227,11 +250,14 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".12g")  # + 0.0 folds -0.0 into 0.0
 
 
-def write_sweep_csv(table: SweepTable, path) -> None:
+def write_sweep_csv(table: SweepTable, *paths) -> None:
+    """Write the table as CSV to each path; the text is formatted once."""
     lines = [CSV_HEADER]
     for row in table.rows:
         lines.append(",".join(_fmt(v) for v in row.csv_fields()))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    for path in paths:
+        write_text_atomic(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +274,25 @@ class DiscrepancyRow:
     numeric: float
     printed: float
 
+    def deviations(self) -> tuple:
+        """``(abs_dev, rel_dev, ratio)``, computed together."""
+        abs_dev = abs(self.numeric - self.printed)
+        scale = max(abs(self.numeric), abs(self.printed))
+        rel_dev = abs_dev / scale if scale > 0.0 else 0.0
+        ratio = self.printed / self.numeric if abs(self.numeric) > 1e-15 else float("nan")
+        return abs_dev, rel_dev, ratio
+
     @property
     def abs_dev(self) -> float:
-        return abs(self.numeric - self.printed)
+        return self.deviations()[0]
 
     @property
     def rel_dev(self) -> float:
-        scale = max(abs(self.numeric), abs(self.printed))
-        return self.abs_dev / scale if scale > 0.0 else 0.0
+        return self.deviations()[1]
 
     @property
     def ratio(self) -> float:
-        return self.printed / self.numeric if abs(self.numeric) > 1e-15 else float("nan")
+        return self.deviations()[2]
 
 
 @dataclass(frozen=True)
@@ -288,27 +321,37 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     Purely descriptive: rows carry signed values, absolute and relative
     deviations, and a per-row printed/numeric ratio.  When one formula's
     ratios agree to 1e-6 relative across the grid, that constant is recorded
-    as its fitted ratio.  The report never fails a run.
+    as its fitted ratio.  The report never fails a run.  Rows follow the
+    grid's order; the chains come from stacked passes per distinct theta.
     """
     params = list(param_grid)
     if not params:
         raise ValueError("the parameter grid must be nonempty")
-    states = {theta: rho_theta(theta) for theta in {pt.theta for pt in params}}
+    channels = _channel_pairs((pt.p, pt.q) for pt in params)
+    by_theta = {}
+    for i, pt in enumerate(params):
+        by_theta.setdefault(pt.theta, []).append(i)
+    numeric = [None] * len(params)
+    for theta, indices in by_theta.items():
+        points = [(params[i].p, params[i].q) for i in indices]
+        passes = _stacked_chains(rho_theta(theta), channels, points, Reading.PRODUCT)
+        for i, (_, _, chain) in zip(indices, passes):
+            numeric[i] = _numeric_targets(chain)
     rows = []
-    for pt in params:
-        chain = chain_from_data(chain_data(states[pt.theta], *example_channels(pt.p, pt.q)),
-                                Reading.PRODUCT)
-        numeric = _numeric_targets(chain)
+    ratios = {name: [] for name in _FORM_NAMES}
+    for pt, values in zip(params, numeric):
         forms = closed_forms(pt)
         for name in _FORM_NAMES:
-            rows.append(DiscrepancyRow(formula=name, params=pt,
-                                       numeric=numeric[name],
-                                       printed=getattr(forms, name)))
+            row = DiscrepancyRow(formula=name, params=pt, numeric=values[name],
+                                 printed=getattr(forms, name))
+            rows.append(row)
+            ratio = row.ratio
+            if not math.isnan(ratio):
+                ratios[name].append(ratio)
     fitted = {}
-    for name in _FORM_NAMES:
-        ratios = [r.ratio for r in rows if r.formula == name and not math.isnan(r.ratio)]
-        if ratios:
-            lo, hi = min(ratios), max(ratios)
+    for name, values in ratios.items():
+        if values:
+            lo, hi = min(values), max(values)
             mid = (lo + hi) / 2.0
             if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
                 fitted[name] = mid
@@ -317,12 +360,16 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
 
 def write_discrepancy_csv(report: DiscrepancyReport, path) -> None:
     lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
+    fitted = {name: _fmt(v) for name, v in report.fitted_ratios.items()}
+    point = point_text = None
     for r in report.rows:
-        fitted = report.fitted_ratios.get(r.formula)
+        if r.params is not point:  # a point's rows are adjacent
+            point = r.params
+            point_text = ",".join(_fmt(v) for v in (point.theta, point.p, point.q))
+        abs_dev, rel_dev, ratio = r.deviations()
         lines.append(",".join([
-            r.formula, _fmt(r.params.theta), _fmt(r.params.p), _fmt(r.params.q),
-            _fmt(r.numeric), _fmt(r.printed), _fmt(r.abs_dev), _fmt(r.rel_dev),
-            "" if math.isnan(r.ratio) else _fmt(r.ratio),
-            "" if fitted is None else _fmt(fitted),
+            r.formula, point_text, _fmt(r.numeric), _fmt(r.printed), _fmt(abs_dev),
+            _fmt(rel_dev), "" if math.isnan(ratio) else _fmt(ratio),
+            fitted.get(r.formula, ""),
         ]))
     write_text_atomic(path, "\n".join(lines) + "\n")

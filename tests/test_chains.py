@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from skewchain.chains import (
     HARD_CHECK_NAMES,
     Reading,
     Strategy,
+    chain_batch,
     chain_data,
+    chain_from_data,
     compute_chain,
     cross_term_bound,
+    invariance_from_data,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
@@ -20,9 +24,6 @@ from skewchain.chains import (
     permute_s,
     sum_chain,
     verify_chain,
-    ChainData,
-    _cross_term,
-    _i_values,
     _mod_sq,
     _permuted_value,
 )
@@ -125,7 +126,25 @@ def oracle_optimum(rho, ch1, ch2, p, q, reading):
     return best
 
 
-# Per-pair loop forms of the batched kernels in chains.py.  The kernels must
+@dataclass(frozen=True)
+class Columns:
+    """One instance's column arrays, as the oracles below build them."""
+
+    dim: int
+    e_norms: np.ndarray
+    f_norms: np.ndarray
+    overlaps: np.ndarray
+
+    @property
+    def n1(self):
+        return self.e_norms.shape[0]
+
+    @property
+    def n2(self):
+        return self.f_norms.shape[0]
+
+
+# Per-pair loop forms of the kernels in chains.py.  The kernels must
 # reproduce them bit for bit: the byte-identity of every report rests on it.
 
 
@@ -137,7 +156,7 @@ def loop_chain_data(rho, ch1, ch2):
     overlaps = np.stack([
         np.stack([np.einsum("ij,ij->j", e.matrix.conj(), f.matrix) for f in f_frames])
         for e in e_frames])
-    return ChainData(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
+    return Columns(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
 
 
 def loop_cross_term(data):
@@ -167,6 +186,80 @@ def loop_i_values(data):
                                      + tail_a * (head_b + tail_b)))
         values.append(math.fsum(terms))
     return tuple(values)
+
+
+# One-instance forms of the stacked kernels in chains.py: batched over Kraus
+# pairs, not over instances.  A stack must reproduce each instance's bits.
+
+
+def instance_chain_data(rho, ch1, ch2):
+    s = rho.sqrt_rho
+    k1, k2 = np.stack(ch1.operators), np.stack(ch2.operators)
+    e = s @ k1 - k1 @ s
+    f = s @ k2 - k2 @ s
+    e_conj = e.conj()
+    return Columns(dim=rho.dim,
+                   e_norms=np.einsum("nij,nij->nj", e_conj, e).real,
+                   f_norms=np.einsum("nij,nij->nj", f.conj(), f).real,
+                   overlaps=np.einsum("aij,bij->abj", e_conj, f))
+
+
+def instance_skews(data):
+    return (0.5 * math.fsum(data.e_norms.ravel().tolist()),
+            0.5 * math.fsum(data.f_norms.ravel().tolist()))
+
+
+def instance_cross_term(data):
+    totals = data.overlaps.sum(axis=2)
+    return 0.25 * math.fsum(_mod_sq(totals).ravel().tolist())
+
+
+def instance_i_values(data):
+    a_head = np.cumsum(data.e_norms, axis=1)
+    b_head = np.cumsum(data.f_norms, axis=1)
+    u = np.cumsum(data.overlaps, axis=2)
+    a_tail = a_head[:, -1:] - a_head
+    b_tail = b_head[:, -1:] - b_head
+    terms = 0.25 * (_mod_sq(u) + a_head[:, None, :] * b_tail[None, :, :]
+                    + a_tail[:, None, :] * (b_head + b_tail)[None, :, :])
+    return tuple(math.fsum(column.tolist()) for column in terms.reshape(-1, data.dim).T)
+
+
+def instance_s_tables(data):
+    a_sum = data.e_norms.sum(axis=0)
+    b_sum = data.f_norms.sum(axis=0)
+    flat = data.overlaps.reshape(-1, data.dim)
+    gram = flat.T @ flat.conj()
+    ab = np.outer(a_sum, b_sum)
+    mod_sq = (np.diagonal(gram).real[:, None] + np.diagonal(gram).real[None, :]
+              + 2.0 * gram.real)
+    skew_1, skew_2 = instance_skews(data)
+    return {"start": skew_1 * skew_2,
+            "pair_product": 0.25 * (ab + ab.T - 2.0 * gram.real),
+            "diag_product": 0.25 * (np.diagonal(ab) - np.diagonal(gram).real),
+            "step_printed": mod_sq - (data.n2 * a_sum[:, None] + data.n1 * b_sum[None, :])}
+
+
+def instance_lattice_values(tables, reading, d):
+    """The identity-label walk over one instance's tables."""
+    value = tables["start"]
+    out = {}
+    for p, q in lattice_order(d):
+        if reading == Reading.PRODUCT:
+            value = value - tables["pair_product"][p - 1, q - 1]
+            if q == 1:
+                value = value - tables["diag_product"][p - 1]
+            if p == 2 and q == 1:
+                value = value - tables["diag_product"][0]
+        else:
+            value = value + tables["step_printed"][p - 1, q - 1]
+        out[(p, q)] = float(value)
+    return out
+
+
+def chain_fields(chain):
+    return (chain.dim, chain.product, chain.sum, chain.i_values, chain.s_values,
+            chain.cross_term, chain.s_reading)
 
 
 def random_instance(d, seed, convention=Convention.COLUMN_SUM):
@@ -200,8 +293,9 @@ class TestBatchedKernelsMatchLoops:
         loop = loop_chain_data(rho, ch1, ch2)
         for name in ("e_norms", "f_norms", "overlaps"):
             assert np.array_equal(getattr(data, name), getattr(loop, name)), name
-        assert _i_values(data) == loop_i_values(loop)
-        assert _cross_term(data) == loop_cross_term(loop)
+        chain = chain_from_data(data)
+        assert chain.i_values == loop_i_values(loop)
+        assert chain.cross_term == loop_cross_term(loop)
 
     # (d, n1, n2, rank, row_sum, seed).  Seed 268 is an instance where squaring
     # hypot as x * x moves an I value; the others pin n = d^2, one of them with
@@ -230,6 +324,73 @@ class TestBatchedKernelsMatchLoops:
         c = ((rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
              * np.exp(rng.uniform(-20.0, 2.0, 20000)))
         assert _mod_sq(c).tolist() == [float(abs(z) ** 2) for z in c]
+
+
+@st.composite
+def instance_stacks(draw):
+    """(d, n1, n2, [(rank, seed), ...], row_sum): one to five same-shape instances."""
+    d = draw(st.integers(1, 6))
+    kraus_count = st.just(d * d) | st.integers(1, d * d)
+    n1, n2 = draw(kraus_count), draw(kraus_count)
+    members = draw(st.lists(st.tuples(st.just(1) | st.integers(1, d),
+                                      st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=5))
+    return d, n1, n2, members, draw(st.booleans())
+
+
+class TestStackedBuilderMatchesInstanceOracles:
+    @staticmethod
+    def assert_matches_instances(rhos, ch1s, ch2s):
+        for reading in Reading:
+            datas, chains = chain_batch(rhos, ch1s, ch2s, reading)
+            assert len(datas) == len(chains) == len(rhos)
+            for rho, ch1, ch2, data, chain in zip(rhos, ch1s, ch2s, datas, chains):
+                oracle = instance_chain_data(rho, ch1, ch2)
+                for name in ("e_norms", "f_norms", "overlaps"):
+                    assert np.array_equal(getattr(data, name), getattr(oracle, name)), name
+                tables = instance_s_tables(oracle)
+                start = [tables["start"]]
+                assert np.array_equal(data.tables.product, np.concatenate(
+                    [start, tables["pair_product"].ravel(), tables["diag_product"]]))
+                assert np.array_equal(data.tables.printed, np.concatenate(
+                    [start, tables["step_printed"].ravel()]))
+                skew_1, skew_2 = instance_skews(oracle)
+                assert chain_fields(chain) == (
+                    rho.dim, tables["start"], skew_1 + skew_2, instance_i_values(oracle),
+                    instance_lattice_values(tables, reading, rho.dim),
+                    instance_cross_term(oracle), reading)
+                assert chain_fields(chain_from_data(data, reading)) == chain_fields(chain)
+                assert type(chain.product) is float and type(chain.cross_term) is float
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=instance_stacks())
+    @example(params=(6, 36, 36, [(1, 0), (6, 1), (1, 2)], True))
+    @example(params=(1, 1, 1, [(1, 3), (1, 4)], False))
+    def test_random_stacks(self, params):
+        d, n1, n2, members, row_sum = params
+        convention = Convention.ROW_SUM if row_sum else Convention.COLUMN_SUM
+        rhos = [random_density(d, rank, derive_seed(seed, 0)) for rank, seed in members]
+        ch1s = [random_channel(d, n1, convention, derive_seed(seed, 1)) for _, seed in members]
+        ch2s = [random_channel(d, n2, convention, derive_seed(seed, 2)) for _, seed in members]
+        self.assert_matches_instances(rhos, ch1s, ch2s)
+
+    def test_worked_example_points(self):
+        # the 27 tie-heavy points theta, p, q in {0, 1/2, 1} in one stack
+        points = list(itertools.product((0.0, 0.5, 1.0), repeat=3))
+        rhos = [rho_theta(theta) for theta, _, _ in points]
+        pairs = [example_channels(p, q) for _, p, q in points]
+        self.assert_matches_instances(rhos, [a for a, _ in pairs], [b for _, b in pairs])
+
+    def test_rejects_mixed_shapes_and_empty_stacks(self):
+        rho, ch1, ch2 = random_instance(3, 1)
+        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
+        with pytest.raises(DimensionMismatchError):
+            chain_batch([rho, rho], [ch1, other], [ch2, ch2])
+        with pytest.raises(DimensionMismatchError):
+            chain_batch([rho], [random_channel(2, 1, Convention.COLUMN_SUM, seed=3)], [ch2])
+        with pytest.raises(ValueError):
+            chain_batch([], [], [])
+        with pytest.raises(ValueError):
+            chain_batch([rho, rho], [ch1], [ch2])
 
 
 class TestCrossTermBound:
@@ -611,6 +772,12 @@ class TestKrausInvariance:
         ch2 = random_channel(3, 1, Convention.COLUMN_SUM, seed=109)
         report = kraus_invariance_check(rho, ch1, ch2, trials=5, seed=110, tol=1e-12)
         assert report.passed
+
+    def test_data_level_form_matches(self):
+        rho, ch1, ch2 = random_instance(3, 112)
+        direct = kraus_invariance_check(rho, ch1, ch2, trials=2, seed=4)
+        reused = invariance_from_data(chain_data(rho, ch1, ch2), rho, ch1, ch2, trials=2, seed=4)
+        assert reused.deviations == direct.deviations
 
     def test_rejects_zero_trials(self):
         rho, n1, n2 = example_instance()

@@ -129,6 +129,10 @@ def _argv(case, tmp_path, files):
                                  "--out", str(tmp_path / "v.txt")],
         "verify_nan_tol": ["verify", "--dims", "2", "--instances", "1", "--tol", "nan",
                            "--out", str(tmp_path / "v.txt")],
+        "verify_perm_sampled": ["verify", "--dims", "2", "--instances", "1",
+                                "--perm", "sampled", "--out", str(tmp_path / "v.txt")],
+        "verify_s_reading": ["verify", "--dims", "2", "--instances", "1",
+                             "--s-reading", "product", "--out", str(tmp_path / "v.txt")],
         "invariance_nan_tol": ["invariance", *inputs, "--trials", "1", "--tol", "nan",
                                "--out", str(tmp_path / "inv.txt")],
         "bounds_unwritable_out": ["bounds", *inputs,
@@ -141,6 +145,7 @@ def _argv(case, tmp_path, files):
 class TestBadInputExits2:
     # each row once ended in a traceback or in exit 1 or 3
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
+                                      "verify_perm_sampled", "verify_s_reading",
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
@@ -179,6 +184,16 @@ class TestVerify:
         assert out.exists()
         report = read_report(out)
         assert report["hard_passed"] == "False"
+
+    @pytest.mark.parametrize("flags", [["--perm", "exhaustive"], ["--s-reading", "as-printed"]])
+    def test_search_and_reading_flags_say_why(self, tmp_path, capsys, flags):
+        out = tmp_path / "v.txt"
+        assert main(["verify", "--dims", "2", "--instances", "1", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--perm auto" in err and "both S-lattice readings" in err
+        assert not out.exists()
+        assert main(["verify", "--dims", "2", "--instances", "1", "--perm", "auto",
+                     "--out", str(out)]) == 0
 
     def test_zero_instances_exits_2(self, tmp_path):
         code = main(["verify", "--dims", "2", "--instances", "0",

@@ -1,7 +1,12 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
-from skewchain.chains import Reading, compute_chain
+from skewchain import example
+from skewchain.chains import Reading, compute_chain, mixed_bound, optimize_permutations
 from skewchain.errors import CompletenessError
 from skewchain.example import (
     CSV_HEADER,
@@ -253,3 +258,137 @@ class TestDiscrepancyReport:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             discrepancy_report([])
+
+
+# ---------------------------------------------------------------------------
+# Per-point oracles for the stacked sweep and report: every grid point built
+# and computed on its own, as the one-instance functions do it.
+
+
+def oracle_sweep_rows(thetas, ps, qs, ts, reading):
+    rows = []
+    for theta in sorted(thetas):
+        for p in sorted(ps):
+            for q in sorted(qs):
+                rho = rho_theta(theta)
+                n1, n2 = example_channels(p, q)
+                chain = compute_chain(rho, n1, n2, reading)
+                best = optimize_permutations(rho, n1, n2, 2, 1, reading=reading)
+                forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+                for t in sorted(ts):
+                    mp, ms = mixed_bound(chain, best, t)
+                    rows.append((ExampleParams(theta=theta, p=p, q=q, t=t), chain,
+                                 best.value, mp, ms, forms))
+    return rows
+
+
+_FORMS = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
+
+
+def oracle_report(params):
+    rows = []
+    for pt in params:
+        chain = compute_chain(rho_theta(pt.theta), *example_channels(pt.p, pt.q),
+                              Reading.PRODUCT)
+        numeric = (chain.product, chain.sum, chain.cross_term, chain.s_values[(2, 1)],
+                   chain.s_values[(3, 1)], chain.s_values[(3, 2)])
+        forms = closed_forms(pt)
+        rows += [(name, pt, value, getattr(forms, name)) for name, value in zip(_FORMS, numeric)]
+    fitted = {}
+    for name in _FORMS:
+        ratios = [printed / value for formula, _, value, printed in rows
+                  if formula == name and abs(value) > 1e-15]
+        if ratios:
+            lo, hi = min(ratios), max(ratios)
+            mid = (lo + hi) / 2.0
+            if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
+                fitted[name] = mid
+    return rows, fitted
+
+
+def oracle_discrepancy_csv(report):
+    def fmt(x):
+        return format(float(x) + 0.0, ".12g")
+
+    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
+    for r in report.rows:
+        fitted = report.fitted_ratios.get(r.formula)
+        lines.append(",".join([
+            r.formula, fmt(r.params.theta), fmt(r.params.p), fmt(r.params.q),
+            fmt(r.numeric), fmt(r.printed), fmt(r.abs_dev), fmt(r.rel_dev),
+            "" if math.isnan(r.ratio) else fmt(r.ratio),
+            "" if fitted is None else fmt(fitted)]))
+    return "\n".join(lines) + "\n"
+
+
+# Tie-heavy values {0, 1/2, 1} with duplicates and unsorted input order.
+TIE_THETAS = [1.0, 0.0, 0.5, 1.0]
+TIE_PS = [0.5, 0.0, 1.0, 0.5]
+TIE_QS = [1.0, 0.5, 0.0, 0.5]
+
+
+class TestStackedPassesMatchPointOracle:
+    @pytest.mark.parametrize("reading", list(Reading))
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_sweep(self, monkeypatch, reading, block):
+        if block is not None:  # several blocks per theta, the last one partial
+            monkeypatch.setattr(example, "_BLOCK", block)
+        ts = [1.0, 0.0, 0.5]
+        table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=ts, reading=reading)
+        got = [(r.params, r.chain, r.perm_opt, r.mixed_product, r.mixed_sum, r.forms)
+               for r in table.rows]
+        assert got == oracle_sweep_rows(TIE_THETAS, TIE_PS, TIE_QS, ts, reading)
+        assert table.reading == reading
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_discrepancy_report_keeps_grid_order(self, monkeypatch, tmp_path, block):
+        if block is not None:
+            monkeypatch.setattr(example, "_BLOCK", block)
+        values = (0.0, 0.5, 1.0, 0.3)
+        grid = [ExampleParams(theta=t, p=p, q=q)
+                for t, p, q in itertools.product(values, repeat=3)]
+        grid += grid[:7]  # duplicate points
+        random.Random(3).shuffle(grid)  # not theta-major
+        report = discrepancy_report(grid)
+        rows, fitted = oracle_report(grid)
+        assert [(r.formula, r.params, r.numeric, r.printed) for r in report.rows] == rows
+        assert report.fitted_ratios == fitted
+        assert set(fitted) == {"eq20", "eq21", "eq22", "eq23"}
+        path = tmp_path / "disc.csv"
+        write_discrepancy_csv(report, path)
+        assert path.read_text() == oracle_discrepancy_csv(report)
+
+
+class TestBuildsEachInputOnce:
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"rho_theta": [], "example_channels": []}
+        real_rho, real_channels = example.rho_theta, example.example_channels
+
+        def rho(theta):
+            calls["rho_theta"].append(theta)
+            return real_rho(theta)
+
+        def channels(p, q):
+            calls["example_channels"].append((p, q))
+            return real_channels(p, q)
+
+        monkeypatch.setattr(example, "rho_theta", rho)
+        monkeypatch.setattr(example, "example_channels", channels)
+        return calls
+
+    def test_sweep(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        sweep(TIE_THETAS, TIE_PS, TIE_QS)
+        assert sorted(calls["rho_theta"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channels"]) == sorted(
+            set(itertools.product(TIE_PS, TIE_QS)))
+
+    def test_discrepancy_report(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        grid = [ExampleParams(theta=t, p=p, q=q)
+                for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
+        discrepancy_report(grid[::-1])
+        assert sorted(calls["rho_theta"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channels"]) == sorted(
+            set(itertools.product(TIE_PS, TIE_QS)))
