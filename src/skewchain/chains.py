@@ -98,19 +98,21 @@ def lattice_order(d: int) -> list:
 # Every kernel below runs over a leading instance axis of B same-shape
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
-# instance, so a stack returns each instance's bits unchanged.  The
-# one-instance functions are stacks of one.
+# instance, so a stack returns each instance's bits unchanged.  ``chain_batch``
+# is the one builder; ``chain_data`` is a stack of one.
 
 
 @dataclass(frozen=True)
 class ChainData:
-    """Per-instance column data of all commutator frames.
+    """Everything derived from one (state, channel, channel) instance.
 
     ``e_norms[i, k]`` and ``f_norms[j, k]`` are squared column norms of the
     two frame families; ``overlaps[i, j, k]`` the complex column overlaps.
     ``tables`` holds the S-lattice update terms summed over all Kraus pairs,
-    derived once when the data is built and shared by every reading and
-    search.  Build it with ``chain_data`` or ``chain_batch``.
+    shared by every permuted walk and search, and ``chains`` the instance's
+    ``BoundChain`` under each ``Reading``.  All of it is derived once, when
+    ``chain_batch`` or ``chain_data`` builds the data from ``rho``, ``ch1``
+    and ``ch2``; every reader only reads it.
     """
 
     dim: int
@@ -118,20 +120,10 @@ class ChainData:
     f_norms: np.ndarray
     overlaps: np.ndarray
     tables: _STables = field(repr=False, compare=False)
-
-    @property
-    def n1(self) -> int:
-        return self.e_norms.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.f_norms.shape[0]
-
-    def skew_1(self) -> float:
-        return _skews(self.e_norms[None])[0]
-
-    def skew_2(self) -> float:
-        return _skews(self.f_norms[None])[0]
+    chains: dict = field(repr=False, compare=False)
+    rho: DensityMatrix = field(repr=False, compare=False)
+    ch1: KrausChannel = field(repr=False, compare=False)
+    ch2: KrausChannel = field(repr=False, compare=False)
 
 
 def _skews(norms: np.ndarray) -> list:
@@ -139,9 +131,8 @@ def _skews(norms: np.ndarray) -> list:
     return [0.5 * math.fsum(row) for row in norms.reshape(len(norms), -1).tolist()]
 
 
-def _columns(rhos, ch1s, ch2s) -> tuple:
+def _columns(rhos: list, ch1s: list, ch2s: list) -> tuple:
     """Stacked ``(e_norms, f_norms, overlaps)`` of B same-shape instances."""
-    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
     if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
         raise ValueError(f"need one or more instances, equally many of each part: "
                          f"{len(rhos)} states, {len(ch1s)} and {len(ch2s)} channels")
@@ -169,31 +160,41 @@ def _frames(s: np.ndarray, channels) -> np.ndarray:
     return s @ k - k @ s
 
 
-def _datas(e_norms, f_norms, overlaps, tables) -> list:
-    d = e_norms.shape[-1]
-    return [ChainData(dim=d, e_norms=e_norms[b], f_norms=f_norms[b],
-                      overlaps=overlaps[b], tables=tables.instance(b))
-            for b in range(len(e_norms))]
-
-
 def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
-    """Column data of one (state, channel, channel) instance; every bound reads it."""
-    columns = _columns([rho], [ch1], [ch2])
-    return _datas(*columns, _s_tables(*columns))[0]
+    """The ``ChainData`` of one (state, channel, channel) instance; every bound reads it."""
+    return chain_batch([rho], [ch1], [ch2])[0]
 
 
-def chain_batch(rhos, ch1s, ch2s, reading: Reading = Reading.PRODUCT) -> tuple:
-    """``chain_data`` and ``chain_from_data`` of a stack of instances in one pass.
+def chain_batch(rhos, ch1s, ch2s) -> list:
+    """The ``ChainData`` of each instance of a stack, all derived in one pass.
 
     Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
-    dimension and both Kraus counts.  Returns ``(datas, chains)``, two lists
-    in instance order, each entry bit for bit what the one-instance
-    functions return.  The stack's arrays scale with its length, so callers
-    with many instances pass them in blocks.
+    dimension and both Kraus counts.  The pass computes the columns, the
+    S-lattice tables, the skew informations, the I-chain, the cross term and
+    the identity-walk lattice of both readings; each instance gets bit for
+    bit what it gets in a stack of one.  The stack's arrays scale with its
+    length, so callers with many instances pass them in blocks.
     """
-    columns = _columns(rhos, ch1s, ch2s)
-    tables = _s_tables(*columns)
-    return _datas(*columns, tables), _chains(*columns, tables, reading)
+    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
+    e_norms, f_norms, overlaps = _columns(rhos, ch1s, ch2s)
+    d = e_norms.shape[-1]
+    skews = list(zip(_skews(e_norms), _skews(f_norms)))
+    products = [s1 * s2 for s1, s2 in skews]
+    product_rows, printed_rows = _s_tables(e_norms, f_norms, overlaps, products)
+    lattices = {Reading.PRODUCT: _lattice_values(product_rows, Reading.PRODUCT, d),
+                Reading.AS_PRINTED: _lattice_values(printed_rows, Reading.AS_PRINTED, d)}
+    datas = []
+    for b, ((s1, s2), i_values, cross_term) in enumerate(zip(
+            skews, _i_values(e_norms, f_norms, overlaps), _cross_terms(overlaps))):
+        chains = {reading: BoundChain(dim=d, product=products[b], sum=s1 + s2,
+                                      i_values=i_values, s_values=lattice[b],
+                                      cross_term=cross_term, s_reading=reading)
+                  for reading, lattice in lattices.items()}
+        datas.append(ChainData(dim=d, e_norms=e_norms[b], f_norms=f_norms[b],
+                               overlaps=overlaps[b],
+                               tables=_STables(product=product_rows[b], printed=printed_rows[b]),
+                               chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b]))
+    return datas
 
 
 def _mod_sq(c: np.ndarray) -> np.ndarray:
@@ -212,7 +213,7 @@ def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -
     The comparison lower bound (the ``lemma1`` report column); identical to
     the I-chain endpoint.
     """
-    return _cross_terms(chain_data(rho, ch1, ch2).overlaps[None])[0]
+    return compute_chain(rho, ch1, ch2).cross_term
 
 
 def _cross_terms(overlaps: np.ndarray) -> list:
@@ -251,20 +252,16 @@ class _STables:
     informations.  Labels (r, s) sit at column ``1 + r d + s``: the
     product-reading pairwise deficit in ``product``, the as-printed net update
     in ``printed``.  ``product`` goes on with the diagonal deficit of label r
-    at column ``1 + d^2 + r``.  A stack's tables have one row per instance.
+    at column ``1 + d^2 + r``.
     """
 
-    product: np.ndarray   # (1 + d^2 + d,), or (B, 1 + d^2 + d) for a stack
-    printed: np.ndarray   # (1 + d^2,), or (B, 1 + d^2) for a stack
-
-    def instance(self, b: int) -> _STables:
-        return _STables(product=self.product[b], printed=self.printed[b])
-
-    def stack_of_one(self) -> _STables:
-        return _STables(product=self.product[None], printed=self.printed[None])
+    product: np.ndarray   # (1 + d^2 + d,)
+    printed: np.ndarray   # (1 + d^2,)
 
 
-def _s_tables(e_norms, f_norms, overlaps) -> _STables:
+def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
+    """The ``_STables`` rows of each instance of a stack, as two stacked arrays
+    ``(product, printed)``; ``products`` are the instances' start values."""
     count = len(overlaps)
     a_sum = e_norms.sum(axis=-2)  # (B, d)
     b_sum = f_norms.sum(axis=-2)
@@ -279,10 +276,9 @@ def _s_tables(e_norms, f_norms, overlaps) -> _STables:
     mod_sq = gram_diag[:, :, None] + gram_diag[:, None, :] + 2.0 * gram_re  # sum_ij |c_r + c_s|^2
     n1, n2 = e_norms.shape[-2], f_norms.shape[-2]
     step_printed = mod_sq - (n2 * a_sum[:, :, None] + n1 * b_sum[:, None, :])
-    start = np.array([[s1 * s2] for s1, s2 in zip(_skews(e_norms), _skews(f_norms))])
-    return _STables(
-        product=np.concatenate([start, pair_product.reshape(count, -1), diag_product], axis=1),
-        printed=np.concatenate([start, step_printed.reshape(count, -1)], axis=1))
+    start = np.array(products)[:, None]
+    return (np.concatenate([start, pair_product.reshape(count, -1), diag_product], axis=1),
+            np.concatenate([start, step_printed.reshape(count, -1)], axis=1))
 
 
 def _updates(reading: Reading, sigma, tau, d: int):
@@ -341,19 +337,17 @@ def _identity_plan(d: int, reading: Reading) -> tuple:
     return tuple(positions), order, ends
 
 
-def _lattice_values(tables: _STables, reading: Reading, d: int) -> list:
+def _lattice_values(rows: np.ndarray, reading: Reading, d: int) -> list:
     """Identity-walk S values of each instance of a stack, one dict per instance.
 
-    The walk as one running subtraction (product reading) or sum (as printed)
-    over all instances; ``accumulate`` applies the updates in order, so each
-    value is the one ``_value_at`` gives with identity labels.
+    ``rows`` are the instances' ``_STables`` rows of ``reading``.  The walk is
+    one running subtraction (product reading) or sum (as printed) over all
+    instances; ``accumulate`` applies the updates in order, so each value is
+    the one ``_value_at`` gives with identity labels.
     """
-    reading = Reading(reading)
     positions, order, ends = _identity_plan(d, reading)
-    if reading == Reading.PRODUCT:
-        running = np.subtract.accumulate(tables.product[:, order], axis=1)
-    else:
-        running = np.add.accumulate(tables.printed[:, order], axis=1)
+    accumulate = np.subtract.accumulate if reading == Reading.PRODUCT else np.add.accumulate
+    running = accumulate(rows[:, order], axis=1)
     return [dict(zip(positions, row)) for row in running[:, ends].tolist()]
 
 
@@ -393,26 +387,8 @@ def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 
 
 def chain_from_data(data: ChainData, reading: Reading = Reading.PRODUCT) -> BoundChain:
-    """``compute_chain`` on column data already built by ``chain_data``."""
-    return _chains(data.e_norms[None], data.f_norms[None], data.overlaps[None],
-                   data.tables.stack_of_one(), reading)[0]
-
-
-def _chains(e_norms, f_norms, overlaps, tables: _STables, reading: Reading) -> list:
-    """The BoundChain of each instance of a stack."""
-    reading = Reading(reading)
-    d = e_norms.shape[-1]
-    sums = [s1 + s2 for s1, s2 in zip(_skews(e_norms), _skews(f_norms))]
-    return [BoundChain(dim=d, product=product, sum=total, i_values=i_values,
-                       s_values=s_values, cross_term=cross_term, s_reading=reading)
-            for product, total, i_values, s_values, cross_term in zip(
-                tables.product[:, 0].tolist(), sums, _i_values(e_norms, f_norms, overlaps),
-                _lattice_values(tables, reading, d), _cross_terms(overlaps))]
-
-
-def _s_values(data: ChainData, reading: Reading) -> dict:
-    """One instance's identity-walk S values, without the rest of its chain."""
-    return _lattice_values(data.tables.stack_of_one(), reading, data.dim)[0]
+    """The chain of ``reading`` that ``chain_data`` or ``chain_batch`` stored in ``data``."""
+    return data.chains[Reading(reading)]
 
 
 @dataclass(frozen=True)
@@ -667,9 +643,9 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 
 def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 14400,
                      seed: int = 0) -> ChainVerdict:
-    """``verify_chain`` on column data already built by ``chain_data``."""
+    """``verify_chain`` on data already built by ``chain_data`` or ``chain_batch``."""
     d = data.dim
-    chain = chain_from_data(data, Reading.PRODUCT)
+    chain = data.chains[Reading.PRODUCT]
     i_vals = chain.i_values
     checks = []
 
@@ -681,9 +657,8 @@ def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 144
     checks.append(_ge_check("i_monotone", -worst_step, 0.0, tol))
     checks.append(_eq_check("i_endpoint_eq_cross_term", i_vals[-1], chain.cross_term, tol))
 
-    s_by_reading = {Reading.PRODUCT: chain.s_values,
-                    Reading.AS_PRINTED: _s_values(data, Reading.AS_PRINTED)}
-    for reading, s_vals in s_by_reading.items():
+    for reading in (Reading.PRODUCT, Reading.AS_PRINTED):
+        s_vals = data.chains[reading].s_values
         label = reading.value.replace("-", "_")
         if s_vals:
             seq = [chain.product] + [s_vals[k] for k in lattice_order(d)]
@@ -706,8 +681,7 @@ def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 144
 
     if d >= 2:
         best = _optimize(data.tables, d, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
-        identity_value = s_by_reading[Reading.PRODUCT][(2, 1)]
-        checks.append(_ge_check("opt_ge_identity", best.value, identity_value, tol))
+        checks.append(_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
         for t in (0.0, 0.5, 1.0):
             prod_bound, _ = mixed_bound(chain, best, t)
             checks.append(_ge_check("mixed_le_product", chain.product, prod_bound, tol))
@@ -740,31 +714,31 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     The chain quantities are functions of the channels, not of the chosen
     Kraus families, so all deviations should sit at rounding level.
     """
-    return invariance_from_data(chain_data(rho, ch1, ch2), rho, ch1, ch2, trials, seed, tol)
+    return invariance_from_data(chain_data(rho, ch1, ch2), trials, seed, tol)
 
 
-def invariance_from_data(data: ChainData, rho: DensityMatrix, ch1: KrausChannel,
-                         ch2: KrausChannel, trials: int, seed: int,
+def invariance_from_data(data: ChainData, trials: int, seed: int,
                          tol: float = 1e-10) -> InvarianceReport:
-    """``kraus_invariance_check`` with the unmixed instance's column data already
-    built by ``chain_data``; the trials still need the state and channels."""
+    """``kraus_invariance_check`` on the unmixed instance's data, already built
+    by ``chain_data``; the trials mix the channels ``data`` was built from."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base = _invariant_values(data)
     devs = dict.fromkeys(base, 0.0)
     for trial in range(trials):
-        u = random_unitary(ch1.n, derive_seed(seed, trial, 1))
-        v = random_unitary(ch2.n, derive_seed(seed, trial, 2))
-        mixed = _invariant_values(chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v)))
+        u = random_unitary(data.ch1.n, derive_seed(seed, trial, 1))
+        v = random_unitary(data.ch2.n, derive_seed(seed, trial, 2))
+        mixed = _invariant_values(chain_data(data.rho, mix_kraus(data.ch1, u),
+                                             mix_kraus(data.ch2, v)))
         for name, values in mixed.items():
             devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
     return InvarianceReport(trials=trials, tol=tol, deviations=devs)
 
 
 def _invariant_values(data: ChainData) -> dict:
-    """Every bound quantity of one Kraus pair, both readings from one ChainData."""
-    chain = chain_from_data(data, Reading.PRODUCT)
+    """Every bound quantity of one Kraus pair, both readings read from its ChainData."""
+    chain = data.chains[Reading.PRODUCT]
     return {"product": (chain.product,), "sum": (chain.sum,), "i_values": chain.i_values,
             "s_values": tuple(chain.s_values.values()),
-            "s_values_as_printed": tuple(_s_values(data, Reading.AS_PRINTED).values()),
+            "s_values_as_printed": tuple(data.chains[Reading.AS_PRINTED].s_values.values()),
             "cross_term": (chain.cross_term,)}

@@ -27,12 +27,12 @@ import numpy as np
 
 from .chains import (
     HARD_CHECK_NAMES,
+    ChainData,
     Reading,
     Strategy,
     chain_data,
     chain_from_data,
     invariance_from_data,
-    kraus_invariance_check,
     lattice_order,
     mixed_bound,
     optimize_from_data,
@@ -94,22 +94,27 @@ def _strategy(args):
     return None if args.perm == "auto" else Strategy(args.perm)
 
 
+def _load_instance(args, tol: float) -> ChainData:
+    """Load ``--state``, ``--channel1`` and ``--channel2`` at ``tol`` and build
+    their ``ChainData``; an unreadable, malformed or mismatched input is a
+    ConfigError."""
+    try:
+        return chain_data(load_state(args.state, tol=tol), load_channel(args.channel1, tol=tol),
+                          load_channel(args.channel2, tol=tol))
+    except (SkewchainError, OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"input rejected: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
 
 def cmd_bounds(args) -> int:
     try:
-        state = load_state(args.state, tol=args.tol)
-        ch1 = load_channel(args.channel1, tol=args.tol)
-        ch2 = load_channel(args.channel2, tol=args.tol)
+        data = _load_instance(args, args.tol)
         t_grid = parse_grid(args.t)
-        data = chain_data(state, ch1, ch2)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SkewchainError, OSError, KeyError, ValueError) as exc:
-        print(f"error: input rejected: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -172,7 +177,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        dims = [int(v) for v in args.dims.split(",") if v.strip()]
+        try:
+            dims = [int(v) for v in args.dims.split(",") if v.strip()]
+        except ValueError:
+            dims = []
         if not dims or any(d < 1 for d in dims):
             raise ConfigError(f"bad dims list {args.dims!r}")
         if args.instances < 1:
@@ -202,8 +210,8 @@ def cmd_verify(args) -> int:
                 entry[0] += 1
                 entry[1] += 0 if check.passed else 1
                 entry[2] = max(entry[2], check.deviation)
-            report = invariance_from_data(data, rho, ch1, ch2, trials=1,
-                                          seed=derive_seed(args.seed, d, k, 4), tol=args.tol)
+            report = invariance_from_data(data, trials=1, seed=derive_seed(args.seed, d, k, 4),
+                                          tol=args.tol)
             invariance_worst = max(invariance_worst, report.max_deviation)
             total += 1
 
@@ -293,17 +301,11 @@ def cmd_invariance(args) -> int:
     try:
         if args.trials < 1:
             raise ConfigError("trials must be >= 1")
-        state = load_state(args.state, tol=1e-9)
-        ch1 = load_channel(args.channel1, tol=1e-9)
-        ch2 = load_channel(args.channel2, tol=1e-9)
+        data = _load_instance(args, 1e-9)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SkewchainError, OSError, KeyError, ValueError) as exc:
-        print(f"error: input rejected: {exc}", file=sys.stderr)
-        return 2
-    report = kraus_invariance_check(state, ch1, ch2, trials=args.trials,
-                                    seed=args.seed, tol=args.tol)
+    report = invariance_from_data(data, trials=args.trials, seed=args.seed, tol=args.tol)
     pairs = [("command", "invariance"), ("trials", args.trials), ("seed", args.seed),
              ("tol", args.tol)]
     for name in sorted(report.deviations):
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
         return 2
     if args.seed < 0:
         print("error: seed must be >= 0", file=sys.stderr)
+        return 2
+    if args.budget < 0:
+        print("error: budget must be >= 0", file=sys.stderr)
         return 2
     try:
         return args.func(args)

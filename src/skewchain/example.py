@@ -27,6 +27,7 @@ from .chains import (
     Reading,
     Strategy,
     chain_batch,
+    chain_from_data,
     mixed_bound,
     optimize_from_data,
 )
@@ -192,18 +193,18 @@ def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
 _BLOCK = 128
 
 
-def _stacked_chains(rho: DensityMatrix, channels: dict, points: list, reading: Reading):
-    """Yield ``((p, q), data, chain)`` for each point at one state, in order.
+def _stacked_chains(rho: DensityMatrix, channels: dict, points: list):
+    """Yield ``((p, q), data)`` for each point at one state, in order.
 
-    ``channels`` maps each (p, q) to its channel pair; the chains come from
-    one ``chain_batch`` pass per block of at most ``_BLOCK`` points.
+    ``channels`` maps each (p, q) to its channel pair; the data, with both
+    readings' chains, come from one ``chain_batch`` pass per block of at most
+    ``_BLOCK`` points.
     """
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
         pairs = [channels[pq] for pq in block]
-        datas, chains = chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
-                                    [n2 for _, n2 in pairs], reading)
-        yield from zip(block, datas, chains)
+        yield from zip(block, chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
+                                          [n2 for _, n2 in pairs]))
 
 
 def _channel_pairs(points) -> dict:
@@ -234,7 +235,8 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     states = {theta: rho_theta(theta) for theta in dict.fromkeys(thetas)}
     rows = []
     for theta in sorted(thetas):
-        for (p, q), data, chain in _stacked_chains(states[theta], channels, points, reading):
+        for (p, q), data in _stacked_chains(states[theta], channels, points):
+            chain = chain_from_data(data, reading)
             best = optimize_from_data(data, perm_target[0], perm_target[1],
                                       strategy, budget, seed, reading)
             forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
@@ -334,9 +336,8 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     numeric = [None] * len(params)
     for theta, indices in by_theta.items():
         points = [(params[i].p, params[i].q) for i in indices]
-        passes = _stacked_chains(rho_theta(theta), channels, points, Reading.PRODUCT)
-        for i, (_, _, chain) in zip(indices, passes):
-            numeric[i] = _numeric_targets(chain)
+        for i, (_, data) in zip(indices, _stacked_chains(rho_theta(theta), channels, points)):
+            numeric[i] = _numeric_targets(chain_from_data(data, Reading.PRODUCT))
     rows = []
     ratios = {name: [] for name in _FORM_NAMES}
     for pt, values in zip(params, numeric):

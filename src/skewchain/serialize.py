@@ -68,8 +68,15 @@ def save_state(path, state: DensityMatrix) -> None:
     write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
-def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def _load_document(path) -> dict:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    doc = _load_document(path)
     m = matrix_from_pairs(doc["matrix"])
     if m.shape != (doc["dim"], doc["dim"]):
         raise ValueError(f"declared dim {doc['dim']} does not match matrix shape {m.shape}")
@@ -86,7 +93,9 @@ def save_channel(path, channel: KrausChannel) -> None:
 
 
 def load_channel(path, tol: float = DEFAULT_TOL) -> KrausChannel:
-    doc = json.loads(Path(path).read_text())
+    doc = _load_document(path)
+    if not isinstance(doc["kraus"], list):
+        raise ValueError(f"{path}: \"kraus\" must be a list of matrices")
     ops = [matrix_from_pairs(k) for k in doc["kraus"]]
     for k in ops:
         if k.shape != (doc["dim"], doc["dim"]):

@@ -36,6 +36,7 @@ from skewchain.objects import (
     mix_kraus,
     random_channel,
     random_density,
+    random_unitary,
     validate_channel,
     validate_density,
 )
@@ -340,25 +341,28 @@ def instance_stacks(draw):
 class TestStackedBuilderMatchesInstanceOracles:
     @staticmethod
     def assert_matches_instances(rhos, ch1s, ch2s):
-        for reading in Reading:
-            datas, chains = chain_batch(rhos, ch1s, ch2s, reading)
-            assert len(datas) == len(chains) == len(rhos)
-            for rho, ch1, ch2, data, chain in zip(rhos, ch1s, ch2s, datas, chains):
-                oracle = instance_chain_data(rho, ch1, ch2)
-                for name in ("e_norms", "f_norms", "overlaps"):
-                    assert np.array_equal(getattr(data, name), getattr(oracle, name)), name
-                tables = instance_s_tables(oracle)
-                start = [tables["start"]]
-                assert np.array_equal(data.tables.product, np.concatenate(
-                    [start, tables["pair_product"].ravel(), tables["diag_product"]]))
-                assert np.array_equal(data.tables.printed, np.concatenate(
-                    [start, tables["step_printed"].ravel()]))
-                skew_1, skew_2 = instance_skews(oracle)
+        datas = chain_batch(rhos, ch1s, ch2s)  # one build serves both readings
+        assert len(datas) == len(rhos)
+        for rho, ch1, ch2, data in zip(rhos, ch1s, ch2s, datas):
+            assert data.rho is rho and data.ch1 is ch1 and data.ch2 is ch2
+            oracle = instance_chain_data(rho, ch1, ch2)
+            for name in ("e_norms", "f_norms", "overlaps"):
+                assert np.array_equal(getattr(data, name), getattr(oracle, name)), name
+            tables = instance_s_tables(oracle)
+            start = [tables["start"]]
+            assert np.array_equal(data.tables.product, np.concatenate(
+                [start, tables["pair_product"].ravel(), tables["diag_product"]]))
+            assert np.array_equal(data.tables.printed, np.concatenate(
+                [start, tables["step_printed"].ravel()]))
+            skew_1, skew_2 = instance_skews(oracle)
+            alone = chain_data(rho, ch1, ch2)
+            for reading in Reading:
+                chain = chain_from_data(data, reading)
                 assert chain_fields(chain) == (
                     rho.dim, tables["start"], skew_1 + skew_2, instance_i_values(oracle),
                     instance_lattice_values(tables, reading, rho.dim),
                     instance_cross_term(oracle), reading)
-                assert chain_fields(chain_from_data(data, reading)) == chain_fields(chain)
+                assert chain_fields(chain_from_data(alone, reading)) == chain_fields(chain)
                 assert type(chain.product) is float and type(chain.cross_term) is float
 
     @settings(max_examples=30, deadline=None)
@@ -776,8 +780,32 @@ class TestKrausInvariance:
     def test_data_level_form_matches(self):
         rho, ch1, ch2 = random_instance(3, 112)
         direct = kraus_invariance_check(rho, ch1, ch2, trials=2, seed=4)
-        reused = invariance_from_data(chain_data(rho, ch1, ch2), rho, ch1, ch2, trials=2, seed=4)
+        reused = invariance_from_data(chain_data(rho, ch1, ch2), trials=2, seed=4)
         assert reused.deviations == direct.deviations
+
+    def test_deviations_match_recomputed_chains(self):
+        # every quantity of both readings, of the instance the data was built from
+        rho, ch1, ch2 = random_instance(3, 113)
+        trials, seed = 3, 6
+
+        def values(r, a, b):
+            prod = compute_chain(r, a, b, Reading.PRODUCT)
+            printed = compute_chain(r, a, b, Reading.AS_PRINTED)
+            return {"product": (prod.product,), "sum": (prod.sum,), "i_values": prod.i_values,
+                    "s_values": tuple(prod.s_values.values()),
+                    "s_values_as_printed": tuple(printed.s_values.values()),
+                    "cross_term": (prod.cross_term,)}
+
+        base = values(rho, ch1, ch2)
+        want = dict.fromkeys(base, 0.0)
+        for trial in range(trials):
+            mixed = values(rho, mix_kraus(ch1, random_unitary(ch1.n, derive_seed(seed, trial, 1))),
+                           mix_kraus(ch2, random_unitary(ch2.n, derive_seed(seed, trial, 2))))
+            for name in base:
+                want[name] = max([want[name],
+                                  *(abs(a - b) for a, b in zip(mixed[name], base[name]))])
+        report = invariance_from_data(chain_data(rho, ch1, ch2), trials=trials, seed=seed)
+        assert report.deviations == want
 
     def test_rejects_zero_trials(self):
         rho, n1, n2 = example_instance()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skewchain import chains
 from skewchain.cli import main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
 from skewchain.objects import Convention, random_channel, random_density
@@ -124,6 +125,10 @@ def _argv(case, tmp_path, files):
     inputs = ["--state", str(state), "--channel1", str(ch1), "--channel2", str(ch2)]
     small = tmp_path / "small.json"
     save_channel(small, random_channel(3, 2, Convention.COLUMN_SUM, seed=1))
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[1, 2]")
+    kraus_not_list = tmp_path / "kraus_not_list.json"
+    kraus_not_list.write_text(json.dumps({**json.loads(ch1.read_text()), "kraus": 5}))
     return {
         "verify_negative_seed": ["verify", "--dims", "2", "--instances", "1", "--seed", "-1",
                                  "--out", str(tmp_path / "v.txt")],
@@ -139,6 +144,18 @@ def _argv(case, tmp_path, files):
                                   "--out", str(tmp_path / "missing" / "report.txt")],
         "bounds_dim_mismatch": ["bounds", "--state", str(state), "--channel1", str(small),
                                 "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")],
+        "verify_non_integer_dims": ["verify", "--dims", "2,x", "--instances", "1",
+                                    "--out", str(tmp_path / "v.txt")],
+        "bounds_state_not_object": ["bounds", "--state", str(not_object), "--channel1", str(ch1),
+                                    "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")],
+        "invariance_kraus_not_list": ["invariance", "--state", str(state),
+                                      "--channel1", str(kraus_not_list), "--channel2", str(ch2),
+                                      "--trials", "1", "--out", str(tmp_path / "inv.txt")],
+        "verify_negative_budget": ["verify", "--dims", "2", "--instances", "1",
+                                   "--budget", "-1", "--out", str(tmp_path / "v.txt")],
+        "invariance_dim_mismatch": ["invariance", "--state", str(state), "--channel1", str(small),
+                                    "--channel2", str(ch2), "--trials", "1",
+                                    "--out", str(tmp_path / "inv.txt")],
     }[case]
 
 
@@ -147,13 +164,46 @@ class TestBadInputExits2:
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
                                       "verify_perm_sampled", "verify_s_reading",
                                       "invariance_nan_tol", "bounds_unwritable_out",
-                                      "bounds_dim_mismatch"])
+                                      "bounds_dim_mismatch", "verify_non_integer_dims",
+                                      "bounds_state_not_object", "invariance_kraus_not_list",
+                                      "verify_negative_budget", "invariance_dim_mismatch"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
         code = main(_argv(case, tmp_path, example_files))
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestDerivesEachInstanceOnce:
+    # chain_batch computes every chain quantity of an instance in its one
+    # pass; the readers (verdict, invariance base, report) only read it
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"_i_values": 0, "_lattice_values": 0}
+        for name in calls:
+            real = getattr(chains, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(chains, name, counted)
+        return calls
+
+    def test_verify(self, tmp_path, monkeypatch):
+        calls = self.counting(monkeypatch)
+        assert main(["verify", "--dims", "2", "--instances", "2",
+                     "--out", str(tmp_path / "v.txt")]) == 0
+        # 2 base builds + 2 invariance-trial builds; both readings per build
+        assert calls == {"_i_values": 4, "_lattice_values": 8}
+
+    def test_bounds(self, tmp_path, example_files, monkeypatch):
+        state, ch1, ch2 = example_files
+        calls = self.counting(monkeypatch)
+        assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
+                     "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")]) == 0
+        assert calls == {"_i_values": 1, "_lattice_values": 2}
 
 
 class TestVerify:
@@ -199,6 +249,10 @@ class TestVerify:
         code = main(["verify", "--dims", "2", "--instances", "0",
                      "--out", str(tmp_path / "v.txt")])
         assert code == 2
+
+    def test_zero_budget_is_legal(self, tmp_path):
+        assert main(["verify", "--dims", "2", "--instances", "1", "--budget", "0",
+                     "--out", str(tmp_path / "v.txt")]) == 0
 
     def test_bad_dims_exits_2(self, tmp_path):
         code = main(["verify", "--dims", "", "--instances", "3",
