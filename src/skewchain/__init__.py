@@ -76,8 +76,6 @@ from .objects import (
 )
 from .serialize import load_channel, load_state, save_channel, save_state
 from .skew import (
-    CommutatorFrame,
-    commutator_frame,
     observable_commutator_bound,
     skew_info_channel,
     skew_info_observable,

@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError
 from .objects import DensityMatrix, KrausChannel, derive_seed, generator, mix_kraus, random_unitary
+from .skew import channel_skews, column_norms_sq, frame_stack
 
 __all__ = [
     "BoundChain",
@@ -99,7 +100,8 @@ def lattice_order(d: int) -> list:
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
 # instance, so a stack returns each instance's bits unchanged.  ``chain_batch``
-# is the one builder; ``chain_data`` is a stack of one.
+# is the one builder; ``chain_data`` is a stack of one.  The frames, their
+# column norms and the channel skew informations come from ``skew``'s kernel.
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,6 @@ class ChainData:
     ch2: KrausChannel = field(repr=False, compare=False)
 
 
-def _skews(norms: np.ndarray) -> list:
-    """Channel skew information of each instance: half its summed squared column norms."""
-    return [0.5 * math.fsum(row) for row in norms.reshape(len(norms), -1).tolist()]
-
-
 def _columns(rhos: list, ch1s: list, ch2s: list) -> tuple:
     """Stacked ``(e_norms, f_norms, overlaps)`` of B same-shape instances."""
     if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
@@ -144,20 +141,11 @@ def _columns(rhos: list, ch1s: list, ch2s: list) -> tuple:
         if (rho.dim, ch1.n, ch2.n) != shape:
             raise DimensionMismatchError(f"instances of one batch must share (dim, n1, n2): "
                                          f"{(rho.dim, ch1.n, ch2.n)} vs {shape}")
-    s = np.array([rho.sqrt_rho for rho in rhos])[:, None]  # (B, 1, d, d)
-    e = _frames(s, ch1s)
-    f = _frames(s, ch2s)
-    e_conj = e.conj()
-    e_norms = np.einsum("...nij,...nij->...nj", e_conj, e).real
-    f_norms = np.einsum("...nij,...nij->...nj", f.conj(), f).real
-    overlaps = np.einsum("...aij,...bij->...abj", e_conj, f)
-    return e_norms, f_norms, overlaps
-
-
-def _frames(s: np.ndarray, channels) -> np.ndarray:
-    """Commutator frames ``[sqrt(rho), K]`` of every Kraus operator, stacked (B, n, d, d)."""
-    k = np.array([ch.operators for ch in channels])
-    return s @ k - k @ s
+    s = np.array([rho.sqrt_rho for rho in rhos])
+    e = frame_stack(s, np.array([ch.operators for ch in ch1s]))
+    f = frame_stack(s, np.array([ch.operators for ch in ch2s]))
+    overlaps = np.einsum("...aij,...bij->...abj", e.conj(), f)
+    return column_norms_sq(e), column_norms_sq(f), overlaps
 
 
 def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
@@ -178,7 +166,7 @@ def chain_batch(rhos, ch1s, ch2s) -> list:
     rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
     e_norms, f_norms, overlaps = _columns(rhos, ch1s, ch2s)
     d = e_norms.shape[-1]
-    skews = list(zip(_skews(e_norms), _skews(f_norms)))
+    skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
     products = [s1 * s2 for s1, s2 in skews]
     product_rows, printed_rows = _s_tables(e_norms, f_norms, overlaps, products)
     lattices = {Reading.PRODUCT: _lattice_values(product_rows, Reading.PRODUCT, d),

@@ -5,12 +5,18 @@ its columns in the computational basis.  Column vectors are always taken in
 that fixed basis: the k-th frame vector is literally the k-th matrix column.
 Downstream bound chains are basis dependent, so this choice is part of the
 contract rather than an implementation detail.
+
+This module owns the frame kernel that every other module reads:
+``frame_stack`` builds the frames of a stack of instances, ``column_norms_sq``
+their squared column norms and ``channel_skews`` the channel skew information
+from those norms.  The one-operator and one-channel functions below are
+stacks of one over the same kernel, so ``skew_info_channel`` carries the bits
+of the skew informations inside a bound chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +25,10 @@ from .linalg import as_matrix, commutator, hermiticity_defect, hs_inner
 from .objects import DensityMatrix, KrausChannel
 
 __all__ = [
-    "CommutatorFrame",
+    "channel_skews",
+    "column_norms_sq",
     "commutator_frame",
+    "frame_stack",
     "observable_commutator_bound",
     "skew_info_channel",
     "skew_info_observable",
@@ -28,54 +36,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommutatorFrame:
-    """``[sqrt(rho), K]`` with its computational-basis columns.
+def frame_stack(sqrt_rhos: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Commutator frames ``[sqrt(rho_b), K_bn]`` of B instances, stacked (B, n, d, d).
 
-    Half the summed squared column norms equals the skew information of K,
-    which ties the frame to the quantity it feeds.
+    ``sqrt_rhos`` is (B, d, d) and ``operators`` (B, n, d, d).  Each slice is
+    the same BLAS call as for a lone instance, so a stack keeps every
+    instance's bits.
     """
-
-    source_operator_index: int
-    matrix: np.ndarray
-
-    @property
-    def columns(self) -> tuple:
-        return tuple(self.matrix[:, k] for k in range(self.matrix.shape[1]))
-
-    def column_norms_sq(self) -> np.ndarray:
-        """Squared 2-norm of each column, exactly summable."""
-        return np.einsum("ij,ij->j", self.matrix.conj(), self.matrix).real
+    s = sqrt_rhos[:, None]
+    return s @ operators - operators @ s
 
 
-def commutator_frame(rho: DensityMatrix, op, index: int = 0) -> CommutatorFrame:
+def column_norms_sq(frames: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of every frame column: (..., n, d, d) frames give (..., n, d)."""
+    return np.einsum("...nij,...nij->...nj", frames.conj(), frames).real
+
+
+def channel_skews(norms: np.ndarray) -> list:
+    """Channel skew information of each instance: half its summed squared column norms."""
+    return [0.5 * math.fsum(row) for row in norms.reshape(len(norms), -1).tolist()]
+
+
+def commutator_frame(rho: DensityMatrix, op) -> np.ndarray:
+    """The read-only frame matrix ``[sqrt(rho), K]`` of one operator."""
     mat = as_matrix(op)
     if mat.shape != (rho.dim, rho.dim):
         raise DimensionMismatchError(
             f"operator of shape {mat.shape} against a dim-{rho.dim} state")
-    frame = commutator(rho.sqrt_rho, mat)
+    frame = frame_stack(np.array([rho.sqrt_rho]), mat[None, None])[0, 0]
     frame.setflags(write=False)
-    return CommutatorFrame(source_operator_index=index, matrix=frame)
+    return frame
 
 
 def skew_info_operator(rho: DensityMatrix, op) -> float:
-    """``(1/2) Tr([sqrt(rho), K]^dag [sqrt(rho), K])``, clamped to >= 0.
+    """``(1/2) Tr([sqrt(rho), K]^dag [sqrt(rho), K])``.
 
     This dagger form is the definition used for arbitrary (not necessarily
     Hermitian) Kraus operators; it coincides with the squared-commutator form
     on the Hermitian cone only.
     """
-    frame = commutator_frame(rho, op)
-    value = 0.5 * math.fsum(frame.column_norms_sq().tolist())
-    return max(value, 0.0)
+    return channel_skews(column_norms_sq(commutator_frame(rho, op)[None, None]))[0]
 
 
 def skew_info_channel(rho: DensityMatrix, channel: KrausChannel) -> float:
-    """Sum of per-Kraus skew informations, in fixed operator order."""
+    """Half the summed squared column norms of all the channel's frames, summed exactly."""
     if channel.dim != rho.dim:
         raise DimensionMismatchError(
             f"dim-{channel.dim} channel against a dim-{rho.dim} state")
-    return math.fsum(skew_info_operator(rho, k) for k in channel.operators)
+    frames = frame_stack(np.array([rho.sqrt_rho]), np.array([channel.operators]))
+    return channel_skews(column_norms_sq(frames))[0]
 
 
 def skew_info_observable(rho: DensityMatrix, a, hermiticity_tol: float = 1e-10) -> float:

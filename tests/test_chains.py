@@ -40,7 +40,7 @@ from skewchain.objects import (
     validate_channel,
     validate_density,
 )
-from skewchain.skew import commutator_frame
+from skewchain.skew import skew_info_channel
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles, written directly from the definitions with raw loops.
@@ -145,19 +145,26 @@ class Columns:
         return self.f_norms.shape[0]
 
 
-# Per-pair loop forms of the kernels in chains.py.  The kernels must
-# reproduce them bit for bit: the byte-identity of every report rests on it.
+# Per-pair loop forms of the kernels in skew.py and chains.py.  The kernels
+# must reproduce them bit for bit: the byte-identity of every report rests on
+# it.  The frames come from ``frame_columns``, one ``commutator`` per operator,
+# so no oracle runs the kernel it checks.
 
 
 def loop_chain_data(rho, ch1, ch2):
-    e_frames = [commutator_frame(rho, k, i) for i, k in enumerate(ch1.operators)]
-    f_frames = [commutator_frame(rho, k, j) for j, k in enumerate(ch2.operators)]
-    e_norms = np.stack([f.column_norms_sq() for f in e_frames])
-    f_norms = np.stack([f.column_norms_sq() for f in f_frames])
+    e_frames = frame_columns(rho, ch1.operators)
+    f_frames = frame_columns(rho, ch2.operators)
+    e_norms = np.stack([np.einsum("ij,ij->j", e.conj(), e).real for e in e_frames])
+    f_norms = np.stack([np.einsum("ij,ij->j", f.conj(), f).real for f in f_frames])
     overlaps = np.stack([
-        np.stack([np.einsum("ij,ij->j", e.matrix.conj(), f.matrix) for f in f_frames])
+        np.stack([np.einsum("ij,ij->j", e.conj(), f) for f in f_frames])
         for e in e_frames])
     return Columns(dim=rho.dim, e_norms=e_norms, f_norms=f_norms, overlaps=overlaps)
+
+
+def loop_skews(data):
+    return tuple(0.5 * math.fsum(norms[i, k] for i in range(len(norms)) for k in range(data.dim))
+                 for norms in (data.e_norms, data.f_norms))
 
 
 def loop_cross_term(data):
@@ -189,41 +196,8 @@ def loop_i_values(data):
     return tuple(values)
 
 
-# One-instance forms of the stacked kernels in chains.py: batched over Kraus
-# pairs, not over instances.  A stack must reproduce each instance's bits.
-
-
-def instance_chain_data(rho, ch1, ch2):
-    s = rho.sqrt_rho
-    k1, k2 = np.stack(ch1.operators), np.stack(ch2.operators)
-    e = s @ k1 - k1 @ s
-    f = s @ k2 - k2 @ s
-    e_conj = e.conj()
-    return Columns(dim=rho.dim,
-                   e_norms=np.einsum("nij,nij->nj", e_conj, e).real,
-                   f_norms=np.einsum("nij,nij->nj", f.conj(), f).real,
-                   overlaps=np.einsum("aij,bij->abj", e_conj, f))
-
-
-def instance_skews(data):
-    return (0.5 * math.fsum(data.e_norms.ravel().tolist()),
-            0.5 * math.fsum(data.f_norms.ravel().tolist()))
-
-
-def instance_cross_term(data):
-    totals = data.overlaps.sum(axis=2)
-    return 0.25 * math.fsum(_mod_sq(totals).ravel().tolist())
-
-
-def instance_i_values(data):
-    a_head = np.cumsum(data.e_norms, axis=1)
-    b_head = np.cumsum(data.f_norms, axis=1)
-    u = np.cumsum(data.overlaps, axis=2)
-    a_tail = a_head[:, -1:] - a_head
-    b_tail = b_head[:, -1:] - b_head
-    terms = 0.25 * (_mod_sq(u) + a_head[:, None, :] * b_tail[None, :, :]
-                    + a_tail[:, None, :] * (b_head + b_tail)[None, :, :])
-    return tuple(math.fsum(column.tolist()) for column in terms.reshape(-1, data.dim).T)
+# The S-lattice tables and the identity-label walk of one instance, over the
+# loop columns: the oracles for ``_s_tables`` and ``_lattice_values``.
 
 
 def instance_s_tables(data):
@@ -234,7 +208,7 @@ def instance_s_tables(data):
     ab = np.outer(a_sum, b_sum)
     mod_sq = (np.diagonal(gram).real[:, None] + np.diagonal(gram).real[None, :]
               + 2.0 * gram.real)
-    skew_1, skew_2 = instance_skews(data)
+    skew_1, skew_2 = loop_skews(data)
     return {"start": skew_1 * skew_2,
             "pair_product": 0.25 * (ab + ab.T - 2.0 * gram.real),
             "diag_product": 0.25 * (np.diagonal(ab) - np.diagonal(gram).real),
@@ -279,57 +253,9 @@ def example_instance(theta=1.0, p=0.5, q=0.5):
 
 
 @st.composite
-def kernel_instances(draw):
-    """(d, n1, n2, rank, row_sum, seed), leaning towards n = d^2 and rank 1."""
-    d = draw(st.integers(1, 6))
-    kraus_count = st.just(d * d) | st.integers(1, d * d)
-    return (d, draw(kraus_count), draw(kraus_count), draw(st.just(1) | st.integers(1, d)),
-            draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)))
-
-
-class TestBatchedKernelsMatchLoops:
-    @staticmethod
-    def assert_matches_loops(rho, ch1, ch2):
-        data = chain_data(rho, ch1, ch2)
-        loop = loop_chain_data(rho, ch1, ch2)
-        for name in ("e_norms", "f_norms", "overlaps"):
-            assert np.array_equal(getattr(data, name), getattr(loop, name)), name
-        chain = chain_from_data(data)
-        assert chain.i_values == loop_i_values(loop)
-        assert chain.cross_term == loop_cross_term(loop)
-
-    # (d, n1, n2, rank, row_sum, seed).  Seed 268 is an instance where squaring
-    # hypot as x * x moves an I value; the others pin n = d^2, one of them with
-    # a rank-1 state and row-sum channels.
-    @settings(max_examples=40, deadline=None)
-    @given(params=kernel_instances())
-    @example(params=(5, 2, 5, 5, False, 268))
-    @example(params=(6, 36, 36, 1, True, 0))
-    @example(params=(4, 16, 16, 4, False, 1))
-    def test_random_instances(self, params):
-        d, n1, n2, rank, row_sum, seed = params
-        convention = Convention.ROW_SUM if row_sum else Convention.COLUMN_SUM
-        rho = random_density(d, rank, derive_seed(seed, 0))
-        ch1 = random_channel(d, n1, convention, derive_seed(seed, 1))
-        ch2 = random_channel(d, n2, convention, derive_seed(seed, 2))
-        self.assert_matches_loops(rho, ch1, ch2)
-
-    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
-    def test_worked_example_points(self, theta):
-        for p in (0.0, 0.5, 1.0):
-            for q in (0.0, 0.5, 1.0):
-                self.assert_matches_loops(*example_instance(theta, p, q))
-
-    def test_mod_sq_is_scalar_abs_squared(self):
-        rng = np.random.default_rng(5)
-        c = ((rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
-             * np.exp(rng.uniform(-20.0, 2.0, 20000)))
-        assert _mod_sq(c).tolist() == [float(abs(z) ** 2) for z in c]
-
-
-@st.composite
 def instance_stacks(draw):
-    """(d, n1, n2, [(rank, seed), ...], row_sum): one to five same-shape instances."""
+    """(d, n1, n2, [(rank, seed), ...], row_sum): one to five same-shape
+    instances, leaning towards n = d^2 and rank 1."""
     d = draw(st.integers(1, 6))
     kraus_count = st.just(d * d) | st.integers(1, d * d)
     n1, n2 = draw(kraus_count), draw(kraus_count)
@@ -338,51 +264,82 @@ def instance_stacks(draw):
     return d, n1, n2, members, draw(st.booleans())
 
 
-class TestStackedBuilderMatchesInstanceOracles:
+# Seed 268 at d = 5 is an instance where squaring hypot as x * x moves an I
+# value, and seed 182 at d = 2 one where summing the skew information per
+# Kraus operator moves its last bit.  The others pin n = d^2 (one stack of
+# them mixing rank-1 and full-rank states under row-sum channels) and d = 1.
+PINNED_STACKS = [
+    (5, 2, 5, [(5, 268)], False),
+    (2, 2, 4, [(1, 182)], False),
+    (6, 36, 36, [(1, 0)], True),
+    (4, 16, 16, [(4, 1)], False),
+    (6, 36, 36, [(1, 0), (6, 1), (1, 2)], True),
+    (1, 1, 1, [(1, 3), (1, 4)], False),
+]
+
+
+def over_instance_stacks(test):
+    """Run ``test(self, params)`` on drawn stacks and on every pinned stack."""
+    for params in PINNED_STACKS:
+        test = example(params=params)(test)
+    return settings(max_examples=40, deadline=None)(given(params=instance_stacks())(test))
+
+
+def stack_of(d, n1, n2, members, row_sum):
+    convention = Convention.ROW_SUM if row_sum else Convention.COLUMN_SUM
+    rhos = [random_density(d, rank, derive_seed(seed, 0)) for rank, seed in members]
+    ch1s = [random_channel(d, n1, convention, derive_seed(seed, 1)) for _, seed in members]
+    ch2s = [random_channel(d, n2, convention, derive_seed(seed, 2)) for _, seed in members]
+    return rhos, ch1s, ch2s
+
+
+def worked_example_stack(thetas=(0.0, 0.5, 1.0)):
+    """The tie-heavy points with p, q in {0, 1/2, 1} at each theta, as one stack."""
+    points = list(itertools.product(thetas, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+    pairs = [example_channels(p, q) for _, p, q in points]
+    return ([rho_theta(theta) for theta, _, _ in points],
+            [a for a, _ in pairs], [b for _, b in pairs])
+
+
+class TestBatchedKernelsMatchLoops:
     @staticmethod
-    def assert_matches_instances(rhos, ch1s, ch2s):
+    def assert_matches_loops(rhos, ch1s, ch2s):
         datas = chain_batch(rhos, ch1s, ch2s)  # one build serves both readings
         assert len(datas) == len(rhos)
         for rho, ch1, ch2, data in zip(rhos, ch1s, ch2s, datas):
             assert data.rho is rho and data.ch1 is ch1 and data.ch2 is ch2
-            oracle = instance_chain_data(rho, ch1, ch2)
+            loop = loop_chain_data(rho, ch1, ch2)
             for name in ("e_norms", "f_norms", "overlaps"):
-                assert np.array_equal(getattr(data, name), getattr(oracle, name)), name
-            tables = instance_s_tables(oracle)
+                assert np.array_equal(getattr(data, name), getattr(loop, name)), name
+            tables = instance_s_tables(loop)
             start = [tables["start"]]
             assert np.array_equal(data.tables.product, np.concatenate(
                 [start, tables["pair_product"].ravel(), tables["diag_product"]]))
             assert np.array_equal(data.tables.printed, np.concatenate(
                 [start, tables["step_printed"].ravel()]))
-            skew_1, skew_2 = instance_skews(oracle)
+            skew_1, skew_2 = loop_skews(loop)
             alone = chain_data(rho, ch1, ch2)
             for reading in Reading:
                 chain = chain_from_data(data, reading)
                 assert chain_fields(chain) == (
-                    rho.dim, tables["start"], skew_1 + skew_2, instance_i_values(oracle),
+                    rho.dim, tables["start"], skew_1 + skew_2, loop_i_values(loop),
                     instance_lattice_values(tables, reading, rho.dim),
-                    instance_cross_term(oracle), reading)
+                    loop_cross_term(loop), reading)
                 assert chain_fields(chain_from_data(alone, reading)) == chain_fields(chain)
                 assert type(chain.product) is float and type(chain.cross_term) is float
 
-    @settings(max_examples=30, deadline=None)
-    @given(params=instance_stacks())
-    @example(params=(6, 36, 36, [(1, 0), (6, 1), (1, 2)], True))
-    @example(params=(1, 1, 1, [(1, 3), (1, 4)], False))
-    def test_random_stacks(self, params):
-        d, n1, n2, members, row_sum = params
-        convention = Convention.ROW_SUM if row_sum else Convention.COLUMN_SUM
-        rhos = [random_density(d, rank, derive_seed(seed, 0)) for rank, seed in members]
-        ch1s = [random_channel(d, n1, convention, derive_seed(seed, 1)) for _, seed in members]
-        ch2s = [random_channel(d, n2, convention, derive_seed(seed, 2)) for _, seed in members]
-        self.assert_matches_instances(rhos, ch1s, ch2s)
+    @over_instance_stacks
+    def test_random_instances(self, params):
+        self.assert_matches_loops(*stack_of(*params))
 
-    def test_worked_example_points(self):
-        # the 27 tie-heavy points theta, p, q in {0, 1/2, 1} in one stack
-        points = list(itertools.product((0.0, 0.5, 1.0), repeat=3))
-        rhos = [rho_theta(theta) for theta, _, _ in points]
-        pairs = [example_channels(p, q) for _, p, q in points]
-        self.assert_matches_instances(rhos, [a for a, _ in pairs], [b for _, b in pairs])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_worked_example_points(self, theta):
+        # one state's nine points in one stack, as ``example`` builds its blocks
+        self.assert_matches_loops(*worked_example_stack([theta]))
+
+    def test_worked_example_stack(self):
+        # all 27 points in one stack, three states mixed
+        self.assert_matches_loops(*worked_example_stack())
 
     def test_rejects_mixed_shapes_and_empty_stacks(self):
         rho, ch1, ch2 = random_instance(3, 1)
@@ -395,6 +352,31 @@ class TestStackedBuilderMatchesInstanceOracles:
             chain_batch([], [], [])
         with pytest.raises(ValueError):
             chain_batch([rho, rho], [ch1], [ch2])
+
+    def test_mod_sq_is_scalar_abs_squared(self):
+        rng = np.random.default_rng(5)
+        c = ((rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
+             * np.exp(rng.uniform(-20.0, 2.0, 20000)))
+        assert _mod_sq(c).tolist() == [float(abs(z) ** 2) for z in c]
+
+
+class TestSkewInfoMatchesChain:
+    """``skew_info_channel`` reads the chain's kernel, so it carries the chain's bits."""
+
+    @staticmethod
+    def assert_matches_chain(rhos, ch1s, ch2s):
+        for rho, ch1, ch2, data in zip(rhos, ch1s, ch2s, chain_batch(rhos, ch1s, ch2s)):
+            skew_1, skew_2 = skew_info_channel(rho, ch1), skew_info_channel(rho, ch2)
+            chain = chain_from_data(data)
+            assert skew_1 + skew_2 == chain.sum
+            assert skew_1 * skew_2 == chain.product
+
+    @over_instance_stacks
+    def test_random_instances(self, params):
+        self.assert_matches_chain(*stack_of(*params))
+
+    def test_worked_example_points(self):
+        self.assert_matches_chain(*worked_example_stack())
 
 
 class TestCrossTermBound:
@@ -567,7 +549,6 @@ class TestPermuteS:
 
     def test_incoherent_point_zero_for_all_permutations(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        import itertools
         for sigma in itertools.permutations(range(4)):
             assert permute_s(rho, n1, n2, sigma, sigma[::-1], 2, 1) == 0.0
 
@@ -585,7 +566,6 @@ class TestPermuteS:
         assert swapped == pytest.approx(direct.s_values[(2, 1)], abs=1e-12)
 
     def test_permuted_values_stay_below_product(self):
-        import itertools
         for seed in range(5):
             rho, ch1, ch2 = random_instance(3, 800 + seed)
             chain = compute_chain(rho, ch1, ch2)
@@ -598,9 +578,10 @@ class TestPermuteS:
     def test_start_value_is_permutation_invariant(self):
         # S_{1,0} is the walk's start and never touched by the labels
         rho, ch1, ch2 = random_instance(3, 95)
-        a = compute_chain(rho, ch1, ch2)
-        b = compute_chain(rho, ch1, ch2)
-        assert a.product == b.product
+        data = chain_data(rho, ch1, ch2)
+        product = chain_from_data(data).product
+        assert data.tables.product[0] == product
+        assert data.tables.printed[0] == product
 
     def test_invalid_permutation_rejected(self):
         rho, ch1, ch2 = random_instance(2, 96)
@@ -618,7 +599,6 @@ class TestOptimizePermutations:
         assert best.value >= ident
 
     def test_exhaustive_matches_brute_maximum(self):
-        import itertools
         rho, ch1, ch2 = random_instance(3, 98)
         best = optimize_permutations(rho, ch1, ch2, 3, 1, Strategy.EXHAUSTIVE)
         brute = max(permute_s(rho, ch1, ch2, s, t, 3, 1)
