@@ -24,6 +24,7 @@ from .chains import (
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
+    optimize_batch,
     optimize_from_data,
     optimize_permutations,
     permute_s,
@@ -72,6 +73,8 @@ from .objects import (
     random_density,
     random_unitary,
     validate_channel,
+    validate_channels,
+    validate_densities,
     validate_density,
 )
 from .serialize import load_channel, load_state, save_channel, save_state

@@ -67,6 +67,7 @@ __all__ = [
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
+    "optimize_batch",
     "optimize_from_data",
     "optimize_permutations",
     "permute_s",
@@ -246,6 +247,9 @@ class _STables:
     product: np.ndarray   # (1 + d^2 + d,)
     printed: np.ndarray   # (1 + d^2,)
 
+    def row(self, reading: Reading) -> np.ndarray:
+        return self.product if reading == Reading.PRODUCT else self.printed
+
 
 def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
     """The ``_STables`` rows of each instance of a stack, as two stacked arrays
@@ -289,21 +293,20 @@ def _updates(reading: Reading, sigma, tau, d: int):
             yield (p, q), (pair, diag + sigma[1], diag + tau[0])
 
 
-def _value_at(tables: _STables, reading: Reading, sigma, tau, p: int, q: int, d: int):
-    """One instance's S value at (p, q) with labels sigma/tau applied.
+def _value_at(table: np.ndarray, reading: Reading, sigma, tau, p: int, q: int, d: int):
+    """The S value at (p, q) with labels sigma/tau applied, read from ``table``.
 
-    With index-array labels it is an array with the same operation order per
-    entry; values are numpy float64, so every entry carries the same bits as
-    the one-pair walk.
+    ``table`` is one instance's ``_STables`` row of ``reading``, or a stack of
+    rows with the instance axis last.  With index-array labels the value is an
+    array, the instance axis last, with the same operation order per entry;
+    values are numpy float64, so every entry carries the same bits as the
+    one-pair walk of its instance.
     """
-    if reading == Reading.PRODUCT:
-        row, apply = tables.product, operator.sub
-    else:
-        row, apply = tables.printed, operator.add
-    value = row[0]
+    apply = operator.sub if reading == Reading.PRODUCT else operator.add
+    value = table[0]
     for pos, columns in _updates(reading, sigma, tau, d):
         for column in columns:
-            value = apply(value, row[column])
+            value = apply(value, table[column])
         if pos == (p, q):
             return value
     raise AssertionError("unreachable: (p, q) was validated against the lattice")
@@ -417,7 +420,8 @@ def _permuted_value(tables: _STables, d: int, sigma, tau, p: int, q: int,
     _check_position(p, q, d)
     sigma = _check_permutation(sigma, d)
     tau = _check_permutation(tau, d)
-    return float(_value_at(tables, Reading(reading), sigma, tau, p, q, d))
+    reading = Reading(reading)
+    return float(_value_at(tables.row(reading), reading, sigma, tau, p, q, d))
 
 
 @dataclass(frozen=True)
@@ -458,11 +462,30 @@ def optimize_from_data(data: ChainData, p: int, q: int, strategy: Strategy | Non
                        budget: int = 14400, seed: int = 0,
                        reading: Reading = Reading.PRODUCT) -> PermutedBound:
     """``optimize_permutations`` on column data already built by ``chain_data``."""
-    return _optimize(data.tables, data.dim, p, q, strategy, budget, seed, reading)
+    return optimize_batch([data], p, q, strategy, budget, seed, reading)[0]
 
 
-def _optimize(tables: _STables, d: int, p: int, q: int, strategy, budget: int,
-              seed: int, reading: Reading) -> PermutedBound:
+def optimize_batch(datas, p: int, q: int, strategy: Strategy | None = None,
+                   budget: int = 14400, seed: int = 0,
+                   reading: Reading = Reading.PRODUCT) -> list:
+    """``optimize_from_data`` of each instance of a stack, in one search.
+
+    All instances share the dimension; each gets bit for bit the
+    ``PermutedBound`` it gets alone.
+    """
+    datas = list(datas)
+    dims = {data.dim for data in datas}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"instances of one search must share one dim, got {dims}")
+    reading = Reading(reading)
+    rows = np.array([data.tables.row(reading) for data in datas])
+    return _optimize(rows, dims.pop(), p, q, strategy, budget, seed, reading)
+
+
+def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
+              seed: int, reading: Reading) -> list:
+    """The ``PermutedBound`` of each instance of a stack; ``rows[b]`` is
+    instance b's ``_STables`` row of ``reading``."""
     _check_position(p, q, d)
     reading = Reading(reading)
     n_pairs = math.perm(d, p - 1) ** 2
@@ -472,14 +495,15 @@ def _optimize(tables: _STables, d: int, p: int, q: int, strategy, budget: int,
         if n_pairs > budget:
             raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
                               f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
-        v, sig, tu = _exhaustive(tables, d, p, q, reading)
+        found = _exhaustive(rows, d, p, q, reading)
     else:
-        v, sig, tu = _sampled(tables, d, p, q, budget, seed, reading)
-    return PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
+        found = [_sampled(row, d, p, q, budget, seed, reading) for row in rows]
+    return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v) for v, sig, tu in found]
 
 
-def _exhaustive(tables: _STables, d: int, p: int, q: int, reading: Reading) -> tuple:
-    """Walk every pair of label prefixes at once, in the lexicographic search order.
+def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> list:
+    """Walk every pair of label prefixes of every instance at once, in the
+    lexicographic search order; one ``(value, sigma, tau)`` per instance.
 
     The full search meets tau[0..p-2] = prefix first in (prefix, the rest
     ascending), so tau prefixes come in lexicographic order.  It meets
@@ -491,27 +515,31 @@ def _exhaustive(tables: _STables, d: int, p: int, q: int, reading: Reading) -> t
     """
     taus = list(itertools.permutations(range(d), p - 1))
     sigmas = sorted(taus, key=lambda prefix: (_rest(prefix, d)[0], prefix))
-    rows = np.array(sigmas, dtype=np.intp)
-    cols = np.array(taus, dtype=np.intp)
-    sigma = [None] + [rows[:, k, None] for k in range(p - 1)]
-    tau = [cols[None, :, k] for k in range(p - 1)]
-    values = _value_at(tables, reading, sigma, tau, p, q, d)
-    # argmax keeps the first maximum, as the sigma-major, tau-minor scan did
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    rest = _rest(sigmas[i], d)
-    sig = (rest[0], *sigmas[i], *rest[1:])
-    tu = (*taus[j], *_rest(taus[j], d))
-    return float(values[i, j]), sig, tu
+    prefix_rows = np.array(sigmas, dtype=np.intp)
+    prefix_cols = np.array(taus, dtype=np.intp)
+    sigma = [None] + [prefix_rows[:, k, None] for k in range(p - 1)]
+    tau = [prefix_cols[None, :, k] for k in range(p - 1)]
+    values = _value_at(rows.T, reading, sigma, tau, p, q, d)  # (sigmas, taus, instances)
+    # argmax keeps each instance's first maximum, as the sigma-major,
+    # tau-minor scan did
+    found = []
+    for b, k in enumerate(values.reshape(-1, len(rows)).argmax(axis=0).tolist()):
+        i, j = divmod(k, len(taus))
+        rest = _rest(sigmas[i], d)
+        sig = (rest[0], *sigmas[i], *rest[1:])
+        tu = (*taus[j], *_rest(taus[j], d))
+        found.append((float(values[i, j, b]), sig, tu))
+    return found
 
 
 def _rest(prefix, d: int) -> list:
     return sorted(set(range(d)).difference(prefix))
 
 
-def _sampled(tables: _STables, d: int, p: int, q: int, budget: int, seed: int,
+def _sampled(row: np.ndarray, d: int, p: int, q: int, budget: int, seed: int,
              reading: Reading) -> tuple:
     def value(sig, tu):
-        return float(_value_at(tables, reading, sig, tu, p, q, d))
+        return float(_value_at(row, reading, sig, tu, p, q, d))
 
     gen = generator(seed)
     ident = tuple(range(d))
@@ -668,7 +696,8 @@ def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 144
     checks.append(_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
 
     if d >= 2:
-        best = _optimize(data.tables, d, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
+        best = _optimize(data.tables.product[None], d, 2, 1, None, perm_budget, seed,
+                         Reading.PRODUCT)[0]
         checks.append(_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
         for t in (0.0, 0.5, 1.0):
             prod_bound, _ = mixed_bound(chain, best, t)

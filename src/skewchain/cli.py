@@ -111,6 +111,9 @@ def _load_instance(args, tol: float) -> ChainData:
 
 def cmd_bounds(args) -> int:
     try:
+        if Path(args.out).suffix == ".csv":  # the CSV row would overwrite the report
+            raise ConfigError(f"--out {args.out!r} ends in .csv, the suffix of the CSV "
+                              "written next to the report; give the report another suffix")
         data = _load_instance(args, args.tol)
         t_grid = parse_grid(args.t)
     except ConfigError as exc:

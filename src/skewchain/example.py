@@ -29,9 +29,9 @@ from .chains import (
     chain_batch,
     chain_from_data,
     mixed_bound,
-    optimize_from_data,
+    optimize_batch,
 )
-from .objects import Convention, DensityMatrix, validate_channel, validate_density
+from .objects import Convention, DensityMatrix, validate_channels, validate_densities
 from .serialize import write_text_atomic
 
 __all__ = [
@@ -44,8 +44,10 @@ __all__ = [
     "SweepTable",
     "closed_forms",
     "discrepancy_report",
+    "example_channel_pairs",
     "example_channels",
     "rho_theta",
+    "rho_thetas",
     "row_hard_failures",
     "sweep",
     "write_discrepancy_csv",
@@ -64,29 +66,39 @@ def _check_unit(name: str, value: float) -> float:
 
 def rho_theta(theta: float) -> DensityMatrix:
     """The two-block state family; off-diagonal entries are ``2 theta - 1``."""
-    theta = _check_unit("theta", theta)
-    a = 2.0 * theta - 1.0
-    block = np.array([[1.0, a], [a, 1.0]], dtype=complex) / 4.0
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[:2, :2] = block
-    rho[2:, 2:] = block
-    return validate_density(rho, tol=1e-12)
+    return rho_thetas([theta])[0]
+
+
+def rho_thetas(thetas) -> list:
+    """``rho_theta`` of each theta, validated as one stack."""
+    a = 2.0 * np.array([_check_unit("theta", theta) for theta in thetas]) - 1.0
+    rho = np.zeros((len(a), 4, 4), dtype=complex)
+    diag = np.arange(4)
+    rho[:, diag, diag] = 1.0 / 4.0
+    rho[:, 0, 1] = rho[:, 1, 0] = rho[:, 2, 3] = rho[:, 3, 2] = a / 4.0
+    return validate_densities(rho, tol=1e-12)
 
 
 def example_channels(p: float, q: float) -> tuple:
     """The two diagonal-family channels, validated under row-sum completeness."""
-    p = _check_unit("p", p)
-    q = _check_unit("q", q)
-    sp, sq = math.sqrt(1.0 - p), math.sqrt(1.0 - q)
-    e1 = np.diag([1.0, sp, 1.0, sp]).astype(complex)
-    e2 = np.diag([0.0, math.sqrt(p), 0.0, math.sqrt(p)]).astype(complex)
-    f1 = np.diag([sq, 1.0, sq, 1.0]).astype(complex)
-    f2 = np.zeros((4, 4), dtype=complex)
-    f2[0, 1] = math.sqrt(q)
-    f2[2, 3] = math.sqrt(q)
-    n1 = validate_channel([e1, e2], convention=Convention.ROW_SUM, tol=1e-12)
-    n2 = validate_channel([f1, f2], convention=Convention.ROW_SUM, tol=1e-12)
-    return n1, n2
+    return example_channel_pairs([(p, q)])[0]
+
+
+def example_channel_pairs(points) -> list:
+    """``example_channels`` of each (p, q); each family is validated as one stack."""
+    units = [(_check_unit("p", p), _check_unit("q", q)) for p, q in points]
+    p, q = np.array(units, dtype=float).reshape(-1, 2).T
+    sp, sq = np.sqrt(1.0 - p), np.sqrt(1.0 - q)
+    e = np.zeros((len(p), 2, 4, 4), dtype=complex)
+    f = np.zeros_like(e)
+    diag = np.arange(4)
+    e[:, 0, diag, diag] = f[:, 0, diag, diag] = 1.0
+    e[:, 0, 1, 1] = e[:, 0, 3, 3] = sp
+    e[:, 1, 1, 1] = e[:, 1, 3, 3] = np.sqrt(p)
+    f[:, 0, 0, 0] = f[:, 0, 2, 2] = sq
+    f[:, 1, 0, 1] = f[:, 1, 2, 3] = np.sqrt(q)
+    return list(zip(validate_channels(e, convention=Convention.ROW_SUM, tol=1e-12),
+                    validate_channels(f, convention=Convention.ROW_SUM, tol=1e-12)))
 
 
 @dataclass(frozen=True)
@@ -193,23 +205,24 @@ def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
 _BLOCK = 128
 
 
-def _stacked_chains(rho: DensityMatrix, channels: dict, points: list):
-    """Yield ``((p, q), data)`` for each point at one state, in order.
+def _chain_blocks(rho: DensityMatrix, channels: dict, points: list):
+    """Yield ``(block, datas)`` for the points at one state, in order.
 
-    ``channels`` maps each (p, q) to its channel pair; the data, with both
-    readings' chains, come from one ``chain_batch`` pass per block of at most
-    ``_BLOCK`` points.
+    ``channels`` maps each (p, q) to its channel pair; ``block`` holds at
+    most ``_BLOCK`` consecutive points, and ``datas`` their data, with both
+    readings' chains, from one ``chain_batch`` pass.
     """
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
         pairs = [channels[pq] for pq in block]
-        yield from zip(block, chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
-                                          [n2 for _, n2 in pairs]))
+        yield block, chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
+                                 [n2 for _, n2 in pairs])
 
 
-def _channel_pairs(points) -> dict:
-    """``example_channels`` of each distinct (p, q), built once."""
-    return {pq: example_channels(*pq) for pq in dict.fromkeys(points)}
+def _build_distinct(build, keys) -> dict:
+    """``build`` of each distinct key, all in one call: a map from key to result."""
+    distinct = list(dict.fromkeys(keys))
+    return dict(zip(distinct, build(distinct)))
 
 
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
@@ -222,7 +235,7 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     ``optimize_permutations``); the mixed columns convex-combine it with the
     trivial bounds at each t.  Each state and channel pair is built once,
     chains are computed in stacked passes per theta and shared across the
-    t axis.
+    t axis; the optimizer searches each block of chains at once.
     """
     thetas = [_check_unit("theta", v) for v in theta_grid]
     ps = [_check_unit("p", v) for v in p_grid]
@@ -231,20 +244,21 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     if not (thetas and ps and qs and ts):
         raise ValueError("all sweep grids must be nonempty")
     points = [(p, q) for p in sorted(ps) for q in sorted(qs)]
-    channels = _channel_pairs(points)
-    states = {theta: rho_theta(theta) for theta in dict.fromkeys(thetas)}
+    channels = _build_distinct(example_channel_pairs, points)
+    states = _build_distinct(rho_thetas, thetas)
     rows = []
     for theta in sorted(thetas):
-        for (p, q), data in _stacked_chains(states[theta], channels, points):
-            chain = chain_from_data(data, reading)
-            best = optimize_from_data(data, perm_target[0], perm_target[1],
-                                      strategy, budget, seed, reading)
-            forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
-            for t in sorted(ts):
-                mp, ms = mixed_bound(chain, best, t)
-                rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
-                                     chain=chain, perm_opt=best.value,
-                                     mixed_product=mp, mixed_sum=ms, forms=forms))
+        for block, datas in _chain_blocks(states[theta], channels, points):
+            bests = optimize_batch(datas, perm_target[0], perm_target[1],
+                                   strategy, budget, seed, reading)
+            for (p, q), data, best in zip(block, datas, bests):
+                chain = chain_from_data(data, reading)
+                forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+                for t in sorted(ts):
+                    mp, ms = mixed_bound(chain, best, t)
+                    rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
+                                         chain=chain, perm_opt=best.value,
+                                         mixed_product=mp, mixed_sum=ms, forms=forms))
     return SweepTable(rows=tuple(rows), reading=Reading(reading))
 
 
@@ -329,14 +343,16 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     params = list(param_grid)
     if not params:
         raise ValueError("the parameter grid must be nonempty")
-    channels = _channel_pairs((pt.p, pt.q) for pt in params)
+    channels = _build_distinct(example_channel_pairs, [(pt.p, pt.q) for pt in params])
     by_theta = {}
     for i, pt in enumerate(params):
         by_theta.setdefault(pt.theta, []).append(i)
+    states = _build_distinct(rho_thetas, by_theta)
     numeric = [None] * len(params)
     for theta, indices in by_theta.items():
         points = [(params[i].p, params[i].q) for i in indices]
-        for i, (_, data) in zip(indices, _stacked_chains(rho_theta(theta), channels, points)):
+        blocks = _chain_blocks(states[theta], channels, points)
+        for i, data in zip(indices, (data for _, datas in blocks for data in datas)):
             numeric[i] = _numeric_targets(chain_from_data(data, Reading.PRODUCT))
     rows = []
     ratios = {name: [] for name in _FORM_NAMES}

@@ -25,15 +25,18 @@ DEFAULT_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_TOL",
+    "FirstFailure",
     "HermitianEig",
     "as_matrix",
     "commutator",
-    "frobenius_norm_sq",
     "hermitian_eigendecompose",
     "hermiticity_defect",
+    "hermiticity_defects",
     "hs_inner",
     "max_abs",
+    "max_abs_each",
     "psd_sqrt",
+    "psd_sqrt_stack",
 ]
 
 
@@ -42,7 +45,7 @@ def as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # both parts of every entry
         raise NonFiniteError()
     return arr
 
@@ -63,12 +66,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
 
 
-def frobenius_norm_sq(m: np.ndarray) -> float:
-    """Sum of squared moduli of all entries, via exact compensated summation."""
-    flat = np.abs(np.asarray(m, dtype=np.complex128)).ravel()
-    return math.fsum(float(x) * float(x) for x in flat)
-
-
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
@@ -82,16 +79,125 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
+# ---------------------------------------------------------------------------
+# Stacked kernels
+#
+# The kernels below check and decompose a (B, d, d) stack in one pass.  Each
+# slice sees the same LAPACK and BLAS calls and elementwise operations as a
+# lone matrix, so every instance keeps its bits; the one-matrix functions are
+# stacks of one.
+
+
+class FirstFailure:
+    """The first failing instance of a stack and its error, found check by check.
+
+    Each check looks only at the instances before the first failure found so
+    far (``count``), so the error kept is the one that instance raises alone:
+    that of its own first failing check.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.error = None
+
+    def record(self, failed, error) -> None:
+        """``failed[b]`` flags instance b (only b < ``count`` are read);
+        ``error(b)`` builds that instance's exception."""
+        failed = np.asarray(failed)[:self.count]
+        if failed.any():
+            self.count = int(failed.argmax())
+            self.error = error(self.count)
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def max_abs_each(m: np.ndarray) -> np.ndarray:
+    """``max_abs`` of each instance of a stack along its leading axis."""
+    return np.abs(m).max(axis=tuple(range(1, m.ndim)), initial=0.0)
+
+
+def hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """``hermiticity_defect`` of each matrix of a (B, d, d) stack."""
+    return max_abs_each(m - _adjoint(m))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        mag = abs(a)
-        if mag > 0.0:
-            v[:, j] = col * (a.conjugate() / mag)
-    return v
+    """Scale each column of each (d, d) slice so that its first largest-modulus
+    entry is real positive.  The modulus of that entry is ``hypot``, as
+    numpy's scalar ``abs``; an all-zero column stays zero."""
+    count, d = v.shape[0], v.shape[-1]
+    a = v[np.arange(count)[:, None], np.abs(v).argmax(axis=-2), np.arange(d)][:, None, :]
+    mag = np.hypot(a.real, a.imag)
+    return v * (a.conj() / np.where(mag > 0.0, mag, 1.0))
+
+
+def _eigh(herm: np.ndarray, check: FirstFailure) -> tuple:
+    """``np.linalg.eigh`` of a stack.  Should the solver fail, the first
+    instance it fails on alone is recorded in ``check`` and the instances
+    before it are solved."""
+    try:
+        return np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        error = exc
+    for b, m in enumerate(herm):
+        try:
+            np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            check.record(np.arange(b + 1) == b,
+                         lambda _, exc=exc: ConvergenceError(f"eigensolver failed: {exc}"))
+            return np.linalg.eigh(herm[:b])
+    raise ConvergenceError(f"eigensolver failed: {error}")
+
+
+def _eigendecompose_stack(arr: np.ndarray, hermiticity_tol: float, check: FirstFailure) -> tuple:
+    """``hermitian_eigendecompose`` of each finite (d, d) slice of ``arr`` before
+    ``check.count``, as ``(eigenvalues, eigenvectors)`` stacks.
+
+    Failures are recorded in ``check``, which the caller raises; the returned
+    stacks cover at least the instances before the first failure.
+    """
+    arr = arr[:check.count]
+    defects = hermiticity_defects(arr)
+    check.record(defects > hermiticity_tol,
+                 lambda b: NotHermitianError(float(defects[b]), hermiticity_tol))
+    arr = arr[:check.count]
+    herm = (arr + _adjoint(arr)) / 2.0
+    w, v = _eigh(herm, check)
+    v = _fix_phases(v)
+    eye = np.eye(arr.shape[-1])
+    check.record(max_abs_each(_adjoint(v) @ v - eye) > 1e-10,
+                 lambda b: ConvergenceError("eigenvector matrix is not unitary to 1e-10"))
+    check.record(max_abs_each((v * w[:, None, :]) @ _adjoint(v) - herm[:len(v)]) > 1e-10,
+                 lambda b: ConvergenceError(
+                     "eigendecomposition does not reconstruct the input to 1e-10"))
+    return w, v
+
+
+def psd_sqrt_stack(arr: np.ndarray, tol: float, check: FirstFailure) -> np.ndarray:
+    """``psd_sqrt`` of each finite (d, d) slice of ``arr`` before ``check.count``.
+
+    Failures are recorded in ``check``, which the caller raises.
+    """
+    w, v = _eigendecompose_stack(arr, tol, check)
+    check.record(w[:, 0] < -tol, lambda b: NotPSDError(float(w[b, 0]), tol))
+    w, v = w[:check.count], v[:check.count]
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ _adjoint(v)
+    return (s + _adjoint(s)) / 2.0
+
+
+def _stack_of_one(kernel, m, tol: float):
+    arr = as_matrix(m)
+    require_square(arr)
+    check = FirstFailure(1)
+    out = kernel(arr[None], tol, check)
+    check.raise_first()
+    return out
 
 
 def hermitian_eigendecompose(m, hermiticity_tol: float = DEFAULT_TOL) -> HermitianEig:
@@ -101,23 +207,8 @@ def hermitian_eigendecompose(m, hermiticity_tol: float = DEFAULT_TOL) -> Hermiti
     ------
     NotSquareError, NotHermitianError, ConvergenceError
     """
-    arr = as_matrix(m)
-    require_square(arr)
-    defect = hermiticity_defect(arr)
-    if defect > hermiticity_tol:
-        raise NotHermitianError(defect, hermiticity_tol)
-    herm = (arr + arr.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    v = _fix_phases(v)
-    d = arr.shape[0]
-    if max_abs(v.conj().T @ v - np.eye(d)) > 1e-10:
-        raise ConvergenceError("eigenvector matrix is not unitary to 1e-10")
-    if max_abs((v * w) @ v.conj().T - herm) > 1e-10:
-        raise ConvergenceError("eigendecomposition does not reconstruct the input to 1e-10")
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
+    w, v = _stack_of_one(_eigendecompose_stack, m, hermiticity_tol)
+    return HermitianEig(eigenvalues=w[0], eigenvectors=v[0])
 
 
 def psd_sqrt(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -126,14 +217,7 @@ def psd_sqrt(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in ``[-tol, 0)`` are clamped to 0 before the square root, so
     rounding noise in externally supplied states does not abort a run.
     """
-    eig = hermitian_eigendecompose(rho, hermiticity_tol=tol)
-    w = eig.eigenvalues
-    if w[0] < -tol:
-        raise NotPSDError(float(w[0]), tol)
-    w = np.clip(w, 0.0, None)
-    v = eig.eigenvectors
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    return _stack_of_one(psd_sqrt_stack, rho, tol)[0]
 
 
 def commutator(a, b) -> np.ndarray:

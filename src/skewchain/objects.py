@@ -21,11 +21,23 @@ import numpy as np
 from .errors import (
     CompletenessError,
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
+    NotSquareError,
     NotUnitaryError,
     TraceNotOneError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, hermiticity_defect, max_abs, psd_sqrt, require_square
+from .linalg import (
+    DEFAULT_TOL,
+    FirstFailure,
+    as_matrix,
+    hermiticity_defects,
+    max_abs,
+    max_abs_each,
+    psd_sqrt,
+    psd_sqrt_stack,
+    require_square,
+)
 
 __all__ = [
     "Convention",
@@ -39,6 +51,8 @@ __all__ = [
     "random_density",
     "random_unitary",
     "validate_channel",
+    "validate_channels",
+    "validate_densities",
     "validate_density",
 ]
 
@@ -75,14 +89,64 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """
     arr = as_matrix(m)
     d = require_square(arr)
-    defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise NotHermitianError(defect, tol)
-    trace_dev = abs(complex(np.trace(arr)) - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOneError(trace_dev, tol)
+    check = FirstFailure(1)
+    _check_densities(arr[None], tol, check)
+    check.raise_first()
     sqrt = psd_sqrt(arr, tol=tol)  # raises NotPSDError on negative spectrum
     return DensityMatrix(dim=d, rho=_frozen(arr), sqrt_rho=_frozen(sqrt), validation_tol=tol)
+
+
+def validate_densities(stack, tol: float = DEFAULT_TOL) -> list:
+    """``validate_density`` of each state of a (B, d, d) stack, in one pass.
+
+    The checks, tolerances and residuals are those of ``validate_density``,
+    and each state keeps its bits.  A bad stack raises what its first failing
+    state raises alone.
+    """
+    arr = _as_stack(stack, 3, validate_density, tol)
+    if not len(arr):
+        return []
+    check = FirstFailure(len(arr))
+    check.record(~_finite_each(arr), lambda b: NonFiniteError())
+    if arr.shape[1] != arr.shape[2]:  # a shared shape: the first finite state fails it
+        check.record([True], lambda b: NotSquareError(arr.shape[1:]))
+        check.raise_first()
+    _check_densities(arr, tol, check)
+    sqrts = psd_sqrt_stack(arr, tol, check)
+    check.raise_first()
+    rhos, sqrts = _frozen(arr), _frozen(sqrts)
+    return [DensityMatrix(dim=arr.shape[1], rho=rho, sqrt_rho=sqrt, validation_tol=tol)
+            for rho, sqrt in zip(rhos, sqrts)]
+
+
+def _check_densities(arr: np.ndarray, tol: float, check: FirstFailure) -> None:
+    """The Hermiticity and trace checks of the finite square states of a stack."""
+    defects = hermiticity_defects(arr[:check.count])
+    check.record(defects > tol, lambda b: NotHermitianError(float(defects[b]), tol))
+    trace = np.trace(arr[:check.count], axis1=1, axis2=2) - 1.0
+    trace_devs = np.hypot(trace.real, trace.imag)  # as Python's complex abs
+    check.record(trace_devs > tol, lambda b: TraceNotOneError(float(trace_devs[b]), tol))
+
+
+def _finite_each(arr: np.ndarray) -> np.ndarray:
+    return np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+
+
+def _as_stack(stack, ndim: int, validate_one, *args) -> np.ndarray:
+    """``stack`` as one complex array of ``ndim`` axes.  A stack that is not one
+    such array is validated instance by instance, which raises the first
+    failing instance's error, or else a shape mismatch."""
+    if not len(stack):
+        return np.zeros((0,) * ndim, dtype=np.complex128)
+    try:
+        arr = np.asarray(stack, dtype=np.complex128)
+    except ValueError:  # instances of different shapes
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        for instance in stack:
+            validate_one(instance, *args)
+        raise DimensionMismatchError("the instances of a stack must share one shape")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -101,11 +165,18 @@ class KrausChannel:
 
 def completeness_residual(ops, convention: Convention) -> float:
     """Max-norm deviation of the convention's completeness sum from identity."""
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for k in ops:
-        acc += k @ k.conj().T if convention == Convention.ROW_SUM else k.conj().T @ k
-    return max_abs(acc - np.eye(d))
+    return float(_completeness_residuals(np.array(ops)[None], convention)[0])
+
+
+def _completeness_residuals(arr: np.ndarray, convention: Convention) -> np.ndarray:
+    """``completeness_residual`` of each Kraus family of a (B, n, d, d) stack;
+    the sum runs over the operators in order, as for one family."""
+    adjoint = arr.conj().swapaxes(-1, -2)
+    terms = arr @ adjoint if convention == Convention.ROW_SUM else adjoint @ arr
+    acc = np.zeros(arr.shape[:1] + arr.shape[2:], dtype=np.complex128)
+    for k in range(arr.shape[1]):
+        acc += terms[:, k]
+    return max_abs_each(acc - np.eye(arr.shape[-1]))
 
 
 def validate_channel(ops, convention: Convention = Convention.COLUMN_SUM,
@@ -117,21 +188,50 @@ def validate_channel(ops, convention: Convention = Convention.COLUMN_SUM,
     DimensionMismatchError, CompletenessError, ValueError
     """
     mats = [as_matrix(k) for k in ops]
-    if not mats:
-        raise ValueError("a channel needs at least one Kraus operator")
-    d = require_square(mats[0])
+    d = _family_dim(len(mats), mats[0].shape if mats else None)
     for k in mats[1:]:
         if k.shape != (d, d):
             raise DimensionMismatchError(
                 f"Kraus operators have mixed shapes: {(d, d)} vs {k.shape}")
-    if len(mats) > d * d:
-        raise ValueError(f"{len(mats)} Kraus operators exceed the d^2 = {d * d} maximum")
+    return validate_channels(np.array(mats)[None], convention, tol)[0]
+
+
+def validate_channels(stack, convention: Convention = Convention.COLUMN_SUM,
+                      tol: float = DEFAULT_TOL) -> list:
+    """``validate_channel`` of each Kraus family of a (B, n, d, d) stack, in one pass.
+
+    The checks, tolerance and residual are those of ``validate_channel``, and
+    each family keeps its bits.  A bad stack raises what its first failing
+    family raises alone.
+    """
+    arr = _as_stack(stack, 4, validate_channel, convention, tol)
+    if not len(arr):
+        return []
+    finite = _finite_each(arr)
+    if not finite[0]:
+        raise NonFiniteError()
+    # The shape and convention are shared, so the first family fails them first.
+    n, d = arr.shape[1], _family_dim(arr.shape[1], arr.shape[2:])
+    if n > d * d:
+        raise ValueError(f"{n} Kraus operators exceed the d^2 = {d * d} maximum")
     convention = Convention(convention)
-    residual = completeness_residual(mats, convention)
-    if residual > tol:
-        raise CompletenessError(residual, convention.value, tol)
-    return KrausChannel(dim=d, operators=tuple(_frozen(k) for k in mats),
-                        convention=convention, completeness_tol=tol)
+    check = FirstFailure(len(arr))
+    check.record(~finite, lambda b: NonFiniteError())
+    residuals = _completeness_residuals(arr[:check.count], convention)
+    check.record(residuals > tol,
+                 lambda b: CompletenessError(float(residuals[b]), convention.value, tol))
+    check.raise_first()
+    return [KrausChannel(dim=d, operators=tuple(ops), convention=convention,
+                         completeness_tol=tol) for ops in _frozen(arr)]
+
+
+def _family_dim(n: int, shape) -> int:
+    """The dimension of a family of ``n`` Kraus operators, the first of ``shape``."""
+    if not n:
+        raise ValueError("a channel needs at least one Kraus operator")
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NotSquareError(shape)
+    return shape[0]
 
 
 def apply_channel(channel: KrausChannel, state) -> np.ndarray:

@@ -156,6 +156,7 @@ def _argv(case, tmp_path, files):
         "invariance_dim_mismatch": ["invariance", "--state", str(state), "--channel1", str(small),
                                     "--channel2", str(ch2), "--trials", "1",
                                     "--out", str(tmp_path / "inv.txt")],
+        "bounds_out_is_csv": ["bounds", *inputs, "--out", str(tmp_path / "out" / "r.csv")],
     }[case]
 
 
@@ -166,13 +167,16 @@ class TestBadInputExits2:
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
-                                      "verify_negative_budget", "invariance_dim_mismatch"])
+                                      "verify_negative_budget", "invariance_dim_mismatch",
+                                      "bounds_out_is_csv"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
+        (tmp_path / "out").mkdir()
         code = main(_argv(case, tmp_path, example_files))
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []  # nothing written
 
 
 class TestDerivesEachInstanceOnce:

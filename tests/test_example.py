@@ -360,28 +360,29 @@ class TestStackedPassesMatchPointOracle:
 
 
 class TestBuildsEachInputOnce:
+    """Each distinct theta and (p, q) goes into the stacked builders exactly once."""
+
     @staticmethod
     def counting(monkeypatch):
-        calls = {"rho_theta": [], "example_channels": []}
-        real_rho, real_channels = example.rho_theta, example.example_channels
+        calls = {"rho_thetas": [], "example_channel_pairs": []}
+        for name in calls:
+            real = getattr(example, name)
 
-        def rho(theta):
-            calls["rho_theta"].append(theta)
-            return real_rho(theta)
+            def builder(inputs, real=real, seen=calls[name]):
+                inputs = list(inputs)
+                seen.extend(inputs)
+                return real(inputs)
 
-        def channels(p, q):
-            calls["example_channels"].append((p, q))
-            return real_channels(p, q)
-
-        monkeypatch.setattr(example, "rho_theta", rho)
-        monkeypatch.setattr(example, "example_channels", channels)
+            monkeypatch.setattr(example, name, builder)
+        monkeypatch.setattr(example, "rho_theta", None)  # a one-instance build now fails
+        monkeypatch.setattr(example, "example_channels", None)
         return calls
 
     def test_sweep(self, monkeypatch):
         calls = self.counting(monkeypatch)
         sweep(TIE_THETAS, TIE_PS, TIE_QS)
-        assert sorted(calls["rho_theta"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channels"]) == sorted(
+        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channel_pairs"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))
 
     def test_discrepancy_report(self, monkeypatch):
@@ -389,6 +390,6 @@ class TestBuildsEachInputOnce:
         grid = [ExampleParams(theta=t, p=p, q=q)
                 for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         discrepancy_report(grid[::-1])
-        assert sorted(calls["rho_theta"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channels"]) == sorted(
+        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channel_pairs"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))
