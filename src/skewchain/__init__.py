@@ -21,6 +21,7 @@ from .chains import (
     compute_chain,
     cross_term_bound,
     invariance_from_data,
+    invariance_from_trials,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
@@ -69,8 +70,12 @@ from .objects import (
     apply_channel,
     derive_seed,
     mix_kraus,
+    mix_kraus_families,
     random_channel,
+    random_channels,
+    random_densities,
     random_density,
+    random_unitaries,
     random_unitary,
     validate_channel,
     validate_channels,

@@ -64,6 +64,7 @@ __all__ = [
     "compute_chain",
     "cross_term_bound",
     "invariance_from_data",
+    "invariance_from_trials",
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
@@ -72,6 +73,7 @@ __all__ = [
     "optimize_permutations",
     "permute_s",
     "sum_chain",
+    "trial_seeds",
     "verify_chain",
     "verify_from_data",
 ]
@@ -740,14 +742,27 @@ def invariance_from_data(data: ChainData, trials: int, seed: int,
     by ``chain_data``; the trials mix the channels ``data`` was built from."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    mixed = (chain_data(data.rho, mix_kraus(data.ch1, random_unitary(data.ch1.n, seed_u)),
+                        mix_kraus(data.ch2, random_unitary(data.ch2.n, seed_v)))
+             for seed_u, seed_v in trial_seeds(seed, trials))  # one trial's data at a time
+    return invariance_from_trials(data, mixed, tol)
+
+
+def trial_seeds(seed: int, trials: int) -> list:
+    """The mixing-unitary seeds ``(u, v)`` of each trial of ``invariance_from_data``."""
+    return [(derive_seed(seed, trial, 1), derive_seed(seed, trial, 2)) for trial in range(trials)]
+
+
+def invariance_from_trials(data: ChainData, mixed_datas, tol: float = 1e-10) -> InvarianceReport:
+    """The ``InvarianceReport`` of trials already built: each of ``mixed_datas``
+    holds ``data``'s state with both of its channels mixed."""
     base = _invariant_values(data)
     devs = dict.fromkeys(base, 0.0)
-    for trial in range(trials):
-        u = random_unitary(data.ch1.n, derive_seed(seed, trial, 1))
-        v = random_unitary(data.ch2.n, derive_seed(seed, trial, 2))
-        mixed = _invariant_values(chain_data(data.rho, mix_kraus(data.ch1, u),
-                                             mix_kraus(data.ch2, v)))
-        for name, values in mixed.items():
+    trials = 0
+    for mixed in mixed_datas:
+        trials += 1
+        for name, values in _invariant_values(mixed).items():
+            # [0.0, ...] keeps max defined where a quantity is empty (the S lattice at d = 1)
             devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
     return InvarianceReport(trials=trials, tol=tol, deviations=devs)
 

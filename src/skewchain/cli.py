@@ -30,12 +30,15 @@ from .chains import (
     ChainData,
     Reading,
     Strategy,
+    chain_batch,
     chain_data,
     chain_from_data,
     invariance_from_data,
+    invariance_from_trials,
     lattice_order,
     mixed_bound,
     optimize_from_data,
+    trial_seeds,
     verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
@@ -47,7 +50,13 @@ from .example import (
     write_discrepancy_csv,
     write_sweep_csv,
 )
-from .objects import Convention, derive_seed, random_channel, random_density
+from .objects import (
+    derive_seed,
+    mix_kraus_families,
+    random_channels,
+    random_densities,
+    random_unitaries,
+)
 from .serialize import load_channel, load_state, write_text_atomic
 
 
@@ -178,6 +187,59 @@ def cmd_bounds(args) -> int:
 # verify
 
 
+# Instances per stacked chain pass.  ``verify`` takes each dimension's
+# instances in chunks of ``_BLOCK // 2``, so that one pass holds at most a
+# chunk's instances and their invariance trials.  Above d = 16 a chunk is cut
+# to ``_CHUNK_ENTRIES`` matrix entries per stack of states: there stacking
+# saves no time, and a chunk's states, channels and frames bound the memory
+# of a run.
+_BLOCK = 128
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _verify_chunk(d: int, ks, args) -> list:
+    """``(verdict, invariance deviation)`` of each instance k of ``ks`` at
+    dimension d, in the order of ``ks``.
+
+    Each instance draws from its own derived seeds, as it would alone.  The
+    states are generated and validated as one stack, the channels and the
+    trials' mixing unitaries as one stack per Kraus count, and each (n1, n2)
+    group's instances and their mixed trials are built in one ``chain_batch``
+    pass.
+    """
+    ks = list(ks)
+    seeds = {}  # k -> the seeds of its state, channels 1 and 2, search, and trial's u and v
+    for k in ks:
+        parts = [derive_seed(args.seed, d, k, part) for part in range(5)]
+        seeds[k] = (*parts[:4], *trial_seeds(parts[4], 1)[0])
+    counts = {k: (min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks}
+    rhos = dict(zip(ks, random_densities(d, [(k % d) + 1 for k in ks], [seeds[k][0] for k in ks])))
+    by_count = {}  # Kraus count -> the (k, side) of each family with that count
+    for k in ks:
+        for side in (0, 1):
+            by_count.setdefault(counts[k][side], []).append((k, side))
+    channels, mixed = {}, {}
+    for n, families in by_count.items():
+        chs = random_channels(d, n, [seeds[k][1 + side] for k, side in families])
+        us = random_unitaries(n, [seeds[k][4 + side] for k, side in families])
+        for family, ch, mix in zip(families, chs, mix_kraus_families(chs, us)):
+            channels[family], mixed[family] = ch, mix
+    groups = {}
+    for k in ks:
+        groups.setdefault(counts[k], []).append(k)
+    found = {}
+    for group in groups.values():
+        datas = chain_batch([rhos[k] for k in group] * 2,
+                            [channels[k, 0] for k in group] + [mixed[k, 0] for k in group],
+                            [channels[k, 1] for k in group] + [mixed[k, 1] for k in group])
+        for k, data, trial in zip(group, datas, datas[len(group):]):
+            verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
+                                       seed=seeds[k][3])
+            report = invariance_from_trials(data, [trial], tol=args.tol)
+            found[k] = (verdict, report.max_deviation)
+    return [found[k] for k in ks]
+
+
 def cmd_verify(args) -> int:
     try:
         try:
@@ -199,24 +261,17 @@ def cmd_verify(args) -> int:
     invariance_worst = 0.0
     total = 0
     for d in dims:
-        for k in range(args.instances):
-            rho = random_density(d, (k % d) + 1, derive_seed(args.seed, d, k, 0))
-            n1 = min((k % 4) + 1, d * d)
-            n2 = min(((k // 4) % 4) + 1, d * d)
-            ch1 = random_channel(d, n1, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 1))
-            ch2 = random_channel(d, n2, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 2))
-            data = chain_data(rho, ch1, ch2)
-            verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
-                                       seed=derive_seed(args.seed, d, k, 3))
-            for check in verdict.checks:
-                entry = stats.setdefault(check.name, [0, 0, 0.0])
-                entry[0] += 1
-                entry[1] += 0 if check.passed else 1
-                entry[2] = max(entry[2], check.deviation)
-            report = invariance_from_data(data, trials=1, seed=derive_seed(args.seed, d, k, 4),
-                                          tol=args.tol)
-            invariance_worst = max(invariance_worst, report.max_deviation)
-            total += 1
+        chunk = max(1, min(_BLOCK // 2, _CHUNK_ENTRIES // (d * d)))
+        for start in range(0, args.instances, chunk):
+            ks = range(start, min(start + chunk, args.instances))
+            for verdict, deviation in _verify_chunk(d, ks, args):
+                for check in verdict.checks:
+                    entry = stats.setdefault(check.name, [0, 0, 0.0])
+                    entry[0] += 1
+                    entry[1] += 0 if check.passed else 1
+                    entry[2] = max(entry[2], check.deviation)
+                invariance_worst = max(invariance_worst, deviation)
+                total += 1
 
     hard_failures = sum(stats[name][1] for name in stats if name in HARD_CHECK_NAMES)
     if invariance_worst > args.tol:

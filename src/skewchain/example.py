@@ -18,7 +18,7 @@ S-lattice reading).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,18 +205,19 @@ def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
 _BLOCK = 128
 
 
-def _chain_blocks(rho: DensityMatrix, channels: dict, points: list):
-    """Yield ``(block, datas)`` for the points at one state, in order.
+def _chain_blocks(states: dict, channels: dict, points: list):
+    """Yield ``(block, datas)`` for the (theta, p, q) points, in order.
 
-    ``channels`` maps each (p, q) to its channel pair; ``block`` holds at
-    most ``_BLOCK`` consecutive points, and ``datas`` their data, with both
-    readings' chains, from one ``chain_batch`` pass.
+    ``states`` maps each theta to its state and ``channels`` each (p, q) to
+    its channel pair; ``block`` holds at most ``_BLOCK`` consecutive points,
+    and ``datas`` their data, with both readings' chains, from one
+    ``chain_batch`` pass.
     """
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
-        pairs = [channels[pq] for pq in block]
-        yield block, chain_batch([rho] * len(block), [n1 for n1, _ in pairs],
-                                 [n2 for _, n2 in pairs])
+        pairs = [channels[p, q] for _, p, q in block]
+        yield block, chain_batch([states[theta] for theta, _, _ in block],
+                                 [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
 
 
 def _build_distinct(build, keys) -> dict:
@@ -234,8 +235,9 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     over permutation pairs (``strategy`` and ``budget`` as in
     ``optimize_permutations``); the mixed columns convex-combine it with the
     trivial bounds at each t.  Each state and channel pair is built once,
-    chains are computed in stacked passes per theta and shared across the
-    t axis; the optimizer searches each block of chains at once.
+    chains are computed in stacked passes that run across theta and are
+    shared across the t axis; the optimizer searches each block of chains at
+    once.
     """
     thetas = [_check_unit("theta", v) for v in theta_grid]
     ps = [_check_unit("p", v) for v in p_grid]
@@ -243,22 +245,22 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     ts = [_check_unit("t", v) for v in t_grid]
     if not (thetas and ps and qs and ts):
         raise ValueError("all sweep grids must be nonempty")
-    points = [(p, q) for p in sorted(ps) for q in sorted(qs)]
-    channels = _build_distinct(example_channel_pairs, points)
+    pqs = [(p, q) for p in sorted(ps) for q in sorted(qs)]
+    channels = _build_distinct(example_channel_pairs, pqs)
     states = _build_distinct(rho_thetas, thetas)
+    points = [(theta, p, q) for theta in sorted(thetas) for p, q in pqs]
     rows = []
-    for theta in sorted(thetas):
-        for block, datas in _chain_blocks(states[theta], channels, points):
-            bests = optimize_batch(datas, perm_target[0], perm_target[1],
-                                   strategy, budget, seed, reading)
-            for (p, q), data, best in zip(block, datas, bests):
-                chain = chain_from_data(data, reading)
-                forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
-                for t in sorted(ts):
-                    mp, ms = mixed_bound(chain, best, t)
-                    rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
-                                         chain=chain, perm_opt=best.value,
-                                         mixed_product=mp, mixed_sum=ms, forms=forms))
+    for block, datas in _chain_blocks(states, channels, points):
+        bests = optimize_batch(datas, perm_target[0], perm_target[1],
+                               strategy, budget, seed, reading)
+        for (theta, p, q), data, best in zip(block, datas, bests):
+            chain = chain_from_data(data, reading)
+            forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+            for t in sorted(ts):
+                mp, ms = mixed_bound(chain, best, t)
+                rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
+                                     chain=chain, perm_opt=best.value,
+                                     mixed_product=mp, mixed_sum=ms, forms=forms))
     return SweepTable(rows=tuple(rows), reading=Reading(reading))
 
 
@@ -285,30 +287,23 @@ _FORM_NAMES = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
 
 @dataclass(frozen=True)
 class DiscrepancyRow:
+    """One formula at one point; the deviations are computed once, on construction."""
+
     formula: str
     params: ExampleParams
     numeric: float
     printed: float
+    abs_dev: float = field(init=False, compare=False)
+    rel_dev: float = field(init=False, compare=False)
+    ratio: float = field(init=False, compare=False)
 
-    def deviations(self) -> tuple:
-        """``(abs_dev, rel_dev, ratio)``, computed together."""
+    def __post_init__(self):
         abs_dev = abs(self.numeric - self.printed)
         scale = max(abs(self.numeric), abs(self.printed))
-        rel_dev = abs_dev / scale if scale > 0.0 else 0.0
-        ratio = self.printed / self.numeric if abs(self.numeric) > 1e-15 else float("nan")
-        return abs_dev, rel_dev, ratio
-
-    @property
-    def abs_dev(self) -> float:
-        return self.deviations()[0]
-
-    @property
-    def rel_dev(self) -> float:
-        return self.deviations()[1]
-
-    @property
-    def ratio(self) -> float:
-        return self.deviations()[2]
+        object.__setattr__(self, "abs_dev", abs_dev)
+        object.__setattr__(self, "rel_dev", abs_dev / scale if scale > 0.0 else 0.0)
+        object.__setattr__(self, "ratio", self.printed / self.numeric
+                           if abs(self.numeric) > 1e-15 else float("nan"))
 
 
 @dataclass(frozen=True)
@@ -338,22 +333,16 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     deviations, and a per-row printed/numeric ratio.  When one formula's
     ratios agree to 1e-6 relative across the grid, that constant is recorded
     as its fitted ratio.  The report never fails a run.  Rows follow the
-    grid's order; the chains come from stacked passes per distinct theta.
+    grid's order, and so do the stacked chain passes.
     """
     params = list(param_grid)
     if not params:
         raise ValueError("the parameter grid must be nonempty")
     channels = _build_distinct(example_channel_pairs, [(pt.p, pt.q) for pt in params])
-    by_theta = {}
-    for i, pt in enumerate(params):
-        by_theta.setdefault(pt.theta, []).append(i)
-    states = _build_distinct(rho_thetas, by_theta)
-    numeric = [None] * len(params)
-    for theta, indices in by_theta.items():
-        points = [(params[i].p, params[i].q) for i in indices]
-        blocks = _chain_blocks(states[theta], channels, points)
-        for i, data in zip(indices, (data for _, datas in blocks for data in datas)):
-            numeric[i] = _numeric_targets(chain_from_data(data, Reading.PRODUCT))
+    states = _build_distinct(rho_thetas, [pt.theta for pt in params])
+    blocks = _chain_blocks(states, channels, [(pt.theta, pt.p, pt.q) for pt in params])
+    numeric = [_numeric_targets(chain_from_data(data, Reading.PRODUCT))
+               for _, datas in blocks for data in datas]
     rows = []
     ratios = {name: [] for name in _FORM_NAMES}
     for pt, values in zip(params, numeric):
@@ -362,9 +351,8 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
             row = DiscrepancyRow(formula=name, params=pt, numeric=values[name],
                                  printed=getattr(forms, name))
             rows.append(row)
-            ratio = row.ratio
-            if not math.isnan(ratio):
-                ratios[name].append(ratio)
+            if not math.isnan(row.ratio):
+                ratios[name].append(row.ratio)
     fitted = {}
     for name, values in ratios.items():
         if values:
@@ -383,10 +371,9 @@ def write_discrepancy_csv(report: DiscrepancyReport, path) -> None:
         if r.params is not point:  # a point's rows are adjacent
             point = r.params
             point_text = ",".join(_fmt(v) for v in (point.theta, point.p, point.q))
-        abs_dev, rel_dev, ratio = r.deviations()
         lines.append(",".join([
-            r.formula, point_text, _fmt(r.numeric), _fmt(r.printed), _fmt(abs_dev),
-            _fmt(rel_dev), "" if math.isnan(ratio) else _fmt(ratio),
+            r.formula, point_text, _fmt(r.numeric), _fmt(r.printed), _fmt(r.abs_dev),
+            _fmt(r.rel_dev), "" if math.isnan(r.ratio) else _fmt(r.ratio),
             fitted.get(r.formula, ""),
         ]))
     write_text_atomic(path, "\n".join(lines) + "\n")

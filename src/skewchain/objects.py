@@ -32,7 +32,6 @@ from .linalg import (
     FirstFailure,
     as_matrix,
     hermiticity_defects,
-    max_abs,
     max_abs_each,
     psd_sqrt,
     psd_sqrt_stack,
@@ -47,8 +46,12 @@ __all__ = [
     "derive_seed",
     "generator",
     "mix_kraus",
+    "mix_kraus_families",
     "random_channel",
+    "random_channels",
+    "random_densities",
     "random_density",
+    "random_unitaries",
     "random_unitary",
     "validate_channel",
     "validate_channels",
@@ -267,28 +270,48 @@ def _complex_gaussian(gen: np.random.Generator, shape) -> np.ndarray:
 
 def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """``G G^dag / Tr(G G^dag)`` for a seeded d-by-rank complex Gaussian G."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = _complex_gaussian(generator(seed), (d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = (m + m.conj().T) / 2.0
-    return validate_density(m, tol=tol)
+    return random_densities(d, [rank], [seed], tol)[0]
+
+
+def random_densities(d: int, ranks, seeds, tol: float = DEFAULT_TOL) -> list:
+    """``random_density`` of each (rank, seed), validated as one (B, d, d) stack.
+
+    Each state draws from its own seeded generator.  The ranks may differ, so
+    each ``G G^dag`` is formed alone.
+    """
+    ms = []
+    for rank, seed in zip(ranks, seeds, strict=True):
+        if not 1 <= rank <= d:
+            raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
+        g = _complex_gaussian(generator(seed), (d, rank))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        ms.append((m + m.conj().T) / 2.0)
+    return validate_densities(np.array(ms), tol=tol)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n-by-n unitary with deterministic phase fixing."""
+    return random_unitaries(n, [seed])[0]
+
+
+def random_unitaries(n: int, seeds) -> np.ndarray:
+    """``random_unitary`` of each seed, as one (B, n, n) stack from one stacked QR."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _haar_isometry(generator(seed), n, n)
+    return _haar_isometries(seeds, n, n)
 
 
-def _haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    g = _complex_gaussian(gen, (rows, cols))
+def _haar_isometries(seeds, rows: int, cols: int) -> np.ndarray:
+    """One Haar isometry per seed, each from its own generator, as a (B, rows,
+    cols) stack.  A stacked QR runs LAPACK on each slice, as for a lone matrix."""
+    g = np.array([_complex_gaussian(generator(seed), (rows, cols)) for seed in seeds])
+    if not len(g):
+        return np.zeros((0, rows, cols), dtype=np.complex128)
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))  # make the triangular factor's diagonal real positive
-    return q
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # make the triangular factor's diagonal real positive
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COLUMN_SUM,
@@ -299,14 +322,21 @@ def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COL
     exactly, so column-sum completeness is constructive; the row-sum form takes
     the adjoint of each block.
     """
+    return random_channels(d, n_kraus, [seed], convention, tol)[0]
+
+
+def random_channels(d: int, n_kraus: int, seeds, convention: Convention = Convention.COLUMN_SUM,
+                    tol: float = 1e-12) -> list:
+    """``random_channel`` of each seed: one stacked QR, then one
+    ``validate_channels`` pass."""
     if not 1 <= n_kraus <= d * d:
         raise ValueError(f"n_kraus must satisfy 1 <= n <= d^2, got n={n_kraus}, d={d}")
     convention = Convention(convention)
-    w = _haar_isometry(generator(seed), n_kraus * d, d)
-    blocks = [w[i * d:(i + 1) * d, :] for i in range(n_kraus)]
+    w = _haar_isometries(seeds, n_kraus * d, d)
+    blocks = w.reshape(len(w), n_kraus, d, d)  # block i is rows i*d .. (i+1)*d of W
     if convention == Convention.ROW_SUM:
-        blocks = [b.conj().T for b in blocks]
-    return validate_channel(blocks, convention=convention, tol=tol)
+        blocks = blocks.conj().swapaxes(-1, -2)
+    return validate_channels(blocks, convention=convention, tol=tol)
 
 
 def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
@@ -320,10 +350,41 @@ def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
     if n != channel.n:
         raise DimensionMismatchError(
             f"mixing unitary is {n}x{n} but the channel has {channel.n} Kraus operators")
-    residual = max_abs(um.conj().T @ um - np.eye(n))
-    if residual > 1e-10:
-        raise NotUnitaryError(residual, 1e-10)
-    stacked = np.stack(channel.operators)
-    mixed = np.einsum("ts,sij->tij", um, stacked)
-    return validate_channel(list(mixed), convention=channel.convention,
-                            tol=channel.completeness_tol)
+    return mix_kraus_families([channel], um[None])[0]
+
+
+def mix_kraus_families(channels, us) -> list:
+    """``mix_kraus`` of each (channel, unitary) pair, in one pass.
+
+    The families share their dimension, Kraus count, convention and
+    tolerance, and the unitaries form one (B, n, n) stack.  The pass runs one
+    stacked unitarity check, one ``einsum`` and one ``validate_channels``.  A
+    bad stack raises what its first failing pair raises alone, or else a
+    shape mismatch.
+    """
+    channels = list(channels)
+    if len(us) != len(channels):
+        raise ValueError(f"{len(channels)} channels but {len(us)} mixing unitaries")
+    if not channels:
+        return []
+    first = channels[0]
+    shared = (first.dim, first.n, first.convention, first.completeness_tol)
+    try:
+        arr = np.asarray(us, dtype=np.complex128)
+    except ValueError:  # unitaries of different shapes
+        arr = None
+    if (arr is None or arr.shape != (len(channels), first.n, first.n)
+            or any((ch.dim, ch.n, ch.convention, ch.completeness_tol) != shared
+                   for ch in channels)):
+        for ch, u in zip(channels, us):
+            mix_kraus(ch, u)
+        raise DimensionMismatchError("the families of a stack must share one dimension, "
+                                     "Kraus count, convention and tolerance")
+    check = FirstFailure(len(arr))
+    check.record(~_finite_each(arr), lambda b: NonFiniteError())
+    arr = arr[:check.count]
+    residuals = max_abs_each(arr.conj().swapaxes(-1, -2) @ arr - np.eye(first.n))
+    check.record(residuals > 1e-10, lambda b: NotUnitaryError(float(residuals[b]), 1e-10))
+    check.raise_first()
+    mixed = np.einsum("...ts,...sij->...tij", arr, np.array([ch.operators for ch in channels]))
+    return validate_channels(mixed, convention=first.convention, tol=first.completeness_tol)

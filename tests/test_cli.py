@@ -184,12 +184,13 @@ class TestDerivesEachInstanceOnce:
     # pass; the readers (verdict, invariance base, report) only read it
     @staticmethod
     def counting(monkeypatch):
-        calls = {"_i_values": 0, "_lattice_values": 0}
+        """The instance count of each call, per kernel."""
+        calls = {"_i_values": [], "_lattice_values": []}
         for name in calls:
             real = getattr(chains, name)
 
             def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
+                calls[_name].append(len(args[0]))
                 return _real(*args)
 
             monkeypatch.setattr(chains, name, counted)
@@ -199,15 +200,16 @@ class TestDerivesEachInstanceOnce:
         calls = self.counting(monkeypatch)
         assert main(["verify", "--dims", "2", "--instances", "2",
                      "--out", str(tmp_path / "v.txt")]) == 0
-        # 2 base builds + 2 invariance-trial builds; both readings per build
-        assert calls == {"_i_values": 4, "_lattice_values": 8}
+        # one pass per (n1, n2) group, (1, 1) and (2, 1), each holding its base
+        # instance and that instance's invariance trial; both readings per pass
+        assert calls == {"_i_values": [2, 2], "_lattice_values": [2, 2, 2, 2]}
 
     def test_bounds(self, tmp_path, example_files, monkeypatch):
         state, ch1, ch2 = example_files
         calls = self.counting(monkeypatch)
         assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
                      "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")]) == 0
-        assert calls == {"_i_values": 1, "_lattice_values": 2}
+        assert calls == {"_i_values": [1], "_lattice_values": [1, 1]}
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
-"""Differential tests of the stacked validators and the stacked optimizer.
+"""Differential tests of the stacked validators, generators, Kraus mixing,
+optimizer and ``verify``.
 
 Each stacked kernel is checked with ``==`` on the bits against the
 per-instance code it replaced, which is kept below as oracles.  A bad stack
@@ -6,6 +7,7 @@ must raise the error type and message that its first failing instance raises
 on its own.
 """
 
+import argparse
 import itertools
 import math
 import operator
@@ -15,8 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewchain import chains, example
-from skewchain.chains import Reading, Strategy, chain_batch, lattice_order, optimize_batch
+from skewchain import chains, cli, example
+from skewchain.chains import (
+    HARD_CHECK_NAMES,
+    Reading,
+    Strategy,
+    chain_batch,
+    chain_data,
+    lattice_order,
+    optimize_batch,
+    verify_from_data,
+)
 from skewchain.errors import (
     BudgetError,
     CompletenessError,
@@ -25,6 +36,7 @@ from skewchain.errors import (
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
+    NotUnitaryError,
     TraceNotOneError,
 )
 from skewchain.linalg import (
@@ -38,9 +50,15 @@ from skewchain.linalg import (
 from skewchain.objects import (
     Convention,
     completeness_residual,
+    derive_seed,
     generator,
+    mix_kraus,
+    mix_kraus_families,
     random_channel,
+    random_channels,
+    random_densities,
     random_density,
+    random_unitaries,
     random_unitary,
     validate_channel,
     validate_channels,
@@ -513,7 +531,7 @@ class TestOptimizeBatch:
         monkeypatch.setattr(chains, "_optimize", counted)
         grid = [0.0, 0.5, 1.0]
         table = example.sweep(grid, grid, grid, reading=reading, perm_target=target)
-        assert calls == [5, 4] * 3  # one search per chain block of 9 points per theta
+        assert calls == [5] * 5 + [2]  # one search per chain block; blocks run across theta
         for row in table.rows:
             rho = example.rho_theta(row.params.theta)
             n1, n2 = example.example_channels(row.params.p, row.params.q)
@@ -545,3 +563,264 @@ class TestOptimizeBatch:
     def test_one_search_needs_one_dimension(self):
         with pytest.raises(DimensionMismatchError):
             optimize_batch(random_block(2, 1, 1) + random_block(3, 1, 1), 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Stacked generators and Kraus mixing
+
+
+def oracle_gaussian(gen, shape):
+    return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def oracle_haar_isometry(seed, rows, cols):
+    q, r = np.linalg.qr(oracle_gaussian(generator(seed), (rows, cols)))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def oracle_random_density(d, rank, seed):
+    """``(rho, sqrt_rho)`` of one seeded state."""
+    if not 1 <= rank <= d:
+        raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
+    g = oracle_gaussian(generator(seed), (d, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    m = (m + m.conj().T) / 2.0
+    return oracle_validate_density(m, TOL)
+
+
+def oracle_random_channel(d, n, convention, seed):
+    """The operators of one seeded channel."""
+    if not 1 <= n <= d * d:
+        raise ValueError(f"n_kraus must satisfy 1 <= n <= d^2, got n={n}, d={d}")
+    w = oracle_haar_isometry(seed, n * d, d)
+    blocks = [w[i * d:(i + 1) * d, :] for i in range(n)]
+    if convention == Convention.ROW_SUM:
+        blocks = [b.conj().T for b in blocks]
+    return oracle_validate_channel(blocks, convention, 1e-12)
+
+
+def oracle_mix_kraus(channel, u):
+    """The operators of one mixed family."""
+    um = as_matrix(u)
+    n = require_square(um)
+    if n != channel.n:
+        raise DimensionMismatchError(
+            f"mixing unitary is {n}x{n} but the channel has {channel.n} Kraus operators")
+    residual = max_abs(um.conj().T @ um - np.eye(n))
+    if residual > 1e-10:
+        raise NotUnitaryError(residual, 1e-10)
+    mixed = np.einsum("ts,sij->tij", um, np.stack(channel.operators))
+    return oracle_validate_channel(list(mixed), channel.convention, channel.completeness_tol)
+
+
+def same_ops(channel, ops):
+    return len(channel.operators) == len(ops) and all(
+        same_bits(a, b) for a, b in zip(channel.operators, ops))
+
+
+seeds_64 = st.integers(0, 2 ** 64 - 1)
+
+
+class TestGeneratorStacks:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_densities_match_oracle(self, d, data):
+        drawn = data.draw(st.lists(st.tuples(st.integers(1, d), seeds_64), min_size=1, max_size=5))
+        got = random_densities(d, [rank for rank, _ in drawn], [seed for _, seed in drawn])
+        assert len(got) == len(drawn)
+        for (rank, seed), dm in zip(drawn, got):
+            rho, sqrt = oracle_random_density(d, rank, seed)
+            assert dm.dim == d and same_bits(dm.rho, rho) and same_bits(dm.sqrt_rho, sqrt)
+            alone = random_density(d, rank, seed)
+            assert same_bits(alone.rho, rho) and same_bits(alone.sqrt_rho, sqrt)
+
+    def test_rank_out_of_range_fails_as_alone(self):
+        assert raised(random_densities, 3, [2, 4, 0], [1, 2, 3]) == \
+            raised(oracle_random_density, 3, 4, 2)
+        assert raised(random_density, 3, 0, 1) == raised(oracle_random_density, 3, 0, 1)
+        assert random_densities(3, [], []) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_channels_unitaries_and_mixing_match_oracle(self, d, data):
+        n = data.draw(st.just(d * d) | st.integers(1, d * d))
+        convention = data.draw(st.sampled_from(list(Convention)))
+        seeds = data.draw(st.lists(st.tuples(seeds_64, seeds_64), min_size=1, max_size=5))
+        channels = random_channels(d, n, [seed for seed, _ in seeds], convention)
+        us = random_unitaries(n, [u_seed for _, u_seed in seeds])
+        mixed = mix_kraus_families(channels, us)
+        assert len(channels) == len(us) == len(mixed) == len(seeds)
+        for (seed, u_seed), channel, u, mix in zip(seeds, channels, us, mixed):
+            ops = oracle_random_channel(d, n, convention, seed)
+            assert (channel.dim, channel.n, channel.convention, channel.completeness_tol) \
+                == (d, n, convention, 1e-12)
+            assert same_ops(channel, ops)
+            assert same_ops(random_channel(d, n, convention, seed), ops)
+            unitary = oracle_haar_isometry(u_seed, n, n)
+            assert same_bits(u, unitary) and same_bits(random_unitary(n, u_seed), unitary)
+            mixed_ops = oracle_mix_kraus(channel, u)
+            assert (mix.convention, mix.completeness_tol) == (convention, 1e-12)
+            assert same_ops(mix, mixed_ops) and same_ops(mix_kraus(channel, u), mixed_ops)
+
+    def test_kraus_count_out_of_range_fails_as_alone(self):
+        for n in (0, 5):
+            assert raised(random_channels, 2, n, [1, 2]) == \
+                raised(oracle_random_channel, 2, n, Convention.COLUMN_SUM, 1)
+        assert raised(random_unitaries, 0, [1]) == (ValueError, "n must be >= 1")
+        assert random_channels(2, 3, []) == [] and random_unitaries(3, []).shape == (0, 3, 3)
+
+    @staticmethod
+    def spoil(u, defect):
+        if defect == "scaled":
+            return u * 1.001
+        if defect == "far":
+            return u @ np.diag([1.0] + [3.0] * (len(u) - 1))
+        if defect == "nan":
+            u = u.copy()
+            u[-1, 0] = np.nan
+            return u
+        if defect == "wrong_size":
+            return np.eye(len(u) + 1)
+        return np.ones(len(u))  # not a matrix
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("defect", ["scaled", "nan", "wrong_size", "not_2d"])
+    def test_bad_unitary_fails_as_its_first_failing_pair(self, bad, defect):
+        channels = random_channels(3, 2, [1, 2, 3, 4])
+        us = list(random_unitaries(2, [5, 6, 7, 8]))
+        us[bad] = self.spoil(us[bad], defect)
+        us[3] = self.spoil(us[3], "far")  # a later, larger failure
+        expected = first_failure(lambda pair: oracle_mix_kraus(*pair), zip(channels, us))
+        assert expected[0] is not None
+        assert raised(mix_kraus_families, channels, us) == expected
+        if defect in ("scaled", "nan"):
+            assert expected[0] is (NotUnitaryError if defect == "scaled" else NonFiniteError)
+            assert raised(mix_kraus, channels[bad], us[bad]) == expected
+
+    def test_families_must_share_one_shape(self):
+        channels = random_channels(2, 2, [1]) + random_channels(2, 3, [2], Convention.ROW_SUM)
+        us = [random_unitary(2, 3), random_unitary(3, 4)]
+        assert raised(mix_kraus_families, channels, us) == (
+            DimensionMismatchError, "the families of a stack must share one dimension, "
+                                    "Kraus count, convention and tolerance")
+        assert raised(mix_kraus_families, channels, [us[0], us[0]]) == \
+            first_failure(lambda pair: oracle_mix_kraus(*pair), zip(channels, [us[0], us[0]]))
+        with pytest.raises(ValueError, match="2 channels but 1 mixing unitaries"):
+            mix_kraus_families(channels, us[:1])
+        assert mix_kraus_families([], []) == []
+
+
+# ---------------------------------------------------------------------------
+# Stacked verify: each instance, and the whole verdict, against the
+# per-instance loop it replaced
+
+
+def oracle_invariant_values(data):
+    chain = data.chains[Reading.PRODUCT]
+    return {"product": (chain.product,), "sum": (chain.sum,), "i_values": chain.i_values,
+            "s_values": tuple(chain.s_values.values()),
+            "s_values_as_printed": tuple(data.chains[Reading.AS_PRINTED].s_values.values()),
+            "cross_term": (chain.cross_term,)}
+
+
+def oracle_verify_instance(d, k, args):
+    """``(verdict, invariance deviation)`` of instance k at dimension d, built alone."""
+    rho = random_density(d, (k % d) + 1, derive_seed(args.seed, d, k, 0))
+    n1 = min((k % 4) + 1, d * d)
+    n2 = min(((k // 4) % 4) + 1, d * d)
+    ch1 = random_channel(d, n1, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 1))
+    ch2 = random_channel(d, n2, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 2))
+    data = chain_data(rho, ch1, ch2)
+    verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
+                               seed=derive_seed(args.seed, d, k, 3))
+    trial_seed = derive_seed(args.seed, d, k, 4)
+    u = random_unitary(n1, derive_seed(trial_seed, 0, 1))
+    v = random_unitary(n2, derive_seed(trial_seed, 0, 2))
+    base = oracle_invariant_values(data)
+    mixed = oracle_invariant_values(chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v)))
+    devs = dict.fromkeys(base, 0.0)
+    for name, values in mixed.items():
+        devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
+    return verdict, max(devs.values())
+
+
+def oracle_cmd_verify(args):
+    """The per-instance ``cmd_verify`` loop; returns the exit code."""
+    dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    stats = {}
+    invariance_worst = 0.0
+    total = 0
+    for d in dims:
+        for k in range(args.instances):
+            verdict, deviation = oracle_verify_instance(d, k, args)
+            for check in verdict.checks:
+                entry = stats.setdefault(check.name, [0, 0, 0.0])
+                entry[0] += 1
+                entry[1] += 0 if check.passed else 1
+                entry[2] = max(entry[2], check.deviation)
+            invariance_worst = max(invariance_worst, deviation)
+            total += 1
+    hard_failures = sum(stats[name][1] for name in stats if name in HARD_CHECK_NAMES)
+    if invariance_worst > args.tol:
+        hard_failures += 1
+    pairs = [("command", "verify"), ("dims", args.dims), ("instances_per_dim", args.instances),
+             ("seed", args.seed), ("tol", args.tol), ("budget", args.budget),
+             ("instances_total", total)]
+    for name in sorted(stats):
+        count, failures, worst = stats[name]
+        kind = "hard" if name in HARD_CHECK_NAMES else "soft"
+        pairs.append((f"check.{name}.kind", kind))
+        pairs.append((f"check.{name}.count", count))
+        pairs.append((f"check.{name}.failures", failures))
+        pairs.append((f"check.{name}.worst_deviation", worst))
+    pairs.append(("invariance.kind", "hard"))
+    pairs.append(("invariance.max_deviation", invariance_worst))
+    pairs.append(("hard_failures", hard_failures))
+    pairs.append(("hard_passed", hard_failures == 0))
+    cli._write_report(args.out, pairs)
+    return 0 if hard_failures == 0 else 1
+
+
+class TestStackedVerify:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each instance's seed
+    def test_each_instance_matches_alone(self, d, budget):
+        args = argparse.Namespace(seed=11, tol=1e-10, budget=budget)
+        for ks in (range(0, 20), range(5, 38)):  # groups of one to three instances
+            assert cli._verify_chunk(d, ks, args) == [oracle_verify_instance(d, k, args)
+                                                      for k in ks]
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    @pytest.mark.parametrize("flags, block", [
+        ([], None), (["--budget", "0"], 2), (["--budget", "3", "--tol", "1e-18"], 5),
+        (["--tol", "1e-18"], None)], ids=["defaults", "budget0-block2",
+                                          "budget3-tol1e-18-block5", "tol1e-18"])
+    def test_verdict_matches_per_instance_loop(self, tmp_path, monkeypatch, seed, flags, block):
+        if block is not None:  # chunks of one and of two instances
+            monkeypatch.setattr(cli, "_BLOCK", block)
+        argv = ["verify", "--dims", "1,2,3,4,5", "--instances", "18", "--seed", str(seed),
+                *flags]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        code = cli.main(argv + ["--out", str(got)])
+        assert code == oracle_cmd_verify(cli.build_parser().parse_args(argv + ["--out", str(want)]))
+        assert got.read_bytes() == want.read_bytes()
+        if "1e-18" in flags:
+            assert code == 1
+
+    @pytest.mark.parametrize("name, value", [("_BLOCK", 4), ("_CHUNK_ENTRIES", 2)])
+    def test_passes_hold_at_most_a_block(self, tmp_path, monkeypatch, name, value):
+        monkeypatch.setattr(cli, name, value)  # either makes chunks of two instances
+        sizes = []
+        real = chains.chain_batch
+
+        def counted(rhos, ch1s, ch2s):
+            sizes.append(len(rhos))
+            return real(rhos, ch1s, ch2s)
+
+        monkeypatch.setattr(cli, "chain_batch", counted)
+        # at d = 1 every instance is in the (1, 1) group, so chunks of two fill each pass
+        assert cli.main(["verify", "--dims", "1", "--instances", "9",
+                         "--out", str(tmp_path / "v.txt")]) == 0
+        assert sizes == [4, 4, 4, 4, 2]  # each instance and its trial, once
