@@ -110,7 +110,7 @@ def _load_instance(args, tol: float) -> ChainData:
     try:
         return chain_data(load_state(args.state, tol=tol), load_channel(args.channel1, tol=tol),
                           load_channel(args.channel2, tol=tol))
-    except (SkewchainError, OSError, KeyError, ValueError) as exc:
+    except (SkewchainError, OSError, ValueError) as exc:
         raise ConfigError(f"input rejected: {exc}") from exc
 
 

@@ -3,6 +3,11 @@
 A state document is ``{"dim": d, "matrix": M}`` and a channel document is
 ``{"dim": d, "kraus": [M, ...], "convention": "row_sum" | "column_sum"}``,
 where each matrix ``M`` is a row-major nested array of ``[re, im]`` pairs.
+Documents are read as strict UTF-8 JSON (RFC 8259) by orjson, whose float
+parsing is correctly rounded, so every number decodes to the double that the
+stdlib ``json`` module gives; ``NaN`` and ``Infinity`` literals are rejected.
+Documents are written with ``json.dumps(indent=1)``, a byte format orjson
+cannot produce.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .linalg import DEFAULT_TOL
 from .objects import Convention, DensityMatrix, KrausChannel, validate_channel, validate_density
@@ -33,8 +39,11 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except TypeError:  # an object or null where a number belongs
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix must be a nested array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -68,18 +77,28 @@ def save_state(path, state: DensityMatrix) -> None:
     write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
-def _load_document(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+def _load_document(path, keys: tuple) -> dict:
+    """The JSON object in ``path``, which must hold every one of ``keys``; a
+    document that fails to decode or lacks a key raises a ValueError naming
+    ``path``."""
+    try:
+        doc = orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
     return doc
 
 
 def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    doc = _load_document(path)
+    doc = _load_document(path, ("dim", "matrix"))
     m = matrix_from_pairs(doc["matrix"])
     if m.shape != (doc["dim"], doc["dim"]):
-        raise ValueError(f"declared dim {doc['dim']} does not match matrix shape {m.shape}")
+        raise ValueError(f"{path}: declared dim {doc['dim']} does not match matrix shape "
+                         f"{m.shape}")
     return validate_density(m, tol=tol)
 
 
@@ -93,11 +112,12 @@ def save_channel(path, channel: KrausChannel) -> None:
 
 
 def load_channel(path, tol: float = DEFAULT_TOL) -> KrausChannel:
-    doc = _load_document(path)
+    doc = _load_document(path, ("dim", "kraus", "convention"))
     if not isinstance(doc["kraus"], list):
         raise ValueError(f"{path}: \"kraus\" must be a list of matrices")
     ops = [matrix_from_pairs(k) for k in doc["kraus"]]
     for k in ops:
         if k.shape != (doc["dim"], doc["dim"]):
-            raise ValueError(f"declared dim {doc['dim']} does not match a Kraus shape {k.shape}")
+            raise ValueError(f"{path}: declared dim {doc['dim']} does not match a Kraus shape "
+                             f"{k.shape}")
     return validate_channel(ops, convention=Convention(doc["convention"]), tol=tol)

@@ -129,6 +129,22 @@ def _argv(case, tmp_path, files):
     not_object.write_text("[1, 2]")
     kraus_not_list = tmp_path / "kraus_not_list.json"
     kraus_not_list.write_text(json.dumps({**json.loads(ch1.read_text()), "kraus": 5}))
+    state_doc = json.loads(state.read_text())
+    nan_state = {**state_doc, "matrix": [[[float("nan"), 0.0]] + row[1:]
+                                         for row in state_doc["matrix"]]}
+    matrix_object = tmp_path / "matrix_object.json"
+    matrix_object.write_text(json.dumps({"dim": 4, "matrix": {"re": 1}}))
+    bad = _bad_file(case, tmp_path)  # the row's malformed input, named in its message
+    contents = {
+        "bounds_state_nan": json.dumps(nan_state).encode(),  # a NaN literal, which json writes
+        "invariance_truncated_channel": ch1.read_bytes()[:100],
+        "bounds_channel_not_utf8": b"\xff\xfe",
+        "invariance_empty_state": b"",
+        "bounds_state_without_matrix": json.dumps({"dim": 4}).encode(),
+    }
+    if case in contents:
+        bad.write_bytes(contents[case])
+    out = str(tmp_path / "out" / "r.txt")
     return {
         "verify_negative_seed": ["verify", "--dims", "2", "--instances", "1", "--seed", "-1",
                                  "--out", str(tmp_path / "v.txt")],
@@ -157,18 +173,40 @@ def _argv(case, tmp_path, files):
                                     "--channel2", str(ch2), "--trials", "1",
                                     "--out", str(tmp_path / "inv.txt")],
         "bounds_out_is_csv": ["bounds", *inputs, "--out", str(tmp_path / "out" / "r.csv")],
+        "bounds_state_nan": ["bounds", "--state", str(bad), "--channel1", str(ch1),
+                             "--channel2", str(ch2), "--out", out],
+        "invariance_truncated_channel": ["invariance", "--state", str(state),
+                                         "--channel1", str(bad), "--channel2", str(ch2),
+                                         "--trials", "1", "--out", out],
+        "bounds_channel_not_utf8": ["bounds", "--state", str(state), "--channel1", str(ch1),
+                                    "--channel2", str(bad), "--out", out],
+        "invariance_empty_state": ["invariance", "--state", str(bad), "--channel1", str(ch1),
+                                   "--channel2", str(ch2), "--trials", "1", "--out", out],
+        "bounds_state_without_matrix": ["bounds", "--state", str(bad), "--channel1", str(ch1),
+                                        "--channel2", str(ch2), "--out", out],
+        "invariance_matrix_is_object": ["invariance", "--state", str(matrix_object),
+                                        "--channel1", str(ch1), "--channel2", str(ch2),
+                                        "--trials", "1", "--out", out],
     }[case]
 
 
+def _bad_file(case, tmp_path):
+    return tmp_path / f"{case}.json"
+
+
 class TestBadInputExits2:
-    # each row once ended in a traceback or in exit 1 or 3
+    # each row once ended in a traceback, in exit 1 or 3, or in a message that
+    # did not name the bad file
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
                                       "verify_perm_sampled", "verify_s_reading",
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
                                       "verify_negative_budget", "invariance_dim_mismatch",
-                                      "bounds_out_is_csv"])
+                                      "bounds_out_is_csv", "bounds_state_nan",
+                                      "invariance_truncated_channel", "bounds_channel_not_utf8",
+                                      "invariance_empty_state", "bounds_state_without_matrix",
+                                      "invariance_matrix_is_object"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
         (tmp_path / "out").mkdir()
         code = main(_argv(case, tmp_path, example_files))
@@ -177,6 +215,8 @@ class TestBadInputExits2:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []  # nothing written
+        if _bad_file(case, tmp_path).exists():
+            assert str(_bad_file(case, tmp_path)) in err
 
 
 class TestDerivesEachInstanceOnce:

@@ -1,3 +1,7 @@
+import decimal
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -24,8 +28,10 @@ from skewchain.objects import (
     validate_density,
 )
 from skewchain.serialize import (
+    _load_document,
     load_channel,
     load_state,
+    matrix_from_pairs,
     save_channel,
     save_state,
     write_text_atomic,
@@ -235,7 +241,77 @@ class TestMixKraus:
             mix_kraus(ch, np.eye(3))
 
 
+def _float_bits(rng, exponents) -> np.ndarray:
+    """Doubles with the given biased exponents (0 is subnormal) and random
+    signs and mantissas."""
+    exponents = np.asarray(exponents, dtype=np.uint64)
+    sign = rng.integers(0, 2, exponents.shape, dtype=np.uint64) << np.uint64(63)
+    mantissa = rng.integers(0, 1 << 52, exponents.shape, dtype=np.uint64)
+    return (sign | exponents << np.uint64(52) | mantissa).view(np.float64)
+
+
+def _literal_corpus() -> list:
+    """JSON float literals that a decoder must round correctly: the repr of
+    random doubles over every finite exponent; long decimals just below, at
+    and just above the halfway point between neighbouring doubles (the exact
+    ties round to the even mantissa); and edge cases."""
+    rng = np.random.default_rng(9309)
+    values = _float_bits(rng, np.repeat(np.arange(2047), 8))
+    literals = [repr(float(x)) for x in values]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        ctx.traps[decimal.Inexact] = True  # every tie and nudge below is exact
+        for x in values[::8]:
+            up = np.nextafter(x, np.inf)
+            if not np.isfinite(up):
+                continue
+            lo, hi = decimal.Decimal(float(x)), decimal.Decimal(float(up))
+            tie, nudge = (lo + hi) / 2, (hi - lo).scaleb(-25)
+            literals += [str(tie - nudge), str(tie), str(tie + nudge)]
+    return literals + ["-0.0", "0", "-0", "1E+2", "1e-400", "4.9406564584124654e-324",
+                       "1.7976931348623157e308", "123456789012345678901234567890"]
+
+
 class TestSerialization:
+    def test_decoder_matches_stdlib_json_bit_for_bit(self, tmp_path):
+        # the stdlib parser, which the loaders used before, is the oracle
+        text = '{"literals": [' + ", ".join(_literal_corpus()) + "]}"
+        path = tmp_path / "literals.json"
+        path.write_text(text)
+        decoded = np.asarray(_load_document(path, ("literals",))["literals"], dtype=float)
+        oracle = np.asarray(json.loads(text)["literals"], dtype=float)
+        mismatched = np.flatnonzero(decoded.view(np.uint64) != oracle.view(np.uint64))
+        assert decoded.size == oracle.size > 20000
+        assert mismatched.size == 0, f"{mismatched.size} literals differ, first at {mismatched[0]}"
+
+    def test_loaded_channel_keeps_every_bit(self, tmp_path):
+        rng = np.random.default_rng(9310)
+        ops = np.array(random_channel(4, 3, Convention.COLUMN_SUM, seed=52).operators)
+        pairs = np.stack([ops.real, ops.imag], axis=-1)
+        # random low mantissa bits move completeness by ~1e-15, far inside tol
+        pairs = (pairs.view(np.uint64) ^ rng.integers(0, 16, pairs.shape, dtype=np.uint64))
+        tiny = _float_bits(rng, rng.integers(0, 400, (1, 4, 4, 2)))  # |x| < 2**-623
+        tiny.flat[:3] = [-0.0, 0.0, 5e-324]
+        pairs = np.concatenate([pairs.view(np.float64), tiny])
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"dim": 4, "kraus": pairs.tolist(), "convention": "column_sum"},
+                                   indent=1))
+        loaded = load_channel(path, tol=1e-9)
+        expected = np.array([matrix_from_pairs(k) for k in pairs])
+        assert np.array(loaded.operators).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("load, doc, key", [
+        (load_state, {"matrix": []}, "dim"),
+        (load_state, {"dim": 2}, "matrix"),
+        (load_channel, {"dim": 2, "convention": "row_sum"}, "kraus"),
+        (load_channel, {"dim": 2, "kraus": []}, "convention"),
+    ])
+    def test_missing_key_names_file_and_key(self, tmp_path, load, doc, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key '{key}'$"):
+            load(path)
+
     def test_state_roundtrip(self, tmp_path):
         dm = random_density(3, 2, seed=50)
         path = tmp_path / "state.json"
