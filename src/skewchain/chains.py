@@ -34,6 +34,7 @@ floor of zero and the product.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -50,6 +51,7 @@ from .skew import channel_skews, column_norms_sq, frame_stack
 __all__ = [
     "BoundChain",
     "ChainData",
+    "ChainStage",
     "ChainVerdict",
     "Check",
     "HARD_CHECK_NAMES",
@@ -61,6 +63,7 @@ __all__ = [
     "chain_batch",
     "chain_data",
     "chain_from_data",
+    "chain_stage",
     "compute_chain",
     "cross_term_bound",
     "invariance_from_data",
@@ -156,33 +159,55 @@ def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> Chai
     return chain_batch([rho], [ch1], [ch2])[0]
 
 
-def chain_batch(rhos, ch1s, ch2s) -> list:
-    """The ``ChainData`` of each instance of a stack, all derived in one pass.
+# The stacked arrays of a pass, before any per-instance object is built: the
+# columns, each instance's skew informations and their product, the
+# ``_STables`` rows of both readings, each reading's identity-walk S values (a
+# row per instance, positions in ``lattice_order``) and the cross terms.
+ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps skews products "
+                                                  "tables lattices cross_terms")
 
-    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
-    dimension and both Kraus counts.  The pass computes the columns, the
-    S-lattice tables, the skew informations, the I-chain, the cross term and
-    the identity-walk lattice of both readings; each instance gets bit for
-    bit what it gets in a stack of one.  The stack's arrays scale with its
-    length, so callers with many instances pass them in blocks.
-    """
-    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
+
+def chain_stage(rhos: list, ch1s: list, ch2s: list) -> ChainStage:
+    """The stacked stage of a ``chain_batch`` pass, for readers that need no
+    per-instance ``ChainData``."""
     e_norms, f_norms, overlaps = _columns(rhos, ch1s, ch2s)
     d = e_norms.shape[-1]
     skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
     products = [s1 * s2 for s1, s2 in skews]
-    product_rows, printed_rows = _s_tables(e_norms, f_norms, overlaps, products)
-    lattices = {Reading.PRODUCT: _lattice_values(product_rows, Reading.PRODUCT, d),
-                Reading.AS_PRINTED: _lattice_values(printed_rows, Reading.AS_PRINTED, d)}
+    tables = _s_tables(e_norms, f_norms, overlaps, products)
+    lattices = {reading: _lattice_values(rows, reading, d)
+                for reading, rows in zip((Reading.PRODUCT, Reading.AS_PRINTED), tables)}
+    return ChainStage(e_norms, f_norms, overlaps, skews, products, tables, lattices,
+                      _cross_terms(overlaps))
+
+
+def chain_batch(rhos, ch1s, ch2s) -> list:
+    """The ``ChainData`` of each instance of a stack, all derived in one pass.
+
+    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
+    dimension and both Kraus counts.  The pass runs ``chain_stage`` and the
+    I-chain over the whole stack, then wraps each instance's slice; each
+    instance gets bit for bit what it gets in a stack of one.  The stack's
+    arrays scale with its length, so callers with many instances pass them
+    in blocks.
+    """
+    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
+    stage = chain_stage(rhos, ch1s, ch2s)
+    d = stage.e_norms.shape[-1]
+    positions = lattice_order(d)
+    lattices = {reading: [dict(zip(positions, row)) for row in values.tolist()]
+                for reading, values in stage.lattices.items()}
+    product_rows, printed_rows = stage.tables
     datas = []
     for b, ((s1, s2), i_values, cross_term) in enumerate(zip(
-            skews, _i_values(e_norms, f_norms, overlaps), _cross_terms(overlaps))):
-        chains = {reading: BoundChain(dim=d, product=products[b], sum=s1 + s2,
+            stage.skews, _i_values(stage.e_norms, stage.f_norms, stage.overlaps),
+            stage.cross_terms)):
+        chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=s1 + s2,
                                       i_values=i_values, s_values=lattice[b],
                                       cross_term=cross_term, s_reading=reading)
                   for reading, lattice in lattices.items()}
-        datas.append(ChainData(dim=d, e_norms=e_norms[b], f_norms=f_norms[b],
-                               overlaps=overlaps[b],
+        datas.append(ChainData(dim=d, e_norms=stage.e_norms[b], f_norms=stage.f_norms[b],
+                               overlaps=stage.overlaps[b],
                                tables=_STables(product=product_rows[b], printed=printed_rows[b]),
                                chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b]))
     return datas
@@ -316,32 +341,31 @@ def _value_at(table: np.ndarray, reading: Reading, sigma, tau, p: int, q: int, d
 
 @functools.lru_cache(maxsize=32)
 def _identity_plan(d: int, reading: Reading) -> tuple:
-    """The identity-label walk, built once per (d, reading): its lattice
-    positions, its ``_STables`` columns in order (the start first), and how
-    many columns lead up to each position's value."""
-    positions, order, ends = [], [0], []
-    for pos, columns in _updates(reading, range(d), range(d), d):
-        positions.append(pos)
+    """The identity-label walk, built once per (d, reading): its ``_STables``
+    columns in order (the start first), and how many columns lead up to each
+    ``lattice_order`` position's value."""
+    order, ends = [0], []
+    for _, columns in _updates(reading, range(d), range(d), d):
         order += columns
         ends.append(len(order) - 1)
     order, ends = np.array(order, dtype=np.intp), np.array(ends, dtype=np.intp)
     order.setflags(write=False)
     ends.setflags(write=False)
-    return tuple(positions), order, ends
+    return order, ends
 
 
-def _lattice_values(rows: np.ndarray, reading: Reading, d: int) -> list:
-    """Identity-walk S values of each instance of a stack, one dict per instance.
+def _lattice_values(rows: np.ndarray, reading: Reading, d: int) -> np.ndarray:
+    """Identity-walk S values of each instance of a stack, one row per instance
+    with the positions in ``lattice_order``.
 
     ``rows`` are the instances' ``_STables`` rows of ``reading``.  The walk is
     one running subtraction (product reading) or sum (as printed) over all
     instances; ``accumulate`` applies the updates in order, so each value is
     the one ``_value_at`` gives with identity labels.
     """
-    positions, order, ends = _identity_plan(d, reading)
+    order, ends = _identity_plan(d, reading)
     accumulate = np.subtract.accumulate if reading == Reading.PRODUCT else np.add.accumulate
-    running = accumulate(rows[:, order], axis=1)
-    return [dict(zip(positions, row)) for row in running[:, ends].tolist()]
+    return accumulate(rows[:, order], axis=1)[:, ends]
 
 
 def _check_position(p: int, q: int, d: int) -> None:

@@ -17,6 +17,7 @@ S-lattice reading).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from .chains import (
     Strategy,
     chain_batch,
     chain_from_data,
+    chain_stage,
     mixed_bound,
     optimize_batch,
 )
@@ -127,24 +129,60 @@ class ClosedForms:
     eq25: float  # S32 = I3
 
 
-def closed_forms(params: ExampleParams) -> ClosedForms:
-    theta, p, q = params.theta, params.p, params.q
+def _per_distinct(terms, values) -> np.ndarray:
+    """``terms(v)``, a tuple of floats, for each of ``values``, as one array
+    row per tuple entry aligned with ``values``; ``terms`` runs once per
+    distinct value."""
+    distinct, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    return np.array([terms(v) for v in distinct.tolist()])[index].T
+
+
+def _theta_terms(theta: float) -> tuple:
     root_tt = math.sqrt(theta * (1.0 - theta))
-    w4 = (math.sqrt(1.0 - theta) - math.sqrt(theta)) ** 4
-    w2 = (1.0 - 2.0 * root_tt) ** 2
-    sp, sq = math.sqrt(1.0 - p), math.sqrt(1.0 - q)
+    return (root_tt, (math.sqrt(1.0 - theta) - math.sqrt(theta)) ** 4, (1.0 - 2.0 * root_tt) ** 2,
+            4.0 * theta ** 2 - 4.0 * theta + 4.0 * root_tt - 1.0)
+
+
+def _p_terms(p: float) -> tuple:
+    sp = math.sqrt(1.0 - p)
+    return p, sp, math.sqrt(p), (sp - 1.0) ** 2
+
+
+def _q_terms(q: float) -> tuple:
+    sq = math.sqrt(1.0 - q)
+    return q, sq, (1.0 - sq) ** 2, (sq - 1.0) ** 2
+
+
+def _form_columns(thetas, ps, qs) -> np.ndarray:
+    """The closed forms at each point (thetas[i], ps[i], qs[i]), as an (N, 6)
+    array of eq20..eq25.
+
+    Every ``sqrt`` and power is a Python scalar taken once per distinct
+    parameter: numpy's array ``**`` squares as ``x * x``, which differs from
+    libm ``pow`` in the last bit.  The columns combine those scalars with
+    numpy's ``+ - * /`` only, each formula in the order written, so every
+    entry has the bits of the formula evaluated on Python floats.
+    """
+    root_tt, w4, w2, theta_poly = _per_distinct(_theta_terms, thetas)
+    p, sp, root_p, sp1_sq = _per_distinct(_p_terms, ps)
+    q, sq, one_sq_sq, sq1_sq = _per_distinct(_q_terms, qs)
     eq20 = 0.25 * w4 * (1.0 - sp) * (1.0 - sq)
     eq21 = (2.0 * root_tt - 1.0) * (sp + sq - 2.0)
-    eq22 = 0.125 * w4 * (1.0 - sp) * (1.0 - sq) ** 2
+    eq22 = 0.125 * w4 * (1.0 - sp) * one_sq_sq
     eq23 = (1.0 / 32.0) * w2 * (sp - 1.0) * (q + 8.0 * sq - 8.0)
-    eq24 = (1.0 / 256.0) * (4.0 * theta ** 2 - 4.0 * theta + 4.0 * root_tt - 1.0) * (
+    eq24 = (1.0 / 256.0) * theta_poly * (
         p * (q + 2.0 * sq - 2.0) - 8.0 * (sp - 1.0) * (2.0 * q + 9.0 * sq - 9.0))
-    eq25 = ((3.0 * q / 256.0) * w4 * (sp - 1.0) ** 2
-            + (1.0 / 16.0) * w2 * (sp - 1.0) ** 2 * (sq - 1.0) ** 2
-            + (p / 16.0) * w2 * (sq - 1.0) ** 2
-            + (q / 16.0) * w2 * (sp - 1.0) ** 2
-            + (q * math.sqrt(p) / 256.0) * w2 * (4.0 * sp + 3.0 * math.sqrt(p) - 4.0))
-    return ClosedForms(eq20=eq20, eq21=eq21, eq22=eq22, eq23=eq23, eq24=eq24, eq25=eq25)
+    eq25 = ((3.0 * q / 256.0) * w4 * sp1_sq
+            + (1.0 / 16.0) * w2 * sp1_sq * sq1_sq
+            + (p / 16.0) * w2 * sq1_sq
+            + (q / 16.0) * w2 * sp1_sq
+            + (q * root_p / 256.0) * w2 * (4.0 * sp + 3.0 * root_p - 4.0))
+    return np.stack([eq20, eq21, eq22, eq23, eq24, eq25], axis=1)
+
+
+def closed_forms(params: ExampleParams) -> ClosedForms:
+    """The reference closed forms at one point."""
+    return ClosedForms(*_form_columns([params.theta], [params.p], [params.q])[0].tolist())
 
 
 CSV_HEADER = ("theta,p,q,t,product,sum,I1,I2,I3,I4,S21,S31,S32,lemma1,"
@@ -163,12 +201,11 @@ class SweepRow:
     def csv_fields(self) -> list:
         c = self.chain
         f = self.forms
-        values = [self.params.theta, self.params.p, self.params.q, self.params.t,
-                  c.product, c.sum, *c.i_values,
-                  c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
-                  c.cross_term, self.perm_opt, self.mixed_product, self.mixed_sum,
-                  f.eq20, f.eq21, f.eq22, f.eq23, f.eq24, f.eq25]
-        return values
+        return [self.params.theta, self.params.p, self.params.q, self.params.t,
+                c.product, c.sum, *c.i_values,
+                c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
+                c.cross_term, self.perm_opt, self.mixed_product, self.mixed_sum,
+                f.eq20, f.eq21, f.eq22, f.eq23, f.eq24, f.eq25]
 
 
 @dataclass(frozen=True)
@@ -200,24 +237,31 @@ def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
     return failures
 
 
-# Points per stacked chain pass.  A pass holds every array, ChainData and
-# BoundChain of its points at once, so the block bounds that memory.
+# Points per stacked chain pass, and rows per CSV-formatting step.  A pass
+# holds every array, ChainData and BoundChain of its points at once, and a
+# step the Python floats of its rows, so the block bounds that memory.
 _BLOCK = 128
 
 
-def _chain_blocks(states: dict, channels: dict, points: list):
-    """Yield ``(block, datas)`` for the (theta, p, q) points, in order.
+def _blocks(count: int):
+    """Slices of at most ``_BLOCK`` consecutive items out of ``count``."""
+    return [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
+
+
+def _chain_blocks(states: dict, channels: dict, points: list, build):
+    """Yield ``(block, build(rhos, ch1s, ch2s))`` for the (theta, p, q) points,
+    in order.
 
     ``states`` maps each theta to its state and ``channels`` each (p, q) to
     its channel pair; ``block`` holds at most ``_BLOCK`` consecutive points,
-    and ``datas`` their data, with both readings' chains, from one
-    ``chain_batch`` pass.
+    and ``build`` is ``chain_batch`` or ``chain_stage``, one stacked pass
+    over the block.
     """
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
+    for span in _blocks(len(points)):
+        block = points[span]
         pairs = [channels[p, q] for _, p, q in block]
-        yield block, chain_batch([states[theta] for theta, _, _ in block],
-                                 [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
+        yield block, build([states[theta] for theta, _, _ in block],
+                           [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
 
 
 def _build_distinct(build, keys) -> dict:
@@ -250,12 +294,13 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     states = _build_distinct(rho_thetas, thetas)
     points = [(theta, p, q) for theta in sorted(thetas) for p, q in pqs]
     rows = []
-    for block, datas in _chain_blocks(states, channels, points):
+    for block, datas in _chain_blocks(states, channels, points, chain_batch):
         bests = optimize_batch(datas, perm_target[0], perm_target[1],
                                strategy, budget, seed, reading)
-        for (theta, p, q), data, best in zip(block, datas, bests):
+        printed = _form_columns(*zip(*block)).tolist()
+        for (theta, p, q), data, best, values in zip(block, datas, bests, printed):
             chain = chain_from_data(data, reading)
-            forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+            forms = ClosedForms(*values)
             for t in sorted(ts):
                 mp, ms = mixed_bound(chain, best, t)
                 rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
@@ -264,15 +309,13 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     return SweepTable(rows=tuple(rows), reading=Reading(reading))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".12g")  # + 0.0 folds -0.0 into 0.0
-
-
 def write_sweep_csv(table: SweepTable, *paths) -> None:
     """Write the table as CSV to each path; the text is formatted once."""
+    line = ",".join(["%.12g"] * len(CSV_HEADER.split(",")))
     lines = [CSV_HEADER]
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row.csv_fields()))
+    for block in _blocks(len(table.rows)):  # bounds the Python floats alive at once
+        values = np.array([row.csv_fields() for row in table.rows[block]], dtype=float)
+        lines += [line % tuple(v) for v in (values + 0.0).tolist()]  # + 0.0 folds -0.0 into 0.0
     text = "\n".join(lines) + "\n"
     for path in paths:
         write_text_atomic(path, text)
@@ -287,93 +330,105 @@ _FORM_NAMES = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
 
 @dataclass(frozen=True)
 class DiscrepancyRow:
-    """One formula at one point; the deviations are computed once, on construction."""
+    """One formula at one point, read from a report's columns."""
 
     formula: str
     params: ExampleParams
     numeric: float
     printed: float
-    abs_dev: float = field(init=False, compare=False)
-    rel_dev: float = field(init=False, compare=False)
-    ratio: float = field(init=False, compare=False)
-
-    def __post_init__(self):
-        abs_dev = abs(self.numeric - self.printed)
-        scale = max(abs(self.numeric), abs(self.printed))
-        object.__setattr__(self, "abs_dev", abs_dev)
-        object.__setattr__(self, "rel_dev", abs_dev / scale if scale > 0.0 else 0.0)
-        object.__setattr__(self, "ratio", self.printed / self.numeric
-                           if abs(self.numeric) > 1e-15 else float("nan"))
+    abs_dev: float = field(compare=False)
+    rel_dev: float = field(compare=False)
+    ratio: float = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
-    rows: tuple
-    fitted_ratios: dict  # formula -> constant ratio, when multiplicative
+    """The report as columns: ``params`` are the grid points, and row i of each
+    (points, 6) array holds point i's values of eq20..eq25."""
+
+    params: tuple
+    numeric: np.ndarray
+    printed: np.ndarray
+    abs_dev: np.ndarray
+    rel_dev: np.ndarray
+    ratio: np.ndarray      # NaN where |numeric| <= 1e-15
+    fitted_ratios: dict    # formula -> constant ratio, when multiplicative
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """One ``DiscrepancyRow`` per point and formula, in point order."""
+        columns = (self.numeric, self.printed, self.abs_dev, self.rel_dev, self.ratio)
+        return tuple(DiscrepancyRow(name, pt, *values)
+                     for pt, point in zip(self.params, zip(*(c.tolist() for c in columns)))
+                     for name, values in zip(_FORM_NAMES, zip(*point)))
 
     def rows_for(self, formula: str) -> list:
         return [r for r in self.rows if r.formula == formula]
 
 
-def _numeric_targets(chain: BoundChain) -> dict:
-    return {
-        "eq20": chain.product,
-        "eq21": chain.sum,
-        "eq22": chain.cross_term,
-        "eq23": chain.s_values[(2, 1)],
-        "eq24": chain.s_values[(3, 1)],
-        "eq25": chain.s_values[(3, 2)],
-    }
+def _numeric_targets(stage) -> np.ndarray:
+    """Each instance's product-reading product, sum, cross term, S21, S31 and
+    S32 (the eq20..eq25 targets) from a ``chain_stage``, as (B, 6) rows."""
+    sums = [s1 + s2 for s1, s2 in stage.skews]
+    lattice = stage.lattices[Reading.PRODUCT]  # its first positions are (2, 1), (3, 1), (3, 2)
+    return np.column_stack([stage.products, sums, stage.cross_terms, lattice[:, :3]])
 
 
 def discrepancy_report(param_grid) -> DiscrepancyReport:
     """Numeric-vs-reference table over a grid of ExampleParams.
 
-    Purely descriptive: rows carry signed values, absolute and relative
-    deviations, and a per-row printed/numeric ratio.  When one formula's
-    ratios agree to 1e-6 relative across the grid, that constant is recorded
-    as its fitted ratio.  The report never fails a run.  Rows follow the
-    grid's order, and so do the stacked chain passes.
+    Purely descriptive: for each point and formula it holds the signed
+    values, the absolute and relative deviations and the printed/numeric
+    ratio.  When one formula's ratios agree to 1e-6 relative across the grid,
+    that constant is recorded as its fitted ratio.  The report never fails a
+    run.  Its rows follow the grid's order, and so do the stacked passes,
+    which build no per-point chain.
     """
-    params = list(param_grid)
+    params = tuple(param_grid)
     if not params:
         raise ValueError("the parameter grid must be nonempty")
     channels = _build_distinct(example_channel_pairs, [(pt.p, pt.q) for pt in params])
     states = _build_distinct(rho_thetas, [pt.theta for pt in params])
-    blocks = _chain_blocks(states, channels, [(pt.theta, pt.p, pt.q) for pt in params])
-    numeric = [_numeric_targets(chain_from_data(data, Reading.PRODUCT))
-               for _, datas in blocks for data in datas]
-    rows = []
-    ratios = {name: [] for name in _FORM_NAMES}
-    for pt, values in zip(params, numeric):
-        forms = closed_forms(pt)
-        for name in _FORM_NAMES:
-            row = DiscrepancyRow(formula=name, params=pt, numeric=values[name],
-                                 printed=getattr(forms, name))
-            rows.append(row)
-            if not math.isnan(row.ratio):
-                ratios[name].append(row.ratio)
+    points = [(pt.theta, pt.p, pt.q) for pt in params]
+    numeric = np.concatenate([_numeric_targets(stage) for _, stage in
+                              _chain_blocks(states, channels, points, chain_stage)])
+    printed = _form_columns(*zip(*points))
+    abs_dev = np.abs(numeric - printed)
+    scale = np.maximum(np.abs(numeric), np.abs(printed))
+    rel_dev = np.divide(abs_dev, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    ratio = np.divide(printed, numeric, out=np.full_like(numeric, np.nan),
+                      where=np.abs(numeric) > 1e-15)
     fitted = {}
-    for name, values in ratios.items():
-        if values:
-            lo, hi = min(values), max(values)
+    for name, column in zip(_FORM_NAMES, ratio.T):
+        values = column[~np.isnan(column)]
+        if values.size:
+            lo, hi = float(values.min()), float(values.max())
             mid = (lo + hi) / 2.0
             if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
                 fitted[name] = mid
-    return DiscrepancyReport(rows=tuple(rows), fitted_ratios=fitted)
+    return DiscrepancyReport(params=params, numeric=numeric, printed=printed, abs_dev=abs_dev,
+                             rel_dev=rel_dev, ratio=ratio, fitted_ratios=fitted)
 
 
 def write_discrepancy_csv(report: DiscrepancyReport, path) -> None:
+    """Write the report as CSV, each line with one ``%`` template; a point's
+    (theta, p, q) text is formatted once, and a NaN ratio leaves its field
+    empty."""
     lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
-    fitted = {name: _fmt(v) for name, v in report.fitted_ratios.items()}
-    point = point_text = None
-    for r in report.rows:
-        if r.params is not point:  # a point's rows are adjacent
-            point = r.params
-            point_text = ",".join(_fmt(v) for v in (point.theta, point.p, point.q))
-        lines.append(",".join([
-            r.formula, point_text, _fmt(r.numeric), _fmt(r.printed), _fmt(r.abs_dev),
-            _fmt(r.rel_dev), "" if math.isnan(r.ratio) else _fmt(r.ratio),
-            fitted.get(r.formula, ""),
-        ]))
+    templates = []
+    for name in _FORM_NAMES:
+        fitted = "%.12g" % (report.fitted_ratios[name] + 0.0) \
+            if name in report.fitted_ratios else ""
+        templates.append((f"{name},%s,{'%.12g,' * 5}{fitted}",
+                          f"{name},%s,{'%.12g,' * 4}%.0s,{fitted}"))
+    grid = np.array([(pt.theta, pt.p, pt.q) for pt in report.params], dtype=float) + 0.0
+    points = ["%.12g,%.12g,%.12g" % tuple(v) for v in grid.tolist()]
+    values = np.stack([report.numeric, report.printed, report.abs_dev, report.rel_dev,
+                       report.ratio], axis=-1) + 0.0  # + 0.0 folds -0.0 into 0.0
+    nans = np.isnan(report.ratio)
+    for block in _blocks(len(points)):  # bounds the Python floats alive at once
+        for point, rows, flags in zip(points[block], values[block].tolist(),
+                                      nans[block].tolist()):
+            lines += [template[nan] % (point, *v)
+                      for template, nan, v in zip(templates, flags, rows)]
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -12,6 +12,7 @@ cannot produce.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -77,29 +78,36 @@ def save_state(path, state: DensityMatrix) -> None:
     write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the message of a ValueError raised in the block, a validator's
+    error included, with ``path``; the error keeps its type."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _load_document(path, keys: tuple) -> dict:
     """The JSON object in ``path``, which must hold every one of ``keys``; a
-    document that fails to decode or lacks a key raises a ValueError naming
-    ``path``."""
-    try:
-        doc = orjson.loads(Path(path).read_bytes())
-    except orjson.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    document that fails to decode or lacks a key raises a ValueError."""
+    doc = orjson.loads(Path(path).read_bytes())
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     for key in keys:
         if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
     return doc
 
 
 def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    doc = _load_document(path, ("dim", "matrix"))
-    m = matrix_from_pairs(doc["matrix"])
-    if m.shape != (doc["dim"], doc["dim"]):
-        raise ValueError(f"{path}: declared dim {doc['dim']} does not match matrix shape "
-                         f"{m.shape}")
-    return validate_density(m, tol=tol)
+    with _naming(path):
+        doc = _load_document(path, ("dim", "matrix"))
+        m = matrix_from_pairs(doc["matrix"])
+        if m.shape != (doc["dim"], doc["dim"]):
+            raise ValueError(f"declared dim {doc['dim']} does not match matrix shape {m.shape}")
+        return validate_density(m, tol=tol)
 
 
 def save_channel(path, channel: KrausChannel) -> None:
@@ -112,12 +120,13 @@ def save_channel(path, channel: KrausChannel) -> None:
 
 
 def load_channel(path, tol: float = DEFAULT_TOL) -> KrausChannel:
-    doc = _load_document(path, ("dim", "kraus", "convention"))
-    if not isinstance(doc["kraus"], list):
-        raise ValueError(f"{path}: \"kraus\" must be a list of matrices")
-    ops = [matrix_from_pairs(k) for k in doc["kraus"]]
-    for k in ops:
-        if k.shape != (doc["dim"], doc["dim"]):
-            raise ValueError(f"{path}: declared dim {doc['dim']} does not match a Kraus shape "
-                             f"{k.shape}")
-    return validate_channel(ops, convention=Convention(doc["convention"]), tol=tol)
+    with _naming(path):
+        doc = _load_document(path, ("dim", "kraus", "convention"))
+        if not isinstance(doc["kraus"], list):
+            raise ValueError("\"kraus\" must be a list of matrices")
+        ops = [matrix_from_pairs(k) for k in doc["kraus"]]
+        for k in ops:
+            if k.shape != (doc["dim"], doc["dim"]):
+                raise ValueError(f"declared dim {doc['dim']} does not match a Kraus shape "
+                                 f"{k.shape}")
+        return validate_channel(ops, convention=Convention(doc["convention"]), tol=tol)

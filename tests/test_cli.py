@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +130,8 @@ def _argv(case, tmp_path, files):
     not_object = tmp_path / "not_object.json"
     not_object.write_text("[1, 2]")
     kraus_not_list = tmp_path / "kraus_not_list.json"
-    kraus_not_list.write_text(json.dumps({**json.loads(ch1.read_text()), "kraus": 5}))
+    channel_doc = json.loads(ch1.read_text())
+    kraus_not_list.write_text(json.dumps({**channel_doc, "kraus": 5}))
     state_doc = json.loads(state.read_text())
     nan_state = {**state_doc, "matrix": [[[float("nan"), 0.0]] + row[1:]
                                          for row in state_doc["matrix"]]}
@@ -141,6 +144,9 @@ def _argv(case, tmp_path, files):
         "bounds_channel_not_utf8": b"\xff\xfe",
         "invariance_empty_state": b"",
         "bounds_state_without_matrix": json.dumps({"dim": 4}).encode(),
+        "bounds_state_not_pairs": json.dumps({"dim": 2, "matrix": [[0.5, 0], [0, 0.5]]}).encode(),
+        "invariance_channel_not_complete": json.dumps({**channel_doc,  # one of two operators
+                                                       "kraus": channel_doc["kraus"][:1]}).encode(),
     }
     if case in contents:
         bad.write_bytes(contents[case])
@@ -187,6 +193,11 @@ def _argv(case, tmp_path, files):
         "invariance_matrix_is_object": ["invariance", "--state", str(matrix_object),
                                         "--channel1", str(ch1), "--channel2", str(ch2),
                                         "--trials", "1", "--out", out],
+        "bounds_state_not_pairs": ["bounds", "--state", str(bad), "--channel1", str(ch1),
+                                   "--channel2", str(ch2), "--out", out],
+        "invariance_channel_not_complete": ["invariance", "--state", str(state),
+                                            "--channel1", str(ch1), "--channel2", str(bad),
+                                            "--trials", "1", "--out", out],
     }[case]
 
 
@@ -197,6 +208,10 @@ def _bad_file(case, tmp_path):
 class TestBadInputExits2:
     # each row once ended in a traceback, in exit 1 or 3, or in a message that
     # did not name the bad file
+    prefixed = {  # errors of the matrix parser and the validators, prefixed with the file
+        "bounds_state_not_pairs": "matrix must be a nested array of [re, im] pairs",
+        "invariance_channel_not_complete": "Kraus completeness violated under row_sum"}
+
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
                                       "verify_perm_sampled", "verify_s_reading",
                                       "invariance_nan_tol", "bounds_unwritable_out",
@@ -206,7 +221,8 @@ class TestBadInputExits2:
                                       "bounds_out_is_csv", "bounds_state_nan",
                                       "invariance_truncated_channel", "bounds_channel_not_utf8",
                                       "invariance_empty_state", "bounds_state_without_matrix",
-                                      "invariance_matrix_is_object"])
+                                      "invariance_matrix_is_object", "bounds_state_not_pairs",
+                                      "invariance_channel_not_complete"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
         (tmp_path / "out").mkdir()
         code = main(_argv(case, tmp_path, example_files))
@@ -217,6 +233,8 @@ class TestBadInputExits2:
         assert list((tmp_path / "out").iterdir()) == []  # nothing written
         if _bad_file(case, tmp_path).exists():
             assert str(_bad_file(case, tmp_path)) in err
+        if case in self.prefixed:
+            assert f"{_bad_file(case, tmp_path)}: {self.prefixed[case]}" in err
 
 
 class TestDerivesEachInstanceOnce:
@@ -335,6 +353,16 @@ class TestExampleCommand:
     def test_out_of_range_grid_exits_2(self, tmp_path):
         code = main(["example", "--out", str(tmp_path / "figs"), "--theta", "0:1.5:3"])
         assert code == 2
+
+    def test_small_grids_match_the_benchmark_golden(self, tmp_path):
+        # the byte contract of the example CSVs, at the benchmark's example-small grids
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "example-small.json"
+        manifest = json.loads(golden.read_text())
+        out = tmp_path / "figs"
+        assert main(["example", "--theta", "0:1:21", "--p", "0:1:11", "--q", "0:1:11",
+                     "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in manifest} == manifest
 
 
 class TestInvariance:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from skewchain import example
+from skewchain import chains, example
 from skewchain.chains import Reading, compute_chain, mixed_bound, optimize_permutations
 from skewchain.errors import CompletenessError
 from skewchain.example import (
@@ -390,6 +390,22 @@ class TestBuildsEachInputOnce:
         grid = [ExampleParams(theta=t, p=p, q=q)
                 for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         discrepancy_report(grid[::-1])
+        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channel_pairs"]) == sorted(
+            set(itertools.product(TIE_PS, TIE_QS)))
+
+    def test_discrepancy_report_builds_no_chain(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built a per-point chain object")
+
+        monkeypatch.setattr(chains, "ChainData", refuse)
+        monkeypatch.setattr(chains, "BoundChain", refuse)
+        grid = [ExampleParams(theta=t, p=p, q=q)
+                for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
+        report = discrepancy_report(grid)
+        assert len(report.rows) == 6 * len(grid)
         assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
         assert sorted(calls["example_channel_pairs"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))

@@ -1,5 +1,5 @@
 """Differential tests of the stacked validators, generators, Kraus mixing,
-optimizer and ``verify``.
+optimizer, ``verify`` and the columnar discrepancy report.
 
 Each stacked kernel is checked with ``==`` on the bits against the
 per-instance code it replaced, which is kept below as oracles.  A bad stack
@@ -24,6 +24,7 @@ from skewchain.chains import (
     Strategy,
     chain_batch,
     chain_data,
+    chain_from_data,
     lattice_order,
     optimize_batch,
     verify_from_data,
@@ -824,3 +825,199 @@ class TestStackedVerify:
         assert cli.main(["verify", "--dims", "1", "--instances", "9",
                          "--out", str(tmp_path / "v.txt")]) == 0
         assert sizes == [4, 4, 4, 4, 2]  # each instance and its trial, once
+
+
+# ---------------------------------------------------------------------------
+# Columnar discrepancy report: the row-wise report, the scalar closed forms and
+# the per-value CSV writers it replaced
+
+
+def oracle_closed_forms(theta, p, q):
+    root_tt = math.sqrt(theta * (1.0 - theta))
+    w4 = (math.sqrt(1.0 - theta) - math.sqrt(theta)) ** 4
+    w2 = (1.0 - 2.0 * root_tt) ** 2
+    sp, sq = math.sqrt(1.0 - p), math.sqrt(1.0 - q)
+    eq20 = 0.25 * w4 * (1.0 - sp) * (1.0 - sq)
+    eq21 = (2.0 * root_tt - 1.0) * (sp + sq - 2.0)
+    eq22 = 0.125 * w4 * (1.0 - sp) * (1.0 - sq) ** 2
+    eq23 = (1.0 / 32.0) * w2 * (sp - 1.0) * (q + 8.0 * sq - 8.0)
+    eq24 = (1.0 / 256.0) * (4.0 * theta ** 2 - 4.0 * theta + 4.0 * root_tt - 1.0) * (
+        p * (q + 2.0 * sq - 2.0) - 8.0 * (sp - 1.0) * (2.0 * q + 9.0 * sq - 9.0))
+    eq25 = ((3.0 * q / 256.0) * w4 * (sp - 1.0) ** 2
+            + (1.0 / 16.0) * w2 * (sp - 1.0) ** 2 * (sq - 1.0) ** 2
+            + (p / 16.0) * w2 * (sq - 1.0) ** 2
+            + (q / 16.0) * w2 * (sp - 1.0) ** 2
+            + (q * math.sqrt(p) / 256.0) * w2 * (4.0 * sp + 3.0 * math.sqrt(p) - 4.0))
+    return eq20, eq21, eq22, eq23, eq24, eq25
+
+
+def oracle_row(formula, params, numeric, printed):
+    """A report row ``(formula, params, numeric, printed, abs_dev, rel_dev, ratio)``."""
+    abs_dev = abs(numeric - printed)
+    scale = max(abs(numeric), abs(printed))
+    return (formula, params, numeric, printed, abs_dev,
+            abs_dev / scale if scale > 0.0 else 0.0,
+            printed / numeric if abs(numeric) > 1e-15 else float("nan"))
+
+
+def oracle_chain_targets(params):
+    """Each point's product-reading (product, sum, cross term, S21, S31, S32),
+    read from ``chain_batch``'s chains in passes of ``example._BLOCK`` points."""
+    targets = []
+    for start in range(0, len(params), example._BLOCK):
+        block = params[start:start + example._BLOCK]
+        pairs = example.example_channel_pairs([(pt.p, pt.q) for pt in block])
+        datas = chain_batch(example.rho_thetas([pt.theta for pt in block]),
+                            [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
+        for data in datas:
+            chain = chain_from_data(data, Reading.PRODUCT)
+            targets.append((chain.product, chain.sum, chain.cross_term, chain.s_values[(2, 1)],
+                            chain.s_values[(3, 1)], chain.s_values[(3, 2)]))
+    return targets
+
+
+def oracle_discrepancy_report(params):
+    """``(rows, fitted ratios)`` of the row-wise report."""
+    params = list(params)
+    rows = []
+    ratios = {name: [] for name in example._FORM_NAMES}
+    for pt, values in zip(params, oracle_chain_targets(params)):
+        forms = oracle_closed_forms(pt.theta, pt.p, pt.q)
+        for name, numeric, printed in zip(example._FORM_NAMES, values, forms):
+            row = oracle_row(name, pt, numeric, printed)
+            rows.append(row)
+            if not math.isnan(row[-1]):
+                ratios[name].append(row[-1])
+    fitted = {}
+    for name, values in ratios.items():
+        if values:
+            lo, hi = min(values), max(values)
+            mid = (lo + hi) / 2.0
+            if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
+                fitted[name] = mid
+    return rows, fitted
+
+
+def oracle_fmt(x):
+    return format(float(x) + 0.0, ".12g")
+
+
+def oracle_discrepancy_csv(rows, fitted):
+    """The per-value writer over ``(formula, params, numeric, printed, abs_dev,
+    rel_dev, ratio)`` rows."""
+    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
+    fitted = {name: oracle_fmt(v) for name, v in fitted.items()}
+    for formula, pt, numeric, printed, abs_dev, rel_dev, ratio in rows:
+        lines.append(",".join([
+            formula, ",".join(oracle_fmt(v) for v in (pt.theta, pt.p, pt.q)), oracle_fmt(numeric),
+            oracle_fmt(printed), oracle_fmt(abs_dev), oracle_fmt(rel_dev),
+            "" if math.isnan(ratio) else oracle_fmt(ratio), fitted.get(formula, "")]))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_sweep_csv(table):
+    lines = [example.CSV_HEADER]
+    for row in table.rows:
+        lines.append(",".join(oracle_fmt(v) for v in row.csv_fields()))
+    return "\n".join(lines) + "\n"
+
+
+def row_bits(row):
+    formula, params, *values = row
+    return formula, params, np.array(values).tobytes()
+
+
+def report_rows(report):
+    return [(r.formula, r.params, r.numeric, r.printed, r.abs_dev, r.rel_dev, r.ratio)
+            for r in report.rows]
+
+
+# Every binade, both zeros, both infinities, NaN, subnormals and values that
+# round at the twelfth digit.
+FORMAT_CORPUS = sorted(
+    {x for e in range(-1074, 1024) for x in (2.0 ** e, -(2.0 ** e), 1.7 * 2.0 ** e)}
+    | {0.0, 5e-324, 2.5e-323, 2.2250738585072009e-308, 1.7976931348623157e308,
+       0.1234567890125, 0.12345678901249999, 999999999999.5, 1e16, 1 - 2 ** -53, 1 / 3})
+FORMAT_CORPUS = (FORMAT_CORPUS + [-0.0, float("inf"), -float("inf"), float("nan")]
+                 + [-x for x in FORMAT_CORPUS[:50]])
+UNIT_CORPUS = [x for x in FORMAT_CORPUS if 0.0 <= x <= 1.0]  # legal grid parameters
+
+special_units = st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1 - 2 ** -53])
+units = st.floats(0.0, 1.0) | special_units
+
+
+class TestColumnarReport:
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_report_matches_row_wise_oracle(self, monkeypatch, tmp_path, block):
+        if block is not None:  # several passes, the last one partial
+            monkeypatch.setattr(example, "_BLOCK", block)
+        values = (0.0, 0.5, 1.0, 0.3, 5e-324, 1 - 2 ** -53)
+        grid = [example.ExampleParams(theta=t, p=p, q=q)
+                for t, p, q in itertools.product(values, repeat=3)]
+        grid += grid[:9]  # duplicate points
+        np.random.default_rng(5).shuffle(grid)  # not theta-major
+        report = example.discrepancy_report(grid)
+        rows, fitted = oracle_discrepancy_report(grid)
+        assert [row_bits(r) for r in report_rows(report)] == [row_bits(r) for r in rows]
+        assert report.fitted_ratios == fitted and set(fitted) == {"eq20", "eq21", "eq22", "eq23"}
+        assert same_bits(list(report.fitted_ratios.values()), list(fitted.values()))
+        path = tmp_path / "disc.csv"
+        example.write_discrepancy_csv(report, path)
+        assert path.read_text() == oracle_discrepancy_csv(rows, fitted)
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_stage_targets_match_chain_batch(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(example, "_BLOCK", block)
+        grid = [example.ExampleParams(theta=t, p=p, q=q) for t, p, q in
+                itertools.product((0.0, 0.2, 0.5, 0.9, 1.0), (0.0, 0.35, 1.0), (0.1, 0.5, 1.0))]
+        targets = example.discrepancy_report(grid).numeric
+        assert same_bits(targets, np.array(oracle_chain_targets(grid)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(units, units, units), min_size=1, max_size=40))
+    def test_closed_form_columns_match_scalar_forms(self, points):
+        columns = example._form_columns(*zip(*points))
+        assert same_bits(columns, np.array([oracle_closed_forms(*pt) for pt in points]))
+        theta, p, q = points[0]
+        forms = example.closed_forms(example.ExampleParams(theta=theta, p=p, q=q))
+        assert same_bits([getattr(forms, name) for name in example._FORM_NAMES],
+                         oracle_closed_forms(theta, p, q))
+
+    def test_closed_form_columns_on_random_and_special_points(self):
+        # x * x and libm pow(x, 2) differ in the last bit for about 1 uniform x in 1 200
+        points = np.random.default_rng(9).random((20000, 3)).tolist()
+        points += itertools.product([0.0, 0.5, 1.0, 5e-324, 1 - 2 ** -53, 2 ** -53, 0.3],
+                                    repeat=3)
+        assert same_bits(example._form_columns(*zip(*points)),
+                         np.array([oracle_closed_forms(*pt) for pt in points]))
+
+    def test_writers_match_per_value_writers_on_the_corpus(self, tmp_path):
+        values = itertools.cycle(FORMAT_CORPUS)
+        unit_values = itertools.cycle(UNIT_CORPUS)
+        rows = []
+        for _ in range(len(FORMAT_CORPUS) // 19 + 1):
+            v = [next(values) for _ in range(19)]
+            params = example.ExampleParams(*(next(unit_values) for _ in range(4)))
+            chain = chains.BoundChain(dim=4, product=v[0], sum=v[1], i_values=tuple(v[2:6]),
+                                      s_values={(2, 1): v[6], (3, 1): v[7], (3, 2): v[8]},
+                                      cross_term=v[9], s_reading=Reading.PRODUCT)
+            rows.append(example.SweepRow(params=params, chain=chain, perm_opt=v[10],
+                                         mixed_product=v[11], mixed_sum=v[12],
+                                         forms=example.ClosedForms(*v[13:])))
+        table = example.SweepTable(rows=tuple(rows), reading=Reading.PRODUCT)
+        example.write_sweep_csv(table, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text() == oracle_sweep_csv(table)
+
+        count = len(FORMAT_CORPUS) // 30 + 1
+        params = tuple(example.ExampleParams(*(next(unit_values) for _ in range(3)))
+                       for _ in range(count))
+        numeric, printed, abs_dev, rel_dev, ratio = np.array(
+            [next(values) for _ in range(count * 30)]).reshape(5, count, 6)
+        fitted = {"eq20": -0.0, "eq22": 5e-324, "eq23": 1.0000000000005, "eq25": float("inf")}
+        report = example.DiscrepancyReport(params, numeric, printed, abs_dev, rel_dev, ratio,
+                                           fitted)
+        assert np.isnan(ratio).any() and not np.isnan(ratio).all()
+        example.write_discrepancy_csv(report, tmp_path / "disc.csv")
+        assert (tmp_path / "disc.csv").read_text() == oracle_discrepancy_csv(
+            report_rows(report), fitted)
