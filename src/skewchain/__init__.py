@@ -9,6 +9,7 @@ variants, and numerical certification of every claimed inequality.
 from .chains import (
     BoundChain,
     ChainData,
+    ChainStage,
     ChainVerdict,
     InvarianceReport,
     PermutedBound,
@@ -18,6 +19,7 @@ from .chains import (
     chain_batch,
     chain_data,
     chain_from_data,
+    chain_stage,
     compute_chain,
     cross_term_bound,
     invariance_from_data,

@@ -105,9 +105,10 @@ def lattice_order(d: int) -> list:
 # Every kernel below runs over a leading instance axis of B same-shape
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
-# instance, so a stack returns each instance's bits unchanged.  ``chain_batch``
-# is the one builder; ``chain_data`` is a stack of one.  The frames, their
-# column norms and the channel skew informations come from ``skew``'s kernel.
+# instance, so a stack returns each instance's bits unchanged.  ``chain_stage``
+# is the one builder; ``chain_batch`` wraps its instances and ``chain_data`` is
+# a stack of one.  The frames, their column norms and the channel skew
+# informations come from ``skew``'s kernel.
 
 
 @dataclass(frozen=True)
@@ -160,55 +161,52 @@ def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> Chai
 
 
 # The stacked arrays of a pass, before any per-instance object is built: the
-# columns, each instance's skew informations and their product, the
-# ``_STables`` rows of both readings, each reading's identity-walk S values (a
-# row per instance, positions in ``lattice_order``) and the cross terms.
+# columns, each instance's skew informations and their product, each reading's
+# ``_STables`` rows and identity-walk S values (a row per instance, positions in
+# ``lattice_order``), keyed by ``Reading``, the I values and the cross terms.
 ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps skews products "
-                                                  "tables lattices cross_terms")
+                                                  "tables lattices i_values cross_terms")
 
 
 def chain_stage(rhos: list, ch1s: list, ch2s: list) -> ChainStage:
-    """The stacked stage of a ``chain_batch`` pass, for readers that need no
-    per-instance ``ChainData``."""
+    """Every chain quantity of each instance of a stack, as stacked arrays.
+
+    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
+    dimension and both Kraus counts, and each gets bit for bit what it gets
+    in a stack of one.  The stack's arrays scale with its length, so callers
+    with many instances pass them in blocks.
+    """
     e_norms, f_norms, overlaps = _columns(rhos, ch1s, ch2s)
     d = e_norms.shape[-1]
     skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
     products = [s1 * s2 for s1, s2 in skews]
-    tables = _s_tables(e_norms, f_norms, overlaps, products)
-    lattices = {reading: _lattice_values(rows, reading, d)
-                for reading, rows in zip((Reading.PRODUCT, Reading.AS_PRINTED), tables)}
+    tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
+                      _s_tables(e_norms, f_norms, overlaps, products)))
+    lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
     return ChainStage(e_norms, f_norms, overlaps, skews, products, tables, lattices,
-                      _cross_terms(overlaps))
+                      _i_values(e_norms, f_norms, overlaps), _cross_terms(overlaps))
 
 
 def chain_batch(rhos, ch1s, ch2s) -> list:
-    """The ``ChainData`` of each instance of a stack, all derived in one pass.
-
-    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
-    dimension and both Kraus counts.  The pass runs ``chain_stage`` and the
-    I-chain over the whole stack, then wraps each instance's slice; each
-    instance gets bit for bit what it gets in a stack of one.  The stack's
-    arrays scale with its length, so callers with many instances pass them
-    in blocks.
-    """
+    """The ``ChainData`` of each instance of a stack: one ``chain_stage`` pass,
+    each instance's slice wrapped with its ``BoundChain`` under each reading."""
     rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
     stage = chain_stage(rhos, ch1s, ch2s)
     d = stage.e_norms.shape[-1]
     positions = lattice_order(d)
     lattices = {reading: [dict(zip(positions, row)) for row in values.tolist()]
                 for reading, values in stage.lattices.items()}
-    product_rows, printed_rows = stage.tables
     datas = []
     for b, ((s1, s2), i_values, cross_term) in enumerate(zip(
-            stage.skews, _i_values(stage.e_norms, stage.f_norms, stage.overlaps),
-            stage.cross_terms)):
+            stage.skews, stage.i_values, stage.cross_terms)):
         chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=s1 + s2,
                                       i_values=i_values, s_values=lattice[b],
                                       cross_term=cross_term, s_reading=reading)
                   for reading, lattice in lattices.items()}
         datas.append(ChainData(dim=d, e_norms=stage.e_norms[b], f_norms=stage.f_norms[b],
                                overlaps=stage.overlaps[b],
-                               tables=_STables(product=product_rows[b], printed=printed_rows[b]),
+                               tables=_STables(product=stage.tables[Reading.PRODUCT][b],
+                                               printed=stage.tables[Reading.AS_PRINTED][b]),
                                chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b]))
     return datas
 
@@ -488,24 +486,18 @@ def optimize_from_data(data: ChainData, p: int, q: int, strategy: Strategy | Non
                        budget: int = 14400, seed: int = 0,
                        reading: Reading = Reading.PRODUCT) -> PermutedBound:
     """``optimize_permutations`` on column data already built by ``chain_data``."""
-    return optimize_batch([data], p, q, strategy, budget, seed, reading)[0]
+    return _optimize(data.tables.row(reading)[None], data.dim, p, q, strategy, budget, seed,
+                     reading)[0]
 
 
-def optimize_batch(datas, p: int, q: int, strategy: Strategy | None = None,
+def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None = None,
                    budget: int = 14400, seed: int = 0,
                    reading: Reading = Reading.PRODUCT) -> list:
-    """``optimize_from_data`` of each instance of a stack, in one search.
-
-    All instances share the dimension; each gets bit for bit the
-    ``PermutedBound`` it gets alone.
-    """
-    datas = list(datas)
-    dims = {data.dim for data in datas}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"instances of one search must share one dim, got {dims}")
+    """``optimize_from_data`` of each instance of a ``chain_stage`` pass, in one
+    search; each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
-    rows = np.array([data.tables.row(reading) for data in datas])
-    return _optimize(rows, dims.pop(), p, q, strategy, budget, seed, reading)
+    return _optimize(stage.tables[reading], stage.e_norms.shape[-1], p, q, strategy, budget,
+                     seed, reading)
 
 
 def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,

@@ -45,7 +45,6 @@ from .errors import BudgetError, SkewchainError
 from .example import (
     ExampleParams,
     discrepancy_report,
-    row_hard_failures,
     sweep,
     write_discrepancy_csv,
     write_sweep_csv,
@@ -340,10 +339,7 @@ def cmd_example(args) -> int:
     report = discrepancy_report(grid)
     write_discrepancy_csv(report, out_dir / "discrepancy_report.csv")
 
-    failures = 0
-    for table in (surface, curve):
-        for row in table.rows:
-            failures += len(row_hard_failures(row, tol=args.tol))
+    failures = surface.hard_failures(args.tol) + curve.hard_failures(args.tol)
     if failures:
         print(f"error: {failures} hard invariant violations across sweep rows",
               file=sys.stderr)

@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (
-    BoundChain,
-    Reading,
-    Strategy,
-    chain_batch,
-    chain_from_data,
-    chain_stage,
-    mixed_bound,
-    optimize_batch,
-)
+from .chains import Reading, Strategy, chain_stage, optimize_batch
 from .objects import Convention, DensityMatrix, validate_channels, validate_densities
 from .serialize import write_text_atomic
 
@@ -42,7 +33,6 @@ __all__ = [
     "DiscrepancyReport",
     "EXAMPLE_DIM",
     "ExampleParams",
-    "SweepRow",
     "SweepTable",
     "closed_forms",
     "discrepancy_report",
@@ -50,7 +40,6 @@ __all__ = [
     "example_channels",
     "rho_theta",
     "rho_thetas",
-    "row_hard_failures",
     "sweep",
     "write_discrepancy_csv",
     "write_sweep_csv",
@@ -187,59 +176,40 @@ def closed_forms(params: ExampleParams) -> ClosedForms:
 
 CSV_HEADER = ("theta,p,q,t,product,sum,I1,I2,I3,I4,S21,S31,S32,lemma1,"
               "perm_opt,mixed_product,mixed_sum,eq20,eq21,eq22,eq23,eq24,eq25")
+_FIELDS = CSV_HEADER.split(",")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    params: ExampleParams
-    chain: BoundChain
-    perm_opt: float
-    mixed_product: float
-    mixed_sum: float
-    forms: ClosedForms
-
-    def csv_fields(self) -> list:
-        c = self.chain
-        f = self.forms
-        return [self.params.theta, self.params.p, self.params.q, self.params.t,
-                c.product, c.sum, *c.i_values,
-                c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
-                c.cross_term, self.perm_opt, self.mixed_product, self.mixed_sum,
-                f.eq20, f.eq21, f.eq22, f.eq23, f.eq24, f.eq25]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    rows: tuple
+    """The sweep as one (rows, 23) float array, its columns in ``CSV_HEADER``
+    order and its rows in (theta, p, q, t) order."""
+
+    columns: np.ndarray
     reading: Reading
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
 
+    def hard_failures(self, tol: float = 1e-9) -> int:
+        """How many hard invariants the rows violate, counted per row and invariant.
 
-def row_hard_failures(row: SweepRow, tol: float = 1e-9) -> list:
-    """Names of violated hard invariants for one sweep row.
-
-    Hard: pipeline product agrees with eq20, pipeline cross term agrees with
-    eq22, and the chain order product >= S21 >= S31 >= S32 >= cross term.
-    """
-    failures = []
-    c = row.chain
-    if abs(c.product - row.forms.eq20) > tol:
-        failures.append("product_vs_eq20")
-    if abs(c.cross_term - row.forms.eq22) > tol:
-        failures.append("cross_term_vs_eq22")
-    seq = [c.product, c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)], c.cross_term]
-    if any(seq[i + 1] > seq[i] + tol for i in range(len(seq) - 1)):
-        failures.append("chain_order")
-    if any(c.i_values[m + 1] > c.i_values[m] + tol for m in range(len(c.i_values) - 1)):
-        failures.append("i_chain_order")
-    return failures
+        Hard: pipeline product agrees with eq20, pipeline cross term agrees
+        with eq22, the chain order product >= S21 >= S31 >= S32 >= cross term,
+        and the I-chain order.  A NaN comparison violates nothing.
+        """
+        col = dict(zip(_FIELDS, self.columns.T))
+        chain = np.stack([col[name] for name in ("product", "S21", "S31", "S32", "lemma1")], 1)
+        i_chain = np.stack([col[f"I{m}"] for m in range(1, EXAMPLE_DIM + 1)], 1)
+        masks = (np.abs(col["product"] - col["eq20"]) > tol,
+                 np.abs(col["lemma1"] - col["eq22"]) > tol,
+                 (chain[:, 1:] > chain[:, :-1] + tol).any(axis=1),
+                 (i_chain[:, 1:] > i_chain[:, :-1] + tol).any(axis=1))
+        return sum(int(np.count_nonzero(mask)) for mask in masks)
 
 
 # Points per stacked chain pass, and rows per CSV-formatting step.  A pass
-# holds every array, ChainData and BoundChain of its points at once, and a
-# step the Python floats of its rows, so the block bounds that memory.
+# holds every stacked array of its points at once, and a step the Python
+# floats of its rows, so the block bounds that memory.
 _BLOCK = 128
 
 
@@ -248,20 +218,18 @@ def _blocks(count: int):
     return [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
 
 
-def _chain_blocks(states: dict, channels: dict, points: list, build):
-    """Yield ``(block, build(rhos, ch1s, ch2s))`` for the (theta, p, q) points,
-    in order.
+def _chain_blocks(states: dict, channels: dict, points: list):
+    """Yield ``(block, stage)`` for the (theta, p, q) points, in order.
 
     ``states`` maps each theta to its state and ``channels`` each (p, q) to
     its channel pair; ``block`` holds at most ``_BLOCK`` consecutive points,
-    and ``build`` is ``chain_batch`` or ``chain_stage``, one stacked pass
-    over the block.
+    and ``stage`` is their ``chain_stage``, one stacked pass over the block.
     """
     for span in _blocks(len(points)):
         block = points[span]
         pairs = [channels[p, q] for _, p, q in block]
-        yield block, build([states[theta] for theta, _, _ in block],
-                           [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
+        yield block, chain_stage([states[theta] for theta, _, _ in block],
+                                 [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
 
 
 def _build_distinct(build, keys) -> dict:
@@ -273,15 +241,15 @@ def _build_distinct(build, keys) -> dict:
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
           perm_target: tuple = (2, 1), strategy: Strategy | None = None,
           budget: int = 14400, seed: int = 0) -> SweepTable:
-    """One SweepRow per grid point, ordered lexicographically in (theta, p, q, t).
+    """One table row per grid point, ordered lexicographically in (theta, p, q, t).
 
     The permutation-optimized column maximizes the S value at ``perm_target``
     over permutation pairs (``strategy`` and ``budget`` as in
     ``optimize_permutations``); the mixed columns convex-combine it with the
-    trivial bounds at each t.  Each state and channel pair is built once,
-    chains are computed in stacked passes that run across theta and are
-    shared across the t axis; the optimizer searches each block of chains at
-    once.
+    trivial bounds at each t, as ``mixed_bound`` does.  Each state and channel
+    pair is built once; the chains come from stacked passes that run across
+    theta and are shared across the t axis, and the optimizer searches each
+    pass at once.
     """
     thetas = [_check_unit("theta", v) for v in theta_grid]
     ps = [_check_unit("p", v) for v in p_grid]
@@ -293,29 +261,33 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     channels = _build_distinct(example_channel_pairs, pqs)
     states = _build_distinct(rho_thetas, thetas)
     points = [(theta, p, q) for theta in sorted(thetas) for p, q in pqs]
-    rows = []
-    for block, datas in _chain_blocks(states, channels, points, chain_batch):
-        bests = optimize_batch(datas, perm_target[0], perm_target[1],
-                               strategy, budget, seed, reading)
-        printed = _form_columns(*zip(*block)).tolist()
-        for (theta, p, q), data, best, values in zip(block, datas, bests, printed):
-            chain = chain_from_data(data, reading)
-            forms = ClosedForms(*values)
-            for t in sorted(ts):
-                mp, ms = mixed_bound(chain, best, t)
-                rows.append(SweepRow(params=ExampleParams(theta=theta, p=p, q=q, t=t),
-                                     chain=chain, perm_opt=best.value,
-                                     mixed_product=mp, mixed_sum=ms, forms=forms))
-    return SweepTable(rows=tuple(rows), reading=Reading(reading))
+    reading = Reading(reading)
+    ts = np.array(sorted(ts))
+    columns = []
+    for block, stage in _chain_blocks(states, channels, points):
+        bests = optimize_batch(stage, perm_target[0], perm_target[1], strategy, budget, seed,
+                               reading)
+        chain = np.column_stack([  # "product" through "perm_opt", one row per point
+            stage.products, [s1 + s2 for s1, s2 in stage.skews], stage.i_values,
+            stage.lattices[reading][:, :3], stage.cross_terms, [best.value for best in bests]])
+        chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
+        t = np.tile(ts, len(block))
+        product, total, opt = chain[:, 0], chain[:, 1], chain[:, -1]
+        root = 2.0 * np.sqrt(np.where(opt > 0.0, opt, 0.0))  # mixed_bound's guard, NaN too
+        columns.append(np.column_stack([
+            np.repeat(block, len(ts), axis=0), t, chain,
+            (1.0 - t) * product + t * opt, (1.0 - t) * total + t * root,
+            np.repeat(_form_columns(*zip(*block)), len(ts), axis=0)]))
+    return SweepTable(columns=np.concatenate(columns), reading=reading)
 
 
 def write_sweep_csv(table: SweepTable, *paths) -> None:
     """Write the table as CSV to each path; the text is formatted once."""
-    line = ",".join(["%.12g"] * len(CSV_HEADER.split(",")))
+    line = ",".join(["%.12g"] * len(_FIELDS))
     lines = [CSV_HEADER]
-    for block in _blocks(len(table.rows)):  # bounds the Python floats alive at once
-        values = np.array([row.csv_fields() for row in table.rows[block]], dtype=float)
-        lines += [line % tuple(v) for v in (values + 0.0).tolist()]  # + 0.0 folds -0.0 into 0.0
+    for block in _blocks(len(table)):  # bounds the Python floats alive at once
+        # + 0.0 folds -0.0 into 0.0
+        lines += [line % tuple(v) for v in (table.columns[block] + 0.0).tolist()]
     text = "\n".join(lines) + "\n"
     for path in paths:
         write_text_atomic(path, text)
@@ -391,7 +363,7 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
     states = _build_distinct(rho_thetas, [pt.theta for pt in params])
     points = [(pt.theta, pt.p, pt.q) for pt in params]
     numeric = np.concatenate([_numeric_targets(stage) for _, stage in
-                              _chain_blocks(states, channels, points, chain_stage)])
+                              _chain_blocks(states, channels, points)])
     printed = _form_columns(*zip(*points))
     abs_dev = np.abs(numeric - printed)
     scale = np.maximum(np.abs(numeric), np.abs(printed))

@@ -238,8 +238,8 @@ class TestBadInputExits2:
 
 
 class TestDerivesEachInstanceOnce:
-    # chain_batch computes every chain quantity of an instance in its one
-    # pass; the readers (verdict, invariance base, report) only read it
+    # chain_stage computes every chain quantity of an instance in its one
+    # pass; the readers (verdict, invariance base, sweeps, report) only read it
     @staticmethod
     def counting(monkeypatch):
         """The instance count of each call, per kernel."""
@@ -268,6 +268,16 @@ class TestDerivesEachInstanceOnce:
         assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
                      "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")]) == 0
         assert calls == {"_i_values": [1], "_lattice_values": [1, 1]}
+
+    def test_example(self, tmp_path, monkeypatch):
+        calls = self.counting(monkeypatch)
+        assert main(["example", "--theta", "0:1:3", "--p", "0:1:12", "--q", "0:1:12",
+                     "--out", str(tmp_path / "figs")]) == 0
+        # passes of at most 128 points: the 144-point surface, the 3-point
+        # curve, then the report's 3 x 9 x 9 subsampled grid
+        blocks = [128, 16, 3, 128, 115]
+        assert calls == {"_i_values": blocks,
+                         "_lattice_values": [n for n in blocks for _ in range(2)]}
 
 
 class TestVerify:
@@ -363,6 +373,18 @@ class TestExampleCommand:
                      "--out", str(out)]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in manifest} == manifest
+
+    @pytest.mark.parametrize("case", ["as-printed", "as-printed-t3", "sampled"])
+    def test_failing_grids_keep_count_and_bytes(self, tmp_path, capsys, case):
+        # exit code, failure count and CSV bytes where hard invariants fail, on
+        # the t axis and on the sampled search
+        run = json.loads(Path(__file__).with_name("example_failing_runs.json").read_text())[case]
+        out = tmp_path / "figs"
+        assert main(["example", *run["argv"], "--out", str(out)]) == run["exit"]
+        assert capsys.readouterr().err == run["stderr"]
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in run["sha256"]} == run["sha256"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(run["sha256"])
 
 
 class TestInvariance:

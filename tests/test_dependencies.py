@@ -35,3 +35,16 @@ def test_every_imported_package_is_declared():
     assert imported <= declared_dependencies(), (
         f"imported but not in pyproject.toml dependencies: "
         f"{sorted(imported - declared_dependencies())}")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is a module's own; another module that needs it should
+    # call the public function built on it
+    private = []
+    for path in sorted((ROOT / "src" / "skewchain").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                            f"import {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -1,27 +1,45 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from skewchain import chains, example
-from skewchain.chains import Reading, compute_chain, mixed_bound, optimize_permutations
+from skewchain.chains import (
+    PermutedBound,
+    Reading,
+    compute_chain,
+    mixed_bound,
+    optimize_permutations,
+)
 from skewchain.errors import CompletenessError
 from skewchain.example import (
     CSV_HEADER,
     ExampleParams,
+    SweepTable,
     closed_forms,
     discrepancy_report,
     example_channels,
     rho_theta,
-    row_hard_failures,
     sweep,
     write_discrepancy_csv,
     write_sweep_csv,
 )
 from skewchain.linalg import max_abs
 from skewchain.objects import Convention, completeness_residual
+
+FIELDS = CSV_HEADER.split(",")
+
+
+def column(table, name):
+    return table.columns[:, FIELDS.index(name)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestRhoTheta:
@@ -138,32 +156,32 @@ class TestSymmetries:
 class TestSweep:
     def test_row_order_is_lexicographic(self):
         table = sweep([0.0, 1.0, 0.5], [0.2, 0.8], [0.1], t_grid=[0.0, 1.0])
-        keys = [(r.params.theta, r.params.p, r.params.q, r.params.t) for r in table.rows]
+        keys = [tuple(row) for row in table.columns[:, :4].tolist()]
         assert keys == sorted(keys)
         assert len(table) == 3 * 2 * 1 * 2
 
     def test_single_point_matches_direct_computation(self):
         table = sweep([1.0], [0.5], [0.5])
         assert len(table) == 1
-        row = table.rows[0]
-        assert row.chain.product == pytest.approx(0.02144660940672623, abs=1e-12)
-        assert row.chain.cross_term == pytest.approx(0.0031407832308854556, abs=1e-12)
-        assert row.perm_opt >= row.chain.s_values[(2, 1)] - 1e-12
-        assert not row_hard_failures(row)
+        row = dict(zip(FIELDS, table.columns[0].tolist()))
+        assert row["product"] == pytest.approx(0.02144660940672623, abs=1e-12)
+        assert row["lemma1"] == pytest.approx(0.0031407832308854556, abs=1e-12)
+        assert row["perm_opt"] >= row["S21"] - 1e-12
+        assert table.hard_failures() == 0
 
     def test_theta_midpoint_row_is_all_zero(self):
         table = sweep([0.5], [0.5], [0.5])
-        row = table.rows[0]
-        assert row.chain.product == 0.0
-        assert row.chain.sum == 0.0
-        assert row.perm_opt == 0.0
-        assert not row_hard_failures(row)
+        row = dict(zip(FIELDS, table.columns[0].tolist()))
+        assert row["product"] == 0.0
+        assert row["sum"] == 0.0
+        assert row["perm_opt"] == 0.0
+        assert table.hard_failures() == 0
 
     def test_theta_curve_extremes(self):
         thetas = [i / 10 for i in range(11)]
         table = sweep(thetas, [0.5], [0.5])
-        products = {r.params.theta: r.chain.product for r in table.rows}
-        sums = {r.params.theta: r.chain.sum for r in table.rows}
+        products = dict(zip(column(table, "theta").tolist(), column(table, "product").tolist()))
+        sums = dict(zip(column(table, "theta").tolist(), column(table, "sum").tolist()))
         assert products[0.5] == 0.0 and sums[0.5] == 0.0
         assert max(products.values()) == pytest.approx(products[0.0], abs=1e-12)
         assert max(products.values()) == pytest.approx(products[1.0], abs=1e-12)
@@ -171,16 +189,15 @@ class TestSweep:
     def test_hard_invariants_hold_on_coarse_grid(self):
         grid = [i / 4 for i in range(5)]
         table = sweep([1.0], grid, grid)
-        for row in table.rows:
-            assert not row_hard_failures(row, tol=1e-9)
+        assert table.hard_failures(tol=1e-9) == 0
 
     def test_rows_satisfy_full_verification(self):
         from skewchain.chains import verify_chain
 
         table = sweep([0.0, 0.7, 1.0], [0.3, 1.0], [0.0, 0.6])
-        for row in table.rows:
-            n1, n2 = example_channels(row.params.p, row.params.q)
-            verdict = verify_chain(rho_theta(row.params.theta), n1, n2, tol=1e-9)
+        for theta, p, q in table.columns[:, :3].tolist():
+            n1, n2 = example_channels(p, q)
+            verdict = verify_chain(rho_theta(theta), n1, n2, tol=1e-9)
             assert verdict.hard_passed
 
     def test_rejects_empty_or_out_of_range(self):
@@ -266,20 +283,41 @@ class TestDiscrepancyReport:
 
 
 def oracle_sweep_rows(thetas, ps, qs, ts, reading):
+    """The sweep's CSV rows, each built from its point's own chain, optimum,
+    ``mixed_bound`` and closed forms."""
     rows = []
     for theta in sorted(thetas):
         for p in sorted(ps):
             for q in sorted(qs):
                 rho = rho_theta(theta)
                 n1, n2 = example_channels(p, q)
-                chain = compute_chain(rho, n1, n2, reading)
+                c = compute_chain(rho, n1, n2, reading)
                 best = optimize_permutations(rho, n1, n2, 2, 1, reading=reading)
-                forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+                f = closed_forms(ExampleParams(theta=theta, p=p, q=q))
                 for t in sorted(ts):
-                    mp, ms = mixed_bound(chain, best, t)
-                    rows.append((ExampleParams(theta=theta, p=p, q=q, t=t), chain,
-                                 best.value, mp, ms, forms))
+                    mp, ms = mixed_bound(c, best, t)
+                    rows.append([theta, p, q, t, c.product, c.sum, *c.i_values,
+                                 c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
+                                 c.cross_term, best.value, mp, ms,
+                                 f.eq20, f.eq21, f.eq22, f.eq23, f.eq24, f.eq25])
     return rows
+
+
+def oracle_row_hard_failures(fields, tol):
+    """Names of the hard invariants one sweep CSV row violates."""
+    row = dict(zip(FIELDS, fields))
+    failures = []
+    if abs(row["product"] - row["eq20"]) > tol:
+        failures.append("product_vs_eq20")
+    if abs(row["lemma1"] - row["eq22"]) > tol:
+        failures.append("cross_term_vs_eq22")
+    seq = [row[name] for name in ("product", "S21", "S31", "S32", "lemma1")]
+    if any(seq[i + 1] > seq[i] + tol for i in range(len(seq) - 1)):
+        failures.append("chain_order")
+    i_values = [row[f"I{m}"] for m in range(1, 5)]
+    if any(i_values[m + 1] > i_values[m] + tol for m in range(len(i_values) - 1)):
+        failures.append("i_chain_order")
+    return failures
 
 
 _FORMS = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
@@ -335,10 +373,51 @@ class TestStackedPassesMatchPointOracle:
             monkeypatch.setattr(example, "_BLOCK", block)
         ts = [1.0, 0.0, 0.5]
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=ts, reading=reading)
-        got = [(r.params, r.chain, r.perm_opt, r.mixed_product, r.mixed_sum, r.forms)
-               for r in table.rows]
-        assert got == oracle_sweep_rows(TIE_THETAS, TIE_PS, TIE_QS, ts, reading)
+        rows = oracle_sweep_rows(TIE_THETAS, TIE_PS, TIE_QS, ts, reading)
+        assert same_bits(table.columns, np.array(rows))
         assert table.reading == reading
+
+    @pytest.mark.parametrize("reading", list(Reading))
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_hard_failures_match_row_oracle(self, monkeypatch, reading, block):
+        if block is not None:
+            monkeypatch.setattr(example, "_BLOCK", block)
+        ts = [1.0, 0.0, 0.5]
+        table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=ts, reading=reading)
+        rows = oracle_sweep_rows(TIE_THETAS, TIE_PS, TIE_QS, ts, reading)
+        counts = [table.hard_failures(tol) for tol in (1e-9, 1e-16, 0.0)]
+        assert counts == [sum(len(oracle_row_hard_failures(row, tol)) for row in rows)
+                          for tol in (1e-9, 1e-16, 0.0)]
+        assert counts[-1] > 0
+
+    def test_mixed_columns_match_mixed_bound_on_any_optimum(self, monkeypatch):
+        # optima no valid instance reaches: NaN, negative, -0.0 and subnormal
+        optima = [float("nan"), -1e-3, -0.0, 0.0, 5e-324, 0.25]
+
+        def search(stage, *args):
+            return [PermutedBound(sigma=(), tau=(), p=2, q=1, value=v)
+                    for v in optima[:len(stage.products)]]
+
+        monkeypatch.setattr(example, "optimize_batch", search)
+        table = sweep([1.0], [0.2, 0.5, 0.7], [0.1, 0.5], t_grid=[0.0, 0.3, 0.5, 1.0])
+        rows = [dict(zip(FIELDS, row)) for row in table.columns.tolist()]
+        expected = [mixed_bound(SimpleNamespace(product=r["product"], sum=r["sum"]),
+                                SimpleNamespace(value=r["perm_opt"]), r["t"]) for r in rows]
+        assert same_bits(column(table, "perm_opt"), np.repeat(optima, 4))
+        assert same_bits(table.columns[:, [FIELDS.index("mixed_product"),
+                                           FIELDS.index("mixed_sum")]], np.array(expected))
+
+    def test_hard_failures_on_nan_entries(self):
+        rng = np.random.default_rng(11)
+        columns = np.concatenate([rng.random((300, len(FIELDS))),
+                                  rng.integers(0, 10, (300, len(FIELDS))) / 10.0])
+        columns[rng.random(columns.shape) < 0.15] = np.nan
+        columns[:5] = np.nan  # rows that are NaN throughout
+        table = SweepTable(columns=columns, reading=Reading.PRODUCT)
+        for tol in (0.0, 1e-9, 0.1, 0.3, 1.0):
+            assert table.hard_failures(tol) == sum(
+                len(oracle_row_hard_failures(row, tol)) for row in columns.tolist())
+        assert table.hard_failures(1.0) == 0 < table.hard_failures(0.1)
 
     @pytest.mark.parametrize("block", [None, 5])
     def test_discrepancy_report_keeps_grid_order(self, monkeypatch, tmp_path, block):
@@ -390,6 +469,21 @@ class TestBuildsEachInputOnce:
         grid = [ExampleParams(theta=t, p=p, q=q)
                 for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         discrepancy_report(grid[::-1])
+        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["example_channel_pairs"]) == sorted(
+            set(itertools.product(TIE_PS, TIE_QS)))
+
+    def test_sweep_builds_no_chain_or_point(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a per-point object")
+
+        monkeypatch.setattr(chains, "ChainData", refuse)
+        monkeypatch.setattr(chains, "BoundChain", refuse)
+        monkeypatch.setattr(example, "ExampleParams", refuse)
+        table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
+        assert len(table) == len(TIE_THETAS) * len(TIE_PS) * len(TIE_QS) * 2
         assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
         assert sorted(calls["example_channel_pairs"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))

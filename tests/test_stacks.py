@@ -25,6 +25,7 @@ from skewchain.chains import (
     chain_batch,
     chain_data,
     chain_from_data,
+    chain_stage,
     lattice_order,
     optimize_batch,
     verify_from_data,
@@ -484,12 +485,13 @@ class TestChannelStacks:
 
 
 def random_block(d, count, seed, convention=Convention.COLUMN_SUM):
-    """``chain_batch`` data of ``count`` seeded same-shape instances."""
+    """The ``chain_stage`` of ``count`` seeded same-shape instances, and each
+    instance's ``ChainData`` for the oracle."""
     n1, n2 = (seed % 3) + 1, ((seed // 3) % 3) + 1
     rhos = [random_density(d, (seed + b) % d + 1, seed + b) for b in range(count)]
     ch1s = [random_channel(d, n1, convention, seed + 100 + b) for b in range(count)]
     ch2s = [random_channel(d, n2, convention, seed + 200 + b) for b in range(count)]
-    return chain_batch(rhos, ch1s, ch2s)
+    return chain_stage(rhos, ch1s, ch2s), chain_batch(rhos, ch1s, ch2s)
 
 
 def found(best):
@@ -500,8 +502,8 @@ class TestOptimizeBatch:
     @pytest.mark.parametrize("reading", list(Reading))
     @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
     def test_deeper_targets_at_d4(self, reading, target):
-        datas = random_block(4, 5, 17)
-        bests = optimize_batch(datas, *target, Strategy.EXHAUSTIVE, reading=reading)
+        stage, datas = random_block(4, 5, 17)
+        bests = optimize_batch(stage, *target, Strategy.EXHAUSTIVE, reading=reading)
         for data, best in zip(datas, bests):
             assert (best.p, best.q) == target
             assert found(best) == oracle_optimize(data, *target, Strategy.EXHAUSTIVE,
@@ -512,8 +514,8 @@ class TestOptimizeBatch:
            reading=st.sampled_from(list(Reading)), data=st.data())
     def test_random_stacks(self, d, count, seed, reading, data):
         p, q = data.draw(st.sampled_from(lattice_order(d)))
-        datas = random_block(d, count, seed, data.draw(st.sampled_from(list(Convention))))
-        bests = optimize_batch(datas, p, q, None, reading=reading)
+        stage, datas = random_block(d, count, seed, data.draw(st.sampled_from(list(Convention))))
+        bests = optimize_batch(stage, p, q, None, reading=reading)
         assert [found(best) for best in bests] == [
             oracle_optimize(x, p, q, None, 14400, 0, reading) for x in datas]
 
@@ -533,21 +535,23 @@ class TestOptimizeBatch:
         grid = [0.0, 0.5, 1.0]
         table = example.sweep(grid, grid, grid, reading=reading, perm_target=target)
         assert calls == [5] * 5 + [2]  # one search per chain block; blocks run across theta
-        for row in table.rows:
-            rho = example.rho_theta(row.params.theta)
-            n1, n2 = example.example_channels(row.params.p, row.params.q)
+        perm_opt = example.CSV_HEADER.split(",").index("perm_opt")
+        for row in table.columns.tolist():
+            rho = example.rho_theta(row[0])
+            n1, n2 = example.example_channels(row[1], row[2])
             data = chain_batch([rho], [n1], [n2])[0]
             value, _, _ = oracle_optimize(data, *target, None, 14400, 0, reading)
-            assert row.perm_opt == value
-        datas = chain_batch([example.rho_theta(0.5)] * 9,
-                            *zip(*example.example_channel_pairs(itertools.product(grid, grid))))
-        for data, best in zip(datas, optimize_batch(datas, *target, reading=reading)):
+            assert row[perm_opt] == value
+        inputs = ([example.rho_theta(0.5)] * 9,
+                  *zip(*example.example_channel_pairs(itertools.product(grid, grid))))
+        bests = optimize_batch(chain_stage(*inputs), *target, reading=reading)
+        for data, best in zip(chain_batch(*inputs), bests):
             assert found(best) == oracle_optimize(data, *target, None, 14400, 0, reading)
 
     def test_exhaustive_over_budget_raises_as_alone(self):
-        datas = random_block(4, 3, 5)
+        stage, datas = random_block(4, 3, 5)
         with pytest.raises(BudgetError) as info:
-            optimize_batch(datas, 3, 1, Strategy.EXHAUSTIVE, budget=100)
+            optimize_batch(stage, 3, 1, Strategy.EXHAUSTIVE, budget=100)
         with pytest.raises(BudgetError) as alone:
             oracle_optimize(datas[0], 3, 1, Strategy.EXHAUSTIVE, 100, 0, Reading.PRODUCT)
         assert str(info.value) == str(alone.value)
@@ -555,15 +559,11 @@ class TestOptimizeBatch:
 
     @pytest.mark.parametrize("reading", list(Reading))
     def test_sampled_matches_for_a_fixed_seed(self, reading):
-        datas = random_block(4, 4, 23)
+        stage, datas = random_block(4, 4, 23)
         for strategy, budget in ((Strategy.SAMPLED, 50), (None, 100)):  # auto samples over budget
-            bests = optimize_batch(datas, 3, 2, strategy, budget, seed=5, reading=reading)
+            bests = optimize_batch(stage, 3, 2, strategy, budget, seed=5, reading=reading)
             assert [found(best) for best in bests] == [
                 oracle_optimize(x, 3, 2, strategy, budget, 5, reading) for x in datas]
-
-    def test_one_search_needs_one_dimension(self):
-        with pytest.raises(DimensionMismatchError):
-            optimize_batch(random_block(2, 1, 1) + random_block(3, 1, 1), 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +917,8 @@ def oracle_discrepancy_csv(rows, fitted):
 
 def oracle_sweep_csv(table):
     lines = [example.CSV_HEADER]
-    for row in table.rows:
-        lines.append(",".join(oracle_fmt(v) for v in row.csv_fields()))
+    for row in table.columns.tolist():
+        lines.append(",".join(oracle_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -995,17 +995,11 @@ class TestColumnarReport:
     def test_writers_match_per_value_writers_on_the_corpus(self, tmp_path):
         values = itertools.cycle(FORMAT_CORPUS)
         unit_values = itertools.cycle(UNIT_CORPUS)
-        rows = []
-        for _ in range(len(FORMAT_CORPUS) // 19 + 1):
-            v = [next(values) for _ in range(19)]
-            params = example.ExampleParams(*(next(unit_values) for _ in range(4)))
-            chain = chains.BoundChain(dim=4, product=v[0], sum=v[1], i_values=tuple(v[2:6]),
-                                      s_values={(2, 1): v[6], (3, 1): v[7], (3, 2): v[8]},
-                                      cross_term=v[9], s_reading=Reading.PRODUCT)
-            rows.append(example.SweepRow(params=params, chain=chain, perm_opt=v[10],
-                                         mixed_product=v[11], mixed_sum=v[12],
-                                         forms=example.ClosedForms(*v[13:])))
-        table = example.SweepTable(rows=tuple(rows), reading=Reading.PRODUCT)
+        fields = len(example.CSV_HEADER.split(","))
+        count = len(FORMAT_CORPUS) // fields + 1
+        columns = np.array([next(values) for _ in range(count * fields)]).reshape(count, fields)
+        table = example.SweepTable(columns=columns, reading=Reading.PRODUCT)
+        assert np.isnan(columns).any() and (np.signbit(columns) & (columns == 0.0)).any()
         example.write_sweep_csv(table, tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_text() == oracle_sweep_csv(table)
 
