@@ -45,7 +45,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError
-from .objects import DensityMatrix, KrausChannel, derive_seed, generator, mix_kraus, random_unitary
+from .linalg import first_max, first_min
+from .objects import (
+    DensityMatrix,
+    KrausChannel,
+    derive_seeds,
+    generators,
+    mix_kraus,
+    random_unitary,
+)
 from .skew import channel_skews, column_norms_sq, frame_stack
 
 __all__ = [
@@ -60,12 +68,14 @@ __all__ = [
     "Reading",
     "Strategy",
     "SumBounds",
+    "VerdictColumns",
     "chain_batch",
     "chain_data",
     "chain_from_data",
     "chain_stage",
     "compute_chain",
     "cross_term_bound",
+    "invariance_columns",
     "invariance_from_data",
     "invariance_from_trials",
     "kraus_invariance_check",
@@ -77,6 +87,7 @@ __all__ = [
     "permute_s",
     "sum_chain",
     "trial_seeds",
+    "verdict_columns",
     "verify_chain",
     "verify_from_data",
 ]
@@ -107,8 +118,9 @@ def lattice_order(d: int) -> list:
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
 # instance, so a stack returns each instance's bits unchanged.  ``chain_stage``
 # is the one builder; ``chain_batch`` wraps its instances and ``chain_data`` is
-# a stack of one.  The frames, their column norms and the channel skew
-# informations come from ``skew``'s kernel.
+# a stack of one.  The readers of a pass (``verdict_columns``,
+# ``invariance_columns``, ``optimize_batch``) read its stage.  The frames, their
+# column norms and the channel skew informations come from ``skew``'s kernel.
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,8 @@ class ChainData:
     shared by every permuted walk and search, and ``chains`` the instance's
     ``BoundChain`` under each ``Reading``.  All of it is derived once, when
     ``chain_batch`` or ``chain_data`` builds the data from ``rho``, ``ch1``
-    and ``ch2``; every reader only reads it.
+    and ``ch2``; every reader only reads it.  ``stage`` is the instance alone
+    as a stage (``join_stages``), which the stage readers take as a stack of one.
     """
 
     dim: int
@@ -133,6 +146,7 @@ class ChainData:
     rho: DensityMatrix = field(repr=False, compare=False)
     ch1: KrausChannel = field(repr=False, compare=False)
     ch2: KrausChannel = field(repr=False, compare=False)
+    stage: ChainStage = field(repr=False, compare=False)
 
 
 def _columns(rhos: list, ch1s: list, ch2s: list) -> tuple:
@@ -161,10 +175,11 @@ def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> Chai
 
 
 # The stacked arrays of a pass, before any per-instance object is built: the
-# columns, each instance's skew informations and their product, each reading's
-# ``_STables`` rows and identity-walk S values (a row per instance, positions in
-# ``lattice_order``), keyed by ``Reading``, the I values and the cross terms.
-ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps skews products "
+# columns, the sum and the product of each instance's two channel skew
+# informations, each reading's ``_STables`` rows and identity-walk S values (a
+# row per instance, positions in ``lattice_order``), keyed by ``Reading``, the
+# I values and the cross terms.
+ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps sums products "
                                                   "tables lattices i_values cross_terms")
 
 
@@ -183,8 +198,35 @@ def chain_stage(rhos: list, ch1s: list, ch2s: list) -> ChainStage:
     tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
                       _s_tables(e_norms, f_norms, overlaps, products)))
     lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
-    return ChainStage(e_norms, f_norms, overlaps, skews, products, tables, lattices,
-                      _i_values(e_norms, f_norms, overlaps), _cross_terms(overlaps))
+    return ChainStage(e_norms, f_norms, overlaps, [s1 + s2 for s1, s2 in skews], products,
+                      tables, lattices, _i_values(e_norms, f_norms, overlaps),
+                      _cross_terms(overlaps))
+
+
+def join_stages(stages, rows) -> ChainStage:
+    """The instances of passes of one dimension as one stage: the passes'
+    instances stacked one pass after another, then taken in the order of the
+    indices ``rows``.
+
+    The stage readers (``verdict_columns``, ``invariance_columns`` and
+    ``optimize_batch``) read it as one pass.  The frame columns' shapes
+    depend on the Kraus counts, so it holds None for ``e_norms``, ``f_norms``
+    and ``overlaps``.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+
+    def listed(field):
+        joined = [value for stage in stages for value in getattr(stage, field)]
+        return [joined[b] for b in rows.tolist()]
+
+    def keyed(field):
+        return {reading: np.concatenate([getattr(stage, field)[reading] for stage in stages])[rows]
+                for reading in getattr(stages[0], field)}
+
+    return ChainStage(e_norms=None, f_norms=None, overlaps=None, sums=listed("sums"),
+                      products=listed("products"), tables=keyed("tables"),
+                      lattices=keyed("lattices"), i_values=listed("i_values"),
+                      cross_terms=listed("cross_terms"))
 
 
 def chain_batch(rhos, ch1s, ch2s) -> list:
@@ -197,9 +239,9 @@ def chain_batch(rhos, ch1s, ch2s) -> list:
     lattices = {reading: [dict(zip(positions, row)) for row in values.tolist()]
                 for reading, values in stage.lattices.items()}
     datas = []
-    for b, ((s1, s2), i_values, cross_term) in enumerate(zip(
-            stage.skews, stage.i_values, stage.cross_terms)):
-        chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=s1 + s2,
+    for b, (total, i_values, cross_term) in enumerate(zip(
+            stage.sums, stage.i_values, stage.cross_terms)):
+        chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=total,
                                       i_values=i_values, s_values=lattice[b],
                                       cross_term=cross_term, s_reading=reading)
                   for reading, lattice in lattices.items()}
@@ -207,7 +249,8 @@ def chain_batch(rhos, ch1s, ch2s) -> list:
                                overlaps=stage.overlaps[b],
                                tables=_STables(product=stage.tables[Reading.PRODUCT][b],
                                                printed=stage.tables[Reading.AS_PRINTED][b]),
-                               chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b]))
+                               chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b],
+                               stage=join_stages([stage], [b])))
     return datas
 
 
@@ -486,8 +529,7 @@ def optimize_from_data(data: ChainData, p: int, q: int, strategy: Strategy | Non
                        budget: int = 14400, seed: int = 0,
                        reading: Reading = Reading.PRODUCT) -> PermutedBound:
     """``optimize_permutations`` on column data already built by ``chain_data``."""
-    return _optimize(data.tables.row(reading)[None], data.dim, p, q, strategy, budget, seed,
-                     reading)[0]
+    return optimize_batch(data.stage, p, q, strategy, budget, seed, reading)[0]
 
 
 def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None = None,
@@ -496,14 +538,19 @@ def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None 
     """``optimize_from_data`` of each instance of a ``chain_stage`` pass, in one
     search; each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
-    return _optimize(stage.tables[reading], stage.e_norms.shape[-1], p, q, strategy, budget,
-                     seed, reading)
+    rows = stage.tables[reading]
+    values, pairs = _optimize(rows, len(stage.i_values[0]), p, q, strategy, budget,
+                              [seed] * len(rows), reading)
+    return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
+            for v, (sig, tu) in zip(values.tolist(), pairs)]
 
 
 def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
-              seed: int, reading: Reading) -> list:
-    """The ``PermutedBound`` of each instance of a stack; ``rows[b]`` is
-    instance b's ``_STables`` row of ``reading``."""
+              seeds, reading: Reading, with_pairs: bool = True) -> tuple:
+    """The optimum of each instance of a stack, as ``(values, pairs)``: a
+    float64 array and, when ``with_pairs``, each instance's winning ``(sigma,
+    tau)`` (else None).  ``rows[b]`` is instance b's ``_STables`` row of
+    ``reading`` and ``seeds[b]`` the seed it samples with."""
     _check_position(p, q, d)
     reading = Reading(reading)
     n_pairs = math.perm(d, p - 1) ** 2
@@ -513,26 +560,39 @@ def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
         if n_pairs > budget:
             raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
                               f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
-        found = _exhaustive(rows, d, p, q, reading)
-    else:
-        found = [_sampled(row, d, p, q, budget, seed, reading) for row in rows]
-    return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v) for v, sig, tu in found]
+        values, cells = _exhaustive(rows, d, p, q, reading)
+        return values, _winning_pairs(cells, d, p) if with_pairs else None
+    found = [_sampled(row, d, p, q, budget, gen, reading)
+             for row, gen in zip(rows, generators(seeds), strict=True)]
+    return (np.array([v for v, _, _ in found], dtype=np.float64),
+            [(sig, tu) for _, sig, tu in found] if with_pairs else None)
 
 
-def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> list:
-    """Walk every pair of label prefixes of every instance at once, in the
-    lexicographic search order; one ``(value, sigma, tau)`` per instance.
+def _prefixes(d: int, p: int) -> tuple:
+    """The sigma and tau label prefixes an exhaustive search at row p walks,
+    in search order.
 
     The full search meets tau[0..p-2] = prefix first in (prefix, the rest
     ascending), so tau prefixes come in lexicographic order.  It meets
     sigma[1..p-1] = prefix first in (smallest unused label, prefix, the rest
-    ascending), so sigma prefixes are sorted by that permutation.  At (2, 1)
-    this is the closed form ``((start - pair[r, s]) - diag[r]) - diag[s]``
-    (product reading) or ``start + step[r, s]`` (as printed) on a d x d grid,
-    scanning r = sigma[1] as 1, 2, ..., d-1, 0 and s = tau[0] as 0, ..., d-1.
+    ascending), so sigma prefixes are sorted by that permutation.
     """
     taus = list(itertools.permutations(range(d), p - 1))
-    sigmas = sorted(taus, key=lambda prefix: (_rest(prefix, d)[0], prefix))
+    return sorted(taus, key=lambda prefix: (next(i for i in range(d) if i not in prefix),
+                                            prefix)), taus
+
+
+def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> tuple:
+    """Walk every pair of label prefixes of every instance at once, in the
+    search order of ``_prefixes``; each instance's maximum value, and its
+    cell, the index of its first maximum in that order.
+
+    At (2, 1) this is the closed form ``((start - pair[r, s]) - diag[r]) -
+    diag[s]`` (product reading) or ``start + step[r, s]`` (as printed) on a
+    d x d grid, scanning r = sigma[1] as 1, 2, ..., d-1, 0 and s = tau[0] as
+    0, ..., d-1.
+    """
+    sigmas, taus = _prefixes(d, p)
     prefix_rows = np.array(sigmas, dtype=np.intp)
     prefix_cols = np.array(taus, dtype=np.intp)
     sigma = [None] + [prefix_rows[:, k, None] for k in range(p - 1)]
@@ -540,26 +600,32 @@ def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> l
     values = _value_at(rows.T, reading, sigma, tau, p, q, d)  # (sigmas, taus, instances)
     # argmax keeps each instance's first maximum, as the sigma-major,
     # tau-minor scan did
-    found = []
-    for b, k in enumerate(values.reshape(-1, len(rows)).argmax(axis=0).tolist()):
-        i, j = divmod(k, len(taus))
+    values = values.reshape(-1, len(rows))
+    cells = values.argmax(axis=0)
+    return values[cells, np.arange(len(rows))], cells
+
+
+def _winning_pairs(cells: np.ndarray, d: int, p: int) -> list:
+    """The full ``(sigma, tau)`` of each ``_exhaustive`` cell, each distinct
+    cell completed once."""
+    sigmas, taus = _prefixes(d, p)
+    pairs = {}
+    for cell in set(cells.tolist()):
+        i, j = divmod(cell, len(taus))
         rest = _rest(sigmas[i], d)
-        sig = (rest[0], *sigmas[i], *rest[1:])
-        tu = (*taus[j], *_rest(taus[j], d))
-        found.append((float(values[i, j, b]), sig, tu))
-    return found
+        pairs[cell] = ((rest[0], *sigmas[i], *rest[1:]), (*taus[j], *_rest(taus[j], d)))
+    return [pairs[cell] for cell in cells.tolist()]
 
 
 def _rest(prefix, d: int) -> list:
     return sorted(set(range(d)).difference(prefix))
 
 
-def _sampled(row: np.ndarray, d: int, p: int, q: int, budget: int, seed: int,
-             reading: Reading) -> tuple:
+def _sampled(row: np.ndarray, d: int, p: int, q: int, budget: int,
+             gen: np.random.Generator, reading: Reading) -> tuple:
     def value(sig, tu):
         return float(_value_at(row, reading, sig, tu, p, q, d))
 
-    gen = generator(seed)
     ident = tuple(range(d))
     best = (value(ident, ident), ident, ident)
     for _ in range(max(0, budget)):
@@ -622,18 +688,6 @@ class Check:
     deviation: float
 
 
-def _ge_check(name: str, lhs: float, rhs: float, tol: float) -> Check:
-    lhs, rhs = float(lhs), float(rhs)
-    dev = max(rhs - lhs, 0.0)
-    return Check(name, "ge", lhs, rhs, tol, lhs >= rhs - tol, dev)
-
-
-def _eq_check(name: str, lhs: float, rhs: float, tol: float) -> Check:
-    lhs, rhs = float(lhs), float(rhs)
-    dev = abs(lhs - rhs)
-    return Check(name, "eq", lhs, rhs, tol, dev <= tol, dev)
-
-
 HARD_CHECK_NAMES = (
     "product_ge_cross_term",
     "product_ge_i1",
@@ -678,51 +732,107 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 14400,
                      seed: int = 0) -> ChainVerdict:
     """``verify_chain`` on data already built by ``chain_data`` or ``chain_batch``."""
-    d = data.dim
-    chain = data.chains[Reading.PRODUCT]
-    i_vals = chain.i_values
-    checks = []
+    columns = verdict_columns(data.stage, tol, perm_budget, [seed])
+    return ChainVerdict(checks=tuple(
+        Check(name, kind, lhs, rhs, tol, passed, deviation)
+        for name, kind, lhs, rhs, passed, deviation in zip(
+            columns.names, columns.kinds, columns.lhs[0].tolist(), columns.rhs[0].tolist(),
+            columns.passed[0].tolist(), columns.deviation[0].tolist())), tol=tol)
 
-    checks.append(_ge_check("product_ge_cross_term", chain.product, chain.cross_term, tol))
-    checks.append(_ge_check("product_ge_i1", chain.product, i_vals[0], tol))
-    worst_step = 0.0
-    for m in range(d - 1):
-        worst_step = max(worst_step, i_vals[m + 1] - i_vals[m])
-    checks.append(_ge_check("i_monotone", -worst_step, 0.0, tol))
-    checks.append(_eq_check("i_endpoint_eq_cross_term", i_vals[-1], chain.cross_term, tol))
 
-    for reading in (Reading.PRODUCT, Reading.AS_PRINTED):
-        s_vals = data.chains[reading].s_values
-        label = reading.value.replace("-", "_")
-        if s_vals:
-            seq = [chain.product] + [s_vals[k] for k in lattice_order(d)]
-            worst = max(seq[k + 1] - seq[k] for k in range(len(seq) - 1))
-            checks.append(_ge_check(f"s_monotone[{label}]", -worst, 0.0, tol))
-            if d >= 2:
-                checks.append(_eq_check(f"anchor_s21_eq_i2[{label}]",
-                                        s_vals[(2, 1)], i_vals[1], tol))
-            if d >= 3:
-                checks.append(_eq_check(f"anchor_s32_eq_i3[{label}]",
-                                        s_vals[(3, 2)], i_vals[2], tol))
-            worst_anchor = max(abs(s_vals[(p, p - 1)] - i_vals[p - 1])
-                               for p in range(2, d + 1))
-            checks.append(_eq_check(f"anchor_spp1_eq_ip[{label}]", worst_anchor, 0.0, tol))
-            checks.append(_eq_check(f"anchor_endpoint_eq_cross_term[{label}]",
-                                    s_vals[(d, d - 1)], chain.cross_term, tol))
+@dataclass(frozen=True)
+class VerdictColumns:
+    """Every check of each instance of a pass: a row per instance and a column
+    per check, in the order of ``ChainVerdict.checks``.  A name may head more
+    than one column (the mixed bounds, once per t)."""
 
-    sum_worst = min(chain.sum - 2.0 * math.sqrt(max(v, 0.0)) for v in i_vals)
-    checks.append(_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
+    names: tuple
+    kinds: tuple          # "ge": lhs >= rhs - tol; "eq": |lhs - rhs| <= tol
+    lhs: np.ndarray       # (instances, checks) float64, as are rhs and deviation
+    rhs: np.ndarray
+    passed: np.ndarray    # (instances, checks) bool
+    deviation: np.ndarray
+
+    def by_name(self) -> dict:
+        """Each check name's passed flags and deviations, as flat arrays taken
+        instance by instance and, within an instance, column by column."""
+        columns = {}
+        for c, name in enumerate(self.names):
+            columns.setdefault(name, []).append(c)
+        return {name: (self.passed[:, cs].ravel(), self.deviation[:, cs].ravel())
+                for name, cs in columns.items()}
+
+
+def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> VerdictColumns:
+    """Run every chain check on each instance of a stage.
+
+    Each check is one column over the instances, bit for bit the value the
+    scalar check gives: every fold over an instance's I values or lattice
+    positions is Python's ``max`` or ``min`` (``first_max``, ``first_min``),
+    so NaN and signed zeros land where that fold puts them.  The (2, 1)
+    optimum is one search over the instances; a sampled search gives
+    instance b the seed ``seeds[b]``.  Both S-lattice readings are always
+    evaluated; the anchor-identity rows record, per reading, how far the
+    lattice is from the I-chain it claims to refine.
+    """
+    count = len(stage.products)
+    product = np.array(stage.products, dtype=np.float64)
+    total = np.array(stage.sums, dtype=np.float64)
+    cross = np.array(stage.cross_terms, dtype=np.float64)
+    i_vals = np.array(stage.i_values, dtype=np.float64).reshape(count, -1)
+    d = i_vals.shape[1]
+    zero = np.zeros(count)
+    names, kinds, lhss, rhss = [], [], [], []
+
+    def check(name, kind, lhs, rhs):
+        names.append(name)
+        kinds.append(kind)
+        lhss.append(lhs)
+        rhss.append(rhs)
+
+    check("product_ge_cross_term", "ge", product, cross)
+    check("product_ge_i1", "ge", product, i_vals[:, 0])
+    worst_step = first_max(np.concatenate([zero[:, None], i_vals[:, 1:] - i_vals[:, :-1]], axis=1))
+    check("i_monotone", "ge", -worst_step, zero)
+    check("i_endpoint_eq_cross_term", "eq", i_vals[:, -1], cross)
 
     if d >= 2:
-        best = _optimize(data.tables.product[None], d, 2, 1, None, perm_budget, seed,
-                         Reading.PRODUCT)[0]
-        checks.append(_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
-        for t in (0.0, 0.5, 1.0):
-            prod_bound, _ = mixed_bound(chain, best, t)
-            checks.append(_ge_check("mixed_le_product", chain.product, prod_bound, tol))
-            checks.append(_ge_check("mixed_ge_cross_term", prod_bound, chain.cross_term, tol))
+        readings = (Reading.PRODUCT, Reading.AS_PRINTED)
+        lattices = np.stack([stage.lattices[reading] for reading in readings], axis=1)
+        seq = np.concatenate([np.broadcast_to(product[:, None, None], (count, 2, 1)), lattices],
+                             axis=2)
+        s_worst = first_max(seq[..., 1:] - seq[..., :-1])
+        anchors = [(p - 1) * (p - 2) // 2 + p - 2 for p in range(2, d + 1)]  # (p, p-1)
+        anchor_worst = first_max(np.abs(lattices[:, :, anchors] - i_vals[:, None, 1:]))
+        for r, reading in enumerate(readings):
+            s_vals = lattices[:, r]
+            label = reading.value.replace("-", "_")
+            check(f"s_monotone[{label}]", "ge", -s_worst[:, r], zero)
+            check(f"anchor_s21_eq_i2[{label}]", "eq", s_vals[:, 0], i_vals[:, 1])
+            if d >= 3:
+                check(f"anchor_s32_eq_i3[{label}]", "eq", s_vals[:, 2], i_vals[:, 2])
+            check(f"anchor_spp1_eq_ip[{label}]", "eq", anchor_worst[:, r], zero)
+            check(f"anchor_endpoint_eq_cross_term[{label}]", "eq", s_vals[:, -1], cross)
 
-    return ChainVerdict(checks=tuple(checks), tol=tol)
+    # max(v, 0.0) keeps v unless 0.0 is larger, so NaN stays NaN
+    roots = 2.0 * np.sqrt(np.where(0.0 > i_vals, 0.0, i_vals))
+    check("sum_ge_2sqrt_im", "ge", first_min(total[:, None] - roots), zero)
+
+    if d >= 2:
+        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, None, perm_budget, seeds,
+                            Reading.PRODUCT, False)
+        check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
+        for t in (0.0, 0.5, 1.0):
+            prod_bound = (1.0 - t) * product + t * best  # as mixed_bound
+            check("mixed_le_product", "ge", product, prod_bound)
+            check("mixed_ge_cross_term", "ge", prod_bound, cross)
+
+    lhs, rhs = np.array(lhss).T, np.array(rhss).T
+    ge = np.array([kind == "ge" for kind in kinds])
+    gap = rhs - lhs
+    deviation = np.where(ge, np.where(0.0 > gap, 0.0, gap), np.abs(lhs - rhs))
+    passed = np.where(ge, lhs >= rhs - tol, deviation <= tol)
+    return VerdictColumns(tuple(names), tuple(kinds), lhs, rhs, passed, deviation)
 
 
 @dataclass(frozen=True)
@@ -760,33 +870,53 @@ def invariance_from_data(data: ChainData, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     mixed = (chain_data(data.rho, mix_kraus(data.ch1, random_unitary(data.ch1.n, seed_u)),
                         mix_kraus(data.ch2, random_unitary(data.ch2.n, seed_v)))
-             for seed_u, seed_v in trial_seeds(seed, trials))  # one trial's data at a time
+             for seed_u, seed_v in trial_seeds([seed], trials)[0])  # one trial's data at a time
     return invariance_from_trials(data, mixed, tol)
 
 
-def trial_seeds(seed: int, trials: int) -> list:
-    """The mixing-unitary seeds ``(u, v)`` of each trial of ``invariance_from_data``."""
-    return [(derive_seed(seed, trial, 1), derive_seed(seed, trial, 2)) for trial in range(trials)]
+def trial_seeds(seeds, trials: int) -> list:
+    """For each of ``seeds``, the mixing-unitary seeds ``(u, v)`` of each trial
+    of ``invariance_from_data`` at that seed, all from one hash pass."""
+    seeds = list(seeds)
+    derived = iter(derive_seeds([(seed, trial, side) for seed in seeds
+                                 for trial in range(trials) for side in (1, 2)]))
+    pairs = list(zip(derived, derived))
+    return [pairs[b * trials:(b + 1) * trials] for b in range(len(seeds))]
+
+
+# The bound quantities that Kraus mixing must leave unchanged, in report order.
+_INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_printed",
+                    "cross_term")
 
 
 def invariance_from_trials(data: ChainData, mixed_datas, tol: float = 1e-10) -> InvarianceReport:
     """The ``InvarianceReport`` of trials already built: each of ``mixed_datas``
     holds ``data``'s state with both of its channels mixed."""
-    base = _invariant_values(data)
-    devs = dict.fromkeys(base, 0.0)
-    trials = 0
-    for mixed in mixed_datas:
-        trials += 1
-        for name, values in _invariant_values(mixed).items():
-            # [0.0, ...] keeps max defined where a quantity is empty (the S lattice at d = 1)
-            devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
-    return InvarianceReport(trials=trials, tol=tol, deviations=devs)
+    stages = [data.stage, *(mixed.stage for mixed in mixed_datas)]
+    devs = invariance_columns(join_stages(stages, range(len(stages))), 1)[0].tolist()
+    return InvarianceReport(trials=len(stages) - 1, tol=tol,
+                            deviations=dict(zip(_INVARIANT_NAMES, devs)))
 
 
-def _invariant_values(data: ChainData) -> dict:
-    """Every bound quantity of one Kraus pair, both readings read from its ChainData."""
-    chain = data.chains[Reading.PRODUCT]
-    return {"product": (chain.product,), "sum": (chain.sum,), "i_values": chain.i_values,
-            "s_values": tuple(chain.s_values.values()),
-            "s_values_as_printed": tuple(data.chains[Reading.AS_PRINTED].s_values.values()),
-            "cross_term": (chain.cross_term,)}
+def invariance_columns(stage: ChainStage, count: int) -> np.ndarray:
+    """The invariance deviations of the first ``count`` instances of a stage,
+    whose rows go on with trial after trial of those instances, mixed: row
+    ``count * (t + 1) + b`` holds trial t of instance b.
+
+    One row per instance and one column per quantity, in the order of
+    ``InvarianceReport.deviations``: the quantity's worst ``|mixed - base|``
+    over the trials, as Python's ``max`` from 0.0 over the trials in order.
+    """
+    rows = len(stage.products)
+    values = [np.array(stage.products, dtype=np.float64)[:, None],
+              np.array(stage.sums, dtype=np.float64)[:, None],
+              np.array(stage.i_values, dtype=np.float64).reshape(rows, -1),
+              stage.lattices[Reading.PRODUCT], stage.lattices[Reading.AS_PRINTED],
+              np.array(stage.cross_terms, dtype=np.float64)[:, None]]  # as _INVARIANT_NAMES
+    devs = []
+    for quantity in values:
+        trials = quantity[count:].reshape(rows // count - 1, count, quantity.shape[1])
+        gaps = np.abs(trials - quantity[:count]).transpose(1, 0, 2).reshape(count, -1)
+        # [0.0, ...] keeps max defined where a quantity is empty (the S lattice at d = 1)
+        devs.append(first_max(np.column_stack([np.zeros(count), gaps])))
+    return np.stack(devs, axis=1)

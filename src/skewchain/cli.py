@@ -30,15 +30,17 @@ from .chains import (
     ChainData,
     Reading,
     Strategy,
-    chain_batch,
     chain_data,
     chain_from_data,
+    chain_stage,
+    invariance_columns,
     invariance_from_data,
-    invariance_from_trials,
+    join_stages,
     lattice_order,
     mixed_bound,
     optimize_from_data,
     trial_seeds,
+    verdict_columns,
     verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
@@ -49,8 +51,9 @@ from .example import (
     write_discrepancy_csv,
     write_sweep_csv,
 )
+from .linalg import first_max
 from .objects import (
-    derive_seed,
+    derive_seeds,
     mix_kraus_families,
     random_channels,
     random_densities,
@@ -196,21 +199,23 @@ _BLOCK = 128
 _CHUNK_ENTRIES = 2 ** 14
 
 
-def _verify_chunk(d: int, ks, args) -> list:
-    """``(verdict, invariance deviation)`` of each instance k of ``ks`` at
-    dimension d, in the order of ``ks``.
+def _verify_chunk(d: int, ks, args) -> tuple:
+    """The ``VerdictColumns`` of the instances k of ``ks`` at dimension d, and
+    each one's invariance deviation, in the order of ``ks`` (which ascend).
 
-    Each instance draws from its own derived seeds, as it would alone.  The
-    states are generated and validated as one stack, the channels and the
-    trials' mixing unitaries as one stack per Kraus count, and each (n1, n2)
-    group's instances and their mixed trials are built in one ``chain_batch``
-    pass.
+    Each instance draws from its own derived seeds, as it would alone, and
+    the chunk's seeds come from one hash pass per derivation.  The states are
+    generated and validated as one stack, the channels and the trials' mixing
+    unitaries as one stack per Kraus count, and each (n1, n2) group's
+    instances and their mixed trials are built in one ``chain_stage`` pass,
+    which the verdict and the invariance deviations read.
     """
     ks = list(ks)
+    derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in range(5)])
+    trials = trial_seeds(derived[4::5], 1)
     seeds = {}  # k -> the seeds of its state, channels 1 and 2, search, and trial's u and v
-    for k in ks:
-        parts = [derive_seed(args.seed, d, k, part) for part in range(5)]
-        seeds[k] = (*parts[:4], *trial_seeds(parts[4], 1)[0])
+    for i, k in enumerate(ks):
+        seeds[k] = (*derived[5 * i:5 * i + 4], *trials[i][0])
     counts = {k: (min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks}
     rhos = dict(zip(ks, random_densities(d, [(k % d) + 1 for k in ks], [seeds[k][0] for k in ks])))
     by_count = {}  # Kraus count -> the (k, side) of each family with that count
@@ -226,17 +231,19 @@ def _verify_chunk(d: int, ks, args) -> list:
     groups = {}
     for k in ks:
         groups.setdefault(counts[k], []).append(k)
-    found = {}
+    stages, base, trial = [], [], []  # stacked rows of each k's instance, and of its trial
     for group in groups.values():
-        datas = chain_batch([rhos[k] for k in group] * 2,
-                            [channels[k, 0] for k in group] + [mixed[k, 0] for k in group],
-                            [channels[k, 1] for k in group] + [mixed[k, 1] for k in group])
-        for k, data, trial in zip(group, datas, datas[len(group):]):
-            verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
-                                       seed=seeds[k][3])
-            report = invariance_from_trials(data, [trial], tol=args.tol)
-            found[k] = (verdict, report.max_deviation)
-    return [found[k] for k in ks]
+        offset = 2 * len(base)
+        base += [offset + i for i in range(len(group))]
+        trial += [offset + len(group) + i for i in range(len(group))]
+        stages.append(chain_stage([rhos[k] for k in group] * 2,
+                                  [channels[k, 0] for k in group] + [mixed[k, 0] for k in group],
+                                  [channels[k, 1] for k in group] + [mixed[k, 1] for k in group]))
+    order = np.argsort([k for group in groups.values() for k in group])  # ks ascend
+    base, trial = np.array(base)[order], np.array(trial)[order]
+    deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), len(ks))
+    return (verdict_columns(join_stages(stages, base), args.tol, args.budget,
+                            [seeds[k][3] for k in ks]), first_max(deviations))
 
 
 def cmd_verify(args) -> int:
@@ -256,21 +263,25 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    stats: dict = {}
+    def worst(start: float, deviations: np.ndarray) -> float:
+        """Python's ``max`` of ``start`` and the deviations, in order."""
+        return float(first_max(np.concatenate([[start], deviations])))
+
+    stats: dict = {}  # check name -> [count, failures, worst deviation]
     invariance_worst = 0.0
     total = 0
     for d in dims:
         chunk = max(1, min(_BLOCK // 2, _CHUNK_ENTRIES // (d * d)))
         for start in range(0, args.instances, chunk):
             ks = range(start, min(start + chunk, args.instances))
-            for verdict, deviation in _verify_chunk(d, ks, args):
-                for check in verdict.checks:
-                    entry = stats.setdefault(check.name, [0, 0, 0.0])
-                    entry[0] += 1
-                    entry[1] += 0 if check.passed else 1
-                    entry[2] = max(entry[2], check.deviation)
-                invariance_worst = max(invariance_worst, deviation)
-                total += 1
+            columns, deviations = _verify_chunk(d, ks, args)
+            for name, (passed, deviation) in columns.by_name().items():
+                entry = stats.setdefault(name, [0, 0, 0.0])
+                entry[0] += passed.size
+                entry[1] += passed.size - int(np.count_nonzero(passed))
+                entry[2] = worst(entry[2], deviation)
+            invariance_worst = worst(invariance_worst, deviations)
+            total += len(ks)
 
     hard_failures = sum(stats[name][1] for name in stats if name in HARD_CHECK_NAMES)
     if invariance_worst > args.tol:

@@ -268,7 +268,7 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
         bests = optimize_batch(stage, perm_target[0], perm_target[1], strategy, budget, seed,
                                reading)
         chain = np.column_stack([  # "product" through "perm_opt", one row per point
-            stage.products, [s1 + s2 for s1, s2 in stage.skews], stage.i_values,
+            stage.products, stage.sums, stage.i_values,
             stage.lattices[reading][:, :3], stage.cross_terms, [best.value for best in bests]])
         chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
         t = np.tile(ts, len(block))
@@ -341,9 +341,8 @@ class DiscrepancyReport:
 def _numeric_targets(stage) -> np.ndarray:
     """Each instance's product-reading product, sum, cross term, S21, S31 and
     S32 (the eq20..eq25 targets) from a ``chain_stage``, as (B, 6) rows."""
-    sums = [s1 + s2 for s1, s2 in stage.skews]
     lattice = stage.lattices[Reading.PRODUCT]  # its first positions are (2, 1), (3, 1), (3, 2)
-    return np.column_stack([stage.products, sums, stage.cross_terms, lattice[:, :3]])
+    return np.column_stack([stage.products, stage.sums, stage.cross_terms, lattice[:, :3]])
 
 
 def discrepancy_report(param_grid) -> DiscrepancyReport:

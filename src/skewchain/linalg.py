@@ -1,4 +1,6 @@
-"""Dense complex matrix kernels shared by every other module.
+"""Dense complex matrix kernels shared by every other module, and the
+row folds ``first_max`` and ``first_min`` that give Python's ``max`` and
+``min`` bit for bit.
 
 All matrices are square ``numpy`` arrays of complex128 (pairs of 64-bit
 floats).  Everything here is a pure function of its inputs; returned arrays
@@ -29,6 +31,8 @@ __all__ = [
     "HermitianEig",
     "as_matrix",
     "commutator",
+    "first_max",
+    "first_min",
     "hermitian_eigendecompose",
     "hermiticity_defect",
     "hermiticity_defects",
@@ -59,6 +63,26 @@ def require_square(m: np.ndarray) -> int:
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-norm ``max |m_ij|`` (0 for empty arrays)."""
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def first_max(x: np.ndarray) -> np.ndarray:
+    """Python's ``max`` of each row of ``x`` (its last axis, non-empty), bit for bit.
+
+    That fold keeps its first entry unless a later one is larger, so a row
+    that starts with NaN gives NaN, and any other row gives its first entry
+    equal to the largest non-NaN one: later NaNs are skipped, and of equal
+    zeros the first keeps its sign.  ``np.max`` propagates every NaN and may
+    pick either zero.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    top = np.fmax.reduce(rows, axis=1)
+    first = rows[np.arange(len(rows)), (rows == top[:, None]).argmax(axis=1)]
+    return np.where(np.isnan(rows[:, 0]), rows[:, 0], first).reshape(x.shape[:-1])
+
+
+def first_min(x: np.ndarray) -> np.ndarray:
+    """Python's ``min`` of each row of ``x``, bit for bit, as ``first_max``."""
+    return -first_max(-x)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

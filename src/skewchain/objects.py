@@ -7,12 +7,15 @@ rather than the standard trace-preservation condition
 only the row-sum form; randomly generated channels default to column sum.
 
 All randomness flows through ``numpy``'s PCG64 bit generator seeded from a
-64-bit integer, so identical seeds produce bit-identical objects and ports
-can reproduce the streams from the published PCG64 reference.
+non-negative integer, so identical seeds produce bit-identical objects and
+ports can reproduce the streams from the published PCG64 reference.  The
+seeding hash is numpy's ``SeedSequence``, computed here over whole stacks of
+seeds at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,7 +47,9 @@ __all__ = [
     "KrausChannel",
     "apply_channel",
     "derive_seed",
+    "derive_seeds",
     "generator",
+    "generators",
     "mix_kraus",
     "mix_kraus_families",
     "random_channel",
@@ -253,15 +258,140 @@ def apply_channel(channel: KrausChannel, state) -> np.ndarray:
 # Seeded random instances
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, and the constants of its hashmix, mix and generate_state.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(entropy) -> list:
+    """The 32-bit words that SeedSequence splits the non-negative ints of an
+    entropy into: int after int, each least significant word first; 0 is one
+    word."""
+    words = []
+    for n in entropy:
+        n = int(n)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _MASK32)
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(const: int, mult: int, steps: int) -> tuple:
+    """The xor and multiply constants of SeedSequence's first ``steps`` hash
+    steps from the multiplier ``const``: ``hashmix`` from (INIT_A, MULT_A),
+    ``generate_state`` from (INIT_B, MULT_B).  They do not depend on the data."""
+    xors, mults = [], []
+    for _ in range(steps):
+        xors.append(const)
+        const = const * mult & _MASK32
+        mults.append(const)
+    xors, mults = np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+    xors.setflags(write=False)
+    mults.setflags(write=False)
+    return xors, mults
+
+
+def _hash(value: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step of each entry, column j with constants j."""
+    value = (value ^ xors) * mults
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> 16
+
+
+def _seed_pools(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's entropy pool of each row of a (B, W >= 4) uint32 array,
+    as (B, 4) uint32: the first four words fill the pool, each pool word
+    mixes into the three others, then each further word into all four.  Each
+    mixing word's hashes take successive constants, one per pool word it
+    mixes into, in pool order."""
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, 4 * words.shape[1])
+    pool = _hash(words[:, :_POOL_SIZE], xors[:4], mults[:4])
+    step = 4
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashes = _hash(pool[:, src, None], xors[step:step + 3], mults[step:step + 3])
+        pool[:, dst] = _mix(pool[:, dst], hashes)
+        step += 3
+    for src in range(_POOL_SIZE, words.shape[1]):
+        pool = _mix(pool, _hash(words[:, src, None], xors[step:step + 4], mults[step:step + 4]))
+        step += 4
+    return pool
+
+
+def _seeding_words(entropies, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` of each
+    entropy, a sequence of non-negative ints, as one (B, n_words) uint64 array.
+
+    SeedSequence mixes an entropy of fewer than four words as if it were
+    padded with zero words to four, so all of those share one pass; longer
+    entropies take one pass per word count.
+    """
+    rows = [_entropy_words(entropy) for entropy in entropies]
+    pools = np.empty((len(rows), _POOL_SIZE), dtype=np.uint32)
+    by_width = {}
+    for b, row in enumerate(rows):
+        by_width.setdefault(max(len(row), _POOL_SIZE), []).append(b)
+    for width, members in by_width.items():
+        pools[members] = _seed_pools(np.array([rows[b] + [0] * (width - len(rows[b]))
+                                               for b in members], dtype=np.uint32))
+    # generate_state reads the pool cyclically, and SeedSequence reads pairs
+    # of its words as little-endian 64-bit words
+    state = _hash(pools[:, np.arange(2 * n_words) % _POOL_SIZE],
+                  *_hash_constants(_INIT_B, _MULT_B, 2 * n_words))
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeding_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` the words a SeedSequence
+    would give it, hashed ahead.  Made on first use, so that importing
+    skewchain does not import ``numpy.random``."""
+    class SeedingWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the four uint64 words that seed PCG64")
+            return self._words
+
+    return SeedingWords
+
+
 def generator(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit unsigned seed."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """PCG64 generator for a non-negative integer seed, bit for bit
+    ``np.random.Generator(np.random.PCG64(seed))``."""
+    return generators([seed])[0]
+
+
+def generators(seeds) -> list:
+    """``generator(seed)`` of each seed, all seeded from one hash pass."""
+    seeding = _seeding_words_type()
+    return [np.random.Generator(np.random.PCG64(seeding(words)))
+            for words in _seeding_words([(seed,) for seed in seeds], 4)]
 
 
 def derive_seed(seed: int, *parts: int) -> int:
-    """Stable 64-bit sub-seed for (seed, parts), via numpy's SeedSequence."""
-    ss = np.random.SeedSequence(entropy=[int(seed), *[int(p) for p in parts]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Stable 64-bit sub-seed for (seed, parts): the first uint64 word of
+    numpy's ``SeedSequence([seed, *parts])``."""
+    return derive_seeds([(seed, *parts)])[0]
+
+
+def derive_seeds(entropies) -> list:
+    """``derive_seed(*entropy)`` of each entropy ``(seed, *parts)``, in one hash pass."""
+    return _seeding_words(entropies, 1)[:, 0].tolist()
 
 
 def _complex_gaussian(gen: np.random.Generator, shape) -> np.ndarray:
@@ -280,10 +410,10 @@ def random_densities(d: int, ranks, seeds, tol: float = DEFAULT_TOL) -> list:
     each ``G G^dag`` is formed alone.
     """
     ms = []
-    for rank, seed in zip(ranks, seeds, strict=True):
+    for rank, gen in zip(ranks, generators(seeds), strict=True):
         if not 1 <= rank <= d:
             raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-        g = _complex_gaussian(generator(seed), (d, rank))
+        g = _complex_gaussian(gen, (d, rank))
         m = g @ g.conj().T
         m /= np.trace(m).real
         ms.append((m + m.conj().T) / 2.0)
@@ -305,7 +435,7 @@ def random_unitaries(n: int, seeds) -> np.ndarray:
 def _haar_isometries(seeds, rows: int, cols: int) -> np.ndarray:
     """One Haar isometry per seed, each from its own generator, as a (B, rows,
     cols) stack.  A stacked QR runs LAPACK on each slice, as for a lone matrix."""
-    g = np.array([_complex_gaussian(generator(seed), (rows, cols)) for seed in seeds])
+    g = np.array([_complex_gaussian(gen, (rows, cols)) for gen in generators(seeds)])
     if not len(g):
         return np.zeros((0, rows, cols), dtype=np.complex128)
     q, r = np.linalg.qr(g)

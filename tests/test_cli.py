@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_stacks import oracle_cmd_verify
+
 from skewchain import chains
-from skewchain.cli import main, parse_grid
+from skewchain.cli import build_parser, main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
 from skewchain.objects import Convention, random_channel, random_density
 from skewchain.serialize import save_channel, save_state
@@ -318,6 +320,15 @@ class TestVerify:
         assert not out.exists()
         assert main(["verify", "--dims", "2", "--instances", "1", "--perm", "auto",
                      "--out", str(out)]) == 0
+
+    # SeedSequence splits a seed into 32-bit words, so any non-negative seed works
+    @pytest.mark.parametrize("seed", [2 ** 64, 10 ** 23])
+    def test_seeds_of_several_words_exit_0(self, tmp_path, seed):
+        argv = ["verify", "--dims", "1,2,3", "--instances", "6", "--seed", str(seed)]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        assert main(argv + ["--out", str(got)]) == 0
+        assert oracle_cmd_verify(build_parser().parse_args(argv + ["--out", str(want)])) == 0
+        assert got.read_bytes() == want.read_bytes()
 
     def test_zero_instances_exits_2(self, tmp_path):
         code = main(["verify", "--dims", "2", "--instances", "0",

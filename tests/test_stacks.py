@@ -1,5 +1,6 @@
 """Differential tests of the stacked validators, generators, Kraus mixing,
-optimizer, ``verify`` and the columnar discrepancy report.
+optimizer, seeding hash, ``verify`` and its verdict and invariance columns,
+and the columnar discrepancy report.
 
 Each stacked kernel is checked with ``==`` on the bits against the
 per-instance code it replaced, which is kept below as oracles.  A bad stack
@@ -8,10 +9,14 @@ on its own.
 """
 
 import argparse
+import dataclasses
 import itertools
 import math
 import operator
+import sys
+from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +25,22 @@ from hypothesis import strategies as st
 from skewchain import chains, cli, example
 from skewchain.chains import (
     HARD_CHECK_NAMES,
+    BoundChain,
+    Check,
     Reading,
     Strategy,
     chain_batch,
     chain_data,
     chain_from_data,
     chain_stage,
+    invariance_columns,
+    invariance_from_trials,
+    join_stages,
     lattice_order,
+    mixed_bound,
     optimize_batch,
+    trial_seeds,
+    verdict_columns,
     verify_from_data,
 )
 from skewchain.errors import (
@@ -43,6 +56,8 @@ from skewchain.errors import (
 )
 from skewchain.linalg import (
     as_matrix,
+    first_max,
+    first_min,
     hermitian_eigendecompose,
     hermiticity_defect,
     max_abs,
@@ -53,7 +68,9 @@ from skewchain.objects import (
     Convention,
     completeness_residual,
     derive_seed,
+    derive_seeds,
     generator,
+    generators,
     mix_kraus,
     mix_kraus_families,
     random_channel,
@@ -155,6 +172,15 @@ def oracle_validate_channel(ops, convention, tol):
     return mats
 
 
+def oracle_generator(seed):
+    return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+def oracle_derive_seed(seed, *parts):
+    ss = np.random.SeedSequence(entropy=[int(seed), *[int(p) for p in parts]])
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def oracle_value_at(tables, reading, sigma, tau, p, q, d):
     if reading == Reading.PRODUCT:
         row, apply = tables.product, operator.sub
@@ -192,7 +218,7 @@ def oracle_sampled(tables, d, p, q, budget, seed, reading):
     def value(sig, tu):
         return float(oracle_value_at(tables, reading, sig, tu, p, q, d))
 
-    gen = generator(seed)
+    gen = oracle_generator(seed)
     ident = tuple(range(d))
     best = (value(ident, ident), ident, ident)
     for _ in range(max(0, budget)):
@@ -575,7 +601,7 @@ def oracle_gaussian(gen, shape):
 
 
 def oracle_haar_isometry(seed, rows, cols):
-    q, r = np.linalg.qr(oracle_gaussian(generator(seed), (rows, cols)))
+    q, r = np.linalg.qr(oracle_gaussian(oracle_generator(seed), (rows, cols)))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
@@ -584,7 +610,7 @@ def oracle_random_density(d, rank, seed):
     """``(rho, sqrt_rho)`` of one seeded state."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = oracle_gaussian(generator(seed), (d, rank))
+    g = oracle_gaussian(oracle_generator(seed), (d, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
     m = (m + m.conj().T) / 2.0
@@ -714,8 +740,113 @@ class TestGeneratorStacks:
 
 
 # ---------------------------------------------------------------------------
-# Stacked verify: each instance, and the whole verdict, against the
-# per-instance loop it replaced
+# Seeding: the vectorized SeedSequence hash against numpy's own
+
+SEED_CORPUS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 23)
+
+
+class TestSeedingKernel:
+    # every parts length the CLI and the tests derive with: generator (0),
+    # the tests' derive_seed(seed, side) (1), trial_seeds (2), verify (3)
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
+    def test_derived_seeds_match_seed_sequence(self, length):
+        entropies = [(seed, *parts) for seed in SEED_CORPUS
+                     for parts in itertools.product((0, 7, 2 ** 32, 10 ** 23), repeat=length)]
+        want = [oracle_derive_seed(*entropy) for entropy in entropies]
+        assert derive_seeds(entropies) == want  # words of every width in one call
+        assert [derive_seed(*entropy) for entropy in entropies] == want
+
+    def test_a_derived_seed_below_2_32_is_one_word(self):
+        # the CLI feeds derived seeds back in; about one in 2^32 has one word
+        small = [seed for seed in range(2 ** 32 - 4, 2 ** 32 + 4)]
+        assert derive_seeds([(seed, 0, 1) for seed in small]) == [
+            oracle_derive_seed(seed, 0, 1) for seed in small]
+
+    def test_generators_match_pcg64(self):
+        states = [gen.bit_generator.state for gen in generators(SEED_CORPUS)]
+        assert states == [oracle_generator(seed).bit_generator.state for seed in SEED_CORPUS]
+        for seed in SEED_CORPUS:
+            assert generator(seed).bit_generator.state == oracle_generator(seed).bit_generator.state
+            assert same_bits(generator(seed).standard_normal(7),
+                             oracle_generator(seed).standard_normal(7))
+
+    def test_trial_seeds_derive_each_trial(self):
+        assert trial_seeds(SEED_CORPUS, 3) == [
+            [(oracle_derive_seed(seed, t, 1), oracle_derive_seed(seed, t, 2)) for t in range(3)]
+            for seed in SEED_CORPUS]
+
+    def test_negative_entropy_fails_as_seed_sequence(self):
+        with pytest.raises(ValueError) as want:
+            oracle_derive_seed(3, -1)
+        for call in (lambda: derive_seed(3, -1), lambda: generator(-1)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Verdict and invariance columns: the scalar checks and fold they replaced
+
+
+def oracle_ge_check(name, lhs, rhs, tol):
+    lhs, rhs = float(lhs), float(rhs)
+    dev = max(rhs - lhs, 0.0)
+    return Check(name, "ge", lhs, rhs, tol, lhs >= rhs - tol, dev)
+
+
+def oracle_eq_check(name, lhs, rhs, tol):
+    lhs, rhs = float(lhs), float(rhs)
+    dev = abs(lhs - rhs)
+    return Check(name, "eq", lhs, rhs, tol, dev <= tol, dev)
+
+
+def oracle_verify_from_data(data, tol, perm_budget, seed):
+    """The checks of one instance, one scalar check at a time."""
+    d = data.dim
+    chain = data.chains[Reading.PRODUCT]
+    i_vals = chain.i_values
+    checks = []
+
+    checks.append(oracle_ge_check("product_ge_cross_term", chain.product, chain.cross_term, tol))
+    checks.append(oracle_ge_check("product_ge_i1", chain.product, i_vals[0], tol))
+    worst_step = 0.0
+    for m in range(d - 1):
+        worst_step = max(worst_step, i_vals[m + 1] - i_vals[m])
+    checks.append(oracle_ge_check("i_monotone", -worst_step, 0.0, tol))
+    checks.append(oracle_eq_check("i_endpoint_eq_cross_term", i_vals[-1], chain.cross_term, tol))
+
+    for reading in (Reading.PRODUCT, Reading.AS_PRINTED):
+        s_vals = data.chains[reading].s_values
+        label = reading.value.replace("-", "_")
+        if s_vals:
+            seq = [chain.product] + [s_vals[k] for k in lattice_order(d)]
+            worst = max(seq[k + 1] - seq[k] for k in range(len(seq) - 1))
+            checks.append(oracle_ge_check(f"s_monotone[{label}]", -worst, 0.0, tol))
+            if d >= 2:
+                checks.append(oracle_eq_check(f"anchor_s21_eq_i2[{label}]",
+                                              s_vals[(2, 1)], i_vals[1], tol))
+            if d >= 3:
+                checks.append(oracle_eq_check(f"anchor_s32_eq_i3[{label}]",
+                                              s_vals[(3, 2)], i_vals[2], tol))
+            worst_anchor = max(abs(s_vals[(p, p - 1)] - i_vals[p - 1])
+                               for p in range(2, d + 1))
+            checks.append(oracle_eq_check(f"anchor_spp1_eq_ip[{label}]", worst_anchor, 0.0, tol))
+            checks.append(oracle_eq_check(f"anchor_endpoint_eq_cross_term[{label}]",
+                                          s_vals[(d, d - 1)], chain.cross_term, tol))
+
+    sum_worst = min(chain.sum - 2.0 * math.sqrt(max(v, 0.0)) for v in i_vals)
+    checks.append(oracle_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
+
+    if d >= 2:
+        value, sigma, tau = oracle_optimize(data, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
+        best = chains.PermutedBound(sigma, tau, 2, 1, value)
+        checks.append(oracle_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
+        for t in (0.0, 0.5, 1.0):
+            prod_bound, _ = mixed_bound(chain, best, t)
+            checks.append(oracle_ge_check("mixed_le_product", chain.product, prod_bound, tol))
+            checks.append(oracle_ge_check("mixed_ge_cross_term", prod_bound, chain.cross_term,
+                                          tol))
+    return checks
 
 
 def oracle_invariant_values(data):
@@ -726,25 +857,152 @@ def oracle_invariant_values(data):
             "cross_term": (chain.cross_term,)}
 
 
+def oracle_invariance(data, mixed_datas):
+    """Each quantity's worst deviation over the trials, one Python max at a time."""
+    base = oracle_invariant_values(data)
+    devs = dict.fromkeys(base, 0.0)
+    for mixed in mixed_datas:
+        for name, values in oracle_invariant_values(mixed).items():
+            devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
+    return devs
+
+
+def check_bits(checks):
+    """Each check with its floats as reprs, which tell NaN and -0.0 apart."""
+    return [(c.name, c.kind, repr(c.lhs), repr(c.rhs), c.tol, c.passed, repr(c.deviation))
+            for c in checks]
+
+
+def column_bits(columns, b, tol):
+    """``check_bits`` of instance b of ``VerdictColumns``."""
+    return check_bits(Check(*fields[:4], tol, *fields[4:]) for fields in zip(
+        columns.names, columns.kinds, columns.lhs[b].tolist(), columns.rhs[b].tolist(),
+        columns.passed[b].tolist(), columns.deviation[b].tolist()))
+
+
+def stage_data(stage, b, d):
+    """What the scalar oracles read of instance b of a stage."""
+    return SimpleNamespace(dim=d, tables=SimpleNamespace(
+        product=stage.tables[Reading.PRODUCT][b], printed=stage.tables[Reading.AS_PRINTED][b]),
+        chains={reading: BoundChain(d, stage.products[b], stage.sums[b], stage.i_values[b],
+                                    dict(zip(lattice_order(d),
+                                             stage.lattices[reading][b].tolist())),
+                                    stage.cross_terms[b], reading) for reading in Reading})
+
+
+SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf)
+
+
+def injected(stage, count, d):
+    """The first ``count`` instances of a stage, then copies of them with one
+    special value written over a scalar, or over the first, a middle or the
+    last entry of the I values or of either reading's lattice."""
+    targets = [("products", 0), ("sums", 0), ("cross_terms", 0)]
+    for target, size in (("i_values", d), (Reading.PRODUCT, len(lattice_order(d))),
+                         (Reading.AS_PRINTED, len(lattice_order(d)))):
+        targets += [(target, pos) for pos in sorted({0, size // 2, size - 1}) if size]
+    cases = [(b, target, pos, value) for target, pos in targets for value in SPECIALS
+             for b in range(count)]
+    out = join_stages([stage], list(range(count)) + [b for b, *_ in cases])
+    for row, (_, target, pos, value) in enumerate(cases, start=count):
+        if target == "i_values":
+            out.i_values[row] = (*out.i_values[row][:pos], value, *out.i_values[row][pos + 1:])
+        elif isinstance(target, Reading):
+            out.lattices[target][row, pos] = value
+        else:
+            getattr(out, target)[row] = value
+    return out
+
+
+def block_at(d, count, seed):
+    """``random_block`` with Kraus counts that fit dimension d."""
+    return random_block(d, count, seed if d > 1 else 9 * seed)  # 9k: n1 = n2 = 1
+
+
+class TestVerdictColumns:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])  # d = 1: no lattice, no search
+    @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each row's seed
+    def test_each_row_matches_the_scalar_checks(self, d, budget):
+        stage, datas = block_at(d, 3, 4 + d)
+        rows = injected(stage, 3, d)
+        seeds = [oracle_derive_seed(5, b) for b in range(len(rows.products))]
+        tol = 1e-10
+        columns = verdict_columns(rows, tol, budget, seeds)
+        for b, seed in enumerate(seeds):
+            want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), tol, budget, seed))
+            assert column_bits(columns, b, tol) == want
+        for data, seed in zip(datas, seeds):  # verify_from_data: a stack of one
+            assert check_bits(verify_from_data(data, tol, budget, seed).checks) == check_bits(
+                oracle_verify_from_data(data, tol, budget, seed))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_invariance_columns_match_the_fold(self, d):
+        stage, datas = block_at(d, 3, 7 + d)
+        rows = injected(stage, 3, d)
+        count = len(rows.products) // 3  # each instance and two trials, specials among all three
+        trials = join_stages([rows], range(3 * count))
+        got = invariance_columns(trials, count)
+        for b in range(count):
+            want = oracle_invariance(stage_data(trials, b, d),
+                                     [stage_data(trials, b + t * count, d) for t in (1, 2)])
+            assert [repr(x) for x in got[b].tolist()] == [repr(x) for x in want.values()]
+        report = invariance_from_trials(datas[0], datas[1:])  # a stack of one
+        assert report.trials == 2
+        assert report.deviations == oracle_invariance(datas[0], datas[1:])
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 4), budget=st.sampled_from([14400, 3]), data=st.data())
+    def test_rows_of_special_values(self, d, budget, data):
+        # every value the kernel reads drawn at once, so specials meet each other
+        stage, _ = block_at(d, 1, 3 + d)
+        values = st.sampled_from(SPECIALS + (1.0, -1.0, 0.25, 3.0))
+        size = len(lattice_order(d))
+        rows = join_stages([stage], [0, 0])
+        for field in ("products", "sums", "cross_terms"):
+            getattr(rows, field)[:] = data.draw(st.lists(values, min_size=2, max_size=2))
+        rows.i_values[:] = [tuple(data.draw(st.lists(values, min_size=d, max_size=d)))
+                            for _ in range(2)]
+        for reading in Reading:
+            rows.lattices[reading][:] = data.draw(
+                st.lists(st.lists(values, min_size=size, max_size=size), min_size=2, max_size=2))
+        columns = verdict_columns(rows, 1e-10, budget, [4, 5])
+        for b, seed in enumerate([4, 5]):
+            want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), 1e-10, budget, seed))
+            assert column_bits(columns, b, 1e-10) == want
+        got = invariance_columns(rows, 1)[0].tolist()
+        want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
+        assert [repr(x) for x in got] == [repr(x) for x in want.values()]
+
+    @settings(max_examples=200, deadline=None)
+    # past 16 entries numpy's reductions run SIMD lanes, which may pick either zero
+    @given(st.lists(st.sampled_from(SPECIALS + (1.0, -1.0, 2.5)), min_size=1, max_size=40))
+    @hypothesis.example([-0.0] + [0.0] * 20)
+    @hypothesis.example([0.0] + [-0.0] * 20)
+    def test_folds_are_python_max_and_min(self, row):
+        assert repr(float(first_max(np.array(row)))) == repr(max(row))
+        assert repr(float(first_min(np.array(row)))) == repr(min(row))
+
+
+# ---------------------------------------------------------------------------
+# Stacked verify: each instance, and the whole verdict, against the
+# per-instance loop it replaced
+
+
 def oracle_verify_instance(d, k, args):
-    """``(verdict, invariance deviation)`` of instance k at dimension d, built alone."""
-    rho = random_density(d, (k % d) + 1, derive_seed(args.seed, d, k, 0))
+    """``(checks, invariance deviation)`` of instance k at dimension d, built alone."""
+    rho = random_density(d, (k % d) + 1, oracle_derive_seed(args.seed, d, k, 0))
     n1 = min((k % 4) + 1, d * d)
     n2 = min(((k // 4) % 4) + 1, d * d)
-    ch1 = random_channel(d, n1, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 1))
-    ch2 = random_channel(d, n2, Convention.COLUMN_SUM, derive_seed(args.seed, d, k, 2))
+    ch1 = random_channel(d, n1, Convention.COLUMN_SUM, oracle_derive_seed(args.seed, d, k, 1))
+    ch2 = random_channel(d, n2, Convention.COLUMN_SUM, oracle_derive_seed(args.seed, d, k, 2))
     data = chain_data(rho, ch1, ch2)
-    verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget,
-                               seed=derive_seed(args.seed, d, k, 3))
-    trial_seed = derive_seed(args.seed, d, k, 4)
-    u = random_unitary(n1, derive_seed(trial_seed, 0, 1))
-    v = random_unitary(n2, derive_seed(trial_seed, 0, 2))
-    base = oracle_invariant_values(data)
-    mixed = oracle_invariant_values(chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v)))
-    devs = dict.fromkeys(base, 0.0)
-    for name, values in mixed.items():
-        devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(values, base[name]))])
-    return verdict, max(devs.values())
+    checks = oracle_verify_from_data(data, args.tol, args.budget,
+                                     oracle_derive_seed(args.seed, d, k, 3))
+    trial_seed = oracle_derive_seed(args.seed, d, k, 4)
+    u = random_unitary(n1, oracle_derive_seed(trial_seed, 0, 1))
+    v = random_unitary(n2, oracle_derive_seed(trial_seed, 0, 2))
+    devs = oracle_invariance(data, [chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v))])
+    return checks, max(devs.values())
 
 
 def oracle_cmd_verify(args):
@@ -755,8 +1013,8 @@ def oracle_cmd_verify(args):
     total = 0
     for d in dims:
         for k in range(args.instances):
-            verdict, deviation = oracle_verify_instance(d, k, args)
-            for check in verdict.checks:
+            checks, deviation = oracle_verify_instance(d, k, args)
+            for check in checks:
                 entry = stats.setdefault(check.name, [0, 0, 0.0])
                 entry[0] += 1
                 entry[1] += 0 if check.passed else 1
@@ -790,8 +1048,11 @@ class TestStackedVerify:
     def test_each_instance_matches_alone(self, d, budget):
         args = argparse.Namespace(seed=11, tol=1e-10, budget=budget)
         for ks in (range(0, 20), range(5, 38)):  # groups of one to three instances
-            assert cli._verify_chunk(d, ks, args) == [oracle_verify_instance(d, k, args)
-                                                      for k in ks]
+            columns, deviations = cli._verify_chunk(d, ks, args)
+            want = [oracle_verify_instance(d, k, args) for k in ks]
+            assert [column_bits(columns, b, args.tol) for b in range(len(ks))] == [
+                check_bits(checks) for checks, _ in want]
+            assert [repr(x) for x in deviations.tolist()] == [repr(x) for _, x in want]
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [
@@ -814,17 +1075,76 @@ class TestStackedVerify:
     def test_passes_hold_at_most_a_block(self, tmp_path, monkeypatch, name, value):
         monkeypatch.setattr(cli, name, value)  # either makes chunks of two instances
         sizes = []
-        real = chains.chain_batch
+        real = chains.chain_stage
 
         def counted(rhos, ch1s, ch2s):
             sizes.append(len(rhos))
             return real(rhos, ch1s, ch2s)
 
-        monkeypatch.setattr(cli, "chain_batch", counted)
+        monkeypatch.setattr(cli, "chain_stage", counted)
         # at d = 1 every instance is in the (1, 1) group, so chunks of two fill each pass
         assert cli.main(["verify", "--dims", "1", "--instances", "9",
                          "--out", str(tmp_path / "v.txt")]) == 0
         assert sizes == [4, 4, 4, 4, 2]  # each instance and its trial, once
+
+    def test_fold_keeps_python_order_on_special_deviations(self, tmp_path, monkeypatch):
+        # real verdicts carry no NaN or -0.0 deviation, so write some in, on
+        # both sides alike, keyed by each instance's search seed
+        def special(seed):
+            return (seed % len(SPECIALS + (1.0,)), SPECIALS[seed % len(SPECIALS)])
+
+        real_columns = cli.verdict_columns
+
+        def columns_with_specials(stage, tol, budget, seeds):
+            columns = real_columns(stage, tol, budget, seeds)
+            deviation = columns.deviation.copy()
+            for b, seed in enumerate(seeds):
+                column, value = special(seed)
+                deviation[b, column % deviation.shape[1]] = value
+            return dataclasses.replace(columns, deviation=deviation)
+
+        real_oracle = oracle_verify_from_data
+
+        def oracle_with_specials(data, tol, budget, seed):
+            checks = real_oracle(data, tol, budget, seed)
+            column, value = special(seed)
+            checks[column % len(checks)] = dataclasses.replace(checks[column % len(checks)],
+                                                               deviation=value)
+            return checks
+
+        monkeypatch.setattr(cli, "verdict_columns", columns_with_specials)
+        monkeypatch.setattr(sys.modules[__name__], "oracle_verify_from_data", oracle_with_specials)
+        argv = ["verify", "--dims", "1,2,3", "--instances", "20", "--seed", "2"]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        code = cli.main(argv + ["--out", str(got)])
+        assert code == oracle_cmd_verify(cli.build_parser().parse_args(argv + ["--out", str(want)]))
+        assert got.read_bytes() == want.read_bytes()
+        assert "nan" not in got.read_text()  # the fold from 0.0 skips NaN, as max does
+
+    def test_builds_nothing_per_instance(self, tmp_path, monkeypatch):
+        # the chunk's seeds come from one hash pass and its checks are
+        # columns: no SeedSequence, no int-seeded PCG64, no Check or verdict
+        def refuse(*args, **kwargs):
+            raise AssertionError("built per instance")
+
+        real_pcg64 = np.random.PCG64
+
+        def pcg64(seed):
+            if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+                raise AssertionError("PCG64 hashed its own seed")
+            return real_pcg64(seed)
+
+        argv = ["verify", "--dims", "1,2,3", "--instances", "9", "--budget", "3"]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "SeedSequence", refuse)
+            patched.setattr(np.random, "PCG64", pcg64)
+            patched.setattr(chains, "Check", refuse)
+            patched.setattr(chains, "ChainVerdict", refuse)
+            code = cli.main(argv + ["--out", str(got)])
+        assert code == 0
+        assert code == oracle_cmd_verify(cli.build_parser().parse_args(argv + ["--out", str(want)]))
+        assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------
