@@ -86,6 +86,7 @@ __all__ = [
     "optimize_permutations",
     "permute_s",
     "sum_chain",
+    "trial_entropies",
     "trial_seeds",
     "verdict_columns",
     "verify_chain",
@@ -129,19 +130,18 @@ class ChainData:
 
     ``e_norms[i, k]`` and ``f_norms[j, k]`` are squared column norms of the
     two frame families; ``overlaps[i, j, k]`` the complex column overlaps.
-    ``tables`` holds the S-lattice update terms summed over all Kraus pairs,
-    shared by every permuted walk and search, and ``chains`` the instance's
-    ``BoundChain`` under each ``Reading``.  All of it is derived once, when
-    ``chain_batch`` or ``chain_data`` builds the data from ``rho``, ``ch1``
-    and ``ch2``; every reader only reads it.  ``stage`` is the instance alone
-    as a stage (``join_stages``), which the stage readers take as a stack of one.
+    ``chains`` holds the instance's ``BoundChain`` under each ``Reading``.
+    All of it is derived once, when ``chain_batch`` or ``chain_data`` builds
+    the data from ``rho``, ``ch1`` and ``ch2``; every reader only reads it.
+    ``stage`` is the instance alone as a stage (``join_stages``), which the
+    stage readers take as a stack of one; its S-table rows serve every
+    permuted walk and search.
     """
 
     dim: int
     e_norms: np.ndarray
     f_norms: np.ndarray
     overlaps: np.ndarray
-    tables: _STables = field(repr=False, compare=False)
     chains: dict = field(repr=False, compare=False)
     rho: DensityMatrix = field(repr=False, compare=False)
     ch1: KrausChannel = field(repr=False, compare=False)
@@ -176,9 +176,9 @@ def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> Chai
 
 # The stacked arrays of a pass, before any per-instance object is built: the
 # columns, the sum and the product of each instance's two channel skew
-# informations, each reading's ``_STables`` rows and identity-walk S values (a
-# row per instance, positions in ``lattice_order``), keyed by ``Reading``, the
-# I values and the cross terms.
+# informations, each reading's S-table rows (``_s_tables``) and identity-walk
+# S values (a row per instance, positions in ``lattice_order``), keyed by
+# ``Reading``, the I values and the cross terms.
 ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps sums products "
                                                   "tables lattices i_values cross_terms")
 
@@ -246,11 +246,8 @@ def chain_batch(rhos, ch1s, ch2s) -> list:
                                       cross_term=cross_term, s_reading=reading)
                   for reading, lattice in lattices.items()}
         datas.append(ChainData(dim=d, e_norms=stage.e_norms[b], f_norms=stage.f_norms[b],
-                               overlaps=stage.overlaps[b],
-                               tables=_STables(product=stage.tables[Reading.PRODUCT][b],
-                                               printed=stage.tables[Reading.AS_PRINTED][b]),
-                               chains=chains, rho=rhos[b], ch1=ch1s[b], ch2=ch2s[b],
-                               stage=join_stages([stage], [b])))
+                               overlaps=stage.overlaps[b], chains=chains, rho=rhos[b],
+                               ch1=ch1s[b], ch2=ch2s[b], stage=join_stages([stage], [b])))
     return datas
 
 
@@ -301,27 +298,19 @@ def _i_values(e_norms, f_norms, overlaps) -> list:
 # S-lattice walks (shared by the chain, permute_s and the optimizer)
 
 
-@dataclass(frozen=True)
-class _STables:
-    """S-lattice update terms pre-summed over all Kraus pairs, one row per reading.
+def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
+    """The S-table rows of each instance of a stack, one row per reading, as
+    two stacked arrays ``(product, printed)``: the S-lattice update terms
+    pre-summed over all Kraus pairs.  ``products`` are the instances' start
+    values.
 
     Column 0 is the start S_{1,0}, the product of the channel skew
     informations.  Labels (r, s) sit at column ``1 + r d + s``: the
-    product-reading pairwise deficit in ``product``, the as-printed net update
-    in ``printed``.  ``product`` goes on with the diagonal deficit of label r
-    at column ``1 + d^2 + r``.
+    product-reading pairwise deficit in ``product``, the as-printed net
+    update in ``printed``.  ``product`` goes on with the diagonal deficit of
+    label r at column ``1 + d^2 + r``, so its rows have ``1 + d^2 + d``
+    columns and ``printed``'s ``1 + d^2``.
     """
-
-    product: np.ndarray   # (1 + d^2 + d,)
-    printed: np.ndarray   # (1 + d^2,)
-
-    def row(self, reading: Reading) -> np.ndarray:
-        return self.product if reading == Reading.PRODUCT else self.printed
-
-
-def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
-    """The ``_STables`` rows of each instance of a stack, as two stacked arrays
-    ``(product, printed)``; ``products`` are the instances' start values."""
     count = len(overlaps)
     a_sum = e_norms.sum(axis=-2)  # (B, d)
     b_sum = f_norms.sum(axis=-2)
@@ -344,7 +333,7 @@ def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
 def _updates(reading: Reading, sigma, tau, d: int):
     """Yield ((p, q), columns) along the traversal with labels sigma/tau applied.
 
-    ``columns`` are the ``_STables`` columns the step applies, in order: the
+    ``columns`` are the S-table columns the step applies, in order: the
     product reading subtracts them from the running value and the as-printed
     reading adds them.  ``sigma[k]`` and ``tau[k]`` are the labels of slot k:
     ints for one permutation pair, or broadcastable index arrays for a batch
@@ -364,7 +353,7 @@ def _updates(reading: Reading, sigma, tau, d: int):
 def _value_at(table: np.ndarray, reading: Reading, sigma, tau, p: int, q: int, d: int):
     """The S value at (p, q) with labels sigma/tau applied, read from ``table``.
 
-    ``table`` is one instance's ``_STables`` row of ``reading``, or a stack of
+    ``table`` is one instance's S-table row of ``reading``, or a stack of
     rows with the instance axis last.  With index-array labels the value is an
     array, the instance axis last, with the same operation order per entry;
     values are numpy float64, so every entry carries the same bits as the
@@ -382,7 +371,7 @@ def _value_at(table: np.ndarray, reading: Reading, sigma, tau, p: int, q: int, d
 
 @functools.lru_cache(maxsize=32)
 def _identity_plan(d: int, reading: Reading) -> tuple:
-    """The identity-label walk, built once per (d, reading): its ``_STables``
+    """The identity-label walk, built once per (d, reading): its S-table
     columns in order (the start first), and how many columns lead up to each
     ``lattice_order`` position's value."""
     order, ends = [0], []
@@ -399,7 +388,7 @@ def _lattice_values(rows: np.ndarray, reading: Reading, d: int) -> np.ndarray:
     """Identity-walk S values of each instance of a stack, one row per instance
     with the positions in ``lattice_order``.
 
-    ``rows`` are the instances' ``_STables`` rows of ``reading``.  The walk is
+    ``rows`` are the instances' S-table rows of ``reading``.  The walk is
     one running subtraction (product reading) or sum (as printed) over all
     instances; ``accumulate`` applies the updates in order, so each value is
     the one ``_value_at`` gives with identity labels.
@@ -479,16 +468,17 @@ def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     The identity pair reproduces the unpermuted chain entry bit for bit.
     """
     data = chain_data(rho, ch1, ch2)
-    return _permuted_value(data.tables, data.dim, sigma, tau, p, q, reading)
+    return _permuted_value(data.stage.tables, data.dim, sigma, tau, p, q, reading)
 
 
-def _permuted_value(tables: _STables, d: int, sigma, tau, p: int, q: int,
+def _permuted_value(tables: dict, d: int, sigma, tau, p: int, q: int,
                     reading: Reading) -> float:
+    """The permuted S value of the one instance whose stage holds ``tables``."""
     _check_position(p, q, d)
     sigma = _check_permutation(sigma, d)
     tau = _check_permutation(tau, d)
     reading = Reading(reading)
-    return float(_value_at(tables.row(reading), reading, sigma, tau, p, q, d))
+    return float(_value_at(tables[reading][0], reading, sigma, tau, p, q, d))
 
 
 @dataclass(frozen=True)
@@ -549,7 +539,7 @@ def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
               seeds, reading: Reading, with_pairs: bool = True) -> tuple:
     """The optimum of each instance of a stack, as ``(values, pairs)``: a
     float64 array and, when ``with_pairs``, each instance's winning ``(sigma,
-    tau)`` (else None).  ``rows[b]`` is instance b's ``_STables`` row of
+    tau)`` (else None).  ``rows[b]`` is instance b's S-table row of
     ``reading`` and ``seeds[b]`` the seed it samples with."""
     _check_position(p, q, d)
     reading = Reading(reading)
@@ -874,12 +864,18 @@ def invariance_from_data(data: ChainData, trials: int, seed: int,
     return invariance_from_trials(data, mixed, tol)
 
 
+def trial_entropies(seeds, trials: int) -> list:
+    """The entropies ``(seed, trial, side)`` that ``derive_seed`` turns into
+    the mixing-unitary seeds of ``trial_seeds``, in its order: seed by seed,
+    trial by trial, u (side 1) before v (side 2)."""
+    return [(seed, trial, side) for seed in seeds for trial in range(trials) for side in (1, 2)]
+
+
 def trial_seeds(seeds, trials: int) -> list:
     """For each of ``seeds``, the mixing-unitary seeds ``(u, v)`` of each trial
     of ``invariance_from_data`` at that seed, all from one hash pass."""
     seeds = list(seeds)
-    derived = iter(derive_seeds([(seed, trial, side) for seed in seeds
-                                 for trial in range(trials) for side in (1, 2)]))
+    derived = iter(derive_seeds(trial_entropies(seeds, trials)))
     pairs = list(zip(derived, derived))
     return [pairs[b * trials:(b + 1) * trials] for b in range(len(seeds))]
 

@@ -39,7 +39,7 @@ from .chains import (
     lattice_order,
     mixed_bound,
     optimize_from_data,
-    trial_seeds,
+    trial_entropies,
     verdict_columns,
     verify_from_data,
 )
@@ -53,11 +53,12 @@ from .example import (
 )
 from .linalg import first_max
 from .objects import (
+    channels_from_words,
+    densities_from_words,
     derive_seeds,
     mix_kraus_families,
-    random_channels,
-    random_densities,
-    random_unitaries,
+    seeding_words,
+    unitaries_from_words,
 )
 from .serialize import load_channel, load_state, write_text_atomic
 
@@ -203,47 +204,52 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     """The ``VerdictColumns`` of the instances k of ``ks`` at dimension d, and
     each one's invariance deviation, in the order of ``ks`` (which ascend).
 
-    Each instance draws from its own derived seeds, as it would alone, and
-    the chunk's seeds come from one hash pass per derivation.  The states are
-    generated and validated as one stack, the channels and the trials' mixing
-    unitaries as one stack per Kraus count, and each (n1, n2) group's
-    instances and their mixed trials are built in one ``chain_stage`` pass,
-    which the verdict and the invariance deviations read.
+    Each instance draws from its own derived seeds and generators, as it
+    would alone.  The chunk hashes them in three passes, one per derivation
+    level: the derived seeds; then the trials' unitary seeds together with
+    the seeding words of every state and channel; then the words of the
+    trials' mixing unitaries.  The states are generated and validated as one
+    stack, the channels and the trials' mixing unitaries as one stack per
+    Kraus count, and each (n1, n2) group's instances and their mixed trials
+    are built in one ``chain_stage`` pass, which the verdict and the
+    invariance deviations read.
     """
     ks = list(ks)
+    count = len(ks)
     derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in range(5)])
-    trials = trial_seeds(derived[4::5], 1)
-    seeds = {}  # k -> the seeds of its state, channels 1 and 2, search, and trial's u and v
-    for i, k in enumerate(ks):
-        seeds[k] = (*derived[5 * i:5 * i + 4], *trials[i][0])
-    counts = {k: (min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks}
-    rhos = dict(zip(ks, random_densities(d, [(k % d) + 1 for k in ks], [seeds[k][0] for k in ks])))
-    by_count = {}  # Kraus count -> the (k, side) of each family with that count
-    for k in ks:
+    # rows 2i and 2i + 1 derive instance i's trial seeds u and v; then come
+    # the words of the states, of the channels 1 and of the channels 2
+    words = seeding_words(trial_entropies(derived[4::5], 1)
+                          + [(seed,) for part in range(3) for seed in derived[part::5]])
+    trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
+    rhos = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
+    counts = [(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks]
+    by_count = {}  # Kraus count -> the (i, side) of each family with that count
+    for i, pair in enumerate(counts):
         for side in (0, 1):
-            by_count.setdefault(counts[k][side], []).append((k, side))
+            by_count.setdefault(pair[side], []).append((i, side))
     channels, mixed = {}, {}
     for n, families in by_count.items():
-        chs = random_channels(d, n, [seeds[k][1 + side] for k, side in families])
-        us = random_unitaries(n, [seeds[k][4 + side] for k, side in families])
+        chs = channels_from_words(d, n, words[[(3 + side) * count + i for i, side in families]])
+        us = unitaries_from_words(n, trial_words[[2 * i + side for i, side in families]])
         for family, ch, mix in zip(families, chs, mix_kraus_families(chs, us)):
             channels[family], mixed[family] = ch, mix
     groups = {}
-    for k in ks:
-        groups.setdefault(counts[k], []).append(k)
-    stages, base, trial = [], [], []  # stacked rows of each k's instance, and of its trial
+    for i, pair in enumerate(counts):
+        groups.setdefault(pair, []).append(i)
+    stages, base, trial = [], [], []  # stacked rows of each instance, and of its trial
     for group in groups.values():
         offset = 2 * len(base)
-        base += [offset + i for i in range(len(group))]
-        trial += [offset + len(group) + i for i in range(len(group))]
-        stages.append(chain_stage([rhos[k] for k in group] * 2,
-                                  [channels[k, 0] for k in group] + [mixed[k, 0] for k in group],
-                                  [channels[k, 1] for k in group] + [mixed[k, 1] for k in group]))
-    order = np.argsort([k for group in groups.values() for k in group])  # ks ascend
+        base += [offset + j for j in range(len(group))]
+        trial += [offset + len(group) + j for j in range(len(group))]
+        stages.append(chain_stage([rhos[i] for i in group] * 2,
+                                  [channels[i, 0] for i in group] + [mixed[i, 0] for i in group],
+                                  [channels[i, 1] for i in group] + [mixed[i, 1] for i in group]))
+    order = np.argsort([i for group in groups.values() for i in group])
     base, trial = np.array(base)[order], np.array(trial)[order]
-    deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), len(ks))
-    return (verdict_columns(join_stages(stages, base), args.tol, args.budget,
-                            [seeds[k][3] for k in ks]), first_max(deviations))
+    deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), count)
+    return (verdict_columns(join_stages(stages, base), args.tol, args.budget, derived[3::5]),
+            first_max(deviations))
 
 
 def cmd_verify(args) -> int:

@@ -46,6 +46,8 @@ __all__ = [
     "DensityMatrix",
     "KrausChannel",
     "apply_channel",
+    "channels_from_words",
+    "densities_from_words",
     "derive_seed",
     "derive_seeds",
     "generator",
@@ -58,6 +60,8 @@ __all__ = [
     "random_density",
     "random_unitaries",
     "random_unitary",
+    "seeding_words",
+    "unitaries_from_words",
     "validate_channel",
     "validate_channels",
     "validate_densities",
@@ -267,20 +271,31 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _entropy_words(entropy) -> list:
-    """The 32-bit words that SeedSequence splits the non-negative ints of an
-    entropy into: int after int, each least significant word first; 0 is one
-    word."""
-    words = []
-    for n in entropy:
-        n = int(n)
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & _MASK32)
-        while n > _MASK32:
-            n >>= 32
-            words.append(n & _MASK32)
-    return words
+def _entropy_words(entropies) -> tuple:
+    """The 32-bit words that SeedSequence splits each entropy, a sequence of
+    non-negative ints, into: int after int, each least significant word
+    first; 0 is one word.
+
+    Returns a (B, W) uint32 array, each row padded with zero words to
+    ``W = max(4, longest row)``, and each row's word count.
+    """
+    entropies = list(entropies)
+    lengths = [len(entropy) for entropy in entropies]
+    ints = [int(n) for entropy in entropies for n in entropy]
+    if min(ints, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    # every int at the width of the widest, then each cut to its own words
+    width = (max(ints, default=0).bit_length() + 31) // 32 or 1
+    words = np.frombuffer(b"".join([n.to_bytes(4 * width, "little") for n in ints]),
+                          dtype="<u4").reshape(len(ints), width)
+    nonzero = words != 0
+    sizes = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    word_rows = np.repeat(np.repeat(np.arange(len(lengths)), lengths), sizes)
+    widths = np.bincount(word_rows, minlength=len(lengths))
+    rows = np.zeros((len(lengths), max(_POOL_SIZE, widths.max(initial=0))), dtype=np.uint32)
+    rows[word_rows, np.arange(len(word_rows)) - (np.cumsum(widths) - widths)[word_rows]] = \
+        words[np.arange(width) < sizes[:, None]]
+    return rows, widths
 
 
 @functools.lru_cache(maxsize=16)
@@ -310,12 +325,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _seed_pools(words: np.ndarray) -> np.ndarray:
+def _seed_pools(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """SeedSequence's entropy pool of each row of a (B, W >= 4) uint32 array,
-    as (B, 4) uint32: the first four words fill the pool, each pool word
-    mixes into the three others, then each further word into all four.  Each
-    mixing word's hashes take successive constants, one per pool word it
-    mixes into, in pool order."""
+    as (B, 4) uint32; row b holds ``widths[b]`` words.  The first four words
+    fill the pool, each pool word mixes into the three others, then each
+    further word of a row into all four.  Each mixing word's hashes take
+    successive constants, one per pool word it mixes into, in pool order.
+    A row of fewer than four words mixes as if padded with zero words, as in
+    SeedSequence, so rows of every width share the pass."""
     xors, mults = _hash_constants(_INIT_A, _MULT_A, 4 * words.shape[1])
     pool = _hash(words[:, :_POOL_SIZE], xors[:4], mults[:4])
     step = 4
@@ -325,32 +342,31 @@ def _seed_pools(words: np.ndarray) -> np.ndarray:
         pool[:, dst] = _mix(pool[:, dst], hashes)
         step += 3
     for src in range(_POOL_SIZE, words.shape[1]):
-        pool = _mix(pool, _hash(words[:, src, None], xors[step:step + 4], mults[step:step + 4]))
+        mixed = _mix(pool, _hash(words[:, src, None], xors[step:step + 4], mults[step:step + 4]))
+        pool = np.where((widths > src)[:, None], mixed, pool)
         step += 4
     return pool
 
 
-def _seeding_words(entropies, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` of each
-    entropy, a sequence of non-negative ints, as one (B, n_words) uint64 array.
-
-    SeedSequence mixes an entropy of fewer than four words as if it were
-    padded with zero words to four, so all of those share one pass; longer
-    entropies take one pass per word count.
-    """
-    rows = [_entropy_words(entropy) for entropy in entropies]
-    pools = np.empty((len(rows), _POOL_SIZE), dtype=np.uint32)
-    by_width = {}
-    for b, row in enumerate(rows):
-        by_width.setdefault(max(len(row), _POOL_SIZE), []).append(b)
-    for width, members in by_width.items():
-        pools[members] = _seed_pools(np.array([rows[b] + [0] * (width - len(rows[b]))
-                                               for b in members], dtype=np.uint32))
+def _seeding_words(entropies) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` of each entropy,
+    a sequence of non-negative ints, as one (B, 4) uint64 array from one hash
+    pass.  generate_state hashes the pool's words one after another, so
+    column 0 is ``generate_state(1, np.uint64)``."""
+    pools = _seed_pools(*_entropy_words(entropies))
     # generate_state reads the pool cyclically, and SeedSequence reads pairs
     # of its words as little-endian 64-bit words
-    state = _hash(pools[:, np.arange(2 * n_words) % _POOL_SIZE],
-                  *_hash_constants(_INIT_B, _MULT_B, 2 * n_words))
+    state = _hash(pools[:, np.arange(8) % _POOL_SIZE], *_hash_constants(_INIT_B, _MULT_B, 8))
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def seeding_words(entropies) -> np.ndarray:
+    """The four uint64 words that ``SeedSequence(entropy)`` seeds PCG64 with,
+    for each entropy ``(seed, *parts)``, as one (B, 4) array from one hash
+    pass.  Column 0 is ``derive_seed(*entropy)``, and the row of ``(seed,)``
+    seeds ``generator(seed)``, so a caller may derive seeds and seed
+    generators in the same pass."""
+    return _seeding_words(entropies)
 
 
 @functools.cache
@@ -370,6 +386,12 @@ def _seeding_words_type() -> type:
     return SeedingWords
 
 
+def _generators(words) -> list:
+    """The PCG64 generator that each row of ``seeding_words`` seeds."""
+    seeding = _seeding_words_type()
+    return [np.random.Generator(np.random.PCG64(seeding(row))) for row in words]
+
+
 def generator(seed: int) -> np.random.Generator:
     """PCG64 generator for a non-negative integer seed, bit for bit
     ``np.random.Generator(np.random.PCG64(seed))``."""
@@ -378,9 +400,7 @@ def generator(seed: int) -> np.random.Generator:
 
 def generators(seeds) -> list:
     """``generator(seed)`` of each seed, all seeded from one hash pass."""
-    seeding = _seeding_words_type()
-    return [np.random.Generator(np.random.PCG64(seeding(words)))
-            for words in _seeding_words([(seed,) for seed in seeds], 4)]
+    return _generators(_seeding_words([(seed,) for seed in seeds]))
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -391,11 +411,21 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def derive_seeds(entropies) -> list:
     """``derive_seed(*entropy)`` of each entropy ``(seed, *parts)``, in one hash pass."""
-    return _seeding_words(entropies, 1)[:, 0].tolist()
+    return _seeding_words(entropies)[:, 0].tolist()
 
 
-def _complex_gaussian(gen: np.random.Generator, shape) -> np.ndarray:
-    return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+def _complex_gaussians(words, size: int) -> np.ndarray:
+    """``(x + 1j y) / sqrt(2)`` for ``size`` standard Gaussian pairs from the
+    generator that each row of ``words`` seeds, as a (B, size) complex array.
+
+    Each generator draws all of its real parts x, then all of its imaginary
+    parts y, in one ``standard_normal`` call, which is the stream of one call
+    per part.  The complex values of the whole stack are assembled at once.
+    """
+    draws = np.empty((len(words), 2, size))
+    for gen, out in zip(_generators(words), draws):
+        gen.standard_normal(out=out)
+    return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
 
 
 def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -406,18 +436,30 @@ def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> De
 def random_densities(d: int, ranks, seeds, tol: float = DEFAULT_TOL) -> list:
     """``random_density`` of each (rank, seed), validated as one (B, d, d) stack.
 
-    Each state draws from its own seeded generator.  The ranks may differ, so
-    each ``G G^dag`` is formed alone.
+    Each state draws from its own seeded generator.
     """
-    ms = []
-    for rank, gen in zip(ranks, generators(seeds), strict=True):
+    return densities_from_words(d, ranks, _seeding_words([(seed,) for seed in seeds]), tol)
+
+
+def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> list:
+    """``random_densities`` with the ``seeding_words`` row of each seed in
+    place of the seed.  The states of one rank draw their Gaussians as one
+    stack, and each ``G G^dag`` is formed alone."""
+    ranks = list(ranks)
+    by_rank = {}  # rank -> the indices of its states
+    for b, rank in enumerate(ranks):
         if not 1 <= rank <= d:
             raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-        g = _complex_gaussian(gen, (d, rank))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        ms.append((m + m.conj().T) / 2.0)
-    return validate_densities(np.array(ms), tol=tol)
+        by_rank.setdefault(rank, []).append(b)
+    if len(ranks) != len(words):
+        raise ValueError(f"{len(ranks)} ranks but {len(words)} seeds")
+    ms = np.empty((len(ranks), d, d), dtype=np.complex128)
+    for rank, members in by_rank.items():
+        for b, g in zip(members, _complex_gaussians(words[members], d * rank).reshape(-1, d, rank)):
+            m = g @ g.conj().T
+            m /= np.trace(m).real
+            ms[b] = (m + m.conj().T) / 2.0
+    return validate_densities(ms, tol=tol)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -427,18 +469,24 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
 def random_unitaries(n: int, seeds) -> np.ndarray:
     """``random_unitary`` of each seed, as one (B, n, n) stack from one stacked QR."""
+    return unitaries_from_words(n, _seeding_words([(seed,) for seed in seeds]))
+
+
+def unitaries_from_words(n: int, words) -> np.ndarray:
+    """``random_unitaries`` with the ``seeding_words`` row of each seed in
+    place of the seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _haar_isometries(seeds, n, n)
+    return _haar_isometries(words, n, n)
 
 
-def _haar_isometries(seeds, rows: int, cols: int) -> np.ndarray:
-    """One Haar isometry per seed, each from its own generator, as a (B, rows,
-    cols) stack.  A stacked QR runs LAPACK on each slice, as for a lone matrix."""
-    g = np.array([_complex_gaussian(gen, (rows, cols)) for gen in generators(seeds)])
-    if not len(g):
+def _haar_isometries(words, rows: int, cols: int) -> np.ndarray:
+    """One Haar isometry per row of seeding words, each from its own
+    generator, as a (B, rows, cols) stack.  A stacked QR runs LAPACK on each
+    slice, as for a lone matrix."""
+    if not len(words):
         return np.zeros((0, rows, cols), dtype=np.complex128)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_complex_gaussians(words, rows * cols).reshape(len(words), rows, cols))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     # make the triangular factor's diagonal real positive
     return q * (diag / np.abs(diag))[:, None, :]
@@ -459,10 +507,19 @@ def random_channels(d: int, n_kraus: int, seeds, convention: Convention = Conven
                     tol: float = 1e-12) -> list:
     """``random_channel`` of each seed: one stacked QR, then one
     ``validate_channels`` pass."""
+    return channels_from_words(d, n_kraus, _seeding_words([(seed,) for seed in seeds]),
+                               convention, tol)
+
+
+def channels_from_words(d: int, n_kraus: int, words,
+                        convention: Convention = Convention.COLUMN_SUM,
+                        tol: float = 1e-12) -> list:
+    """``random_channels`` with the ``seeding_words`` row of each seed in
+    place of the seed."""
     if not 1 <= n_kraus <= d * d:
         raise ValueError(f"n_kraus must satisfy 1 <= n <= d^2, got n={n_kraus}, d={d}")
     convention = Convention(convention)
-    w = _haar_isometries(seeds, n_kraus * d, d)
+    w = _haar_isometries(words, n_kraus * d, d)
     blocks = w.reshape(len(w), n_kraus, d, d)  # block i is rows i*d .. (i+1)*d of W
     if convention == Convention.ROW_SUM:
         blocks = blocks.conj().swapaxes(-1, -2)

@@ -117,7 +117,7 @@ def oracle_optimum(rho, ch1, ch2, p, q, reading):
     """Exhaustive permutation search: all (d!)^2 pairs in lexicographic order,
     first maximum kept.  The optimizer's exact search must reproduce it bit for bit."""
     data = chain_data(rho, ch1, ch2)
-    tables = data.tables
+    tables = data.stage.tables
     best = None
     for sig in itertools.permutations(range(data.dim)):
         for tu in itertools.permutations(range(data.dim)):
@@ -313,10 +313,10 @@ class TestBatchedKernelsMatchLoops:
                 assert np.array_equal(getattr(data, name), getattr(loop, name)), name
             tables = instance_s_tables(loop)
             start = [tables["start"]]
-            assert np.array_equal(data.tables.product, np.concatenate(
-                [start, tables["pair_product"].ravel(), tables["diag_product"]]))
-            assert np.array_equal(data.tables.printed, np.concatenate(
-                [start, tables["step_printed"].ravel()]))
+            assert np.array_equal(data.stage.tables[Reading.PRODUCT], [np.concatenate(
+                [start, tables["pair_product"].ravel(), tables["diag_product"]])])
+            assert np.array_equal(data.stage.tables[Reading.AS_PRINTED], [np.concatenate(
+                [start, tables["step_printed"].ravel()])])
             skew_1, skew_2 = loop_skews(loop)
             alone = chain_data(rho, ch1, ch2)
             for reading in Reading:
@@ -580,8 +580,8 @@ class TestPermuteS:
         rho, ch1, ch2 = random_instance(3, 95)
         data = chain_data(rho, ch1, ch2)
         product = chain_from_data(data).product
-        assert data.tables.product[0] == product
-        assert data.tables.printed[0] == product
+        assert data.stage.tables[Reading.PRODUCT][0, 0] == product
+        assert data.stage.tables[Reading.AS_PRINTED][0, 0] == product
 
     def test_invalid_permutation_rejected(self):
         rho, ch1, ch2 = random_instance(2, 96)

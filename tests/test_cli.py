@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from test_stacks import oracle_cmd_verify
 
-from skewchain import chains
+from skewchain import chains, cli, objects
 from skewchain.cli import build_parser, main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
 from skewchain.objects import Convention, random_channel, random_density
@@ -280,6 +281,35 @@ class TestDerivesEachInstanceOnce:
         blocks = [128, 16, 3, 128, 115]
         assert calls == {"_i_values": blocks,
                          "_lattice_values": [n for n in blocks for _ in range(2)]}
+
+
+class TestGeneratesEachChunkInFixedPasses:
+    # a verify chunk hashes its seeds once per derivation level, whatever
+    # Kraus counts it holds: the derived seeds; the trials' unitary seeds with
+    # the words of every state and channel; the trials' unitaries' words.
+    # Each generator draws its real and imaginary parts in one call.
+    def test_verify_chunk(self, monkeypatch):
+        passes = []
+        real = objects._seeding_words
+
+        def counted(entropies, *args):
+            passes.append(len(entropies))
+            return real(entropies, *args)
+
+        drawn = []
+
+        class Counted(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                drawn.append(self)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(objects, "_seeding_words", counted)
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        # at d = 3 both channels of the 20 instances take each Kraus count 1..4
+        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10, budget=14400))
+        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20]
+        # one draw by each state, channel and trial unitary's generator
+        assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
 
 
 class TestVerify:

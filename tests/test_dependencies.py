@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,15 @@ def test_no_module_imports_a_private_name_of_another():
                             f"import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_import_loads_no_random_argparse_or_cli():
+    # import time is part of every CLI run: the package import must not pull
+    # in numpy.random (seeding defers it to first use), argparse or the CLI
+    code = ("import sys, skewchain; "
+            "print(sorted(m for m in ('numpy.random', 'argparse', 'skewchain.cli') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -66,6 +66,8 @@ from skewchain.linalg import (
 )
 from skewchain.objects import (
     Convention,
+    DensityMatrix,
+    KrausChannel,
     completeness_residual,
     derive_seed,
     derive_seeds,
@@ -252,6 +254,8 @@ def oracle_sampled(tables, d, p, q, budget, seed, reading):
 def oracle_optimize(data, p, q, strategy, budget, seed, reading):
     """``(value, sigma, tau)`` of one instance's permutation optimum."""
     d = data.dim
+    tables = SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
+                             printed=data.stage.tables[Reading.AS_PRINTED][0])
     n_pairs = math.perm(d, p - 1) ** 2
     if strategy is None:
         strategy = Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
@@ -259,8 +263,8 @@ def oracle_optimize(data, p, q, strategy, budget, seed, reading):
         if n_pairs > budget:
             raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
                               f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
-        return oracle_exhaustive(data.tables, d, p, q, reading)
-    return oracle_sampled(data.tables, d, p, q, budget, seed, reading)
+        return oracle_exhaustive(tables, d, p, q, reading)
+    return oracle_sampled(tables, d, p, q, budget, seed, reading)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +758,7 @@ class TestSeedingKernel:
                      for parts in itertools.product((0, 7, 2 ** 32, 10 ** 23), repeat=length)]
         want = [oracle_derive_seed(*entropy) for entropy in entropies]
         assert derive_seeds(entropies) == want  # words of every width in one call
+        assert derive_seeds(iter(entropies)) == want  # read once, as an iterator allows
         assert [derive_seed(*entropy) for entropy in entropies] == want
 
     def test_a_derived_seed_below_2_32_is_one_word(self):
@@ -882,8 +887,8 @@ def column_bits(columns, b, tol):
 
 def stage_data(stage, b, d):
     """What the scalar oracles read of instance b of a stage."""
-    return SimpleNamespace(dim=d, tables=SimpleNamespace(
-        product=stage.tables[Reading.PRODUCT][b], printed=stage.tables[Reading.AS_PRINTED][b]),
+    return SimpleNamespace(dim=d, stage=SimpleNamespace(
+        tables={reading: stage.tables[reading][b:b + 1] for reading in Reading}),
         chains={reading: BoundChain(d, stage.products[b], stage.sums[b], stage.i_values[b],
                                     dict(zip(lattice_order(d),
                                              stage.lattices[reading][b].tolist())),
@@ -988,20 +993,33 @@ class TestVerdictColumns:
 # per-instance loop it replaced
 
 
+def oracle_kraus_counts(d, k):
+    return min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)
+
+
+def oracle_instance(d, k, derived):
+    """Instance k at dimension d and its invariance trial, built by the
+    one-instance oracles from its derived seeds ``derived`` (parts 0 to 4):
+    ``(state, channel 1, channel 2, mixed channel 1, mixed channel 2)``."""
+    state = DensityMatrix(d, *oracle_random_density(d, (k % d) + 1, derived[0]), TOL)
+    channels, mixed = [], []
+    for side, n in enumerate(oracle_kraus_counts(d, k), start=1):
+        channel = KrausChannel(d, tuple(oracle_random_channel(d, n, Convention.COLUMN_SUM,
+                                                              derived[side])),
+                               Convention.COLUMN_SUM, 1e-12)
+        u = oracle_haar_isometry(oracle_derive_seed(derived[4], 0, side), n, n)
+        channels.append(channel)
+        mixed.append(dataclasses.replace(channel, operators=tuple(oracle_mix_kraus(channel, u))))
+    return state, *channels, *mixed
+
+
 def oracle_verify_instance(d, k, args):
     """``(checks, invariance deviation)`` of instance k at dimension d, built alone."""
-    rho = random_density(d, (k % d) + 1, oracle_derive_seed(args.seed, d, k, 0))
-    n1 = min((k % 4) + 1, d * d)
-    n2 = min(((k // 4) % 4) + 1, d * d)
-    ch1 = random_channel(d, n1, Convention.COLUMN_SUM, oracle_derive_seed(args.seed, d, k, 1))
-    ch2 = random_channel(d, n2, Convention.COLUMN_SUM, oracle_derive_seed(args.seed, d, k, 2))
-    data = chain_data(rho, ch1, ch2)
-    checks = oracle_verify_from_data(data, args.tol, args.budget,
-                                     oracle_derive_seed(args.seed, d, k, 3))
-    trial_seed = oracle_derive_seed(args.seed, d, k, 4)
-    u = random_unitary(n1, oracle_derive_seed(trial_seed, 0, 1))
-    v = random_unitary(n2, oracle_derive_seed(trial_seed, 0, 2))
-    devs = oracle_invariance(data, [chain_data(rho, mix_kraus(ch1, u), mix_kraus(ch2, v))])
+    derived = [oracle_derive_seed(args.seed, d, k, part) for part in range(5)]
+    state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
+    data = chain_data(state, ch1, ch2)
+    checks = oracle_verify_from_data(data, args.tol, args.budget, derived[3])
+    devs = oracle_invariance(data, [chain_data(state, mixed1, mixed2)])
     return checks, max(devs.values())
 
 
@@ -1053,6 +1071,46 @@ class TestStackedVerify:
             assert [column_bits(columns, b, args.tol) for b in range(len(ks))] == [
                 check_bits(checks) for checks, _ in want]
             assert [repr(x) for x in deviations.tolist()] == [repr(x) for _, x in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 5), ks=st.lists(st.integers(0, 200), min_size=1, max_size=10,
+                                            unique=True),
+           seed=st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 64, 2 ** 80)),
+           cut=st.sampled_from([None, 2 ** 32, 3]))
+    def test_chunk_builds_what_the_oracles_build(self, d, ks, seed, cut):
+        # every state, channel and mixed family of a chunk, with mixed ranks
+        # and Kraus counts (up to d^2 at d <= 2); ``cut`` takes each derived
+        # seed below 2^32, to one word, or to 0, 1 and 2
+        def cut_seeds(seeds):
+            return seeds if cut is None else [seed % cut for seed in seeds]
+
+        ks = sorted(ks)
+        stages = []
+        real_stage, real_derive = cli.chain_stage, cli.derive_seeds
+
+        def captured(rhos, ch1s, ch2s):
+            stages.append((rhos, ch1s, ch2s))
+            return real_stage(rhos, ch1s, ch2s)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(cli, "chain_stage", captured)
+            patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
+            cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10, budget=14400))
+        groups = {}  # one stage per (n1, n2) group, in the order the ks meet them
+        for k in ks:
+            groups.setdefault(oracle_kraus_counts(d, k), []).append(k)
+        assert len(stages) == len(groups)
+        for (rhos, ch1s, ch2s), group in zip(stages, groups.values()):
+            assert len(rhos) == 2 * len(group)  # the instances, then their trials
+            for j, k in enumerate(group):
+                derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
+                state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
+                for rho in (rhos[j], rhos[len(group) + j]):
+                    assert same_bits(rho.rho, state.rho) and same_bits(rho.sqrt_rho,
+                                                                       state.sqrt_rho)
+                for got, want in ((ch1s[j], ch1), (ch2s[j], ch2), (ch1s[len(group) + j], mixed1),
+                                  (ch2s[len(group) + j], mixed2)):
+                    assert same_ops(got, want.operators)
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [
