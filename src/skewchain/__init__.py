@@ -70,6 +70,8 @@ from .objects import (
     DensityMatrix,
     KrausChannel,
     apply_channel,
+    channel_stack,
+    density_stack,
     derive_seed,
     mix_kraus,
     mix_kraus_families,

@@ -52,7 +52,8 @@ from .objects import (
     derive_seeds,
     generators,
     mix_kraus,
-    random_unitary,
+    seeding_words,
+    unitaries_from_words,
 )
 from .skew import channel_skews, column_norms_sq, frame_stack
 
@@ -118,8 +119,9 @@ def lattice_order(d: int) -> list:
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
 # instance, so a stack returns each instance's bits unchanged.  ``chain_stage``
-# is the one builder; ``chain_batch`` wraps its instances and ``chain_data`` is
-# a stack of one.  The readers of a pass (``verdict_columns``,
+# is the one builder, over arrays; ``chain_batch`` checks and stacks the
+# objects of its instances and wraps each, and ``chain_data`` is a stack of
+# one.  The readers of a pass (``verdict_columns``,
 # ``invariance_columns``, ``optimize_batch``) read its stage.  The frames, their
 # column norms and the channel skew informations come from ``skew``'s kernel.
 
@@ -149,22 +151,16 @@ class ChainData:
     stage: ChainStage = field(repr=False, compare=False)
 
 
-def _columns(rhos: list, ch1s: list, ch2s: list) -> tuple:
+def _columns(sqrt_rhos, ops1, ops2) -> tuple:
     """Stacked ``(e_norms, f_norms, overlaps)`` of B same-shape instances."""
-    if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
-        raise ValueError(f"need one or more instances, equally many of each part: "
-                         f"{len(rhos)} states, {len(ch1s)} and {len(ch2s)} channels")
-    shape = (rhos[0].dim, ch1s[0].n, ch2s[0].n)
-    for rho, ch1, ch2 in zip(rhos, ch1s, ch2s):
-        if ch1.dim != rho.dim or ch2.dim != rho.dim:
-            raise DimensionMismatchError(
-                f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
-        if (rho.dim, ch1.n, ch2.n) != shape:
-            raise DimensionMismatchError(f"instances of one batch must share (dim, n1, n2): "
-                                         f"{(rho.dim, ch1.n, ch2.n)} vs {shape}")
-    s = np.array([rho.sqrt_rho for rho in rhos])
-    e = frame_stack(s, np.array([ch.operators for ch in ch1s]))
-    f = frame_stack(s, np.array([ch.operators for ch in ch2s]))
+    s, e_ops, f_ops = (np.ascontiguousarray(a, dtype=np.complex128)
+                       for a in (sqrt_rhos, ops1, ops2))
+    if not (s.ndim == 3 and e_ops.ndim == f_ops.ndim == 4 and len(s) == len(e_ops) == len(f_ops)
+            > 0 and s.shape[1] == s.shape[2] and s.shape[1:] == e_ops.shape[2:] == f_ops.shape[2:]):
+        raise DimensionMismatchError(
+            f"need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) "
+            f"stacks, got shapes {s.shape}, {e_ops.shape} and {f_ops.shape}")
+    e, f = frame_stack(s, e_ops), frame_stack(s, f_ops)
     overlaps = np.einsum("...aij,...bij->...abj", e.conj(), f)
     return column_norms_sq(e), column_norms_sq(f), overlaps
 
@@ -183,15 +179,18 @@ ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps sums
                                                   "tables lattices i_values cross_terms")
 
 
-def chain_stage(rhos: list, ch1s: list, ch2s: list) -> ChainStage:
+def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
     """Every chain quantity of each instance of a stack, as stacked arrays.
 
-    Instance b is ``(rhos[b], ch1s[b], ch2s[b])``; all instances share the
-    dimension and both Kraus counts, and each gets bit for bit what it gets
-    in a stack of one.  The stack's arrays scale with its length, so callers
-    with many instances pass them in blocks.
+    Instance b is the state whose square root is ``sqrt_rhos[b]`` with the
+    Kraus families ``ops1[b]`` and ``ops2[b]``: a (B, d, d) stack and
+    (B, n1, d, d) and (B, n2, d, d) stacks of validated inputs, as
+    ``density_stack`` and ``channel_stack`` return them.  Each instance gets
+    bit for bit what it gets in a stack of one.  The stack's arrays scale
+    with its length, so callers with many instances pass them in blocks;
+    ``chain_batch`` takes the instances as objects.
     """
-    e_norms, f_norms, overlaps = _columns(rhos, ch1s, ch2s)
+    e_norms, f_norms, overlaps = _columns(sqrt_rhos, ops1, ops2)
     d = e_norms.shape[-1]
     skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
     products = [s1 * s2 for s1, s2 in skews]
@@ -230,10 +229,24 @@ def join_stages(stages, rows) -> ChainStage:
 
 
 def chain_batch(rhos, ch1s, ch2s) -> list:
-    """The ``ChainData`` of each instance of a stack: one ``chain_stage`` pass,
-    each instance's slice wrapped with its ``BoundChain`` under each reading."""
+    """The ``ChainData`` of each (state, channel, channel) instance of a stack:
+    the objects checked and stacked, one ``chain_stage`` pass, then each
+    instance's slice wrapped with its ``BoundChain`` under each reading."""
     rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
-    stage = chain_stage(rhos, ch1s, ch2s)
+    if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
+        raise ValueError(f"need one or more instances, equally many of each part: "
+                         f"{len(rhos)} states, {len(ch1s)} and {len(ch2s)} channels")
+    shape = (rhos[0].dim, ch1s[0].n, ch2s[0].n)
+    for rho, ch1, ch2 in zip(rhos, ch1s, ch2s):
+        if ch1.dim != rho.dim or ch2.dim != rho.dim:
+            raise DimensionMismatchError(
+                f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
+        if (rho.dim, ch1.n, ch2.n) != shape:
+            raise DimensionMismatchError(f"instances of one batch must share (dim, n1, n2): "
+                                         f"{(rho.dim, ch1.n, ch2.n)} vs {shape}")
+    stage = chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
+                        np.array([ch.operators for ch in ch1s]),
+                        np.array([ch.operators for ch in ch2s]))
     d = stage.e_norms.shape[-1]
     positions = lattice_order(d)
     lattices = {reading: [dict(zip(positions, row)) for row in values.tolist()]
@@ -858,9 +871,13 @@ def invariance_from_data(data: ChainData, trials: int, seed: int,
     by ``chain_data``; the trials mix the channels ``data`` was built from."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mixed = (chain_data(data.rho, mix_kraus(data.ch1, random_unitary(data.ch1.n, seed_u)),
-                        mix_kraus(data.ch2, random_unitary(data.ch2.n, seed_v)))
-             for seed_u, seed_v in trial_seeds([seed], trials)[0])  # one trial's data at a time
+    # two hash passes: the trials' unitary seeds u and v, then the seeding
+    # words of each; each side's unitaries are one stack
+    words = seeding_words([(s,) for pair in trial_seeds([seed], trials)[0] for s in pair])
+    us = unitaries_from_words(data.ch1.n, words[0::2])
+    vs = unitaries_from_words(data.ch2.n, words[1::2])
+    mixed = (chain_data(data.rho, mix_kraus(data.ch1, u), mix_kraus(data.ch2, v))
+             for u, v in zip(us, vs))  # one trial's data at a time
     return invariance_from_trials(data, mixed, tol)
 
 

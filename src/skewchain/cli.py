@@ -44,13 +44,7 @@ from .chains import (
     verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
-from .example import (
-    ExampleParams,
-    discrepancy_report,
-    sweep,
-    write_discrepancy_csv,
-    write_sweep_csv,
-)
+from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
 from .linalg import first_max
 from .objects import (
     channels_from_words,
@@ -210,9 +204,11 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     the seeding words of every state and channel; then the words of the
     trials' mixing unitaries.  The states are generated and validated as one
     stack, the channels and the trials' mixing unitaries as one stack per
-    Kraus count, and each (n1, n2) group's instances and their mixed trials
-    are built in one ``chain_stage`` pass, which the verdict and the
-    invariance deviations read.
+    Kraus count.  The states' square roots are stacked once, and so are each
+    Kraus count's channels and mixed families; each (n1, n2) group's
+    instances and their mixed trials are indexed from those stacks into one
+    ``chain_stage`` pass, which the verdict and the invariance deviations
+    read.
     """
     ks = list(ks)
     count = len(ks)
@@ -223,28 +219,32 @@ def _verify_chunk(d: int, ks, args) -> tuple:
                           + [(seed,) for part in range(3) for seed in derived[part::5]])
     trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
     rhos = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
+    roots = np.array([rho.sqrt_rho for rho in rhos])
     counts = [(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks]
     by_count = {}  # Kraus count -> the (i, side) of each family with that count
     for i, pair in enumerate(counts):
         for side in (0, 1):
             by_count.setdefault(pair[side], []).append((i, side))
-    channels, mixed = {}, {}
+    # Kraus count -> its channels, then their mixed families, as one stack;
+    # (i, side) -> the rows of that family's channel and mixed family there
+    kraus, rows = {}, {}
     for n, families in by_count.items():
         chs = channels_from_words(d, n, words[[(3 + side) * count + i for i, side in families]])
         us = unitaries_from_words(n, trial_words[[2 * i + side for i, side in families]])
-        for family, ch, mix in zip(families, chs, mix_kraus_families(chs, us)):
-            channels[family], mixed[family] = ch, mix
+        kraus[n] = np.array([ch.operators for ch in chs + mix_kraus_families(chs, us)])
+        rows.update((family, (r, r + len(families))) for r, family in enumerate(families))
     groups = {}
     for i, pair in enumerate(counts):
         groups.setdefault(pair, []).append(i)
     stages, base, trial = [], [], []  # stacked rows of each instance, and of its trial
-    for group in groups.values():
+    for pair, group in groups.items():
         offset = 2 * len(base)
         base += [offset + j for j in range(len(group))]
         trial += [offset + len(group) + j for j in range(len(group))]
-        stages.append(chain_stage([rhos[i] for i in group] * 2,
-                                  [channels[i, 0] for i in group] + [mixed[i, 0] for i in group],
-                                  [channels[i, 1] for i in group] + [mixed[i, 1] for i in group]))
+        # the group's instances, then their trials
+        ops = [kraus[n][[rows[i, side][mixed] for mixed in (0, 1) for i in group]]
+               for side, n in enumerate(pair)]
+        stages.append(chain_stage(roots[group * 2], *ops))
     order = np.argsort([i for group in groups.values() for i in group])
     base, trial = np.array(base)[order], np.array(trial)[order]
     deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), count)
@@ -315,11 +315,11 @@ def cmd_verify(args) -> int:
 # example
 
 
-def _subsample(grid, limit: int = 9) -> list:
+def _subsample(grid, limit: int = 9) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
     if len(grid) <= limit:
-        return list(grid)
-    idx = np.linspace(0, len(grid) - 1, limit).round().astype(int)
-    return [grid[i] for i in idx]
+        return grid
+    return grid[np.linspace(0, len(grid) - 1, limit).round().astype(int)]
 
 
 def cmd_example(args) -> int:
@@ -350,10 +350,9 @@ def cmd_example(args) -> int:
                     out_dir / "figure4.csv")
     write_sweep_csv(curve, out_dir / "figure3.csv")
 
-    grid = [ExampleParams(theta=th, p=p, q=q)
-            for th in _subsample(theta_grid) for p in _subsample(p_grid)
-            for q in _subsample(q_grid)]
-    report = discrepancy_report(grid)
+    # the subsampled grid's (theta, p, q) rows, theta-major
+    axes = np.meshgrid(*map(_subsample, (theta_grid, p_grid, q_grid)), indexing="ij")
+    report = discrepancy_report(np.stack(axes, axis=-1).reshape(-1, 3))
     write_discrepancy_csv(report, out_dir / "discrepancy_report.csv")
 
     failures = surface.hard_failures(args.tol) + curve.hard_failures(args.tol)

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Reading, Strategy, chain_stage, optimize_batch
-from .objects import Convention, DensityMatrix, validate_channels, validate_densities
+from .objects import (
+    Convention,
+    DensityMatrix,
+    channel_stack,
+    density_stack,
+    validate_channels,
+    validate_densities,
+)
 from .serialize import write_text_atomic
 
 __all__ = [
@@ -46,6 +53,7 @@ __all__ = [
 ]
 
 EXAMPLE_DIM = 4
+_TOL = 1e-12  # the validation tolerance of the example's states and channels
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -62,12 +70,17 @@ def rho_theta(theta: float) -> DensityMatrix:
 
 def rho_thetas(thetas) -> list:
     """``rho_theta`` of each theta, validated as one stack."""
+    return validate_densities(_rho_stack(thetas), tol=_TOL)
+
+
+def _rho_stack(thetas) -> np.ndarray:
+    """The (B, 4, 4) matrices of ``rho_theta``, one per theta, unvalidated."""
     a = 2.0 * np.array([_check_unit("theta", theta) for theta in thetas]) - 1.0
     rho = np.zeros((len(a), 4, 4), dtype=complex)
     diag = np.arange(4)
     rho[:, diag, diag] = 1.0 / 4.0
     rho[:, 0, 1] = rho[:, 1, 0] = rho[:, 2, 3] = rho[:, 3, 2] = a / 4.0
-    return validate_densities(rho, tol=1e-12)
+    return rho
 
 
 def example_channels(p: float, q: float) -> tuple:
@@ -77,6 +90,14 @@ def example_channels(p: float, q: float) -> tuple:
 
 def example_channel_pairs(points) -> list:
     """``example_channels`` of each (p, q); each family is validated as one stack."""
+    e, f = _family_stacks(points)
+    return list(zip(validate_channels(e, convention=Convention.ROW_SUM, tol=_TOL),
+                    validate_channels(f, convention=Convention.ROW_SUM, tol=_TOL)))
+
+
+def _family_stacks(points) -> tuple:
+    """The (B, 2, 4, 4) Kraus stacks of both families of ``example_channels``,
+    one family pair per (p, q), unvalidated."""
     units = [(_check_unit("p", p), _check_unit("q", q)) for p, q in points]
     p, q = np.array(units, dtype=float).reshape(-1, 2).T
     sp, sq = np.sqrt(1.0 - p), np.sqrt(1.0 - q)
@@ -88,8 +109,7 @@ def example_channel_pairs(points) -> list:
     e[:, 1, 1, 1] = e[:, 1, 3, 3] = np.sqrt(p)
     f[:, 0, 0, 0] = f[:, 0, 2, 2] = sq
     f[:, 1, 0, 1] = f[:, 1, 2, 3] = np.sqrt(q)
-    return list(zip(validate_channels(e, convention=Convention.ROW_SUM, tol=1e-12),
-                    validate_channels(f, convention=Convention.ROW_SUM, tol=1e-12)))
+    return e, f
 
 
 @dataclass(frozen=True)
@@ -218,24 +238,31 @@ def _blocks(count: int):
     return [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
 
 
-def _chain_blocks(states: dict, channels: dict, points: list):
-    """Yield ``(block, stage)`` for the (theta, p, q) points, in order.
+def _distinct(values) -> tuple:
+    """The index of each distinct value's first occurrence, and the index of
+    each value among the distinct ones."""
+    _, first, rows = np.unique(values, return_index=True, return_inverse=True)
+    return first, rows
 
-    ``states`` maps each theta to its state and ``channels`` each (p, q) to
-    its channel pair; ``block`` holds at most ``_BLOCK`` consecutive points,
-    and ``stage`` is their ``chain_stage``, one stacked pass over the block.
+
+def _chain_blocks(points: np.ndarray):
+    """Yield ``(span, stage)`` over the (N, 3) rows (theta, p, q) of ``points``.
+
+    The state of each distinct theta and the channel pair of each distinct
+    (p, q) are validated once, as stacks built from their first rows; ``span``
+    is a slice of at most ``_BLOCK`` consecutive rows, and ``stage`` is their
+    ``chain_stage``, one stacked pass fed by indexing those stacks.
     """
+    theta_first, theta_rows = _distinct(points[:, 0])
+    _, p_rows = _distinct(points[:, 1])
+    _, q_rows = _distinct(points[:, 2])
+    pair_first, pair_rows = _distinct(p_rows * len(points) + q_rows)
+    _, roots = density_stack(_rho_stack(points[theta_first, 0]), tol=_TOL)
+    e, f = (channel_stack(ops, convention=Convention.ROW_SUM, tol=_TOL)
+            for ops in _family_stacks(points[pair_first, 1:]))
     for span in _blocks(len(points)):
-        block = points[span]
-        pairs = [channels[p, q] for _, p, q in block]
-        yield block, chain_stage([states[theta] for theta, _, _ in block],
-                                 [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
-
-
-def _build_distinct(build, keys) -> dict:
-    """``build`` of each distinct key, all in one call: a map from key to result."""
-    distinct = list(dict.fromkeys(keys))
-    return dict(zip(distinct, build(distinct)))
+        pairs = pair_rows[span]
+        yield span, chain_stage(roots[theta_rows[span]], e[pairs], f[pairs])
 
 
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
@@ -247,37 +274,34 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     over permutation pairs (``strategy`` and ``budget`` as in
     ``optimize_permutations``); the mixed columns convex-combine it with the
     trivial bounds at each t, as ``mixed_bound`` does.  Each state and channel
-    pair is built once; the chains come from stacked passes that run across
-    theta and are shared across the t axis, and the optimizer searches each
-    pass at once.
+    pair is validated once, as arrays; the chains come from stacked passes
+    that run across theta and are shared across the t axis, and the optimizer
+    searches each pass at once.
     """
-    thetas = [_check_unit("theta", v) for v in theta_grid]
-    ps = [_check_unit("p", v) for v in p_grid]
-    qs = [_check_unit("q", v) for v in q_grid]
-    ts = [_check_unit("t", v) for v in t_grid]
-    if not (thetas and ps and qs and ts):
+    thetas = sorted(_check_unit("theta", v) for v in theta_grid)
+    ps = sorted(_check_unit("p", v) for v in p_grid)
+    qs = sorted(_check_unit("q", v) for v in q_grid)
+    ts = np.array(sorted(_check_unit("t", v) for v in t_grid))
+    if not (thetas and ps and qs and len(ts)):
         raise ValueError("all sweep grids must be nonempty")
-    pqs = [(p, q) for p in sorted(ps) for q in sorted(qs)]
-    channels = _build_distinct(example_channel_pairs, pqs)
-    states = _build_distinct(rho_thetas, thetas)
-    points = [(theta, p, q) for theta in sorted(thetas) for p, q in pqs]
+    points = np.stack(np.meshgrid(thetas, ps, qs, indexing="ij"), axis=-1).reshape(-1, 3)
+    forms = _form_columns(*points.T)
     reading = Reading(reading)
-    ts = np.array(sorted(ts))
     columns = []
-    for block, stage in _chain_blocks(states, channels, points):
+    for span, stage in _chain_blocks(points):
         bests = optimize_batch(stage, perm_target[0], perm_target[1], strategy, budget, seed,
                                reading)
         chain = np.column_stack([  # "product" through "perm_opt", one row per point
             stage.products, stage.sums, stage.i_values,
             stage.lattices[reading][:, :3], stage.cross_terms, [best.value for best in bests]])
         chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
-        t = np.tile(ts, len(block))
+        t = np.tile(ts, len(stage.products))
         product, total, opt = chain[:, 0], chain[:, 1], chain[:, -1]
         root = 2.0 * np.sqrt(np.where(opt > 0.0, opt, 0.0))  # mixed_bound's guard, NaN too
         columns.append(np.column_stack([
-            np.repeat(block, len(ts), axis=0), t, chain,
+            np.repeat(points[span], len(ts), axis=0), t, chain,
             (1.0 - t) * product + t * opt, (1.0 - t) * total + t * root,
-            np.repeat(_form_columns(*zip(*block)), len(ts), axis=0)]))
+            np.repeat(forms[span], len(ts), axis=0)]))
     return SweepTable(columns=np.concatenate(columns), reading=reading)
 
 
@@ -315,10 +339,12 @@ class DiscrepancyRow:
 
 @dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
-    """The report as columns: ``params`` are the grid points, and row i of each
-    (points, 6) array holds point i's values of eq20..eq25."""
+    """The report as columns: ``params`` is the read-only (points, 3) array of
+    the grid's (theta, p, q) rows, and row i of each (points, 6) array holds
+    point i's values of eq20..eq25.  No per-point object exists until
+    ``rows`` is read."""
 
-    params: tuple
+    params: np.ndarray
     numeric: np.ndarray
     printed: np.ndarray
     abs_dev: np.ndarray
@@ -328,10 +354,12 @@ class DiscrepancyReport:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        """One ``DiscrepancyRow`` per point and formula, in point order."""
+        """One ``DiscrepancyRow`` per point and formula, in point order, each
+        point an ``ExampleParams``."""
         columns = (self.numeric, self.printed, self.abs_dev, self.rel_dev, self.ratio)
-        return tuple(DiscrepancyRow(name, pt, *values)
-                     for pt, point in zip(self.params, zip(*(c.tolist() for c in columns)))
+        return tuple(DiscrepancyRow(name, ExampleParams(*pt), *values)
+                     for pt, point in zip(self.params.tolist(),
+                                          zip(*(c.tolist() for c in columns)))
                      for name, values in zip(_FORM_NAMES, zip(*point)))
 
     def rows_for(self, formula: str) -> list:
@@ -345,25 +373,26 @@ def _numeric_targets(stage) -> np.ndarray:
     return np.column_stack([stage.products, stage.sums, stage.cross_terms, lattice[:, :3]])
 
 
-def discrepancy_report(param_grid) -> DiscrepancyReport:
-    """Numeric-vs-reference table over a grid of ExampleParams.
+def discrepancy_report(points) -> DiscrepancyReport:
+    """Numeric-vs-reference table over grid points, an (N, 3) array-like of
+    (theta, p, q) rows.
 
     Purely descriptive: for each point and formula it holds the signed
     values, the absolute and relative deviations and the printed/numeric
     ratio.  When one formula's ratios agree to 1e-6 relative across the grid,
     that constant is recorded as its fitted ratio.  The report never fails a
     run.  Its rows follow the grid's order, and so do the stacked passes,
-    which build no per-point chain.
+    which build no per-point object.  A value outside [0, 1] is rejected when
+    the states and channels are built.
     """
-    params = tuple(param_grid)
-    if not params:
+    points = np.array(points, dtype=float)
+    if not points.size:
         raise ValueError("the parameter grid must be nonempty")
-    channels = _build_distinct(example_channel_pairs, [(pt.p, pt.q) for pt in params])
-    states = _build_distinct(rho_thetas, [pt.theta for pt in params])
-    points = [(pt.theta, pt.p, pt.q) for pt in params]
-    numeric = np.concatenate([_numeric_targets(stage) for _, stage in
-                              _chain_blocks(states, channels, points)])
-    printed = _form_columns(*zip(*points))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected (theta, p, q) rows, got an array of shape {points.shape}")
+    points.setflags(write=False)
+    numeric = np.concatenate([_numeric_targets(stage) for _, stage in _chain_blocks(points)])
+    printed = _form_columns(*points.T)
     abs_dev = np.abs(numeric - printed)
     scale = np.maximum(np.abs(numeric), np.abs(printed))
     rel_dev = np.divide(abs_dev, scale, out=np.zeros_like(scale), where=scale > 0.0)
@@ -377,7 +406,7 @@ def discrepancy_report(param_grid) -> DiscrepancyReport:
             mid = (lo + hi) / 2.0
             if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
                 fitted[name] = mid
-    return DiscrepancyReport(params=params, numeric=numeric, printed=printed, abs_dev=abs_dev,
+    return DiscrepancyReport(params=points, numeric=numeric, printed=printed, abs_dev=abs_dev,
                              rel_dev=rel_dev, ratio=ratio, fitted_ratios=fitted)
 
 
@@ -392,7 +421,7 @@ def write_discrepancy_csv(report: DiscrepancyReport, path) -> None:
             if name in report.fitted_ratios else ""
         templates.append((f"{name},%s,{'%.12g,' * 5}{fitted}",
                           f"{name},%s,{'%.12g,' * 4}%.0s,{fitted}"))
-    grid = np.array([(pt.theta, pt.p, pt.q) for pt in report.params], dtype=float) + 0.0
+    grid = np.asarray(report.params, dtype=float) + 0.0
     points = ["%.12g,%.12g,%.12g" % tuple(v) for v in grid.tolist()]
     values = np.stack([report.numeric, report.printed, report.abs_dev, report.rel_dev,
                        report.ratio], axis=-1) + 0.0  # + 0.0 folds -0.0 into 0.0

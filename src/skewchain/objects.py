@@ -46,8 +46,10 @@ __all__ = [
     "DensityMatrix",
     "KrausChannel",
     "apply_channel",
+    "channel_stack",
     "channels_from_words",
     "densities_from_words",
+    "density_stack",
     "derive_seed",
     "derive_seeds",
     "generator",
@@ -115,9 +117,19 @@ def validate_densities(stack, tol: float = DEFAULT_TOL) -> list:
     and each state keeps its bits.  A bad stack raises what its first failing
     state raises alone.
     """
+    rhos, sqrts = density_stack(stack, tol)
+    return [DensityMatrix(dim=rhos.shape[-1], rho=rho, sqrt_rho=sqrt, validation_tol=tol)
+            for rho, sqrt in zip(rhos, sqrts)]
+
+
+def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
+    """The states of a (B, d, d) stack and their square roots, as two
+    read-only (B, d, d) complex arrays, validated as ``validate_densities``
+    validates them: each keeps its bits, and a bad stack raises what its first
+    failing state raises alone."""
     arr = _as_stack(stack, 3, validate_density, tol)
     if not len(arr):
-        return []
+        return _frozen(arr), _frozen(arr)
     check = FirstFailure(len(arr))
     check.record(~_finite_each(arr), lambda b: NonFiniteError())
     if arr.shape[1] != arr.shape[2]:  # a shared shape: the first finite state fails it
@@ -126,9 +138,7 @@ def validate_densities(stack, tol: float = DEFAULT_TOL) -> list:
     _check_densities(arr, tol, check)
     sqrts = psd_sqrt_stack(arr, tol, check)
     check.raise_first()
-    rhos, sqrts = _frozen(arr), _frozen(sqrts)
-    return [DensityMatrix(dim=arr.shape[1], rho=rho, sqrt_rho=sqrt, validation_tol=tol)
-            for rho, sqrt in zip(rhos, sqrts)]
+    return _frozen(arr), _frozen(sqrts)
 
 
 def _check_densities(arr: np.ndarray, tol: float, check: FirstFailure) -> None:
@@ -216,9 +226,22 @@ def validate_channels(stack, convention: Convention = Convention.COLUMN_SUM,
     each family keeps its bits.  A bad stack raises what its first failing
     family raises alone.
     """
-    arr = _as_stack(stack, 4, validate_channel, convention, tol)
+    arr = channel_stack(stack, convention, tol)
     if not len(arr):
         return []
+    convention = Convention(convention)
+    return [KrausChannel(dim=arr.shape[-1], operators=tuple(ops), convention=convention,
+                         completeness_tol=tol) for ops in arr]
+
+
+def channel_stack(stack, convention: Convention = Convention.COLUMN_SUM,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The Kraus families of a (B, n, d, d) stack as one read-only complex
+    array, validated as ``validate_channels`` validates them: each keeps its
+    bits, and a bad stack raises what its first failing family raises alone."""
+    arr = _as_stack(stack, 4, validate_channel, convention, tol)
+    if not len(arr):
+        return _frozen(arr)
     finite = _finite_each(arr)
     if not finite[0]:
         raise NonFiniteError()
@@ -233,8 +256,7 @@ def validate_channels(stack, convention: Convention = Convention.COLUMN_SUM,
     check.record(residuals > tol,
                  lambda b: CompletenessError(float(residuals[b]), convention.value, tol))
     check.raise_first()
-    return [KrausChannel(dim=d, operators=tuple(ops), convention=convention,
-                         completeness_tol=tol) for ops in _frozen(arr)]
+    return _frozen(arr)
 
 
 def _family_dim(n: int, shape) -> int:

@@ -237,8 +237,7 @@ def test_criterion_7_reading_adjudication_report():
 
 def test_criterion_8_discrepancy_report_completeness(tmp_path):
     start = time.perf_counter()
-    grid = [ExampleParams(theta=t, p=p, q=q)
-            for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)
+    grid = [(t, p, q) for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)
             for q in np.linspace(0, 1, 5)]
     report = discrepancy_report(grid)
     formulas = {row.formula for row in report.rows}

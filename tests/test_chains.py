@@ -14,6 +14,7 @@ from skewchain.chains import (
     chain_batch,
     chain_data,
     chain_from_data,
+    chain_stage,
     compute_chain,
     cross_term_bound,
     invariance_from_data,
@@ -32,6 +33,8 @@ from skewchain.example import example_channels, rho_theta
 from skewchain.linalg import commutator, hs_inner
 from skewchain.objects import (
     Convention,
+    channel_stack,
+    density_stack,
     derive_seed,
     mix_kraus,
     random_channel,
@@ -299,6 +302,74 @@ def worked_example_stack(thetas=(0.0, 0.5, 1.0)):
     pairs = [example_channels(p, q) for _, p, q in points]
     return ([rho_theta(theta) for theta, _, _ in points],
             [a for a, _ in pairs], [b for _, b in pairs])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStageOnArrays:
+    """``chain_stage`` on validated array stacks, bit for bit against
+    ``chain_batch`` and the per-pair loops."""
+
+    @staticmethod
+    def assert_matches(rhos, ch1s, ch2s):
+        d = rhos[0].dim
+        roots = density_stack(np.array([rho.rho for rho in rhos]), rhos[0].validation_tol)[1]
+        ops1, ops2 = (channel_stack(np.array([ch.operators for ch in chs]), chs[0].convention,
+                                    chs[0].completeness_tol) for chs in (ch1s, ch2s))
+        assert same_bits(roots, np.array([rho.sqrt_rho for rho in rhos]))
+        stage = chain_stage(roots, ops1, ops2)
+        datas = chain_batch(rhos, ch1s, ch2s)
+        assert len(stage.products) == len(datas) == len(rhos)
+        for b, (rho, ch1, ch2, data) in enumerate(zip(rhos, ch1s, ch2s, datas)):
+            loop = loop_chain_data(rho, ch1, ch2)
+            for name in ("e_norms", "f_norms", "overlaps"):
+                assert same_bits(getattr(stage, name)[b], getattr(loop, name)), name
+                assert same_bits(getattr(stage, name)[b], getattr(data, name)), name
+            tables = instance_s_tables(loop)
+            start = [tables["start"]]
+            assert same_bits(stage.tables[Reading.PRODUCT][b], np.concatenate(
+                [start, tables["pair_product"].ravel(), tables["diag_product"]]))
+            assert same_bits(stage.tables[Reading.AS_PRINTED][b], np.concatenate(
+                [start, tables["step_printed"].ravel()]))
+            skew_1, skew_2 = loop_skews(loop)
+            assert same_bits([stage.products[b], stage.sums[b], stage.cross_terms[b]],
+                             [tables["start"], skew_1 + skew_2, loop_cross_term(loop)])
+            assert same_bits(stage.i_values[b], loop_i_values(loop))
+            for reading in Reading:
+                walk = instance_lattice_values(tables, reading, d)
+                assert same_bits(stage.lattices[reading][b], list(walk.values()))
+                chain = chain_from_data(data, reading)
+                assert same_bits(list(chain.s_values.values()), stage.lattices[reading][b])
+                assert same_bits([chain.product, chain.sum, chain.cross_term, *chain.i_values],
+                                 [stage.products[b], stage.sums[b], stage.cross_terms[b],
+                                  *stage.i_values[b]])
+
+    @over_instance_stacks
+    def test_random_instances(self, params):
+        self.assert_matches(*stack_of(*params))
+
+    def test_worked_example_stack(self):
+        self.assert_matches(*worked_example_stack())
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_each_stack_length_and_convention(self, count, convention):
+        for n1, n2 in ((1, 1), (2, 3), (4, 1), (9, 9)):
+            self.assert_matches(*stack_of(3, n1, n2, [(1 + b % 3, 40 + b) for b in range(count)],
+                                          convention == Convention.ROW_SUM))
+
+    def test_rejects_stacks_of_mismatched_shapes(self):
+        rhos, ch1s, ch2s = stack_of(3, 2, 1, [(1, 5), (3, 6)], False)
+        roots = np.array([rho.sqrt_rho for rho in rhos])
+        ops1, ops2 = (np.array([ch.operators for ch in chs]) for chs in (ch1s, ch2s))
+        for args in ((roots[:1], ops1, ops2), (roots, ops1[:1], ops2), (roots[:0], ops1[:0],
+                     ops2[:0]), (roots[:, :2, :2], ops1, ops2), (roots, ops1[:, :, :2], ops2),
+                     (roots[0], ops1, ops2), (roots, ops1[:, 0], ops2)):
+            with pytest.raises(DimensionMismatchError):
+                chain_stage(*args)
 
 
 class TestBatchedKernelsMatchLoops:
@@ -716,6 +787,28 @@ class TestVerifyChain:
             assert f"anchor_s32_eq_i3[{label}]" in names
             assert f"anchor_spp1_eq_ip[{label}]" in names
             assert f"anchor_endpoint_eq_cross_term[{label}]" in names
+
+    def test_mismatch_messages(self):
+        rho, ch1, ch2 = random_instance(3, 1)
+        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
+        small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
+        cases = [
+            (([rho, rho], [ch1, other], [ch2, ch2]), DimensionMismatchError,
+             f"instances of one batch must share (dim, n1, n2): (3, {other.n}, {ch2.n}) "
+             f"vs (3, {ch1.n}, {ch2.n})"),
+            (([rho], [small], [ch2]), DimensionMismatchError,
+             "state dim 3 vs channel dims 2, 3"),
+            (([rho, rho], [ch1, ch1], [ch2, small]), DimensionMismatchError,
+             "state dim 3 vs channel dims 3, 2"),
+            (([], [], []), ValueError,
+             "need one or more instances, equally many of each part: 0 states, 0 and 0 channels"),
+            (([rho, rho], [ch1], [ch2]), ValueError,
+             "need one or more instances, equally many of each part: 2 states, 1 and 1 channels"),
+        ]
+        for args, kind, message in cases:
+            with pytest.raises(kind) as info:
+                chain_batch(*args)
+            assert type(info.value) is kind and str(info.value) == message
 
     def test_product_reading_anchors_pass_as_printed_fail(self):
         rho, ch1, ch2 = random_instance(4, 105)

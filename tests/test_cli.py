@@ -8,11 +8,17 @@ import pytest
 
 from test_stacks import oracle_cmd_verify
 
-from skewchain import chains, cli, objects
+from skewchain import chains, cli, example, objects
 from skewchain.cli import build_parser, main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
-from skewchain.objects import Convention, random_channel, random_density
-from skewchain.serialize import save_channel, save_state
+from skewchain.objects import (
+    Convention,
+    mix_kraus,
+    random_channel,
+    random_density,
+    random_unitary,
+)
+from skewchain.serialize import load_channel, load_state, save_channel, save_state
 
 
 @pytest.fixture()
@@ -415,6 +421,24 @@ class TestExampleCommand:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in manifest} == manifest
 
+    def test_small_grids_build_no_per_point_object(self, tmp_path, monkeypatch):
+        # the sweeps and the report validate their states and channels as
+        # arrays and read stages: no channel, state, grid point or chain object
+        def refuse(*args, **kwargs):
+            raise AssertionError("example built a per-point object")
+
+        for module, name in ((objects, "KrausChannel"), (objects, "DensityMatrix"),
+                             (example, "ExampleParams"), (chains, "ChainData"),
+                             (chains, "BoundChain")):
+            monkeypatch.setattr(module, name, refuse)
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "example-small.json"
+        manifest = json.loads(golden.read_text())
+        out = tmp_path / "figs"
+        assert main(["example", "--theta", "0:1:21", "--p", "0:1:11", "--q", "0:1:11",
+                     "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in manifest} == manifest
+
     @pytest.mark.parametrize("case", ["as-printed", "as-printed-t3", "sampled"])
     def test_failing_grids_keep_count_and_bytes(self, tmp_path, capsys, case):
         # exit code, failure count and CSV bytes where hard invariants fail, on
@@ -452,6 +476,43 @@ class TestInvariance:
                      "--channel2", str(c2), "--trials", "3", "--seed", "8",
                      "--tol", "0", "--out", str(out)])
         assert code == 1
+
+    def test_seeds_trials_in_two_passes(self, tmp_path, monkeypatch):
+        # the trials' unitary seeds in one hash pass and their generators'
+        # words in a second, whatever the trial count; the report keeps the
+        # bytes of the one-unitary-at-a-time loop
+        files = [tmp_path / name for name in ("state.json", "c1.json", "c2.json")]
+        save_state(files[0], random_density(4, 2, seed=31))
+        save_channel(files[1], random_channel(4, 3, Convention.COLUMN_SUM, seed=32))
+        save_channel(files[2], random_channel(4, 2, Convention.ROW_SUM, seed=33))
+        argv = ["invariance", "--state", str(files[0]), "--channel1", str(files[1]),
+                "--channel2", str(files[2]), "--trials", "20", "--seed", "9"]
+        passes = []
+        real = objects._seeding_words
+
+        def counted(entropies, *args):
+            entropies = list(entropies)
+            passes.append(len(entropies))
+            return real(entropies, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(objects, "_seeding_words", counted)
+            assert main(argv + ["--out", str(tmp_path / "got.txt")]) == 0
+        assert passes == [40, 40]
+
+        def one_trial_at_a_time(data, trials, seed, tol):
+            mixed = [chains.chain_data(data.rho, mix_kraus(data.ch1, random_unitary(data.ch1.n, u)),
+                                       mix_kraus(data.ch2, random_unitary(data.ch2.n, v)))
+                     for u, v in chains.trial_seeds([seed], trials)[0]]
+            return chains.invariance_from_trials(data, mixed, tol)
+
+        monkeypatch.setattr(cli, "invariance_from_data", one_trial_at_a_time)
+        assert main(argv + ["--out", str(tmp_path / "want.txt")]) == 0
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+        data = chains.chain_data(load_state(files[0], tol=1e-9),
+                                 load_channel(files[1], tol=1e-9), load_channel(files[2], tol=1e-9))
+        assert chains.invariance_from_data(data, 20, 9).deviations == \
+            one_trial_at_a_time(data, 20, 9, 1e-10).deviations
 
     def test_zero_trials_exits_2(self, tmp_path, example_files):
         state, ch1, ch2 = example_files

@@ -239,8 +239,7 @@ class TestSweepCsv:
 
 class TestDiscrepancyReport:
     def test_structure_and_ratios(self):
-        grid = [ExampleParams(theta=t, p=p, q=q)
-                for t in (0.0, 0.3, 1.0) for p in (0.2, 0.8) for q in (0.4, 0.9)]
+        grid = [(t, p, q) for t in (0.0, 0.3, 1.0) for p in (0.2, 0.8) for q in (0.4, 0.9)]
         report = discrepancy_report(grid)
         assert len(report.rows) == len(grid) * 6
         # eq20/eq22/eq23 agree with the pipeline, eq21 runs at exactly twice it
@@ -253,8 +252,7 @@ class TestDiscrepancyReport:
         assert "eq25" not in report.fitted_ratios
 
     def test_eq20_deviation_small_everywhere(self):
-        grid = [ExampleParams(theta=t, p=p, q=p)
-                for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)]
+        grid = [(t, p, p) for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)]
         report = discrepancy_report(grid)
         for row in report.rows_for("eq20"):
             assert row.abs_dev <= 1e-10
@@ -262,7 +260,7 @@ class TestDiscrepancyReport:
             assert row.abs_dev <= 1e-10
 
     def test_csv_emission(self, tmp_path):
-        report = discrepancy_report([ExampleParams(theta=1.0, p=0.5, q=0.5)])
+        report = discrepancy_report([(1.0, 0.5, 0.5)])
         path = tmp_path / "disc.csv"
         write_discrepancy_csv(report, path)
         lines = path.read_text().splitlines()
@@ -275,6 +273,16 @@ class TestDiscrepancyReport:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             discrepancy_report([])
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.2, 0.3, 0.4), (0.5, 1.5, 0.5)], "p must lie in [0, 1], got 1.5"),
+        ([(0.2, 0.3, 0.4), (0.5, 0.5, -0.25)], "q must lie in [0, 1], got -0.25"),
+        ([(0.2, 0.3, 0.4), (math.nan, 0.5, 0.5)], "theta must lie in [0, 1], got nan"),
+        ([(0.5, 0.5)], "expected (theta, p, q) rows, got an array of shape (1, 2)")])
+    def test_rejects_points_outside_the_unit_cube(self, points, message):
+        with pytest.raises(ValueError) as info:
+            discrepancy_report(points)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,7 @@ class TestStackedPassesMatchPointOracle:
                 for t, p, q in itertools.product(values, repeat=3)]
         grid += grid[:7]  # duplicate points
         random.Random(3).shuffle(grid)  # not theta-major
-        report = discrepancy_report(grid)
+        report = discrepancy_report([(pt.theta, pt.p, pt.q) for pt in grid])
         rows, fitted = oracle_report(grid)
         assert [(r.formula, r.params, r.numeric, r.printed) for r in report.rows] == rows
         assert report.fitted_ratios == fitted
@@ -443,34 +451,34 @@ class TestBuildsEachInputOnce:
 
     @staticmethod
     def counting(monkeypatch):
-        calls = {"rho_thetas": [], "example_channel_pairs": []}
+        # the matrix builders that the validated stacks are made from
+        calls = {"_rho_stack": [], "_family_stacks": []}
         for name in calls:
             real = getattr(example, name)
 
             def builder(inputs, real=real, seen=calls[name]):
                 inputs = list(inputs)
-                seen.extend(inputs)
+                seen.extend(tuple(x) if np.ndim(x) else x for x in inputs)
                 return real(inputs)
 
             monkeypatch.setattr(example, name, builder)
-        monkeypatch.setattr(example, "rho_theta", None)  # a one-instance build now fails
-        monkeypatch.setattr(example, "example_channels", None)
+        for name in ("rho_theta", "example_channels", "rho_thetas", "example_channel_pairs"):
+            monkeypatch.setattr(example, name, None)  # an object build now fails
         return calls
 
     def test_sweep(self, monkeypatch):
         calls = self.counting(monkeypatch)
         sweep(TIE_THETAS, TIE_PS, TIE_QS)
-        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channel_pairs"]) == sorted(
+        assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["_family_stacks"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))
 
     def test_discrepancy_report(self, monkeypatch):
         calls = self.counting(monkeypatch)
-        grid = [ExampleParams(theta=t, p=p, q=q)
-                for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
+        grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         discrepancy_report(grid[::-1])
-        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channel_pairs"]) == sorted(
+        assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["_family_stacks"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))
 
     def test_sweep_builds_no_chain_or_point(self, monkeypatch):
@@ -484,8 +492,8 @@ class TestBuildsEachInputOnce:
         monkeypatch.setattr(example, "ExampleParams", refuse)
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
         assert len(table) == len(TIE_THETAS) * len(TIE_PS) * len(TIE_QS) * 2
-        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channel_pairs"]) == sorted(
+        assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["_family_stacks"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))
 
     def test_discrepancy_report_builds_no_chain(self, monkeypatch):
@@ -496,10 +504,9 @@ class TestBuildsEachInputOnce:
 
         monkeypatch.setattr(chains, "ChainData", refuse)
         monkeypatch.setattr(chains, "BoundChain", refuse)
-        grid = [ExampleParams(theta=t, p=p, q=q)
-                for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
+        grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         report = discrepancy_report(grid)
         assert len(report.rows) == 6 * len(grid)
-        assert sorted(calls["rho_thetas"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["example_channel_pairs"]) == sorted(
+        assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
+        assert sorted(calls["_family_stacks"]) == sorted(
             set(itertools.product(TIE_PS, TIE_QS)))

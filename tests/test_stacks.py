@@ -86,6 +86,7 @@ from skewchain.objects import (
     validate_densities,
     validate_density,
 )
+from skewchain.objects import channel_stack, density_stack
 
 TOL = 1e-9
 
@@ -428,6 +429,44 @@ class TestDensityStacks:
             first_failure(oracle_validate_density, not_square, TOL)
         assert validate_densities([], TOL) == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), drawn=st.lists(
+        st.tuples(st.sampled_from([None, None, "nan", "inf", "not_hermitian", "trace",
+                                   "not_psd"]),
+                  st.sampled_from(STATE_KINDS), st.integers(0, 2 ** 32 - 1)),
+        min_size=1, max_size=5))
+    def test_array_form(self, d, drawn):
+        # read-only arrays with the bits of the objects, or the error of the
+        # first failing state alone
+        ms = [self.spoil(make_state(d, kind, seed), defect, seed) for defect, kind, seed in drawn]
+        expected = first_failure(oracle_validate_density, ms, TOL)
+        if expected is not None:
+            assert raised(density_stack, np.array(ms), TOL) == expected
+            return
+        rhos, sqrts = density_stack(np.array(ms), TOL)
+        assert not rhos.flags.writeable and not sqrts.flags.writeable
+        assert rhos.shape == sqrts.shape == (len(ms), d, d)
+        for m, rho, sqrt, dm in zip(ms, rhos, sqrts, validate_densities(np.array(ms), TOL)):
+            want_rho, want_sqrt = oracle_validate_density(m, TOL)
+            assert same_bits(rho, want_rho) and same_bits(sqrt, want_sqrt)
+            assert same_bits(dm.rho, rho) and same_bits(dm.sqrt_rho, sqrt)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("defect", ["nan", "inf", "not_hermitian", "trace", "not_psd"])
+    def test_array_form_checks_each_state(self, bad, defect):
+        ms = [make_state(3, "gaussian", seed) for seed in range(3)]
+        ms[bad] = self.spoil(ms[bad], defect, 1)
+        assert raised(density_stack, np.array(ms), TOL) == \
+            first_failure(oracle_validate_density, ms, TOL)
+
+    def test_array_form_of_mixed_shapes_and_empty_stacks(self):
+        good2, good3 = make_state(2, "gaussian", 1), make_state(3, "gaussian", 2)
+        bad3 = self.spoil(good3, "trace", 0)
+        for stack in ([good2, bad3], [good2, good3], np.ones((2, 2, 3)) / 2):
+            assert raised(density_stack, stack, TOL) == raised(validate_densities, stack, TOL)
+        rhos, sqrts = density_stack([], TOL)
+        assert rhos.shape == sqrts.shape == (0, 0, 0) and not rhos.flags.writeable
+
 
 class TestChannelStacks:
     @settings(max_examples=60, deadline=None)
@@ -496,6 +535,47 @@ class TestChannelStacks:
             DimensionMismatchError, "the instances of a stack must share one shape")
         assert validate_channels([], Convention.COLUMN_SUM, TOL) == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_array_form(self, d, data):
+        # a read-only array with the bits of the objects, or the error of the
+        # first failing family alone
+        n = data.draw(st.just(d * d) | st.integers(1, d * d))
+        convention = data.draw(st.sampled_from(list(Convention)))
+        drawn = data.draw(st.lists(st.tuples(
+            st.sampled_from([None, None, "nan", "inf", "incomplete", "mixed"]),
+            st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=5))
+        families = [self.spoil(make_family(d, n, convention, seed), defect, seed)
+                    for defect, seed in drawn]
+        if data.draw(st.booleans()):  # one operator too many in every family
+            families = [family + [np.zeros((d, d))] * (d * d + 1 - n) for family in families]
+        expected = first_failure(oracle_validate_channel, families, convention, TOL)
+        if expected is not None:
+            assert raised(channel_stack, families, convention, TOL) == expected
+            return
+        ops = channel_stack(families, convention, TOL)
+        assert not ops.flags.writeable and ops.shape == (len(families), n, d, d)
+        for family, got, channel in zip(families, ops,
+                                        validate_channels(families, convention, TOL)):
+            assert same_bits(got, np.array(oracle_validate_channel(family, convention, TOL)))
+            assert same_bits(np.array(channel.operators), got)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("defect", ["nan", "inf", "incomplete"])
+    def test_array_form_checks_each_family(self, bad, defect):
+        families = [make_family(3, 4, Convention.ROW_SUM, seed) for seed in range(3)]
+        families[bad] = self.spoil(families[bad], defect, 1)
+        assert raised(channel_stack, np.array(families), Convention.ROW_SUM, TOL) == \
+            first_failure(oracle_validate_channel, families, Convention.ROW_SUM, TOL)
+
+    def test_array_form_of_mixed_shapes_and_empty_stacks(self):
+        a = make_family(2, 2, Convention.COLUMN_SUM, 1)
+        b = make_family(3, 2, Convention.COLUMN_SUM, 2)
+        assert raised(channel_stack, [a, b], Convention.COLUMN_SUM, TOL) == (
+            DimensionMismatchError, "the instances of a stack must share one shape")
+        empty = channel_stack([], Convention.COLUMN_SUM, TOL)
+        assert empty.shape == (0, 0, 0, 0) and not empty.flags.writeable
+
     def test_the_worked_example_channels(self):
         points = list(itertools.product([0.0, 0.5, 1.0, 0.3], repeat=2))
         for (p, q), (n1, n2) in zip(points, example.example_channel_pairs(points)):
@@ -514,6 +594,13 @@ class TestChannelStacks:
 # Stacked optimizer
 
 
+def object_stage(rhos, ch1s, ch2s):
+    """The ``chain_stage`` of instances given as objects, stacked."""
+    return chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
+                       np.array([ch.operators for ch in ch1s]),
+                       np.array([ch.operators for ch in ch2s]))
+
+
 def random_block(d, count, seed, convention=Convention.COLUMN_SUM):
     """The ``chain_stage`` of ``count`` seeded same-shape instances, and each
     instance's ``ChainData`` for the oracle."""
@@ -521,7 +608,7 @@ def random_block(d, count, seed, convention=Convention.COLUMN_SUM):
     rhos = [random_density(d, (seed + b) % d + 1, seed + b) for b in range(count)]
     ch1s = [random_channel(d, n1, convention, seed + 100 + b) for b in range(count)]
     ch2s = [random_channel(d, n2, convention, seed + 200 + b) for b in range(count)]
-    return chain_stage(rhos, ch1s, ch2s), chain_batch(rhos, ch1s, ch2s)
+    return object_stage(rhos, ch1s, ch2s), chain_batch(rhos, ch1s, ch2s)
 
 
 def found(best):
@@ -574,7 +661,7 @@ class TestOptimizeBatch:
             assert row[perm_opt] == value
         inputs = ([example.rho_theta(0.5)] * 9,
                   *zip(*example.example_channel_pairs(itertools.product(grid, grid))))
-        bests = optimize_batch(chain_stage(*inputs), *target, reading=reading)
+        bests = optimize_batch(object_stage(*inputs), *target, reading=reading)
         for data, best in zip(chain_batch(*inputs), bests):
             assert found(best) == oracle_optimize(data, *target, None, 14400, 0, reading)
 
@@ -1085,32 +1172,39 @@ class TestStackedVerify:
             return seeds if cut is None else [seed % cut for seed in seeds]
 
         ks = sorted(ks)
-        stages = []
+        stages, states = [], []
         real_stage, real_derive = cli.chain_stage, cli.derive_seeds
+        real_densities = cli.densities_from_words
 
-        def captured(rhos, ch1s, ch2s):
-            stages.append((rhos, ch1s, ch2s))
-            return real_stage(rhos, ch1s, ch2s)
+        def captured(roots, ops1, ops2):
+            stages.append((roots, ops1, ops2))
+            return real_stage(roots, ops1, ops2)
+
+        def densities(*args):
+            made = real_densities(*args)
+            states.extend(made)
+            return made
 
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(cli, "chain_stage", captured)
+            patched.setattr(cli, "densities_from_words", densities)
             patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
             cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10, budget=14400))
         groups = {}  # one stage per (n1, n2) group, in the order the ks meet them
         for k in ks:
             groups.setdefault(oracle_kraus_counts(d, k), []).append(k)
-        assert len(stages) == len(groups)
-        for (rhos, ch1s, ch2s), group in zip(stages, groups.values()):
-            assert len(rhos) == 2 * len(group)  # the instances, then their trials
+        assert len(stages) == len(groups) and len(states) == len(ks)
+        for (roots, ops1, ops2), group in zip(stages, groups.values()):
+            assert len(roots) == len(ops1) == len(ops2) == 2 * len(group)  # then their trials
             for j, k in enumerate(group):
                 derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
                 state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
-                for rho in (rhos[j], rhos[len(group) + j]):
-                    assert same_bits(rho.rho, state.rho) and same_bits(rho.sqrt_rho,
-                                                                       state.sqrt_rho)
-                for got, want in ((ch1s[j], ch1), (ch2s[j], ch2), (ch1s[len(group) + j], mixed1),
-                                  (ch2s[len(group) + j], mixed2)):
-                    assert same_ops(got, want.operators)
+                assert same_bits(states[ks.index(k)].rho, state.rho)
+                for root in (roots[j], roots[len(group) + j]):
+                    assert same_bits(root, state.sqrt_rho)
+                for got, want in ((ops1[j], ch1), (ops2[j], ch2), (ops1[len(group) + j], mixed1),
+                                  (ops2[len(group) + j], mixed2)):
+                    assert same_bits(got, np.array(want.operators))
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [
@@ -1135,9 +1229,9 @@ class TestStackedVerify:
         sizes = []
         real = chains.chain_stage
 
-        def counted(rhos, ch1s, ch2s):
-            sizes.append(len(rhos))
-            return real(rhos, ch1s, ch2s)
+        def counted(roots, ops1, ops2):
+            sizes.append(len(roots))
+            return real(roots, ops1, ops2)
 
         monkeypatch.setattr(cli, "chain_stage", counted)
         # at d = 1 every instance is in the (1, 1) group, so chunks of two fill each pass
@@ -1300,6 +1394,11 @@ def oracle_sweep_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def points_of(grid):
+    """The (theta, p, q) rows of a grid of ``ExampleParams``."""
+    return [(pt.theta, pt.p, pt.q) for pt in grid]
+
+
 def row_bits(row):
     formula, params, *values = row
     return formula, params, np.array(values).tobytes()
@@ -1334,7 +1433,7 @@ class TestColumnarReport:
                 for t, p, q in itertools.product(values, repeat=3)]
         grid += grid[:9]  # duplicate points
         np.random.default_rng(5).shuffle(grid)  # not theta-major
-        report = example.discrepancy_report(grid)
+        report = example.discrepancy_report(points_of(grid))
         rows, fitted = oracle_discrepancy_report(grid)
         assert [row_bits(r) for r in report_rows(report)] == [row_bits(r) for r in rows]
         assert report.fitted_ratios == fitted and set(fitted) == {"eq20", "eq21", "eq22", "eq23"}
@@ -1349,7 +1448,7 @@ class TestColumnarReport:
             monkeypatch.setattr(example, "_BLOCK", block)
         grid = [example.ExampleParams(theta=t, p=p, q=q) for t, p, q in
                 itertools.product((0.0, 0.2, 0.5, 0.9, 1.0), (0.0, 0.35, 1.0), (0.1, 0.5, 1.0))]
-        targets = example.discrepancy_report(grid).numeric
+        targets = example.discrepancy_report(points_of(grid)).numeric
         assert same_bits(targets, np.array(oracle_chain_targets(grid)))
 
     @settings(max_examples=200, deadline=None)
@@ -1382,8 +1481,7 @@ class TestColumnarReport:
         assert (tmp_path / "sweep.csv").read_text() == oracle_sweep_csv(table)
 
         count = len(FORMAT_CORPUS) // 30 + 1
-        params = tuple(example.ExampleParams(*(next(unit_values) for _ in range(3)))
-                       for _ in range(count))
+        params = np.array([next(unit_values) for _ in range(count * 3)]).reshape(count, 3)
         numeric, printed, abs_dev, rel_dev, ratio = np.array(
             [next(values) for _ in range(count * 30)]).reshape(5, count, 6)
         fitted = {"eq20": -0.0, "eq22": 5e-324, "eq23": 1.0000000000005, "eq25": float("inf")}
