@@ -424,6 +424,28 @@ class TestBatchedKernelsMatchLoops:
         with pytest.raises(ValueError):
             chain_batch([rho, rho], [ch1], [ch2])
 
+    def test_mismatch_messages(self):
+        rho, ch1, ch2 = random_instance(3, 1)
+        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
+        small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
+        cases = [
+            (([rho, rho], [ch1, other], [ch2, ch2]), DimensionMismatchError,
+             f"instances of one batch must share (dim, n1, n2): (3, {other.n}, {ch2.n}) "
+             f"vs (3, {ch1.n}, {ch2.n})"),
+            (([rho], [small], [ch2]), DimensionMismatchError,
+             "state dim 3 vs channel dims 2, 3"),
+            (([rho, rho], [ch1, ch1], [ch2, small]), DimensionMismatchError,
+             "state dim 3 vs channel dims 3, 2"),
+            (([], [], []), ValueError,
+             "need one or more instances, equally many of each part: 0 states, 0 and 0 channels"),
+            (([rho, rho], [ch1], [ch2]), ValueError,
+             "need one or more instances, equally many of each part: 2 states, 1 and 1 channels"),
+        ]
+        for args, kind, message in cases:
+            with pytest.raises(kind) as info:
+                chain_batch(*args)
+            assert type(info.value) is kind and str(info.value) == message
+
     def test_mod_sq_is_scalar_abs_squared(self):
         rng = np.random.default_rng(5)
         c = ((rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
@@ -787,28 +809,6 @@ class TestVerifyChain:
             assert f"anchor_s32_eq_i3[{label}]" in names
             assert f"anchor_spp1_eq_ip[{label}]" in names
             assert f"anchor_endpoint_eq_cross_term[{label}]" in names
-
-    def test_mismatch_messages(self):
-        rho, ch1, ch2 = random_instance(3, 1)
-        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
-        small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
-        cases = [
-            (([rho, rho], [ch1, other], [ch2, ch2]), DimensionMismatchError,
-             f"instances of one batch must share (dim, n1, n2): (3, {other.n}, {ch2.n}) "
-             f"vs (3, {ch1.n}, {ch2.n})"),
-            (([rho], [small], [ch2]), DimensionMismatchError,
-             "state dim 3 vs channel dims 2, 3"),
-            (([rho, rho], [ch1, ch1], [ch2, small]), DimensionMismatchError,
-             "state dim 3 vs channel dims 3, 2"),
-            (([], [], []), ValueError,
-             "need one or more instances, equally many of each part: 0 states, 0 and 0 channels"),
-            (([rho, rho], [ch1], [ch2]), ValueError,
-             "need one or more instances, equally many of each part: 2 states, 1 and 1 channels"),
-        ]
-        for args, kind, message in cases:
-            with pytest.raises(kind) as info:
-                chain_batch(*args)
-            assert type(info.value) is kind and str(info.value) == message
 
     def test_product_reading_anchors_pass_as_printed_fail(self):
         rho, ch1, ch2 = random_instance(4, 105)

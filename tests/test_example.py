@@ -279,7 +279,7 @@ class TestDiscrepancyReport:
         ([(0.2, 0.3, 0.4), (0.5, 0.5, -0.25)], "q must lie in [0, 1], got -0.25"),
         ([(0.2, 0.3, 0.4), (math.nan, 0.5, 0.5)], "theta must lie in [0, 1], got nan"),
         ([(0.5, 0.5)], "expected (theta, p, q) rows, got an array of shape (1, 2)")])
-    def test_rejects_points_outside_the_unit_cube(self, points, message):
+    def test_rejects_bad_points(self, points, message):
         with pytest.raises(ValueError) as info:
             discrepancy_report(points)
         assert str(info.value) == message
