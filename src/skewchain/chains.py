@@ -86,6 +86,8 @@ __all__ = [
     "optimize_from_data",
     "optimize_permutations",
     "permute_s",
+    "search_strategy",
+    "stage_from_frames",
     "sum_chain",
     "trial_entropies",
     "trial_seeds",
@@ -151,32 +153,44 @@ class ChainData:
     stage: ChainStage = field(repr=False, compare=False)
 
 
-def _columns(sqrt_rhos, ops1, ops2) -> tuple:
-    """Stacked ``(e_norms, f_norms, overlaps)`` of B same-shape instances."""
-    s, e_ops, f_ops = (np.ascontiguousarray(a, dtype=np.complex128)
-                       for a in (sqrt_rhos, ops1, ops2))
-    if not (s.ndim == 3 and e_ops.ndim == f_ops.ndim == 4 and len(s) == len(e_ops) == len(f_ops)
-            > 0 and s.shape[1] == s.shape[2] and s.shape[1:] == e_ops.shape[2:] == f_ops.shape[2:]):
-        raise DimensionMismatchError(
-            f"need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) "
-            f"stacks, got shapes {s.shape}, {e_ops.shape} and {f_ops.shape}")
-    e, f = frame_stack(s, e_ops), frame_stack(s, f_ops)
-    overlaps = np.einsum("...aij,...bij->...abj", e.conj(), f)
-    return column_norms_sq(e), column_norms_sq(f), overlaps
-
-
 def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
     """The ``ChainData`` of one (state, channel, channel) instance; every bound reads it."""
     return chain_batch([rho], [ch1], [ch2])[0]
 
 
-# The stacked arrays of a pass, before any per-instance object is built: the
-# columns, the sum and the product of each instance's two channel skew
-# informations, each reading's S-table rows (``_s_tables``) and identity-walk
-# S values (a row per instance, positions in ``lattice_order``), keyed by
-# ``Reading``, the I values and the cross terms.
-ChainStage = collections.namedtuple("ChainStage", "e_norms f_norms overlaps sums products "
-                                                  "tables lattices i_values cross_terms")
+class _Once:
+    """The value of ``make()``, computed on the first call and kept; ``make``,
+    and the arrays it holds, are dropped then."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __call__(self):
+        if self._make is not None:
+            self._value, self._make = self._make(), None
+        return self._value
+
+
+_STAGE_FIELDS = "e_norms f_norms overlaps sums products tables lattices cross_terms i_source"
+
+
+class ChainStage(collections.namedtuple("ChainStage", _STAGE_FIELDS)):
+    """The stacked arrays of a pass, before any per-instance object is built:
+    the columns, the sum and the product of each instance's two channel skew
+    informations, each reading's S-table rows (``_s_tables``) and
+    identity-walk S values (a row per instance, positions in
+    ``lattice_order``), keyed by ``Reading``, and the cross terms.
+
+    ``i_values`` is the (B, d) float64 array of each instance's I-chain.  The
+    ``_Once`` in ``i_source`` computes it on first read and keeps it, so a
+    reader that never reads it (the discrepancy report) never computes it.
+    """
+
+    __slots__ = ()
+
+    @property
+    def i_values(self) -> np.ndarray:
+        return self.i_source()
 
 
 def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
@@ -190,7 +204,26 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
     with its length, so callers with many instances pass them in blocks;
     ``chain_batch`` takes the instances as objects.
     """
-    e_norms, f_norms, overlaps = _columns(sqrt_rhos, ops1, ops2)
+    s, e_ops, f_ops = (np.ascontiguousarray(a, dtype=np.complex128)
+                       for a in (sqrt_rhos, ops1, ops2))
+    if not (s.ndim == 3 and e_ops.ndim == f_ops.ndim == 4 and len(s) == len(e_ops) == len(f_ops)
+            > 0 and s.shape[1] == s.shape[2] and s.shape[1:] == e_ops.shape[2:] == f_ops.shape[2:]):
+        raise DimensionMismatchError(
+            f"need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) "
+            f"stacks, got shapes {s.shape}, {e_ops.shape} and {f_ops.shape}")
+    return stage_from_frames(frame_stack(s, e_ops), frame_stack(s, f_ops))
+
+
+def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray) -> ChainStage:
+    """The ``chain_stage`` of the instances whose commutator frames
+    (``frame_stack``) are the (B, n1, d, d) stack ``e_frames`` and the
+    (B, n2, d, d) stack ``f_frames``.
+
+    A caller whose instances share frames builds each frame once and passes
+    the stacks indexed per instance; every instance keeps its bits.
+    """
+    e_norms, f_norms = column_norms_sq(e_frames), column_norms_sq(f_frames)
+    overlaps = np.einsum("...aij,...bij->...abj", e_frames.conj(), f_frames)
     d = e_norms.shape[-1]
     skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
     products = [s1 * s2 for s1, s2 in skews]
@@ -198,8 +231,8 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
                       _s_tables(e_norms, f_norms, overlaps, products)))
     lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
     return ChainStage(e_norms, f_norms, overlaps, [s1 + s2 for s1, s2 in skews], products,
-                      tables, lattices, _i_values(e_norms, f_norms, overlaps),
-                      _cross_terms(overlaps))
+                      tables, lattices, _cross_terms(overlaps),
+                      _Once(functools.partial(_i_values, e_norms, f_norms, overlaps)))
 
 
 def join_stages(stages, rows) -> ChainStage:
@@ -210,9 +243,12 @@ def join_stages(stages, rows) -> ChainStage:
     The stage readers (``verdict_columns``, ``invariance_columns`` and
     ``optimize_batch``) read it as one pass.  The frame columns' shapes
     depend on the Kraus counts, so it holds None for ``e_norms``, ``f_norms``
-    and ``overlaps``.
+    and ``overlaps``.  Its I values are the passes' own, joined when first
+    read.
     """
     rows = np.asarray(rows, dtype=np.intp)
+    # the passes' I-value sources, not the passes: a read source holds no column
+    sources = [stage.i_source for stage in stages]
 
     def listed(field):
         joined = [value for stage in stages for value in getattr(stage, field)]
@@ -224,8 +260,8 @@ def join_stages(stages, rows) -> ChainStage:
 
     return ChainStage(e_norms=None, f_norms=None, overlaps=None, sums=listed("sums"),
                       products=listed("products"), tables=keyed("tables"),
-                      lattices=keyed("lattices"), i_values=listed("i_values"),
-                      cross_terms=listed("cross_terms"))
+                      lattices=keyed("lattices"), cross_terms=listed("cross_terms"),
+                      i_source=_Once(lambda: np.concatenate([read() for read in sources])[rows]))
 
 
 def chain_batch(rhos, ch1s, ch2s) -> list:
@@ -253,7 +289,7 @@ def chain_batch(rhos, ch1s, ch2s) -> list:
                 for reading, values in stage.lattices.items()}
     datas = []
     for b, (total, i_values, cross_term) in enumerate(zip(
-            stage.sums, stage.i_values, stage.cross_terms)):
+            stage.sums, map(tuple, stage.i_values.tolist()), stage.cross_terms)):
         chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=total,
                                       i_values=i_values, s_values=lattice[b],
                                       cross_term=cross_term, s_reading=reading)
@@ -293,9 +329,10 @@ def _cross_terms(overlaps: np.ndarray) -> list:
 # I-chain
 
 
-def _i_values(e_norms, f_norms, overlaps) -> list:
-    """``I_m`` for m = 1..d of each instance: per Kraus pair (i, j) and split m,
-    the term ``(1/4)(|u|^2 + head_a tail_b + tail_a (head_b + tail_b))``, summed exactly."""
+def _i_values(e_norms, f_norms, overlaps) -> np.ndarray:
+    """``I_m`` for m = 1..d of each instance, as a (B, d) array: per Kraus pair
+    (i, j) and split m, the term ``(1/4)(|u|^2 + head_a tail_b + tail_a
+    (head_b + tail_b))``, summed exactly."""
     a_head = np.cumsum(e_norms, axis=-1)    # (B, n1, d)
     b_head = np.cumsum(f_norms, axis=-1)    # (B, n2, d)
     u = np.cumsum(overlaps, axis=-1)        # (B, n1, n2, d)
@@ -303,8 +340,9 @@ def _i_values(e_norms, f_norms, overlaps) -> list:
     b_tail = b_head[..., -1:] - b_head
     terms = 0.25 * (_mod_sq(u) + a_head[:, :, None, :] * b_tail[:, None, :, :]
                     + a_tail[:, :, None, :] * (b_head + b_tail)[:, None, :, :])
-    by_split = terms.reshape(len(terms), -1, terms.shape[-1]).transpose(0, 2, 1)
-    return [tuple(map(math.fsum, splits)) for splits in by_split.tolist()]
+    count, d = len(terms), terms.shape[-1]
+    by_split = terms.reshape(count, -1, d).transpose(0, 2, 1).reshape(count * d, -1)
+    return np.fromiter(map(math.fsum, by_split.tolist()), np.float64, count * d).reshape(count, d)
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +580,48 @@ def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None 
     search; each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
     rows = stage.tables[reading]
-    values, pairs = _optimize(rows, len(stage.i_values[0]), p, q, strategy, budget,
-                              [seed] * len(rows), reading)
+    values, pairs = _optimize(rows, _stage_dim(stage), p, q, strategy, budget,
+                              functools.partial(generators, [seed] * len(rows)), reading)
     return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
             for v, (sig, tu) in zip(values.tolist(), pairs)]
 
 
+def _stage_dim(stage: ChainStage) -> int:
+    """The dimension of a stage's instances, from its as-printed S-table rows
+    of ``1 + d^2`` columns."""
+    return math.isqrt(stage.tables[Reading.AS_PRINTED].shape[1] - 1)
+
+
+def search_strategy(d: int, p: int, q: int, strategy: Strategy | None,
+                    budget: int) -> Strategy:
+    """The strategy of a search at (p, q) in dimension d: ``strategy``, or for
+    None (auto) exhaustive when the ``(d!/(d-p+1)!)^2`` prefix pairs fit
+    ``budget`` and sampled otherwise.  An exhaustive search that needs more
+    pairs than ``budget`` is a ``BudgetError``."""
+    n_pairs = math.perm(d, p - 1) ** 2
+    if strategy is None:
+        return Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
+    strategy = Strategy(strategy)
+    if strategy == Strategy.EXHAUSTIVE and n_pairs > budget:
+        raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
+                          f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
+    return strategy
+
+
 def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
-              seeds, reading: Reading, with_pairs: bool = True) -> tuple:
+              search_generators, reading: Reading, with_pairs: bool = True) -> tuple:
     """The optimum of each instance of a stack, as ``(values, pairs)``: a
     float64 array and, when ``with_pairs``, each instance's winning ``(sigma,
     tau)`` (else None).  ``rows[b]`` is instance b's S-table row of
-    ``reading`` and ``seeds[b]`` the seed it samples with."""
+    ``reading``.  A sampled search calls ``search_generators()`` once and
+    samples instance b with the b-th generator it returns."""
     _check_position(p, q, d)
     reading = Reading(reading)
-    n_pairs = math.perm(d, p - 1) ** 2
-    if strategy is None:
-        strategy = Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
-    if Strategy(strategy) == Strategy.EXHAUSTIVE:
-        if n_pairs > budget:
-            raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
-                              f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
+    if search_strategy(d, p, q, strategy, budget) == Strategy.EXHAUSTIVE:
         values, cells = _exhaustive(rows, d, p, q, reading)
         return values, _winning_pairs(cells, d, p) if with_pairs else None
     found = [_sampled(row, d, p, q, budget, gen, reading)
-             for row, gen in zip(rows, generators(seeds), strict=True)]
+             for row, gen in zip(rows, search_generators(), strict=True)]
     return (np.array([v for v, _, _ in found], dtype=np.float64),
             [(sig, tu) for _, sig, tu in found] if with_pairs else None)
 
@@ -735,7 +790,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
 def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 14400,
                      seed: int = 0) -> ChainVerdict:
     """``verify_chain`` on data already built by ``chain_data`` or ``chain_batch``."""
-    columns = verdict_columns(data.stage, tol, perm_budget, [seed])
+    columns = verdict_columns(data.stage, tol, perm_budget, functools.partial(generators, [seed]))
     return ChainVerdict(checks=tuple(
         Check(name, kind, lhs, rhs, tol, passed, deviation)
         for name, kind, lhs, rhs, passed, deviation in zip(
@@ -766,15 +821,19 @@ class VerdictColumns:
                 for name, cs in columns.items()}
 
 
-def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> VerdictColumns:
+def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
+                    search_generators) -> VerdictColumns:
     """Run every chain check on each instance of a stage.
 
     Each check is one column over the instances, bit for bit the value the
     scalar check gives: every fold over an instance's I values or lattice
     positions is Python's ``max`` or ``min`` (``first_max``, ``first_min``),
     so NaN and signed zeros land where that fold puts them.  The (2, 1)
-    optimum is one search over the instances; a sampled search gives
-    instance b the seed ``seeds[b]``.  Both S-lattice readings are always
+    optimum is one search over the instances; a sampled search calls
+    ``search_generators()`` once and samples instance b with the b-th
+    generator it returns, so a caller may hash the search seeds along with
+    its other seeds, or skip them when ``search_strategy`` says the search
+    is exhaustive.  Both S-lattice readings are always
     evaluated; the anchor-identity rows record, per reading, how far the
     lattice is from the I-chain it claims to refine.
     """
@@ -782,7 +841,7 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> V
     product = np.array(stage.products, dtype=np.float64)
     total = np.array(stage.sums, dtype=np.float64)
     cross = np.array(stage.cross_terms, dtype=np.float64)
-    i_vals = np.array(stage.i_values, dtype=np.float64).reshape(count, -1)
+    i_vals = stage.i_values
     d = i_vals.shape[1]
     zero = np.zeros(count)
     names, kinds, lhss, rhss = [], [], [], []
@@ -822,8 +881,8 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> V
     check("sum_ge_2sqrt_im", "ge", first_min(total[:, None] - roots), zero)
 
     if d >= 2:
-        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, None, perm_budget, seeds,
-                            Reading.PRODUCT, False)
+        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, None, perm_budget,
+                            search_generators, Reading.PRODUCT, False)
         check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
         for t in (0.0, 0.5, 1.0):
             prod_bound = (1.0 - t) * product + t * best  # as mixed_bound
@@ -923,7 +982,7 @@ def invariance_columns(stage: ChainStage, count: int) -> np.ndarray:
     rows = len(stage.products)
     values = [np.array(stage.products, dtype=np.float64)[:, None],
               np.array(stage.sums, dtype=np.float64)[:, None],
-              np.array(stage.i_values, dtype=np.float64).reshape(rows, -1),
+              stage.i_values,
               stage.lattices[Reading.PRODUCT], stage.lattices[Reading.AS_PRINTED],
               np.array(stage.cross_terms, dtype=np.float64)[:, None]]  # as _INVARIANT_NAMES
     devs = []

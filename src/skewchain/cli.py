@@ -19,6 +19,7 @@ Exit codes: 0 success; 1 verdict failure (verify/example/invariance only);
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from .chains import (
     lattice_order,
     mixed_bound,
     optimize_from_data,
+    search_strategy,
     trial_entropies,
     verdict_columns,
     verify_from_data,
@@ -50,6 +52,7 @@ from .objects import (
     channels_from_words,
     densities_from_words,
     derive_seeds,
+    generators_from_words,
     mix_kraus_families,
     seeding_words,
     unitaries_from_words,
@@ -201,8 +204,9 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     Each instance draws from its own derived seeds and generators, as it
     would alone.  The chunk hashes them in three passes, one per derivation
     level: the derived seeds; then the trials' unitary seeds together with
-    the seeding words of every state and channel; then the words of the
-    trials' mixing unitaries.  The states are generated and validated as one
+    the seeding words of every state and channel, and of every search seed
+    when the (2, 1) search samples; then the words of the trials' mixing
+    unitaries.  The states are generated and validated as one
     stack, the channels and the trials' mixing unitaries as one stack per
     Kraus count.  The states' square roots are stacked once, and so are each
     Kraus count's channels and mixed families; each (n1, n2) group's
@@ -213,10 +217,14 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     ks = list(ks)
     count = len(ks)
     derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in range(5)])
+    # the verdict searches at (2, 1) from d = 2 on
+    sampled = d >= 2 and search_strategy(d, 2, 1, None, args.budget) == Strategy.SAMPLED
     # rows 2i and 2i + 1 derive instance i's trial seeds u and v; then come
-    # the words of the states, of the channels 1 and of the channels 2
+    # the words of the states, of the channels 1, of the channels 2 and, when
+    # the search samples, of the search seeds
     words = seeding_words(trial_entropies(derived[4::5], 1)
-                          + [(seed,) for part in range(3) for seed in derived[part::5]])
+                          + [(seed,) for part in range(4 if sampled else 3)
+                             for seed in derived[part::5]])
     trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
     rhos = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
     roots = np.array([rho.sqrt_rho for rho in rhos])
@@ -248,7 +256,8 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     order = np.argsort([i for group in groups.values() for i in group])
     base, trial = np.array(base)[order], np.array(trial)[order]
     deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), count)
-    return (verdict_columns(join_stages(stages, base), args.tol, args.budget, derived[3::5]),
+    search = functools.partial(generators_from_words, words[5 * count:])
+    return (verdict_columns(join_stages(stages, base), args.tol, args.budget, search),
             first_max(deviations))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Reading, Strategy, chain_stage, optimize_batch
+from .chains import Reading, Strategy, optimize_batch, stage_from_frames
 from .objects import (
     Convention,
     DensityMatrix,
@@ -33,6 +33,7 @@ from .objects import (
     validate_densities,
 )
 from .serialize import write_text_atomic
+from .skew import frame_stack
 
 __all__ = [
     "CSV_HEADER",
@@ -249,20 +250,27 @@ def _chain_blocks(points: np.ndarray):
     """Yield ``(span, stage)`` over the (N, 3) rows (theta, p, q) of ``points``.
 
     The state of each distinct theta and the channel pair of each distinct
-    (p, q) are validated once, as stacks built from their first rows; ``span``
-    is a slice of at most ``_BLOCK`` consecutive rows, and ``stage`` is their
-    ``chain_stage``, one stacked pass fed by indexing those stacks.
+    (p, q) are validated once, as stacks built from their first rows.  The
+    state depends on theta alone and each channel on p or q alone, so the
+    first family's commutator frames are built once per distinct (theta, p)
+    and the second's once per distinct (theta, q), each as one
+    ``frame_stack``.  ``span`` is a slice of at most ``_BLOCK`` consecutive
+    rows, and ``stage`` is their ``chain_stage``, one stacked pass fed by
+    indexing those frames.
     """
     theta_first, theta_rows = _distinct(points[:, 0])
     _, p_rows = _distinct(points[:, 1])
     _, q_rows = _distinct(points[:, 2])
     pair_first, pair_rows = _distinct(p_rows * len(points) + q_rows)
     _, roots = density_stack(_rho_stack(points[theta_first, 0]), tol=_TOL)
-    e, f = (channel_stack(ops, convention=Convention.ROW_SUM, tol=_TOL)
-            for ops in _family_stacks(points[pair_first, 1:]))
+    frames = []  # per family: its frames, and the row of each point's frame there
+    for ops, rows in zip(_family_stacks(points[pair_first, 1:]), (p_rows, q_rows)):
+        ops = channel_stack(ops, convention=Convention.ROW_SUM, tol=_TOL)
+        first, index = _distinct(theta_rows * len(points) + rows)
+        frames.append((frame_stack(roots[theta_rows[first]], ops[pair_rows[first]]), index))
+    (e, e_index), (f, f_index) = frames
     for span in _blocks(len(points)):
-        pairs = pair_rows[span]
-        yield span, chain_stage(roots[theta_rows[span]], e[pairs], f[pairs])
+        yield span, stage_from_frames(e[e_index[span]], f[f_index[span]])
 
 
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
@@ -411,24 +419,25 @@ def discrepancy_report(points) -> DiscrepancyReport:
 
 
 def write_discrepancy_csv(report: DiscrepancyReport, path) -> None:
-    """Write the report as CSV, each line with one ``%`` template; a point's
-    (theta, p, q) text is formatted once, and a NaN ratio leaves its field
-    empty."""
-    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
-    templates = []
-    for name in _FORM_NAMES:
+    """Write the report as CSV, each block of lines with one ``%`` template
+    joined from the formulas' line templates; a point's (theta, p, q) text
+    is formatted once, and a NaN ratio leaves its field empty."""
+    templates = np.empty((len(_FORM_NAMES), 2), dtype=object)  # formula -> (ratio, NaN ratio)
+    for name, row in zip(_FORM_NAMES, templates):
         fitted = "%.12g" % (report.fitted_ratios[name] + 0.0) \
             if name in report.fitted_ratios else ""
-        templates.append((f"{name},%s,{'%.12g,' * 5}{fitted}",
-                          f"{name},%s,{'%.12g,' * 4}%.0s,{fitted}"))
+        row[:] = (f"{name},%s,{'%.12g,' * 5}{fitted}", f"{name},%s,{'%.12g,' * 4}%.0s,{fitted}")
     grid = np.asarray(report.params, dtype=float) + 0.0
-    points = ["%.12g,%.12g,%.12g" % tuple(v) for v in grid.tolist()]
+    points = np.array(["%.12g,%.12g,%.12g" % tuple(v) for v in grid.tolist()], dtype=object)
     values = np.stack([report.numeric, report.printed, report.abs_dev, report.rel_dev,
                        report.ratio], axis=-1) + 0.0  # + 0.0 folds -0.0 into 0.0
-    nans = np.isnan(report.ratio)
+    picks = np.isnan(report.ratio).astype(np.intp)
+    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
     for block in _blocks(len(points)):  # bounds the Python floats alive at once
-        for point, rows, flags in zip(points[block], values[block].tolist(),
-                                      nans[block].tolist()):
-            lines += [template[nan] % (point, *v)
-                      for template, nan, v in zip(templates, flags, rows)]
+        # each line's point text, then its five values, in line order
+        fields = np.empty(values[block].shape[:2] + (6,), dtype=object)
+        fields[..., 0] = points[block, None]
+        fields[..., 1:] = values[block]
+        template = "\n".join(templates[range(len(_FORM_NAMES)), picks[block]].ravel().tolist())
+        lines.append(template % tuple(fields.ravel().tolist()))
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -54,6 +54,7 @@ __all__ = [
     "derive_seeds",
     "generator",
     "generators",
+    "generators_from_words",
     "mix_kraus",
     "mix_kraus_families",
     "random_channel",
@@ -408,7 +409,7 @@ def _seeding_words_type() -> type:
     return SeedingWords
 
 
-def _generators(words) -> list:
+def generators_from_words(words) -> list:
     """The PCG64 generator that each row of ``seeding_words`` seeds."""
     seeding = _seeding_words_type()
     return [np.random.Generator(np.random.PCG64(seeding(row))) for row in words]
@@ -422,7 +423,7 @@ def generator(seed: int) -> np.random.Generator:
 
 def generators(seeds) -> list:
     """``generator(seed)`` of each seed, all seeded from one hash pass."""
-    return _generators(_seeding_words([(seed,) for seed in seeds]))
+    return generators_from_words(_seeding_words([(seed,) for seed in seeds]))
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -445,7 +446,7 @@ def _complex_gaussians(words, size: int) -> np.ndarray:
     per part.  The complex values of the whole stack are assembled at once.
     """
     draws = np.empty((len(words), 2, size))
-    for gen, out in zip(_generators(words), draws):
+    for gen, out in zip(generators_from_words(words), draws):
         gen.standard_normal(out=out)
     return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewchain import chains
 from skewchain.chains import (
     HARD_CHECK_NAMES,
     Reading,
@@ -370,6 +373,45 @@ class TestStageOnArrays:
                      (roots[0], ops1, ops2), (roots, ops1[:, 0], ops2)):
             with pytest.raises(DimensionMismatchError):
                 chain_stage(*args)
+
+
+class TestIValuesOnRead:
+    """A stage computes its I values when they are first read, once, as a
+    (B, d) array; a stage joined from a read pass holds none of its columns."""
+
+    def test_computed_once_and_only_when_read(self, monkeypatch):
+        calls = []
+        real = chains._i_values
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(chains, "_i_values", counted)
+        rhos, ch1s, ch2s = zip(*(random_instance(3, seed) for seed in (0, 12, 24)))
+        stage = chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
+                            *(np.array([ch.operators for ch in chs]) for chs in (ch1s, ch2s)))
+        joined = chains.join_stages([stage, stage], [2, 0, 5])
+        assert calls == []
+        assert joined.i_values.shape == (3, 3) and joined.i_values.dtype == np.float64
+        assert joined.i_values is joined.i_values
+        assert same_bits(joined.i_values, stage.i_values[[2, 0, 2]])
+        assert calls == [3]
+        datas = chain_batch(rhos, ch1s, ch2s)
+        assert calls == [3, 3]
+        for b, data in enumerate(datas):
+            i_values = chain_from_data(data, Reading.PRODUCT).i_values
+            assert type(i_values) is tuple and all(type(v) is float for v in i_values)
+            assert same_bits(i_values, stage.i_values[b])
+
+    def test_joined_stage_of_a_read_pass_holds_no_column(self):
+        data = chain_data(*random_instance(4, 5))
+        pass_overlaps = weakref.ref(data.overlaps.base)  # the whole pass's overlaps
+        stage, i_values = data.stage, data.chains[Reading.PRODUCT].i_values
+        del data
+        gc.collect()
+        assert pass_overlaps() is None
+        assert stage.i_values.tolist() == [list(i_values)]
 
 
 class TestBatchedKernelsMatchLoops:

@@ -8,7 +8,7 @@ import pytest
 
 from test_stacks import oracle_cmd_verify
 
-from skewchain import chains, cli, example, objects
+from skewchain import chains, cli, example, objects, skew
 from skewchain.cli import build_parser, main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
 from skewchain.objects import (
@@ -280,21 +280,36 @@ class TestDerivesEachInstanceOnce:
 
     def test_example(self, tmp_path, monkeypatch):
         calls = self.counting(monkeypatch)
+        frames = []  # the instance count of each frame_stack call
+        real = skew.frame_stack
+
+        def counted(sqrt_rhos, operators):
+            frames.append(len(sqrt_rhos))
+            return real(sqrt_rhos, operators)
+
+        for module in (chains, example):
+            monkeypatch.setattr(module, "frame_stack", counted)
         assert main(["example", "--theta", "0:1:3", "--p", "0:1:12", "--q", "0:1:12",
                      "--out", str(tmp_path / "figs")]) == 0
         # passes of at most 128 points: the 144-point surface, the 3-point
-        # curve, then the report's 3 x 9 x 9 subsampled grid
+        # curve, then the report's 3 x 9 x 9 subsampled grid; the report reads
+        # no I value, so it computes none
         blocks = [128, 16, 3, 128, 115]
-        assert calls == {"_i_values": blocks,
+        assert calls == {"_i_values": [128, 16, 3],
                          "_lattice_values": [n for n in blocks for _ in range(2)]}
+        # each family's frames once per distinct (theta, p) and (theta, q)
+        assert frames == [12, 12, 3, 3, 27, 27]
 
 
 class TestGeneratesEachChunkInFixedPasses:
     # a verify chunk hashes its seeds once per derivation level, whatever
     # Kraus counts it holds: the derived seeds; the trials' unitary seeds with
-    # the words of every state and channel; the trials' unitaries' words.
-    # Each generator draws its real and imaginary parts in one call.
-    def test_verify_chunk(self, monkeypatch):
+    # the words of every state and channel, and of every search seed when the
+    # search samples (a budget below the d^2 pairs at (2, 1)); the trials'
+    # unitaries' words.  Each generator draws its real and imaginary parts in
+    # one call.
+    @pytest.mark.parametrize("budget, searches", [(14400, 0), (3, 20)])
+    def test_verify_chunk(self, monkeypatch, budget, searches):
         passes = []
         real = objects._seeding_words
 
@@ -312,8 +327,8 @@ class TestGeneratesEachChunkInFixedPasses:
         monkeypatch.setattr(objects, "_seeding_words", counted)
         monkeypatch.setattr(np.random, "Generator", Counted)
         # at d = 3 both channels of the 20 instances take each Kraus count 1..4
-        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10, budget=14400))
-        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20]
+        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10, budget=budget))
+        assert passes == [5 * 20, 2 * 20 + 3 * 20 + searches, 2 * 20]
         # one draw by each state, channel and trial unitary's generator
         assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
 
@@ -330,6 +345,14 @@ class TestVerify:
         assert int(report["instances_total"]) == 10
         assert "check.anchor_endpoint_eq_cross_term[product].worst_deviation" in report
         assert "check.anchor_endpoint_eq_cross_term[as_printed].worst_deviation" in report
+
+    def test_sampled_search_verdict_is_pinned(self, tmp_path):
+        # at d = 3 a budget of 3 is below the 9 pairs at (2, 1), so every
+        # instance's search samples from its own seed; sha256 of the verdict
+        out = tmp_path / "verdict.txt"
+        assert main(["verify", "--dims", "3", "--budget", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f3672d40e6a3299363a590b084787df388e6c6681ba0b9e4c72852c85ebe8b1c")
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -420,6 +443,18 @@ class TestExampleCommand:
                      "--out", str(out)]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in manifest} == manifest
+
+    def test_default_grids_match_the_pinned_digests(self, tmp_path):
+        # the byte contract of the example CSVs, at the CLI's default grids
+        out = tmp_path / "figs"
+        assert main(["example", "--out", str(out)]) == 0
+        surface = "d07c930084c99eb6e04e79ced1e7f631d140c520f0f166792c4bb92a8f06f47c"
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == {
+            "figure1.csv": surface, "figure2.csv": surface, "figure4.csv": surface,
+            "figure3.csv": "ae8ba68c07ba2a7f0c958f1597a421499f8180b98c8a0bba2c3dbc5284014c5b",
+            "discrepancy_report.csv":
+                "61615afca0e58e31cfdc45a32dd59a1d737baff60f374a8e18994beacbe7b695"}
 
     def test_small_grids_build_no_per_point_object(self, tmp_path, monkeypatch):
         # the sweeps and the report validate their states and channels as

@@ -10,6 +10,7 @@ from skewchain import chains, example
 from skewchain.chains import (
     PermutedBound,
     Reading,
+    chain_stage,
     compute_chain,
     mixed_bound,
     optimize_permutations,
@@ -28,7 +29,7 @@ from skewchain.example import (
     write_sweep_csv,
 )
 from skewchain.linalg import max_abs
-from skewchain.objects import Convention, completeness_residual
+from skewchain.objects import Convention, channel_stack, completeness_residual, density_stack
 
 FIELDS = CSV_HEADER.split(",")
 
@@ -444,6 +445,44 @@ class TestStackedPassesMatchPointOracle:
         path = tmp_path / "disc.csv"
         write_discrepancy_csv(report, path)
         assert path.read_text() == oracle_discrepancy_csv(report)
+
+
+class TestFactoredFrames:
+    """``_chain_blocks`` builds each frame once per (theta, p) or (theta, q)
+    factor; each block's stage equals ``chain_stage`` on the fully expanded
+    stacks, one state and one channel pair per point, bit for bit."""
+
+    @staticmethod
+    def expanded_stage(points):
+        _, roots = density_stack(example._rho_stack(points[:, 0]), tol=1e-12)
+        e, f = (channel_stack(ops, convention=Convention.ROW_SUM, tol=1e-12)
+                for ops in example._family_stacks(points[:, 1:]))
+        return chain_stage(roots, e, f)
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_blocks_match_the_expanded_stacks(self, monkeypatch, block):
+        if block is not None:  # several blocks, the last one partial
+            monkeypatch.setattr(example, "_BLOCK", block)
+        # unsorted, with repeated rows: theta = 1/2 (zero frames), p and q in {0, 1}
+        grid = list(itertools.product((0.5, 1.0, 0.2), (1.0, 0.0, 0.7), (0.0, 1.0, 0.4)))
+        grid += grid[3:9] + [(0.5, 0.0, 0.0), (1.0, 1.0, 1.0)]
+        random.Random(4).shuffle(grid)
+        points = np.array(grid)
+        spans = []
+        for span, stage in example._chain_blocks(points):
+            spans.append(span)
+            want = self.expanded_stage(points[span])
+            for name in ("e_norms", "f_norms", "overlaps", "i_values"):
+                assert same_bits(getattr(stage, name), getattr(want, name)), name
+            for name in ("sums", "products", "cross_terms"):
+                assert same_bits(np.array(getattr(stage, name)),
+                                 np.array(getattr(want, name))), name
+            for reading in Reading:
+                assert same_bits(stage.tables[reading], want.tables[reading])
+                assert same_bits(stage.lattices[reading], want.lattices[reading])
+        assert np.concatenate([np.arange(len(points))[span] for span in spans]).tolist() == \
+            list(range(len(points)))
+        assert len(spans) == (1 if block is None else -(-len(points) // block))
 
 
 class TestBuildsEachInputOnce:

@@ -10,6 +10,7 @@ on its own.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -976,7 +977,8 @@ def stage_data(stage, b, d):
     """What the scalar oracles read of instance b of a stage."""
     return SimpleNamespace(dim=d, stage=SimpleNamespace(
         tables={reading: stage.tables[reading][b:b + 1] for reading in Reading}),
-        chains={reading: BoundChain(d, stage.products[b], stage.sums[b], stage.i_values[b],
+        chains={reading: BoundChain(d, stage.products[b], stage.sums[b],
+                                    tuple(stage.i_values[b].tolist()),
                                     dict(zip(lattice_order(d),
                                              stage.lattices[reading][b].tolist())),
                                     stage.cross_terms[b], reading) for reading in Reading})
@@ -998,7 +1000,7 @@ def injected(stage, count, d):
     out = join_stages([stage], list(range(count)) + [b for b, *_ in cases])
     for row, (_, target, pos, value) in enumerate(cases, start=count):
         if target == "i_values":
-            out.i_values[row] = (*out.i_values[row][:pos], value, *out.i_values[row][pos + 1:])
+            out.i_values[row, pos] = value
         elif isinstance(target, Reading):
             out.lattices[target][row, pos] = value
         else:
@@ -1019,7 +1021,7 @@ class TestVerdictColumns:
         rows = injected(stage, 3, d)
         seeds = [oracle_derive_seed(5, b) for b in range(len(rows.products))]
         tol = 1e-10
-        columns = verdict_columns(rows, tol, budget, seeds)
+        columns = verdict_columns(rows, tol, budget, functools.partial(generators, seeds))
         for b, seed in enumerate(seeds):
             want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), tol, budget, seed))
             assert column_bits(columns, b, tol) == want
@@ -1057,7 +1059,7 @@ class TestVerdictColumns:
         for reading in Reading:
             rows.lattices[reading][:] = data.draw(
                 st.lists(st.lists(values, min_size=size, max_size=size), min_size=2, max_size=2))
-        columns = verdict_columns(rows, 1e-10, budget, [4, 5])
+        columns = verdict_columns(rows, 1e-10, budget, functools.partial(generators, [4, 5]))
         for b, seed in enumerate([4, 5]):
             want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), 1e-10, budget, seed))
             assert column_bits(columns, b, 1e-10) == want
@@ -1241,25 +1243,30 @@ class TestStackedVerify:
 
     def test_fold_keeps_python_order_on_special_deviations(self, tmp_path, monkeypatch):
         # real verdicts carry no NaN or -0.0 deviation, so write some in, on
-        # both sides alike, keyed by each instance's search seed
-        def special(seed):
-            return (seed % len(SPECIALS + (1.0,)), SPECIALS[seed % len(SPECIALS)])
+        # both sides alike, keyed by each instance's place in the run: both
+        # take the dimensions in order and each one's instances in order
+        def special(counter):
+            place = len(counter)
+            counter.append(place)
+            return (place % len(SPECIALS + (1.0,)), SPECIALS[place % len(SPECIALS)])
 
         real_columns = cli.verdict_columns
+        got_places = []
 
-        def columns_with_specials(stage, tol, budget, seeds):
-            columns = real_columns(stage, tol, budget, seeds)
+        def columns_with_specials(stage, tol, budget, search_generators):
+            columns = real_columns(stage, tol, budget, search_generators)
             deviation = columns.deviation.copy()
-            for b, seed in enumerate(seeds):
-                column, value = special(seed)
+            for b in range(len(deviation)):
+                column, value = special(got_places)
                 deviation[b, column % deviation.shape[1]] = value
             return dataclasses.replace(columns, deviation=deviation)
 
         real_oracle = oracle_verify_from_data
+        want_places = []
 
         def oracle_with_specials(data, tol, budget, seed):
             checks = real_oracle(data, tol, budget, seed)
-            column, value = special(seed)
+            column, value = special(want_places)
             checks[column % len(checks)] = dataclasses.replace(checks[column % len(checks)],
                                                                deviation=value)
             return checks
@@ -1272,6 +1279,7 @@ class TestStackedVerify:
         assert code == oracle_cmd_verify(cli.build_parser().parse_args(argv + ["--out", str(want)]))
         assert got.read_bytes() == want.read_bytes()
         assert "nan" not in got.read_text()  # the fold from 0.0 skips NaN, as max does
+        assert len(got_places) == len(want_places) == 3 * 20
 
     def test_builds_nothing_per_instance(self, tmp_path, monkeypatch):
         # the chunk's seeds come from one hash pass and its checks are
@@ -1394,6 +1402,26 @@ def oracle_sweep_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def per_line_discrepancy_csv(report):
+    """The discrepancy CSV with one ``%`` template per line, each point's text
+    formatted once: the writer that the block writer replaced."""
+    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
+    templates = []
+    for name in example._FORM_NAMES:
+        fitted = "%.12g" % (report.fitted_ratios[name] + 0.0) \
+            if name in report.fitted_ratios else ""
+        templates.append((f"{name},%s,{'%.12g,' * 5}{fitted}",
+                          f"{name},%s,{'%.12g,' * 4}%.0s,{fitted}"))
+    grid = np.asarray(report.params, dtype=float) + 0.0
+    points = ["%.12g,%.12g,%.12g" % tuple(v) for v in grid.tolist()]
+    values = np.stack([report.numeric, report.printed, report.abs_dev, report.rel_dev,
+                       report.ratio], axis=-1) + 0.0
+    nans = np.isnan(report.ratio)
+    for point, rows, flags in zip(points, values.tolist(), nans.tolist()):
+        lines += [template[nan] % (point, *v) for template, nan, v in zip(templates, flags, rows)]
+    return "\n".join(lines) + "\n"
+
+
 def points_of(grid):
     """The (theta, p, q) rows of a grid of ``ExampleParams``."""
     return [(pt.theta, pt.p, pt.q) for pt in grid]
@@ -1468,6 +1496,29 @@ class TestColumnarReport:
                                     repeat=3)
         assert same_bits(example._form_columns(*zip(*points)),
                          np.array([oracle_closed_forms(*pt) for pt in points]))
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_block_writer_matches_the_per_line_writer(self, monkeypatch, tmp_path, block):
+        # one % per block of lines against one % per line, on a worked
+        # report (NaN ratios at theta = 1/2 and at p or q = 0, fitted ratios)
+        # and on a corpus report (NaN, -0.0 and infinite values and fits)
+        if block is not None:
+            monkeypatch.setattr(example, "_BLOCK", block)
+        grid = list(itertools.product((0.5, 1.0, 0.25), (0.0, 0.5, 1.0), (1.0, 0.0, 0.3)))
+        rng = np.random.default_rng(8)
+        count = 2 * 5 + 3  # a partial last block
+        params = rng.choice(UNIT_CORPUS, (count, 3))
+        numeric, printed, abs_dev, rel_dev, ratio = rng.choice(FORMAT_CORPUS, (5, count, 6))
+        ratio[rng.random(ratio.shape) < 0.3] = float("nan")
+        params[0], numeric[0, :4] = (-0.0, 0.0, 1.0), (-0.0, math.inf, -math.inf, math.nan)
+        fitted = {"eq20": -0.0, "eq21": float("nan"), "eq23": 1e-300, "eq25": float("inf")}
+        for report in (example.discrepancy_report(grid),
+                       example.DiscrepancyReport(params, numeric, printed, abs_dev, rel_dev,
+                                                 ratio, fitted)):
+            assert np.isnan(report.ratio).any() and not np.isnan(report.ratio).all()
+            assert report.fitted_ratios
+            example.write_discrepancy_csv(report, tmp_path / "disc.csv")
+            assert (tmp_path / "disc.csv").read_text() == per_line_discrepancy_csv(report)
 
     def test_writers_match_per_value_writers_on_the_corpus(self, tmp_path):
         values = itertools.cycle(FORMAT_CORPUS)
