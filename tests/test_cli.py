@@ -308,8 +308,10 @@ class TestGeneratesEachChunkInFixedPasses:
     # search samples (a budget below the d^2 pairs at (2, 1)); the trials'
     # unitaries' words.  Each generator draws its real and imaginary parts in
     # one call.
-    @pytest.mark.parametrize("budget, searches", [(14400, 0), (3, 20)])
-    def test_verify_chunk(self, monkeypatch, budget, searches):
+    @staticmethod
+    def passes_and_draws(monkeypatch, budget):
+        """The entropy count of each hash pass of a 20-instance chunk at d = 3,
+        and the generators that drew Gaussians, in draw order."""
         passes = []
         real = objects._seeding_words
 
@@ -328,8 +330,19 @@ class TestGeneratesEachChunkInFixedPasses:
         monkeypatch.setattr(np.random, "Generator", Counted)
         # at d = 3 both channels of the 20 instances take each Kraus count 1..4
         cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10, budget=budget))
-        assert passes == [5 * 20, 2 * 20 + 3 * 20 + searches, 2 * 20]
+        return passes, drawn
+
+    def test_verify_chunk(self, monkeypatch):
+        passes, drawn = self.passes_and_draws(monkeypatch, 14400)
+        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20]
         # one draw by each state, channel and trial unitary's generator
+        assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
+
+    def test_verify_chunk_with_a_sampled_search(self, monkeypatch):
+        # a budget of 3 is below the 9 pairs at (2, 1): the search seeds'
+        # words join the second pass
+        passes, drawn = self.passes_and_draws(monkeypatch, 3)
+        assert passes == [5 * 20, 2 * 20 + 3 * 20 + 20, 2 * 20]
         assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
 
 
