@@ -8,14 +8,20 @@ parsing is correctly rounded, so every number decodes to the double that the
 stdlib ``json`` module gives; ``NaN`` and ``Infinity`` literals are rejected.
 Documents are written with ``json.dumps(indent=1)``, a byte format orjson
 cannot produce.
+
+A loader decodes each document's matrices into one complex stack in a single
+flat pass, with the cyclic garbage collector paused while the decoded
+document exists.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +46,44 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
+    return _stack_from_pairs([obj])[0]
+
+
+def _stack_from_pairs(matrices: list) -> np.ndarray:
+    """The (n, r, c) complex stack of a JSON list of n matrices, each a
+    row-major nested list of ``[re, im]`` pairs, decoded in one flat pass.
+
+    The matrices must share one nonzero row count, their rows one nonzero
+    length, and every pair must hold two numbers; anything else raises a
+    ValueError.  Each number keeps its bits, signed zeros included.
+    """
     try:
-        arr = np.asarray(obj, dtype=float)
-    except TypeError:  # an object or null where a number belongs
-        arr = None
-    if arr is None or arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix must be a nested array of [re, im] pairs")
+        rows, n_rows = _chained(matrices)
+        pairs, n_cols = _chained(list(rows))
+        pairs = list(pairs)
+        numbers, width = _chained(pairs)
+        if width != 2:
+            raise ValueError
+        arr = np.fromiter(numbers, float, count=2 * len(pairs))
+    except (TypeError, ValueError):  # a ragged level, or a non-number where a number belongs
+        raise ValueError("matrix must be a nested array of [re, im] pairs" if len(matrices) == 1
+                         else "matrices must be nested arrays of [re, im] pairs, all of one shape"
+                         ) from None
+    arr = arr.reshape(len(matrices), n_rows, n_cols, 2)
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _chained(items: list) -> tuple:
+    """The items of the lists ``items`` as one iterator, and the one length of
+    those lists; no items, items that are not lists, or lists that differ in
+    length raise a ValueError.  (Empty lists chain to no items, so the next
+    level, or the pair width, rejects them.)"""
+    if set(map(type, items)) != {list}:
+        raise ValueError
+    lengths = set(map(len, items))
+    if len(lengths) != 1:
+        raise ValueError
+    return chain.from_iterable(items), lengths.pop()
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -89,6 +126,29 @@ def _naming(path):
         raise
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector in the block, then restore the state
+    it had before.
+
+    A decoded document is tens of thousands of lists and holds no cycle, so
+    reference counting frees it; freed inside the pause, its lists also
+    cancel their allocation count, so no deferred collection follows.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _check_dim(dim) -> None:
+    if type(dim) is not int or dim < 1:  # a bool is an int subclass, so it fails too
+        raise ValueError(f"\"dim\" must be an integer >= 1, got {json.dumps(dim)}")
+
+
 def _load_document(path, keys: tuple) -> dict:
     """The JSON object in ``path``, which must hold every one of ``keys``; a
     document that fails to decode or lacks a key raises a ValueError."""
@@ -103,10 +163,13 @@ def _load_document(path, keys: tuple) -> dict:
 
 def load_state(path, tol: float = DEFAULT_TOL) -> DensityMatrix:
     with _naming(path):
-        doc = _load_document(path, ("dim", "matrix"))
-        m = matrix_from_pairs(doc["matrix"])
-        if m.shape != (doc["dim"], doc["dim"]):
-            raise ValueError(f"declared dim {doc['dim']} does not match matrix shape {m.shape}")
+        with _collector_paused():
+            doc = _load_document(path, ("dim", "matrix"))
+            dim, m = doc["dim"], matrix_from_pairs(doc["matrix"])
+            del doc
+        _check_dim(dim)
+        if m.shape != (dim, dim):
+            raise ValueError(f"declared dim {dim} does not match matrix shape {m.shape}")
         return validate_density(m, tol=tol)
 
 
@@ -121,12 +184,15 @@ def save_channel(path, channel: KrausChannel) -> None:
 
 def load_channel(path, tol: float = DEFAULT_TOL) -> KrausChannel:
     with _naming(path):
-        doc = _load_document(path, ("dim", "kraus", "convention"))
-        if not isinstance(doc["kraus"], list):
-            raise ValueError("\"kraus\" must be a list of matrices")
-        ops = [matrix_from_pairs(k) for k in doc["kraus"]]
-        for k in ops:
-            if k.shape != (doc["dim"], doc["dim"]):
-                raise ValueError(f"declared dim {doc['dim']} does not match a Kraus shape "
-                                 f"{k.shape}")
-        return validate_channel(ops, convention=Convention(doc["convention"]), tol=tol)
+        with _collector_paused():
+            doc = _load_document(path, ("dim", "kraus", "convention"))
+            dim, kraus, convention = doc["dim"], doc["kraus"], doc["convention"]
+            del doc
+            if not isinstance(kraus, list):
+                raise ValueError("\"kraus\" must be a list of matrices")
+            ops = _stack_from_pairs(kraus) if kraus else ()  # () fails validation with its message
+            del kraus
+        _check_dim(dim)
+        if len(ops) and ops.shape[1:] != (dim, dim):
+            raise ValueError(f"declared dim {dim} does not match a Kraus shape {ops.shape[1:]}")
+        return validate_channel(ops, convention=Convention(convention), tol=tol)

@@ -146,6 +146,8 @@ def _argv(case, tmp_path, files):
                                          for row in state_doc["matrix"]]}
     matrix_object = tmp_path / "matrix_object.json"
     matrix_object.write_text(json.dumps({"dim": 4, "matrix": {"re": 1}}))
+    one = tmp_path / "one.json"  # the one-by-one identity channel
+    one.write_text(json.dumps({"dim": 1, "kraus": [[[[1.0, 0.0]]]], "convention": "row_sum"}))
     bad = _bad_file(case, tmp_path)  # the row's malformed input, named in its message
     contents = {
         "bounds_state_nan": json.dumps(nan_state).encode(),  # a NaN literal, which json writes
@@ -156,6 +158,13 @@ def _argv(case, tmp_path, files):
         "bounds_state_not_pairs": json.dumps({"dim": 2, "matrix": [[0.5, 0], [0, 0.5]]}).encode(),
         "invariance_channel_not_complete": json.dumps({**channel_doc,  # one of two operators
                                                        "kraus": channel_doc["kraus"][:1]}).encode(),
+        "bounds_state_ragged": json.dumps({**state_doc, "matrix": [state_doc["matrix"][0][:3]]
+                                           + state_doc["matrix"][1:]}).encode(),
+        "invariance_kraus_mixed_shapes": json.dumps({
+            **channel_doc, "kraus": [channel_doc["kraus"][0],
+                                     [row[:3] for row in channel_doc["kraus"][1][:3]]]}).encode(),
+        "bounds_dim_is_string": json.dumps({**state_doc, "dim": "4"}).encode(),
+        "invariance_dim_is_true": json.dumps({"dim": True, "matrix": [[[1.0, 0.0]]]}).encode(),
     }
     if case in contents:
         bad.write_bytes(contents[case])
@@ -207,6 +216,15 @@ def _argv(case, tmp_path, files):
         "invariance_channel_not_complete": ["invariance", "--state", str(state),
                                             "--channel1", str(ch1), "--channel2", str(bad),
                                             "--trials", "1", "--out", out],
+        "bounds_state_ragged": ["bounds", "--state", str(bad), "--channel1", str(ch1),
+                                "--channel2", str(ch2), "--out", out],
+        "invariance_kraus_mixed_shapes": ["invariance", "--state", str(state),
+                                          "--channel1", str(bad), "--channel2", str(ch2),
+                                          "--trials", "1", "--out", out],
+        "bounds_dim_is_string": ["bounds", "--state", str(bad), "--channel1", str(ch1),
+                                 "--channel2", str(ch2), "--out", out],
+        "invariance_dim_is_true": ["invariance", "--state", str(bad), "--channel1", str(one),
+                                   "--channel2", str(one), "--trials", "1", "--out", out],
     }[case]
 
 
@@ -219,7 +237,12 @@ class TestBadInputExits2:
     # did not name the bad file
     prefixed = {  # errors of the matrix parser and the validators, prefixed with the file
         "bounds_state_not_pairs": "matrix must be a nested array of [re, im] pairs",
-        "invariance_channel_not_complete": "Kraus completeness violated under row_sum"}
+        "invariance_channel_not_complete": "Kraus completeness violated under row_sum",
+        "bounds_state_ragged": "matrix must be a nested array of [re, im] pairs",
+        "invariance_kraus_mixed_shapes":
+            "matrices must be nested arrays of [re, im] pairs, all of one shape",
+        "bounds_dim_is_string": '"dim" must be an integer >= 1, got "4"',
+        "invariance_dim_is_true": '"dim" must be an integer >= 1, got true'}
 
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
                                       "verify_perm_sampled", "verify_s_reading",
@@ -231,7 +254,9 @@ class TestBadInputExits2:
                                       "invariance_truncated_channel", "bounds_channel_not_utf8",
                                       "invariance_empty_state", "bounds_state_without_matrix",
                                       "invariance_matrix_is_object", "bounds_state_not_pairs",
-                                      "invariance_channel_not_complete"])
+                                      "invariance_channel_not_complete", "bounds_state_ragged",
+                                      "invariance_kraus_mixed_shapes", "bounds_dim_is_string",
+                                      "invariance_dim_is_true"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
         (tmp_path / "out").mkdir()
         code = main(_argv(case, tmp_path, example_files))
@@ -244,6 +269,70 @@ class TestBadInputExits2:
             assert str(_bad_file(case, tmp_path)) in err
         if case in self.prefixed:
             assert f"{_bad_file(case, tmp_path)}: {self.prefixed[case]}" in err
+
+
+def _special_zeros(path):
+    """Rewrite the document at ``path`` with each exact-zero matrix entry
+    replaced, in turn, by an integer literal, -0.0 or a subnormal."""
+    doc = json.loads(path.read_text())
+    specials = iter([0, -0.0, 5e-324, -1e-310, 0.0] * 1000)
+
+    def rewrite(obj):
+        if isinstance(obj, list):
+            return [rewrite(item) for item in obj]
+        return next(specials) if obj == 0 else obj
+
+    for key in ("matrix", "kraus"):
+        if key in doc:
+            doc[key] = rewrite(doc[key])
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+class TestInputBytesArePinned:
+    # sha256 of the outputs for inputs read from files, generated by the
+    # program before the loaders decoded each document in one flat pass
+    @staticmethod
+    def instance(tmp_path, d, n, special_zeros=False):
+        files = [tmp_path / name for name in ("state.json", "ch1.json", "ch2.json")]
+        if special_zeros:
+            save_state(files[0], rho_theta(0.9))
+            for path, channel in zip(files[1:], example_channels(0.3, 0.7)):
+                save_channel(path, channel)
+            for path in files:
+                _special_zeros(path)
+        else:
+            save_state(files[0], random_density(d, d // 2, seed=170 + d))
+            save_channel(files[1], random_channel(d, n, Convention.COLUMN_SUM, seed=171 + d))
+            save_channel(files[2], random_channel(d, n, Convention.ROW_SUM, seed=172 + d))
+        return ["--state", str(files[0]), "--channel1", str(files[1]), "--channel2", str(files[2])]
+
+    @staticmethod
+    def digests(out):
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.parent.iterdir())}
+
+    @pytest.mark.parametrize("case", ["d32", "d4_special_zeros"])
+    def test_bounds(self, tmp_path, case):
+        inputs = self.instance(tmp_path, 32, 16) if case == "d32" else \
+            self.instance(tmp_path, 4, 0, special_zeros=True)
+        out = tmp_path / "out" / "r.txt"
+        out.parent.mkdir()
+        assert main(["bounds", *inputs, "--t", "0:1:3", "--out", str(out)]) == 0
+        assert self.digests(out) == {
+            "d32": {"r.csv": "f2a6d92a01e1d5be95c873a4ab3cd4a0f170396a0dd542302ef0cf2b8001517d",
+                    "r.txt": "d1d03e7b2cd3592082ae3969d7da9a14c098cff2e366b257043ebc1b40861c88"},
+            "d4_special_zeros": {
+                "r.csv": "c7a6b221a2b14ac1232fdb75a1912770a392f733fd66173e639c8aa0d68717d2",
+                "r.txt": "47a2360559d764b571d5026d363c0048890642d711790711ec13e008a6495a84"},
+        }[case]
+
+    def test_invariance(self, tmp_path):
+        inputs = self.instance(tmp_path, 32, 8)
+        out = tmp_path / "out" / "inv.txt"
+        out.parent.mkdir()
+        assert main(["invariance", *inputs, "--trials", "2", "--out", str(out)]) == 0
+        assert self.digests(out) == {
+            "inv.txt": "121b9a4b0d2ad29eb8c4d19ddea162112af91767c892bc3b78b1ec91837199f0"}
 
 
 class TestDerivesEachInstanceOnce:

@@ -1,16 +1,22 @@
 import decimal
+import gc
 import json
 import re
 
 import numpy as np
+import orjson
 import pytest
 
+from skewchain import serialize
+from skewchain.cli import main
 from skewchain.errors import (
     CompletenessError,
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     NotUnitaryError,
+    SkewchainError,
     TraceNotOneError,
 )
 from skewchain.example import example_channels, rho_theta
@@ -29,6 +35,7 @@ from skewchain.objects import (
 )
 from skewchain.serialize import (
     _load_document,
+    _stack_from_pairs,
     load_channel,
     load_state,
     matrix_from_pairs,
@@ -297,7 +304,7 @@ class TestSerialization:
         path.write_text(json.dumps({"dim": 4, "kraus": pairs.tolist(), "convention": "column_sum"},
                                    indent=1))
         loaded = load_channel(path, tol=1e-9)
-        expected = np.array([matrix_from_pairs(k) for k in pairs])
+        expected = pairs[..., 0] + 1j * pairs[..., 1]  # the written bits; repr round-trips
         assert np.array(loaded.operators).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("load, doc, key", [
@@ -374,3 +381,169 @@ class TestSerialization:
             write_text_atomic(path, "bad \ud800 text\n")  # a lone surrogate cannot be encoded
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert path.read_text() == "old\n"
+
+
+def _oracle_matrix(obj) -> np.ndarray:
+    """The decoder that the loaders used before: numpy walks the nested list."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except TypeError:  # an object or null where a number belongs
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValueError("matrix must be a nested array of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _oracle_load(doc):
+    """What ``load_state`` or ``load_channel`` did with ``doc`` before."""
+    if "matrix" in doc:
+        m = _oracle_matrix(doc["matrix"])
+        if m.shape != (doc["dim"], doc["dim"]):
+            raise ValueError("declared dim does not match")
+        return validate_density(m)
+    ops = [_oracle_matrix(k) for k in doc["kraus"]]
+    if any(k.shape != (doc["dim"], doc["dim"]) for k in ops):
+        raise ValueError("declared dim does not match")
+    return validate_channel(ops, Convention(doc["convention"]), tol=1e-9)
+
+
+_STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+_IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_MALFORMED = {  # a bad state matrix, or a bad Kraus list, each of dim 2
+    "ragged_row": {"matrix": [_STATE[0], _STATE[1][:1]]},
+    "ragged_rows_across": {"matrix": [_STATE[0] + [[0.0, 0.0]], _STATE[1]]},
+    "short_pair": {"matrix": [[[0.5], [0.0, 0.0]], _STATE[1]]},
+    "long_pair": {"matrix": [[[0.5, 0.0, 0.0], [0.0, 0.0]], _STATE[1]]},
+    "numbers_for_pairs": {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
+    "every_pair_short": {"matrix": [[[0.5], [0.0]], [[0.0], [0.5]]]},
+    "every_pair_long": {"matrix": [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                   [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]]},
+    "every_pair_empty": {"matrix": [[[], []], [[], []]]},
+    "pairs_for_numbers": {"matrix": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                     [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]]},
+    "flat_numbers": {"matrix": [0.5, 0.0, 0.0, 0.5]},
+    "dict_for_pair": {"matrix": [[{"re": 0.5}, [0.0, 0.0]], _STATE[1]]},
+    "string_for_pair": {"matrix": [["0.5,0", [0.0, 0.0]], _STATE[1]]},
+    "number_for_pair": {"matrix": [[0.5, [0.0, 0.0]], _STATE[1]]},
+    "two_char_string_for_pair": {"matrix": [["05", [0.0, 0.0]], _STATE[1]]},
+    "two_key_dict_for_pair": {"matrix": [[{"0.5": 0, "0": 0}, [0.0, 0.0]], _STATE[1]]},
+    "two_char_string_for_row": {"matrix": [_STATE[0], "05"]},
+    "dict_for_row": {"matrix": [_STATE[0], {"re": 0.5}]},
+    "string_for_row": {"matrix": [_STATE[0], "row"]},
+    "number_for_row": {"matrix": [_STATE[0], 0.5]},
+    "dict_for_matrix": {"matrix": {"re": 0.5}},
+    "string_for_number": {"matrix": [[["x", 0.0], [0.0, 0.0]], _STATE[1]]},
+    "empty_matrix": {"matrix": []},
+    "empty_rows": {"matrix": [[], []]},
+    "null_number": {"matrix": [[[None, 0.0], [0.0, 0.0]], _STATE[1]]},
+    "kraus_mixed_shapes": {"kraus": [_IDENTITY, [[[1.0, 0.0]]]]},
+    "kraus_ragged_operator": {"kraus": [_IDENTITY, [_IDENTITY[0], _IDENTITY[1][:1]]]},
+    "kraus_empty_operator": {"kraus": [_IDENTITY, []]},
+    # read two numbers per pair, this operator's twelve numbers begin with I
+    "kraus_every_pair_long": {"kraus": [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                         [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]]},
+    "kraus_null_number": {"kraus": [[[[None, 0.0], [0.0, 0.0]], _IDENTITY[1]]]},
+}
+
+
+class TestFlatDecoder:
+    # the loaders decode every matrix of a document in one flat pass; numpy's
+    # walk of the nested list, which they used before, is the oracle
+
+    @pytest.mark.parametrize("n, rows, cols", [(1, 1, 1), (1, 4, 4), (5, 3, 7), (40, 16, 16)])
+    def test_well_formed_stacks_keep_every_bit(self, n, rows, cols):
+        corpus = _literal_corpus() + ["9007199254740993", "-9223372036854775809",
+                                      "18446744073709551615", "1" * 30, "-0", "0.0e0"]
+        size = n * rows * cols * 2
+        literals = iter((corpus * (size // len(corpus) + 1))[-size:])  # the edge cases last
+
+        def nest(*shape):
+            if not shape:
+                return next(literals)
+            return "[" + ", ".join(nest(*shape[1:]) for _ in range(shape[0])) + "]"
+
+        doc = orjson.loads(nest(n, rows, cols, 2))
+        stack = _stack_from_pairs(doc)
+        oracle = np.array([_oracle_matrix(k) for k in doc])
+        assert stack.shape == oracle.shape == (n, rows, cols)
+        assert stack.tobytes() == oracle.tobytes()
+        assert matrix_from_pairs(doc[-1]).tobytes() == oracle[-1].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_input_is_rejected_by_both_paths(self, tmp_path, capsys, case):
+        state = {"dim": 2, "matrix": _STATE}
+        channel = {"dim": 2, "kraus": [_IDENTITY], "convention": "row_sum"}
+        bad = {**(channel if "kraus" in _MALFORMED[case] else state), **_MALFORMED[case]}
+        with pytest.raises((ValueError, SkewchainError)):
+            _oracle_load(bad)
+        files = {}
+        for name, doc in (("state", state), ("channel1", channel), ("channel2", channel)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(doc))
+        bad_path = files["channel1" if "kraus" in bad else "state"]
+        bad_path.write_text(json.dumps(bad))
+        argv = ["bounds", "--out", str(tmp_path / "r.txt")]
+        for name, path in files.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{bad_path}: " in err
+        if "null" in case:
+            assert NonFiniteError().args[0] in err
+
+    def test_document_is_decoded_with_the_collector_paused(self, tmp_path, monkeypatch):
+        # parsing and decoding run paused; validation runs with the collector
+        # as the caller had it
+        seen = []
+
+        def recording(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("_stack_from_pairs", "validate_density", "validate_channel"):
+            recording(serialize, name)
+        recording(serialize.orjson, "loads")
+        state, channel = tmp_path / "state.json", tmp_path / "channel.json"
+        state.write_text(json.dumps({"dim": 2, "matrix": _STATE}))
+        channel.write_text(json.dumps({"dim": 2, "kraus": [_IDENTITY], "convention": "row_sum"}))
+        assert gc.isenabled()
+        load_state(state)
+        load_channel(channel)
+        assert seen == [("loads", False), ("_stack_from_pairs", False), ("validate_density", True),
+                        ("loads", False), ("_stack_from_pairs", False), ("validate_channel", True)]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["valid", "undecodable", "ragged", "invalid"])
+    @pytest.mark.parametrize("kind", ["state", "channel"])
+    def test_collector_state_is_kept(self, tmp_path, enabled, case, kind):
+        # the loaders pause the cyclic collector while a document is decoded
+        # and leave it as they found it, whether the load succeeds or not
+        key, doc = {"state": ("matrix", {"dim": 2, "matrix": _STATE}),
+                    "channel": ("kraus", {"dim": 2, "kraus": [_IDENTITY],
+                                          "convention": "row_sum"})}[kind]
+        ragged = _MALFORMED["ragged_row" if kind == "state" else "kraus_ragged_operator"][key]
+        not_psd = [[[2.0, 0.0], [0.0, 0.0]], _STATE[1]]
+        text = {"valid": json.dumps(doc),
+                "undecodable": json.dumps(doc)[:20],  # truncated JSON
+                "ragged": json.dumps({**doc, key: ragged}),
+                "invalid": json.dumps({**doc, key: not_psd if kind == "state" else [_STATE]})
+                }[case]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        load = load_state if kind == "state" else load_channel
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if case == "valid":
+                load(path)
+            else:
+                with pytest.raises((ValueError, SkewchainError)):
+                    load(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
