@@ -292,19 +292,21 @@ class TestInputBytesArePinned:
     # sha256 of the outputs for inputs read from files, generated by the
     # program before the loaders decoded each document in one flat pass
     @staticmethod
-    def instance(tmp_path, d, n, special_zeros=False):
+    def instance(tmp_path, state, channels, special_zeros=False):
         files = [tmp_path / name for name in ("state.json", "ch1.json", "ch2.json")]
+        save_state(files[0], state)
+        for path, channel in zip(files[1:], channels):
+            save_channel(path, channel)
         if special_zeros:
-            save_state(files[0], rho_theta(0.9))
-            for path, channel in zip(files[1:], example_channels(0.3, 0.7)):
-                save_channel(path, channel)
             for path in files:
                 _special_zeros(path)
-        else:
-            save_state(files[0], random_density(d, d // 2, seed=170 + d))
-            save_channel(files[1], random_channel(d, n, Convention.COLUMN_SUM, seed=171 + d))
-            save_channel(files[2], random_channel(d, n, Convention.ROW_SUM, seed=172 + d))
         return ["--state", str(files[0]), "--channel1", str(files[1]), "--channel2", str(files[2])]
+
+    @staticmethod
+    def random(d, n):
+        return random_density(d, d // 2, seed=170 + d), (
+            random_channel(d, n, Convention.COLUMN_SUM, seed=171 + d),
+            random_channel(d, n, Convention.ROW_SUM, seed=172 + d))
 
     @staticmethod
     def digests(out):
@@ -313,8 +315,11 @@ class TestInputBytesArePinned:
 
     @pytest.mark.parametrize("case", ["d32", "d4_special_zeros"])
     def test_bounds(self, tmp_path, case):
-        inputs = self.instance(tmp_path, 32, 16) if case == "d32" else \
-            self.instance(tmp_path, 4, 0, special_zeros=True)
+        if case == "d32":
+            inputs = self.instance(tmp_path, *self.random(32, 16))
+        else:
+            inputs = self.instance(tmp_path, rho_theta(0.9), example_channels(0.3, 0.7),
+                                   special_zeros=True)
         out = tmp_path / "out" / "r.txt"
         out.parent.mkdir()
         assert main(["bounds", *inputs, "--t", "0:1:3", "--out", str(out)]) == 0
@@ -327,7 +332,7 @@ class TestInputBytesArePinned:
         }[case]
 
     def test_invariance(self, tmp_path):
-        inputs = self.instance(tmp_path, 32, 8)
+        inputs = self.instance(tmp_path, *self.random(32, 8))
         out = tmp_path / "out" / "inv.txt"
         out.parent.mkdir()
         assert main(["invariance", *inputs, "--trials", "2", "--out", str(out)]) == 0
