@@ -8,7 +8,6 @@ variants, and numerical certification of every claimed inequality.
 
 from .chains import (
     BoundChain,
-    ChainData,
     ChainStage,
     ChainVerdict,
     InvarianceReport,
@@ -16,24 +15,22 @@ from .chains import (
     Reading,
     Strategy,
     SumBounds,
-    chain_batch,
-    chain_data,
-    chain_from_data,
+    VerdictColumns,
+    chain_at,
     chain_stage,
     compute_chain,
     cross_term_bound,
-    invariance_from_data,
-    invariance_from_trials,
+    invariance_columns,
+    join_stages,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
     optimize_batch,
-    optimize_from_data,
     optimize_permutations,
     permute_s,
     sum_chain,
+    verdict_columns,
     verify_chain,
-    verify_from_data,
 )
 from .errors import (
     BudgetError,
@@ -76,14 +73,10 @@ from .objects import (
     mix_kraus,
     mix_kraus_families,
     random_channel,
-    random_channels,
-    random_densities,
     random_density,
     random_unitaries,
     random_unitary,
     validate_channel,
-    validate_channels,
-    validate_densities,
     validate_density,
 )
 from .serialize import load_channel, load_state, save_channel, save_state

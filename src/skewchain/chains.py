@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,7 +51,7 @@ from .objects import (
     KrausChannel,
     derive_seeds,
     generators,
-    mix_kraus,
+    mix_kraus_families,
     seeding_words,
     unitaries_from_words,
 )
@@ -59,7 +59,7 @@ from .skew import channel_skews, column_norms_sq, frame_stack
 
 __all__ = [
     "BoundChain",
-    "ChainData",
+    "CHUNK_ENTRIES",
     "ChainStage",
     "ChainVerdict",
     "Check",
@@ -70,20 +70,16 @@ __all__ = [
     "Strategy",
     "SumBounds",
     "VerdictColumns",
-    "chain_batch",
-    "chain_data",
-    "chain_from_data",
+    "chain_at",
     "chain_stage",
     "compute_chain",
     "cross_term_bound",
     "invariance_columns",
-    "invariance_from_data",
-    "invariance_from_trials",
+    "join_stages",
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
     "optimize_batch",
-    "optimize_from_data",
     "optimize_permutations",
     "permute_s",
     "search_strategy",
@@ -93,7 +89,6 @@ __all__ = [
     "trial_seeds",
     "verdict_columns",
     "verify_chain",
-    "verify_from_data",
 ]
 
 
@@ -121,41 +116,17 @@ def lattice_order(d: int) -> list:
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
 # instance, so a stack returns each instance's bits unchanged.  ``chain_stage``
-# is the one builder, over arrays; ``chain_batch`` checks and stacks the
-# objects of its instances and wraps each, and ``chain_data`` is a stack of
-# one.  The readers of a pass (``verdict_columns``,
-# ``invariance_columns``, ``optimize_batch``) read its stage.  The frames, their
-# column norms and the channel skew informations come from ``skew``'s kernel.
+# is the one builder, over arrays.  The readers of a pass (``chain_at``,
+# ``verdict_columns``, ``invariance_columns``, ``optimize_batch``) read its
+# stage, and the one-instance functions are stacks of one over them.  The
+# frames, their column norms and the channel skew informations come from
+# ``skew``'s kernel.
 
-
-@dataclass(frozen=True)
-class ChainData:
-    """Everything derived from one (state, channel, channel) instance.
-
-    ``e_norms[i, k]`` and ``f_norms[j, k]`` are squared column norms of the
-    two frame families; ``overlaps[i, j, k]`` the complex column overlaps.
-    ``chains`` holds the instance's ``BoundChain`` under each ``Reading``.
-    All of it is derived once, when ``chain_batch`` or ``chain_data`` builds
-    the data from ``rho``, ``ch1`` and ``ch2``; every reader only reads it.
-    ``stage`` is the instance alone as a stage (``join_stages``), which the
-    stage readers take as a stack of one; its S-table rows serve every
-    permuted walk and search.
-    """
-
-    dim: int
-    e_norms: np.ndarray
-    f_norms: np.ndarray
-    overlaps: np.ndarray
-    chains: dict = field(repr=False, compare=False)
-    rho: DensityMatrix = field(repr=False, compare=False)
-    ch1: KrausChannel = field(repr=False, compare=False)
-    ch2: KrausChannel = field(repr=False, compare=False)
-    stage: ChainStage = field(repr=False, compare=False)
-
-
-def chain_data(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainData:
-    """The ``ChainData`` of one (state, channel, channel) instance; every bound reads it."""
-    return chain_batch([rho], [ch1], [ch2])[0]
+# Matrix entries per stack of a pass's inputs: ``verify`` cuts its chunks of
+# states, and ``kraus_invariance_check`` its passes of Kraus families, to at
+# most this many.  Above it stacking saves no time, and a pass's inputs and
+# frames bound the memory of a run.
+CHUNK_ENTRIES = 2 ** 14
 
 
 class _Once:
@@ -201,8 +172,7 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
     (B, n1, d, d) and (B, n2, d, d) stacks of validated inputs, as
     ``density_stack`` and ``channel_stack`` return them.  Each instance gets
     bit for bit what it gets in a stack of one.  The stack's arrays scale
-    with its length, so callers with many instances pass them in blocks;
-    ``chain_batch`` takes the instances as objects.
+    with its length, so callers with many instances pass them in blocks.
     """
     s, e_ops, f_ops = (np.ascontiguousarray(a, dtype=np.complex128)
                        for a in (sqrt_rhos, ops1, ops2))
@@ -264,40 +234,10 @@ def join_stages(stages, rows) -> ChainStage:
                       i_source=_Once(lambda: np.concatenate([read() for read in sources])[rows]))
 
 
-def chain_batch(rhos, ch1s, ch2s) -> list:
-    """The ``ChainData`` of each (state, channel, channel) instance of a stack:
-    the objects checked and stacked, one ``chain_stage`` pass, then each
-    instance's slice wrapped with its ``BoundChain`` under each reading."""
-    rhos, ch1s, ch2s = list(rhos), list(ch1s), list(ch2s)
-    if not rhos or not len(rhos) == len(ch1s) == len(ch2s):
-        raise ValueError(f"need one or more instances, equally many of each part: "
-                         f"{len(rhos)} states, {len(ch1s)} and {len(ch2s)} channels")
-    shape = (rhos[0].dim, ch1s[0].n, ch2s[0].n)
-    for rho, ch1, ch2 in zip(rhos, ch1s, ch2s):
-        if ch1.dim != rho.dim or ch2.dim != rho.dim:
-            raise DimensionMismatchError(
-                f"state dim {rho.dim} vs channel dims {ch1.dim}, {ch2.dim}")
-        if (rho.dim, ch1.n, ch2.n) != shape:
-            raise DimensionMismatchError(f"instances of one batch must share (dim, n1, n2): "
-                                         f"{(rho.dim, ch1.n, ch2.n)} vs {shape}")
-    stage = chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
-                        np.array([ch.operators for ch in ch1s]),
-                        np.array([ch.operators for ch in ch2s]))
-    d = stage.e_norms.shape[-1]
-    positions = lattice_order(d)
-    lattices = {reading: [dict(zip(positions, row)) for row in values.tolist()]
-                for reading, values in stage.lattices.items()}
-    datas = []
-    for b, (total, i_values, cross_term) in enumerate(zip(
-            stage.sums, map(tuple, stage.i_values.tolist()), stage.cross_terms)):
-        chains = {reading: BoundChain(dim=d, product=stage.products[b], sum=total,
-                                      i_values=i_values, s_values=lattice[b],
-                                      cross_term=cross_term, s_reading=reading)
-                  for reading, lattice in lattices.items()}
-        datas.append(ChainData(dim=d, e_norms=stage.e_norms[b], f_norms=stage.f_norms[b],
-                               overlaps=stage.overlaps[b], chains=chains, rho=rhos[b],
-                               ch1=ch1s[b], ch2=ch2s[b], stage=join_stages([stage], [b])))
-    return datas
+def _instance_stage(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainStage:
+    """The ``chain_stage`` of one (state, channel, channel) instance, a stack of one."""
+    return chain_stage(rho.sqrt_rho[None], np.array(ch1.operators)[None],
+                       np.array(ch2.operators)[None])
 
 
 def _mod_sq(c: np.ndarray) -> np.ndarray:
@@ -481,12 +421,19 @@ class BoundChain:
 def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
                   reading: Reading = Reading.PRODUCT) -> BoundChain:
     """Product, sum, I-chain, S-lattice and cross-term bound in one pass."""
-    return chain_from_data(chain_data(rho, ch1, ch2), reading)
+    return chain_at(_instance_stage(rho, ch1, ch2), 0, reading)
 
 
-def chain_from_data(data: ChainData, reading: Reading = Reading.PRODUCT) -> BoundChain:
-    """The chain of ``reading`` that ``chain_data`` or ``chain_batch`` stored in ``data``."""
-    return data.chains[Reading(reading)]
+def chain_at(stage: ChainStage, b: int, reading: Reading = Reading.PRODUCT) -> BoundChain:
+    """Instance ``b`` of a stage as the ``BoundChain`` of ``reading``, its
+    values read from the stage's arrays as Python floats.  It runs no kernel,
+    save the stage's I values when nothing has read them yet."""
+    reading = Reading(reading)
+    d = _stage_dim(stage)
+    return BoundChain(dim=d, product=stage.products[b], sum=stage.sums[b],
+                      i_values=tuple(stage.i_values[b].tolist()),
+                      s_values=dict(zip(lattice_order(d), stage.lattices[reading][b].tolist())),
+                      cross_term=stage.cross_terms[b], s_reading=reading)
 
 
 @dataclass(frozen=True)
@@ -518,8 +465,8 @@ def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     ``tau`` the q-slot index; both are 0-based permutations of ``range(d)``.
     The identity pair reproduces the unpermuted chain entry bit for bit.
     """
-    data = chain_data(rho, ch1, ch2)
-    return _permuted_value(data.stage.tables, data.dim, sigma, tau, p, q, reading)
+    stage = _instance_stage(rho, ch1, ch2)
+    return _permuted_value(stage.tables, _stage_dim(stage), sigma, tau, p, q, reading)
 
 
 def _permuted_value(tables: dict, d: int, sigma, tau, p: int, q: int,
@@ -563,21 +510,15 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
     when the prefix pairs fit the budget (at (2, 1) with the default budget,
     every d <= 120) and samples otherwise.
     """
-    return optimize_from_data(chain_data(rho, ch1, ch2), p, q, strategy, budget, seed, reading)
-
-
-def optimize_from_data(data: ChainData, p: int, q: int, strategy: Strategy | None = None,
-                       budget: int = 14400, seed: int = 0,
-                       reading: Reading = Reading.PRODUCT) -> PermutedBound:
-    """``optimize_permutations`` on column data already built by ``chain_data``."""
-    return optimize_batch(data.stage, p, q, strategy, budget, seed, reading)[0]
+    return optimize_batch(_instance_stage(rho, ch1, ch2), p, q, strategy, budget, seed,
+                          reading)[0]
 
 
 def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None = None,
                    budget: int = 14400, seed: int = 0,
                    reading: Reading = Reading.PRODUCT) -> list:
-    """``optimize_from_data`` of each instance of a ``chain_stage`` pass, in one
-    search; each gets bit for bit the ``PermutedBound`` it gets alone."""
+    """``optimize_permutations`` of each instance of a stage, in one search;
+    each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
     rows = stage.tables[reading]
     values, pairs = _optimize(rows, _stage_dim(stage), p, q, strategy, budget,
@@ -784,13 +725,8 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     refine.  Inequality rows pass when ``lhs >= rhs - tol``; equality rows
     report their deviation against the same tolerance.
     """
-    return verify_from_data(chain_data(rho, ch1, ch2), tol, perm_budget, seed)
-
-
-def verify_from_data(data: ChainData, tol: float = 1e-10, perm_budget: int = 14400,
-                     seed: int = 0) -> ChainVerdict:
-    """``verify_chain`` on data already built by ``chain_data`` or ``chain_batch``."""
-    columns = verdict_columns(data.stage, tol, perm_budget, functools.partial(generators, [seed]))
+    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol, perm_budget,
+                              functools.partial(generators, [seed]))
     return ChainVerdict(checks=tuple(
         Check(name, kind, lhs, rhs, tol, passed, deviation)
         for name, kind, lhs, rhs, passed, deviation in zip(
@@ -920,24 +856,26 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
 
     The chain quantities are functions of the channels, not of the chosen
     Kraus families, so all deviations should sit at rounding level.
+
+    The trials' unitaries come from two hash passes: the seeds u and v of
+    every trial, then the seeding words of each.  The unmixed instance is a
+    pass of its own, and the trials run in ``chain_stage`` passes of at most
+    ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
+    count; each pass mixes its trials' families in one stacked ``einsum``.
     """
-    return invariance_from_data(chain_data(rho, ch1, ch2), trials, seed, tol)
-
-
-def invariance_from_data(data: ChainData, trials: int, seed: int,
-                         tol: float = 1e-10) -> InvarianceReport:
-    """``kraus_invariance_check`` on the unmixed instance's data, already built
-    by ``chain_data``; the trials mix the channels ``data`` was built from."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # two hash passes: the trials' unitary seeds u and v, then the seeding
-    # words of each; each side's unitaries are one stack
     words = seeding_words([(s,) for pair in trial_seeds([seed], trials)[0] for s in pair])
-    us = unitaries_from_words(data.ch1.n, words[0::2])
-    vs = unitaries_from_words(data.ch2.n, words[1::2])
-    mixed = (chain_data(data.rho, mix_kraus(data.ch1, u), mix_kraus(data.ch2, v))
-             for u, v in zip(us, vs))  # one trial's data at a time
-    return invariance_from_trials(data, mixed, tol)
+    bases = [np.array(ch.operators)[None] for ch in (ch1, ch2)]
+    unitaries = [unitaries_from_words(ch.n, words[side::2]) for side, ch in enumerate((ch1, ch2))]
+    block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
+    stages = [_instance_stage(rho, ch1, ch2)]  # then trial after trial
+    for start in range(0, trials, block):
+        us = [u[start:start + block] for u in unitaries]
+        ops = [mix_kraus_families(np.repeat(base, len(u), axis=0), u) for base, u in zip(bases, us)]
+        stages.append(chain_stage(np.repeat(rho.sqrt_rho[None], len(us[0]), axis=0), *ops))
+    devs = invariance_columns(join_stages(stages, range(trials + 1)), 1)[0].tolist()
+    return InvarianceReport(trials=trials, tol=tol, deviations=dict(zip(_INVARIANT_NAMES, devs)))
 
 
 def trial_entropies(seeds, trials: int) -> list:
@@ -949,7 +887,7 @@ def trial_entropies(seeds, trials: int) -> list:
 
 def trial_seeds(seeds, trials: int) -> list:
     """For each of ``seeds``, the mixing-unitary seeds ``(u, v)`` of each trial
-    of ``invariance_from_data`` at that seed, all from one hash pass."""
+    of ``kraus_invariance_check`` at that seed, all from one hash pass."""
     seeds = list(seeds)
     derived = iter(derive_seeds(trial_entropies(seeds, trials)))
     pairs = list(zip(derived, derived))
@@ -959,15 +897,6 @@ def trial_seeds(seeds, trials: int) -> list:
 # The bound quantities that Kraus mixing must leave unchanged, in report order.
 _INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_printed",
                     "cross_term")
-
-
-def invariance_from_trials(data: ChainData, mixed_datas, tol: float = 1e-10) -> InvarianceReport:
-    """The ``InvarianceReport`` of trials already built: each of ``mixed_datas``
-    holds ``data``'s state with both of its channels mixed."""
-    stages = [data.stage, *(mixed.stage for mixed in mixed_datas)]
-    devs = invariance_columns(join_stages(stages, range(len(stages))), 1)[0].tolist()
-    return InvarianceReport(trials=len(stages) - 1, tol=tol,
-                            deviations=dict(zip(_INVARIANT_NAMES, devs)))
 
 
 def invariance_columns(stage: ChainStage, count: int) -> np.ndarray:

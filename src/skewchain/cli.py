@@ -27,23 +27,21 @@ from pathlib import Path
 import numpy as np
 
 from .chains import (
+    CHUNK_ENTRIES,
     HARD_CHECK_NAMES,
-    ChainData,
     Reading,
     Strategy,
-    chain_data,
-    chain_from_data,
+    chain_at,
     chain_stage,
     invariance_columns,
-    invariance_from_data,
     join_stages,
+    kraus_invariance_check,
     lattice_order,
     mixed_bound,
-    optimize_from_data,
+    optimize_batch,
     search_strategy,
     trial_entropies,
     verdict_columns,
-    verify_from_data,
 )
 from .errors import BudgetError, SkewchainError
 from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
@@ -52,6 +50,7 @@ from .objects import (
     channels_from_words,
     densities_from_words,
     derive_seeds,
+    generators,
     generators_from_words,
     mix_kraus_families,
     seeding_words,
@@ -103,15 +102,19 @@ def _strategy(args):
     return None if args.perm == "auto" else Strategy(args.perm)
 
 
-def _load_instance(args, tol: float) -> ChainData:
-    """Load ``--state``, ``--channel1`` and ``--channel2`` at ``tol`` and build
-    their ``ChainData``; an unreadable, malformed or mismatched input is a
-    ConfigError."""
+def _load_instance(args, tol: float) -> tuple:
+    """The state and the two channels of ``--state``, ``--channel1`` and
+    ``--channel2``, loaded at ``tol``; an unreadable, malformed or mismatched
+    input is a ConfigError."""
     try:
-        return chain_data(load_state(args.state, tol=tol), load_channel(args.channel1, tol=tol),
-                          load_channel(args.channel2, tol=tol))
+        rho, ch1, ch2 = (load_state(args.state, tol=tol), load_channel(args.channel1, tol=tol),
+                         load_channel(args.channel2, tol=tol))
     except (SkewchainError, OSError, ValueError) as exc:
         raise ConfigError(f"input rejected: {exc}") from exc
+    if ch1.dim != rho.dim or ch2.dim != rho.dim:
+        raise ConfigError(f"input rejected: state dim {rho.dim} vs channel dims "
+                          f"{ch1.dim}, {ch2.dim}")
+    return rho, ch1, ch2
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def cmd_bounds(args) -> int:
         if Path(args.out).suffix == ".csv":  # the CSV row would overwrite the report
             raise ConfigError(f"--out {args.out!r} ends in .csv, the suffix of the CSV "
                               "written next to the report; give the report another suffix")
-        data = _load_instance(args, args.tol)
+        rho, ch1, ch2 = _load_instance(args, args.tol)
         t_grid = parse_grid(args.t)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -131,13 +134,16 @@ def cmd_bounds(args) -> int:
 
     try:
         reading = _reading(args)
-        chain = chain_from_data(data, reading)
+        stage = chain_stage(rho.sqrt_rho[None], np.array(ch1.operators)[None],
+                            np.array(ch2.operators)[None])
+        chain = chain_at(stage, 0, reading)
         d = chain.dim
         best = None
         if d >= 2:
-            best = optimize_from_data(data, 2, 1, strategy=_strategy(args),
-                                      budget=args.budget, seed=args.seed, reading=reading)
-        verdict = verify_from_data(data, tol=args.tol, perm_budget=args.budget, seed=args.seed)
+            best = optimize_batch(stage, 2, 1, _strategy(args), args.budget, args.seed,
+                                  reading)[0]
+        verdict = verdict_columns(stage, args.tol, args.budget,
+                                  functools.partial(generators, [args.seed]))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -162,9 +168,11 @@ def cmd_bounds(args) -> int:
             mp, ms = mixed_bound(chain, best, t)
             pairs.append((f"mixed_product[t={_fmt(t)}]", mp))
             pairs.append((f"mixed_sum[t={_fmt(t)}]", ms))
-    for check in verdict.checks:
-        pairs.append((f"check.{check.name}.passed", check.passed))
-        pairs.append((f"check.{check.name}.deviation", check.deviation))
+    # row 0 as Python bools and floats, whose reprs the report prints
+    for name, passed, deviation in zip(verdict.names, verdict.passed[0].tolist(),
+                                       verdict.deviation[0].tolist()):
+        pairs.append((f"check.{name}.passed", passed))
+        pairs.append((f"check.{name}.deviation", deviation))
     _write_report(args.out, pairs)
 
     csv_path = Path(args.out).with_suffix(".csv")
@@ -190,11 +198,8 @@ def cmd_bounds(args) -> int:
 # Instances per stacked chain pass.  ``verify`` takes each dimension's
 # instances in chunks of ``_BLOCK // 2``, so that one pass holds at most a
 # chunk's instances and their invariance trials.  Above d = 16 a chunk is cut
-# to ``_CHUNK_ENTRIES`` matrix entries per stack of states: there stacking
-# saves no time, and a chunk's states, channels and frames bound the memory
-# of a run.
+# to ``CHUNK_ENTRIES`` matrix entries per stack of states.
 _BLOCK = 128
-_CHUNK_ENTRIES = 2 ** 14
 
 
 def _verify_chunk(d: int, ks, args) -> tuple:
@@ -226,8 +231,7 @@ def _verify_chunk(d: int, ks, args) -> tuple:
                           + [(seed,) for part in range(4 if sampled else 3)
                              for seed in derived[part::5]])
     trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
-    rhos = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
-    roots = np.array([rho.sqrt_rho for rho in rhos])
+    _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
     counts = [(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks]
     by_count = {}  # Kraus count -> the (i, side) of each family with that count
     for i, pair in enumerate(counts):
@@ -239,7 +243,7 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     for n, families in by_count.items():
         chs = channels_from_words(d, n, words[[(3 + side) * count + i for i, side in families]])
         us = unitaries_from_words(n, trial_words[[2 * i + side for i, side in families]])
-        kraus[n] = np.array([ch.operators for ch in chs + mix_kraus_families(chs, us)])
+        kraus[n] = np.concatenate([chs, mix_kraus_families(chs, us)])
         rows.update((family, (r, r + len(families))) for r, family in enumerate(families))
     groups = {}
     for i, pair in enumerate(counts):
@@ -286,7 +290,7 @@ def cmd_verify(args) -> int:
     invariance_worst = 0.0
     total = 0
     for d in dims:
-        chunk = max(1, min(_BLOCK // 2, _CHUNK_ENTRIES // (d * d)))
+        chunk = max(1, min(_BLOCK // 2, CHUNK_ENTRIES // (d * d)))
         for start in range(0, args.instances, chunk):
             ks = range(start, min(start + chunk, args.instances))
             columns, deviations = _verify_chunk(d, ks, args)
@@ -380,11 +384,11 @@ def cmd_invariance(args) -> int:
     try:
         if args.trials < 1:
             raise ConfigError("trials must be >= 1")
-        data = _load_instance(args, 1e-9)
+        rho, ch1, ch2 = _load_instance(args, 1e-9)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = invariance_from_data(data, trials=args.trials, seed=args.seed, tol=args.tol)
+    report = kraus_invariance_check(rho, ch1, ch2, args.trials, args.seed, args.tol)
     pairs = [("command", "invariance"), ("trials", args.trials), ("seed", args.seed),
              ("tol", args.tol)]
     for name in sorted(report.deviations):

@@ -6,6 +6,20 @@ invariant failed and by how much.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetError",
+    "CompletenessError",
+    "ConvergenceError",
+    "DimensionMismatchError",
+    "NonFiniteError",
+    "NotHermitianError",
+    "NotPSDError",
+    "NotSquareError",
+    "NotUnitaryError",
+    "SkewchainError",
+    "TraceNotOneError",
+]
+
 
 class SkewchainError(ValueError):
     """Base class for all validation and numerical errors in this package."""

@@ -29,8 +29,8 @@ from .objects import (
     DensityMatrix,
     channel_stack,
     density_stack,
-    validate_channels,
-    validate_densities,
+    validate_channel,
+    validate_density,
 )
 from .serialize import write_text_atomic
 from .skew import frame_stack
@@ -44,10 +44,8 @@ __all__ = [
     "SweepTable",
     "closed_forms",
     "discrepancy_report",
-    "example_channel_pairs",
     "example_channels",
     "rho_theta",
-    "rho_thetas",
     "sweep",
     "write_discrepancy_csv",
     "write_sweep_csv",
@@ -66,12 +64,7 @@ def _check_unit(name: str, value: float) -> float:
 
 def rho_theta(theta: float) -> DensityMatrix:
     """The two-block state family; off-diagonal entries are ``2 theta - 1``."""
-    return rho_thetas([theta])[0]
-
-
-def rho_thetas(thetas) -> list:
-    """``rho_theta`` of each theta, validated as one stack."""
-    return validate_densities(_rho_stack(thetas), tol=_TOL)
+    return validate_density(_rho_stack([theta])[0], tol=_TOL)
 
 
 def _rho_stack(thetas) -> np.ndarray:
@@ -86,14 +79,8 @@ def _rho_stack(thetas) -> np.ndarray:
 
 def example_channels(p: float, q: float) -> tuple:
     """The two diagonal-family channels, validated under row-sum completeness."""
-    return example_channel_pairs([(p, q)])[0]
-
-
-def example_channel_pairs(points) -> list:
-    """``example_channels`` of each (p, q); each family is validated as one stack."""
-    e, f = _family_stacks(points)
-    return list(zip(validate_channels(e, convention=Convention.ROW_SUM, tol=_TOL),
-                    validate_channels(f, convention=Convention.ROW_SUM, tol=_TOL)))
+    return tuple(validate_channel(ops[0], convention=Convention.ROW_SUM, tol=_TOL)
+                 for ops in _family_stacks([(p, q)]))
 
 
 def _family_stacks(points) -> tuple:

@@ -58,16 +58,12 @@ __all__ = [
     "mix_kraus",
     "mix_kraus_families",
     "random_channel",
-    "random_channels",
-    "random_densities",
     "random_density",
     "random_unitaries",
     "random_unitary",
     "seeding_words",
     "unitaries_from_words",
     "validate_channel",
-    "validate_channels",
-    "validate_densities",
     "validate_density",
 ]
 
@@ -111,23 +107,14 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(dim=d, rho=_frozen(arr), sqrt_rho=_frozen(sqrt), validation_tol=tol)
 
 
-def validate_densities(stack, tol: float = DEFAULT_TOL) -> list:
-    """``validate_density`` of each state of a (B, d, d) stack, in one pass.
+def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
+    """The states of a (B, d, d) stack and their square roots, as two
+    read-only (B, d, d) complex arrays, in one pass.
 
     The checks, tolerances and residuals are those of ``validate_density``,
     and each state keeps its bits.  A bad stack raises what its first failing
     state raises alone.
     """
-    rhos, sqrts = density_stack(stack, tol)
-    return [DensityMatrix(dim=rhos.shape[-1], rho=rho, sqrt_rho=sqrt, validation_tol=tol)
-            for rho, sqrt in zip(rhos, sqrts)]
-
-
-def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
-    """The states of a (B, d, d) stack and their square roots, as two
-    read-only (B, d, d) complex arrays, validated as ``validate_densities``
-    validates them: each keeps its bits, and a bad stack raises what its first
-    failing state raises alone."""
     arr = _as_stack(stack, 3, validate_density, tol)
     if not len(arr):
         return _frozen(arr), _frozen(arr)
@@ -206,40 +193,39 @@ def validate_channel(ops, convention: Convention = Convention.COLUMN_SUM,
                      tol: float = DEFAULT_TOL) -> KrausChannel:
     """Validate a Kraus family against the chosen completeness convention.
 
+    ``ops`` is a sequence of matrices, or an (n, d, d) array, which is
+    checked as one family without splitting it into its matrices.
+
     Raises
     ------
     DimensionMismatchError, CompletenessError, ValueError
     """
-    mats = [as_matrix(k) for k in ops]
-    d = _family_dim(len(mats), mats[0].shape if mats else None)
-    for k in mats[1:]:
-        if k.shape != (d, d):
-            raise DimensionMismatchError(
-                f"Kraus operators have mixed shapes: {(d, d)} vs {k.shape}")
-    return validate_channels(np.array(mats)[None], convention, tol)[0]
+    if not (isinstance(ops, np.ndarray) and ops.ndim == 3):  # each matrix checked alone
+        mats = [as_matrix(k) for k in ops]
+        d = _family_dim(len(mats), mats[0].shape if mats else None)
+        for k in mats[1:]:
+            if k.shape != (d, d):
+                raise DimensionMismatchError(
+                    f"Kraus operators have mixed shapes: {(d, d)} vs {k.shape}")
+        ops = np.array(mats)
+    return _channel(channel_stack(ops[None], convention, tol)[0], convention, tol)
 
 
-def validate_channels(stack, convention: Convention = Convention.COLUMN_SUM,
-                      tol: float = DEFAULT_TOL) -> list:
-    """``validate_channel`` of each Kraus family of a (B, n, d, d) stack, in one pass.
-
-    The checks, tolerance and residual are those of ``validate_channel``, and
-    each family keeps its bits.  A bad stack raises what its first failing
-    family raises alone.
-    """
-    arr = channel_stack(stack, convention, tol)
-    if not len(arr):
-        return []
-    convention = Convention(convention)
-    return [KrausChannel(dim=arr.shape[-1], operators=tuple(ops), convention=convention,
-                         completeness_tol=tol) for ops in arr]
+def _channel(ops: np.ndarray, convention: Convention, tol: float) -> KrausChannel:
+    """The ``KrausChannel`` of a validated read-only (n, d, d) family."""
+    return KrausChannel(dim=ops.shape[-1], operators=tuple(ops),
+                        convention=Convention(convention), completeness_tol=tol)
 
 
 def channel_stack(stack, convention: Convention = Convention.COLUMN_SUM,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """The Kraus families of a (B, n, d, d) stack as one read-only complex
-    array, validated as ``validate_channels`` validates them: each keeps its
-    bits, and a bad stack raises what its first failing family raises alone."""
+    array, in one pass.
+
+    The checks, tolerance and residual are those of ``validate_channel``, and
+    each family keeps its bits.  A bad stack raises what its first failing
+    family raises alone.
+    """
     arr = _as_stack(stack, 4, validate_channel, convention, tol)
     if not len(arr):
         return _frozen(arr)
@@ -453,21 +439,15 @@ def _complex_gaussians(words, size: int) -> np.ndarray:
 
 def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """``G G^dag / Tr(G G^dag)`` for a seeded d-by-rank complex Gaussian G."""
-    return random_densities(d, [rank], [seed], tol)[0]
+    rhos, sqrts = densities_from_words(d, [rank], _seeding_words([(seed,)]), tol)
+    return DensityMatrix(dim=d, rho=rhos[0], sqrt_rho=sqrts[0], validation_tol=tol)
 
 
-def random_densities(d: int, ranks, seeds, tol: float = DEFAULT_TOL) -> list:
-    """``random_density`` of each (rank, seed), validated as one (B, d, d) stack.
-
-    Each state draws from its own seeded generator.
-    """
-    return densities_from_words(d, ranks, _seeding_words([(seed,) for seed in seeds]), tol)
-
-
-def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> list:
-    """``random_densities`` with the ``seeding_words`` row of each seed in
-    place of the seed.  The states of one rank draw their Gaussians as one
-    stack, and each ``G G^dag`` is formed alone."""
+def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> tuple:
+    """``random_density`` of each rank, with the ``seeding_words`` row of its
+    seed in place of the seed, as ``density_stack`` returns the states: each
+    draws from its own generator.  The states of one rank draw their
+    Gaussians as one stack, and each ``G G^dag`` is formed alone."""
     ranks = list(ranks)
     by_rank = {}  # rank -> the indices of its states
     for b, rank in enumerate(ranks):
@@ -482,7 +462,7 @@ def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> list
             m = g @ g.conj().T
             m /= np.trace(m).real
             ms[b] = (m + m.conj().T) / 2.0
-    return validate_densities(ms, tol=tol)
+    return density_stack(ms, tol=tol)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -523,22 +503,16 @@ def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COL
     exactly, so column-sum completeness is constructive; the row-sum form takes
     the adjoint of each block.
     """
-    return random_channels(d, n_kraus, [seed], convention, tol)[0]
-
-
-def random_channels(d: int, n_kraus: int, seeds, convention: Convention = Convention.COLUMN_SUM,
-                    tol: float = 1e-12) -> list:
-    """``random_channel`` of each seed: one stacked QR, then one
-    ``validate_channels`` pass."""
-    return channels_from_words(d, n_kraus, _seeding_words([(seed,) for seed in seeds]),
-                               convention, tol)
+    ops = channels_from_words(d, n_kraus, _seeding_words([(seed,)]), convention, tol)
+    return _channel(ops[0], convention, tol)
 
 
 def channels_from_words(d: int, n_kraus: int, words,
                         convention: Convention = Convention.COLUMN_SUM,
-                        tol: float = 1e-12) -> list:
-    """``random_channels`` with the ``seeding_words`` row of each seed in
-    place of the seed."""
+                        tol: float = 1e-12) -> np.ndarray:
+    """``random_channel`` of each ``seeding_words`` row, in place of a seed,
+    as ``channel_stack`` returns the families: one stacked QR, then one
+    validation pass."""
     if not 1 <= n_kraus <= d * d:
         raise ValueError(f"n_kraus must satisfy 1 <= n <= d^2, got n={n_kraus}, d={d}")
     convention = Convention(convention)
@@ -546,7 +520,7 @@ def channels_from_words(d: int, n_kraus: int, words,
     blocks = w.reshape(len(w), n_kraus, d, d)  # block i is rows i*d .. (i+1)*d of W
     if convention == Convention.ROW_SUM:
         blocks = blocks.conj().swapaxes(-1, -2)
-    return validate_channels(blocks, convention=convention, tol=tol)
+    return channel_stack(blocks, convention=convention, tol=tol)
 
 
 def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
@@ -560,41 +534,29 @@ def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
     if n != channel.n:
         raise DimensionMismatchError(
             f"mixing unitary is {n}x{n} but the channel has {channel.n} Kraus operators")
-    return mix_kraus_families([channel], um[None])[0]
+    mixed = mix_kraus_families(np.array(channel.operators)[None], um[None])[0]
+    return _channel(mixed, channel.convention, channel.completeness_tol)
 
 
-def mix_kraus_families(channels, us) -> list:
-    """``mix_kraus`` of each (channel, unitary) pair, in one pass.
+def mix_kraus_families(families, us) -> np.ndarray:
+    """``mix_kraus`` of each Kraus family of a (B, n, d, d) stack by its
+    unitary of a (B, n, n) stack, as one read-only (B, n, d, d) array.
 
-    The families share their dimension, Kraus count, convention and
-    tolerance, and the unitaries form one (B, n, n) stack.  The pass runs one
-    stacked unitarity check, one ``einsum`` and one ``validate_channels``.  A
-    bad stack raises what its first failing pair raises alone, or else a
-    shape mismatch.
+    The pass runs one stacked unitarity check and one ``einsum``.  A bad
+    stack raises what its first failing unitary raises alone.  Completeness
+    is not checked again: mixing by a unitary keeps the completeness sum of
+    the families, which their validation checked.
     """
-    channels = list(channels)
-    if len(us) != len(channels):
-        raise ValueError(f"{len(channels)} channels but {len(us)} mixing unitaries")
-    if not channels:
-        return []
-    first = channels[0]
-    shared = (first.dim, first.n, first.convention, first.completeness_tol)
-    try:
-        arr = np.asarray(us, dtype=np.complex128)
-    except ValueError:  # unitaries of different shapes
-        arr = None
-    if (arr is None or arr.shape != (len(channels), first.n, first.n)
-            or any((ch.dim, ch.n, ch.convention, ch.completeness_tol) != shared
-                   for ch in channels)):
-        for ch, u in zip(channels, us):
-            mix_kraus(ch, u)
-        raise DimensionMismatchError("the families of a stack must share one dimension, "
-                                     "Kraus count, convention and tolerance")
+    ops = np.asarray(families, dtype=np.complex128)
+    arr = np.asarray(us, dtype=np.complex128)
+    if ops.ndim != 4 or arr.shape != (len(ops), ops.shape[1], ops.shape[1]):
+        raise DimensionMismatchError(
+            f"need a (B, n, d, d) stack of Kraus families and a (B, n, n) stack of "
+            f"mixing unitaries, got shapes {ops.shape} and {arr.shape}")
     check = FirstFailure(len(arr))
     check.record(~_finite_each(arr), lambda b: NonFiniteError())
     arr = arr[:check.count]
-    residuals = max_abs_each(arr.conj().swapaxes(-1, -2) @ arr - np.eye(first.n))
+    residuals = max_abs_each(arr.conj().swapaxes(-1, -2) @ arr - np.eye(ops.shape[1]))
     check.record(residuals > 1e-10, lambda b: NotUnitaryError(float(residuals[b]), 1e-10))
     check.raise_first()
-    mixed = np.einsum("...ts,...sij->...tij", arr, np.array([ch.operators for ch in channels]))
-    return validate_channels(mixed, convention=first.convention, tol=first.completeness_tol)
+    return _frozen(np.einsum("...ts,...sij->...tij", arr, ops))

@@ -14,13 +14,12 @@ from skewchain.chains import (
     HARD_CHECK_NAMES,
     Reading,
     Strategy,
-    chain_batch,
-    chain_data,
-    chain_from_data,
+    chain_at,
     chain_stage,
     compute_chain,
     cross_term_bound,
-    invariance_from_data,
+    invariance_columns,
+    join_stages,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
@@ -40,9 +39,11 @@ from skewchain.objects import (
     density_stack,
     derive_seed,
     mix_kraus,
+    mix_kraus_families,
     random_channel,
     random_density,
     random_unitary,
+    random_unitaries,
     validate_channel,
     validate_density,
 )
@@ -122,12 +123,11 @@ def oracle_s_printed(dm, ch1, ch2):
 def oracle_optimum(rho, ch1, ch2, p, q, reading):
     """Exhaustive permutation search: all (d!)^2 pairs in lexicographic order,
     first maximum kept.  The optimizer's exact search must reproduce it bit for bit."""
-    data = chain_data(rho, ch1, ch2)
-    tables = data.stage.tables
+    tables = object_stage([rho], [ch1], [ch2]).tables
     best = None
-    for sig in itertools.permutations(range(data.dim)):
-        for tu in itertools.permutations(range(data.dim)):
-            v = _permuted_value(tables, data.dim, sig, tu, p, q, reading)
+    for sig in itertools.permutations(range(rho.dim)):
+        for tu in itertools.permutations(range(rho.dim)):
+            v = _permuted_value(tables, rho.dim, sig, tu, p, q, reading)
             if best is None or v > best[0]:
                 best = (v, sig, tu)
     return best
@@ -312,9 +312,16 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def object_stage(rhos, ch1s, ch2s):
+    """The ``chain_stage`` of instances given as objects, stacked."""
+    return chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
+                       np.array([ch.operators for ch in ch1s]),
+                       np.array([ch.operators for ch in ch2s]))
+
+
 class TestStageOnArrays:
-    """``chain_stage`` on validated array stacks, bit for bit against
-    ``chain_batch`` and the per-pair loops."""
+    """``chain_stage`` on validated array stacks, bit for bit against the
+    per-pair loops, and ``chain_at`` reading it."""
 
     @staticmethod
     def assert_matches(rhos, ch1s, ch2s):
@@ -324,13 +331,11 @@ class TestStageOnArrays:
                                     chs[0].completeness_tol) for chs in (ch1s, ch2s))
         assert same_bits(roots, np.array([rho.sqrt_rho for rho in rhos]))
         stage = chain_stage(roots, ops1, ops2)
-        datas = chain_batch(rhos, ch1s, ch2s)
-        assert len(stage.products) == len(datas) == len(rhos)
-        for b, (rho, ch1, ch2, data) in enumerate(zip(rhos, ch1s, ch2s, datas)):
+        assert len(stage.products) == len(rhos)
+        for b, (rho, ch1, ch2) in enumerate(zip(rhos, ch1s, ch2s)):
             loop = loop_chain_data(rho, ch1, ch2)
             for name in ("e_norms", "f_norms", "overlaps"):
                 assert same_bits(getattr(stage, name)[b], getattr(loop, name)), name
-                assert same_bits(getattr(stage, name)[b], getattr(data, name)), name
             tables = instance_s_tables(loop)
             start = [tables["start"]]
             assert same_bits(stage.tables[Reading.PRODUCT][b], np.concatenate(
@@ -344,7 +349,7 @@ class TestStageOnArrays:
             for reading in Reading:
                 walk = instance_lattice_values(tables, reading, d)
                 assert same_bits(stage.lattices[reading][b], list(walk.values()))
-                chain = chain_from_data(data, reading)
+                chain = chain_at(stage, b, reading)
                 assert same_bits(list(chain.s_values.values()), stage.lattices[reading][b])
                 assert same_bits([chain.product, chain.sum, chain.cross_term, *chain.i_values],
                                  [stage.products[b], stage.sums[b], stage.cross_terms[b],
@@ -397,48 +402,44 @@ class TestIValuesOnRead:
         assert joined.i_values is joined.i_values
         assert same_bits(joined.i_values, stage.i_values[[2, 0, 2]])
         assert calls == [3]
-        datas = chain_batch(rhos, ch1s, ch2s)
-        assert calls == [3, 3]
-        for b, data in enumerate(datas):
-            i_values = chain_from_data(data, Reading.PRODUCT).i_values
+        for b in range(3):  # reading chains computes no more I values
+            i_values = chain_at(stage, b, Reading.PRODUCT).i_values
             assert type(i_values) is tuple and all(type(v) is float for v in i_values)
             assert same_bits(i_values, stage.i_values[b])
+        assert calls == [3]
 
     def test_joined_stage_of_a_read_pass_holds_no_column(self):
-        data = chain_data(*random_instance(4, 5))
-        pass_overlaps = weakref.ref(data.overlaps.base)  # the whole pass's overlaps
-        stage, i_values = data.stage, data.chains[Reading.PRODUCT].i_values
-        del data
+        stage = object_stage(*zip(random_instance(4, 5)))
+        pass_overlaps = weakref.ref(stage.overlaps)
+        i_values = chain_at(stage, 0).i_values
+        joined = join_stages([stage], [0])
+        del stage
         gc.collect()
         assert pass_overlaps() is None
-        assert stage.i_values.tolist() == [list(i_values)]
+        assert joined.i_values.tolist() == [list(i_values)]
 
 
 class TestBatchedKernelsMatchLoops:
     @staticmethod
     def assert_matches_loops(rhos, ch1s, ch2s):
-        datas = chain_batch(rhos, ch1s, ch2s)  # one build serves both readings
-        assert len(datas) == len(rhos)
-        for rho, ch1, ch2, data in zip(rhos, ch1s, ch2s, datas):
-            assert data.rho is rho and data.ch1 is ch1 and data.ch2 is ch2
+        stage = object_stage(rhos, ch1s, ch2s)  # one build serves both readings
+        assert len(stage.products) == len(rhos)
+        for b, (rho, ch1, ch2) in enumerate(zip(rhos, ch1s, ch2s)):
             loop = loop_chain_data(rho, ch1, ch2)
-            for name in ("e_norms", "f_norms", "overlaps"):
-                assert np.array_equal(getattr(data, name), getattr(loop, name)), name
             tables = instance_s_tables(loop)
             start = [tables["start"]]
-            assert np.array_equal(data.stage.tables[Reading.PRODUCT], [np.concatenate(
-                [start, tables["pair_product"].ravel(), tables["diag_product"]])])
-            assert np.array_equal(data.stage.tables[Reading.AS_PRINTED], [np.concatenate(
-                [start, tables["step_printed"].ravel()])])
+            assert np.array_equal(stage.tables[Reading.PRODUCT][b], np.concatenate(
+                [start, tables["pair_product"].ravel(), tables["diag_product"]]))
+            assert np.array_equal(stage.tables[Reading.AS_PRINTED][b], np.concatenate(
+                [start, tables["step_printed"].ravel()]))
             skew_1, skew_2 = loop_skews(loop)
-            alone = chain_data(rho, ch1, ch2)
             for reading in Reading:
-                chain = chain_from_data(data, reading)
+                chain = chain_at(stage, b, reading)
                 assert chain_fields(chain) == (
                     rho.dim, tables["start"], skew_1 + skew_2, loop_i_values(loop),
                     instance_lattice_values(tables, reading, rho.dim),
                     loop_cross_term(loop), reading)
-                assert chain_fields(chain_from_data(alone, reading)) == chain_fields(chain)
+                assert chain_fields(compute_chain(rho, ch1, ch2, reading)) == chain_fields(chain)
                 assert type(chain.product) is float and type(chain.cross_term) is float
 
     @over_instance_stacks
@@ -455,38 +456,42 @@ class TestBatchedKernelsMatchLoops:
         self.assert_matches_loops(*worked_example_stack())
 
     def test_rejects_mixed_shapes_and_empty_stacks(self):
+        # every one-instance function is a stack of one over ``chain_stage``,
+        # which rejects a state and channels of different dimensions
         rho, ch1, ch2 = random_instance(3, 1)
-        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
+        small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
+        for call in (compute_chain, cross_term_bound, verify_chain,
+                     lambda *xs: permute_s(*xs, (0, 1, 2), (0, 1, 2), 2, 1),
+                     lambda *xs: optimize_permutations(*xs, 2, 1),
+                     lambda *xs: kraus_invariance_check(*xs, trials=1, seed=0)):
+            for args in ((rho, small, ch2), (rho, ch1, small)):
+                with pytest.raises(DimensionMismatchError):
+                    call(*args)
+        roots, ops1, ops2 = (np.array(x) for x in (
+            [rho.sqrt_rho] * 2, [ch1.operators] * 2, [ch2.operators]))
         with pytest.raises(DimensionMismatchError):
-            chain_batch([rho, rho], [ch1, other], [ch2, ch2])
+            chain_stage(roots, ops1, ops2)  # two states and families, one family
         with pytest.raises(DimensionMismatchError):
-            chain_batch([rho], [random_channel(2, 1, Convention.COLUMN_SUM, seed=3)], [ch2])
-        with pytest.raises(ValueError):
-            chain_batch([], [], [])
-        with pytest.raises(ValueError):
-            chain_batch([rho, rho], [ch1], [ch2])
+            chain_stage(roots[:0], ops1[:0], ops2[:0])
 
     def test_mismatch_messages(self):
         rho, ch1, ch2 = random_instance(3, 1)
-        other = random_channel(3, ch1.n % 4 + 1, Convention.COLUMN_SUM, seed=9)
         small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
+        shapes = "need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) stacks"
         cases = [
-            (([rho, rho], [ch1, other], [ch2, ch2]), DimensionMismatchError,
-             f"instances of one batch must share (dim, n1, n2): (3, {other.n}, {ch2.n}) "
-             f"vs (3, {ch1.n}, {ch2.n})"),
-            (([rho], [small], [ch2]), DimensionMismatchError,
-             "state dim 3 vs channel dims 2, 3"),
-            (([rho, rho], [ch1, ch1], [ch2, small]), DimensionMismatchError,
-             "state dim 3 vs channel dims 3, 2"),
-            (([], [], []), ValueError,
-             "need one or more instances, equally many of each part: 0 states, 0 and 0 channels"),
-            (([rho, rho], [ch1], [ch2]), ValueError,
-             "need one or more instances, equally many of each part: 2 states, 1 and 1 channels"),
+            ((rho, small, ch2), f"{shapes}, got shapes (1, 3, 3), (1, 1, 2, 2) and "
+                                f"(1, {ch2.n}, 3, 3)"),
+            ((rho, ch1, small), f"{shapes}, got shapes (1, 3, 3), (1, {ch1.n}, 3, 3) and "
+                                f"(1, 1, 2, 2)"),
         ]
-        for args, kind, message in cases:
-            with pytest.raises(kind) as info:
-                chain_batch(*args)
-            assert type(info.value) is kind and str(info.value) == message
+        for args, message in cases:
+            with pytest.raises(DimensionMismatchError) as info:
+                compute_chain(*args)
+            assert str(info.value) == message
+        with pytest.raises(DimensionMismatchError) as info:
+            chain_stage(np.zeros((0, 3, 3)), np.zeros((0, 1, 3, 3)), np.zeros((0, 1, 3, 3)))
+        assert str(info.value) == (f"{shapes}, got shapes (0, 3, 3), (0, 1, 3, 3) and "
+                                   f"(0, 1, 3, 3)")
 
     def test_mod_sq_is_scalar_abs_squared(self):
         rng = np.random.default_rng(5)
@@ -500,9 +505,10 @@ class TestSkewInfoMatchesChain:
 
     @staticmethod
     def assert_matches_chain(rhos, ch1s, ch2s):
-        for rho, ch1, ch2, data in zip(rhos, ch1s, ch2s, chain_batch(rhos, ch1s, ch2s)):
+        stage = object_stage(rhos, ch1s, ch2s)
+        for b, (rho, ch1, ch2) in enumerate(zip(rhos, ch1s, ch2s)):
             skew_1, skew_2 = skew_info_channel(rho, ch1), skew_info_channel(rho, ch2)
-            chain = chain_from_data(data)
+            chain = chain_at(stage, b)
             assert skew_1 + skew_2 == chain.sum
             assert skew_1 * skew_2 == chain.product
 
@@ -713,10 +719,10 @@ class TestPermuteS:
     def test_start_value_is_permutation_invariant(self):
         # S_{1,0} is the walk's start and never touched by the labels
         rho, ch1, ch2 = random_instance(3, 95)
-        data = chain_data(rho, ch1, ch2)
-        product = chain_from_data(data).product
-        assert data.stage.tables[Reading.PRODUCT][0, 0] == product
-        assert data.stage.tables[Reading.AS_PRINTED][0, 0] == product
+        stage = object_stage([rho], [ch1], [ch2])
+        product = chain_at(stage, 0).product
+        assert stage.tables[Reading.PRODUCT][0, 0] == product
+        assert stage.tables[Reading.AS_PRINTED][0, 0] == product
 
     def test_invalid_permutation_rejected(self):
         rho, ch1, ch2 = random_instance(2, 96)
@@ -893,10 +899,16 @@ class TestKrausInvariance:
         assert report.passed
 
     def test_data_level_form_matches(self):
+        # the instance and its trials as arrays: one stage read by invariance_columns
         rho, ch1, ch2 = random_instance(3, 112)
         direct = kraus_invariance_check(rho, ch1, ch2, trials=2, seed=4)
-        reused = invariance_from_data(chain_data(rho, ch1, ch2), trials=2, seed=4)
-        assert reused.deviations == direct.deviations
+        ops = []
+        for side, ch in enumerate((ch1, ch2), start=1):
+            base = np.array([ch.operators] * 2)
+            us = random_unitaries(ch.n, [derive_seed(4, trial, side) for trial in range(2)])
+            ops.append(np.concatenate([base[:1], mix_kraus_families(base, us)]))
+        stage = chain_stage(np.array([rho.sqrt_rho] * 3), *ops)
+        assert invariance_columns(stage, 1)[0].tolist() == list(direct.deviations.values())
 
     def test_deviations_match_recomputed_chains(self):
         # every quantity of both readings, of the instance the data was built from
@@ -919,7 +931,7 @@ class TestKrausInvariance:
             for name in base:
                 want[name] = max([want[name],
                                   *(abs(a - b) for a, b in zip(mixed[name], base[name]))])
-        report = invariance_from_data(chain_data(rho, ch1, ch2), trials=trials, seed=seed)
+        report = kraus_invariance_check(rho, ch1, ch2, trials=trials, seed=seed)
         assert report.deviations == want
 
     def test_rejects_zero_trials(self):

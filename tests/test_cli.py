@@ -8,17 +8,21 @@ import pytest
 
 from test_stacks import oracle_cmd_verify
 
+import skewchain
 from skewchain import chains, cli, example, objects, skew
+from skewchain.chains import Reading, compute_chain
 from skewchain.cli import build_parser, main, parse_grid
 from skewchain.example import CSV_HEADER, example_channels, rho_theta
 from skewchain.objects import (
     Convention,
+    completeness_residual,
     mix_kraus,
     random_channel,
     random_density,
     random_unitary,
+    validate_channel,
 )
-from skewchain.serialize import load_channel, load_state, save_channel, save_state
+from skewchain.serialize import save_channel, save_state
 
 
 @pytest.fixture()
@@ -271,6 +275,14 @@ class TestBadInputExits2:
             assert f"{_bad_file(case, tmp_path)}: {self.prefixed[case]}" in err
 
 
+    @pytest.mark.parametrize("command", ["bounds", "invariance"])
+    def test_dim_mismatch_names_both_dims(self, tmp_path, example_files, capsys, command):
+        (tmp_path / "out").mkdir()
+        assert main(_argv(f"{command}_dim_mismatch", tmp_path, example_files)) == 2
+        assert capsys.readouterr().err == \
+            "error: input rejected: state dim 4 vs channel dims 3, 4\n"
+
+
 def _special_zeros(path):
     """Rewrite the document at ``path`` with each exact-zero matrix entry
     replaced, in turn, by an integer literal, -0.0 or a subnormal."""
@@ -440,6 +452,10 @@ class TestGeneratesEachChunkInFixedPasses:
         assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
 
 
+# sha256 of the verdict of ``verify --dims 3 --budget 3``
+SAMPLED_VERDICT_SHA256 = "f3672d40e6a3299363a590b084787df388e6c6681ba0b9e4c72852c85ebe8b1c"
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "verdict.txt"
@@ -458,8 +474,20 @@ class TestVerify:
         # instance's search samples from its own seed; sha256 of the verdict
         out = tmp_path / "verdict.txt"
         assert main(["verify", "--dims", "3", "--budget", "3", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f3672d40e6a3299363a590b084787df388e6c6681ba0b9e4c72852c85ebe8b1c")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_VERDICT_SHA256
+
+    def test_builds_no_state_or_channel_object(self, tmp_path, monkeypatch):
+        # the generators and the Kraus mixing return stacks, which verify
+        # reads as they are: no DensityMatrix or KrausChannel is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a state or channel object")
+
+        for module in (skewchain, chains, cli, example, objects, skew):
+            for name in ("DensityMatrix", "KrausChannel"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        out = tmp_path / "verdict.txt"
+        assert main(["verify", "--dims", "3", "--budget", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_VERDICT_SHA256
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -570,7 +598,7 @@ class TestExampleCommand:
             raise AssertionError("example built a per-point object")
 
         for module, name in ((objects, "KrausChannel"), (objects, "DensityMatrix"),
-                             (example, "ExampleParams"), (chains, "ChainData"),
+                             (example, "ExampleParams"), (chains, "chain_at"),
                              (chains, "BoundChain")):
             monkeypatch.setattr(module, name, refuse)
         golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "example-small.json"
@@ -592,6 +620,28 @@ class TestExampleCommand:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in run["sha256"]} == run["sha256"]
         assert sorted(path.name for path in out.iterdir()) == sorted(run["sha256"])
+
+
+def one_trial_at_a_time(rho, ch1, ch2, trials, seed, tol=1e-10):
+    """The invariance report computed trial by trial: ``compute_chain`` under
+    both readings on the ``mix_kraus``ed channels of each trial, and Python's
+    ``max`` of ``|mixed - base|`` per quantity."""
+    def values(a, b):
+        prod = compute_chain(rho, a, b, Reading.PRODUCT)
+        printed = compute_chain(rho, a, b, Reading.AS_PRINTED)
+        return {"product": (prod.product,), "sum": (prod.sum,), "i_values": prod.i_values,
+                "s_values": tuple(prod.s_values.values()),
+                "s_values_as_printed": tuple(printed.s_values.values()),
+                "cross_term": (prod.cross_term,)}
+
+    base = values(ch1, ch2)
+    devs = dict.fromkeys(base, 0.0)
+    for u, v in chains.trial_seeds([seed], trials)[0]:
+        mixed = values(mix_kraus(ch1, random_unitary(ch1.n, u)),
+                       mix_kraus(ch2, random_unitary(ch2.n, v)))
+        for name in base:
+            devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(mixed[name], base[name]))])
+    return chains.InvarianceReport(trials=trials, tol=tol, deviations=devs)
 
 
 class TestInvariance:
@@ -642,19 +692,62 @@ class TestInvariance:
             assert main(argv + ["--out", str(tmp_path / "got.txt")]) == 0
         assert passes == [40, 40]
 
-        def one_trial_at_a_time(data, trials, seed, tol):
-            mixed = [chains.chain_data(data.rho, mix_kraus(data.ch1, random_unitary(data.ch1.n, u)),
-                                       mix_kraus(data.ch2, random_unitary(data.ch2.n, v)))
-                     for u, v in chains.trial_seeds([seed], trials)[0]]
-            return chains.invariance_from_trials(data, mixed, tol)
-
-        monkeypatch.setattr(cli, "invariance_from_data", one_trial_at_a_time)
+        monkeypatch.setattr(cli, "kraus_invariance_check", one_trial_at_a_time)
         assert main(argv + ["--out", str(tmp_path / "want.txt")]) == 0
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
-        data = chains.chain_data(load_state(files[0], tol=1e-9),
-                                 load_channel(files[1], tol=1e-9), load_channel(files[2], tol=1e-9))
-        assert chains.invariance_from_data(data, 20, 9).deviations == \
-            one_trial_at_a_time(data, 20, 9, 1e-10).deviations
+
+    # (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed
+    # instance's own pass, the trials in one pass; in passes of 2 (a patched
+    # constant), the last one partial; of 32, then 8; of 4, then 1; of 4,
+    # then 1, at d = 32; of one each
+    @pytest.mark.parametrize("d, n1, n2, trials, entries", [
+        (4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None), (16, 16, 9, 5, None),
+        (32, 4, 3, 5, None), (32, 16, 8, 2, None)])
+    def test_matches_one_trial_at_a_time(self, monkeypatch, d, n1, n2, trials, entries):
+        if entries is not None:
+            monkeypatch.setattr(chains, "CHUNK_ENTRIES", entries)
+        sizes = []  # the instance count of each stage pass
+        real = chains.chain_stage
+
+        def counted(roots, ops1, ops2):
+            sizes.append(len(roots))
+            return real(roots, ops1, ops2)
+
+        monkeypatch.setattr(chains, "chain_stage", counted)
+        rho = random_density(d, max(1, d // 2), seed=40 + d)
+        ch1 = random_channel(d, n1, Convention.COLUMN_SUM, seed=41 + d)
+        ch2 = random_channel(d, n2, Convention.ROW_SUM, seed=42 + d)
+        got = chains.kraus_invariance_check(rho, ch1, ch2, trials, seed=d)
+        block = max(1, chains.CHUNK_ENTRIES // (max(n1, n2) * d * d))
+        assert sizes == [1] + [block] * (trials // block) + [trials % block] * (
+            trials % block > 0)
+        want = one_trial_at_a_time(rho, ch1, ch2, trials, d)
+        assert (got.trials, got.tol) == (want.trials, want.tol)
+        assert [repr(v) for v in got.deviations.values()] == \
+            [repr(v) for v in want.deviations.values()]
+        assert list(got.deviations) == list(want.deviations)
+
+    def test_channels_at_the_completeness_tolerance_pass(self, tmp_path):
+        # invariance loads its inputs at 1e-9.  Each channel here is scaled to
+        # a residual just within it, so a mixed family's residual, the input's
+        # plus rounding, may exceed 1e-9: mixing keeps completeness, and it is
+        # not checked again
+        files = [tmp_path / name for name in ("state.json", "c1.json", "c2.json")]
+        save_state(files[0], random_density(4, 4, seed=1))
+        for path, seed in zip(files[1:], (2, 3)):
+            ops = np.array(random_channel(4, 4, Convention.COLUMN_SUM, seed=seed).operators)
+            lo, hi = 1.0, 1.0 + 2e-9  # the largest scale whose residual is at most 1e-9
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if completeness_residual(ops * np.sqrt(mid), Convention.COLUMN_SUM) <= 1e-9:
+                    lo = mid
+                else:
+                    hi = mid
+            save_channel(path, validate_channel(ops * np.sqrt(lo), Convention.COLUMN_SUM, 1e-9))
+        out = tmp_path / "inv.txt"
+        assert main(["invariance", "--state", str(files[0]), "--channel1", str(files[1]),
+                     "--channel2", str(files[2]), "--trials", "20", "--out", str(out)]) == 0
+        assert read_report(out)["passed"] == "True"
 
     def test_zero_trials_exits_2(self, tmp_path, example_files):
         state, ch1, ch2 = example_files

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -62,3 +63,43 @@ def test_import_loads_no_random_argparse_or_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def package_modules() -> list:
+    """Every module of ``src/skewchain``, imported."""
+    return [importlib.import_module(f"skewchain.{path.stem}")
+            for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))
+            if path.stem not in ("__init__", "__main__")]
+
+
+def test_every_name_in_all_resolves():
+    modules = package_modules()
+    assert {module.__name__ for module in modules} >= {"skewchain.chains", "skewchain.objects"}
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_exports_only_public_module_names():
+    # every name skewchain/__init__.py imports is in its module's __all__
+    tree = ast.parse((ROOT / "src" / "skewchain" / "__init__.py").read_text())
+    imported, outside = 0, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"skewchain.{node.module}").__all__
+            imported += len(node.names)
+            outside += [f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name not in exported]
+    assert imported > 0 and outside == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the quick-start blocks run in order in one namespace, as a reader
+    # would paste them, so the docs name no function that is gone
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -501,7 +501,7 @@ class TestBuildsEachInputOnce:
                 return real(inputs)
 
             monkeypatch.setattr(example, name, builder)
-        for name in ("rho_theta", "example_channels", "rho_thetas", "example_channel_pairs"):
+        for name in ("rho_theta", "example_channels"):
             monkeypatch.setattr(example, name, None)  # an object build now fails
         return calls
 
@@ -526,7 +526,7 @@ class TestBuildsEachInputOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep built a per-point object")
 
-        monkeypatch.setattr(chains, "ChainData", refuse)
+        monkeypatch.setattr(chains, "chain_at", refuse)
         monkeypatch.setattr(chains, "BoundChain", refuse)
         monkeypatch.setattr(example, "ExampleParams", refuse)
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
@@ -541,7 +541,7 @@ class TestBuildsEachInputOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("the report built a per-point chain object")
 
-        monkeypatch.setattr(chains, "ChainData", refuse)
+        monkeypatch.setattr(chains, "chain_at", refuse)
         monkeypatch.setattr(chains, "BoundChain", refuse)
         grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         report = discrepancy_report(grid)

@@ -30,19 +30,16 @@ from skewchain.chains import (
     Check,
     Reading,
     Strategy,
-    chain_batch,
-    chain_data,
-    chain_from_data,
+    chain_at,
     chain_stage,
     invariance_columns,
-    invariance_from_trials,
     join_stages,
     lattice_order,
     mixed_bound,
     optimize_batch,
     trial_seeds,
     verdict_columns,
-    verify_from_data,
+    verify_chain,
 )
 from skewchain.errors import (
     BudgetError,
@@ -69,7 +66,9 @@ from skewchain.objects import (
     Convention,
     DensityMatrix,
     KrausChannel,
+    channels_from_words,
     completeness_residual,
+    densities_from_words,
     derive_seed,
     derive_seeds,
     generator,
@@ -77,14 +76,11 @@ from skewchain.objects import (
     mix_kraus,
     mix_kraus_families,
     random_channel,
-    random_channels,
-    random_densities,
     random_density,
     random_unitaries,
     random_unitary,
+    seeding_words,
     validate_channel,
-    validate_channels,
-    validate_densities,
     validate_density,
 )
 from skewchain.objects import channel_stack, density_stack
@@ -332,13 +328,13 @@ class TestDensityStacks:
     @given(d=st.integers(1, 6), drawn=states)
     def test_match_oracle(self, d, drawn):
         ms = [make_state(d, kind, seed) for kind, seed in drawn]
-        got = validate_densities(np.array(ms), tol=TOL)
-        assert len(got) == len(ms)
-        for m, dm in zip(ms, got):
+        rhos, sqrts = density_stack(np.array(ms), tol=TOL)
+        assert len(rhos) == len(sqrts) == len(ms)
+        for m, got_rho, got_sqrt in zip(ms, rhos, sqrts):
             rho, sqrt = oracle_validate_density(m, TOL)
-            assert dm.dim == d and dm.validation_tol == TOL
-            assert same_bits(dm.rho, rho) and same_bits(dm.sqrt_rho, sqrt)
+            assert same_bits(got_rho, rho) and same_bits(got_sqrt, sqrt)
             alone = validate_density(m, tol=TOL)
+            assert alone.dim == d and alone.validation_tol == TOL
             assert same_bits(alone.rho, rho) and same_bits(alone.sqrt_rho, sqrt)
             assert same_bits(psd_sqrt(m, tol=TOL), sqrt)
             w, v = oracle_eigendecompose(m, TOL)
@@ -348,12 +344,12 @@ class TestDensityStacks:
     def test_near_singular_spectra_reach_the_clamp(self):
         m = make_state(6, "near_singular", 3)
         assert hermitian_eigendecompose(m).eigenvalues[0] < 0.0
-        (dm,) = validate_densities([m])
-        assert same_bits(dm.sqrt_rho, oracle_psd_sqrt(m, TOL))
+        _, (sqrt,) = density_stack([m])
+        assert same_bits(sqrt, oracle_psd_sqrt(m, TOL))
 
     def test_the_worked_example_states(self):
         thetas = [0.0, 0.25, 0.5, 1.0]
-        for theta, dm in zip(thetas, example.rho_thetas(thetas)):
+        for theta, dm in zip(thetas, map(example.rho_theta, thetas)):
             a = 2.0 * theta - 1.0
             block = np.array([[1.0, a], [a, 1.0]], dtype=complex) / 4.0
             m = np.zeros((4, 4), dtype=complex)
@@ -389,16 +385,16 @@ class TestDensityStacks:
               for defect, seed in drawn]
         expected = first_failure(oracle_validate_density, ms, TOL)
         if expected is None:
-            validate_densities(np.array(ms), tol=TOL)
+            density_stack(np.array(ms), tol=TOL)
         else:
-            assert raised(validate_densities, np.array(ms), TOL) == expected
+            assert raised(density_stack, np.array(ms), TOL) == expected
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     @pytest.mark.parametrize("defect", ["nan", "not_hermitian", "trace", "not_psd"])
     def test_each_state_is_checked(self, bad, defect):
         ms = [make_state(3, "gaussian", seed) for seed in range(3)]
         ms[bad] = self.spoil(ms[bad], defect, 1)
-        assert raised(validate_densities, np.array(ms), TOL) == \
+        assert raised(density_stack, np.array(ms), TOL) == \
             first_failure(oracle_validate_density, ms, TOL)
 
     def test_solver_failure_is_the_first_failing_state(self, monkeypatch):
@@ -414,21 +410,20 @@ class TestDensityStacks:
         ms = [make_state(2, "gaussian", 1), marked, self.spoil(marked, "trace", 0), marked]
         expected = first_failure(oracle_validate_density, ms, TOL)
         assert expected == (ConvergenceError, "eigensolver failed: Eigenvalues did not converge")
-        assert raised(validate_densities, np.array(ms), TOL) == expected
-        assert raised(validate_densities, np.array(ms[2:]), TOL) == \
+        assert raised(density_stack, np.array(ms), TOL) == expected
+        assert raised(density_stack, np.array(ms[2:]), TOL) == \
             first_failure(oracle_validate_density, ms[2:], TOL)
 
     def test_mixed_shapes(self):
         good2, good3 = make_state(2, "gaussian", 1), make_state(3, "gaussian", 2)
         bad3 = self.spoil(good3, "trace", 0)
-        assert raised(validate_densities, [good2, bad3], TOL) == \
+        assert raised(density_stack, [good2, bad3], TOL) == \
             first_failure(oracle_validate_density, [good2, bad3], TOL)
-        assert raised(validate_densities, [good2, good3], TOL) == (
+        assert raised(density_stack, [good2, good3], TOL) == (
             DimensionMismatchError, "the instances of a stack must share one shape")
         not_square = np.ones((2, 2, 3)) / 2
-        assert raised(validate_densities, not_square, TOL) == \
+        assert raised(density_stack, not_square, TOL) == \
             first_failure(oracle_validate_density, not_square, TOL)
-        assert validate_densities([], TOL) == []
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), drawn=st.lists(
@@ -437,8 +432,8 @@ class TestDensityStacks:
                   st.sampled_from(STATE_KINDS), st.integers(0, 2 ** 32 - 1)),
         min_size=1, max_size=5))
     def test_array_form(self, d, drawn):
-        # read-only arrays with the bits of the objects, or the error of the
-        # first failing state alone
+        # read-only arrays with the bits of each state validated alone, or the
+        # error of the first failing state alone
         ms = [self.spoil(make_state(d, kind, seed), defect, seed) for defect, kind, seed in drawn]
         expected = first_failure(oracle_validate_density, ms, TOL)
         if expected is not None:
@@ -447,8 +442,9 @@ class TestDensityStacks:
         rhos, sqrts = density_stack(np.array(ms), TOL)
         assert not rhos.flags.writeable and not sqrts.flags.writeable
         assert rhos.shape == sqrts.shape == (len(ms), d, d)
-        for m, rho, sqrt, dm in zip(ms, rhos, sqrts, validate_densities(np.array(ms), TOL)):
+        for m, rho, sqrt in zip(ms, rhos, sqrts):
             want_rho, want_sqrt = oracle_validate_density(m, TOL)
+            dm = validate_density(m, TOL)
             assert same_bits(rho, want_rho) and same_bits(sqrt, want_sqrt)
             assert same_bits(dm.rho, rho) and same_bits(dm.sqrt_rho, sqrt)
 
@@ -463,8 +459,11 @@ class TestDensityStacks:
     def test_array_form_of_mixed_shapes_and_empty_stacks(self):
         good2, good3 = make_state(2, "gaussian", 1), make_state(3, "gaussian", 2)
         bad3 = self.spoil(good3, "trace", 0)
-        for stack in ([good2, bad3], [good2, good3], np.ones((2, 2, 3)) / 2):
-            assert raised(density_stack, stack, TOL) == raised(validate_densities, stack, TOL)
+        assert raised(density_stack, [good2, bad3], TOL) == raised(validate_density, bad3, TOL)
+        assert raised(density_stack, [good2, good3], TOL) == (
+            DimensionMismatchError, "the instances of a stack must share one shape")
+        assert raised(density_stack, np.ones((2, 2, 3)) / 2, TOL) == \
+            raised(validate_density, np.ones((2, 3)) / 2, TOL)
         rhos, sqrts = density_stack([], TOL)
         assert rhos.shape == sqrts.shape == (0, 0, 0) and not rhos.flags.writeable
 
@@ -477,15 +476,16 @@ class TestChannelStacks:
         convention = data.draw(st.sampled_from(list(Convention)))
         seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5))
         families = [make_family(d, n, convention, seed) for seed in seeds]
-        got = validate_channels(np.array(families), convention, TOL)
-        assert len(got) == len(families)
-        for family, channel in zip(families, got):
+        got = channel_stack(np.array(families), convention, TOL)
+        assert got.shape == (len(families), n, d, d)
+        for family, family_ops in zip(families, got):
             ops = oracle_validate_channel(family, convention, TOL)
-            assert (channel.dim, channel.n, channel.convention, channel.completeness_tol) \
-                == (d, n, convention, TOL)
-            assert all(same_bits(a, b) for a, b in zip(channel.operators, ops))
-            alone = validate_channel(family, convention, TOL)
-            assert all(same_bits(a, b) for a, b in zip(alone.operators, ops))
+            assert same_bits(family_ops, np.array(ops))
+            for alone in (validate_channel(family, convention, TOL),
+                          validate_channel(np.array(family), convention, TOL)):
+                assert (alone.dim, alone.n, alone.convention, alone.completeness_tol) \
+                    == (d, n, convention, TOL)
+                assert all(same_bits(a, b) for a, b in zip(alone.operators, ops))
             assert completeness_residual(family, convention) \
                 == oracle_completeness_residual(ops, convention)
 
@@ -517,30 +517,29 @@ class TestChannelStacks:
             families = [family + [np.zeros((d, d))] * (d * d + 1 - n) for family in families]
         expected = first_failure(oracle_validate_channel, families, convention, TOL)
         if expected is None:
-            validate_channels(families, convention, TOL)
+            channel_stack(families, convention, TOL)
         else:
-            assert raised(validate_channels, families, convention, TOL) == expected
+            assert raised(channel_stack, families, convention, TOL) == expected
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     @pytest.mark.parametrize("convention", list(Convention))
     def test_each_family_is_checked(self, bad, convention):
         families = [make_family(3, 4, convention, seed) for seed in range(3)]
         families[bad] = self.spoil(families[bad], "incomplete", 0)
-        assert raised(validate_channels, np.array(families), convention, TOL) == \
+        assert raised(channel_stack, np.array(families), convention, TOL) == \
             first_failure(oracle_validate_channel, families, convention, TOL)
 
     def test_mixed_shapes_across_families(self):
         a = make_family(2, 2, Convention.COLUMN_SUM, 1)
         b = make_family(3, 2, Convention.COLUMN_SUM, 2)
-        assert raised(validate_channels, [a, b], Convention.COLUMN_SUM, TOL) == (
+        assert raised(channel_stack, [a, b], Convention.COLUMN_SUM, TOL) == (
             DimensionMismatchError, "the instances of a stack must share one shape")
-        assert validate_channels([], Convention.COLUMN_SUM, TOL) == []
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), data=st.data())
     def test_array_form(self, d, data):
-        # a read-only array with the bits of the objects, or the error of the
-        # first failing family alone
+        # a read-only array with the bits of each family validated alone, or
+        # the error of the first failing family alone
         n = data.draw(st.just(d * d) | st.integers(1, d * d))
         convention = data.draw(st.sampled_from(list(Convention)))
         drawn = data.draw(st.lists(st.tuples(
@@ -556,10 +555,9 @@ class TestChannelStacks:
             return
         ops = channel_stack(families, convention, TOL)
         assert not ops.flags.writeable and ops.shape == (len(families), n, d, d)
-        for family, got, channel in zip(families, ops,
-                                        validate_channels(families, convention, TOL)):
+        for family, got in zip(families, ops):
             assert same_bits(got, np.array(oracle_validate_channel(family, convention, TOL)))
-            assert same_bits(np.array(channel.operators), got)
+            assert same_bits(np.array(validate_channel(family, convention, TOL).operators), got)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     @pytest.mark.parametrize("defect", ["nan", "inf", "incomplete"])
@@ -577,9 +575,33 @@ class TestChannelStacks:
         empty = channel_stack([], Convention.COLUMN_SUM, TOL)
         assert empty.shape == (0, 0, 0, 0) and not empty.flags.writeable
 
+    @pytest.mark.parametrize("defect", [None, "nan", "inf", "incomplete", "too_many",
+                                        "not_square", "empty"])
+    def test_family_array_checks_as_its_matrices(self, defect):
+        # an (n, d, d) array is checked as one family, not split into its
+        # matrices, and fails as its matrices fail when checked one by one
+        family = make_family(3, 4, Convention.ROW_SUM, 7)
+        if defect == "too_many":
+            family += [np.zeros((3, 3))] * 6
+        elif defect == "not_square":
+            family = [np.ones((2, 3))] * 2
+        elif defect == "empty":
+            family = []
+        elif defect is not None:
+            family = self.spoil(family, defect, 1)
+        arr = np.array(family) if family else np.zeros((0, 3, 3))
+        want = first_failure(oracle_validate_channel, [family], Convention.ROW_SUM, TOL)
+        if want is None:
+            ops = oracle_validate_channel(family, Convention.ROW_SUM, TOL)
+            for given in (arr, family):
+                assert same_ops(validate_channel(given, Convention.ROW_SUM, TOL), ops)
+        else:
+            assert raised(validate_channel, arr, Convention.ROW_SUM, TOL) == want
+            assert raised(validate_channel, family, Convention.ROW_SUM, TOL) == want
+
     def test_the_worked_example_channels(self):
         points = list(itertools.product([0.0, 0.5, 1.0, 0.3], repeat=2))
-        for (p, q), (n1, n2) in zip(points, example.example_channel_pairs(points)):
+        for (p, q), (n1, n2) in zip(points, itertools.starmap(example.example_channels, points)):
             sp, sq = math.sqrt(1.0 - p), math.sqrt(1.0 - q)
             f2 = np.zeros((4, 4), dtype=complex)
             f2[0, 1] = f2[2, 3] = math.sqrt(q)
@@ -604,12 +626,17 @@ def object_stage(rhos, ch1s, ch2s):
 
 def random_block(d, count, seed, convention=Convention.COLUMN_SUM):
     """The ``chain_stage`` of ``count`` seeded same-shape instances, and each
-    instance's ``ChainData`` for the oracle."""
+    instance as its (state, channel, channel) objects."""
     n1, n2 = (seed % 3) + 1, ((seed // 3) % 3) + 1
     rhos = [random_density(d, (seed + b) % d + 1, seed + b) for b in range(count)]
     ch1s = [random_channel(d, n1, convention, seed + 100 + b) for b in range(count)]
     ch2s = [random_channel(d, n2, convention, seed + 200 + b) for b in range(count)]
-    return object_stage(rhos, ch1s, ch2s), chain_batch(rhos, ch1s, ch2s)
+    return object_stage(rhos, ch1s, ch2s), list(zip(rhos, ch1s, ch2s))
+
+
+def alone(rho, ch1, ch2):
+    """What the scalar oracles read of one instance, built as a stack of one."""
+    return stage_data(object_stage([rho], [ch1], [ch2]), 0, rho.dim)
 
 
 def found(best):
@@ -620,11 +647,11 @@ class TestOptimizeBatch:
     @pytest.mark.parametrize("reading", list(Reading))
     @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
     def test_deeper_targets_at_d4(self, reading, target):
-        stage, datas = random_block(4, 5, 17)
+        stage, instances = random_block(4, 5, 17)
         bests = optimize_batch(stage, *target, Strategy.EXHAUSTIVE, reading=reading)
-        for data, best in zip(datas, bests):
+        for instance, best in zip(instances, bests):
             assert (best.p, best.q) == target
-            assert found(best) == oracle_optimize(data, *target, Strategy.EXHAUSTIVE,
+            assert found(best) == oracle_optimize(alone(*instance), *target, Strategy.EXHAUSTIVE,
                                                   14400, 0, reading)
 
     @settings(max_examples=25, deadline=None)
@@ -632,10 +659,11 @@ class TestOptimizeBatch:
            reading=st.sampled_from(list(Reading)), data=st.data())
     def test_random_stacks(self, d, count, seed, reading, data):
         p, q = data.draw(st.sampled_from(lattice_order(d)))
-        stage, datas = random_block(d, count, seed, data.draw(st.sampled_from(list(Convention))))
+        stage, instances = random_block(d, count, seed,
+                                        data.draw(st.sampled_from(list(Convention))))
         bests = optimize_batch(stage, p, q, None, reading=reading)
         assert [found(best) for best in bests] == [
-            oracle_optimize(x, p, q, None, 14400, 0, reading) for x in datas]
+            oracle_optimize(alone(*x), p, q, None, 14400, 0, reading) for x in instances]
 
     @pytest.mark.parametrize("reading", list(Reading))
     @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
@@ -657,31 +685,34 @@ class TestOptimizeBatch:
         for row in table.columns.tolist():
             rho = example.rho_theta(row[0])
             n1, n2 = example.example_channels(row[1], row[2])
-            data = chain_batch([rho], [n1], [n2])[0]
-            value, _, _ = oracle_optimize(data, *target, None, 14400, 0, reading)
+            value, _, _ = oracle_optimize(alone(rho, n1, n2), *target, None, 14400, 0, reading)
             assert row[perm_opt] == value
         inputs = ([example.rho_theta(0.5)] * 9,
-                  *zip(*example.example_channel_pairs(itertools.product(grid, grid))))
+                  *zip(*itertools.starmap(example.example_channels,
+                                          itertools.product(grid, grid))))
         bests = optimize_batch(object_stage(*inputs), *target, reading=reading)
-        for data, best in zip(chain_batch(*inputs), bests):
-            assert found(best) == oracle_optimize(data, *target, None, 14400, 0, reading)
+        for instance, best in zip(zip(*inputs), bests):
+            assert found(best) == oracle_optimize(alone(*instance), *target, None, 14400, 0,
+                                                  reading)
 
     def test_exhaustive_over_budget_raises_as_alone(self):
-        stage, datas = random_block(4, 3, 5)
+        stage, instances = random_block(4, 3, 5)
         with pytest.raises(BudgetError) as info:
             optimize_batch(stage, 3, 1, Strategy.EXHAUSTIVE, budget=100)
-        with pytest.raises(BudgetError) as alone:
-            oracle_optimize(datas[0], 3, 1, Strategy.EXHAUSTIVE, 100, 0, Reading.PRODUCT)
-        assert str(info.value) == str(alone.value)
+        with pytest.raises(BudgetError) as want:
+            oracle_optimize(alone(*instances[0]), 3, 1, Strategy.EXHAUSTIVE, 100, 0,
+                            Reading.PRODUCT)
+        assert str(info.value) == str(want.value)
         assert (info.value.needed, info.value.budget) == (144, 100)
 
     @pytest.mark.parametrize("reading", list(Reading))
     def test_sampled_matches_for_a_fixed_seed(self, reading):
-        stage, datas = random_block(4, 4, 23)
+        stage, instances = random_block(4, 4, 23)
         for strategy, budget in ((Strategy.SAMPLED, 50), (None, 100)):  # auto samples over budget
             bests = optimize_batch(stage, 3, 2, strategy, budget, seed=5, reading=reading)
             assert [found(best) for best in bests] == [
-                oracle_optimize(x, 3, 2, strategy, budget, 5, reading) for x in datas]
+                oracle_optimize(alone(*x), 3, 2, strategy, budget, 5, reading)
+                for x in instances]
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +761,7 @@ def oracle_mix_kraus(channel, u):
     residual = max_abs(um.conj().T @ um - np.eye(n))
     if residual > 1e-10:
         raise NotUnitaryError(residual, 1e-10)
-    mixed = np.einsum("ts,sij->tij", um, np.stack(channel.operators))
-    return oracle_validate_channel(list(mixed), channel.convention, channel.completeness_tol)
+    return list(np.einsum("ts,sij->tij", um, np.stack(channel.operators)))
 
 
 def same_ops(channel, ops):
@@ -747,19 +777,21 @@ class TestGeneratorStacks:
     @given(d=st.integers(1, 6), data=st.data())
     def test_densities_match_oracle(self, d, data):
         drawn = data.draw(st.lists(st.tuples(st.integers(1, d), seeds_64), min_size=1, max_size=5))
-        got = random_densities(d, [rank for rank, _ in drawn], [seed for _, seed in drawn])
-        assert len(got) == len(drawn)
-        for (rank, seed), dm in zip(drawn, got):
+        rhos, sqrts = densities_from_words(d, [rank for rank, _ in drawn],
+                                           seeding_words([(seed,) for _, seed in drawn]))
+        assert len(rhos) == len(sqrts) == len(drawn)
+        for (rank, seed), got_rho, got_sqrt in zip(drawn, rhos, sqrts):
             rho, sqrt = oracle_random_density(d, rank, seed)
+            assert same_bits(got_rho, rho) and same_bits(got_sqrt, sqrt)
+            dm = random_density(d, rank, seed)
             assert dm.dim == d and same_bits(dm.rho, rho) and same_bits(dm.sqrt_rho, sqrt)
-            alone = random_density(d, rank, seed)
-            assert same_bits(alone.rho, rho) and same_bits(alone.sqrt_rho, sqrt)
 
     def test_rank_out_of_range_fails_as_alone(self):
-        assert raised(random_densities, 3, [2, 4, 0], [1, 2, 3]) == \
+        assert raised(densities_from_words, 3, [2, 4, 0], seeding_words([(1,), (2,), (3,)])) == \
             raised(oracle_random_density, 3, 4, 2)
         assert raised(random_density, 3, 0, 1) == raised(oracle_random_density, 3, 0, 1)
-        assert random_densities(3, [], []) == []
+        assert all(stack.shape == (0, 0, 0)
+                   for stack in densities_from_words(3, [], seeding_words([])))
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), data=st.data())
@@ -767,28 +799,36 @@ class TestGeneratorStacks:
         n = data.draw(st.just(d * d) | st.integers(1, d * d))
         convention = data.draw(st.sampled_from(list(Convention)))
         seeds = data.draw(st.lists(st.tuples(seeds_64, seeds_64), min_size=1, max_size=5))
-        channels = random_channels(d, n, [seed for seed, _ in seeds], convention)
+        families = channels_from_words(d, n, seeding_words([(seed,) for seed, _ in seeds]),
+                                       convention)
         us = random_unitaries(n, [u_seed for _, u_seed in seeds])
-        mixed = mix_kraus_families(channels, us)
-        assert len(channels) == len(us) == len(mixed) == len(seeds)
-        for (seed, u_seed), channel, u, mix in zip(seeds, channels, us, mixed):
+        mixed = mix_kraus_families(families, us)
+        assert families.shape == mixed.shape == (len(seeds), n, d, d) and len(us) == len(seeds)
+        assert not families.flags.writeable and not mixed.flags.writeable
+        for (seed, u_seed), family, u, mix in zip(seeds, families, us, mixed):
             ops = oracle_random_channel(d, n, convention, seed)
+            assert same_bits(family, np.array(ops))
+            channel = random_channel(d, n, convention, seed)
             assert (channel.dim, channel.n, channel.convention, channel.completeness_tol) \
                 == (d, n, convention, 1e-12)
             assert same_ops(channel, ops)
-            assert same_ops(random_channel(d, n, convention, seed), ops)
             unitary = oracle_haar_isometry(u_seed, n, n)
             assert same_bits(u, unitary) and same_bits(random_unitary(n, u_seed), unitary)
             mixed_ops = oracle_mix_kraus(channel, u)
-            assert (mix.convention, mix.completeness_tol) == (convention, 1e-12)
-            assert same_ops(mix, mixed_ops) and same_ops(mix_kraus(channel, u), mixed_ops)
+            assert same_bits(mix, np.array(mixed_ops))
+            alone = mix_kraus(channel, u)
+            assert (alone.convention, alone.completeness_tol) == (convention, 1e-12)
+            assert same_ops(alone, mixed_ops)
 
     def test_kraus_count_out_of_range_fails_as_alone(self):
         for n in (0, 5):
-            assert raised(random_channels, 2, n, [1, 2]) == \
+            assert raised(channels_from_words, 2, n, seeding_words([(1,), (2,)])) == \
+                raised(oracle_random_channel, 2, n, Convention.COLUMN_SUM, 1)
+            assert raised(random_channel, 2, n) == \
                 raised(oracle_random_channel, 2, n, Convention.COLUMN_SUM, 1)
         assert raised(random_unitaries, 0, [1]) == (ValueError, "n must be >= 1")
-        assert random_channels(2, 3, []) == [] and random_unitaries(3, []).shape == (0, 3, 3)
+        assert channels_from_words(2, 3, seeding_words([])).shape == (0, 0, 0, 0)
+        assert random_unitaries(3, []).shape == (0, 3, 3)
 
     @staticmethod
     def spoil(u, defect):
@@ -807,28 +847,34 @@ class TestGeneratorStacks:
     @pytest.mark.parametrize("bad", [0, 1, 2])
     @pytest.mark.parametrize("defect", ["scaled", "nan", "wrong_size", "not_2d"])
     def test_bad_unitary_fails_as_its_first_failing_pair(self, bad, defect):
-        channels = random_channels(3, 2, [1, 2, 3, 4])
+        channels = [random_channel(3, 2, seed=seed) for seed in (1, 2, 3, 4)]
         us = list(random_unitaries(2, [5, 6, 7, 8]))
         us[bad] = self.spoil(us[bad], defect)
         us[3] = self.spoil(us[3], "far")  # a later, larger failure
         expected = first_failure(lambda pair: oracle_mix_kraus(*pair), zip(channels, us))
         assert expected[0] is not None
-        assert raised(mix_kraus_families, channels, us) == expected
+        assert raised(mix_kraus, channels[bad], us[bad]) == expected
+        families = np.array([channel.operators for channel in channels])
         if defect in ("scaled", "nan"):
             assert expected[0] is (NotUnitaryError if defect == "scaled" else NonFiniteError)
-            assert raised(mix_kraus, channels[bad], us[bad]) == expected
+            assert raised(mix_kraus_families, families, np.array(us)) == expected
+        else:  # no (B, n, n) stack of unitaries: only the pair alone names the fault
+            with pytest.raises(ValueError):
+                mix_kraus_families(families, us)
 
     def test_families_must_share_one_shape(self):
-        channels = random_channels(2, 2, [1]) + random_channels(2, 3, [2], Convention.ROW_SUM)
-        us = [random_unitary(2, 3), random_unitary(3, 4)]
-        assert raised(mix_kraus_families, channels, us) == (
-            DimensionMismatchError, "the families of a stack must share one dimension, "
-                                    "Kraus count, convention and tolerance")
-        assert raised(mix_kraus_families, channels, [us[0], us[0]]) == \
-            first_failure(lambda pair: oracle_mix_kraus(*pair), zip(channels, [us[0], us[0]]))
-        with pytest.raises(ValueError, match="2 channels but 1 mixing unitaries"):
-            mix_kraus_families(channels, us[:1])
-        assert mix_kraus_families([], []) == []
+        # the families and the unitaries must be stacks of one count and one n
+        families = np.array([random_channel(2, 2, seed=seed).operators for seed in (1, 2)])
+        us = random_unitaries(2, [3, 4])
+        need = ("need a (B, n, d, d) stack of Kraus families and a (B, n, n) stack of "
+                "mixing unitaries, got shapes")
+        for args, shapes in (((families, us[:1]), "(2, 2, 2, 2) and (1, 2, 2)"),
+                             ((families, random_unitaries(3, [3, 4])),
+                              "(2, 2, 2, 2) and (2, 3, 3)"),
+                             ((families[0], us), "(2, 2, 2) and (2, 2, 2)")):
+            assert raised(mix_kraus_families, *args) == (DimensionMismatchError,
+                                                         f"{need} {shapes}")
+        assert mix_kraus_families(families[:0], us[:0]).shape == (0, 2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +939,7 @@ def oracle_eq_check(name, lhs, rhs, tol):
     return Check(name, "eq", lhs, rhs, tol, dev <= tol, dev)
 
 
-def oracle_verify_from_data(data, tol, perm_budget, seed):
+def oracle_verify_checks(data, tol, perm_budget, seed):
     """The checks of one instance, one scalar check at a time."""
     d = data.dim
     chain = data.chains[Reading.PRODUCT]
@@ -1017,21 +1063,21 @@ class TestVerdictColumns:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])  # d = 1: no lattice, no search
     @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each row's seed
     def test_each_row_matches_the_scalar_checks(self, d, budget):
-        stage, datas = block_at(d, 3, 4 + d)
+        stage, instances = block_at(d, 3, 4 + d)
         rows = injected(stage, 3, d)
         seeds = [oracle_derive_seed(5, b) for b in range(len(rows.products))]
         tol = 1e-10
         columns = verdict_columns(rows, tol, budget, functools.partial(generators, seeds))
         for b, seed in enumerate(seeds):
-            want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), tol, budget, seed))
+            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), tol, budget, seed))
             assert column_bits(columns, b, tol) == want
-        for data, seed in zip(datas, seeds):  # verify_from_data: a stack of one
-            assert check_bits(verify_from_data(data, tol, budget, seed).checks) == check_bits(
-                oracle_verify_from_data(data, tol, budget, seed))
+        for instance, seed in zip(instances, seeds):  # verify_chain: a stack of one
+            assert check_bits(verify_chain(*instance, tol, budget, seed).checks) == check_bits(
+                oracle_verify_checks(alone(*instance), tol, budget, seed))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_invariance_columns_match_the_fold(self, d):
-        stage, datas = block_at(d, 3, 7 + d)
+        stage, instances = block_at(d, 3, 7 + d)
         rows = injected(stage, 3, d)
         count = len(rows.products) // 3  # each instance and two trials, specials among all three
         trials = join_stages([rows], range(3 * count))
@@ -1040,9 +1086,11 @@ class TestVerdictColumns:
             want = oracle_invariance(stage_data(trials, b, d),
                                      [stage_data(trials, b + t * count, d) for t in (1, 2)])
             assert [repr(x) for x in got[b].tolist()] == [repr(x) for x in want.values()]
-        report = invariance_from_trials(datas[0], datas[1:])  # a stack of one
-        assert report.trials == 2
-        assert report.deviations == oracle_invariance(datas[0], datas[1:])
+        # the first instance with the other two as its trials, each built alone
+        alones = [object_stage(*zip(instance)) for instance in instances]
+        got = invariance_columns(join_stages(alones, range(3)), 1)[0].tolist()
+        want = oracle_invariance(alone(*instances[0]), [alone(*x) for x in instances[1:]])
+        assert got == list(want.values())
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 4), budget=st.sampled_from([14400, 3]), data=st.data())
@@ -1061,7 +1109,7 @@ class TestVerdictColumns:
                 st.lists(st.lists(values, min_size=size, max_size=size), min_size=2, max_size=2))
         columns = verdict_columns(rows, 1e-10, budget, functools.partial(generators, [4, 5]))
         for b, seed in enumerate([4, 5]):
-            want = check_bits(oracle_verify_from_data(stage_data(rows, b, d), 1e-10, budget, seed))
+            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10, budget, seed))
             assert column_bits(columns, b, 1e-10) == want
         got = invariance_columns(rows, 1)[0].tolist()
         want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
@@ -1106,9 +1154,9 @@ def oracle_verify_instance(d, k, args):
     """``(checks, invariance deviation)`` of instance k at dimension d, built alone."""
     derived = [oracle_derive_seed(args.seed, d, k, part) for part in range(5)]
     state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
-    data = chain_data(state, ch1, ch2)
-    checks = oracle_verify_from_data(data, args.tol, args.budget, derived[3])
-    devs = oracle_invariance(data, [chain_data(state, mixed1, mixed2)])
+    data = alone(state, ch1, ch2)
+    checks = oracle_verify_checks(data, args.tol, args.budget, derived[3])
+    devs = oracle_invariance(data, [alone(state, mixed1, mixed2)])
     return checks, max(devs.values())
 
 
@@ -1184,7 +1232,7 @@ class TestStackedVerify:
 
         def densities(*args):
             made = real_densities(*args)
-            states.extend(made)
+            states.extend(made[0])
             return made
 
         with pytest.MonkeyPatch.context() as patched:
@@ -1201,7 +1249,7 @@ class TestStackedVerify:
             for j, k in enumerate(group):
                 derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
                 state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
-                assert same_bits(states[ks.index(k)].rho, state.rho)
+                assert same_bits(states[ks.index(k)], state.rho)
                 for root in (roots[j], roots[len(group) + j]):
                     assert same_bits(root, state.sqrt_rho)
                 for got, want in ((ops1[j], ch1), (ops2[j], ch2), (ops1[len(group) + j], mixed1),
@@ -1225,7 +1273,7 @@ class TestStackedVerify:
         if "1e-18" in flags:
             assert code == 1
 
-    @pytest.mark.parametrize("name, value", [("_BLOCK", 4), ("_CHUNK_ENTRIES", 2)])
+    @pytest.mark.parametrize("name, value", [("_BLOCK", 4), ("CHUNK_ENTRIES", 2)])
     def test_passes_hold_at_most_a_block(self, tmp_path, monkeypatch, name, value):
         monkeypatch.setattr(cli, name, value)  # either makes chunks of two instances
         sizes = []
@@ -1261,7 +1309,7 @@ class TestStackedVerify:
                 deviation[b, column % deviation.shape[1]] = value
             return dataclasses.replace(columns, deviation=deviation)
 
-        real_oracle = oracle_verify_from_data
+        real_oracle = oracle_verify_checks
         want_places = []
 
         def oracle_with_specials(data, tol, budget, seed):
@@ -1272,7 +1320,7 @@ class TestStackedVerify:
             return checks
 
         monkeypatch.setattr(cli, "verdict_columns", columns_with_specials)
-        monkeypatch.setattr(sys.modules[__name__], "oracle_verify_from_data", oracle_with_specials)
+        monkeypatch.setattr(sys.modules[__name__], "oracle_verify_checks", oracle_with_specials)
         argv = ["verify", "--dims", "1,2,3", "--instances", "20", "--seed", "2"]
         got, want = tmp_path / "got.txt", tmp_path / "want.txt"
         code = cli.main(argv + ["--out", str(got)])
@@ -1342,15 +1390,16 @@ def oracle_row(formula, params, numeric, printed):
 
 def oracle_chain_targets(params):
     """Each point's product-reading (product, sum, cross term, S21, S31, S32),
-    read from ``chain_batch``'s chains in passes of ``example._BLOCK`` points."""
+    read by ``chain_at`` from stages of the points' objects, in passes of
+    ``example._BLOCK`` points."""
     targets = []
     for start in range(0, len(params), example._BLOCK):
         block = params[start:start + example._BLOCK]
-        pairs = example.example_channel_pairs([(pt.p, pt.q) for pt in block])
-        datas = chain_batch(example.rho_thetas([pt.theta for pt in block]),
-                            [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
-        for data in datas:
-            chain = chain_from_data(data, Reading.PRODUCT)
+        pairs = [example.example_channels(pt.p, pt.q) for pt in block]
+        stage = object_stage([example.rho_theta(pt.theta) for pt in block],
+                             [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
+        for b in range(len(block)):
+            chain = chain_at(stage, b, Reading.PRODUCT)
             targets.append((chain.product, chain.sum, chain.cross_term, chain.s_values[(2, 1)],
                             chain.s_values[(3, 1)], chain.s_values[(3, 2)]))
     return targets
@@ -1471,7 +1520,7 @@ class TestColumnarReport:
         assert path.read_text() == oracle_discrepancy_csv(rows, fitted)
 
     @pytest.mark.parametrize("block", [None, 5])
-    def test_stage_targets_match_chain_batch(self, monkeypatch, block):
+    def test_stage_targets_match_object_stages(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(example, "_BLOCK", block)
         grid = [example.ExampleParams(theta=t, p=p, q=q) for t, p, q in
