@@ -39,6 +39,8 @@ import functools
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -862,6 +864,8 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     pass of its own, and the trials run in ``chain_stage`` passes of at most
     ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
     count; each pass mixes its trials' families in one stacked ``einsum``.
+    The passes run on the CPUs the process may use (``_run_passes``), each
+    bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -869,13 +873,69 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     bases = [np.array(ch.operators)[None] for ch in (ch1, ch2)]
     unitaries = [unitaries_from_words(ch.n, words[side::2]) for side, ch in enumerate((ch1, ch2))]
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
-    stages = [_instance_stage(rho, ch1, ch2)]  # then trial after trial
-    for start in range(0, trials, block):
-        us = [u[start:start + block] for u in unitaries]
-        ops = [mix_kraus_families(np.repeat(base, len(u), axis=0), u) for base, u in zip(bases, us)]
-        stages.append(chain_stage(np.repeat(rho.sqrt_rho[None], len(us[0]), axis=0), *ops))
+
+    def run(k):  # pass 0 is the unmixed instance, pass k the trials' block k - 1
+        if k == 0:
+            stage = _instance_stage(rho, ch1, ch2)
+        else:
+            us = [u[(k - 1) * block:k * block] for u in unitaries]
+            ops = [mix_kraus_families(np.repeat(base, len(u), axis=0), u)
+                   for base, u in zip(bases, us)]
+            stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(us[0]), axis=0), *ops)
+        stage.i_values  # computed within the pass, so its exact sums run in parallel too
+        return stage
+
+    stages = _run_passes(run, 1 + -(-trials // block))
     devs = invariance_columns(join_stages(stages, range(trials + 1)), 1)[0].tolist()
     return InvarianceReport(trials=trials, tol=tol, deviations=dict(zip(_INVARIANT_NAMES, devs)))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_passes(run, count: int) -> list:
+    """``[run(0), ..., run(count - 1)]``, the passes taken lowest first from
+    one shared queue by the calling thread and ``min(_cpus(), count) - 1``
+    helper threads; with one CPU or one pass no thread is started.
+
+    A failure raises what the lowest failing pass raised, as the serial loop
+    would: every lower pass was taken before it and runs to its end, no pass
+    starts once one has failed or the caller is interrupted, and every helper
+    is joined before the error propagates.
+    """
+    results, failures = [None] * count, {}
+    todo = collections.deque(range(count))  # popleft and clear are atomic
+
+    def work():
+        while True:
+            try:
+                k = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[k] = run(k)
+            except Exception as exc:
+                failures[k] = exc
+                todo.clear()
+
+    helpers = []
+    try:
+        for _ in range(min(_cpus(), count) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        todo.clear()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def trial_entropies(seeds, trials: int) -> list:

@@ -529,13 +529,18 @@ def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
     The mixed family represents the same channel, so ``apply_channel`` output
     and the declared completeness convention are unchanged.
     """
+    mixed = _mix_family(np.array(channel.operators), u)
+    return _channel(mixed, channel.convention, channel.completeness_tol)
+
+
+def _mix_family(ops: np.ndarray, u) -> np.ndarray:
+    """The (n, d, d) Kraus family ``ops`` mixed by ``u``, checked as ``mix_kraus`` checks it."""
     um = as_matrix(u)
     n = require_square(um)
-    if n != channel.n:
+    if n != len(ops):
         raise DimensionMismatchError(
-            f"mixing unitary is {n}x{n} but the channel has {channel.n} Kraus operators")
-    mixed = mix_kraus_families(np.array(channel.operators)[None], um[None])[0]
-    return _channel(mixed, channel.convention, channel.completeness_tol)
+            f"mixing unitary is {n}x{n} but the channel has {len(ops)} Kraus operators")
+    return mix_kraus_families(ops[None], um[None])[0]
 
 
 def mix_kraus_families(families, us) -> np.ndarray:
@@ -543,16 +548,25 @@ def mix_kraus_families(families, us) -> np.ndarray:
     unitary of a (B, n, n) stack, as one read-only (B, n, d, d) array.
 
     The pass runs one stacked unitarity check and one ``einsum``.  A bad
-    stack raises what its first failing unitary raises alone.  Completeness
-    is not checked again: mixing by a unitary keeps the completeness sum of
-    the families, which their validation checked.
+    stack raises what its first failing unitary raises alone, and unitaries
+    that do not form one array what their first failing pair raises in
+    ``mix_kraus``.  Completeness is not checked again: mixing by a unitary
+    keeps the completeness sum of the families, which their validation
+    checked.
     """
     ops = np.asarray(families, dtype=np.complex128)
-    arr = np.asarray(us, dtype=np.complex128)
-    if ops.ndim != 4 or arr.shape != (len(ops), ops.shape[1], ops.shape[1]):
+    try:
+        arr = np.asarray(us, dtype=np.complex128)
+    except ValueError:  # unitaries of different shapes
+        arr = None
+    if arr is None and ops.ndim == 4:
+        for family, u in zip(ops, us):
+            _mix_family(family, u)
+    if arr is None or ops.ndim != 4 or arr.shape != (len(ops), ops.shape[1], ops.shape[1]):
+        shape = "unitaries of different shapes" if arr is None else arr.shape
         raise DimensionMismatchError(
             f"need a (B, n, d, d) stack of Kraus families and a (B, n, n) stack of "
-            f"mixing unitaries, got shapes {ops.shape} and {arr.shape}")
+            f"mixing unitaries, got shapes {ops.shape} and {shape}")
     check = FirstFailure(len(arr))
     check.record(~_finite_each(arr), lambda b: NonFiniteError())
     arr = arr[:check.count]

@@ -1,6 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -343,13 +348,31 @@ class TestInputBytesArePinned:
                 "r.txt": "47a2360559d764b571d5026d363c0048890642d711790711ec13e008a6495a84"},
         }[case]
 
+    INVARIANCE_SHA256 = "121b9a4b0d2ad29eb8c4d19ddea162112af91767c892bc3b78b1ec91837199f0"
+
     def test_invariance(self, tmp_path):
         inputs = self.instance(tmp_path, *self.random(32, 8))
         out = tmp_path / "out" / "inv.txt"
         out.parent.mkdir()
         assert main(["invariance", *inputs, "--trials", "2", "--out", str(out)]) == 0
-        assert self.digests(out) == {
-            "inv.txt": "121b9a4b0d2ad29eb8c4d19ddea162112af91767c892bc3b78b1ec91837199f0"}
+        assert self.digests(out) == {"inv.txt": self.INVARIANCE_SHA256}
+
+    @pytest.mark.parametrize("blas_threads", ["1", None])
+    def test_invariance_bytes_do_not_depend_on_blas_threads(self, tmp_path, blas_threads):
+        # the run in a fresh process, with BLAS pinned to one thread or at its
+        # default thread count
+        inputs = self.instance(tmp_path, *self.random(32, 8))
+        out = tmp_path / "out" / "inv.txt"
+        out.parent.mkdir()
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(skewchain.__file__).parents[1])
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        code = "import sys; from skewchain.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, "invariance", *inputs, "--trials", "2",
+                        "--out", str(out)], env=env, check=True, timeout=300)
+        assert self.digests(out) == {"inv.txt": self.INVARIANCE_SHA256}
 
 
 class TestDerivesEachInstanceOnce:
@@ -622,6 +645,14 @@ class TestExampleCommand:
         assert sorted(path.name for path in out.iterdir()) == sorted(run["sha256"])
 
 
+# (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed instance's
+# own pass, the trials in one pass; in passes of 2 (a patched constant), the
+# last one partial; of 32, then 8; of 4, then 1; of 4, then 1, at d = 32; of
+# one each
+INVARIANCE_CASES = [(4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None),
+                    (16, 16, 9, 5, None), (32, 4, 3, 5, None), (32, 16, 8, 2, None)]
+
+
 def one_trial_at_a_time(rho, ch1, ch2, trials, seed, tol=1e-10):
     """The invariance report computed trial by trial: ``compute_chain`` under
     both readings on the ``mix_kraus``ed channels of each trial, and Python's
@@ -696,16 +727,27 @@ class TestInvariance:
         assert main(argv + ["--out", str(tmp_path / "want.txt")]) == 0
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
-    # (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed
-    # instance's own pass, the trials in one pass; in passes of 2 (a patched
-    # constant), the last one partial; of 32, then 8; of 4, then 1; of 4,
-    # then 1, at d = 32; of one each
-    @pytest.mark.parametrize("d, n1, n2, trials, entries", [
-        (4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None), (16, 16, 9, 5, None),
-        (32, 4, 3, 5, None), (32, 16, 8, 2, None)])
-    def test_matches_one_trial_at_a_time(self, monkeypatch, d, n1, n2, trials, entries):
+    @staticmethod
+    def case(monkeypatch, d, n1, n2, trials, entries):
+        """The instance of a ``test_matches_one_trial_at_a_time`` case and the
+        oracle's report on it."""
         if entries is not None:
             monkeypatch.setattr(chains, "CHUNK_ENTRIES", entries)
+        rho = random_density(d, max(1, d // 2), seed=40 + d)
+        ch1 = random_channel(d, n1, Convention.COLUMN_SUM, seed=41 + d)
+        ch2 = random_channel(d, n2, Convention.ROW_SUM, seed=42 + d)
+        return (rho, ch1, ch2), one_trial_at_a_time(rho, ch1, ch2, trials, d)
+
+    @staticmethod
+    def assert_same_report(got, want):
+        assert (got.trials, got.tol) == (want.trials, want.tol)
+        assert [repr(v) for v in got.deviations.values()] == \
+            [repr(v) for v in want.deviations.values()]
+        assert list(got.deviations) == list(want.deviations)
+
+    @pytest.mark.parametrize("d, n1, n2, trials, entries", INVARIANCE_CASES)
+    def test_matches_one_trial_at_a_time(self, monkeypatch, d, n1, n2, trials, entries):
+        instance, want = self.case(monkeypatch, d, n1, n2, trials, entries)
         sizes = []  # the instance count of each stage pass
         real = chains.chain_stage
 
@@ -714,18 +756,63 @@ class TestInvariance:
             return real(roots, ops1, ops2)
 
         monkeypatch.setattr(chains, "chain_stage", counted)
-        rho = random_density(d, max(1, d // 2), seed=40 + d)
-        ch1 = random_channel(d, n1, Convention.COLUMN_SUM, seed=41 + d)
-        ch2 = random_channel(d, n2, Convention.ROW_SUM, seed=42 + d)
-        got = chains.kraus_invariance_check(rho, ch1, ch2, trials, seed=d)
+        got = chains.kraus_invariance_check(*instance, trials, seed=d)
         block = max(1, chains.CHUNK_ENTRIES // (max(n1, n2) * d * d))
-        assert sizes == [1] + [block] * (trials // block) + [trials % block] * (
-            trials % block > 0)
-        want = one_trial_at_a_time(rho, ch1, ch2, trials, d)
-        assert (got.trials, got.tol) == (want.trials, want.tol)
-        assert [repr(v) for v in got.deviations.values()] == \
-            [repr(v) for v in want.deviations.values()]
-        assert list(got.deviations) == list(want.deviations)
+        # the passes may run in any order on several CPUs
+        assert sorted(sizes) == sorted([1] + [block] * (trials // block) + [trials % block] * (
+            trials % block > 0))
+        self.assert_same_report(got, want)
+
+    @pytest.mark.parametrize("d, n1, n2, trials, entries", INVARIANCE_CASES)
+    def test_same_bytes_on_any_cpu_count(self, monkeypatch, d, n1, n2, trials, entries):
+        instance, want = self.case(monkeypatch, d, n1, n2, trials, entries)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(chains, "_cpus", lambda: cpus)
+            self.assert_same_report(chains.kraus_invariance_check(*instance, trials, seed=d), want)
+
+    def test_one_cpu_or_one_pass_starts_no_thread(self, monkeypatch):
+        instance, want = self.case(monkeypatch, *INVARIANCE_CASES[1])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was constructed")
+
+        monkeypatch.setattr(chains, "_cpus", lambda: 1)
+        monkeypatch.setattr(threading, "Thread", refused)
+        self.assert_same_report(chains.kraus_invariance_check(*instance, 9, seed=4), want)
+        monkeypatch.setattr(chains, "_cpus", lambda: 3)
+        assert chains._run_passes(lambda k: k + 10, 1) == [10]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failing_pass_raises_and_no_thread_outlives(self, monkeypatch, cpus):
+        # passes 2 and 4 fail, pass 2 after pass 4 in time where they overlap;
+        # pass 2's error surfaces as in the serial loop, after every helper ended
+        instance, _ = self.case(monkeypatch, *INVARIANCE_CASES[1])
+        monkeypatch.setattr(chains, "_cpus", lambda: cpus)
+        real = chains._run_passes
+        done = []
+
+        def failing(run, count):
+            def run_k(k):
+                if k == 2:
+                    time.sleep(0.005)
+                if k in (2, 4):
+                    raise ValueError(f"pass {k}")
+                stage = run(k)
+                done.append(k)
+                return stage
+
+            return real(run_k, count)
+
+        monkeypatch.setattr(chains, "_run_passes", failing)
+        before = threading.enumerate()
+        for _ in range(20):
+            done.clear()
+            with pytest.raises(ValueError, match="^pass 2$"):
+                chains.kraus_invariance_check(*instance, 9, seed=4)
+            assert threading.enumerate() == before
+            assert {0, 1} <= set(done)
+            if cpus == 1:
+                assert done == [0, 1]
 
     def test_channels_at_the_completeness_tolerance_pass(self, tmp_path):
         # invariance loads its inputs at 1e-9.  Each channel here is scaled to

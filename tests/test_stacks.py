@@ -858,9 +858,8 @@ class TestGeneratorStacks:
         if defect in ("scaled", "nan"):
             assert expected[0] is (NotUnitaryError if defect == "scaled" else NonFiniteError)
             assert raised(mix_kraus_families, families, np.array(us)) == expected
-        else:  # no (B, n, n) stack of unitaries: only the pair alone names the fault
-            with pytest.raises(ValueError):
-                mix_kraus_families(families, us)
+        else:  # no (B, n, n) stack of unitaries: checked pair by pair
+            assert raised(mix_kraus_families, families, us) == expected
 
     def test_families_must_share_one_shape(self):
         # the families and the unitaries must be stacks of one count and one n
