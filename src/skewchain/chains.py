@@ -127,7 +127,7 @@ def lattice_order(d: int) -> list:
 # Matrix entries per stack of a pass's inputs: ``verify`` cuts its chunks of
 # states, and ``kraus_invariance_check`` its passes of Kraus families, to at
 # most this many.  Above it stacking saves no time, and a pass's inputs and
-# frames bound the memory of a run.
+# frames, times the passes that run at once, bound the memory of a run.
 CHUNK_ENTRIES = 2 ** 14
 
 

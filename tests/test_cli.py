@@ -771,14 +771,15 @@ class TestInvariance:
             self.assert_same_report(chains.kraus_invariance_check(*instance, trials, seed=d), want)
 
     def test_one_cpu_or_one_pass_starts_no_thread(self, monkeypatch):
-        instance, want = self.case(monkeypatch, *INVARIANCE_CASES[1])
+        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # six passes
+        instance, want = self.case(monkeypatch, *case)
 
         def refused(*args, **kwargs):
             raise AssertionError("a thread was constructed")
 
         monkeypatch.setattr(chains, "_cpus", lambda: 1)
         monkeypatch.setattr(threading, "Thread", refused)
-        self.assert_same_report(chains.kraus_invariance_check(*instance, 9, seed=4), want)
+        self.assert_same_report(chains.kraus_invariance_check(*instance, trials, seed=d), want)
         monkeypatch.setattr(chains, "_cpus", lambda: 3)
         assert chains._run_passes(lambda k: k + 10, 1) == [10]
 
@@ -786,7 +787,8 @@ class TestInvariance:
     def test_lowest_failing_pass_raises_and_no_thread_outlives(self, monkeypatch, cpus):
         # passes 2 and 4 fail, pass 2 after pass 4 in time where they overlap;
         # pass 2's error surfaces as in the serial loop, after every helper ended
-        instance, _ = self.case(monkeypatch, *INVARIANCE_CASES[1])
+        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # six passes
+        instance, _ = self.case(monkeypatch, *case)
         monkeypatch.setattr(chains, "_cpus", lambda: cpus)
         real = chains._run_passes
         done = []
@@ -808,7 +810,7 @@ class TestInvariance:
         for _ in range(20):
             done.clear()
             with pytest.raises(ValueError, match="^pass 2$"):
-                chains.kraus_invariance_check(*instance, 9, seed=4)
+                chains.kraus_invariance_check(*instance, trials, seed=d)
             assert threading.enumerate() == before
             assert {0, 1} <= set(done)
             if cpus == 1:
