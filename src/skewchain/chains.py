@@ -87,6 +87,7 @@ __all__ = [
     "search_strategy",
     "stage_from_frames",
     "sum_chain",
+    "sum_transfer",
     "trial_entropies",
     "trial_seeds",
     "verdict_columns",
@@ -152,7 +153,8 @@ class ChainStage(collections.namedtuple("ChainStage", _STAGE_FIELDS)):
     the columns, the sum and the product of each instance's two channel skew
     informations, each reading's S-table rows (``_s_tables``) and
     identity-walk S values (a row per instance, positions in
-    ``lattice_order``), keyed by ``Reading``, and the cross terms.
+    ``lattice_order``), keyed by ``Reading``, and the cross terms.  The sums,
+    products and cross terms are (B,) float64 arrays.
 
     ``i_values`` is the (B, d) float64 array of each instance's I-chain.  The
     ``_Once`` in ``i_source`` computes it on first read and keeps it, so a
@@ -197,12 +199,12 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray) -> ChainStage:
     e_norms, f_norms = column_norms_sq(e_frames), column_norms_sq(f_frames)
     overlaps = np.einsum("...aij,...bij->...abj", e_frames.conj(), f_frames)
     d = e_norms.shape[-1]
-    skews = list(zip(channel_skews(e_norms), channel_skews(f_norms)))
-    products = [s1 * s2 for s1, s2 in skews]
+    e_skews, f_skews = channel_skews(e_norms), channel_skews(f_norms)
+    products = e_skews * f_skews
     tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
                       _s_tables(e_norms, f_norms, overlaps, products)))
     lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
-    return ChainStage(e_norms, f_norms, overlaps, [s1 + s2 for s1, s2 in skews], products,
+    return ChainStage(e_norms, f_norms, overlaps, e_skews + f_skews, products,
                       tables, lattices, _cross_terms(overlaps),
                       _Once(functools.partial(_i_values, e_norms, f_norms, overlaps)))
 
@@ -222,24 +224,24 @@ def join_stages(stages, rows) -> ChainStage:
     # the passes' I-value sources, not the passes: a read source holds no column
     sources = [stage.i_source for stage in stages]
 
-    def listed(field):
-        joined = [value for stage in stages for value in getattr(stage, field)]
-        return [joined[b] for b in rows.tolist()]
+    def joined(arrays):
+        return np.concatenate(list(arrays))[rows]
 
     def keyed(field):
-        return {reading: np.concatenate([getattr(stage, field)[reading] for stage in stages])[rows]
+        return {reading: joined(getattr(stage, field)[reading] for stage in stages)
                 for reading in getattr(stages[0], field)}
 
-    return ChainStage(e_norms=None, f_norms=None, overlaps=None, sums=listed("sums"),
-                      products=listed("products"), tables=keyed("tables"),
-                      lattices=keyed("lattices"), cross_terms=listed("cross_terms"),
-                      i_source=_Once(lambda: np.concatenate([read() for read in sources])[rows]))
+    return ChainStage(e_norms=None, f_norms=None, overlaps=None,
+                      sums=joined(stage.sums for stage in stages),
+                      products=joined(stage.products for stage in stages),
+                      tables=keyed("tables"), lattices=keyed("lattices"),
+                      cross_terms=joined(stage.cross_terms for stage in stages),
+                      i_source=_Once(lambda: joined(read() for read in sources)))
 
 
 def _instance_stage(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainStage:
     """The ``chain_stage`` of one (state, channel, channel) instance, a stack of one."""
-    return chain_stage(rho.sqrt_rho[None], np.array(ch1.operators)[None],
-                       np.array(ch2.operators)[None])
+    return chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
 
 
 def _mod_sq(c: np.ndarray) -> np.ndarray:
@@ -258,13 +260,13 @@ def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -
     The comparison lower bound (the ``lemma1`` report column); identical to
     the I-chain endpoint.
     """
-    return compute_chain(rho, ch1, ch2).cross_term
+    return _instance_stage(rho, ch1, ch2).cross_terms[0].item()
 
 
-def _cross_terms(overlaps: np.ndarray) -> list:
+def _cross_terms(overlaps: np.ndarray) -> np.ndarray:
     totals = overlaps.sum(axis=-1)  # full-frame inner products, per instance and (i, j)
-    return [0.25 * math.fsum(row)
-            for row in _mod_sq(totals).reshape(len(totals), -1).tolist()]
+    rows = _mod_sq(totals).reshape(len(totals), -1).tolist()
+    return 0.25 * np.fromiter(map(math.fsum, rows), np.float64, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ def _i_values(e_norms, f_norms, overlaps) -> np.ndarray:
 # S-lattice walks (shared by the chain, permute_s and the optimizer)
 
 
-def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
+def _s_tables(e_norms, f_norms, overlaps, products: np.ndarray) -> tuple:
     """The S-table rows of each instance of a stack, one row per reading, as
     two stacked arrays ``(product, printed)``: the S-lattice update terms
     pre-summed over all Kraus pairs.  ``products`` are the instances' start
@@ -318,7 +320,7 @@ def _s_tables(e_norms, f_norms, overlaps, products: list) -> tuple:
     mod_sq = gram_diag[:, :, None] + gram_diag[:, None, :] + 2.0 * gram_re  # sum_ij |c_r + c_s|^2
     n1, n2 = e_norms.shape[-2], f_norms.shape[-2]
     step_printed = mod_sq - (n2 * a_sum[:, :, None] + n1 * b_sum[:, None, :])
-    start = np.array(products)[:, None]
+    start = products[:, None]
     return (np.concatenate([start, pair_product.reshape(count, -1), diag_product], axis=1),
             np.concatenate([start, step_printed.reshape(count, -1)], axis=1))
 
@@ -432,10 +434,10 @@ def chain_at(stage: ChainStage, b: int, reading: Reading = Reading.PRODUCT) -> B
     save the stage's I values when nothing has read them yet."""
     reading = Reading(reading)
     d = _stage_dim(stage)
-    return BoundChain(dim=d, product=stage.products[b], sum=stage.sums[b],
+    return BoundChain(dim=d, product=stage.products[b].item(), sum=stage.sums[b].item(),
                       i_values=tuple(stage.i_values[b].tolist()),
                       s_values=dict(zip(lattice_order(d), stage.lattices[reading][b].tolist())),
-                      cross_term=stage.cross_terms[b], s_reading=reading)
+                      cross_term=stage.cross_terms[b].item(), s_reading=reading)
 
 
 @dataclass(frozen=True)
@@ -446,16 +448,22 @@ class SumBounds:
     s_values: dict
 
 
-def sum_chain(chain: BoundChain) -> SumBounds:
-    """AM-GM transfer: each product-form bound yields ``2 sqrt(.)`` for the sum.
+def sum_transfer(values) -> np.ndarray:
+    """The AM-GM transfer ``2 sqrt(x)`` of each product-form bound x, a lower
+    bound on the sum of the two skew informations, as a float64 array.
 
-    Negative entries (possible under the as-printed reading) transfer to 0.
+    Non-positive entries (possible under the as-printed reading) and NaN
+    transfer to 0.
     """
-    def root(x: float) -> float:
-        return 2.0 * math.sqrt(x) if x > 0.0 else 0.0
+    x = np.asarray(values, dtype=np.float64)
+    return 2.0 * np.sqrt(np.where(x > 0.0, x, 0.0))
 
-    return SumBounds(i_values=tuple(root(v) for v in chain.i_values),
-                     s_values={k: root(v) for k, v in chain.s_values.items()})
+
+def sum_chain(chain: BoundChain) -> SumBounds:
+    """``sum_transfer`` of every entry of the chain."""
+    return SumBounds(i_values=tuple(sum_transfer(chain.i_values).tolist()),
+                     s_values=dict(zip(chain.s_values,
+                                       sum_transfer(list(chain.s_values.values())).tolist())))
 
 
 def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
@@ -638,22 +646,16 @@ def _sampled(row: np.ndarray, d: int, p: int, q: int, budget: int,
     improved = True
     while improved:
         improved = False
-        _, sig, tu = best
-        for k in range(d - 1):
-            cand = list(sig)
-            cand[k], cand[k + 1] = cand[k + 1], cand[k]
-            v = value(tuple(cand), tu)
-            if v > best[0]:
-                best = (v, tuple(cand), tu)
-                improved = True
-        _, sig, tu = best
-        for k in range(d - 1):
-            cand = list(tu)
-            cand[k], cand[k + 1] = cand[k + 1], cand[k]
-            v = value(sig, tuple(cand))
-            if v > best[0]:
-                best = (v, sig, tuple(cand))
-                improved = True
+        for side in (0, 1):  # sigma, then tau, each from the best pair found before it
+            pair = best[1:]
+            for k in range(d - 1):
+                labels = list(pair[side])
+                labels[k], labels[k + 1] = labels[k + 1], labels[k]
+                cand = (tuple(labels), pair[1]) if side == 0 else (pair[0], tuple(labels))
+                v = value(*cand)
+                if v > best[0]:
+                    best = (v, *cand)
+                    improved = True
     return best
 
 
@@ -661,14 +663,13 @@ def mixed_bound(chain: BoundChain, best: PermutedBound, t: float) -> tuple:
     """Convex mixing of the trivial bound with the optimized permuted bound.
 
     Returns ``(product_bound, sum_bound)`` where the product form mixes
-    S_{1,0} with the optimum and the sum form mixes the plain sum with
-    ``2 sqrt(optimum)``.
+    S_{1,0} with the optimum and the sum form mixes the plain sum with the
+    optimum's ``sum_transfer``.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     product_bound = (1.0 - t) * chain.product + t * best.value
-    root = 2.0 * math.sqrt(best.value) if best.value > 0.0 else 0.0
-    sum_bound = (1.0 - t) * chain.sum + t * root
+    sum_bound = (1.0 - t) * chain.sum + t * sum_transfer(best.value).item()
     return product_bound, sum_bound
 
 
@@ -775,10 +776,8 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
     evaluated; the anchor-identity rows record, per reading, how far the
     lattice is from the I-chain it claims to refine.
     """
-    count = len(stage.products)
-    product = np.array(stage.products, dtype=np.float64)
-    total = np.array(stage.sums, dtype=np.float64)
-    cross = np.array(stage.cross_terms, dtype=np.float64)
+    product, total, cross = stage.products, stage.sums, stage.cross_terms
+    count = len(product)
     i_vals = stage.i_values
     d = i_vals.shape[1]
     zero = np.zeros(count)
@@ -870,7 +869,6 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     if trials < 1:
         raise ValueError("trials must be >= 1")
     words = seeding_words([(s,) for pair in trial_seeds([seed], trials)[0] for s in pair])
-    bases = [np.array(ch.operators)[None] for ch in (ch1, ch2)]
     unitaries = [unitaries_from_words(ch.n, words[side::2]) for side, ch in enumerate((ch1, ch2))]
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
 
@@ -879,8 +877,8 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
             stage = _instance_stage(rho, ch1, ch2)
         else:
             us = [u[(k - 1) * block:k * block] for u in unitaries]
-            ops = [mix_kraus_families(np.repeat(base, len(u), axis=0), u)
-                   for base, u in zip(bases, us)]
+            ops = [mix_kraus_families(np.repeat(ch.operators[None], len(u), axis=0), u)
+                   for ch, u in zip((ch1, ch2), us)]
             stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(us[0]), axis=0), *ops)
         stage.i_values  # computed within the pass, so its exact sums run in parallel too
         return stage
@@ -969,11 +967,9 @@ def invariance_columns(stage: ChainStage, count: int) -> np.ndarray:
     over the trials, as Python's ``max`` from 0.0 over the trials in order.
     """
     rows = len(stage.products)
-    values = [np.array(stage.products, dtype=np.float64)[:, None],
-              np.array(stage.sums, dtype=np.float64)[:, None],
-              stage.i_values,
+    values = [stage.products[:, None], stage.sums[:, None], stage.i_values,
               stage.lattices[Reading.PRODUCT], stage.lattices[Reading.AS_PRINTED],
-              np.array(stage.cross_terms, dtype=np.float64)[:, None]]  # as _INVARIANT_NAMES
+              stage.cross_terms[:, None]]  # as _INVARIANT_NAMES
     devs = []
     for quantity in values:
         trials = quantity[count:].reshape(rows // count - 1, count, quantity.shape[1])

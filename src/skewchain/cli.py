@@ -94,10 +94,6 @@ def _write_report(path, pairs) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _reading(args) -> Reading:
-    return Reading(args.s_reading)
-
-
 def _strategy(args):
     return None if args.perm == "auto" else Strategy(args.perm)
 
@@ -133,9 +129,8 @@ def cmd_bounds(args) -> int:
         return 2
 
     try:
-        reading = _reading(args)
-        stage = chain_stage(rho.sqrt_rho[None], np.array(ch1.operators)[None],
-                            np.array(ch2.operators)[None])
+        reading = Reading(args.s_reading)
+        stage = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
         chain = chain_at(stage, 0, reading)
         d = chain.dim
         best = None
@@ -151,21 +146,23 @@ def cmd_bounds(args) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    i_names = [f"I{m}" for m in range(1, d + 1)]
+    s_names = [f"S{pp}{qq}" for (pp, qq) in lattice_order(d)]
+    s_values = list(chain.s_values.values())  # in lattice_order
+    mixed = [mixed_bound(chain, best, t) if best is not None else (chain.product, chain.sum)
+             for t in t_grid]
     pairs = [("command", "bounds"), ("dim", d), ("s_reading", reading.value),
              ("product", chain.product), ("sum", chain.sum),
              ("lemma1", chain.cross_term)]
-    for m, v in enumerate(chain.i_values, start=1):
-        pairs.append((f"I{m}", v))
-    for (pp, qq) in lattice_order(d):
-        pairs.append((f"S{pp}{qq}", chain.s_values[(pp, qq)]))
+    pairs += zip(i_names, chain.i_values)
+    pairs += zip(s_names, s_values)
     if best is not None:
         pairs.append(("perm_opt.p", best.p))
         pairs.append(("perm_opt.q", best.q))
         pairs.append(("perm_opt.value", best.value))
         pairs.append(("perm_opt.sigma", ",".join(str(i) for i in best.sigma)))
         pairs.append(("perm_opt.tau", ",".join(str(i) for i in best.tau)))
-        for t in t_grid:
-            mp, ms = mixed_bound(chain, best, t)
+        for t, (mp, ms) in zip(t_grid, mixed):
             pairs.append((f"mixed_product[t={_fmt(t)}]", mp))
             pairs.append((f"mixed_sum[t={_fmt(t)}]", ms))
     # row 0 as Python bools and floats, whose reprs the report prints
@@ -175,19 +172,14 @@ def cmd_bounds(args) -> int:
         pairs.append((f"check.{name}.deviation", deviation))
     _write_report(args.out, pairs)
 
-    csv_path = Path(args.out).with_suffix(".csv")
-    header = ["t", "product", "sum"]
-    header += [f"I{m}" for m in range(1, d + 1)]
-    header += [f"S{pp}{qq}" for (pp, qq) in lattice_order(d)]
-    header += ["lemma1", "perm_opt", "mixed_product", "mixed_sum"]
+    header = ["t", "product", "sum", *i_names, *s_names,
+              "lemma1", "perm_opt", "mixed_product", "mixed_sum"]
     lines = [",".join(header)]
-    for t in t_grid:
-        mp, ms = mixed_bound(chain, best, t) if best is not None else (chain.product, chain.sum)
-        fields = [t, chain.product, chain.sum, *chain.i_values]
-        fields += [chain.s_values[k] for k in lattice_order(d)]
-        fields += [chain.cross_term, best.value if best is not None else float("nan"), mp, ms]
+    for t, (mp, ms) in zip(t_grid, mixed):
+        fields = [t, chain.product, chain.sum, *chain.i_values, *s_values, chain.cross_term,
+                  best.value if best is not None else float("nan"), mp, ms]
         lines.append(",".join(format(float(v) + 0.0, ".12g") for v in fields))
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(Path(args.out).with_suffix(".csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -344,7 +336,7 @@ def cmd_example(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reading = _reading(args)
+    reading = Reading(args.s_reading)
     strategy = _strategy(args)
 
     try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Reading, Strategy, optimize_batch, stage_from_frames
+from .chains import Reading, Strategy, optimize_batch, stage_from_frames, sum_transfer
 from .objects import (
     Convention,
     DensityMatrix,
@@ -292,10 +292,9 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
         chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
         t = np.tile(ts, len(stage.products))
         product, total, opt = chain[:, 0], chain[:, 1], chain[:, -1]
-        root = 2.0 * np.sqrt(np.where(opt > 0.0, opt, 0.0))  # mixed_bound's guard, NaN too
         columns.append(np.column_stack([
             np.repeat(points[span], len(ts), axis=0), t, chain,
-            (1.0 - t) * product + t * opt, (1.0 - t) * total + t * root,
+            (1.0 - t) * product + t * opt, (1.0 - t) * total + t * sum_transfer(opt),
             np.repeat(forms[span], len(ts), axis=0)]))
     return SweepTable(columns=np.concatenate(columns), reading=reading)
 

@@ -36,7 +36,6 @@ from .linalg import (
     as_matrix,
     hermiticity_defects,
     max_abs_each,
-    psd_sqrt,
     psd_sqrt_stack,
     require_square,
 )
@@ -92,27 +91,22 @@ class DensityMatrix:
 
 
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Check Hermiticity, positivity and unit trace, and cache ``sqrt(rho)``.
+    """Check Hermiticity, positivity and unit trace, and cache ``sqrt(rho)``:
+    ``density_stack`` of a stack of one.
 
     Raises
     ------
-    NotHermitianError, NotPSDError, TraceNotOneError
+    NotSquareError, NotHermitianError, NotPSDError, TraceNotOneError
     """
-    arr = as_matrix(m)
-    d = require_square(arr)
-    check = FirstFailure(1)
-    _check_densities(arr[None], tol, check)
-    check.raise_first()
-    sqrt = psd_sqrt(arr, tol=tol)  # raises NotPSDError on negative spectrum
-    return DensityMatrix(dim=d, rho=_frozen(arr), sqrt_rho=_frozen(sqrt), validation_tol=tol)
+    rhos, sqrts = density_stack(as_matrix(m)[None], tol)
+    return DensityMatrix(dim=rhos.shape[-1], rho=rhos[0], sqrt_rho=sqrts[0], validation_tol=tol)
 
 
 def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
     """The states of a (B, d, d) stack and their square roots, as two
     read-only (B, d, d) complex arrays, in one pass.
 
-    The checks, tolerances and residuals are those of ``validate_density``,
-    and each state keeps its bits.  A bad stack raises what its first failing
+    Each state keeps its bits, and a bad stack raises what its first failing
     state raises alone.
     """
     arr = _as_stack(stack, 3, validate_density, tol)
@@ -123,19 +117,14 @@ def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
     if arr.shape[1] != arr.shape[2]:  # a shared shape: the first finite state fails it
         check.record([True], lambda b: NotSquareError(arr.shape[1:]))
         check.raise_first()
-    _check_densities(arr, tol, check)
-    sqrts = psd_sqrt_stack(arr, tol, check)
-    check.raise_first()
-    return _frozen(arr), _frozen(sqrts)
-
-
-def _check_densities(arr: np.ndarray, tol: float, check: FirstFailure) -> None:
-    """The Hermiticity and trace checks of the finite square states of a stack."""
     defects = hermiticity_defects(arr[:check.count])
     check.record(defects > tol, lambda b: NotHermitianError(float(defects[b]), tol))
     trace = np.trace(arr[:check.count], axis1=1, axis2=2) - 1.0
     trace_devs = np.hypot(trace.real, trace.imag)  # as Python's complex abs
     check.record(trace_devs > tol, lambda b: TraceNotOneError(float(trace_devs[b]), tol))
+    sqrts = psd_sqrt_stack(arr, tol, check)
+    check.raise_first()
+    return _frozen(arr), _frozen(sqrts)
 
 
 def _finite_each(arr: np.ndarray) -> np.ndarray:
@@ -161,10 +150,11 @@ def _as_stack(stack, ndim: int, validate_one, *args) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """An ordered Kraus family with a declared completeness convention."""
+    """An ordered Kraus family with a declared completeness convention; the
+    operators are one read-only (n, d, d) complex array."""
 
     dim: int
-    operators: tuple
+    operators: np.ndarray
     convention: Convention
     completeness_tol: float
 
@@ -213,7 +203,7 @@ def validate_channel(ops, convention: Convention = Convention.COLUMN_SUM,
 
 def _channel(ops: np.ndarray, convention: Convention, tol: float) -> KrausChannel:
     """The ``KrausChannel`` of a validated read-only (n, d, d) family."""
-    return KrausChannel(dim=ops.shape[-1], operators=tuple(ops),
+    return KrausChannel(dim=ops.shape[-1], operators=ops,
                         convention=Convention(convention), completeness_tol=tol)
 
 
@@ -529,7 +519,7 @@ def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
     The mixed family represents the same channel, so ``apply_channel`` output
     and the declared completeness convention are unchanged.
     """
-    mixed = _mix_family(np.array(channel.operators), u)
+    mixed = _mix_family(channel.operators, u)
     return _channel(mixed, channel.convention, channel.completeness_tol)
 
 

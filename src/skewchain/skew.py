@@ -52,9 +52,11 @@ def column_norms_sq(frames: np.ndarray) -> np.ndarray:
     return np.einsum("...nij,...nij->...nj", frames.conj(), frames).real
 
 
-def channel_skews(norms: np.ndarray) -> list:
-    """Channel skew information of each instance: half its summed squared column norms."""
-    return [0.5 * math.fsum(row) for row in norms.reshape(len(norms), -1).tolist()]
+def channel_skews(norms: np.ndarray) -> np.ndarray:
+    """Channel skew information of each instance, as a float64 array: half its
+    summed squared column norms."""
+    rows = norms.reshape(len(norms), -1).tolist()
+    return 0.5 * np.fromiter(map(math.fsum, rows), np.float64, len(rows))
 
 
 def commutator_frame(rho: DensityMatrix, op) -> np.ndarray:
@@ -63,7 +65,7 @@ def commutator_frame(rho: DensityMatrix, op) -> np.ndarray:
     if mat.shape != (rho.dim, rho.dim):
         raise DimensionMismatchError(
             f"operator of shape {mat.shape} against a dim-{rho.dim} state")
-    frame = frame_stack(np.array([rho.sqrt_rho]), mat[None, None])[0, 0]
+    frame = frame_stack(rho.sqrt_rho[None], mat[None, None])[0, 0]
     frame.setflags(write=False)
     return frame
 
@@ -75,7 +77,7 @@ def skew_info_operator(rho: DensityMatrix, op) -> float:
     Hermitian) Kraus operators; it coincides with the squared-commutator form
     on the Hermitian cone only.
     """
-    return channel_skews(column_norms_sq(commutator_frame(rho, op)[None, None]))[0]
+    return channel_skews(column_norms_sq(commutator_frame(rho, op)[None, None]))[0].item()
 
 
 def skew_info_channel(rho: DensityMatrix, channel: KrausChannel) -> float:
@@ -83,8 +85,8 @@ def skew_info_channel(rho: DensityMatrix, channel: KrausChannel) -> float:
     if channel.dim != rho.dim:
         raise DimensionMismatchError(
             f"dim-{channel.dim} channel against a dim-{rho.dim} state")
-    frames = frame_stack(np.array([rho.sqrt_rho]), np.array([channel.operators]))
-    return channel_skews(column_norms_sq(frames))[0]
+    frames = frame_stack(rho.sqrt_rho[None], channel.operators[None])
+    return channel_skews(column_norms_sq(frames))[0].item()
 
 
 def skew_info_observable(rho: DensityMatrix, a, hermiticity_tol: float = 1e-10) -> float:

@@ -375,6 +375,36 @@ class TestInputBytesArePinned:
         assert self.digests(out) == {"inv.txt": self.INVARIANCE_SHA256}
 
 
+class TestPassesTheLoadedKrausStacks:
+    @pytest.mark.parametrize("command", ["bounds", "invariance"])
+    def test_chain_stage_reads_the_loaded_operators(self, tmp_path, monkeypatch, command):
+        # the loaded families reach chain_stage as they were loaded, not as copies
+        files = [tmp_path / name for name in ("state.json", "ch1.json", "ch2.json")]
+        save_state(files[0], random_density(4, 3, seed=1))
+        for path, seed in zip(files[1:], (2, 3)):
+            save_channel(path, random_channel(4, 3, Convention.COLUMN_SUM, seed=seed))
+        loaded, calls = [], []
+        real_load, real_stage = cli.load_channel, chains.chain_stage
+
+        def load(*args, **kwargs):
+            loaded.append(real_load(*args, **kwargs))
+            return loaded[-1]
+
+        def stage(*args):
+            calls.append(args)
+            return real_stage(*args)
+
+        monkeypatch.setattr(cli, "load_channel", load)
+        for module in (cli, chains):
+            monkeypatch.setattr(module, "chain_stage", stage)
+        extra = ["--trials", "2"] if command == "invariance" else []
+        assert main([command, "--state", str(files[0]), "--channel1", str(files[1]),
+                     "--channel2", str(files[2]), "--out", str(tmp_path / "r.txt"), *extra]) == 0
+        assert len(loaded) == 2 and calls
+        assert any(np.shares_memory(args[1], loaded[0].operators)
+                   and np.shares_memory(args[2], loaded[1].operators) for args in calls)
+
+
 class TestDerivesEachInstanceOnce:
     # chain_stage computes every chain quantity of an instance in its one
     # pass; the readers (verdict, invariance base, sweeps, report) only read it

@@ -53,6 +53,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def unused_imports(source: str) -> list:
+    """The names a module's source imports and neither reads as a ``Name``
+    nor lists in its ``__all__``; ``__future__`` imports are directives."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter is a test dependency, so the unused-import rule is checked here
+    assert unused_imports("import os\nfrom .linalg import psd_sqrt, as_matrix\n"
+                          "__all__ = ['as_matrix']\n") == ["os", "psd_sqrt"]
+    unused = {path.name: unused_imports(path.read_text())
+              for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))
+              if path.name != "__init__.py"}
+    assert len(unused) >= 8 and {name: names for name, names in unused.items() if names} == {}
+
+
 def test_import_loads_no_random_argparse_or_cli():
     # import time is part of every CLI run: the package import must not pull
     # in numpy.random (seeding defers it to first use), argparse or the CLI

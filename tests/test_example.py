@@ -8,12 +8,15 @@ import pytest
 
 from skewchain import chains, example
 from skewchain.chains import (
+    BoundChain,
     PermutedBound,
     Reading,
     chain_stage,
     compute_chain,
+    lattice_order,
     mixed_bound,
     optimize_permutations,
+    sum_chain,
 )
 from skewchain.errors import CompletenessError
 from skewchain.example import (
@@ -312,6 +315,16 @@ def oracle_sweep_rows(thetas, ps, qs, ts, reading):
     return rows
 
 
+def oracle_transfer(x):
+    """The AM-GM transfer as a scalar formula: ``2 sqrt(x)``, and 0 for x <= 0 or NaN."""
+    return 2.0 * math.sqrt(x) if x > 0.0 else 0.0
+
+
+def oracle_mixed_bound(product, total, value, t):
+    """``mixed_bound``'s two convex mixes, the sum side through ``oracle_transfer``."""
+    return (1.0 - t) * product + t * value, (1.0 - t) * total + t * oracle_transfer(value)
+
+
 def oracle_row_hard_failures(fields, tol):
     """Names of the hard invariants one sweep CSV row violates."""
     row = dict(zip(FIELDS, fields))
@@ -400,21 +413,34 @@ class TestStackedPassesMatchPointOracle:
         assert counts[-1] > 0
 
     def test_mixed_columns_match_mixed_bound_on_any_optimum(self, monkeypatch):
-        # optima no valid instance reaches: NaN, negative, -0.0 and subnormal
-        optima = [float("nan"), -1e-3, -0.0, 0.0, 5e-324, 0.25]
+        # optima no valid instance reaches: NaN, negative, -0.0, subnormal and
+        # infinite; the sweep, mixed_bound and sum_chain all transfer them as
+        # the scalar formula does
+        optima = [math.nan, -1e-3, -0.0, 0.0, 5e-324, 0.25, math.inf, -math.inf]
 
         def search(stage, *args):
             return [PermutedBound(sigma=(), tau=(), p=2, q=1, value=v)
                     for v in optima[:len(stage.products)]]
 
         monkeypatch.setattr(example, "optimize_batch", search)
-        table = sweep([1.0], [0.2, 0.5, 0.7], [0.1, 0.5], t_grid=[0.0, 0.3, 0.5, 1.0])
+        table = sweep([1.0], [0.2, 0.5, 0.7, 0.9], [0.1, 0.5], t_grid=[0.0, 0.3, 0.5, 1.0])
         rows = [dict(zip(FIELDS, row)) for row in table.columns.tolist()]
-        expected = [mixed_bound(SimpleNamespace(product=r["product"], sum=r["sum"]),
-                                SimpleNamespace(value=r["perm_opt"]), r["t"]) for r in rows]
+        expected = [oracle_mixed_bound(r["product"], r["sum"], r["perm_opt"], r["t"])
+                    for r in rows]
+        got = [mixed_bound(SimpleNamespace(product=r["product"], sum=r["sum"]),
+                           SimpleNamespace(value=r["perm_opt"]), r["t"]) for r in rows]
         assert same_bits(column(table, "perm_opt"), np.repeat(optima, 4))
         assert same_bits(table.columns[:, [FIELDS.index("mixed_product"),
                                            FIELDS.index("mixed_sum")]], np.array(expected))
+        assert [tuple(map(repr, pair)) for pair in got] == [
+            tuple(map(repr, pair)) for pair in expected]  # Python floats, bit for bit
+        positions = lattice_order(5)
+        s_values = dict(zip(positions, itertools.islice(itertools.cycle(optima), len(positions))))
+        bounds = sum_chain(BoundChain(5, 1.0, 2.0, tuple(optima), s_values, 0.0, Reading.PRODUCT))
+        assert [repr(v) for v in bounds.i_values] == [repr(oracle_transfer(v)) for v in optima]
+        assert list(bounds.s_values) == positions
+        assert [repr(v) for v in bounds.s_values.values()] == [
+            repr(oracle_transfer(v)) for v in s_values.values()]
 
     def test_hard_failures_on_nan_entries(self):
         rng = np.random.default_rng(11)

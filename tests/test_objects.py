@@ -248,6 +248,35 @@ class TestMixKraus:
             mix_kraus(ch, np.eye(3))
 
 
+def _kraus_sources(tmp_path) -> dict:
+    """One channel from each constructor, keyed by name, with its (n, d)."""
+    ch = random_channel(3, 2, Convention.COLUMN_SUM, seed=5)
+    save_channel(tmp_path / "ch.json", ch)
+    return {
+        "validate_channel_list": (validate_channel(list(ch.operators)), (2, 3)),
+        "validate_channel_array": (validate_channel(np.array(ch.operators)), (2, 3)),
+        "load_channel": (load_channel(tmp_path / "ch.json"), (2, 3)),
+        "random_channel": (random_channel(4, 3, Convention.ROW_SUM, seed=6), (3, 4)),
+        "mix_kraus": (mix_kraus(ch, random_unitary(2, seed=7)), (2, 3)),
+        "example_channels": (example_channels(0.3, 0.6)[1], (2, 4)),
+    }
+
+
+class TestKrausStacks:
+    @pytest.mark.parametrize("source", ["validate_channel_list", "validate_channel_array",
+                                        "load_channel", "random_channel", "mix_kraus",
+                                        "example_channels"])
+    def test_operators_are_one_read_only_stack(self, tmp_path, source):
+        channel, (n, d) = _kraus_sources(tmp_path)[source]
+        ops = channel.operators
+        assert type(ops) is np.ndarray
+        assert ops.dtype == np.complex128 and ops.shape == (n, d, d)
+        assert (channel.n, channel.dim) == (n, d)
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 1.0
+
+
 def _float_bits(rng, exponents) -> np.ndarray:
     """Doubles with the given biased exponents (0 is subnormal) and random
     signs and mantissas."""

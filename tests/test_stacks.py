@@ -1022,11 +1022,11 @@ def stage_data(stage, b, d):
     """What the scalar oracles read of instance b of a stage."""
     return SimpleNamespace(dim=d, stage=SimpleNamespace(
         tables={reading: stage.tables[reading][b:b + 1] for reading in Reading}),
-        chains={reading: BoundChain(d, stage.products[b], stage.sums[b],
+        chains={reading: BoundChain(d, stage.products[b].item(), stage.sums[b].item(),
                                     tuple(stage.i_values[b].tolist()),
                                     dict(zip(lattice_order(d),
                                              stage.lattices[reading][b].tolist())),
-                                    stage.cross_terms[b], reading) for reading in Reading})
+                                    stage.cross_terms[b].item(), reading) for reading in Reading})
 
 
 SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf)
