@@ -533,6 +533,7 @@ class TestCrossTermBound:
     def test_worked_example_value(self):
         rho, n1, n2 = example_instance()
         value = cross_term_bound(rho, n1, n2)
+        assert type(value) is float and value == compute_chain(rho, n1, n2).cross_term
         assert value == pytest.approx(oracle_cross_term(rho, n1, n2), abs=1e-14)
         assert value == pytest.approx(0.0031407832308854556, abs=1e-12)
 
