@@ -19,7 +19,6 @@ from .chains import (
     chain_at,
     chain_stage,
     compute_chain,
-    cross_term_bound,
     invariance_columns,
     join_stages,
     kraus_invariance_check,
@@ -57,9 +56,7 @@ from .example import (
 )
 from .linalg import (
     HermitianEig,
-    commutator,
     hermitian_eigendecompose,
-    hs_inner,
     psd_sqrt,
 )
 from .objects import (
@@ -81,9 +78,7 @@ from .objects import (
 )
 from .serialize import load_channel, load_state, save_channel, save_state
 from .skew import (
-    observable_commutator_bound,
     skew_info_channel,
-    skew_info_observable,
     skew_info_operator,
 )
 

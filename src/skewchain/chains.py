@@ -75,7 +75,6 @@ __all__ = [
     "chain_at",
     "chain_stage",
     "compute_chain",
-    "cross_term_bound",
     "invariance_columns",
     "join_stages",
     "kraus_invariance_check",
@@ -252,15 +251,6 @@ def _mod_sq(c: np.ndarray) -> np.ndarray:
     ``x * x``; both differ from it in the last bit for some inputs.
     """
     return np.float_power(np.hypot(c.real, c.imag), 2.0)
-
-
-def cross_term_bound(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> float:
-    """``(1/4) sum_ij |Tr([sqrt(rho), E_i]^dag [sqrt(rho), F_j])|^2``.
-
-    The comparison lower bound (the ``lemma1`` report column); identical to
-    the I-chain endpoint.
-    """
-    return _instance_stage(rho, ch1, ch2).cross_terms[0].item()
 
 
 def _cross_terms(overlaps: np.ndarray) -> np.ndarray:

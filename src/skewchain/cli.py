@@ -404,13 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output path")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--seed", type=int, default=0)
+
+    def add_search(sp):
+        add_common(sp)
         sp.add_argument("--s-reading", choices=[r.value for r in Reading],
                         default=Reading.PRODUCT.value)
         sp.add_argument("--perm", choices=["auto", "exhaustive", "sampled"], default="auto")
         sp.add_argument("--budget", type=int, default=14400)
 
     sp = sub.add_parser("bounds", help="bound chain for supplied state/channels")
-    add_common(sp)
+    add_search(sp)
     sp.add_argument("--state", required=True)
     sp.add_argument("--channel1", required=True)
     sp.add_argument("--channel2", required=True)
@@ -418,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("verify", help="randomized certification suite")
-    add_common(sp)
+    add_search(sp)
     sp.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     sp.add_argument("--instances", type=int, default=200, help="instances per dimension")
     sp.set_defaults(func=cmd_verify, s_reading=None)  # verify reports both readings
 
     sp = sub.add_parser("example", help="regenerate worked-example figure data")
-    add_common(sp)
+    add_search(sp)
     sp.add_argument("--theta", default="0:1:101")
     sp.add_argument("--p", default="0:1:51")
     sp.add_argument("--q", default="0:1:51")
@@ -460,7 +463,7 @@ def main(argv=None) -> int:
     if args.seed < 0:
         print("error: seed must be >= 0", file=sys.stderr)
         return 2
-    if args.budget < 0:
+    if args.command != "invariance" and args.budget < 0:
         print("error: budget must be >= 0", file=sys.stderr)
         return 2
     try:

@@ -193,7 +193,6 @@ class SweepTable:
     order and its rows in (theta, p, q, t) order."""
 
     columns: np.ndarray
-    reading: Reading
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -296,7 +295,7 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
             np.repeat(points[span], len(ts), axis=0), t, chain,
             (1.0 - t) * product + t * opt, (1.0 - t) * total + t * sum_transfer(opt),
             np.repeat(forms[span], len(ts), axis=0)]))
-    return SweepTable(columns=np.concatenate(columns), reading=reading)
+    return SweepTable(columns=np.concatenate(columns))
 
 
 def write_sweep_csv(table: SweepTable, *paths) -> None:

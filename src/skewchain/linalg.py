@@ -9,7 +9,6 @@ are fresh and safe to mutate by the caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,11 @@ __all__ = [
     "FirstFailure",
     "HermitianEig",
     "as_matrix",
-    "commutator",
     "first_max",
     "first_min",
     "hermitian_eigendecompose",
     "hermiticity_defect",
     "hermiticity_defects",
-    "hs_inner",
     "max_abs",
     "max_abs_each",
     "psd_sqrt",
@@ -242,26 +239,3 @@ def psd_sqrt(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     rounding noise in externally supplied states does not abort a run.
     """
     return _stack_of_one(psd_sqrt_stack, rho, tol)[0]
-
-
-def commutator(a, b) -> np.ndarray:
-    """``A @ B - B @ A`` for square matrices of equal dimension."""
-    am, bm = as_matrix(a), as_matrix(b)
-    require_square(am)
-    require_square(bm)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"commutator of shapes {am.shape} and {bm.shape}")
-    return am @ bm - bm @ am
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(A^dag B)``.
-
-    Conjugate-linear in the first slot.  Uses compensated summation so the
-    result is independent of internal evaluation order.
-    """
-    am, bm = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"hs_inner of shapes {am.shape} and {bm.shape}")
-    prod = (am.conj() * bm).ravel()
-    return complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))

@@ -80,7 +80,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated d-dimensional state with its PSD square root cached."""
 
@@ -148,7 +148,7 @@ def _as_stack(stack, ndim: int, validate_one, *args) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """An ordered Kraus family with a declared completeness convention; the
     operators are one read-only (n, d, d) complex array."""

@@ -1,4 +1,4 @@
-"""Skew information of observables, Kraus operators and channels.
+"""Skew information of Kraus operators and channels.
 
 The central object is the commutator frame ``[sqrt(rho), K]`` together with
 its columns in the computational basis.  Column vectors are always taken in
@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import as_matrix, commutator, hermiticity_defect, hs_inner
+from .errors import DimensionMismatchError
+from .linalg import as_matrix
 from .objects import DensityMatrix, KrausChannel
 
 __all__ = [
@@ -29,9 +29,7 @@ __all__ = [
     "column_norms_sq",
     "commutator_frame",
     "frame_stack",
-    "observable_commutator_bound",
     "skew_info_channel",
-    "skew_info_observable",
     "skew_info_operator",
 ]
 
@@ -87,30 +85,3 @@ def skew_info_channel(rho: DensityMatrix, channel: KrausChannel) -> float:
             f"dim-{channel.dim} channel against a dim-{rho.dim} state")
     frames = frame_stack(rho.sqrt_rho[None], channel.operators[None])
     return channel_skews(column_norms_sq(frames))[0].item()
-
-
-def skew_info_observable(rho: DensityMatrix, a, hermiticity_tol: float = 1e-10) -> float:
-    """``-(1/2) Tr([sqrt(rho), A]^2)`` for Hermitian A."""
-    mat = as_matrix(a)
-    defect = hermiticity_defect(mat)
-    if defect > hermiticity_tol:
-        raise NotHermitianError(defect, hermiticity_tol)
-    c = commutator(rho.sqrt_rho, mat)
-    return max(-0.5 * float(np.trace(c @ c).real), 0.0)
-
-
-def observable_commutator_bound(rho: DensityMatrix, a, b,
-                                hermiticity_tol: float = 1e-10) -> float:
-    """``(1/4) |Tr(rho [A, B])|^2`` for Hermitian A, B.
-
-    Returned as a check value for callers comparing it against the product of
-    skew informations; the comparison can fail for mixed states, so nothing is
-    asserted here.
-    """
-    am, bm = as_matrix(a), as_matrix(b)
-    for mat in (am, bm):
-        defect = hermiticity_defect(mat)
-        if defect > hermiticity_tol:
-            raise NotHermitianError(defect, hermiticity_tol)
-    expectation = hs_inner(rho.rho, commutator(am, bm))  # Tr(rho [A,B]), rho Hermitian
-    return 0.25 * abs(expectation) ** 2

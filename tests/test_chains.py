@@ -17,7 +17,6 @@ from skewchain.chains import (
     chain_at,
     chain_stage,
     compute_chain,
-    cross_term_bound,
     invariance_columns,
     join_stages,
     kraus_invariance_check,
@@ -32,7 +31,6 @@ from skewchain.chains import (
 )
 from skewchain.errors import DimensionMismatchError
 from skewchain.example import example_channels, rho_theta
-from skewchain.linalg import commutator, hs_inner
 from skewchain.objects import (
     Convention,
     channel_stack,
@@ -54,7 +52,26 @@ from skewchain.skew import skew_info_channel
 
 
 def frame_columns(dm, ops):
-    return [commutator(dm.sqrt_rho, k) for k in ops]
+    """The frame ``[sqrt(rho), K]`` of each operator, one matrix product pair each."""
+    s = dm.sqrt_rho
+    return [s @ k - k @ s for k in ops]
+
+
+def hs_inner(a, b):
+    """``Tr(A^dag B)``, each part summed exactly, so no evaluation order shows."""
+    prod = (a.conj() * b).ravel()
+    return complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
+
+
+def test_worked_example_cross_inner_product():
+    # <[sqrt(rho), E1], [sqrt(rho), F1]> at theta=1, p=q=1/2
+    rho = rho_theta(1.0)
+    e1 = np.diag([1, math.sqrt(0.5), 1, math.sqrt(0.5)]).astype(complex)
+    f1 = np.diag([math.sqrt(0.5), 1, math.sqrt(0.5), 1]).astype(complex)
+    (e,), (f,) = frame_columns(rho, [e1]), frame_columns(rho, [f1])
+    value = hs_inner(e, f)
+    assert value.real == pytest.approx(-0.04289321881345245, abs=1e-10)
+    assert value.imag == pytest.approx(0.0, abs=1e-14)
 
 
 def oracle_cross_term(dm, ch1, ch2):
@@ -153,8 +170,8 @@ class Columns:
 
 # Per-pair loop forms of the kernels in skew.py and chains.py.  The kernels
 # must reproduce them bit for bit: the byte-identity of every report rests on
-# it.  The frames come from ``frame_columns``, one ``commutator`` per operator,
-# so no oracle runs the kernel it checks.
+# it.  The frames come from ``frame_columns``, two matrix products per
+# operator, so no oracle runs the kernel it checks.
 
 
 def loop_chain_data(rho, ch1, ch2):
@@ -460,7 +477,7 @@ class TestBatchedKernelsMatchLoops:
         # which rejects a state and channels of different dimensions
         rho, ch1, ch2 = random_instance(3, 1)
         small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
-        for call in (compute_chain, cross_term_bound, verify_chain,
+        for call in (compute_chain, lambda *xs: compute_chain(*xs).cross_term, verify_chain,
                      lambda *xs: permute_s(*xs, (0, 1, 2), (0, 1, 2), 2, 1),
                      lambda *xs: optimize_permutations(*xs, 2, 1),
                      lambda *xs: kraus_invariance_check(*xs, trials=1, seed=0)):
@@ -523,17 +540,17 @@ class TestSkewInfoMatchesChain:
 class TestCrossTermBound:
     def test_incoherent_point_is_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        assert cross_term_bound(rho, n1, n2) == 0.0
+        assert compute_chain(rho, n1, n2).cross_term == 0.0
 
     def test_identity_channels_give_zero(self):
         rho = random_density(3, 3, seed=5)
         ident = validate_channel([np.eye(3)], Convention.COLUMN_SUM)
-        assert cross_term_bound(rho, ident, ident) <= 1e-28
+        assert compute_chain(rho, ident, ident).cross_term <= 1e-28
 
     def test_worked_example_value(self):
         rho, n1, n2 = example_instance()
-        value = cross_term_bound(rho, n1, n2)
-        assert type(value) is float and value == compute_chain(rho, n1, n2).cross_term
+        value = compute_chain(rho, n1, n2).cross_term
+        assert type(value) is float
         assert value == pytest.approx(oracle_cross_term(rho, n1, n2), abs=1e-14)
         assert value == pytest.approx(0.0031407832308854556, abs=1e-12)
 
@@ -541,7 +558,7 @@ class TestCrossTermBound:
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 100 + seed)
-            assert cross_term_bound(rho, ch1, ch2) == pytest.approx(
+            assert compute_chain(rho, ch1, ch2).cross_term == pytest.approx(
                 oracle_cross_term(rho, ch1, ch2), abs=1e-13)
 
 

@@ -202,6 +202,9 @@ def _argv(case, tmp_path, files):
                                       "--trials", "1", "--out", str(tmp_path / "inv.txt")],
         "verify_negative_budget": ["verify", "--dims", "2", "--instances", "1",
                                    "--budget", "-1", "--out", str(tmp_path / "v.txt")],
+        "bounds_negative_budget": ["bounds", *inputs, "--budget", "-1", "--out", out],
+        "example_negative_budget": ["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5",
+                                    "--budget", "-1", "--out", str(tmp_path / "out" / "figs")],
         "invariance_dim_mismatch": ["invariance", "--state", str(state), "--channel1", str(small),
                                     "--channel2", str(ch2), "--trials", "1",
                                     "--out", str(tmp_path / "inv.txt")],
@@ -258,7 +261,8 @@ class TestBadInputExits2:
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
-                                      "verify_negative_budget", "invariance_dim_mismatch",
+                                      "verify_negative_budget", "bounds_negative_budget",
+                                      "example_negative_budget", "invariance_dim_mismatch",
                                       "bounds_out_is_csv", "bounds_state_nan",
                                       "invariance_truncated_channel", "bounds_channel_not_utf8",
                                       "invariance_empty_state", "bounds_state_without_matrix",
@@ -874,3 +878,17 @@ class TestInvariance:
                      "--channel2", str(ch2), "--trials", "0",
                      "--out", str(tmp_path / "inv.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--perm", "sampled"], ["--budget", "3"],
+                                      ["--s-reading", "product"]])
+    def test_search_and_reading_flags_are_refused(self, tmp_path, example_files, capsys, flag):
+        # the check reports both readings and runs no search, so it takes none
+        # of the flags that steer one
+        state, ch1, ch2 = example_files
+        out = tmp_path / "inv.txt"
+        with pytest.raises(SystemExit) as info:
+            main(["invariance", "--state", str(state), "--channel1", str(ch1),
+                  "--channel2", str(ch2), "--trials", "1", "--out", str(out), *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()

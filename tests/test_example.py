@@ -397,7 +397,6 @@ class TestStackedPassesMatchPointOracle:
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=ts, reading=reading)
         rows = oracle_sweep_rows(TIE_THETAS, TIE_PS, TIE_QS, ts, reading)
         assert same_bits(table.columns, np.array(rows))
-        assert table.reading == reading
 
     @pytest.mark.parametrize("reading", list(Reading))
     @pytest.mark.parametrize("block", [None, 5])
@@ -448,7 +447,7 @@ class TestStackedPassesMatchPointOracle:
                                   rng.integers(0, 10, (300, len(FIELDS))) / 10.0])
         columns[rng.random(columns.shape) < 0.15] = np.nan
         columns[:5] = np.nan  # rows that are NaN throughout
-        table = SweepTable(columns=columns, reading=Reading.PRODUCT)
+        table = SweepTable(columns=columns)
         for tol in (0.0, 1e-9, 0.1, 0.3, 1.0):
             assert table.hard_failures(tol) == sum(
                 len(oracle_row_hard_failures(row, tol)) for row in columns.tolist())

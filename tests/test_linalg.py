@@ -1,21 +1,14 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from skewchain.errors import (
-    DimensionMismatchError,
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
 )
 from skewchain.linalg import (
-    commutator,
     hermitian_eigendecompose,
-    hs_inner,
     max_abs,
     psd_sqrt,
 )
@@ -123,77 +116,3 @@ class TestPsdSqrt:
         with pytest.raises(NotPSDError) as exc:
             psd_sqrt(np.diag([1.0, -0.5]), tol=1e-9)
         assert exc.value.min_eigenvalue == pytest.approx(-0.5)
-
-
-class TestCommutator:
-    def test_identity_commutes(self):
-        b = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert max_abs(commutator(np.eye(2), b)) == 0.0
-
-    def test_diagonals_commute(self):
-        assert max_abs(commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))) == 0.0
-
-    def test_projector_with_exchange(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        expected = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert max_abs(commutator(proj, x) - expected) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            commutator(np.eye(2), np.eye(3))
-
-
-class TestHsInner:
-    def test_identity_pair(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == 2.0
-
-    def test_self_inner_is_nonnegative_real(self):
-        rng = np.random.default_rng(4)
-        a = rand_complex(rng, 3)
-        v = hs_inner(a, a)
-        assert abs(v.imag) <= 1e-12 * v.real
-        assert v.real >= 0.0
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(6)
-        a, b = rand_complex(rng, 3), rand_complex(rng, 3)
-        assert hs_inner(a, b) == pytest.approx(hs_inner(b, a).conjugate())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hs_inner(np.eye(2), np.eye(3))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           re=st.floats(-5, 5, allow_nan=False),
-           im=st.floats(-5, 5, allow_nan=False))
-    def test_linear_in_second_slot(self, seed, re, im):
-        rng = np.random.default_rng(seed)
-        a, b = rand_complex(rng, 3), rand_complex(rng, 3)
-        c = complex(re, im)
-        lhs = hs_inner(a, b * c)
-        rhs = c * hs_inner(a, b)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-        # conjugate-linear in the first slot
-        assert hs_inner(a * c, b) == pytest.approx(c.conjugate() * hs_inner(a, b), abs=1e-10)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_cauchy_schwarz(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rand_complex(rng, 4), rand_complex(rng, 4)
-        lhs = abs(hs_inner(a, b)) ** 2
-        rhs = hs_inner(a, a).real * hs_inner(b, b).real
-        assert lhs <= rhs * (1 + 1e-12) + 1e-12
-
-
-def test_worked_example_cross_inner_product():
-    # <[sqrt(rho), E1], [sqrt(rho), F1]> at theta=1, p=q=1/2, computed two ways
-    rho = rho_theta_matrix(1.0)
-    root = psd_sqrt(rho)
-    e1 = np.diag([1, math.sqrt(0.5), 1, math.sqrt(0.5)]).astype(complex)
-    f1 = np.diag([math.sqrt(0.5), 1, math.sqrt(0.5), 1]).astype(complex)
-    value = hs_inner(commutator(root, e1), commutator(root, f1))
-    assert value.real == pytest.approx(-0.04289321881345245, abs=1e-10)
-    assert value.imag == pytest.approx(0.0, abs=1e-14)

@@ -200,6 +200,16 @@ class TestRandomObjects:
         for ka, kb in zip(a.operators, b.operators):
             assert np.array_equal(ka, kb)
 
+    @pytest.mark.parametrize("make", [lambda: random_density(3, 2, seed=1),
+                                      lambda: random_channel(3, 2, seed=1)],
+                             ids=["state", "channel"])
+    def test_equality_and_hash_are_identity(self, make):
+        # elementwise array comparison has no truth value, so equal objects
+        # compare by identity
+        a, b = make(), make()
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b}) == 2
+
     def test_random_channel_invalid_count(self):
         with pytest.raises(ValueError):
             random_channel(2, 5, Convention.COLUMN_SUM, seed=1)

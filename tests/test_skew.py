@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewchain.errors import DimensionMismatchError, NotHermitianError
+from skewchain.errors import DimensionMismatchError
 from skewchain.example import example_channels, rho_theta
 from skewchain.linalg import max_abs
 from skewchain.objects import (
@@ -17,9 +17,7 @@ from skewchain.objects import (
 from skewchain.skew import (
     column_norms_sq,
     commutator_frame,
-    observable_commutator_bound,
     skew_info_channel,
-    skew_info_observable,
     skew_info_operator,
 )
 
@@ -145,80 +143,3 @@ class TestSkewInfoChannel:
         ch = random_channel(4, 2, Convention.COLUMN_SUM, seed=2)
         with pytest.raises(DimensionMismatchError):
             skew_info_channel(dm, ch)
-
-
-class TestSkewInfoObservable:
-    def test_maximally_mixed_is_zero(self):
-        dm = validate_density(np.eye(3) / 3)
-        a = np.diag([1.0, 2.0, 3.0])
-        assert skew_info_observable(dm, a) == 0.0
-
-    def test_identity_observable_is_zero(self):
-        dm = random_density(3, 3, seed=14)
-        assert skew_info_observable(dm, np.eye(3)) <= 1e-15
-
-    def test_pure_state_with_exchange(self):
-        dm = validate_density(np.diag([1.0, 0.0]))
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert skew_info_observable(dm, x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_agrees_with_operator_form_for_hermitian(self):
-        rng = np.random.default_rng(15)
-        dm = random_density(4, 4, seed=16)
-        for _ in range(5):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            a = (g + g.conj().T) / 2
-            assert skew_info_observable(dm, a) == pytest.approx(
-                skew_info_operator(dm, a), abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        dm = random_density(2, 2, seed=17)
-        with pytest.raises(NotHermitianError):
-            skew_info_observable(dm, np.array([[0, 1], [0, 0]]))
-
-
-class TestObservableCommutatorBound:
-    def test_same_observable_gives_zero(self):
-        dm = random_density(3, 3, seed=18)
-        a = np.diag([1.0, 2.0, 3.0])
-        assert observable_commutator_bound(dm, a, a) == 0.0
-
-    def test_maximally_mixed_gives_zero(self):
-        dm = validate_density(np.eye(2) / 2)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]])
-        assert observable_commutator_bound(dm, x, y) <= 1e-15
-
-    def test_pure_state_attains_equality(self):
-        dm = validate_density(np.diag([1.0, 0.0]))
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]])
-        bound = observable_commutator_bound(dm, x, y)
-        assert bound == pytest.approx(1.0, abs=1e-12)
-        product = skew_info_observable(dm, x) * skew_info_observable(dm, y)
-        assert product >= bound - 1e-10
-
-    def test_holds_on_random_pure_states(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            d = int(rng.integers(2, 5))
-            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            psi /= np.linalg.norm(psi)
-            dm = validate_density(np.outer(psi, psi.conj()))
-            g1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            g2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            a, b = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
-            product = skew_info_observable(dm, a) * skew_info_observable(dm, b)
-            assert product >= observable_commutator_bound(dm, a, b) - 1e-10
-
-    def test_can_exceed_skew_product_for_mixed_states(self):
-        # the check value is not a universal lower bound off pure states:
-        # diag(0.9, 0.1) with the two standard anticommuting observables
-        dm = validate_density(np.diag([0.9, 0.1]))
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]])
-        product = skew_info_observable(dm, x) * skew_info_observable(dm, y)
-        bound = observable_commutator_bound(dm, x, y)
-        assert product == pytest.approx(0.16, abs=1e-12)
-        assert bound == pytest.approx(0.64, abs=1e-12)
-        assert bound > product

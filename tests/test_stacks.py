@@ -1574,7 +1574,7 @@ class TestColumnarReport:
         fields = len(example.CSV_HEADER.split(","))
         count = len(FORMAT_CORPUS) // fields + 1
         columns = np.array([next(values) for _ in range(count * fields)]).reshape(count, fields)
-        table = example.SweepTable(columns=columns, reading=Reading.PRODUCT)
+        table = example.SweepTable(columns=columns)
         assert np.isnan(columns).any() and (np.signbit(columns) & (columns == 0.0)).any()
         example.write_sweep_csv(table, tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_text() == oracle_sweep_csv(table)
