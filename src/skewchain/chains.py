@@ -144,20 +144,21 @@ class _Once:
         return self._value
 
 
-_STAGE_FIELDS = "e_norms f_norms overlaps sums products tables lattices cross_terms i_source"
+_STAGE_FIELDS = "sums products tables lattices cross_terms i_source"
 
 
 class ChainStage(collections.namedtuple("ChainStage", _STAGE_FIELDS)):
     """The stacked arrays of a pass, before any per-instance object is built:
-    the columns, the sum and the product of each instance's two channel skew
-    informations, each reading's S-table rows (``_s_tables``) and
-    identity-walk S values (a row per instance, positions in
-    ``lattice_order``), keyed by ``Reading``, and the cross terms.  The sums,
-    products and cross terms are (B,) float64 arrays.
+    the sum and the product of each instance's two channel skew informations,
+    each reading's S-table rows (``_s_tables``) and identity-walk S values (a
+    row per instance, positions in ``lattice_order``), keyed by ``Reading``,
+    and the cross terms.  The sums, products and cross terms are (B,) float64
+    arrays.
 
     ``i_values`` is the (B, d) float64 array of each instance's I-chain.  The
     ``_Once`` in ``i_source`` computes it on first read and keeps it, so a
     reader that never reads it (the discrepancy report) never computes it.
+    The frames' columns live only in that source, until it is read.
     """
 
     __slots__ = ()
@@ -203,8 +204,7 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray) -> ChainStage:
     tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
                       _s_tables(e_norms, f_norms, overlaps, products)))
     lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
-    return ChainStage(e_norms, f_norms, overlaps, e_skews + f_skews, products,
-                      tables, lattices, _cross_terms(overlaps),
+    return ChainStage(e_skews + f_skews, products, tables, lattices, _cross_terms(overlaps),
                       _Once(functools.partial(_i_values, e_norms, f_norms, overlaps)))
 
 
@@ -214,10 +214,8 @@ def join_stages(stages, rows) -> ChainStage:
     indices ``rows``.
 
     The stage readers (``verdict_columns``, ``invariance_columns`` and
-    ``optimize_batch``) read it as one pass.  The frame columns' shapes
-    depend on the Kraus counts, so it holds None for ``e_norms``, ``f_norms``
-    and ``overlaps``.  Its I values are the passes' own, joined when first
-    read.
+    ``optimize_batch``) read it as one pass.  Its I values are the passes'
+    own, joined when first read.
     """
     rows = np.asarray(rows, dtype=np.intp)
     # the passes' I-value sources, not the passes: a read source holds no column
@@ -230,8 +228,7 @@ def join_stages(stages, rows) -> ChainStage:
         return {reading: joined(getattr(stage, field)[reading] for stage in stages)
                 for reading in getattr(stages[0], field)}
 
-    return ChainStage(e_norms=None, f_norms=None, overlaps=None,
-                      sums=joined(stage.sums for stage in stages),
+    return ChainStage(sums=joined(stage.sums for stage in stages),
                       products=joined(stage.products for stage in stages),
                       tables=keyed("tables"), lattices=keyed("lattices"),
                       cross_terms=joined(stage.cross_terms for stage in stages),

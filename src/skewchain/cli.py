@@ -404,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output path")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(parser=sp)  # reports an unrecognized flag with its own usage
 
     def add_search(sp):
         add_common(sp)
@@ -446,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if not math.isfinite(args.tol):
         print("error: tol must be finite", file=sys.stderr)
         return 2

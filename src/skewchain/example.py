@@ -79,25 +79,28 @@ def _rho_stack(thetas) -> np.ndarray:
 
 def example_channels(p: float, q: float) -> tuple:
     """The two diagonal-family channels, validated under row-sum completeness."""
-    return tuple(validate_channel(ops[0], convention=Convention.ROW_SUM, tol=_TOL)
-                 for ops in _family_stacks([(p, q)]))
+    return tuple(validate_channel(build([value])[0], convention=Convention.ROW_SUM, tol=_TOL)
+                 for build, value in ((_p_family_stack, p), (_q_family_stack, q)))
 
 
-def _family_stacks(points) -> tuple:
-    """The (B, 2, 4, 4) Kraus stacks of both families of ``example_channels``,
-    one family pair per (p, q), unvalidated."""
-    units = [(_check_unit("p", p), _check_unit("q", q)) for p, q in points]
-    p, q = np.array(units, dtype=float).reshape(-1, 2).T
-    sp, sq = np.sqrt(1.0 - p), np.sqrt(1.0 - q)
+def _p_family_stack(ps) -> np.ndarray:
+    """``example_channels``' first family per p, one unvalidated (B, 2, 4, 4) stack."""
+    p = np.array([_check_unit("p", v) for v in ps], dtype=float)
     e = np.zeros((len(p), 2, 4, 4), dtype=complex)
-    f = np.zeros_like(e)
-    diag = np.arange(4)
-    e[:, 0, diag, diag] = f[:, 0, diag, diag] = 1.0
-    e[:, 0, 1, 1] = e[:, 0, 3, 3] = sp
+    e[:, 0, 0, 0] = e[:, 0, 2, 2] = 1.0
+    e[:, 0, 1, 1] = e[:, 0, 3, 3] = np.sqrt(1.0 - p)
     e[:, 1, 1, 1] = e[:, 1, 3, 3] = np.sqrt(p)
-    f[:, 0, 0, 0] = f[:, 0, 2, 2] = sq
+    return e
+
+
+def _q_family_stack(qs) -> np.ndarray:
+    """``example_channels``' second family per q, one unvalidated (B, 2, 4, 4) stack."""
+    q = np.array([_check_unit("q", v) for v in qs], dtype=float)
+    f = np.zeros((len(q), 2, 4, 4), dtype=complex)
+    f[:, 0, 1, 1] = f[:, 0, 3, 3] = 1.0
+    f[:, 0, 0, 0] = f[:, 0, 2, 2] = np.sqrt(1.0 - q)
     f[:, 1, 0, 1] = f[:, 1, 2, 3] = np.sqrt(q)
-    return e, f
+    return f
 
 
 @dataclass(frozen=True)
@@ -235,25 +238,23 @@ def _distinct(values) -> tuple:
 def _chain_blocks(points: np.ndarray):
     """Yield ``(span, stage)`` over the (N, 3) rows (theta, p, q) of ``points``.
 
-    The state of each distinct theta and the channel pair of each distinct
-    (p, q) are validated once, as stacks built from their first rows.  The
-    state depends on theta alone and each channel on p or q alone, so the
-    first family's commutator frames are built once per distinct (theta, p)
-    and the second's once per distinct (theta, q), each as one
+    The state depends on theta alone and the two channels on p and on q, so
+    the state of each distinct theta, the first family of each distinct p and
+    the second of each distinct q are validated once, as stacks built from
+    their first rows.  The first family's frames are built once per distinct
+    (theta, p) and the second's once per distinct (theta, q), each as one
     ``frame_stack``.  ``span`` is a slice of at most ``_BLOCK`` consecutive
     rows, and ``stage`` is their ``chain_stage``, one stacked pass fed by
     indexing those frames.
     """
     theta_first, theta_rows = _distinct(points[:, 0])
-    _, p_rows = _distinct(points[:, 1])
-    _, q_rows = _distinct(points[:, 2])
-    pair_first, pair_rows = _distinct(p_rows * len(points) + q_rows)
     _, roots = density_stack(_rho_stack(points[theta_first, 0]), tol=_TOL)
     frames = []  # per family: its frames, and the row of each point's frame there
-    for ops, rows in zip(_family_stacks(points[pair_first, 1:]), (p_rows, q_rows)):
-        ops = channel_stack(ops, convention=Convention.ROW_SUM, tol=_TOL)
+    for build, column in ((_p_family_stack, points[:, 1]), (_q_family_stack, points[:, 2])):
+        first, rows = _distinct(column)
+        ops = channel_stack(build(column[first]), convention=Convention.ROW_SUM, tol=_TOL)
         first, index = _distinct(theta_rows * len(points) + rows)
-        frames.append((frame_stack(roots[theta_rows[first]], ops[pair_rows[first]]), index))
+        frames.append((frame_stack(roots[theta_rows[first]], ops[rows[first]]), index))
     (e, e_index), (f, f_index) = frames
     for span in _blocks(len(points)):
         yield span, stage_from_frames(e[e_index[span]], f[f_index[span]])
@@ -267,8 +268,8 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     The permutation-optimized column maximizes the S value at ``perm_target``
     over permutation pairs (``strategy`` and ``budget`` as in
     ``optimize_permutations``); the mixed columns convex-combine it with the
-    trivial bounds at each t, as ``mixed_bound`` does.  Each state and channel
-    pair is validated once, as arrays; the chains come from stacked passes
+    trivial bounds at each t, as ``mixed_bound`` does.  Each state and Kraus
+    family is validated once, as arrays; the chains come from stacked passes
     that run across theta and are shared across the t axis, and the optimizer
     searches each pass at once.
     """

@@ -87,7 +87,6 @@ class DensityMatrix:
     dim: int
     rho: np.ndarray
     sqrt_rho: np.ndarray
-    validation_tol: float
 
 
 def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -99,7 +98,7 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     NotSquareError, NotHermitianError, NotPSDError, TraceNotOneError
     """
     rhos, sqrts = density_stack(as_matrix(m)[None], tol)
-    return DensityMatrix(dim=rhos.shape[-1], rho=rhos[0], sqrt_rho=sqrts[0], validation_tol=tol)
+    return DensityMatrix(dim=rhos.shape[-1], rho=rhos[0], sqrt_rho=sqrts[0])
 
 
 def density_stack(stack, tol: float = DEFAULT_TOL) -> tuple:
@@ -430,7 +429,7 @@ def _complex_gaussians(words, size: int) -> np.ndarray:
 def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """``G G^dag / Tr(G G^dag)`` for a seeded d-by-rank complex Gaussian G."""
     rhos, sqrts = densities_from_words(d, [rank], _seeding_words([(seed,)]), tol)
-    return DensityMatrix(dim=d, rho=rhos[0], sqrt_rho=sqrts[0], validation_tol=tol)
+    return DensityMatrix(dim=d, rho=rhos[0], sqrt_rho=sqrts[0])
 
 
 def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> tuple:

@@ -890,5 +890,7 @@ class TestInvariance:
             main(["invariance", "--state", str(state), "--channel1", str(ch1),
                   "--channel2", str(ch2), "--trials", "1", "--out", str(out), *flag])
         assert info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "usage: skewchain invariance" in err  # the subcommand's own usage
         assert not out.exists()

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -78,6 +79,28 @@ def test_no_module_imports_a_name_it_does_not_use():
               for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))
               if path.name != "__init__.py"}
     assert len(unused) >= 8 and {name: names for name, names in unused.items() if names} == {}
+
+
+def unread_fields(fields, sources) -> list:
+    """The names of ``fields`` that no source reads as an attribute, an
+    ``ast.Attribute`` in a ``Load`` context."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [name for name in fields if name not in read]
+
+
+def test_every_field_is_read_in_the_package():
+    # a field that no code of the package reads is state kept for no reader
+    assert unread_fields(("a", "b", "c"), ["x.a\nx.b = 1\n"]) == ["b", "c"]
+    from skewchain.chains import ChainStage
+    from skewchain.example import SweepTable
+    from skewchain.objects import DensityMatrix, KrausChannel
+
+    sources = [path.read_text() for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))]
+    unread = {cls.__name__: unread_fields(getattr(cls, "_fields", None)
+                                          or [f.name for f in dataclasses.fields(cls)], sources)
+              for cls in (ChainStage, DensityMatrix, KrausChannel, SweepTable)}
+    assert {name: fields for name, fields in unread.items() if fields} == {}
 
 
 def test_import_loads_no_random_argparse_or_cli():

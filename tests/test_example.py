@@ -16,6 +16,7 @@ from skewchain.chains import (
     lattice_order,
     mixed_bound,
     optimize_permutations,
+    stage_from_frames,
     sum_chain,
 )
 from skewchain.errors import CompletenessError
@@ -33,6 +34,7 @@ from skewchain.example import (
 )
 from skewchain.linalg import max_abs
 from skewchain.objects import Convention, channel_stack, completeness_residual, density_stack
+from skewchain.skew import frame_stack
 
 FIELDS = CSV_HEADER.split(",")
 
@@ -474,20 +476,27 @@ class TestStackedPassesMatchPointOracle:
 
 class TestFactoredFrames:
     """``_chain_blocks`` builds each frame once per (theta, p) or (theta, q)
-    factor; each block's stage equals ``chain_stage`` on the fully expanded
-    stacks, one state and one channel pair per point, bit for bit."""
+    factor; each block's frames, and its stage, equal those of the fully
+    expanded stacks, one state and one channel pair per point, bit for bit."""
 
     @staticmethod
     def expanded_stage(points):
         _, roots = density_stack(example._rho_stack(points[:, 0]), tol=1e-12)
-        e, f = (channel_stack(ops, convention=Convention.ROW_SUM, tol=1e-12)
-                for ops in example._family_stacks(points[:, 1:]))
-        return chain_stage(roots, e, f)
+        e, f = (channel_stack(build(points[:, column]), convention=Convention.ROW_SUM, tol=1e-12)
+                for build, column in ((example._p_family_stack, 1), (example._q_family_stack, 2)))
+        return (frame_stack(roots, e), frame_stack(roots, f)), chain_stage(roots, e, f)
 
     @pytest.mark.parametrize("block", [None, 5])
     def test_blocks_match_the_expanded_stacks(self, monkeypatch, block):
         if block is not None:  # several blocks, the last one partial
             monkeypatch.setattr(example, "_BLOCK", block)
+        frames = []
+
+        def recorded(e, f):
+            frames.append((e, f))
+            return stage_from_frames(e, f)
+
+        monkeypatch.setattr(example, "stage_from_frames", recorded)
         # unsorted, with repeated rows: theta = 1/2 (zero frames), p and q in {0, 1}
         grid = list(itertools.product((0.5, 1.0, 0.2), (1.0, 0.0, 0.7), (0.0, 1.0, 0.4)))
         grid += grid[3:9] + [(0.5, 0.0, 0.0), (1.0, 1.0, 1.0)]
@@ -496,9 +505,9 @@ class TestFactoredFrames:
         spans = []
         for span, stage in example._chain_blocks(points):
             spans.append(span)
-            want = self.expanded_stage(points[span])
-            for name in ("e_norms", "f_norms", "overlaps", "i_values"):
-                assert same_bits(getattr(stage, name), getattr(want, name)), name
+            want_frames, want = self.expanded_stage(points[span])
+            assert all(map(same_bits, frames[-1], want_frames))
+            assert same_bits(stage.i_values, want.i_values)
             for name in ("sums", "products", "cross_terms"):
                 assert same_bits(np.array(getattr(stage, name)),
                                  np.array(getattr(want, name))), name
@@ -511,12 +520,12 @@ class TestFactoredFrames:
 
 
 class TestBuildsEachInputOnce:
-    """Each distinct theta and (p, q) goes into the stacked builders exactly once."""
+    """Each distinct theta, p and q goes into its stacked builder exactly once."""
 
     @staticmethod
     def counting(monkeypatch):
         # the matrix builders that the validated stacks are made from
-        calls = {"_rho_stack": [], "_family_stacks": []}
+        calls = {"_rho_stack": [], "_p_family_stack": [], "_q_family_stack": []}
         for name in calls:
             real = getattr(example, name)
 
@@ -534,16 +543,16 @@ class TestBuildsEachInputOnce:
         calls = self.counting(monkeypatch)
         sweep(TIE_THETAS, TIE_PS, TIE_QS)
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["_family_stacks"]) == sorted(
-            set(itertools.product(TIE_PS, TIE_QS)))
+        assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
+        assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))
 
     def test_discrepancy_report(self, monkeypatch):
         calls = self.counting(monkeypatch)
         grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         discrepancy_report(grid[::-1])
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["_family_stacks"]) == sorted(
-            set(itertools.product(TIE_PS, TIE_QS)))
+        assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
+        assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))
 
     def test_sweep_builds_no_chain_or_point(self, monkeypatch):
         calls = self.counting(monkeypatch)
@@ -557,8 +566,8 @@ class TestBuildsEachInputOnce:
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
         assert len(table) == len(TIE_THETAS) * len(TIE_PS) * len(TIE_QS) * 2
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["_family_stacks"]) == sorted(
-            set(itertools.product(TIE_PS, TIE_QS)))
+        assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
+        assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))
 
     def test_discrepancy_report_builds_no_chain(self, monkeypatch):
         calls = self.counting(monkeypatch)
@@ -572,5 +581,5 @@ class TestBuildsEachInputOnce:
         report = discrepancy_report(grid)
         assert len(report.rows) == 6 * len(grid)
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
-        assert sorted(calls["_family_stacks"]) == sorted(
-            set(itertools.product(TIE_PS, TIE_QS)))
+        assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
+        assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))

@@ -334,7 +334,7 @@ class TestDensityStacks:
             rho, sqrt = oracle_validate_density(m, TOL)
             assert same_bits(got_rho, rho) and same_bits(got_sqrt, sqrt)
             alone = validate_density(m, tol=TOL)
-            assert alone.dim == d and alone.validation_tol == TOL
+            assert alone.dim == d
             assert same_bits(alone.rho, rho) and same_bits(alone.sqrt_rho, sqrt)
             assert same_bits(psd_sqrt(m, tol=TOL), sqrt)
             w, v = oracle_eigendecompose(m, TOL)
@@ -1137,7 +1137,7 @@ def oracle_instance(d, k, derived):
     """Instance k at dimension d and its invariance trial, built by the
     one-instance oracles from its derived seeds ``derived`` (parts 0 to 4):
     ``(state, channel 1, channel 2, mixed channel 1, mixed channel 2)``."""
-    state = DensityMatrix(d, *oracle_random_density(d, (k % d) + 1, derived[0]), TOL)
+    state = DensityMatrix(d, *oracle_random_density(d, (k % d) + 1, derived[0]))
     channels, mixed = [], []
     for side, n in enumerate(oracle_kraus_counts(d, k), start=1):
         channel = KrausChannel(d, tuple(oracle_random_channel(d, n, Convention.COLUMN_SUM,
