@@ -218,7 +218,7 @@ def join_stages(stages, rows) -> ChainStage:
     own, joined when first read.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    # the passes' I-value sources, not the passes: a read source holds no column
+    # the passes' I-value sources, not the passes, whose other arrays the join copies
     sources = [stage.i_source for stage in stages]
 
     def joined(arrays):
