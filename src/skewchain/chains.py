@@ -117,8 +117,9 @@ def lattice_order(d: int) -> list:
 # Every kernel below runs over a leading instance axis of B same-shape
 # instances.  Each slice sees the same BLAS calls, elementwise operations and
 # reductions as a lone instance, and every exact sum (``math.fsum``) stays per
-# instance, so a stack returns each instance's bits unchanged.  ``chain_stage``
-# is the one builder, over arrays.  The readers of a pass (``chain_at``,
+# instance, so a stack returns each instance's bits unchanged.
+# ``stage_from_frames`` is the one builder, over arrays; ``chain_stage`` feeds
+# it the frames of its inputs.  The readers of a pass (``chain_at``,
 # ``verdict_columns``, ``invariance_columns``, ``optimize_batch``) read its
 # stage, and the one-instance functions are stacks of one over them.  The
 # frames, their column norms and the channel skew informations come from
@@ -177,6 +178,10 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
     ``density_stack`` and ``channel_stack`` return them.  Each instance gets
     bit for bit what it gets in a stack of one.  The stack's arrays scale
     with its length, so callers with many instances pass them in blocks.
+
+    It is one pass of ``stage_from_frames`` over the instances' own frames,
+    so the column norms and skew informations are computed once per
+    instance and family, without a gather.
     """
     s, e_ops, f_ops = (np.ascontiguousarray(a, dtype=np.complex128)
                        for a in (sqrt_rhos, ops1, ops2))
@@ -185,27 +190,39 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
         raise DimensionMismatchError(
             f"need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) "
             f"stacks, got shapes {s.shape}, {e_ops.shape} and {f_ops.shape}")
-    return stage_from_frames(frame_stack(s, e_ops), frame_stack(s, f_ops))
+    (stage,) = stage_from_frames(frame_stack(s, e_ops), frame_stack(s, f_ops))
+    return stage
 
 
-def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray) -> ChainStage:
-    """The ``chain_stage`` of the instances whose commutator frames
-    (``frame_stack``) are the (B, n1, d, d) stack ``e_frames`` and the
-    (B, n2, d, d) stack ``f_frames``.
+def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None):
+    """Yield the ``chain_stage`` of each pass of instances whose commutator
+    frames (``frame_stack``) are rows of the (F1, n1, d, d) stack ``e_frames``
+    and the (F2, n2, d, d) stack ``f_frames``.
 
-    A caller whose instances share frames builds each frame once and passes
-    the stacks indexed per instance; every instance keeps its bits.
+    ``passes`` is an iterable of ``(e_rows, f_rows)`` index arrays, one pair
+    per pass: instance b of a pass has the frames ``e_frames[e_rows[b]]`` and
+    ``f_frames[f_rows[b]]``.  ``None`` is one pass whose instance b has row b
+    of each stack, taken without a gather.  A family's column norms and
+    channel skew information depend on its frames alone, so they are computed
+    once per row of each stack, before the first pass, and indexed per
+    instance; the overlaps and everything built on them are computed per
+    instance, one pass at a time.  Every instance keeps the bits of a stack
+    of one.
     """
     e_norms, f_norms = column_norms_sq(e_frames), column_norms_sq(f_frames)
-    overlaps = np.einsum("...aij,...bij->...abj", e_frames.conj(), f_frames)
-    d = e_norms.shape[-1]
     e_skews, f_skews = channel_skews(e_norms), channel_skews(f_norms)
-    products = e_skews * f_skews
-    tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
-                      _s_tables(e_norms, f_norms, overlaps, products)))
-    lattices = {reading: _lattice_values(rows, reading, d) for reading, rows in tables.items()}
-    return ChainStage(e_skews + f_skews, products, tables, lattices, _cross_terms(overlaps),
-                      _Once(functools.partial(_i_values, e_norms, f_norms, overlaps)))
+    d = e_norms.shape[-1]
+    for e_rows, f_rows in ((slice(None), slice(None)),) if passes is None else passes:
+        e_pass, f_pass = e_norms[e_rows], f_norms[f_rows]
+        e_skew, f_skew = e_skews[e_rows], f_skews[f_rows]
+        overlaps = np.einsum("...aij,...bij->...abj", e_frames[e_rows].conj(), f_frames[f_rows])
+        products = e_skew * f_skew
+        tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
+                          _s_tables(e_pass, f_pass, overlaps, products)))
+        lattices = {reading: _lattice_values(rows, reading, d)
+                    for reading, rows in tables.items()}
+        yield ChainStage(e_skew + f_skew, products, tables, lattices, _cross_terms(overlaps),
+                         _Once(functools.partial(_i_values, e_pass, f_pass, overlaps)))
 
 
 def join_stages(stages, rows) -> ChainStage:

@@ -45,7 +45,7 @@ from .chains import (
 )
 from .errors import BudgetError, SkewchainError
 from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
-from .linalg import first_max
+from .linalg import DEFAULT_TOL, first_max
 from .objects import (
     channels_from_words,
     densities_from_words,
@@ -376,7 +376,7 @@ def cmd_invariance(args) -> int:
     try:
         if args.trials < 1:
             raise ConfigError("trials must be >= 1")
-        rho, ch1, ch2 = _load_instance(args, 1e-9)
+        rho, ch1, ch2 = _load_instance(args, DEFAULT_TOL)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

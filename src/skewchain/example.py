@@ -243,9 +243,12 @@ def _chain_blocks(points: np.ndarray):
     the second of each distinct q are validated once, as stacks built from
     their first rows.  The first family's frames are built once per distinct
     (theta, p) and the second's once per distinct (theta, q), each as one
-    ``frame_stack``.  ``span`` is a slice of at most ``_BLOCK`` consecutive
-    rows, and ``stage`` is their ``chain_stage``, one stacked pass fed by
-    indexing those frames.
+    ``frame_stack``.  One ``stage_from_frames`` call takes those frames, so
+    each family's column norms and skew information are computed once per
+    call, per distinct (theta, p) or (theta, q).  ``span`` is a slice of at
+    most ``_BLOCK`` consecutive rows, and ``stage`` is their ``chain_stage``,
+    one stacked pass whose overlaps are built from the frames indexed per
+    point.
     """
     theta_first, theta_rows = _distinct(points[:, 0])
     _, roots = density_stack(_rho_stack(points[theta_first, 0]), tol=_TOL)
@@ -256,8 +259,9 @@ def _chain_blocks(points: np.ndarray):
         first, index = _distinct(theta_rows * len(points) + rows)
         frames.append((frame_stack(roots[theta_rows[first]], ops[rows[first]]), index))
     (e, e_index), (f, f_index) = frames
-    for span in _blocks(len(points)):
-        yield span, stage_from_frames(e[e_index[span]], f[f_index[span]])
+    spans = _blocks(len(points))
+    yield from zip(spans, stage_from_frames(e, f, [(e_index[span], f_index[span])
+                                                   for span in spans]))
 
 
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,

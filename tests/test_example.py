@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from skewchain import chains, example
+from skewchain import chains, cli, example
 from skewchain.chains import (
     BoundChain,
     PermutedBound,
@@ -490,11 +490,11 @@ class TestFactoredFrames:
     def test_blocks_match_the_expanded_stacks(self, monkeypatch, block):
         if block is not None:  # several blocks, the last one partial
             monkeypatch.setattr(example, "_BLOCK", block)
-        frames = []
+        calls = []
 
-        def recorded(e, f):
-            frames.append((e, f))
-            return stage_from_frames(e, f)
+        def recorded(e, f, passes):
+            calls.append((e, f, passes))
+            return stage_from_frames(e, f, passes)
 
         monkeypatch.setattr(example, "stage_from_frames", recorded)
         # unsorted, with repeated rows: theta = 1/2 (zero frames), p and q in {0, 1}
@@ -504,9 +504,11 @@ class TestFactoredFrames:
         points = np.array(grid)
         spans = []
         for span, stage in example._chain_blocks(points):
+            (e, f, passes), = calls  # one builder call, its frames one per family
+            e_rows, f_rows = passes[len(spans)]
             spans.append(span)
             want_frames, want = self.expanded_stage(points[span])
-            assert all(map(same_bits, frames[-1], want_frames))
+            assert all(map(same_bits, (e[e_rows], f[f_rows]), want_frames))
             assert same_bits(stage.i_values, want.i_values)
             for name in ("sums", "products", "cross_terms"):
                 assert same_bits(np.array(getattr(stage, name)),
@@ -517,6 +519,8 @@ class TestFactoredFrames:
         assert np.concatenate([np.arange(len(points))[span] for span in spans]).tolist() == \
             list(range(len(points)))
         assert len(spans) == (1 if block is None else -(-len(points) // block))
+        assert (len(e), len(f)) == (len({(t, p) for t, p, _ in grid}),
+                                    len({(t, q) for t, _, q in grid}))
 
 
 class TestBuildsEachInputOnce:
@@ -583,3 +587,23 @@ class TestBuildsEachInputOnce:
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
         assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
         assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))
+
+    def test_example_takes_norms_and_skews_once_per_family(self, monkeypatch, tmp_path):
+        # the example-small grids: the surface's 11 (theta, p) and 11 (theta, q)
+        # families at theta = 1, the curve's 21 and 21 at p = q = 1/2, and the
+        # report's 81 and 81 on its 9 x 9 x 9 subsample
+        rows = {"column_norms_sq": [], "channel_skews": []}
+        for name, seen in rows.items():
+            real = getattr(chains, name)
+
+            def counted(array, real=real, seen=seen):
+                seen.append(len(array))
+                return real(array)
+
+            monkeypatch.setattr(chains, name, counted)
+        argv = ["example", "--theta", "0:1:21", "--p", "0:1:11", "--q", "0:1:11",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        for seen in rows.values():
+            assert seen == [11, 11, 21, 21, 81, 81]  # (e, f) per _chain_blocks call
+            assert sum(seen[0::2]) == sum(seen[1::2]) == 113
