@@ -13,7 +13,9 @@ invariance  re-runs all bounds under random Kraus mixings of both channels
 
 Exit codes: 0 success; 1 verdict failure (verify/example/invariance only);
 2 configuration or input validation failure; 3 internal numerical failure
-(bounds only).
+(bounds only).  The subcommands raise ``ConfigError``, ``BudgetError`` or
+``OSError`` for bad input; ``main`` is the one place that reports them as one
+``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .serialize import load_channel, load_state, write_text_atomic
 
 
 class ConfigError(Exception):
-    pass
+    """Bad configuration or input; ``main`` reports it and exits 2."""
 
 
 def parse_grid(spec: str) -> list:
@@ -118,15 +120,11 @@ def _load_instance(args, tol: float) -> tuple:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        if Path(args.out).suffix == ".csv":  # the CSV row would overwrite the report
-            raise ConfigError(f"--out {args.out!r} ends in .csv, the suffix of the CSV "
-                              "written next to the report; give the report another suffix")
-        rho, ch1, ch2 = _load_instance(args, args.tol)
-        t_grid = parse_grid(args.t)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if Path(args.out).suffix == ".csv":  # the CSV row would overwrite the report
+        raise ConfigError(f"--out {args.out!r} ends in .csv, the suffix of the CSV "
+                          "written next to the report; give the report another suffix")
+    rho, ch1, ch2 = _load_instance(args, args.tol)
+    t_grid = parse_grid(args.t)
 
     try:
         reading = Reading(args.s_reading)
@@ -139,9 +137,8 @@ def cmd_bounds(args) -> int:
                                   reading)[0]
         verdict = verdict_columns(stage, args.tol, args.budget,
                                   functools.partial(generators, [args.seed]))
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BudgetError:  # bad configuration, which main reports
+        raise
     except SkewchainError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -259,20 +256,16 @@ def _verify_chunk(d: int, ks, args) -> tuple:
 
 def cmd_verify(args) -> int:
     try:
-        try:
-            dims = [int(v) for v in args.dims.split(",") if v.strip()]
-        except ValueError:
-            dims = []
-        if not dims or any(d < 1 for d in dims):
-            raise ConfigError(f"bad dims list {args.dims!r}")
-        if args.instances < 1:
-            raise ConfigError("instances must be >= 1")
-        if args.perm != "auto" or args.s_reading is not None:
-            raise ConfigError("verify always searches with --perm auto and reports both "
-                              "S-lattice readings; drop --perm and --s-reading")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    except ValueError:
+        dims = []
+    if not dims or any(d < 1 for d in dims):
+        raise ConfigError(f"bad dims list {args.dims!r}")
+    if args.instances < 1:
+        raise ConfigError("instances must be >= 1")
+    if args.perm != "auto" or args.s_reading is not None:
+        raise ConfigError("verify always searches with --perm auto and reports both "
+                          "S-lattice readings; drop --perm and --s-reading")
 
     def worst(start: float, deviations: np.ndarray) -> float:
         """Python's ``max`` of ``start`` and the deviations, in order."""
@@ -328,27 +321,16 @@ def _subsample(grid, limit: int = 9) -> np.ndarray:
 
 
 def cmd_example(args) -> int:
-    try:
-        theta_grid = parse_grid(args.theta)
-        p_grid = parse_grid(args.p)
-        q_grid = parse_grid(args.q)
-        t_grid = parse_grid(args.t)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    theta_grid, p_grid, q_grid, t_grid = map(parse_grid, (args.theta, args.p, args.q, args.t))
     reading = Reading(args.s_reading)
     strategy = _strategy(args)
 
-    try:
-        # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
-        surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading,
-                        strategy=strategy, budget=args.budget, seed=args.seed)
-        # Curve over theta at p = q = 1/2.
-        curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading,
-                      strategy=strategy, budget=args.budget, seed=args.seed)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
+    surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading,
+                    strategy=strategy, budget=args.budget, seed=args.seed)
+    # Curve over theta at p = q = 1/2.
+    curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading,
+                  strategy=strategy, budget=args.budget, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(surface, out_dir / "figure1.csv", out_dir / "figure2.csv",
@@ -373,13 +355,9 @@ def cmd_example(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    try:
-        if args.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        rho, ch1, ch2 = _load_instance(args, DEFAULT_TOL)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
+    rho, ch1, ch2 = _load_instance(args, DEFAULT_TOL)
     report = kraus_invariance_check(rho, ch1, ch2, args.trials, args.seed, args.tol)
     pairs = [("command", "invariance"), ("trials", args.trials), ("seed", args.seed),
              ("tol", args.tol)]
@@ -394,6 +372,7 @@ def cmd_invariance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewchain",
                                      description="Skew-information bound chains "
@@ -450,27 +429,25 @@ def main(argv=None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    if not math.isfinite(args.tol):
-        print("error: tol must be finite", file=sys.stderr)
-        return 2
-    # tol = 0 stays legal for invariance (it then reports floating noise and
-    # exits 1); every other command treats a non-positive tol as bad config.
-    if args.command == "invariance":
-        if args.tol < 0:
-            print("error: tol must be >= 0", file=sys.stderr)
-            return 2
-    elif args.tol <= 0:
-        print("error: tol must be > 0", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: seed must be >= 0", file=sys.stderr)
-        return 2
-    if args.command != "invariance" and args.budget < 0:
-        print("error: budget must be >= 0", file=sys.stderr)
-        return 2
     try:
+        if not math.isfinite(args.tol):
+            raise ConfigError("tol must be finite")
+        # tol = 0 stays legal for invariance (it then reports floating noise and
+        # exits 1); every other command treats a non-positive tol as bad config.
+        if args.command == "invariance":
+            if args.tol < 0:
+                raise ConfigError("tol must be >= 0")
+        elif args.tol <= 0:
+            raise ConfigError("tol must be > 0")
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if args.command != "invariance" and args.budget < 0:
+            raise ConfigError("budget must be >= 0")
         return args.func(args)
-    except OSError as exc:  # each command reads and checks its inputs itself
+    except (ConfigError, BudgetError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a failed read arrives as ConfigError, so this is a write
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -155,7 +155,6 @@ class KrausChannel:
     dim: int
     operators: np.ndarray
     convention: Convention
-    completeness_tol: float
 
     @property
     def n(self) -> int:
@@ -197,13 +196,12 @@ def validate_channel(ops, convention: Convention = Convention.COLUMN_SUM,
                 raise DimensionMismatchError(
                     f"Kraus operators have mixed shapes: {(d, d)} vs {k.shape}")
         ops = np.array(mats)
-    return _channel(channel_stack(ops[None], convention, tol)[0], convention, tol)
+    return _channel(channel_stack(ops[None], convention, tol)[0], convention)
 
 
-def _channel(ops: np.ndarray, convention: Convention, tol: float) -> KrausChannel:
+def _channel(ops: np.ndarray, convention: Convention) -> KrausChannel:
     """The ``KrausChannel`` of a validated read-only (n, d, d) family."""
-    return KrausChannel(dim=ops.shape[-1], operators=ops,
-                        convention=Convention(convention), completeness_tol=tol)
+    return KrausChannel(dim=ops.shape[-1], operators=ops, convention=Convention(convention))
 
 
 def channel_stack(stack, convention: Convention = Convention.COLUMN_SUM,
@@ -493,7 +491,7 @@ def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COL
     the adjoint of each block.
     """
     ops = channels_from_words(d, n_kraus, _seeding_words([(seed,)]), convention, tol)
-    return _channel(ops[0], convention, tol)
+    return _channel(ops[0], convention)
 
 
 def channels_from_words(d: int, n_kraus: int, words,
@@ -519,7 +517,7 @@ def mix_kraus(channel: KrausChannel, u) -> KrausChannel:
     and the declared completeness convention are unchanged.
     """
     mixed = _mix_family(channel.operators, u)
-    return _channel(mixed, channel.convention, channel.completeness_tol)
+    return _channel(mixed, channel.convention)
 
 
 def _mix_family(ops: np.ndarray, u) -> np.ndarray:

@@ -345,11 +345,13 @@ class TestStageOnArrays:
 
     @staticmethod
     def assert_matches(rhos, ch1s, ch2s, tol=DEFAULT_TOL):
-        """``tol`` is the tolerance the states were validated at."""
+        """``tol`` is the tolerance the states were validated at; the channels
+        were validated at 1e-12, ``random_channel``'s default and the worked
+        example's tolerance."""
         d = rhos[0].dim
         roots = density_stack(np.array([rho.rho for rho in rhos]), tol)[1]
         ops1, ops2 = (channel_stack(np.array([ch.operators for ch in chs]), chs[0].convention,
-                                    chs[0].completeness_tol) for chs in (ch1s, ch2s))
+                                    1e-12) for chs in (ch1s, ch2s))
         assert same_bits(roots, np.array([rho.sqrt_rho for rho in rhos]))
         stage = chain_stage(roots, ops1, ops2)
         norms = [column_norms_sq(frame_stack(roots, ops)) for ops in (ops1, ops2)]

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -174,6 +175,7 @@ def _argv(case, tmp_path, files):
                                      [row[:3] for row in channel_doc["kraus"][1][:3]]]}).encode(),
         "bounds_dim_is_string": json.dumps({**state_doc, "dim": "4"}).encode(),
         "invariance_dim_is_true": json.dumps({"dim": True, "matrix": [[[1.0, 0.0]]]}).encode(),
+        "example_out_is_file": b"",
     }
     if case in contents:
         bad.write_bytes(contents[case])
@@ -237,6 +239,15 @@ def _argv(case, tmp_path, files):
                                  "--channel2", str(ch2), "--out", out],
         "invariance_dim_is_true": ["invariance", "--state", str(bad), "--channel1", str(one),
                                    "--channel2", str(one), "--trials", "1", "--out", out],
+        "invariance_zero_trials": ["invariance", *inputs, "--trials", "0", "--out", out],
+        "verify_zero_instances": ["verify", "--dims", "2", "--instances", "0", "--out", out],
+        "bounds_zero_tol": ["bounds", *inputs, "--tol", "0", "--out", out],
+        "invariance_negative_tol": ["invariance", *inputs, "--trials", "1", "--tol", "-1",
+                                    "--out", out],
+        "example_bad_grid": ["example", "--theta", "0.5", "--p", "0:1", "--q", "0.5",
+                             "--out", str(tmp_path / "out" / "figs")],
+        "example_out_is_file": ["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5",
+                                "--out", str(bad)],  # mkdir fails: the OSError path
     }[case]
 
 
@@ -269,7 +280,10 @@ class TestBadInputExits2:
                                       "invariance_matrix_is_object", "bounds_state_not_pairs",
                                       "invariance_channel_not_complete", "bounds_state_ragged",
                                       "invariance_kraus_mixed_shapes", "bounds_dim_is_string",
-                                      "invariance_dim_is_true"])
+                                      "invariance_dim_is_true", "invariance_zero_trials",
+                                      "verify_zero_instances", "bounds_zero_tol",
+                                      "invariance_negative_tol", "example_bad_grid",
+                                      "example_out_is_file"])
     def test_one_error_line_and_exit_2(self, tmp_path, example_files, capsys, case):
         (tmp_path / "out").mkdir()
         code = main(_argv(case, tmp_path, example_files))
@@ -282,6 +296,33 @@ class TestBadInputExits2:
             assert str(_bad_file(case, tmp_path)) in err
         if case in self.prefixed:
             assert f"{_bad_file(case, tmp_path)}: {self.prefixed[case]}" in err
+
+    @staticmethod
+    def exit_2_sites(source):
+        """``(function, site)`` for each ``return 2`` and each ``except``
+        naming ``ConfigError`` in the top-level functions of ``source``."""
+        sites = []
+        for func in ast.parse(source).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) \
+                        and node.value.value == 2:
+                    sites.append((func.name, "return 2"))
+                elif isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                        isinstance(name, ast.Name) and name.id == "ConfigError"
+                        for name in ast.walk(node.type)):
+                    sites.append((func.name, "except ConfigError"))
+        return sites
+
+    def test_only_main_maps_errors_to_exit_2(self):
+        # the subcommands raise, and main alone prints the error line and exits 2
+        assert self.exit_2_sites("def cmd_x():\n    try:\n        pass\n"
+                                 "    except (OSError, ConfigError):\n        return 2\n") \
+            == [("cmd_x", "except ConfigError"), ("cmd_x", "return 2")]
+        sites = self.exit_2_sites(Path(cli.__file__).read_text())
+        assert [site for site in sites if site[0].startswith("cmd_")] == []
+        assert ("main", "return 2") in sites  # the scan sees them at all
 
 
     @pytest.mark.parametrize("command", ["bounds", "invariance"])

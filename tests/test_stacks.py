@@ -483,8 +483,7 @@ class TestChannelStacks:
             assert same_bits(family_ops, np.array(ops))
             for alone in (validate_channel(family, convention, TOL),
                           validate_channel(np.array(family), convention, TOL)):
-                assert (alone.dim, alone.n, alone.convention, alone.completeness_tol) \
-                    == (d, n, convention, TOL)
+                assert (alone.dim, alone.n, alone.convention) == (d, n, convention)
                 assert all(same_bits(a, b) for a, b in zip(alone.operators, ops))
             assert completeness_residual(family, convention) \
                 == oracle_completeness_residual(ops, convention)
@@ -809,15 +808,14 @@ class TestGeneratorStacks:
             ops = oracle_random_channel(d, n, convention, seed)
             assert same_bits(family, np.array(ops))
             channel = random_channel(d, n, convention, seed)
-            assert (channel.dim, channel.n, channel.convention, channel.completeness_tol) \
-                == (d, n, convention, 1e-12)
+            assert (channel.dim, channel.n, channel.convention) == (d, n, convention)
             assert same_ops(channel, ops)
             unitary = oracle_haar_isometry(u_seed, n, n)
             assert same_bits(u, unitary) and same_bits(random_unitary(n, u_seed), unitary)
             mixed_ops = oracle_mix_kraus(channel, u)
             assert same_bits(mix, np.array(mixed_ops))
             alone = mix_kraus(channel, u)
-            assert (alone.convention, alone.completeness_tol) == (convention, 1e-12)
+            assert alone.convention == convention
             assert same_ops(alone, mixed_ops)
 
     def test_kraus_count_out_of_range_fails_as_alone(self):
@@ -1142,7 +1140,7 @@ def oracle_instance(d, k, derived):
     for side, n in enumerate(oracle_kraus_counts(d, k), start=1):
         channel = KrausChannel(d, tuple(oracle_random_channel(d, n, Convention.COLUMN_SUM,
                                                               derived[side])),
-                               Convention.COLUMN_SUM, 1e-12)
+                               Convention.COLUMN_SUM)
         u = oracle_haar_isometry(oracle_derive_seed(derived[4], 0, side), n, n)
         channels.append(channel)
         mixed.append(dataclasses.replace(channel, operators=tuple(oracle_mix_kraus(channel, u))))
