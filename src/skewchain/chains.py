@@ -114,10 +114,13 @@ def lattice_order(d: int) -> list:
 # ---------------------------------------------------------------------------
 # Column data
 #
-# Every kernel below runs over a leading instance axis of B same-shape
-# instances.  Each slice sees the same BLAS calls, elementwise operations and
-# reductions as a lone instance, and every exact sum (``math.fsum``) stays per
-# instance, so a stack returns each instance's bits unchanged.
+# Every kernel below runs over a leading instance axis of B instances, whose
+# Kraus families may be zero-padded to the stack's counts.  Each slice sees
+# the same BLAS calls, elementwise operations and reductions as a lone
+# instance, a zero operator adds exact zeros, and every exact sum
+# (``math.fsum``) stays per instance, so a stack returns each instance's bits
+# unchanged.  The one sum whose rounding padding would move, the Gram matrix
+# of ``_s_tables``, runs once per distinct count pair, over its own pairs.
 # ``stage_from_frames`` is the one builder, over arrays; ``chain_stage`` feeds
 # it the frames of its inputs.  The readers of a pass (``chain_at``,
 # ``verdict_columns``, ``invariance_columns``, ``optimize_batch``) read its
@@ -169,7 +172,7 @@ class ChainStage(collections.namedtuple("ChainStage", _STAGE_FIELDS)):
         return self.i_source()
 
 
-def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
+def chain_stage(sqrt_rhos, ops1, ops2, counts=None) -> ChainStage:
     """Every chain quantity of each instance of a stack, as stacked arrays.
 
     Instance b is the state whose square root is ``sqrt_rhos[b]`` with the
@@ -178,6 +181,14 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
     ``density_stack`` and ``channel_stack`` return them.  Each instance gets
     bit for bit what it gets in a stack of one.  The stack's arrays scale
     with its length, so callers with many instances pass them in blocks.
+
+    ``counts`` is the pair of (B,) integer arrays of each instance's own
+    Kraus counts, so instances with different counts share one pass: family
+    ``ops1[b]`` is its first ``counts[0][b]`` operators, zero-padded to n1,
+    and likewise ``ops2[b]``.  The counts are given, not read off the
+    operators, because a channel may hold a genuine zero operator, which
+    counts; the padding must be exactly zero.  ``None`` gives every instance
+    the stack's (n1, n2).
 
     It is one pass of ``stage_from_frames`` over the instances' own frames,
     so the column norms and skew informations are computed once per
@@ -190,11 +201,20 @@ def chain_stage(sqrt_rhos, ops1, ops2) -> ChainStage:
         raise DimensionMismatchError(
             f"need one or more instances as (B, d, d), (B, n1, d, d) and (B, n2, d, d) "
             f"stacks, got shapes {s.shape}, {e_ops.shape} and {f_ops.shape}")
-    (stage,) = stage_from_frames(frame_stack(s, e_ops), frame_stack(s, f_ops))
+    if counts is not None:
+        counts = tuple(np.asarray(n) for n in counts)
+        for ops, n in zip((e_ops, f_ops), counts):
+            if not (n.shape == (len(ops),) and n.dtype.kind in "iu"
+                    and np.all((1 <= n) & (n <= ops.shape[1]))
+                    and not np.any(ops[np.arange(ops.shape[1]) >= n[:, None]])):
+                raise DimensionMismatchError(
+                    f"need one Kraus count in 1..{ops.shape[1]} per instance, with zero "
+                    f"operators past it, got {n!r}")
+    (stage,) = stage_from_frames(frame_stack(s, e_ops), frame_stack(s, f_ops), counts=counts)
     return stage
 
 
-def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None):
+def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None, counts=None):
     """Yield the ``chain_stage`` of each pass of instances whose commutator
     frames (``frame_stack``) are rows of the (F1, n1, d, d) stack ``e_frames``
     and the (F2, n2, d, d) stack ``f_frames``.
@@ -202,15 +222,20 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None):
     ``passes`` is an iterable of ``(e_rows, f_rows)`` index arrays, one pair
     per pass: instance b of a pass has the frames ``e_frames[e_rows[b]]`` and
     ``f_frames[f_rows[b]]``.  ``None`` is one pass whose instance b has row b
-    of each stack, taken without a gather.  A family's column norms and
-    channel skew information depend on its frames alone, so they are computed
-    once per row of each stack, before the first pass, and indexed per
-    instance; the overlaps and everything built on them are computed per
-    instance, one pass at a time.  Every instance keeps the bits of a stack
-    of one.
+    of each stack, taken without a gather.  ``counts`` is the pair of integer
+    arrays of each row's own Kraus count, one (F1,) and one (F2,); a row's
+    frames past its count are those of zero operators, which add exact zeros
+    to every norm, overlap and sum.  ``None`` gives every row its stack's
+    count.  A family's column norms and channel skew information depend on
+    its frames alone, so they are computed once per row of each stack,
+    before the first pass, and indexed per instance; the overlaps and
+    everything built on them are computed per instance, one pass at a time.
+    Every instance keeps the bits of a stack of one.
     """
     e_norms, f_norms = column_norms_sq(e_frames), column_norms_sq(f_frames)
     e_skews, f_skews = channel_skews(e_norms), channel_skews(f_norms)
+    e_counts, f_counts = counts or [np.full(len(frames), frames.shape[1])
+                                    for frames in (e_frames, f_frames)]
     d = e_norms.shape[-1]
     for e_rows, f_rows in ((slice(None), slice(None)),) if passes is None else passes:
         e_pass, f_pass = e_norms[e_rows], f_norms[f_rows]
@@ -218,7 +243,8 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None):
         overlaps = np.einsum("...aij,...bij->...abj", e_frames[e_rows].conj(), f_frames[f_rows])
         products = e_skew * f_skew
         tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
-                          _s_tables(e_pass, f_pass, overlaps, products)))
+                          _s_tables(e_pass, f_pass, overlaps, products,
+                                    (e_counts[e_rows], f_counts[f_rows]))))
         lattices = {reading: _lattice_values(rows, reading, d)
                     for reading, rows in tables.items()}
         yield ChainStage(e_skew + f_skew, products, tables, lattices, _cross_terms(overlaps),
@@ -297,11 +323,13 @@ def _i_values(e_norms, f_norms, overlaps) -> np.ndarray:
 # S-lattice walks (shared by the chain, permute_s and the optimizer)
 
 
-def _s_tables(e_norms, f_norms, overlaps, products: np.ndarray) -> tuple:
+def _s_tables(e_norms, f_norms, overlaps, products: np.ndarray, counts) -> tuple:
     """The S-table rows of each instance of a stack, one row per reading, as
     two stacked arrays ``(product, printed)``: the S-lattice update terms
     pre-summed over all Kraus pairs.  ``products`` are the instances' start
-    values.
+    values, and ``counts`` the pair of (B,) arrays of their Kraus counts
+    (n1, n2), which the as-printed step reads; norms and overlaps past them
+    are zero padding.
 
     Column 0 is the start S_{1,0}, the product of the channel skew
     informations.  Labels (r, s) sit at column ``1 + r d + s``: the
@@ -310,20 +338,28 @@ def _s_tables(e_norms, f_norms, overlaps, products: np.ndarray) -> tuple:
     label r at column ``1 + d^2 + r``, so its rows have ``1 + d^2 + d``
     columns and ``printed``'s ``1 + d^2``.
     """
-    count = len(overlaps)
+    count, d = len(overlaps), overlaps.shape[-1]
+    n1, n2 = counts
     a_sum = e_norms.sum(axis=-2)  # (B, d)
     b_sum = f_norms.sum(axis=-2)
-    # gram[b, r, s] = sum_ij conj(c_s) c_r, so its diagonal is sum_ij |c_r|^2
-    flat = overlaps.reshape(count, -1, overlaps.shape[-1])
-    gram = np.swapaxes(flat, -1, -2) @ flat.conj()
+    # gram[b, r, s] = sum_ij conj(c_s) c_r, so its diagonal is sum_ij |c_r|^2.
+    # BLAS's rounding depends on how many pairs it sums, so each distinct
+    # (n1, n2) takes its instances' own n1 n2 pairs, without the padding.
+    gram = np.empty((count, d, d), np.complex128)
+    for m1, m2 in set(zip(n1.tolist(), n2.tolist())):
+        rows = (n1 == m1) & (n2 == m2)
+        rows = slice(None) if rows.all() else rows  # a group of every row needs no gather
+        flat = overlaps[rows, :m1, :m2]
+        flat = flat.reshape(len(flat), -1, d)
+        gram[rows] = np.swapaxes(flat, -1, -2) @ flat.conj()
     gram_re = gram.real
     gram_diag = np.diagonal(gram_re, axis1=-2, axis2=-1)
     ab = a_sum[:, :, None] * b_sum[:, None, :]
     pair_product = 0.25 * (ab + np.swapaxes(ab, -1, -2) - 2.0 * gram_re)
     diag_product = 0.25 * (np.diagonal(ab, axis1=-2, axis2=-1) - gram_diag)
     mod_sq = gram_diag[:, :, None] + gram_diag[:, None, :] + 2.0 * gram_re  # sum_ij |c_r + c_s|^2
-    n1, n2 = e_norms.shape[-2], f_norms.shape[-2]
-    step_printed = mod_sq - (n2 * a_sum[:, :, None] + n1 * b_sum[:, None, :])
+    step_printed = mod_sq - (n2[:, None, None] * a_sum[:, :, None]
+                             + n1[:, None, None] * b_sum[:, None, :])
     start = products[:, None]
     return (np.concatenate([start, pair_product.reshape(count, -1), diag_product], axis=1),
             np.concatenate([start, step_printed.reshape(count, -1)], axis=1))

@@ -185,9 +185,10 @@ def cmd_bounds(args) -> int:
 
 
 # Instances per stacked chain pass.  ``verify`` takes each dimension's
-# instances in chunks of ``_BLOCK // 2``, so that one pass holds at most a
-# chunk's instances and their invariance trials.  Above d = 16 a chunk is cut
-# to ``CHUNK_ENTRIES`` matrix entries per stack of states.
+# instances in chunks of ``_BLOCK // 2``, so that its one pass per chunk holds
+# at most the chunk's instances and their invariance trials, each family
+# zero-padded to the chunk's largest Kraus count on its side.  Above d = 16 a
+# chunk is cut to ``CHUNK_ENTRIES`` matrix entries per stack of states.
 _BLOCK = 128
 
 
@@ -202,11 +203,11 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     when the (2, 1) search samples; then the words of the trials' mixing
     unitaries.  The states are generated and validated as one
     stack, the channels and the trials' mixing unitaries as one stack per
-    Kraus count.  The states' square roots are stacked once, and so are each
-    Kraus count's channels and mixed families; each (n1, n2) group's
-    instances and their mixed trials are indexed from those stacks into one
-    ``chain_stage`` pass, which the verdict and the invariance deviations
-    read.
+    Kraus count.  The chunk is one ``chain_stage`` pass, which the verdict
+    and the invariance deviations read: row i holds instance i and row
+    ``count + i`` its mixed trial, each side's families zero-padded to the
+    chunk's largest count on that side, with each instance's true (n1, n2)
+    passed as its counts.
     """
     ks = list(ks)
     count = len(ks)
@@ -221,36 +222,25 @@ def _verify_chunk(d: int, ks, args) -> tuple:
                              for seed in derived[part::5]])
     trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
     _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
-    counts = [(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks]
-    by_count = {}  # Kraus count -> the (i, side) of each family with that count
-    for i, pair in enumerate(counts):
-        for side in (0, 1):
-            by_count.setdefault(pair[side], []).append((i, side))
-    # Kraus count -> its channels, then their mixed families, as one stack;
-    # (i, side) -> the rows of that family's channel and mixed family there
-    kraus, rows = {}, {}
-    for n, families in by_count.items():
-        chs = channels_from_words(d, n, words[[(3 + side) * count + i for i, side in families]])
-        us = unitaries_from_words(n, trial_words[[2 * i + side for i, side in families]])
-        kraus[n] = np.concatenate([chs, mix_kraus_families(chs, us)])
-        rows.update((family, (r, r + len(families))) for r, family in enumerate(families))
-    groups = {}
-    for i, pair in enumerate(counts):
-        groups.setdefault(pair, []).append(i)
-    stages, base, trial = [], [], []  # stacked rows of each instance, and of its trial
-    for pair, group in groups.items():
-        offset = 2 * len(base)
-        base += [offset + j for j in range(len(group))]
-        trial += [offset + len(group) + j for j in range(len(group))]
-        # the group's instances, then their trials
-        ops = [kraus[n][[rows[i, side][mixed] for mixed in (0, 1) for i in group]]
-               for side, n in enumerate(pair)]
-        stages.append(chain_stage(roots[group * 2], *ops))
-    order = np.argsort([i for group in groups.values() for i in group])
-    base, trial = np.array(base)[order], np.array(trial)[order]
-    deviations = invariance_columns(join_stages(stages, np.concatenate([base, trial])), count)
+    counts = np.array([(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks])
+    # each side's families as one stack zero-padded to the side's largest
+    # count: the instances, then their mixed trials
+    ops = [np.zeros((2, count, n, d, d), np.complex128) for n in counts.max(axis=0).tolist()]
+    flat = counts.ravel()  # family 2i + side is instance i's channel on that side
+    for n in dict.fromkeys(flat.tolist()):
+        family = np.flatnonzero(flat == n)
+        i, side = np.divmod(family, 2)
+        chs = channels_from_words(d, n, words[(3 + side) * count + i])
+        mixed = mix_kraus_families(chs, unitaries_from_words(n, trial_words[family]))
+        for s in set(side.tolist()):
+            ops[s][:, i[side == s], :n] = chs[side == s], mixed[side == s]
+    stacks = [o.reshape(2 * count, -1, d, d) for o in ops]
+    stage = chain_stage(np.concatenate([roots, roots]), *stacks,
+                        tuple(np.concatenate([counts, counts]).T))
+    deviations = invariance_columns(stage, count)
     search = functools.partial(generators_from_words, words[5 * count:])
-    return (verdict_columns(join_stages(stages, base), args.tol, args.budget, search),
+    return (verdict_columns(join_stages([stage], np.arange(count)), args.tol, args.budget,
+                            search),
             first_max(deviations))
 
 

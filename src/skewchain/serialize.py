@@ -90,18 +90,24 @@ def write_text_atomic(path, text: str) -> None:
     """Write via a temporary sibling and rename, so readers never see partials.
 
     The sibling has a unique name, so concurrent writers do not collide, and
-    it is removed if the write fails.
+    it is removed if the write fails.  An OSError that names a file names
+    ``path``, not the sibling, so the same failure gives the same message.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fd, 0o666 & ~_umask())  # mkstemp makes 0600; match a plain open
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, 0o666 & ~_umask())  # mkstemp makes 0600; match a plain open
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _umask() -> int:

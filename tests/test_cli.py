@@ -297,6 +297,16 @@ class TestBadInputExits2:
         if case in self.prefixed:
             assert f"{_bad_file(case, tmp_path)}: {self.prefixed[case]}" in err
 
+    def test_unwritable_out_names_the_given_path(self, tmp_path, example_files, capsys):
+        # the same failure prints the same line, naming --out, not a temporary file
+        argv = _argv("bounds_unwritable_out", tmp_path, example_files)
+        errs = []
+        for _ in range(2):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == ("error: cannot write output: [Errno 2] No such file or "
+                                      f"directory: '{tmp_path / 'missing' / 'report.txt'}'\n")
+
     @staticmethod
     def exit_2_sites(source):
         """``(function, site)`` for each ``return 2`` and each ``except``
@@ -471,9 +481,10 @@ class TestDerivesEachInstanceOnce:
         calls = self.counting(monkeypatch)
         assert main(["verify", "--dims", "2", "--instances", "2",
                      "--out", str(tmp_path / "v.txt")]) == 0
-        # one pass per (n1, n2) group, (1, 1) and (2, 1), each holding its base
-        # instance and that instance's invariance trial; both readings per pass
-        assert calls == {"_i_values": [2, 2], "_lattice_values": [2, 2, 2, 2]}
+        # one pass for the chunk, whose instances have the Kraus counts (1, 1)
+        # and (2, 1): both instances, then their invariance trials; both
+        # readings per pass
+        assert calls == {"_i_values": [4], "_lattice_values": [4, 4]}
 
     def test_bounds(self, tmp_path, example_files, monkeypatch):
         state, ch1, ch2 = example_files
@@ -566,6 +577,13 @@ class TestVerify:
         assert int(report["instances_total"]) == 10
         assert "check.anchor_endpoint_eq_cross_term[product].worst_deviation" in report
         assert "check.anchor_endpoint_eq_cross_term[as_printed].worst_deviation" in report
+
+    def test_small_suite_matches_the_benchmark_golden(self, tmp_path):
+        # the byte contract of the verdict, at the benchmark's verify-small configuration
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-small.txt"
+        out = tmp_path / "verdict.txt"
+        assert main(["verify", "--instances", "40", "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_sampled_search_verdict_is_pinned(self, tmp_path):
         # at d = 3 a budget of 3 is below the 9 pairs at (2, 1), so every

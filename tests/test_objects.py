@@ -421,6 +421,21 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert path.read_text() == "old\n"
 
+    @pytest.mark.parametrize("case", ["missing_dir", "target_is_dir"])
+    def test_failed_atomic_write_names_the_target(self, tmp_path, case):
+        # not the temporary sibling, whose random name would change the message
+        path = tmp_path / "missing" / "out.txt"
+        if case == "target_is_dir":
+            path.mkdir(parents=True)
+        with pytest.raises(OSError) as info:
+            write_text_atomic(path, "text\n")
+        assert (info.value.filename, info.value.filename2) == (str(path), None)
+        assert str(info.value).endswith(f": '{path}'")
+        assert type(info.value) is {"missing_dir": FileNotFoundError,
+                                    "target_is_dir": IsADirectoryError}[case]
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == {
+            "missing_dir": [], "target_is_dir": ["missing", "missing/out.txt"]}[case]
+
 
 def _oracle_matrix(obj) -> np.ndarray:
     """The decoder that the loaders used before: numpy walks the nested list."""

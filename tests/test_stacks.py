@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewchain import chains, cli, example
+from skewchain import chains, cli, example, skew
 from skewchain.chains import (
     HARD_CHECK_NAMES,
     BoundChain,
@@ -1194,6 +1194,119 @@ def oracle_cmd_verify(args):
     return 0 if hard_failures == 0 else 1
 
 
+def stage_fields(stage):
+    """Every array of a stage, I values included, by name."""
+    return {"sums": stage.sums, "products": stage.products, "cross_terms": stage.cross_terms,
+            "i_values": stage.i_values,
+            **{f"{field}[{reading.value}]": getattr(stage, field)[reading]
+               for field in ("tables", "lattices") for reading in Reading}}
+
+
+def assert_same_stage(got, want):
+    got, want = stage_fields(got), stage_fields(want)
+    assert list(got) == list(want)
+    for name in got:
+        assert same_bits(got[name], want[name]), name
+
+
+def oracle_group_stages(roots, ops1, ops2, counts):
+    """The chunk's stage as ``_verify_chunk`` built it before one pass held
+    the chunk: one unpadded ``chain_stage`` pass per (n1, n2) group, of the
+    group's instances and then their trials, joined back in the one-pass
+    layout (the instances, then their trials)."""
+    count = len(roots) // 2
+    groups = {}
+    for i, pair in enumerate(zip(*(np.asarray(n)[:count].tolist() for n in counts))):
+        groups.setdefault(pair, []).append(i)
+    stages, rows = [], []  # the one-pass row of each row of the joined passes
+    for (n1, n2), group in groups.items():
+        picked = group + [count + i for i in group]
+        stages.append(chain_stage(roots[picked], ops1[picked, :n1], ops2[picked, :n2]))
+        rows += picked
+    return join_stages(stages, np.argsort(rows))
+
+
+class TestPaddedChunkStage:
+    # a verify chunk is one pass whose families are zero-padded to the
+    # chunk's largest count on each side, with each instance's true counts
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_the_per_group_passes(self, d, seed):
+        # 40 instances span all 16 (n1, n2) pairs, two or three of each
+        passes = []
+        real = cli.chain_stage
+
+        def captured(*args):
+            stage = real(*args)
+            passes.append((args, stage))
+            return stage
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(cli, "chain_stage", captured)
+            cli._verify_chunk(d, range(40), argparse.Namespace(seed=seed, tol=1e-10,
+                                                                budget=14400))
+        ((args, stage),) = passes
+        assert len({pair for pair in zip(*(np.asarray(n).tolist() for n in args[3]))}) == 16
+        assert_same_stage(stage, oracle_group_stages(*args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
+           pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+                          max_size=12))
+    def test_each_instance_matches_its_unpadded_stack_of_one(self, d, seed, pairs):
+        # interleaved counts in any order, each instance bit for bit as alone
+        pairs = [(min(n1, d * d), min(n2, d * d)) for n1, n2 in pairs]
+        instances = [(random_density(d, (seed + b) % d + 1, seed + b),
+                      random_channel(d, n1, Convention.COLUMN_SUM, seed + 100 + b),
+                      random_channel(d, n2, Convention.ROW_SUM, seed + 200 + b))
+                     for b, (n1, n2) in enumerate(pairs)]
+        ops = [np.zeros((len(pairs), max(side), d, d), np.complex128) for side in zip(*pairs)]
+        for b, (_, ch1, ch2) in enumerate(instances):
+            ops[0][b, :ch1.n], ops[1][b, :ch2.n] = ch1.operators, ch2.operators
+        stage = chain_stage(np.array([rho.sqrt_rho for rho, _, _ in instances]), *ops,
+                            tuple(np.array(pairs).T))
+        for b, instance in enumerate(instances):
+            assert_same_stage(join_stages([stage], [b]), object_stage(*map(list, zip(instance))))
+
+    def test_a_genuine_zero_operator_counts(self):
+        # a channel holding an all-zero Kraus operator keeps it in its count:
+        # the as-printed step reads n2 a_sum + n1 b_sum with the declared n1
+        d = 3
+        rho = random_density(d, 2, 1)
+        ch1, ch2 = random_channel(d, 2, seed=2), random_channel(d, 2, seed=3)
+        with_zero = np.concatenate([np.array(ch1.operators), np.zeros((1, d, d))])
+        # padded to the other instance's 4 operators, past the genuine zero
+        other = random_channel(d, 4, seed=4)
+        ops1 = np.stack([np.concatenate([with_zero, np.zeros((1, d, d))]), other.operators])
+        ops2 = np.stack([np.array(ch2.operators)] * 2)
+        stage = chain_stage(np.stack([rho.sqrt_rho] * 2), ops1, ops2, ([3, 4], [2, 2]))
+        alone_with_zero = chain_stage(rho.sqrt_rho[None], with_zero[None], ops2[:1])
+        assert_same_stage(join_stages([stage], [0]), alone_with_zero)
+        dropped = chain_stage(rho.sqrt_rho[None], with_zero[None, :2], ops2[:1])
+        printed = stage.tables[Reading.AS_PRINTED][0]
+        assert not same_bits(printed, dropped.tables[Reading.AS_PRINTED][0])
+        # the zero operator's frame adds nothing, so only the n1 b_sum term moves
+        frames = [skew.frame_stack(rho.sqrt_rho[None], ops[None])[0] for ops in (with_zero,
+                                                                                 ops2[0])]
+        b_sum = skew.column_norms_sq(frames[1]).sum(axis=0)
+        gap = printed[1:] - dropped.tables[Reading.AS_PRINTED][0, 1:]
+        np.testing.assert_allclose(gap.reshape(d, d), -np.broadcast_to(b_sum, (d, d)),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("counts, why", [
+        (([0, 1], [1, 1]), "a count below 1"),
+        (([3, 1], [1, 1]), "a count above the stack's"),
+        (([1, 1], [1]), "one count too few"),
+        (([1.0, 1.0], [1, 1]), "a float count"),
+        (([1, 1], [1, 1]), "a nonzero operator past a count")])
+    def test_bad_counts_raise(self, counts, why):
+        rho = random_density(2, 2, 0)
+        ops1 = np.stack([np.array(random_channel(2, 2, seed=s).operators) for s in (1, 2)])
+        ops2 = np.stack([np.array(random_channel(2, 1, seed=s).operators) for s in (3, 4)])
+        with pytest.raises(DimensionMismatchError, match="Kraus count"):
+            chain_stage(np.stack([rho.sqrt_rho] * 2), ops1, ops2, counts)
+
+
 class TestStackedVerify:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each instance's seed
@@ -1223,9 +1336,9 @@ class TestStackedVerify:
         real_stage, real_derive = cli.chain_stage, cli.derive_seeds
         real_densities = cli.densities_from_words
 
-        def captured(roots, ops1, ops2):
-            stages.append((roots, ops1, ops2))
-            return real_stage(roots, ops1, ops2)
+        def captured(roots, ops1, ops2, counts):
+            stages.append((roots, ops1, ops2, counts))
+            return real_stage(roots, ops1, ops2, counts)
 
         def densities(*args):
             made = real_densities(*args)
@@ -1237,21 +1350,26 @@ class TestStackedVerify:
             patched.setattr(cli, "densities_from_words", densities)
             patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
             cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10, budget=14400))
-        groups = {}  # one stage per (n1, n2) group, in the order the ks meet them
-        for k in ks:
-            groups.setdefault(oracle_kraus_counts(d, k), []).append(k)
-        assert len(stages) == len(groups) and len(states) == len(ks)
-        for (roots, ops1, ops2), group in zip(stages, groups.values()):
-            assert len(roots) == len(ops1) == len(ops2) == 2 * len(group)  # then their trials
-            for j, k in enumerate(group):
-                derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
-                state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
-                assert same_bits(states[ks.index(k)], state.rho)
-                for root in (roots[j], roots[len(group) + j]):
-                    assert same_bits(root, state.sqrt_rho)
-                for got, want in ((ops1[j], ch1), (ops2[j], ch2), (ops1[len(group) + j], mixed1),
-                                  (ops2[len(group) + j], mixed2)):
-                    assert same_bits(got, np.array(want.operators))
+        # one stage for the chunk: its instances, then their trials, each
+        # family zero-padded to the chunk's largest count on its side
+        assert len(stages) == 1 and len(states) == len(ks)
+        ((roots, ops1, ops2, counts),) = stages
+        assert len(roots) == len(ops1) == len(ops2) == 2 * len(ks)
+        pairs = [oracle_kraus_counts(d, k) for k in ks]
+        assert ops1.shape[1] == max(n1 for n1, _ in pairs)
+        assert ops2.shape[1] == max(n2 for _, n2 in pairs)
+        assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs * 2)]
+        for j, k in enumerate(ks):
+            derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
+            state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
+            assert same_bits(states[j], state.rho)
+            for root in (roots[j], roots[len(ks) + j]):
+                assert same_bits(root, state.sqrt_rho)
+            for got, want in ((ops1[j], ch1), (ops2[j], ch2), (ops1[len(ks) + j], mixed1),
+                              (ops2[len(ks) + j], mixed2)):
+                n = want.n
+                assert same_bits(got[:n], np.array(want.operators))
+                assert same_bits(got[n:], np.zeros_like(got[n:]))  # +0.0 only
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [
@@ -1276,12 +1394,12 @@ class TestStackedVerify:
         sizes = []
         real = chains.chain_stage
 
-        def counted(roots, ops1, ops2):
+        def counted(roots, ops1, ops2, counts):
             sizes.append(len(roots))
-            return real(roots, ops1, ops2)
+            return real(roots, ops1, ops2, counts)
 
         monkeypatch.setattr(cli, "chain_stage", counted)
-        # at d = 1 every instance is in the (1, 1) group, so chunks of two fill each pass
+        # one pass per chunk of two instances
         assert cli.main(["verify", "--dims", "1", "--instances", "9",
                          "--out", str(tmp_path / "v.txt")]) == 0
         assert sizes == [4, 4, 4, 4, 2]  # each instance and its trial, once
