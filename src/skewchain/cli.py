@@ -7,7 +7,7 @@ bounds      chain values, permutation optimum and mixed bounds for supplied
 verify      randomized property suite over seeded instances; writes a
             deterministic verdict file (byte-identical for identical config).
 example     regenerates the worked example's figure data CSVs plus the
-            closed-form discrepancy report.
+            closed-form discrepancy report; its perm_opt is S21, unsearched.
 invariance  re-runs all bounds under random Kraus mixings of both channels
             and reports the worst deviation.
 
@@ -96,10 +96,6 @@ def _write_report(path, pairs) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _strategy(args):
-    return None if args.perm == "auto" else Strategy(args.perm)
-
-
 def _load_instance(args, tol: float) -> tuple:
     """The state and the two channels of ``--state``, ``--channel1`` and
     ``--channel2``, loaded at ``tol``; an unreadable, malformed or mismatched
@@ -133,8 +129,8 @@ def cmd_bounds(args) -> int:
         d = chain.dim
         best = None
         if d >= 2:
-            best = optimize_batch(stage, 2, 1, _strategy(args), args.budget, args.seed,
-                                  reading)[0]
+            strategy = None if args.perm == "auto" else Strategy(args.perm)
+            best = optimize_batch(stage, 2, 1, strategy, args.budget, args.seed, reading)[0]
         verdict = verdict_columns(stage, args.tol, args.budget,
                                   functools.partial(generators, [args.seed]))
     except BudgetError:  # bad configuration, which main reports
@@ -188,8 +184,10 @@ def cmd_bounds(args) -> int:
 # instances in chunks of ``_BLOCK // 2``, so that its one pass per chunk holds
 # at most the chunk's instances and their invariance trials, each family
 # zero-padded to the chunk's largest Kraus count on its side.  Above d = 16 a
-# chunk is cut to ``CHUNK_ENTRIES`` matrix entries per stack of states.
+# chunk is cut to ``CHUNK_ENTRIES`` matrix entries per stack of states, and
+# one instance's d x d state must fit in one chunk, so d is at most 128.
 _BLOCK = 128
+_MAX_DIM = math.isqrt(CHUNK_ENTRIES)
 
 
 def _verify_chunk(d: int, ks, args) -> tuple:
@@ -249,8 +247,8 @@ def cmd_verify(args) -> int:
         dims = [int(v) for v in args.dims.split(",") if v.strip()]
     except ValueError:
         dims = []
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"bad dims list {args.dims!r}")
+    if not dims or any(not 1 <= d <= _MAX_DIM for d in dims):  # before any allocation
+        raise ConfigError(f"bad dims list {args.dims!r}: need integers in 1..{_MAX_DIM}")
     if args.instances < 1:
         raise ConfigError("instances must be >= 1")
     if args.perm != "auto" or args.s_reading is not None:
@@ -265,7 +263,7 @@ def cmd_verify(args) -> int:
     invariance_worst = 0.0
     total = 0
     for d in dims:
-        chunk = max(1, min(_BLOCK // 2, CHUNK_ENTRIES // (d * d)))
+        chunk = min(_BLOCK // 2, CHUNK_ENTRIES // (d * d))
         for start in range(0, args.instances, chunk):
             ks = range(start, min(start + chunk, args.instances))
             columns, deviations = _verify_chunk(d, ks, args)
@@ -313,14 +311,11 @@ def _subsample(grid, limit: int = 9) -> np.ndarray:
 def cmd_example(args) -> int:
     theta_grid, p_grid, q_grid, t_grid = map(parse_grid, (args.theta, args.p, args.q, args.t))
     reading = Reading(args.s_reading)
-    strategy = _strategy(args)
 
     # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
-    surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading,
-                    strategy=strategy, budget=args.budget, seed=args.seed)
+    surface = sweep([1.0], p_grid, q_grid, t_grid, reading=reading)
     # Curve over theta at p = q = 1/2.
-    curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading,
-                  strategy=strategy, budget=args.budget, seed=args.seed)
+    curve = sweep(theta_grid, [0.5], [0.5], t_grid, reading=reading)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(surface, out_dir / "figure1.csv", out_dir / "figure2.csv",
@@ -372,13 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--out", required=True, help="output path")
         sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=0)
         sp.set_defaults(parser=sp)  # reports an unrecognized flag with its own usage
 
-    def add_search(sp):
+    def add_reading(sp):
         add_common(sp)
         sp.add_argument("--s-reading", choices=[r.value for r in Reading],
                         default=Reading.PRODUCT.value)
+
+    def add_search(sp):
+        add_reading(sp)
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--perm", choices=["auto", "exhaustive", "sampled"], default="auto")
         sp.add_argument("--budget", type=int, default=14400)
 
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify, s_reading=None)  # verify reports both readings
 
     sp = sub.add_parser("example", help="regenerate worked-example figure data")
-    add_search(sp)
+    add_reading(sp)
     sp.add_argument("--theta", default="0:1:101")
     sp.add_argument("--p", default="0:1:51")
     sp.add_argument("--q", default="0:1:51")
@@ -406,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariance", help="Kraus-mixing invariance check")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--state", required=True)
     sp.add_argument("--channel1", required=True)
     sp.add_argument("--channel2", required=True)
@@ -429,9 +428,9 @@ def main(argv=None) -> int:
                 raise ConfigError("tol must be >= 0")
         elif args.tol <= 0:
             raise ConfigError("tol must be > 0")
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError("seed must be >= 0")
-        if args.command != "invariance" and args.budget < 0:
+        if getattr(args, "budget", 0) < 0:
             raise ConfigError("budget must be >= 0")
         return args.func(args)
     except (ConfigError, BudgetError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Reading, Strategy, optimize_batch, stage_from_frames, sum_transfer
+from .chains import Reading, stage_from_frames, sum_transfer
 from .objects import (
     Convention,
     DensityMatrix,
@@ -264,18 +264,18 @@ def _chain_blocks(points: np.ndarray):
                                                    for span in spans]))
 
 
-def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.PRODUCT,
-          perm_target: tuple = (2, 1), strategy: Strategy | None = None,
-          budget: int = 14400, seed: int = 0) -> SweepTable:
+def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,),
+          reading: Reading = Reading.PRODUCT) -> SweepTable:
     """One table row per grid point, ordered lexicographically in (theta, p, q, t).
 
-    The permutation-optimized column maximizes the S value at ``perm_target``
-    over permutation pairs (``strategy`` and ``budget`` as in
-    ``optimize_permutations``); the mixed columns convex-combine it with the
-    trivial bounds at each t, as ``mixed_bound`` does.  Each state and Kraus
-    family is validated once, as arrays; the chains come from stacked passes
-    that run across theta and are shared across the t axis, and the optimizer
-    searches each pass at once.
+    The permutation-optimized column is S21: on this family every (sigma, tau)
+    pair gives (2, 1) the identity walk's value under either reading, as
+    ``tests/test_example_symbolic.py`` proves, so no search runs
+    (``optimize_permutations`` searches any other instance).  The mixed
+    columns convex-combine it with the trivial bounds at each t, as
+    ``mixed_bound`` does.  Each state and Kraus family is validated once, as
+    arrays; the chains come from stacked passes that run across theta and
+    are shared across the t axis.
     """
     thetas = sorted(_check_unit("theta", v) for v in theta_grid)
     ps = sorted(_check_unit("p", v) for v in p_grid)
@@ -288,11 +288,9 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,), reading: Reading = Reading.
     reading = Reading(reading)
     columns = []
     for span, stage in _chain_blocks(points):
-        bests = optimize_batch(stage, perm_target[0], perm_target[1], strategy, budget, seed,
-                               reading)
         chain = np.column_stack([  # "product" through "perm_opt", one row per point
-            stage.products, stage.sums, stage.i_values,
-            stage.lattices[reading][:, :3], stage.cross_terms, [best.value for best in bests]])
+            stage.products, stage.sums, stage.i_values, stage.lattices[reading][:, :3],
+            stage.cross_terms, stage.lattices[reading][:, 0]])
         chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
         t = np.tile(ts, len(stage.products))
         product, total, opt = chain[:, 0], chain[:, 1], chain[:, -1]

@@ -127,13 +127,11 @@ class TestBounds:
 
 class TestSearchBudget:
     # --perm exhaustive at d = 4 needs 16 prefix pairs for the (2, 1) optimum
-    @pytest.mark.parametrize("command", ["bounds", "example"])
+    @pytest.mark.parametrize("command", ["bounds"])
     def test_exhaustive_over_budget_exits_2(self, tmp_path, example_files, capsys, command):
         state, ch1, ch2 = example_files
-        argv = {"bounds": ["bounds", "--state", str(state), "--channel1", str(ch1),
-                           "--channel2", str(ch2), "--out", str(tmp_path / "report.txt")],
-                "example": ["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5",
-                            "--out", str(tmp_path / "figs")]}[command]
+        argv = ["bounds", "--state", str(state), "--channel1", str(ch1),
+                "--channel2", str(ch2), "--out", str(tmp_path / "report.txt")]
         code = main(argv + ["--perm", "exhaustive", "--budget", "10"])
         assert code == 2
         err = capsys.readouterr().err
@@ -205,8 +203,6 @@ def _argv(case, tmp_path, files):
         "verify_negative_budget": ["verify", "--dims", "2", "--instances", "1",
                                    "--budget", "-1", "--out", str(tmp_path / "v.txt")],
         "bounds_negative_budget": ["bounds", *inputs, "--budget", "-1", "--out", out],
-        "example_negative_budget": ["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5",
-                                    "--budget", "-1", "--out", str(tmp_path / "out" / "figs")],
         "invariance_dim_mismatch": ["invariance", "--state", str(state), "--channel1", str(small),
                                     "--channel2", str(ch2), "--trials", "1",
                                     "--out", str(tmp_path / "inv.txt")],
@@ -273,7 +269,7 @@ class TestBadInputExits2:
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
                                       "verify_negative_budget", "bounds_negative_budget",
-                                      "example_negative_budget", "invariance_dim_mismatch",
+                                      "invariance_dim_mismatch",
                                       "bounds_out_is_csv", "bounds_state_nan",
                                       "invariance_truncated_channel", "bounds_channel_not_utf8",
                                       "invariance_empty_state", "bounds_state_without_matrix",
@@ -654,12 +650,33 @@ class TestVerify:
                      "--out", str(tmp_path / "v.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("dims", ["18446744073709551616", str(2 ** 63 - 1), "129", "2,129"])
+    def test_oversized_dims_are_refused_before_any_allocation(self, tmp_path, capsys,
+                                                               monkeypatch, dims):
+        # one instance's d x d state must fit in one chunk of CHUNK_ENTRIES
+        # entries, so d is at most 128; no state of any listed d is generated
+        class Allocated(Exception):
+            pass
+
+        def refuse(d, *args):
+            raise Allocated(d)
+
+        monkeypatch.setattr(cli, "densities_from_words", refuse)
+        out = tmp_path / "v.txt"
+        assert main(["verify", "--dims", dims, "--instances", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad dims list {dims!r}: need integers in 1..128\n"
+        assert not out.exists()
+        with pytest.raises(Allocated) as info:  # the largest accepted dimension gets through
+            main(["verify", "--dims", "128", "--instances", "1", "--out", str(out)])
+        assert info.value.args == (128,)
+
 
 class TestExampleCommand:
     def test_small_grids_write_all_artifacts(self, tmp_path):
         out = tmp_path / "figs"
         code = main(["example", "--out", str(out), "--theta", "0:1:5",
-                     "--p", "0:1:4", "--q", "0:1:4", "--seed", "1"])
+                     "--p", "0:1:4", "--q", "0:1:4"])
         assert code == 0
         for name in ("figure1.csv", "figure2.csv", "figure3.csv", "figure4.csv",
                      "discrepancy_report.csv"):
@@ -728,7 +745,7 @@ class TestExampleCommand:
     @pytest.mark.parametrize("case", ["as-printed", "as-printed-t3", "sampled"])
     def test_failing_grids_keep_count_and_bytes(self, tmp_path, capsys, case):
         # exit code, failure count and CSV bytes where hard invariants fail, on
-        # the t axis and on the sampled search
+        # the t axis and on an 11 x 7 x 5 grid
         run = json.loads(Path(__file__).with_name("example_failing_runs.json").read_text())[case]
         out = tmp_path / "figs"
         assert main(["example", *run["argv"], "--out", str(out)]) == run["exit"]
@@ -736,6 +753,22 @@ class TestExampleCommand:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in run["sha256"]} == run["sha256"]
         assert sorted(path.name for path in out.iterdir()) == sorted(run["sha256"])
+
+    @pytest.mark.parametrize("flag", [["--perm", "sampled"], ["--budget", "3"], ["--seed", "1"],
+                                      ["--budget", "-1"]],
+                             ids=["perm", "budget", "seed", "negative_budget"])
+    def test_search_flags_are_refused(self, tmp_path, capsys, flag):
+        # perm_opt is S21 on this family for every label pair, so no search
+        # runs and none of the flags that steer one is taken
+        out = tmp_path / "figs"
+        with pytest.raises(SystemExit) as info:
+            main(["example", "--theta", "0.5", "--p", "0.5", "--q", "0.5", "--out", str(out),
+                  *flag])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "usage: skewchain example" in err  # the subcommand's own usage
+        assert not out.exists()
 
 
 # (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed instance's

@@ -9,7 +9,6 @@ import pytest
 from skewchain import chains, cli, example
 from skewchain.chains import (
     BoundChain,
-    PermutedBound,
     Reading,
     chain_stage,
     compute_chain,
@@ -235,8 +234,8 @@ class TestSweepCsv:
         assert product == pytest.approx(0.02144660940672623, abs=1e-11)
 
     def test_deterministic_bytes(self, tmp_path):
-        table1 = sweep([1.0], [0.0, 1.0], [0.5], seed=3)
-        table2 = sweep([1.0], [0.0, 1.0], [0.5], seed=3)
+        table1 = sweep([1.0], [0.0, 1.0], [0.5])
+        table2 = sweep([1.0], [0.0, 1.0], [0.5])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(table1, p1)
         write_sweep_csv(table2, p2)
@@ -415,15 +414,20 @@ class TestStackedPassesMatchPointOracle:
 
     def test_mixed_columns_match_mixed_bound_on_any_optimum(self, monkeypatch):
         # optima no valid instance reaches: NaN, negative, -0.0, subnormal and
-        # infinite; the sweep, mixed_bound and sum_chain all transfer them as
-        # the scalar formula does
+        # infinite, put in the stages' S21 column, which perm_opt reads; the
+        # sweep, mixed_bound and sum_chain all transfer them as the scalar
+        # formula does
         optima = [math.nan, -1e-3, -0.0, 0.0, 5e-324, 0.25, math.inf, -math.inf]
+        real = example._chain_blocks
 
-        def search(stage, *args):
-            return [PermutedBound(sigma=(), tau=(), p=2, q=1, value=v)
-                    for v in optima[:len(stage.products)]]
+        def blocks(points):
+            for span, stage in real(points):
+                lattices = {reading: lattice.copy() for reading, lattice in stage.lattices.items()}
+                for lattice in lattices.values():
+                    lattice[:, 0] = optima[:len(lattice)]
+                yield span, stage._replace(lattices=lattices)
 
-        monkeypatch.setattr(example, "optimize_batch", search)
+        monkeypatch.setattr(example, "_chain_blocks", blocks)
         table = sweep([1.0], [0.2, 0.5, 0.7, 0.9], [0.1, 0.5], t_grid=[0.0, 0.3, 0.5, 1.0])
         rows = [dict(zip(FIELDS, row)) for row in table.columns.tolist()]
         expected = [oracle_mixed_bound(r["product"], r["sum"], r["perm_opt"], r["t"])
