@@ -13,7 +13,6 @@ from .chains import (
     InvarianceReport,
     PermutedBound,
     Reading,
-    Strategy,
     SumBounds,
     VerdictColumns,
     chain_at,
@@ -32,7 +31,6 @@ from .chains import (
     verify_chain,
 )
 from .errors import (
-    BudgetError,
     CompletenessError,
     ConvergenceError,
     DimensionMismatchError,

@@ -46,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .linalg import first_max, first_min
 from .objects import (
     DensityMatrix,
@@ -69,7 +69,6 @@ __all__ = [
     "InvarianceReport",
     "PermutedBound",
     "Reading",
-    "Strategy",
     "SumBounds",
     "VerdictColumns",
     "chain_at",
@@ -83,12 +82,11 @@ __all__ = [
     "optimize_batch",
     "optimize_permutations",
     "permute_s",
-    "search_strategy",
+    "search_samples",
     "stage_from_frames",
     "sum_chain",
     "sum_transfer",
     "trial_entropies",
-    "trial_seeds",
     "verdict_columns",
     "verify_chain",
 ]
@@ -99,11 +97,6 @@ class Reading(str, Enum):
 
     AS_PRINTED = "as-printed"
     PRODUCT = "product"
-
-
-class Strategy(str, Enum):
-    EXHAUSTIVE = "exhaustive"
-    SAMPLED = "sampled"
 
 
 def lattice_order(d: int) -> list:
@@ -541,37 +534,33 @@ class PermutedBound:
 
 
 def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                          p: int, q: int, strategy: Strategy | None = None,
-                          budget: int = 14400, seed: int = 0,
+                          p: int, q: int, budget: int = 14400, seed: int = 0,
                           reading: Reading = Reading.PRODUCT) -> PermutedBound:
     """Maximize the permuted S value at (p, q) over permutation pairs.
 
     The value at (p, q) reads only the label prefixes ``sigma[1..p-1]`` and
-    ``tau[0..p-2]``, so exhaustive search enumerates those injective prefixes:
-    ``(d!/(d-p+1)!)^2`` prefix pairs, d^2 at the (2, 1) target.  It returns
-    exactly what a walk over all ``(d!)^2`` pairs in lexicographic order would,
-    keeping the first maximum: the completions are sigma = (smallest unused
-    label, prefix, the rest ascending) and tau = (prefix, the rest ascending).
-    It requires the prefix-pair count to be at most ``budget``.
+    ``tau[0..p-2]``: ``(d!/(d-p+1)!)^2`` prefix pairs, d^2 at the (2, 1)
+    target.  When they number at most ``budget`` (at (2, 1) with the default
+    budget, every d <= 120) the search is exact: it enumerates them and
+    returns exactly what a walk over all ``(d!)^2`` pairs in lexicographic
+    order would, keeping the first maximum.  The completions are sigma =
+    (smallest unused label, prefix, the rest ascending) and tau = (prefix, the
+    rest ascending).
 
-    Sampled search draws ``budget`` seeded pairs and then hill-climbs over
-    adjacent transpositions; it is deterministic given the seed, and a lower
-    estimate of the optimum.  ``strategy=None`` (auto) searches exhaustively
-    when the prefix pairs fit the budget (at (2, 1) with the default budget,
-    every d <= 120) and samples otherwise.
+    Otherwise it samples: it draws ``budget`` seeded pairs and then
+    hill-climbs over adjacent transpositions.  That is deterministic given the
+    seed, and a lower estimate of the optimum.
     """
-    return optimize_batch(_instance_stage(rho, ch1, ch2), p, q, strategy, budget, seed,
-                          reading)[0]
+    return optimize_batch(_instance_stage(rho, ch1, ch2), p, q, budget, seed, reading)[0]
 
 
-def optimize_batch(stage: ChainStage, p: int, q: int, strategy: Strategy | None = None,
-                   budget: int = 14400, seed: int = 0,
+def optimize_batch(stage: ChainStage, p: int, q: int, budget: int = 14400, seed: int = 0,
                    reading: Reading = Reading.PRODUCT) -> list:
     """``optimize_permutations`` of each instance of a stage, in one search;
     each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
     rows = stage.tables[reading]
-    values, pairs = _optimize(rows, _stage_dim(stage), p, q, strategy, budget,
+    values, pairs = _optimize(rows, _stage_dim(stage), p, q, budget,
                               functools.partial(generators, [seed] * len(rows)), reading)
     return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
             for v, (sig, tu) in zip(values.tolist(), pairs)]
@@ -583,23 +572,13 @@ def _stage_dim(stage: ChainStage) -> int:
     return math.isqrt(stage.tables[Reading.AS_PRINTED].shape[1] - 1)
 
 
-def search_strategy(d: int, p: int, q: int, strategy: Strategy | None,
-                    budget: int) -> Strategy:
-    """The strategy of a search at (p, q) in dimension d: ``strategy``, or for
-    None (auto) exhaustive when the ``(d!/(d-p+1)!)^2`` prefix pairs fit
-    ``budget`` and sampled otherwise.  An exhaustive search that needs more
-    pairs than ``budget`` is a ``BudgetError``."""
-    n_pairs = math.perm(d, p - 1) ** 2
-    if strategy is None:
-        return Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
-    strategy = Strategy(strategy)
-    if strategy == Strategy.EXHAUSTIVE and n_pairs > budget:
-        raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
-                          f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
-    return strategy
+def search_samples(d: int, p: int, budget: int) -> bool:
+    """Whether a search at row p in dimension d samples: its
+    ``(d!/(d-p+1)!)^2`` prefix pairs exceed ``budget``."""
+    return math.perm(d, p - 1) ** 2 > budget
 
 
-def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
+def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int,
               search_generators, reading: Reading, with_pairs: bool = True) -> tuple:
     """The optimum of each instance of a stack, as ``(values, pairs)``: a
     float64 array and, when ``with_pairs``, each instance's winning ``(sigma,
@@ -608,7 +587,7 @@ def _optimize(rows: np.ndarray, d: int, p: int, q: int, strategy, budget: int,
     samples instance b with the b-th generator it returns."""
     _check_position(p, q, d)
     reading = Reading(reading)
-    if search_strategy(d, p, q, strategy, budget) == Strategy.EXHAUSTIVE:
+    if not search_samples(d, p, budget):
         values, cells = _exhaustive(rows, d, p, q, reading)
         return values, _winning_pairs(cells, d, p) if with_pairs else None
     found = [_sampled(row, d, p, q, budget, gen, reading)
@@ -811,8 +790,8 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
     optimum is one search over the instances; a sampled search calls
     ``search_generators()`` once and samples instance b with the b-th
     generator it returns, so a caller may hash the search seeds along with
-    its other seeds, or skip them when ``search_strategy`` says the search
-    is exhaustive.  Both S-lattice readings are always
+    its other seeds, or skip them when ``search_samples`` says the search
+    is exact.  Both S-lattice readings are always
     evaluated; the anchor-identity rows record, per reading, how far the
     lattice is from the I-chain it claims to refine.
     """
@@ -858,7 +837,7 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
     check("sum_ge_2sqrt_im", "ge", first_min(total[:, None] - roots), zero)
 
     if d >= 2:
-        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, None, perm_budget,
+        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, perm_budget,
                             search_generators, Reading.PRODUCT, False)
         check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
         for t in (0.0, 0.5, 1.0):
@@ -908,7 +887,7 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = seeding_words([(s,) for pair in trial_seeds([seed], trials)[0] for s in pair])
+    words = seeding_words([(s,) for s in derive_seeds(trial_entropies([seed], trials))])
     unitaries = [unitaries_from_words(ch.n, words[side::2]) for side, ch in enumerate((ch1, ch2))]
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
 
@@ -978,18 +957,9 @@ def _run_passes(run, count: int) -> list:
 
 def trial_entropies(seeds, trials: int) -> list:
     """The entropies ``(seed, trial, side)`` that ``derive_seed`` turns into
-    the mixing-unitary seeds of ``trial_seeds``, in its order: seed by seed,
-    trial by trial, u (side 1) before v (side 2)."""
+    the mixing-unitary seeds of ``kraus_invariance_check`` at each seed: seed
+    by seed, trial by trial, u (side 1) before v (side 2)."""
     return [(seed, trial, side) for seed in seeds for trial in range(trials) for side in (1, 2)]
-
-
-def trial_seeds(seeds, trials: int) -> list:
-    """For each of ``seeds``, the mixing-unitary seeds ``(u, v)`` of each trial
-    of ``kraus_invariance_check`` at that seed, all from one hash pass."""
-    seeds = list(seeds)
-    derived = iter(derive_seeds(trial_entropies(seeds, trials)))
-    pairs = list(zip(derived, derived))
-    return [pairs[b * trials:(b + 1) * trials] for b in range(len(seeds))]
 
 
 # The bound quantities that Kraus mixing must leave unchanged, in report order.

@@ -13,9 +13,9 @@ invariance  re-runs all bounds under random Kraus mixings of both channels
 
 Exit codes: 0 success; 1 verdict failure (verify/example/invariance only);
 2 configuration or input validation failure; 3 internal numerical failure
-(bounds only).  The subcommands raise ``ConfigError``, ``BudgetError`` or
-``OSError`` for bad input; ``main`` is the one place that reports them as one
-``error:`` line and exit 2.
+(bounds only).  The subcommands raise ``ConfigError`` or ``OSError`` for bad
+input; ``main`` is the one place that reports them as one ``error:`` line and
+exit 2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .chains import (
     CHUNK_ENTRIES,
     HARD_CHECK_NAMES,
     Reading,
-    Strategy,
     chain_at,
     chain_stage,
     invariance_columns,
@@ -41,11 +40,11 @@ from .chains import (
     lattice_order,
     mixed_bound,
     optimize_batch,
-    search_strategy,
+    search_samples,
     trial_entropies,
     verdict_columns,
 )
-from .errors import BudgetError, SkewchainError
+from .errors import SkewchainError
 from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
 from .linalg import DEFAULT_TOL, first_max
 from .objects import (
@@ -65,8 +64,17 @@ class ConfigError(Exception):
     """Bad configuration or input; ``main`` reports it and exits 2."""
 
 
-def parse_grid(spec: str) -> list:
-    """Parse ``start:stop:count`` (or a bare value) into a [0, 1] grid."""
+# The most rows a table may have: the |t| rows of ``bounds``, and the
+# |p| |q| |t| rows of the surface and the |theta| |t| rows of the curve of
+# ``example``.  Each table is held whole, with its CSV text: at the limit a
+# 512 x 512 surface peaks at about 0.4 GB, and a curve of 2^18 thetas, each of
+# which builds its own state, at about 0.8 GB.
+_MAX_ROWS = 2 ** 18
+
+
+def _grid_spec(spec: str) -> tuple:
+    """``(start, stop, count)`` of ``start:stop:count`` (or a bare value),
+    checked before any grid is built."""
     try:
         if ":" in spec:
             start_s, stop_s, count_s = spec.split(":")
@@ -78,11 +86,22 @@ def parse_grid(spec: str) -> list:
         raise ConfigError(f"bad grid spec {spec!r}: expected start:stop:count") from exc
     if count < 1:
         raise ConfigError(f"grid {spec!r}: count must be >= 1")
+    if count > _MAX_ROWS:
+        raise ConfigError(f"grid {spec!r}: count must be <= {_MAX_ROWS}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ConfigError(f"grid {spec!r}: bounds must lie within [0, 1]")
+    return start, stop, count
+
+
+def _grid(start: float, stop: float, count: int) -> list:
     if count == 1:
         return [start]
     return [float(v) for v in np.linspace(start, stop, count)]
+
+
+def parse_grid(spec: str) -> list:
+    """Parse ``start:stop:count`` (or a bare value) into a [0, 1] grid."""
+    return _grid(*_grid_spec(spec))
 
 
 def _fmt(x) -> str:
@@ -129,12 +148,9 @@ def cmd_bounds(args) -> int:
         d = chain.dim
         best = None
         if d >= 2:
-            strategy = None if args.perm == "auto" else Strategy(args.perm)
-            best = optimize_batch(stage, 2, 1, strategy, args.budget, args.seed, reading)[0]
+            best = optimize_batch(stage, 2, 1, args.budget, args.seed, reading)[0]
         verdict = verdict_columns(stage, args.tol, args.budget,
                                   functools.partial(generators, [args.seed]))
-    except BudgetError:  # bad configuration, which main reports
-        raise
     except SkewchainError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -211,7 +227,7 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     count = len(ks)
     derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in range(5)])
     # the verdict searches at (2, 1) from d = 2 on
-    sampled = d >= 2 and search_strategy(d, 2, 1, None, args.budget) == Strategy.SAMPLED
+    sampled = d >= 2 and search_samples(d, 2, args.budget)
     # rows 2i and 2i + 1 derive instance i's trial seeds u and v; then come
     # the words of the states, of the channels 1, of the channels 2 and, when
     # the search samples, of the search seeds
@@ -251,9 +267,6 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad dims list {args.dims!r}: need integers in 1..{_MAX_DIM}")
     if args.instances < 1:
         raise ConfigError("instances must be >= 1")
-    if args.perm != "auto" or args.s_reading is not None:
-        raise ConfigError("verify always searches with --perm auto and reports both "
-                          "S-lattice readings; drop --perm and --s-reading")
 
     def worst(start: float, deviations: np.ndarray) -> float:
         """Python's ``max`` of ``start`` and the deviations, in order."""
@@ -301,15 +314,24 @@ def cmd_verify(args) -> int:
 # example
 
 
-def _subsample(grid, limit: int = 9) -> np.ndarray:
+_SUBSAMPLE = 9  # grid points per axis of the discrepancy report
+
+
+def _subsample(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if len(grid) <= limit:
+    if len(grid) <= _SUBSAMPLE:
         return grid
-    return grid[np.linspace(0, len(grid) - 1, limit).round().astype(int)]
+    return grid[np.linspace(0, len(grid) - 1, _SUBSAMPLE).round().astype(int)]
 
 
 def cmd_example(args) -> int:
-    theta_grid, p_grid, q_grid, t_grid = map(parse_grid, (args.theta, args.p, args.q, args.t))
+    specs = [_grid_spec(spec) for spec in (args.theta, args.p, args.q, args.t)]
+    n_theta, n_p, n_q, n_t = (count for _, _, count in specs)
+    for table, flags, rows in (("surface", "--p x --q x --t", n_p * n_q * n_t),
+                               ("curve", "--theta x --t", n_theta * n_t)):
+        if rows > _MAX_ROWS:
+            raise ConfigError(f"the {table} would have {rows} rows ({flags}) > {_MAX_ROWS}")
+    theta_grid, p_grid, q_grid, t_grid = (_grid(*spec) for spec in specs)
     reading = Reading(args.s_reading)
 
     # Surfaces at theta = 1 over (p, q): product view, sum view, optimized view.
@@ -374,13 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s-reading", choices=[r.value for r in Reading],
                         default=Reading.PRODUCT.value)
 
-    def add_search(sp):
-        add_reading(sp)
+    def add_search(sp):  # the seed and size of the sampled fallback
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--perm", choices=["auto", "exhaustive", "sampled"], default="auto")
         sp.add_argument("--budget", type=int, default=14400)
 
     sp = sub.add_parser("bounds", help="bound chain for supplied state/channels")
+    add_reading(sp)
     add_search(sp)
     sp.add_argument("--state", required=True)
     sp.add_argument("--channel1", required=True)
@@ -389,10 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("verify", help="randomized certification suite")
+    add_common(sp)
     add_search(sp)
     sp.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     sp.add_argument("--instances", type=int, default=200, help="instances per dimension")
-    sp.set_defaults(func=cmd_verify, s_reading=None)  # verify reports both readings
+    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("example", help="regenerate worked-example figure data")
     add_reading(sp)
@@ -433,7 +455,7 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 0) < 0:
             raise ConfigError("budget must be >= 0")
         return args.func(args)
-    except (ConfigError, BudgetError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a failed read arrives as ConfigError, so this is a write

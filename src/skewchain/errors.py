@@ -7,7 +7,6 @@ invariant failed and by how much.
 from __future__ import annotations
 
 __all__ = [
-    "BudgetError",
     "CompletenessError",
     "ConvergenceError",
     "DimensionMismatchError",
@@ -78,15 +77,6 @@ class NotUnitaryError(SkewchainError):
     def __init__(self, residual: float, tol: float):
         super().__init__(f"matrix is not unitary: max |U^dag U - I| = {residual:.3e} > tol {tol:.3e}")
         self.residual = residual
-
-
-class BudgetError(SkewchainError):
-    """A requested exhaustive search is larger than its evaluation budget."""
-
-    def __init__(self, message: str, needed: int, budget: int):
-        super().__init__(message)
-        self.needed = needed
-        self.budget = budget
 
 
 class ConvergenceError(SkewchainError):

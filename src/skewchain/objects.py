@@ -424,13 +424,13 @@ def _complex_gaussians(words, size: int) -> np.ndarray:
     return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
 
 
-def random_density(d: int, rank: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     """``G G^dag / Tr(G G^dag)`` for a seeded d-by-rank complex Gaussian G."""
-    rhos, sqrts = densities_from_words(d, [rank], _seeding_words([(seed,)]), tol)
+    rhos, sqrts = densities_from_words(d, [rank], _seeding_words([(seed,)]))
     return DensityMatrix(dim=d, rho=rhos[0], sqrt_rho=sqrts[0])
 
 
-def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> tuple:
+def densities_from_words(d: int, ranks, words) -> tuple:
     """``random_density`` of each rank, with the ``seeding_words`` row of its
     seed in place of the seed, as ``density_stack`` returns the states: each
     draws from its own generator.  The states of one rank draw their
@@ -449,7 +449,7 @@ def densities_from_words(d: int, ranks, words, tol: float = DEFAULT_TOL) -> tupl
             m = g @ g.conj().T
             m /= np.trace(m).real
             ms[b] = (m + m.conj().T) / 2.0
-    return density_stack(ms, tol=tol)
+    return density_stack(ms)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -483,20 +483,19 @@ def _haar_isometries(words, rows: int, cols: int) -> np.ndarray:
 
 
 def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COLUMN_SUM,
-                   seed: int = 0, tol: float = 1e-12) -> KrausChannel:
+                   seed: int = 0) -> KrausChannel:
     """Slice a Haar-distributed (n_kraus*d)-by-d isometry into Kraus blocks.
 
     Stacked blocks of an isometry W satisfy ``sum_i K_i^dag K_i = W^dag W = I``
     exactly, so column-sum completeness is constructive; the row-sum form takes
     the adjoint of each block.
     """
-    ops = channels_from_words(d, n_kraus, _seeding_words([(seed,)]), convention, tol)
+    ops = channels_from_words(d, n_kraus, _seeding_words([(seed,)]), convention)
     return _channel(ops[0], convention)
 
 
 def channels_from_words(d: int, n_kraus: int, words,
-                        convention: Convention = Convention.COLUMN_SUM,
-                        tol: float = 1e-12) -> np.ndarray:
+                        convention: Convention = Convention.COLUMN_SUM) -> np.ndarray:
     """``random_channel`` of each ``seeding_words`` row, in place of a seed,
     as ``channel_stack`` returns the families: one stacked QR, then one
     validation pass."""
@@ -507,7 +506,8 @@ def channels_from_words(d: int, n_kraus: int, words,
     blocks = w.reshape(len(w), n_kraus, d, d)  # block i is rows i*d .. (i+1)*d of W
     if convention == Convention.ROW_SUM:
         blocks = blocks.conj().swapaxes(-1, -2)
-    return channel_stack(blocks, convention=convention, tol=tol)
+    # an isometry's blocks are complete up to rounding
+    return channel_stack(blocks, convention=convention, tol=1e-12)
 
 
 def mix_kraus(channel: KrausChannel, u) -> KrausChannel:

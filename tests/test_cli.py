@@ -125,20 +125,6 @@ class TestBounds:
         assert code == 2
 
 
-class TestSearchBudget:
-    # --perm exhaustive at d = 4 needs 16 prefix pairs for the (2, 1) optimum
-    @pytest.mark.parametrize("command", ["bounds"])
-    def test_exhaustive_over_budget_exits_2(self, tmp_path, example_files, capsys, command):
-        state, ch1, ch2 = example_files
-        argv = ["bounds", "--state", str(state), "--channel1", str(ch1),
-                "--channel2", str(ch2), "--out", str(tmp_path / "report.txt")]
-        code = main(argv + ["--perm", "exhaustive", "--budget", "10"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "budget 10" in err and "Traceback" not in err
-
-
 def _argv(case, tmp_path, files):
     state, ch1, ch2 = files
     inputs = ["--state", str(state), "--channel1", str(ch1), "--channel2", str(ch2)]
@@ -183,10 +169,6 @@ def _argv(case, tmp_path, files):
                                  "--out", str(tmp_path / "v.txt")],
         "verify_nan_tol": ["verify", "--dims", "2", "--instances", "1", "--tol", "nan",
                            "--out", str(tmp_path / "v.txt")],
-        "verify_perm_sampled": ["verify", "--dims", "2", "--instances", "1",
-                                "--perm", "sampled", "--out", str(tmp_path / "v.txt")],
-        "verify_s_reading": ["verify", "--dims", "2", "--instances", "1",
-                             "--s-reading", "product", "--out", str(tmp_path / "v.txt")],
         "invariance_nan_tol": ["invariance", *inputs, "--trials", "1", "--tol", "nan",
                                "--out", str(tmp_path / "inv.txt")],
         "bounds_unwritable_out": ["bounds", *inputs,
@@ -264,7 +246,6 @@ class TestBadInputExits2:
         "invariance_dim_is_true": '"dim" must be an integer >= 1, got true'}
 
     @pytest.mark.parametrize("case", ["verify_negative_seed", "verify_nan_tol",
-                                      "verify_perm_sampled", "verify_s_reading",
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
@@ -337,6 +318,87 @@ class TestBadInputExits2:
         assert main(_argv(f"{command}_dim_mismatch", tmp_path, example_files)) == 2
         assert capsys.readouterr().err == \
             "error: input rejected: state dim 4 vs channel dims 3, 4\n"
+
+
+class TestRefusedFlags:
+    # the (2, 1) search is exact when its prefix pairs fit --budget and
+    # samples otherwise, so no --perm steers it; verify reports both readings,
+    # so it takes no --s-reading.  Each flag is a usage error that writes nothing.
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", ["--perm", "sampled"]), ("verify", ["--perm", "exhaustive"]),
+        ("verify", ["--s-reading", "product"]), ("verify", ["--s-reading", "as-printed"]),
+        ("bounds", ["--perm", "sampled"])],
+        ids=["verify_perm_sampled", "verify_perm_exhaustive", "verify_s_reading",
+             "verify_s_reading_as_printed", "bounds_perm_sampled"])
+    def test_usage_error_and_exit_2(self, tmp_path, example_files, capsys, command, flag):
+        state, ch1, ch2 = example_files
+        argv = {"verify": ["verify", "--dims", "2", "--instances", "1"],
+                "bounds": ["bounds", "--state", str(state), "--channel1", str(ch1),
+                           "--channel2", str(ch2)]}[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(out / "r.txt"), *flag])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert f"usage: skewchain {command}" in err  # the subcommand's own usage
+        assert list(out.iterdir()) == []
+
+
+class TestGridLimit:
+    # a grid count or a table's row count above cli._MAX_ROWS = 2^18 is
+    # refused before any grid or table is built
+    class Built(Exception):
+        pass
+
+    @pytest.fixture()
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Built()
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(cli, "sweep", refuse)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--theta", "0:1:100000000000000000000"],
+         "grid '0:1:100000000000000000000': count must be <= 262144"),
+        (["--t", "0:1:262145"], "grid '0:1:262145': count must be <= 262144"),
+        (["--p", "0:1:513", "--q", "0:1:512"],
+         "the surface would have 262656 rows (--p x --q x --t) > 262144"),
+        (["--p", "0:1:64", "--q", "0:1:64", "--t", "0:1:65"],
+         "the surface would have 266240 rows (--p x --q x --t) > 262144"),
+        (["--theta", "0:1:131073", "--t", "0:1:2", "--p", "0.5", "--q", "0.5"],
+         "the curve would have 262146 rows (--theta x --t) > 262144"),
+    ], ids=["theta_count", "t_count", "surface", "surface_over_t", "curve"])
+    def test_example_refuses_oversized_tables(self, tmp_path, capsys, nothing_built,
+                                              flags, message):
+        out = tmp_path / "figs"
+        assert main(["example", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--p", "0:1:512", "--q", "0:1:512"],
+                                       ["--theta", "0:1:131072", "--t", "0:1:2",
+                                        "--p", "0.5", "--q", "0.5"]],
+                             ids=["defaults", "surface_at_limit", "curve_at_limit"])
+    def test_example_tables_at_the_limit_get_through(self, tmp_path, monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise self.Built()
+
+        monkeypatch.setattr(cli, "sweep", refuse)
+        with pytest.raises(self.Built):
+            main(["example", *flags, "--out", str(tmp_path / "figs")])
+
+    def test_bounds_refuses_an_oversized_t_grid(self, tmp_path, example_files, capsys,
+                                                nothing_built):
+        state, ch1, ch2 = example_files
+        out = tmp_path / "r.txt"
+        assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
+                     "--channel2", str(ch2), "--t", "0:1:262145", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: grid '0:1:262145': count must be <= 262144\n"
+        assert not out.exists()
 
 
 def _special_zeros(path):
@@ -617,16 +679,6 @@ class TestVerify:
         report = read_report(out)
         assert report["hard_passed"] == "False"
 
-    @pytest.mark.parametrize("flags", [["--perm", "exhaustive"], ["--s-reading", "as-printed"]])
-    def test_search_and_reading_flags_say_why(self, tmp_path, capsys, flags):
-        out = tmp_path / "v.txt"
-        assert main(["verify", "--dims", "2", "--instances", "1", "--out", str(out), *flags]) == 2
-        err = capsys.readouterr().err
-        assert "--perm auto" in err and "both S-lattice readings" in err
-        assert not out.exists()
-        assert main(["verify", "--dims", "2", "--instances", "1", "--perm", "auto",
-                     "--out", str(out)]) == 0
-
     # SeedSequence splits a seed into 32-bit words, so any non-negative seed works
     @pytest.mark.parametrize("seed", [2 ** 64, 10 ** 23])
     def test_seeds_of_several_words_exit_0(self, tmp_path, seed):
@@ -793,7 +845,8 @@ def one_trial_at_a_time(rho, ch1, ch2, trials, seed, tol=1e-10):
 
     base = values(ch1, ch2)
     devs = dict.fromkeys(base, 0.0)
-    for u, v in chains.trial_seeds([seed], trials)[0]:
+    derived = iter(objects.derive_seeds(chains.trial_entropies([seed], trials)))
+    for u, v in zip(derived, derived):
         mixed = values(mix_kraus(ch1, random_unitary(ch1.n, u)),
                        mix_kraus(ch2, random_unitary(ch2.n, v)))
         for name in base:

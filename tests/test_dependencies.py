@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -153,3 +154,66 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def unread_options(parser, source: str) -> dict:
+    """For each subcommand of ``parser``, the dests of the options it declares
+    that the code it runs never reads as ``args.<dest>``.  That code is
+    ``main`` and the subcommand's ``func``, with every function of ``source``
+    they name, transitively, except the parser's builders (the functions that
+    call ``add_argument``), which name every subcommand's ``func``.  A read in
+    the test of an ``if`` whose body only raises refuses the option rather
+    than uses it, so it does not count."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = {name for name, function in functions.items()
+                if any(isinstance(node, ast.Attribute) and node.attr == "add_argument"
+                       for node in ast.walk(function))}
+    refusals = {id(read) for node in ast.walk(tree)
+                if isinstance(node, ast.If) and all(isinstance(s, ast.Raise) for s in node.body)
+                for read in ast.walk(node.test)}
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    unread = {}
+    for command, sp in subparsers.items():
+        todo, seen, read = ["main", sp.get_default("func").__name__], set(builders), set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Name) and node.id in functions:
+                    todo.append(node.id)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and isinstance(node.value, ast.Name) and node.value.id == "args"
+                      and id(node) not in refusals):
+                    read.add(node.attr)
+        declared = {action.dest for action in sp._actions
+                    if action.option_strings and action.dest != "help"}
+        unread[command] = sorted(declared - read)
+    return unread
+
+
+def test_every_declared_option_is_read():
+    # an option that the subcommand only refuses, or never reads, is a flag
+    # that cannot change what the run does
+    def cmd_x(args):
+        pass
+
+    toy = argparse.ArgumentParser()
+    sp = toy.add_subparsers().add_parser("x")
+    for flag in ("--a", "--b", "--c"):
+        sp.add_argument(flag)
+    sp.set_defaults(func=cmd_x)
+    assert unread_options(toy, "def main(args):\n    build()\n    return args.func(args)\n"
+                               "def cmd_x(args):\n    if args.b:\n        raise ValueError\n"
+                               "    return helper(args)\n"
+                               "def helper(args):\n    return args.a\n"
+                               "def build():\n    sp.add_argument('--c')\n    return use_c\n"
+                               "def use_c(args):\n    return args.c\n") == {"x": ["b", "c"]}
+    from skewchain import cli
+
+    unread = unread_options(cli.build_parser(), Path(cli.__file__).read_text())
+    assert set(unread) == {"bounds", "verify", "example", "invariance"}
+    assert {command: dests for command, dests in unread.items() if dests} == {}

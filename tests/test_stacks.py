@@ -29,7 +29,6 @@ from skewchain.chains import (
     BoundChain,
     Check,
     Reading,
-    Strategy,
     chain_at,
     chain_stage,
     invariance_columns,
@@ -37,12 +36,11 @@ from skewchain.chains import (
     lattice_order,
     mixed_bound,
     optimize_batch,
-    trial_seeds,
+    trial_entropies,
     verdict_columns,
     verify_chain,
 )
 from skewchain.errors import (
-    BudgetError,
     CompletenessError,
     ConvergenceError,
     DimensionMismatchError,
@@ -249,18 +247,13 @@ def oracle_sampled(tables, d, p, q, budget, seed, reading):
     return best
 
 
-def oracle_optimize(data, p, q, strategy, budget, seed, reading):
-    """``(value, sigma, tau)`` of one instance's permutation optimum."""
+def oracle_optimize(data, p, q, budget, seed, reading):
+    """``(value, sigma, tau)`` of one instance's permutation optimum: exact
+    when the prefix pairs fit ``budget``, else sampled."""
     d = data.dim
     tables = SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
                              printed=data.stage.tables[Reading.AS_PRINTED][0])
-    n_pairs = math.perm(d, p - 1) ** 2
-    if strategy is None:
-        strategy = Strategy.EXHAUSTIVE if n_pairs <= budget else Strategy.SAMPLED
-    if Strategy(strategy) == Strategy.EXHAUSTIVE:
-        if n_pairs > budget:
-            raise BudgetError(f"exhaustive search at (p, q) = ({p}, {q}) needs "
-                              f"{n_pairs} prefix pairs > budget {budget}", n_pairs, budget)
+    if math.perm(d, p - 1) ** 2 <= budget:
         return oracle_exhaustive(tables, d, p, q, reading)
     return oracle_sampled(tables, d, p, q, budget, seed, reading)
 
@@ -647,11 +640,10 @@ class TestOptimizeBatch:
     @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
     def test_deeper_targets_at_d4(self, reading, target):
         stage, instances = random_block(4, 5, 17)
-        bests = optimize_batch(stage, *target, Strategy.EXHAUSTIVE, reading=reading)
+        bests = optimize_batch(stage, *target, reading=reading)  # exact: <= 576 pairs
         for instance, best in zip(instances, bests):
             assert (best.p, best.q) == target
-            assert found(best) == oracle_optimize(alone(*instance), *target, Strategy.EXHAUSTIVE,
-                                                  14400, 0, reading)
+            assert found(best) == oracle_optimize(alone(*instance), *target, 14400, 0, reading)
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(2, 4), count=st.integers(1, 5), seed=st.integers(0, 2 ** 20),
@@ -660,9 +652,9 @@ class TestOptimizeBatch:
         p, q = data.draw(st.sampled_from(lattice_order(d)))
         stage, instances = random_block(d, count, seed,
                                         data.draw(st.sampled_from(list(Convention))))
-        bests = optimize_batch(stage, p, q, None, reading=reading)
+        bests = optimize_batch(stage, p, q, reading=reading)
         assert [found(best) for best in bests] == [
-            oracle_optimize(alone(*x), p, q, None, 14400, 0, reading) for x in instances]
+            oracle_optimize(alone(*x), p, q, 14400, 0, reading) for x in instances]
 
     @pytest.mark.parametrize("reading", list(Reading))
     @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
@@ -674,27 +666,27 @@ class TestOptimizeBatch:
                                           itertools.product(grid, grid))))
         bests = optimize_batch(object_stage(*inputs), *target, reading=reading)
         for instance, best in zip(zip(*inputs), bests):
-            assert found(best) == oracle_optimize(alone(*instance), *target, None, 14400, 0,
-                                                  reading)
-
-    def test_exhaustive_over_budget_raises_as_alone(self):
-        stage, instances = random_block(4, 3, 5)
-        with pytest.raises(BudgetError) as info:
-            optimize_batch(stage, 3, 1, Strategy.EXHAUSTIVE, budget=100)
-        with pytest.raises(BudgetError) as want:
-            oracle_optimize(alone(*instances[0]), 3, 1, Strategy.EXHAUSTIVE, 100, 0,
-                            Reading.PRODUCT)
-        assert str(info.value) == str(want.value)
-        assert (info.value.needed, info.value.budget) == (144, 100)
+            assert found(best) == oracle_optimize(alone(*instance), *target, 14400, 0, reading)
 
     @pytest.mark.parametrize("reading", list(Reading))
     def test_sampled_matches_for_a_fixed_seed(self, reading):
         stage, instances = random_block(4, 4, 23)
-        for strategy, budget in ((Strategy.SAMPLED, 50), (None, 100)):  # auto samples over budget
-            bests = optimize_batch(stage, 3, 2, strategy, budget, seed=5, reading=reading)
+        for budget in (50, 100):  # (3, 2) at d = 4 has 144 prefix pairs, so both sample
+            bests = optimize_batch(stage, 3, 2, budget, seed=5, reading=reading)
             assert [found(best) for best in bests] == [
-                oracle_optimize(alone(*x), 3, 2, strategy, budget, 5, reading)
-                for x in instances]
+                oracle_optimize(alone(*x), 3, 2, budget, 5, reading) for x in instances]
+
+    def test_exact_at_the_prefix_pair_count_and_sampled_below(self):
+        # (2, 1) at d = 3 reads sigma[1] and tau[0]: 3 x 3 prefix pairs
+        assert not chains.search_samples(3, 2, 9) and chains.search_samples(3, 2, 8)
+        stage, instances = random_block(3, 4, 31)
+        tables = [SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
+                                  printed=data.stage.tables[Reading.AS_PRINTED][0])
+                  for data in (alone(*x) for x in instances)]
+        assert [found(best) for best in optimize_batch(stage, 2, 1, 9, seed=2)] == [
+            oracle_exhaustive(t, 3, 2, 1, Reading.PRODUCT) for t in tables]
+        assert [found(best) for best in optimize_batch(stage, 2, 1, 8, seed=2)] == [
+            oracle_sampled(t, 3, 2, 1, 8, 2, Reading.PRODUCT) for t in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +857,7 @@ SEED_CORPUS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 23)
 
 class TestSeedingKernel:
     # every parts length the CLI and the tests derive with: generator (0),
-    # the tests' derive_seed(seed, side) (1), trial_seeds (2), verify (3)
+    # the tests' derive_seed(seed, side) (1), trial_entropies (2), verify (3)
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
     def test_derived_seeds_match_seed_sequence(self, length):
         entropies = [(seed, *parts) for seed in SEED_CORPUS
@@ -890,9 +882,10 @@ class TestSeedingKernel:
                              oracle_generator(seed).standard_normal(7))
 
     def test_trial_seeds_derive_each_trial(self):
-        assert trial_seeds(SEED_CORPUS, 3) == [
-            [(oracle_derive_seed(seed, t, 1), oracle_derive_seed(seed, t, 2)) for t in range(3)]
-            for seed in SEED_CORPUS]
+        derived = iter(derive_seeds(trial_entropies(SEED_CORPUS, 3)))
+        assert list(zip(derived, derived)) == [
+            (oracle_derive_seed(seed, t, 1), oracle_derive_seed(seed, t, 2))
+            for seed in SEED_CORPUS for t in range(3)]
 
     def test_negative_entropy_fails_as_seed_sequence(self):
         with pytest.raises(ValueError) as want:
@@ -957,7 +950,7 @@ def oracle_verify_checks(data, tol, perm_budget, seed):
     checks.append(oracle_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
 
     if d >= 2:
-        value, sigma, tau = oracle_optimize(data, 2, 1, None, perm_budget, seed, Reading.PRODUCT)
+        value, sigma, tau = oracle_optimize(data, 2, 1, perm_budget, seed, Reading.PRODUCT)
         best = chains.PermutedBound(sigma, tau, 2, 1, value)
         checks.append(oracle_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
         for t in (0.0, 0.5, 1.0):
