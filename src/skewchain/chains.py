@@ -40,7 +40,6 @@ import itertools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,7 +81,6 @@ __all__ = [
     "optimize_batch",
     "optimize_permutations",
     "permute_s",
-    "search_samples",
     "stage_from_frames",
     "sum_chain",
     "sum_transfer",
@@ -572,12 +570,6 @@ def _stage_dim(stage: ChainStage) -> int:
     return math.isqrt(stage.tables[Reading.AS_PRINTED].shape[1] - 1)
 
 
-def search_samples(d: int, p: int, budget: int) -> bool:
-    """Whether a search at row p in dimension d samples: its
-    ``(d!/(d-p+1)!)^2`` prefix pairs exceed ``budget``."""
-    return math.perm(d, p - 1) ** 2 > budget
-
-
 def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int,
               search_generators, reading: Reading, with_pairs: bool = True) -> tuple:
     """The optimum of each instance of a stack, as ``(values, pairs)``: a
@@ -587,7 +579,7 @@ def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int,
     samples instance b with the b-th generator it returns."""
     _check_position(p, q, d)
     reading = Reading(reading)
-    if not search_samples(d, p, budget):
+    if math.perm(d, p - 1) ** 2 <= budget:  # the (d!/(d-p+1)!)^2 prefix pairs
         values, cells = _exhaustive(rows, d, p, q, reading)
         return values, _winning_pairs(cells, d, p) if with_pairs else None
     found = [_sampled(row, d, p, q, budget, gen, reading)
@@ -789,11 +781,11 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
     so NaN and signed zeros land where that fold puts them.  The (2, 1)
     optimum is one search over the instances; a sampled search calls
     ``search_generators()`` once and samples instance b with the b-th
-    generator it returns, so a caller may hash the search seeds along with
-    its other seeds, or skip them when ``search_samples`` says the search
-    is exact.  Both S-lattice readings are always
-    evaluated; the anchor-identity rows record, per reading, how far the
-    lattice is from the I-chain it claims to refine.
+    generator it returns, so a caller that passes
+    ``functools.partial(generators, seeds)`` hashes the search seeds only
+    when the search samples.  Both S-lattice readings are always evaluated;
+    the anchor-identity rows record, per reading, how far the lattice is
+    from the I-chain it claims to refine.
     """
     product, total, cross = stage.products, stage.sums, stage.cross_terms
     count = len(product)
@@ -882,8 +874,9 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     pass of its own, and the trials run in ``chain_stage`` passes of at most
     ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
     count; each pass mixes its trials' families in one stacked ``einsum``.
-    The passes run on the CPUs the process may use (``_run_passes``), each
-    bit for bit as in a serial loop.
+    ``_run_passes`` runs the passes on a thread pool with a thread per CPU
+    the process may use, at most one per pass; each pass is bit for bit as in
+    a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -915,44 +908,23 @@ def _cpus() -> int:
 
 
 def _run_passes(run, count: int) -> list:
-    """``[run(0), ..., run(count - 1)]``, the passes taken lowest first from
-    one shared queue by the calling thread and ``min(_cpus(), count) - 1``
-    helper threads; with one CPU or one pass no thread is started.
+    """``[run(0), ..., run(count - 1)]``, on a ``ThreadPoolExecutor`` of
+    ``min(_cpus(), count)`` threads; with one CPU or one pass no thread is
+    started.
 
     A failure raises what the lowest failing pass raised, as the serial loop
-    would: every lower pass was taken before it and runs to its end, no pass
-    starts once one has failed or the caller is interrupted, and every helper
-    is joined before the error propagates.
+    would, once every pool thread has been joined.  Passes not yet started
+    when the caller reaches the failure in pass order are cancelled; a pass
+    queued after the failing one may still have started before then, which
+    only wastes work.
     """
-    results, failures = [None] * count, {}
-    todo = collections.deque(range(count))  # popleft and clear are atomic
+    workers = min(_cpus(), count)
+    if workers <= 1:
+        return [run(k) for k in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # not paid by ``import skewchain``
 
-    def work():
-        while True:
-            try:
-                k = todo.popleft()
-            except IndexError:
-                return
-            try:
-                results[k] = run(k)
-            except Exception as exc:
-                failures[k] = exc
-                todo.clear()
-
-    helpers = []
-    try:
-        for _ in range(min(_cpus(), count) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        todo.clear()
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, range(count)))
 
 
 def trial_entropies(seeds, trials: int) -> list:

@@ -40,7 +40,6 @@ from .chains import (
     lattice_order,
     mixed_bound,
     optimize_batch,
-    search_samples,
     trial_entropies,
     verdict_columns,
 )
@@ -52,7 +51,6 @@ from .objects import (
     densities_from_words,
     derive_seeds,
     generators,
-    generators_from_words,
     mix_kraus_families,
     seeding_words,
     unitaries_from_words,
@@ -213,11 +211,11 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     Each instance draws from its own derived seeds and generators, as it
     would alone.  The chunk hashes them in three passes, one per derivation
     level: the derived seeds; then the trials' unitary seeds together with
-    the seeding words of every state and channel, and of every search seed
-    when the (2, 1) search samples; then the words of the trials' mixing
-    unitaries.  The states are generated and validated as one
-    stack, the channels and the trials' mixing unitaries as one stack per
-    Kraus count.  The chunk is one ``chain_stage`` pass, which the verdict
+    the seeding words of every state and channel; then the words of the
+    trials' mixing unitaries.  The search seeds take a fourth pass, run only
+    when the (2, 1) search samples.  The states are generated and validated
+    as one stack, the channels and the trials' mixing unitaries as one stack
+    per Kraus count.  The chunk is one ``chain_stage`` pass, which the verdict
     and the invariance deviations read: row i holds instance i and row
     ``count + i`` its mixed trial, each side's families zero-padded to the
     chunk's largest count on that side, with each instance's true (n1, n2)
@@ -226,14 +224,10 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     ks = list(ks)
     count = len(ks)
     derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in range(5)])
-    # the verdict searches at (2, 1) from d = 2 on
-    sampled = d >= 2 and search_samples(d, 2, args.budget)
     # rows 2i and 2i + 1 derive instance i's trial seeds u and v; then come
-    # the words of the states, of the channels 1, of the channels 2 and, when
-    # the search samples, of the search seeds
+    # the words of the states, of the channels 1 and of the channels 2
     words = seeding_words(trial_entropies(derived[4::5], 1)
-                          + [(seed,) for part in range(4 if sampled else 3)
-                             for seed in derived[part::5]])
+                          + [(seed,) for part in range(3) for seed in derived[part::5]])
     trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
     _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
     counts = np.array([(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks])
@@ -252,7 +246,7 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     stage = chain_stage(np.concatenate([roots, roots]), *stacks,
                         tuple(np.concatenate([counts, counts]).T))
     deviations = invariance_columns(stage, count)
-    search = functools.partial(generators_from_words, words[5 * count:])
+    search = functools.partial(generators, derived[3::5])
     return (verdict_columns(join_stages([stage], np.arange(count)), args.tol, args.budget,
                             search),
             first_max(deviations))

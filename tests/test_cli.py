@@ -577,10 +577,10 @@ class TestDerivesEachInstanceOnce:
 class TestGeneratesEachChunkInFixedPasses:
     # a verify chunk hashes its seeds once per derivation level, whatever
     # Kraus counts it holds: the derived seeds; the trials' unitary seeds with
-    # the words of every state and channel, and of every search seed when the
-    # search samples (a budget below the d^2 pairs at (2, 1)); the trials'
-    # unitaries' words.  Each generator draws its real and imaginary parts in
-    # one call.
+    # the words of every state and channel; the trials' unitaries' words; and,
+    # when the search samples (a budget below the d^2 pairs at (2, 1)), the
+    # search seeds' words.  Each generator draws its real and imaginary parts
+    # in one call.
     @staticmethod
     def passes_and_draws(monkeypatch, budget):
         """The entropy count of each hash pass of a 20-instance chunk at d = 3,
@@ -613,9 +613,9 @@ class TestGeneratesEachChunkInFixedPasses:
 
     def test_verify_chunk_with_a_sampled_search(self, monkeypatch):
         # a budget of 3 is below the 9 pairs at (2, 1): the search seeds'
-        # words join the second pass
+        # words take a last pass of their own
         passes, drawn = self.passes_and_draws(monkeypatch, 3)
-        assert passes == [5 * 20, 2 * 20 + 3 * 20 + 20, 2 * 20]
+        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20, 20]
         assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
 
 

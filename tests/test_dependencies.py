@@ -104,12 +104,13 @@ def test_every_field_is_read_in_the_package():
     assert {name: fields for name, fields in unread.items() if fields} == {}
 
 
-def test_import_loads_no_random_argparse_or_cli():
+def test_import_loads_no_random_argparse_cli_or_thread_pool():
     # import time is part of every CLI run: the package import must not pull
-    # in numpy.random (seeding defers it to first use), argparse or the CLI
+    # in numpy.random (seeding defers it to first use), argparse, the CLI or
+    # concurrent.futures (the invariance passes import their pool when used)
     code = ("import sys, skewchain; "
-            "print(sorted(m for m in ('numpy.random', 'argparse', 'skewchain.cli') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('numpy.random', 'argparse', 'skewchain.cli', "
+            "'concurrent.futures') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)

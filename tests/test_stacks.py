@@ -678,7 +678,6 @@ class TestOptimizeBatch:
 
     def test_exact_at_the_prefix_pair_count_and_sampled_below(self):
         # (2, 1) at d = 3 reads sigma[1] and tau[0]: 3 x 3 prefix pairs
-        assert not chains.search_samples(3, 2, 9) and chains.search_samples(3, 2, 8)
         stage, instances = random_block(3, 4, 31)
         tables = [SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
                                   printed=data.stage.tables[Reading.AS_PRINTED][0])
