@@ -558,8 +558,7 @@ def optimize_batch(stage: ChainStage, p: int, q: int, budget: int = 14400, seed:
     each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
     rows = stage.tables[reading]
-    values, pairs = _optimize(rows, _stage_dim(stage), p, q, budget,
-                              functools.partial(generators, [seed] * len(rows)), reading)
+    values, pairs = _optimize(rows, _stage_dim(stage), p, q, budget, [seed] * len(rows), reading)
     return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
             for v, (sig, tu) in zip(values.tolist(), pairs)]
 
@@ -570,22 +569,21 @@ def _stage_dim(stage: ChainStage) -> int:
     return math.isqrt(stage.tables[Reading.AS_PRINTED].shape[1] - 1)
 
 
-def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int,
-              search_generators, reading: Reading, with_pairs: bool = True) -> tuple:
+def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int, seeds,
+              reading: Reading) -> tuple:
     """The optimum of each instance of a stack, as ``(values, pairs)``: a
-    float64 array and, when ``with_pairs``, each instance's winning ``(sigma,
-    tau)`` (else None).  ``rows[b]`` is instance b's S-table row of
-    ``reading``.  A sampled search calls ``search_generators()`` once and
-    samples instance b with the b-th generator it returns."""
+    float64 array and each instance's winning ``(sigma, tau)``.  ``rows[b]``
+    is instance b's S-table row of ``reading``.  A sampled search samples
+    instance b with the generator of ``seeds[b]``, all of them seeded from one
+    hash pass; an exact search never reads the seeds, so it hashes none."""
     _check_position(p, q, d)
     reading = Reading(reading)
     if math.perm(d, p - 1) ** 2 <= budget:  # the (d!/(d-p+1)!)^2 prefix pairs
-        values, cells = _exhaustive(rows, d, p, q, reading)
-        return values, _winning_pairs(cells, d, p) if with_pairs else None
+        return _exhaustive(rows, d, p, q, reading)
     found = [_sampled(row, d, p, q, budget, gen, reading)
-             for row, gen in zip(rows, search_generators(), strict=True)]
+             for row, gen in zip(rows, generators(seeds), strict=True)]
     return (np.array([v for v, _, _ in found], dtype=np.float64),
-            [(sig, tu) for _, sig, tu in found] if with_pairs else None)
+            [(sig, tu) for _, sig, tu in found])
 
 
 def _prefixes(d: int, p: int) -> tuple:
@@ -604,8 +602,10 @@ def _prefixes(d: int, p: int) -> tuple:
 
 def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> tuple:
     """Walk every pair of label prefixes of every instance at once, in the
-    search order of ``_prefixes``; each instance's maximum value, and its
-    cell, the index of its first maximum in that order.
+    search order of ``_prefixes``, as ``(values, pairs)``: each instance's
+    maximum value and the full ``(sigma, tau)`` of its first maximum in that
+    order, completed as ``optimize_permutations`` says, once per distinct
+    winning cell.
 
     At (2, 1) this is the closed form ``((start - pair[r, s]) - diag[r]) -
     diag[s]`` (product reading) or ``start + step[r, s]`` (as printed) on a
@@ -621,20 +621,13 @@ def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> t
     # argmax keeps each instance's first maximum, as the sigma-major,
     # tau-minor scan did
     values = values.reshape(-1, len(rows))
-    cells = values.argmax(axis=0)
-    return values[cells, np.arange(len(rows))], cells
-
-
-def _winning_pairs(cells: np.ndarray, d: int, p: int) -> list:
-    """The full ``(sigma, tau)`` of each ``_exhaustive`` cell, each distinct
-    cell completed once."""
-    sigmas, taus = _prefixes(d, p)
+    cells = values.argmax(axis=0).tolist()
     pairs = {}
-    for cell in set(cells.tolist()):
-        i, j = divmod(cell, len(taus))
-        rest = _rest(sigmas[i], d)
-        pairs[cell] = ((rest[0], *sigmas[i], *rest[1:]), (*taus[j], *_rest(taus[j], d)))
-    return [pairs[cell] for cell in cells.tolist()]
+    for cell in set(cells):
+        sig, tu = sigmas[cell // len(taus)], taus[cell % len(taus)]
+        first, *rest = _rest(sig, d)
+        pairs[cell] = ((first, *sig, *rest), (*tu, *_rest(tu, d)))
+    return values[cells, np.arange(len(rows))], [pairs[cell] for cell in cells]
 
 
 def _rest(prefix, d: int) -> list:
@@ -739,8 +732,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     refine.  Inequality rows pass when ``lhs >= rhs - tol``; equality rows
     report their deviation against the same tolerance.
     """
-    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol, perm_budget,
-                              functools.partial(generators, [seed]))
+    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol, perm_budget, [seed])
     return ChainVerdict(checks=tuple(
         Check(name, kind, lhs, rhs, tol, passed, deviation)
         for name, kind, lhs, rhs, passed, deviation in zip(
@@ -771,21 +763,18 @@ class VerdictColumns:
                 for name, cs in columns.items()}
 
 
-def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
-                    search_generators) -> VerdictColumns:
+def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> VerdictColumns:
     """Run every chain check on each instance of a stage.
 
     Each check is one column over the instances, bit for bit the value the
     scalar check gives: every fold over an instance's I values or lattice
     positions is Python's ``max`` or ``min`` (``first_max``, ``first_min``),
     so NaN and signed zeros land where that fold puts them.  The (2, 1)
-    optimum is one search over the instances; a sampled search calls
-    ``search_generators()`` once and samples instance b with the b-th
-    generator it returns, so a caller that passes
-    ``functools.partial(generators, seeds)`` hashes the search seeds only
-    when the search samples.  Both S-lattice readings are always evaluated;
-    the anchor-identity rows record, per reading, how far the lattice is
-    from the I-chain it claims to refine.
+    optimum is one search over the instances; a sampled search samples
+    instance b with the generator of the non-negative integer ``seeds[b]``,
+    and an exact one never hashes the seeds.  Both S-lattice readings are
+    always evaluated; the anchor-identity rows record, per reading, how far
+    the lattice is from the I-chain it claims to refine.
     """
     product, total, cross = stage.products, stage.sums, stage.cross_terms
     count = len(product)
@@ -829,8 +818,8 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int,
     check("sum_ge_2sqrt_im", "ge", first_min(total[:, None] - roots), zero)
 
     if d >= 2:
-        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, perm_budget,
-                            search_generators, Reading.PRODUCT, False)
+        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, perm_budget, seeds,
+                            Reading.PRODUCT)
         check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
         for t in (0.0, 0.5, 1.0):
             prod_bound = (1.0 - t) * product + t * best  # as mixed_bound

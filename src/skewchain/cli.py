@@ -12,10 +12,9 @@ invariance  re-runs all bounds under random Kraus mixings of both channels
             and reports the worst deviation.
 
 Exit codes: 0 success; 1 verdict failure (verify/example/invariance only);
-2 configuration or input validation failure; 3 internal numerical failure
-(bounds only).  The subcommands raise ``ConfigError`` or ``OSError`` for bad
-input; ``main`` is the one place that reports them as one ``error:`` line and
-exit 2.
+2 configuration or input validation failure.  The subcommands raise
+``ConfigError`` or ``OSError`` for bad input; ``main`` is the one place that
+reports them as one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .objects import (
     channels_from_words,
     densities_from_words,
     derive_seeds,
-    generators,
     mix_kraus_families,
     seeding_words,
     unitaries_from_words,
@@ -138,20 +136,12 @@ def cmd_bounds(args) -> int:
                           "written next to the report; give the report another suffix")
     rho, ch1, ch2 = _load_instance(args, args.tol)
     t_grid = parse_grid(args.t)
-
-    try:
-        reading = Reading(args.s_reading)
-        stage = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
-        chain = chain_at(stage, 0, reading)
-        d = chain.dim
-        best = None
-        if d >= 2:
-            best = optimize_batch(stage, 2, 1, args.budget, args.seed, reading)[0]
-        verdict = verdict_columns(stage, args.tol, args.budget,
-                                  functools.partial(generators, [args.seed]))
-    except SkewchainError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    reading = Reading(args.s_reading)
+    stage = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
+    chain = chain_at(stage, 0, reading)
+    d = chain.dim
+    best = optimize_batch(stage, 2, 1, args.budget, args.seed, reading)[0] if d >= 2 else None
+    verdict = verdict_columns(stage, args.tol, args.budget, [args.seed])
 
     i_names = [f"I{m}" for m in range(1, d + 1)]
     s_names = [f"S{pp}{qq}" for (pp, qq) in lattice_order(d)]
@@ -212,14 +202,15 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     would alone.  The chunk hashes them in three passes, one per derivation
     level: the derived seeds; then the trials' unitary seeds together with
     the seeding words of every state and channel; then the words of the
-    trials' mixing unitaries.  The search seeds take a fourth pass, run only
-    when the (2, 1) search samples.  The states are generated and validated
-    as one stack, the channels and the trials' mixing unitaries as one stack
-    per Kraus count.  The chunk is one ``chain_stage`` pass, which the verdict
-    and the invariance deviations read: row i holds instance i and row
-    ``count + i`` its mixed trial, each side's families zero-padded to the
-    chunk's largest count on that side, with each instance's true (n1, n2)
-    passed as its counts.
+    trials' mixing unitaries.  ``verdict_columns`` takes the search seeds as
+    plain seeds and hashes them in a fourth pass, only when the (2, 1) search
+    samples.  The states are generated and validated as one stack, the
+    channels and the trials' mixing unitaries as one stack per Kraus count.
+    The chunk is one ``chain_stage`` pass, which the verdict and the
+    invariance deviations read: row i holds instance i and row ``count + i``
+    its mixed trial, each side's families zero-padded to the chunk's largest
+    count on that side, with each instance's true (n1, n2) passed as its
+    counts.
     """
     ks = list(ks)
     count = len(ks)
@@ -246,9 +237,8 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     stage = chain_stage(np.concatenate([roots, roots]), *stacks,
                         tuple(np.concatenate([counts, counts]).T))
     deviations = invariance_columns(stage, count)
-    search = functools.partial(generators, derived[3::5])
     return (verdict_columns(join_stages([stage], np.arange(count)), args.tol, args.budget,
-                            search),
+                            derived[3::5]),
             first_max(deviations))
 
 

@@ -285,31 +285,44 @@ class TestBadInputExits2:
                                       f"directory: '{tmp_path / 'missing' / 'report.txt'}'\n")
 
     @staticmethod
-    def exit_2_sites(source):
-        """``(function, site)`` for each ``return 2`` and each ``except``
-        naming ``ConfigError`` in the top-level functions of ``source``."""
+    def exit_code_sites(source):
+        """``(function, site)`` for each ``return 2``, each ``except`` naming
+        ``ConfigError`` and each ``except`` that returns an int, in the
+        top-level functions of ``source``."""
+        def returns_int(node):
+            return isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) \
+                and type(node.value.value) is int
+
         sites = []
         for func in ast.parse(source).body:
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) \
-                        and node.value.value == 2:
+                if returns_int(node) and node.value.value == 2:
                     sites.append((func.name, "return 2"))
-                elif isinstance(node, ast.ExceptHandler) and node.type is not None and any(
-                        isinstance(name, ast.Name) and name.id == "ConfigError"
-                        for name in ast.walk(node.type)):
-                    sites.append((func.name, "except ConfigError"))
+                elif isinstance(node, ast.ExceptHandler):
+                    if node.type is not None and any(
+                            isinstance(name, ast.Name) and name.id == "ConfigError"
+                            for name in ast.walk(node.type)):
+                        sites.append((func.name, "except ConfigError"))
+                    if any(returns_int(inner) for inner in ast.walk(node)):
+                        sites.append((func.name, "except returns an int"))
         return sites
 
-    def test_only_main_maps_errors_to_exit_2(self):
-        # the subcommands raise, and main alone prints the error line and exits 2
-        assert self.exit_2_sites("def cmd_x():\n    try:\n        pass\n"
-                                 "    except (OSError, ConfigError):\n        return 2\n") \
-            == [("cmd_x", "except ConfigError"), ("cmd_x", "return 2")]
-        sites = self.exit_2_sites(Path(cli.__file__).read_text())
+    def test_only_main_maps_errors_to_exit_codes(self):
+        # the subcommands raise, and main alone prints the error line and
+        # picks the exit code
+        assert self.exit_code_sites("def cmd_x():\n    try:\n        pass\n"
+                                    "    except (OSError, ConfigError):\n        return 2\n"
+                                    "    except ValueError:\n        return 3\n") \
+            == [("cmd_x", "except ConfigError"), ("cmd_x", "except returns an int"),
+                ("cmd_x", "except returns an int"), ("cmd_x", "return 2")]
+        sites = self.exit_code_sites(Path(cli.__file__).read_text())
         assert [site for site in sites if site[0].startswith("cmd_")] == []
+        assert [name for name, site in sites
+                if site == "except returns an int" and name != "main"] == []
         assert ("main", "return 2") in sites  # the scan sees them at all
+        assert ("main", "except returns an int") in sites
 
 
     @pytest.mark.parametrize("command", ["bounds", "invariance"])

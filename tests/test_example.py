@@ -343,45 +343,6 @@ def oracle_row_hard_failures(fields, tol):
     return failures
 
 
-_FORMS = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
-
-
-def oracle_report(params):
-    rows = []
-    for pt in params:
-        chain = compute_chain(rho_theta(pt.theta), *example_channels(pt.p, pt.q),
-                              Reading.PRODUCT)
-        numeric = (chain.product, chain.sum, chain.cross_term, chain.s_values[(2, 1)],
-                   chain.s_values[(3, 1)], chain.s_values[(3, 2)])
-        forms = closed_forms(pt)
-        rows += [(name, pt, value, getattr(forms, name)) for name, value in zip(_FORMS, numeric)]
-    fitted = {}
-    for name in _FORMS:
-        ratios = [printed / value for formula, _, value, printed in rows
-                  if formula == name and abs(value) > 1e-15]
-        if ratios:
-            lo, hi = min(ratios), max(ratios)
-            mid = (lo + hi) / 2.0
-            if abs(hi - lo) <= 1e-6 * max(abs(mid), 1e-12):
-                fitted[name] = mid
-    return rows, fitted
-
-
-def oracle_discrepancy_csv(report):
-    def fmt(x):
-        return format(float(x) + 0.0, ".12g")
-
-    lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
-    for r in report.rows:
-        fitted = report.fitted_ratios.get(r.formula)
-        lines.append(",".join([
-            r.formula, fmt(r.params.theta), fmt(r.params.p), fmt(r.params.q),
-            fmt(r.numeric), fmt(r.printed), fmt(r.abs_dev), fmt(r.rel_dev),
-            "" if math.isnan(r.ratio) else fmt(r.ratio),
-            "" if fitted is None else fmt(fitted)]))
-    return "\n".join(lines) + "\n"
-
-
 # Tie-heavy values {0, 1/2, 1} with duplicates and unsorted input order.
 TIE_THETAS = [1.0, 0.0, 0.5, 1.0]
 TIE_PS = [0.5, 0.0, 1.0, 0.5]
@@ -458,24 +419,6 @@ class TestStackedPassesMatchPointOracle:
             assert table.hard_failures(tol) == sum(
                 len(oracle_row_hard_failures(row, tol)) for row in columns.tolist())
         assert table.hard_failures(1.0) == 0 < table.hard_failures(0.1)
-
-    @pytest.mark.parametrize("block", [None, 5])
-    def test_discrepancy_report_keeps_grid_order(self, monkeypatch, tmp_path, block):
-        if block is not None:
-            monkeypatch.setattr(example, "_BLOCK", block)
-        values = (0.0, 0.5, 1.0, 0.3)
-        grid = [ExampleParams(theta=t, p=p, q=q)
-                for t, p, q in itertools.product(values, repeat=3)]
-        grid += grid[:7]  # duplicate points
-        random.Random(3).shuffle(grid)  # not theta-major
-        report = discrepancy_report([(pt.theta, pt.p, pt.q) for pt in grid])
-        rows, fitted = oracle_report(grid)
-        assert [(r.formula, r.params, r.numeric, r.printed) for r in report.rows] == rows
-        assert report.fitted_ratios == fitted
-        assert set(fitted) == {"eq20", "eq21", "eq22", "eq23"}
-        path = tmp_path / "disc.csv"
-        write_discrepancy_csv(report, path)
-        assert path.read_text() == oracle_discrepancy_csv(report)
 
 
 class TestFactoredFrames:

@@ -10,7 +10,6 @@ on its own.
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import math
 import operator
@@ -1039,7 +1038,7 @@ class TestVerdictColumns:
         rows = injected(stage, 3, d)
         seeds = [oracle_derive_seed(5, b) for b in range(len(rows.products))]
         tol = 1e-10
-        columns = verdict_columns(rows, tol, budget, functools.partial(generators, seeds))
+        columns = verdict_columns(rows, tol, budget, seeds)
         for b, seed in enumerate(seeds):
             want = check_bits(oracle_verify_checks(stage_data(rows, b, d), tol, budget, seed))
             assert column_bits(columns, b, tol) == want
@@ -1079,13 +1078,24 @@ class TestVerdictColumns:
         for reading in Reading:
             rows.lattices[reading][:] = data.draw(
                 st.lists(st.lists(values, min_size=size, max_size=size), min_size=2, max_size=2))
-        columns = verdict_columns(rows, 1e-10, budget, functools.partial(generators, [4, 5]))
+        columns = verdict_columns(rows, 1e-10, budget, [4, 5])
         for b, seed in enumerate([4, 5]):
             want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10, budget, seed))
             assert column_bits(columns, b, 1e-10) == want
         got = invariance_columns(rows, 1)[0].tolist()
         want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
         assert [repr(x) for x in got] == [repr(x) for x in want.values()]
+
+    def test_exact_search_never_hashes_its_seeds(self):
+        # -1 is no seed at all, so only a search that never hashes it gets through
+        stage, _ = block_at(3, 4, 6)
+        got = verdict_columns(stage, 1e-10, 14400, [-1] * 4)
+        want = verdict_columns(stage, 1e-10, 14400, [0] * 4)
+        assert (got.names, got.kinds) == (want.names, want.kinds)
+        for field in ("lhs", "rhs", "passed", "deviation"):
+            assert same_bits(getattr(got, field), getattr(want, field))
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            verdict_columns(stage, 1e-10, 0, [-1] * 4)  # 0 < 3^2 prefix pairs: sampled
 
     @settings(max_examples=200, deadline=None)
     # past 16 entries numpy's reductions run SIMD lanes, which may pick either zero
@@ -1391,8 +1401,8 @@ class TestStackedVerify:
         real_columns = cli.verdict_columns
         got_places = []
 
-        def columns_with_specials(stage, tol, budget, search_generators):
-            columns = real_columns(stage, tol, budget, search_generators)
+        def columns_with_specials(stage, tol, budget, seeds):
+            columns = real_columns(stage, tol, budget, seeds)
             deviation = columns.deviation.copy()
             for b in range(len(deviation)):
                 column, value = special(got_places)

@@ -94,6 +94,8 @@ def runs(inputs: Path) -> list:
             found.append((f"bounds-d{d}-{reading}", bounds + ["--s-reading", reading]))
         found.append((f"bounds-d{d}-t3", bounds + ["--t", "0:1:3"]))
         found.append((f"bounds-d{d}-budget20", bounds + ["--budget", "20", "--seed", "3"]))
+        found.append((f"bounds-d{d}-as-printed-budget20",
+                      bounds + ["--s-reading", "as-printed", "--budget", "20", "--seed", "3"]))
         found.append((f"bounds-d{d}-budget0", bounds + ["--budget", "0"]))
 
     for label, extra in (("defaults", []),
