@@ -13,7 +13,6 @@ from .chains import (
     InvarianceReport,
     PermutedBound,
     Reading,
-    SumBounds,
     VerdictColumns,
     chain_at,
     chain_stage,
@@ -26,7 +25,6 @@ from .chains import (
     optimize_batch,
     optimize_permutations,
     permute_s,
-    sum_chain,
     verdict_columns,
     verify_chain,
 )
@@ -44,7 +42,6 @@ from .errors import (
 )
 from .example import (
     ClosedForms,
-    ExampleParams,
     SweepTable,
     closed_forms,
     discrepancy_report,
@@ -69,7 +66,6 @@ from .objects import (
     mix_kraus_families,
     random_channel,
     random_density,
-    random_unitaries,
     random_unitary,
     validate_channel,
     validate_density,

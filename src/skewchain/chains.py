@@ -28,8 +28,10 @@ non-negative deficits from it:
 
 A symmetric-group pair (sigma, tau) relabels the columns seen by the p-slot
 and q-slot of each update; the identity pair reproduces the unpermuted walk
-bit for bit, and every permuted value stays between the cross-term bound's
-floor of zero and the product.
+bit for bit.  Under the product reading every permuted value is at most the
+product, but it may fall below the cross term and below zero.  Only the
+optimum is certified from below: it is at least the identity pair's value,
+which under the product reading is at least the cross term.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ __all__ = [
     "InvarianceReport",
     "PermutedBound",
     "Reading",
-    "SumBounds",
     "VerdictColumns",
     "chain_at",
     "chain_stage",
@@ -78,11 +79,11 @@ __all__ = [
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
+    "mixed_columns",
     "optimize_batch",
     "optimize_permutations",
     "permute_s",
     "stage_from_frames",
-    "sum_chain",
     "sum_transfer",
     "trial_entropies",
     "verdict_columns",
@@ -471,14 +472,6 @@ def chain_at(stage: ChainStage, b: int, reading: Reading = Reading.PRODUCT) -> B
                       cross_term=stage.cross_terms[b].item(), s_reading=reading)
 
 
-@dataclass(frozen=True)
-class SumBounds:
-    """Sum-form transfers ``2 sqrt(value)`` of the chain entries."""
-
-    i_values: tuple
-    s_values: dict
-
-
 def sum_transfer(values) -> np.ndarray:
     """The AM-GM transfer ``2 sqrt(x)`` of each product-form bound x, a lower
     bound on the sum of the two skew informations, as a float64 array.
@@ -488,13 +481,6 @@ def sum_transfer(values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=np.float64)
     return 2.0 * np.sqrt(np.where(x > 0.0, x, 0.0))
-
-
-def sum_chain(chain: BoundChain) -> SumBounds:
-    """``sum_transfer`` of every entry of the chain."""
-    return SumBounds(i_values=tuple(sum_transfer(chain.i_values).tolist()),
-                     s_values=dict(zip(chain.s_values,
-                                       sum_transfer(list(chain.s_values.values())).tolist())))
 
 
 def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
@@ -672,9 +658,13 @@ def mixed_bound(chain: BoundChain, best: PermutedBound, t: float) -> tuple:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    product_bound = (1.0 - t) * chain.product + t * best.value
-    sum_bound = (1.0 - t) * chain.sum + t * sum_transfer(best.value).item()
-    return product_bound, sum_bound
+    return tuple(float(v) for v in mixed_columns(chain.product, chain.sum, best.value, t))
+
+
+def mixed_columns(products, sums, optima, t) -> tuple:
+    """``mixed_bound`` entry by entry, over arguments that broadcast as numpy
+    arrays do: ``(product_bounds, sum_bounds)``.  The weight t is not checked."""
+    return (1.0 - t) * products + t * optima, (1.0 - t) * sums + t * sum_transfer(optima)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +812,7 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> V
                             Reading.PRODUCT)
         check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
         for t in (0.0, 0.5, 1.0):
-            prod_bound = (1.0 - t) * product + t * best  # as mixed_bound
+            prod_bound, _ = mixed_columns(product, total, best, t)
             check("mixed_le_product", "ge", product, prod_bound)
             check("mixed_ge_cross_term", "ge", prod_bound, cross)
 

@@ -276,7 +276,8 @@ def cmd_verify(args) -> int:
     if invariance_worst > args.tol:
         hard_failures += 1
 
-    pairs = [("command", "verify"), ("dims", args.dims), ("instances_per_dim", args.instances),
+    pairs = [("command", "verify"), ("dims", ",".join(map(str, dims))),
+             ("instances_per_dim", args.instances),
              ("seed", args.seed), ("tol", args.tol), ("budget", args.budget),
              ("instances_total", total)]
     for name in sorted(stats):

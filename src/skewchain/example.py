@@ -17,13 +17,12 @@ S-lattice reading).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Reading, stage_from_frames, sum_transfer
+from .chains import Reading, mixed_columns, stage_from_frames
 from .objects import (
     Convention,
     DensityMatrix,
@@ -40,7 +39,6 @@ __all__ = [
     "ClosedForms",
     "DiscrepancyReport",
     "EXAMPLE_DIM",
-    "ExampleParams",
     "SweepTable",
     "closed_forms",
     "discrepancy_report",
@@ -101,20 +99,6 @@ def _q_family_stack(qs) -> np.ndarray:
     f[:, 0, 0, 0] = f[:, 0, 2, 2] = np.sqrt(1.0 - q)
     f[:, 1, 0, 1] = f[:, 1, 2, 3] = np.sqrt(q)
     return f
-
-
-@dataclass(frozen=True)
-class ExampleParams:
-    """One grid point: state parameter, channel parameters, mixing weight."""
-
-    theta: float
-    p: float
-    q: float
-    t: float = 1.0
-
-    def __post_init__(self):
-        for name in ("theta", "p", "q", "t"):
-            _check_unit(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -180,9 +164,10 @@ def _form_columns(thetas, ps, qs) -> np.ndarray:
     return np.stack([eq20, eq21, eq22, eq23, eq24, eq25], axis=1)
 
 
-def closed_forms(params: ExampleParams) -> ClosedForms:
-    """The reference closed forms at one point."""
-    return ClosedForms(*_form_columns([params.theta], [params.p], [params.q])[0].tolist())
+def closed_forms(theta: float, p: float, q: float) -> ClosedForms:
+    """The reference closed forms at the point (theta, p, q)."""
+    point = [[_check_unit(name, value)] for name, value in (("theta", theta), ("p", p), ("q", q))]
+    return ClosedForms(*_form_columns(*point)[0].tolist())
 
 
 CSV_HEADER = ("theta,p,q,t,product,sum,I1,I2,I3,I4,S21,S31,S32,lemma1,"
@@ -272,8 +257,8 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,),
     pair gives (2, 1) the identity walk's value under either reading, as
     ``tests/test_example_symbolic.py`` proves, so no search runs
     (``optimize_permutations`` searches any other instance).  The mixed
-    columns convex-combine it with the trivial bounds at each t, as
-    ``mixed_bound`` does.  Each state and Kraus family is validated once, as
+    columns convex-combine it with the trivial bounds at each t, by
+    ``mixed_columns``.  Each state and Kraus family is validated once, as
     arrays; the chains come from stacked passes that run across theta and
     are shared across the t axis.
     """
@@ -293,10 +278,9 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,),
             stage.cross_terms, stage.lattices[reading][:, 0]])
         chain = np.repeat(chain, len(ts), axis=0)  # each point's rows over the t grid
         t = np.tile(ts, len(stage.products))
-        product, total, opt = chain[:, 0], chain[:, 1], chain[:, -1]
         columns.append(np.column_stack([
             np.repeat(points[span], len(ts), axis=0), t, chain,
-            (1.0 - t) * product + t * opt, (1.0 - t) * total + t * sum_transfer(opt),
+            *mixed_columns(chain[:, 0], chain[:, 1], chain[:, -1], t),
             np.repeat(forms[span], len(ts), axis=0)]))
     return SweepTable(columns=np.concatenate(columns))
 
@@ -320,25 +304,11 @@ def write_sweep_csv(table: SweepTable, *paths) -> None:
 _FORM_NAMES = ("eq20", "eq21", "eq22", "eq23", "eq24", "eq25")
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
-    """One formula at one point, read from a report's columns."""
-
-    formula: str
-    params: ExampleParams
-    numeric: float
-    printed: float
-    abs_dev: float = field(compare=False)
-    rel_dev: float = field(compare=False)
-    ratio: float = field(compare=False)
-
-
 @dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
     """The report as columns: ``params`` is the read-only (points, 3) array of
     the grid's (theta, p, q) rows, and row i of each (points, 6) array holds
-    point i's values of eq20..eq25.  No per-point object exists until
-    ``rows`` is read."""
+    point i's values of eq20..eq25, in columns 0..5."""
 
     params: np.ndarray
     numeric: np.ndarray
@@ -347,19 +317,6 @@ class DiscrepancyReport:
     rel_dev: np.ndarray
     ratio: np.ndarray      # NaN where |numeric| <= 1e-15
     fitted_ratios: dict    # formula -> constant ratio, when multiplicative
-
-    @functools.cached_property
-    def rows(self) -> tuple:
-        """One ``DiscrepancyRow`` per point and formula, in point order, each
-        point an ``ExampleParams``."""
-        columns = (self.numeric, self.printed, self.abs_dev, self.rel_dev, self.ratio)
-        return tuple(DiscrepancyRow(name, ExampleParams(*pt), *values)
-                     for pt, point in zip(self.params.tolist(),
-                                          zip(*(c.tolist() for c in columns)))
-                     for name, values in zip(_FORM_NAMES, zip(*point)))
-
-    def rows_for(self, formula: str) -> list:
-        return [r for r in self.rows if r.formula == formula]
 
 
 def _numeric_targets(stage) -> np.ndarray:

@@ -58,7 +58,6 @@ __all__ = [
     "mix_kraus_families",
     "random_channel",
     "random_density",
-    "random_unitaries",
     "random_unitary",
     "seeding_words",
     "unitaries_from_words",
@@ -454,17 +453,12 @@ def densities_from_words(d: int, ranks, words) -> tuple:
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n-by-n unitary with deterministic phase fixing."""
-    return random_unitaries(n, [seed])[0]
-
-
-def random_unitaries(n: int, seeds) -> np.ndarray:
-    """``random_unitary`` of each seed, as one (B, n, n) stack from one stacked QR."""
-    return unitaries_from_words(n, _seeding_words([(seed,) for seed in seeds]))
+    return unitaries_from_words(n, _seeding_words([(seed,)]))[0]
 
 
 def unitaries_from_words(n: int, words) -> np.ndarray:
-    """``random_unitaries`` with the ``seeding_words`` row of each seed in
-    place of the seed."""
+    """``random_unitary`` of each ``seeding_words`` row, in place of a seed,
+    as one (B, n, n) stack from one stacked QR."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _haar_isometries(words, n, n)

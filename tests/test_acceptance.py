@@ -23,7 +23,6 @@ from skewchain.chains import (
 )
 from skewchain.cli import main
 from skewchain.example import (
-    ExampleParams,
     closed_forms,
     discrepancy_report,
     example_channels,
@@ -100,13 +99,13 @@ def test_criterion_2_closed_form_surfaces():
     for p in grid:
         for q in grid:
             chain = compute_chain(rho_theta(1.0), *example_channels(p, q))
-            forms = closed_forms(ExampleParams(theta=1.0, p=p, q=q))
+            forms = closed_forms(1.0, p, q)
             worst_product = max(worst_product, abs(chain.product - forms.eq20))
             worst_cross = max(worst_cross, abs(chain.cross_term - forms.eq22))
     n1, n2 = example_channels(0.5, 0.5)
     for theta in np.linspace(0.0, 1.0, 101):
         chain = compute_chain(rho_theta(float(theta)), n1, n2)
-        forms = closed_forms(ExampleParams(theta=float(theta), p=0.5, q=0.5))
+        forms = closed_forms(float(theta), 0.5, 0.5)
         worst_product = max(worst_product, abs(chain.product - forms.eq20))
         worst_cross = max(worst_cross, abs(chain.cross_term - forms.eq22))
     elapsed = time.perf_counter() - start
@@ -240,15 +239,18 @@ def test_criterion_8_discrepancy_report_completeness(tmp_path):
     grid = [(t, p, q) for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)
             for q in np.linspace(0, 1, 5)]
     report = discrepancy_report(grid)
-    formulas = {row.formula for row in report.rows}
-    complete = formulas == {"eq20", "eq21", "eq22", "eq23", "eq24", "eq25"}
     ratio_documented = report.fitted_ratios.get("eq21") is not None
     ratio_value = report.fitted_ratios.get("eq21", float("nan"))
     ratio_is_two = abs(ratio_value - 2.0) <= 1e-9
     path = tmp_path / "discrepancy_report.csv"
     write_discrepancy_csv(report, path)
-    header = path.read_text().splitlines()[0].split(",")
+    header, *lines = path.read_text().splitlines()
+    header = header.split(",")
     has_ratio_column = "ratio" in header and "fitted_ratio" in header
+    # one line per point and formula, from one (points, 6) column per field
+    formulas = {line.split(",")[0] for line in lines}
+    complete = (formulas == {"eq20", "eq21", "eq22", "eq23", "eq24", "eq25"}
+                and len(lines) == 6 * len(grid) and report.numeric.shape == (len(grid), 6))
     elapsed = time.perf_counter() - start
     ok = complete and ratio_documented and ratio_is_two and has_ratio_column
     _criterion("criterion 8 discrepancy report completeness", ok,

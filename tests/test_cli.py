@@ -683,6 +683,16 @@ class TestVerify:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_spellings_of_one_dims_list_give_the_same_bytes(self, tmp_path):
+        # the verdict names the parsed dims, not the flag's text
+        verdicts = []
+        for k, dims in enumerate(["2,3", " 2, 3", "2,,3,", "0_2,3"]):
+            out = tmp_path / f"v{k}.txt"
+            assert main(["verify", "--dims", dims, "--instances", "2", "--out", str(out)]) == 0
+            verdicts.append(out.read_bytes())
+        assert verdicts == verdicts[:1] * 4
+        assert read_report(tmp_path / "v0.txt")["dims"] == "2,3"
+
     def test_absurdly_small_tol_exits_1(self, tmp_path):
         out = tmp_path / "verdict.txt"
         code = main(["verify", "--dims", "3", "--instances", "3", "--seed", "1",
@@ -796,8 +806,7 @@ class TestExampleCommand:
             raise AssertionError("example built a per-point object")
 
         for module, name in ((objects, "KrausChannel"), (objects, "DensityMatrix"),
-                             (example, "ExampleParams"), (chains, "chain_at"),
-                             (chains, "BoundChain")):
+                             (chains, "chain_at"), (chains, "BoundChain")):
             monkeypatch.setattr(module, name, refuse)
         golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "example-small.json"
         manifest = json.loads(golden.read_text())

@@ -16,12 +16,11 @@ from skewchain.chains import (
     mixed_bound,
     optimize_permutations,
     stage_from_frames,
-    sum_chain,
+    sum_transfer,
 )
 from skewchain.errors import CompletenessError
 from skewchain.example import (
     CSV_HEADER,
-    ExampleParams,
     SweepTable,
     closed_forms,
     discrepancy_report,
@@ -98,7 +97,7 @@ class TestExampleChannels:
 
 class TestClosedForms:
     def test_worked_point(self):
-        forms = closed_forms(ExampleParams(theta=1.0, p=0.5, q=0.5))
+        forms = closed_forms(1.0, 0.5, 0.5)
         assert forms.eq20 == pytest.approx(0.02144660940672623, abs=1e-12)
         assert forms.eq21 == pytest.approx(0.5857864376269049, abs=1e-12)
         assert forms.eq22 == pytest.approx(0.0031407832308854556, abs=1e-12)
@@ -107,7 +106,7 @@ class TestClosedForms:
         assert forms.eq25 == pytest.approx(0.00763593008667648, abs=1e-12)
 
     def test_incoherent_point_vanishes(self):
-        forms = closed_forms(ExampleParams(theta=0.5, p=0.3, q=0.8))
+        forms = closed_forms(0.5, 0.3, 0.8)
         for name in ("eq20", "eq21", "eq22", "eq23"):
             assert getattr(forms, name) == pytest.approx(0.0, abs=1e-15)
 
@@ -118,7 +117,7 @@ class TestClosedForms:
                     rho = rho_theta(theta)
                     n1, n2 = example_channels(p, q)
                     chain = compute_chain(rho, n1, n2)
-                    forms = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+                    forms = closed_forms(theta, p, q)
                     assert chain.product == pytest.approx(forms.eq20, abs=1e-10)
                     assert chain.cross_term == pytest.approx(forms.eq22, abs=1e-10)
 
@@ -126,7 +125,7 @@ class TestClosedForms:
         rho = rho_theta(1.0)
         n1, n2 = example_channels(0.5, 0.5)
         chain = compute_chain(rho, n1, n2)
-        forms = closed_forms(ExampleParams(theta=1.0, p=0.5, q=0.5))
+        forms = closed_forms(1.0, 0.5, 0.5)
         assert chain.sum == pytest.approx(0.2928932188134524, abs=1e-12)
         assert forms.eq21 == pytest.approx(2.0 * chain.sum, abs=1e-12)
 
@@ -134,7 +133,7 @@ class TestClosedForms:
         rho = rho_theta(0.9)
         n1, n2 = example_channels(0.3, 0.6)
         chain = compute_chain(rho, n1, n2, Reading.PRODUCT)
-        forms = closed_forms(ExampleParams(theta=0.9, p=0.3, q=0.6))
+        forms = closed_forms(0.9, 0.3, 0.6)
         assert chain.s_values[(2, 1)] == pytest.approx(forms.eq23, abs=1e-10)
 
 
@@ -246,7 +245,7 @@ class TestDiscrepancyReport:
     def test_structure_and_ratios(self):
         grid = [(t, p, q) for t in (0.0, 0.3, 1.0) for p in (0.2, 0.8) for q in (0.4, 0.9)]
         report = discrepancy_report(grid)
-        assert len(report.rows) == len(grid) * 6
+        assert report.numeric.shape == (len(grid), 6)
         # eq20/eq22/eq23 agree with the pipeline, eq21 runs at exactly twice it
         assert report.fitted_ratios["eq20"] == pytest.approx(1.0, abs=1e-9)
         assert report.fitted_ratios["eq22"] == pytest.approx(1.0, abs=1e-9)
@@ -259,10 +258,7 @@ class TestDiscrepancyReport:
     def test_eq20_deviation_small_everywhere(self):
         grid = [(t, p, p) for t in np.linspace(0, 1, 5) for p in np.linspace(0, 1, 5)]
         report = discrepancy_report(grid)
-        for row in report.rows_for("eq20"):
-            assert row.abs_dev <= 1e-10
-        for row in report.rows_for("eq22"):
-            assert row.abs_dev <= 1e-10
+        assert (report.abs_dev[:, [0, 2]] <= 1e-10).all()  # eq20 and eq22
 
     def test_csv_emission(self, tmp_path):
         report = discrepancy_report([(1.0, 0.5, 0.5)])
@@ -283,11 +279,18 @@ class TestDiscrepancyReport:
         ([(0.2, 0.3, 0.4), (0.5, 1.5, 0.5)], "p must lie in [0, 1], got 1.5"),
         ([(0.2, 0.3, 0.4), (0.5, 0.5, -0.25)], "q must lie in [0, 1], got -0.25"),
         ([(0.2, 0.3, 0.4), (math.nan, 0.5, 0.5)], "theta must lie in [0, 1], got nan"),
-        ([(0.5, 0.5)], "expected (theta, p, q) rows, got an array of shape (1, 2)")])
+        ([(0.5, 0.5)], "expected (theta, p, q) rows, got an array of shape (1, 2)"),
+        ([(1.5, 0.5, 0.5)], "theta must lie in [0, 1], got 1.5"),
+        ([(0.5, -0.1, 0.5)], "p must lie in [0, 1], got -0.1"),
+        ([(0.5, 0.5, math.inf)], "q must lie in [0, 1], got inf")])
     def test_rejects_bad_points(self, points, message):
         with pytest.raises(ValueError) as info:
             discrepancy_report(points)
         assert str(info.value) == message
+        if len(points[-1]) == 3:  # closed_forms checks the last, bad point as the report does
+            with pytest.raises(ValueError) as info:
+                closed_forms(*points[-1])
+            assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +299,8 @@ class TestDiscrepancyReport:
 
 
 def oracle_sweep_rows(thetas, ps, qs, ts, reading):
-    """The sweep's CSV rows, each built from its point's own chain, optimum,
-    ``mixed_bound`` and closed forms."""
+    """The sweep's CSV rows, each built from its point's own chain, optimum
+    and closed forms, and the scalar mixes of ``oracle_mixed_bound``."""
     rows = []
     for theta in sorted(thetas):
         for p in sorted(ps):
@@ -306,9 +309,9 @@ def oracle_sweep_rows(thetas, ps, qs, ts, reading):
                 n1, n2 = example_channels(p, q)
                 c = compute_chain(rho, n1, n2, reading)
                 best = optimize_permutations(rho, n1, n2, 2, 1, reading=reading)
-                f = closed_forms(ExampleParams(theta=theta, p=p, q=q))
+                f = closed_forms(theta, p, q)
                 for t in sorted(ts):
-                    mp, ms = mixed_bound(c, best, t)
+                    mp, ms = oracle_mixed_bound(c.product, c.sum, best.value, t)
                     rows.append([theta, p, q, t, c.product, c.sum, *c.i_values,
                                  c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
                                  c.cross_term, best.value, mp, ms,
@@ -376,7 +379,7 @@ class TestStackedPassesMatchPointOracle:
     def test_mixed_columns_match_mixed_bound_on_any_optimum(self, monkeypatch):
         # optima no valid instance reaches: NaN, negative, -0.0, subnormal and
         # infinite, put in the stages' S21 column, which perm_opt reads; the
-        # sweep, mixed_bound and sum_chain all transfer them as the scalar
+        # sweep, mixed_bound and sum_transfer all transfer them as the scalar
         # formula does
         optima = [math.nan, -1e-3, -0.0, 0.0, 5e-324, 0.25, math.inf, -math.inf]
         real = example._chain_blocks
@@ -402,10 +405,10 @@ class TestStackedPassesMatchPointOracle:
             tuple(map(repr, pair)) for pair in expected]  # Python floats, bit for bit
         positions = lattice_order(5)
         s_values = dict(zip(positions, itertools.islice(itertools.cycle(optima), len(positions))))
-        bounds = sum_chain(BoundChain(5, 1.0, 2.0, tuple(optima), s_values, 0.0, Reading.PRODUCT))
-        assert [repr(v) for v in bounds.i_values] == [repr(oracle_transfer(v)) for v in optima]
-        assert list(bounds.s_values) == positions
-        assert [repr(v) for v in bounds.s_values.values()] == [
+        chain = BoundChain(5, 1.0, 2.0, tuple(optima), s_values, 0.0, Reading.PRODUCT)
+        assert [repr(v) for v in sum_transfer(chain.i_values).tolist()] == [
+            repr(oracle_transfer(v)) for v in optima]
+        assert [repr(v) for v in sum_transfer(list(chain.s_values.values())).tolist()] == [
             repr(oracle_transfer(v)) for v in s_values.values()]
 
     def test_hard_failures_on_nan_entries(self):
@@ -513,7 +516,6 @@ class TestBuildsEachInputOnce:
 
         monkeypatch.setattr(chains, "chain_at", refuse)
         monkeypatch.setattr(chains, "BoundChain", refuse)
-        monkeypatch.setattr(example, "ExampleParams", refuse)
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
         assert len(table) == len(TIE_THETAS) * len(TIE_PS) * len(TIE_QS) * 2
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
@@ -530,7 +532,7 @@ class TestBuildsEachInputOnce:
         monkeypatch.setattr(chains, "BoundChain", refuse)
         grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         report = discrepancy_report(grid)
-        assert len(report.rows) == 6 * len(grid)
+        assert report.numeric.shape == (len(grid), 6)
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
         assert sorted(calls["_p_family_stack"]) == sorted(set(TIE_PS))
         assert sorted(calls["_q_family_stack"]) == sorted(set(TIE_QS))

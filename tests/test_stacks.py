@@ -33,7 +33,6 @@ from skewchain.chains import (
     invariance_columns,
     join_stages,
     lattice_order,
-    mixed_bound,
     optimize_batch,
     trial_entropies,
     verdict_columns,
@@ -74,9 +73,9 @@ from skewchain.objects import (
     mix_kraus_families,
     random_channel,
     random_density,
-    random_unitaries,
     random_unitary,
     seeding_words,
+    unitaries_from_words,
     validate_channel,
     validate_density,
 )
@@ -773,7 +772,7 @@ class TestGeneratorStacks:
         seeds = data.draw(st.lists(st.tuples(seeds_64, seeds_64), min_size=1, max_size=5))
         families = channels_from_words(d, n, seeding_words([(seed,) for seed, _ in seeds]),
                                        convention)
-        us = random_unitaries(n, [u_seed for _, u_seed in seeds])
+        us = unitaries_from_words(n, seeding_words([(u_seed,) for _, u_seed in seeds]))
         mixed = mix_kraus_families(families, us)
         assert families.shape == mixed.shape == (len(seeds), n, d, d) and len(us) == len(seeds)
         assert not families.flags.writeable and not mixed.flags.writeable
@@ -797,9 +796,10 @@ class TestGeneratorStacks:
                 raised(oracle_random_channel, 2, n, Convention.COLUMN_SUM, 1)
             assert raised(random_channel, 2, n) == \
                 raised(oracle_random_channel, 2, n, Convention.COLUMN_SUM, 1)
-        assert raised(random_unitaries, 0, [1]) == (ValueError, "n must be >= 1")
+        assert raised(unitaries_from_words, 0, seeding_words([(1,)])) == \
+            raised(random_unitary, 0, 1) == (ValueError, "n must be >= 1")
         assert channels_from_words(2, 3, seeding_words([])).shape == (0, 0, 0, 0)
-        assert random_unitaries(3, []).shape == (0, 3, 3)
+        assert unitaries_from_words(3, seeding_words([])).shape == (0, 3, 3)
 
     @staticmethod
     def spoil(u, defect):
@@ -819,7 +819,7 @@ class TestGeneratorStacks:
     @pytest.mark.parametrize("defect", ["scaled", "nan", "wrong_size", "not_2d"])
     def test_bad_unitary_fails_as_its_first_failing_pair(self, bad, defect):
         channels = [random_channel(3, 2, seed=seed) for seed in (1, 2, 3, 4)]
-        us = list(random_unitaries(2, [5, 6, 7, 8]))
+        us = [random_unitary(2, seed) for seed in (5, 6, 7, 8)]
         us[bad] = self.spoil(us[bad], defect)
         us[3] = self.spoil(us[3], "far")  # a later, larger failure
         expected = first_failure(lambda pair: oracle_mix_kraus(*pair), zip(channels, us))
@@ -835,11 +835,11 @@ class TestGeneratorStacks:
     def test_families_must_share_one_shape(self):
         # the families and the unitaries must be stacks of one count and one n
         families = np.array([random_channel(2, 2, seed=seed).operators for seed in (1, 2)])
-        us = random_unitaries(2, [3, 4])
+        us = np.array([random_unitary(2, seed) for seed in (3, 4)])
         need = ("need a (B, n, d, d) stack of Kraus families and a (B, n, n) stack of "
                 "mixing unitaries, got shapes")
         for args, shapes in (((families, us[:1]), "(2, 2, 2, 2) and (1, 2, 2)"),
-                             ((families, random_unitaries(3, [3, 4])),
+                             ((families, np.array([random_unitary(3, 3)] * 2)),
                               "(2, 2, 2, 2) and (2, 3, 3)"),
                              ((families[0], us), "(2, 2, 2) and (2, 2, 2)")):
             assert raised(mix_kraus_families, *args) == (DimensionMismatchError,
@@ -952,7 +952,7 @@ def oracle_verify_checks(data, tol, perm_budget, seed):
         best = chains.PermutedBound(sigma, tau, 2, 1, value)
         checks.append(oracle_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
         for t in (0.0, 0.5, 1.0):
-            prod_bound, _ = mixed_bound(chain, best, t)
+            prod_bound = (1.0 - t) * chain.product + t * best.value  # the scalar mix
             checks.append(oracle_ge_check("mixed_le_product", chain.product, prod_bound, tol))
             checks.append(oracle_ge_check("mixed_ge_cross_term", prod_bound, chain.cross_term,
                                           tol))
@@ -1489,14 +1489,14 @@ def oracle_row(formula, params, numeric, printed):
 
 
 def oracle_chain_targets(params):
-    """Each point's product-reading (product, sum, cross term, S21, S31, S32),
-    read by ``chain_at`` from stages of the points' objects, in passes of
-    ``example._BLOCK`` points."""
+    """Each (theta, p, q) point's product-reading (product, sum, cross term,
+    S21, S31, S32), read by ``chain_at`` from stages of the points' objects,
+    in passes of ``example._BLOCK`` points."""
     targets = []
     for start in range(0, len(params), example._BLOCK):
         block = params[start:start + example._BLOCK]
-        pairs = [example.example_channels(pt.p, pt.q) for pt in block]
-        stage = object_stage([example.rho_theta(pt.theta) for pt in block],
+        pairs = [example.example_channels(p, q) for _, p, q in block]
+        stage = object_stage([example.rho_theta(theta) for theta, _, _ in block],
                              [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
         for b in range(len(block)):
             chain = chain_at(stage, b, Reading.PRODUCT)
@@ -1511,7 +1511,7 @@ def oracle_discrepancy_report(params):
     rows = []
     ratios = {name: [] for name in example._FORM_NAMES}
     for pt, values in zip(params, oracle_chain_targets(params)):
-        forms = oracle_closed_forms(pt.theta, pt.p, pt.q)
+        forms = oracle_closed_forms(*pt)
         for name, numeric, printed in zip(example._FORM_NAMES, values, forms):
             row = oracle_row(name, pt, numeric, printed)
             rows.append(row)
@@ -1532,13 +1532,13 @@ def oracle_fmt(x):
 
 
 def oracle_discrepancy_csv(rows, fitted):
-    """The per-value writer over ``(formula, params, numeric, printed, abs_dev,
-    rel_dev, ratio)`` rows."""
+    """The per-value writer over ``(formula, (theta, p, q), numeric, printed,
+    abs_dev, rel_dev, ratio)`` rows."""
     lines = ["formula,theta,p,q,numeric,printed,abs_dev,rel_dev,ratio,fitted_ratio"]
     fitted = {name: oracle_fmt(v) for name, v in fitted.items()}
     for formula, pt, numeric, printed, abs_dev, rel_dev, ratio in rows:
         lines.append(",".join([
-            formula, ",".join(oracle_fmt(v) for v in (pt.theta, pt.p, pt.q)), oracle_fmt(numeric),
+            formula, ",".join(oracle_fmt(v) for v in pt), oracle_fmt(numeric),
             oracle_fmt(printed), oracle_fmt(abs_dev), oracle_fmt(rel_dev),
             "" if math.isnan(ratio) else oracle_fmt(ratio), fitted.get(formula, "")]))
     return "\n".join(lines) + "\n"
@@ -1571,19 +1571,18 @@ def per_line_discrepancy_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def points_of(grid):
-    """The (theta, p, q) rows of a grid of ``ExampleParams``."""
-    return [(pt.theta, pt.p, pt.q) for pt in grid]
-
-
 def row_bits(row):
     formula, params, *values = row
     return formula, params, np.array(values).tobytes()
 
 
 def report_rows(report):
-    return [(r.formula, r.params, r.numeric, r.printed, r.abs_dev, r.rel_dev, r.ratio)
-            for r in report.rows]
+    """``(formula, (theta, p, q), numeric, printed, abs_dev, rel_dev, ratio)``
+    per point and formula, read from the report's arrays: row i is point i,
+    and columns 0..5 are eq20..eq25."""
+    columns = (report.numeric, report.printed, report.abs_dev, report.rel_dev, report.ratio)
+    return [(name, tuple(report.params[i].tolist()), *(c[i, j].item() for c in columns))
+            for i in range(len(report.params)) for j, name in enumerate(example._FORM_NAMES)]
 
 
 # Every binade, both zeros, both infinities, NaN, subnormals and values that
@@ -1606,11 +1605,10 @@ class TestColumnarReport:
         if block is not None:  # several passes, the last one partial
             monkeypatch.setattr(example, "_BLOCK", block)
         values = (0.0, 0.5, 1.0, 0.3, 5e-324, 1 - 2 ** -53)
-        grid = [example.ExampleParams(theta=t, p=p, q=q)
-                for t, p, q in itertools.product(values, repeat=3)]
+        grid = list(itertools.product(values, repeat=3))
         grid += grid[:9]  # duplicate points
         np.random.default_rng(5).shuffle(grid)  # not theta-major
-        report = example.discrepancy_report(points_of(grid))
+        report = example.discrepancy_report(grid)
         rows, fitted = oracle_discrepancy_report(grid)
         assert [row_bits(r) for r in report_rows(report)] == [row_bits(r) for r in rows]
         assert report.fitted_ratios == fitted and set(fitted) == {"eq20", "eq21", "eq22", "eq23"}
@@ -1623,9 +1621,9 @@ class TestColumnarReport:
     def test_stage_targets_match_object_stages(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(example, "_BLOCK", block)
-        grid = [example.ExampleParams(theta=t, p=p, q=q) for t, p, q in
-                itertools.product((0.0, 0.2, 0.5, 0.9, 1.0), (0.0, 0.35, 1.0), (0.1, 0.5, 1.0))]
-        targets = example.discrepancy_report(points_of(grid)).numeric
+        grid = list(itertools.product((0.0, 0.2, 0.5, 0.9, 1.0), (0.0, 0.35, 1.0),
+                                      (0.1, 0.5, 1.0)))
+        targets = example.discrepancy_report(grid).numeric
         assert same_bits(targets, np.array(oracle_chain_targets(grid)))
 
     @settings(max_examples=200, deadline=None)
@@ -1634,7 +1632,7 @@ class TestColumnarReport:
         columns = example._form_columns(*zip(*points))
         assert same_bits(columns, np.array([oracle_closed_forms(*pt) for pt in points]))
         theta, p, q = points[0]
-        forms = example.closed_forms(example.ExampleParams(theta=theta, p=p, q=q))
+        forms = example.closed_forms(theta, p, q)
         assert same_bits([getattr(forms, name) for name in example._FORM_NAMES],
                          oracle_closed_forms(theta, p, q))
 

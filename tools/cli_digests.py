@@ -110,6 +110,8 @@ def runs(inputs: Path) -> list:
         example = ["example", "--s-reading", reading, "--out", "OUT"]
         found.append((f"example-defaults-{reading}", example))
         found.append((f"example-small-{reading}", example + list(EXAMPLE_SMALL)))
+        found.append((f"example-small-t3-{reading}", example + list(EXAMPLE_SMALL)
+                      + ["--t", "0:1:3"]))
 
     for name, d, n, trials in (("inv4", 4, 3, 20), ("inv32", 32, 32, 4)):
         instance = write_instance(inputs, name, d, n, n)
