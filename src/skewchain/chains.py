@@ -32,13 +32,16 @@ bit for bit.  Under the product reading every permuted value is at most the
 product, but it may fall below the cross term and below zero.  Only the
 optimum is certified from below: it is at least the identity pair's value,
 which under the product reading is at least the cross term.
+
+The optimum is taken at (2, 1), by enumerating its d^2 label pairs exactly.
+Under the product reading both deficits are non-negative for any labels, so
+every permuted walk is non-increasing and no deeper position can beat (2, 1).
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import operator
 import os
@@ -53,7 +56,6 @@ from .objects import (
     DensityMatrix,
     KrausChannel,
     derive_seeds,
-    generators,
     mix_kraus_families,
     seeding_words,
     unitaries_from_words,
@@ -508,44 +510,36 @@ def _permuted_value(tables: dict, d: int, sigma, tau, p: int, q: int,
 
 @dataclass(frozen=True)
 class PermutedBound:
-    """A permutation pair with its S-lattice value at (p, q)."""
+    """A permutation pair with its S-lattice value at (2, 1)."""
 
     sigma: tuple
     tau: tuple
-    p: int
-    q: int
     value: float
 
 
 def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                          p: int, q: int, budget: int = 14400, seed: int = 0,
                           reading: Reading = Reading.PRODUCT) -> PermutedBound:
-    """Maximize the permuted S value at (p, q) over permutation pairs.
+    """Maximize the permuted S value at (2, 1) over permutation pairs, exactly.
 
-    The value at (p, q) reads only the label prefixes ``sigma[1..p-1]`` and
-    ``tau[0..p-2]``: ``(d!/(d-p+1)!)^2`` prefix pairs, d^2 at the (2, 1)
-    target.  When they number at most ``budget`` (at (2, 1) with the default
-    budget, every d <= 120) the search is exact: it enumerates them and
-    returns exactly what a walk over all ``(d!)^2`` pairs in lexicographic
-    order would, keeping the first maximum.  The completions are sigma =
-    (smallest unused label, prefix, the rest ascending) and tau = (prefix, the
-    rest ascending).
+    The value at (2, 1) reads only the labels ``sigma[1]`` and ``tau[0]``, so
+    the search enumerates those d^2 pairs and returns exactly what a walk
+    over all ``(d!)^2`` pairs in lexicographic order would, keeping the first
+    maximum.  The completions are sigma = (smallest unused label, sigma[1],
+    the rest ascending) and tau = (tau[0], the rest ascending).
 
-    Otherwise it samples: it draws ``budget`` seeded pairs and then
-    hill-climbs over adjacent transpositions.  That is deterministic given the
-    seed, and a lower estimate of the optimum.
+    Under the product reading no deeper lattice position can beat it: every
+    update subtracts a deficit that is non-negative for any labels, so every
+    permuted walk is non-increasing from (2, 1) on.
     """
-    return optimize_batch(_instance_stage(rho, ch1, ch2), p, q, budget, seed, reading)[0]
+    return optimize_batch(_instance_stage(rho, ch1, ch2), reading)[0]
 
 
-def optimize_batch(stage: ChainStage, p: int, q: int, budget: int = 14400, seed: int = 0,
-                   reading: Reading = Reading.PRODUCT) -> list:
+def optimize_batch(stage: ChainStage, reading: Reading = Reading.PRODUCT) -> list:
     """``optimize_permutations`` of each instance of a stage, in one search;
     each gets bit for bit the ``PermutedBound`` it gets alone."""
     reading = Reading(reading)
-    rows = stage.tables[reading]
-    values, pairs = _optimize(rows, _stage_dim(stage), p, q, budget, [seed] * len(rows), reading)
-    return [PermutedBound(sigma=sig, tau=tu, p=p, q=q, value=v)
+    values, pairs = _optimize(stage.tables[reading], _stage_dim(stage), reading)
+    return [PermutedBound(sigma=sig, tau=tu, value=v)
             for v, (sig, tu) in zip(values.tolist(), pairs)]
 
 
@@ -555,98 +549,31 @@ def _stage_dim(stage: ChainStage) -> int:
     return math.isqrt(stage.tables[Reading.AS_PRINTED].shape[1] - 1)
 
 
-def _optimize(rows: np.ndarray, d: int, p: int, q: int, budget: int, seeds,
-              reading: Reading) -> tuple:
-    """The optimum of each instance of a stack, as ``(values, pairs)``: a
-    float64 array and each instance's winning ``(sigma, tau)``.  ``rows[b]``
-    is instance b's S-table row of ``reading``.  A sampled search samples
-    instance b with the generator of ``seeds[b]``, all of them seeded from one
-    hash pass; an exact search never reads the seeds, so it hashes none."""
-    _check_position(p, q, d)
-    reading = Reading(reading)
-    if math.perm(d, p - 1) ** 2 <= budget:  # the (d!/(d-p+1)!)^2 prefix pairs
-        return _exhaustive(rows, d, p, q, reading)
-    found = [_sampled(row, d, p, q, budget, gen, reading)
-             for row, gen in zip(rows, generators(seeds), strict=True)]
-    return (np.array([v for v, _, _ in found], dtype=np.float64),
-            [(sig, tu) for _, sig, tu in found])
+def _optimize(rows: np.ndarray, d: int, reading: Reading) -> tuple:
+    """The (2, 1) optimum of each instance of a stack, as ``(values, pairs)``:
+    a float64 array and each instance's winning ``(sigma, tau)``.  ``rows[b]``
+    is instance b's S-table row of ``reading``.
 
-
-def _prefixes(d: int, p: int) -> tuple:
-    """The sigma and tau label prefixes an exhaustive search at row p walks,
-    in search order.
-
-    The full search meets tau[0..p-2] = prefix first in (prefix, the rest
-    ascending), so tau prefixes come in lexicographic order.  It meets
-    sigma[1..p-1] = prefix first in (smallest unused label, prefix, the rest
-    ascending), so sigma prefixes are sorted by that permutation.
+    One closed form on a d x d grid for every instance at once:
+    ``((start - pair[r, s]) - diag[r]) - diag[s]`` (product reading) or
+    ``start + step[r, s]`` (as printed), scanning r = sigma[1] as 1, 2, ...,
+    d-1, 0 and s = tau[0] as 0, ..., d-1, the order in which the full walk
+    meets them.  Each instance keeps its first maximum in that scan, completed
+    as ``optimize_permutations`` says, once per distinct winning cell.
     """
-    taus = list(itertools.permutations(range(d), p - 1))
-    return sorted(taus, key=lambda prefix: (next(i for i in range(d) if i not in prefix),
-                                            prefix)), taus
-
-
-def _exhaustive(rows: np.ndarray, d: int, p: int, q: int, reading: Reading) -> tuple:
-    """Walk every pair of label prefixes of every instance at once, in the
-    search order of ``_prefixes``, as ``(values, pairs)``: each instance's
-    maximum value and the full ``(sigma, tau)`` of its first maximum in that
-    order, completed as ``optimize_permutations`` says, once per distinct
-    winning cell.
-
-    At (2, 1) this is the closed form ``((start - pair[r, s]) - diag[r]) -
-    diag[s]`` (product reading) or ``start + step[r, s]`` (as printed) on a
-    d x d grid, scanning r = sigma[1] as 1, 2, ..., d-1, 0 and s = tau[0] as
-    0, ..., d-1.
-    """
-    sigmas, taus = _prefixes(d, p)
-    prefix_rows = np.array(sigmas, dtype=np.intp)
-    prefix_cols = np.array(taus, dtype=np.intp)
-    sigma = [None] + [prefix_rows[:, k, None] for k in range(p - 1)]
-    tau = [prefix_cols[None, :, k] for k in range(p - 1)]
-    values = _value_at(rows.T, reading, sigma, tau, p, q, d)  # (sigmas, taus, instances)
-    # argmax keeps each instance's first maximum, as the sigma-major,
-    # tau-minor scan did
+    _check_position(2, 1, d)
+    r_scan = [*range(1, d), 0]
+    sigma = [None, np.array(r_scan, dtype=np.intp)[:, None]]
+    tau = [np.arange(d)[None, :]]
+    values = _value_at(rows.T, reading, sigma, tau, 2, 1, d)  # (r, s, instances)
     values = values.reshape(-1, len(rows))
-    cells = values.argmax(axis=0).tolist()
+    cells = values.argmax(axis=0).tolist()  # each instance's first maximum, r-major
     pairs = {}
     for cell in set(cells):
-        sig, tu = sigmas[cell // len(taus)], taus[cell % len(taus)]
-        first, *rest = _rest(sig, d)
-        pairs[cell] = ((first, *sig, *rest), (*tu, *_rest(tu, d)))
+        r, s = r_scan[cell // d], cell % d
+        first, *rest = (k for k in range(d) if k != r)
+        pairs[cell] = ((first, r, *rest), (s, *(k for k in range(d) if k != s)))
     return values[cells, np.arange(len(rows))], [pairs[cell] for cell in cells]
-
-
-def _rest(prefix, d: int) -> list:
-    return sorted(set(range(d)).difference(prefix))
-
-
-def _sampled(row: np.ndarray, d: int, p: int, q: int, budget: int,
-             gen: np.random.Generator, reading: Reading) -> tuple:
-    def value(sig, tu):
-        return float(_value_at(row, reading, sig, tu, p, q, d))
-
-    ident = tuple(range(d))
-    best = (value(ident, ident), ident, ident)
-    for _ in range(max(0, budget)):
-        sig = tuple(int(x) for x in gen.permutation(d))
-        tu = tuple(int(x) for x in gen.permutation(d))
-        v = value(sig, tu)
-        if v > best[0]:
-            best = (v, sig, tu)
-    improved = True
-    while improved:
-        improved = False
-        for side in (0, 1):  # sigma, then tau, each from the best pair found before it
-            pair = best[1:]
-            for k in range(d - 1):
-                labels = list(pair[side])
-                labels[k], labels[k + 1] = labels[k + 1], labels[k]
-                cand = (tuple(labels), pair[1]) if side == 0 else (pair[0], tuple(labels))
-                v = value(*cand)
-                if v > best[0]:
-                    best = (v, *cand)
-                    improved = True
-    return best
 
 
 def mixed_bound(chain: BoundChain, best: PermutedBound, t: float) -> tuple:
@@ -713,8 +640,7 @@ class ChainVerdict:
 
 
 def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                 tol: float = 1e-10, perm_budget: int = 14400,
-                 seed: int = 0) -> ChainVerdict:
+                 tol: float = 1e-10) -> ChainVerdict:
     """Run every chain check on one instance; failures are reported, not raised.
 
     Both S-lattice readings are always evaluated; the anchor-identity rows
@@ -722,7 +648,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     refine.  Inequality rows pass when ``lhs >= rhs - tol``; equality rows
     report their deviation against the same tolerance.
     """
-    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol, perm_budget, [seed])
+    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol)
     return ChainVerdict(checks=tuple(
         Check(name, kind, lhs, rhs, tol, passed, deviation)
         for name, kind, lhs, rhs, passed, deviation in zip(
@@ -753,18 +679,18 @@ class VerdictColumns:
                 for name, cs in columns.items()}
 
 
-def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> VerdictColumns:
+def verdict_columns(stage: ChainStage, tol: float, optima=None) -> VerdictColumns:
     """Run every chain check on each instance of a stage.
 
     Each check is one column over the instances, bit for bit the value the
     scalar check gives: every fold over an instance's I values or lattice
     positions is Python's ``max`` or ``min`` (``first_max``, ``first_min``),
-    so NaN and signed zeros land where that fold puts them.  The (2, 1)
-    optimum is one search over the instances; a sampled search samples
-    instance b with the generator of the non-negative integer ``seeds[b]``,
-    and an exact one never hashes the seeds.  Both S-lattice readings are
-    always evaluated; the anchor-identity rows record, per reading, how far
-    the lattice is from the I-chain it claims to refine.
+    so NaN and signed zeros land where that fold puts them.  ``optima`` are
+    the instances' product-reading (2, 1) optimum values, as
+    ``optimize_batch`` finds them, for a caller that has searched already;
+    ``None`` runs that search here, once over the instances.  Both S-lattice
+    readings are always evaluated; the anchor-identity rows record, per
+    reading, how far the lattice is from the I-chain it claims to refine.
     """
     product, total, cross = stage.products, stage.sums, stage.cross_terms
     count = len(product)
@@ -808,8 +734,8 @@ def verdict_columns(stage: ChainStage, tol: float, perm_budget: int, seeds) -> V
     check("sum_ge_2sqrt_im", "ge", first_min(total[:, None] - roots), zero)
 
     if d >= 2:
-        best, _ = _optimize(stage.tables[Reading.PRODUCT], d, 2, 1, perm_budget, seeds,
-                            Reading.PRODUCT)
+        best = (_optimize(stage.tables[Reading.PRODUCT], d, Reading.PRODUCT)[0]
+                if optima is None else np.asarray(optima, dtype=np.float64))
         check("opt_ge_identity", "ge", best, stage.lattices[Reading.PRODUCT][:, 0])
         for t in (0.0, 0.5, 1.0):
             prod_bound, _ = mixed_columns(product, total, best, t)

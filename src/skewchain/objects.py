@@ -51,8 +51,6 @@ __all__ = [
     "density_stack",
     "derive_seed",
     "derive_seeds",
-    "generator",
-    "generators",
     "generators_from_words",
     "mix_kraus",
     "mix_kraus_families",
@@ -359,8 +357,8 @@ def seeding_words(entropies) -> np.ndarray:
     """The four uint64 words that ``SeedSequence(entropy)`` seeds PCG64 with,
     for each entropy ``(seed, *parts)``, as one (B, 4) array from one hash
     pass.  Column 0 is ``derive_seed(*entropy)``, and the row of ``(seed,)``
-    seeds ``generator(seed)``, so a caller may derive seeds and seed
-    generators in the same pass."""
+    seeds PCG64 as ``PCG64(seed)`` does (``generators_from_words``), so a
+    caller may derive seeds and seed generators in the same pass."""
     return _seeding_words(entropies)
 
 
@@ -385,17 +383,6 @@ def generators_from_words(words) -> list:
     """The PCG64 generator that each row of ``seeding_words`` seeds."""
     seeding = _seeding_words_type()
     return [np.random.Generator(np.random.PCG64(seeding(row))) for row in words]
-
-
-def generator(seed: int) -> np.random.Generator:
-    """PCG64 generator for a non-negative integer seed, bit for bit
-    ``np.random.Generator(np.random.PCG64(seed))``."""
-    return generators([seed])[0]
-
-
-def generators(seeds) -> list:
-    """``generator(seed)`` of each seed, all seeded from one hash pass."""
-    return generators_from_words(_seeding_words([(seed,) for seed in seeds]))
 
 
 def derive_seed(seed: int, *parts: int) -> int:

@@ -182,9 +182,6 @@ def _argv(case, tmp_path, files):
         "invariance_kraus_not_list": ["invariance", "--state", str(state),
                                       "--channel1", str(kraus_not_list), "--channel2", str(ch2),
                                       "--trials", "1", "--out", str(tmp_path / "inv.txt")],
-        "verify_negative_budget": ["verify", "--dims", "2", "--instances", "1",
-                                   "--budget", "-1", "--out", str(tmp_path / "v.txt")],
-        "bounds_negative_budget": ["bounds", *inputs, "--budget", "-1", "--out", out],
         "invariance_dim_mismatch": ["invariance", "--state", str(state), "--channel1", str(small),
                                     "--channel2", str(ch2), "--trials", "1",
                                     "--out", str(tmp_path / "inv.txt")],
@@ -249,7 +246,6 @@ class TestBadInputExits2:
                                       "invariance_nan_tol", "bounds_unwritable_out",
                                       "bounds_dim_mismatch", "verify_non_integer_dims",
                                       "bounds_state_not_object", "invariance_kraus_not_list",
-                                      "verify_negative_budget", "bounds_negative_budget",
                                       "invariance_dim_mismatch",
                                       "bounds_out_is_csv", "bounds_state_nan",
                                       "invariance_truncated_channel", "bounds_channel_not_utf8",
@@ -334,15 +330,19 @@ class TestBadInputExits2:
 
 
 class TestRefusedFlags:
-    # the (2, 1) search is exact when its prefix pairs fit --budget and
-    # samples otherwise, so no --perm steers it; verify reports both readings,
-    # so it takes no --s-reading.  Each flag is a usage error that writes nothing.
+    # the (2, 1) search is always exact, so no --perm steers it, no --budget
+    # sizes it and no seed feeds it: bounds takes no --seed, and verify's
+    # --seed seeds its instances only; verify reports both readings, so it
+    # takes no --s-reading.  Each flag is a usage error that writes nothing.
     @pytest.mark.parametrize("command, flag", [
         ("verify", ["--perm", "sampled"]), ("verify", ["--perm", "exhaustive"]),
         ("verify", ["--s-reading", "product"]), ("verify", ["--s-reading", "as-printed"]),
-        ("bounds", ["--perm", "sampled"])],
+        ("bounds", ["--perm", "sampled"]), ("bounds", ["--budget", "3"]),
+        ("bounds", ["--seed", "1"]), ("verify", ["--budget", "3"]),
+        ("verify", ["--budget", "-1"])],
         ids=["verify_perm_sampled", "verify_perm_exhaustive", "verify_s_reading",
-             "verify_s_reading_as_printed", "bounds_perm_sampled"])
+             "verify_s_reading_as_printed", "bounds_perm_sampled", "bounds_budget",
+             "bounds_seed", "verify_budget", "verify_negative_budget"])
     def test_usage_error_and_exit_2(self, tmp_path, example_files, capsys, command, flag):
         state, ch1, ch2 = example_files
         argv = {"verify": ["verify", "--dims", "2", "--instances", "1"],
@@ -357,6 +357,16 @@ class TestRefusedFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert f"usage: skewchain {command}" in err  # the subcommand's own usage
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["verify", "invariance"])
+    def test_seed_still_seeds_the_instances(self, tmp_path, example_files, command):
+        state, ch1, ch2 = example_files
+        argv = {"verify": ["verify", "--dims", "2", "--instances", "2"],
+                "invariance": ["invariance", "--state", str(state), "--channel1", str(ch1),
+                               "--channel2", str(ch2), "--trials", "2"]}[command]
+        out = tmp_path / "r.txt"
+        assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        assert read_report(out)["seed"] == "7"
 
 
 class TestGridLimit:
@@ -537,7 +547,7 @@ class TestDerivesEachInstanceOnce:
     @staticmethod
     def counting(monkeypatch):
         """The instance count of each call, per kernel."""
-        calls = {"_i_values": [], "_lattice_values": []}
+        calls = {"_i_values": [], "_lattice_values": [], "_optimize": []}
         for name in calls:
             real = getattr(chains, name)
 
@@ -554,15 +564,27 @@ class TestDerivesEachInstanceOnce:
                      "--out", str(tmp_path / "v.txt")]) == 0
         # one pass for the chunk, whose instances have the Kraus counts (1, 1)
         # and (2, 1): both instances, then their invariance trials; both
-        # readings per pass
-        assert calls == {"_i_values": [4], "_lattice_values": [4, 4]}
+        # readings per pass, and one (2, 1) search over the two instances
+        assert calls == {"_i_values": [4], "_lattice_values": [4, 4], "_optimize": [2]}
 
     def test_bounds(self, tmp_path, example_files, monkeypatch):
+        # the report's optimum is the one the verdict checks, so one (2, 1)
+        # search serves both
         state, ch1, ch2 = example_files
         calls = self.counting(monkeypatch)
         assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
                      "--channel2", str(ch2), "--out", str(tmp_path / "r.txt")]) == 0
-        assert calls == {"_i_values": [1], "_lattice_values": [1, 1]}
+        assert calls == {"_i_values": [1], "_lattice_values": [1, 1], "_optimize": [1]}
+
+    def test_bounds_as_printed(self, tmp_path, example_files, monkeypatch):
+        # the report's optimum is the as-printed one, and the verdict checks
+        # the product reading's: one search per reading
+        state, ch1, ch2 = example_files
+        calls = self.counting(monkeypatch)
+        assert main(["bounds", "--state", str(state), "--channel1", str(ch1),
+                     "--channel2", str(ch2), "--s-reading", "as-printed",
+                     "--out", str(tmp_path / "r.txt")]) == 0
+        assert calls == {"_i_values": [1], "_lattice_values": [1, 1], "_optimize": [1, 1]}
 
     def test_example(self, tmp_path, monkeypatch):
         calls = self.counting(monkeypatch)
@@ -582,20 +604,20 @@ class TestDerivesEachInstanceOnce:
         # no I value, so it computes none
         blocks = [128, 16, 3, 128, 115]
         assert calls == {"_i_values": [128, 16, 3],
-                         "_lattice_values": [n for n in blocks for _ in range(2)]}
+                         "_lattice_values": [n for n in blocks for _ in range(2)],
+                         "_optimize": []}
         # each family's frames once per distinct (theta, p) and (theta, q)
         assert frames == [12, 12, 3, 3, 27, 27]
 
 
 class TestGeneratesEachChunkInFixedPasses:
     # a verify chunk hashes its seeds once per derivation level, whatever
-    # Kraus counts it holds: the derived seeds; the trials' unitary seeds with
-    # the words of every state and channel; the trials' unitaries' words; and,
-    # when the search samples (a budget below the d^2 pairs at (2, 1)), the
-    # search seeds' words.  Each generator draws its real and imaginary parts
-    # in one call.
+    # Kraus counts it holds: the derived seeds, four parts per instance; the
+    # trials' unitary seeds with the words of every state and channel; the
+    # trials' unitaries' words.  Each generator draws its real and imaginary
+    # parts in one call.
     @staticmethod
-    def passes_and_draws(monkeypatch, budget):
+    def passes_and_draws(monkeypatch):
         """The entropy count of each hash pass of a 20-instance chunk at d = 3,
         and the generators that drew Gaussians, in draw order."""
         passes = []
@@ -615,25 +637,14 @@ class TestGeneratesEachChunkInFixedPasses:
         monkeypatch.setattr(objects, "_seeding_words", counted)
         monkeypatch.setattr(np.random, "Generator", Counted)
         # at d = 3 both channels of the 20 instances take each Kraus count 1..4
-        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10, budget=budget))
+        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10))
         return passes, drawn
 
     def test_verify_chunk(self, monkeypatch):
-        passes, drawn = self.passes_and_draws(monkeypatch, 14400)
-        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20]
+        passes, drawn = self.passes_and_draws(monkeypatch)
+        assert passes == [4 * 20, 2 * 20 + 3 * 20, 2 * 20]
         # one draw by each state, channel and trial unitary's generator
         assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
-
-    def test_verify_chunk_with_a_sampled_search(self, monkeypatch):
-        # a budget of 3 is below the 9 pairs at (2, 1): the search seeds'
-        # words take a last pass of their own
-        passes, drawn = self.passes_and_draws(monkeypatch, 3)
-        assert passes == [5 * 20, 2 * 20 + 3 * 20, 2 * 20, 20]
-        assert len(drawn) == len({id(gen) for gen in drawn}) == 5 * 20
-
-
-# sha256 of the verdict of ``verify --dims 3 --budget 3``
-SAMPLED_VERDICT_SHA256 = "f3672d40e6a3299363a590b084787df388e6c6681ba0b9e4c72852c85ebe8b1c"
 
 
 class TestVerify:
@@ -656,25 +667,21 @@ class TestVerify:
         assert main(["verify", "--instances", "40", "--seed", "0", "--out", str(out)]) == 0
         assert out.read_bytes() == golden.read_bytes()
 
-    def test_sampled_search_verdict_is_pinned(self, tmp_path):
-        # at d = 3 a budget of 3 is below the 9 pairs at (2, 1), so every
-        # instance's search samples from its own seed; sha256 of the verdict
-        out = tmp_path / "verdict.txt"
-        assert main(["verify", "--dims", "3", "--budget", "3", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_VERDICT_SHA256
-
     def test_builds_no_state_or_channel_object(self, tmp_path, monkeypatch):
         # the generators and the Kraus mixing return stacks, which verify
         # reads as they are: no DensityMatrix or KrausChannel is built
         def refuse(*args, **kwargs):
             raise AssertionError("verify built a state or channel object")
 
+        argv = ["verify", "--dims", "3", "--instances", "20"]
+        want = tmp_path / "want.txt"
+        assert main(argv + ["--out", str(want)]) == 0
         for module in (skewchain, chains, cli, example, objects, skew):
             for name in ("DensityMatrix", "KrausChannel"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         out = tmp_path / "verdict.txt"
-        assert main(["verify", "--dims", "3", "--budget", "3", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_VERDICT_SHA256
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -716,10 +723,6 @@ class TestVerify:
                      "--out", str(tmp_path / "v.txt")])
         assert code == 2
 
-    def test_zero_budget_is_legal(self, tmp_path):
-        assert main(["verify", "--dims", "2", "--instances", "1", "--budget", "0",
-                     "--out", str(tmp_path / "v.txt")]) == 0
-
     def test_bad_dims_exits_2(self, tmp_path):
         code = main(["verify", "--dims", "", "--instances", "3",
                      "--out", str(tmp_path / "v.txt")])
@@ -745,6 +748,21 @@ class TestVerify:
         with pytest.raises(Allocated) as info:  # the largest accepted dimension gets through
             main(["verify", "--dims", "128", "--instances", "1", "--out", str(out)])
         assert info.value.args == (128,)
+
+    @pytest.mark.parametrize("dims, repeated", [("2,2", 2), ("3,2,4,02", 2), ("1, 5,1", 1)])
+    def test_repeated_dims_are_refused_before_any_allocation(self, tmp_path, capsys,
+                                                             monkeypatch, dims, repeated):
+        # a repeated dimension's instances are one set, certified once, so
+        # counting them twice would overstate instances_total
+        def refuse(*args):
+            raise AssertionError("a state was generated")
+
+        monkeypatch.setattr(cli, "densities_from_words", refuse)
+        out = tmp_path / "v.txt"
+        assert main(["verify", "--dims", dims, "--instances", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad dims list {dims!r}: dimension {repeated} is repeated\n"
+        assert not out.exists()
 
 
 class TestExampleCommand:

@@ -308,7 +308,7 @@ def oracle_sweep_rows(thetas, ps, qs, ts, reading):
                 rho = rho_theta(theta)
                 n1, n2 = example_channels(p, q)
                 c = compute_chain(rho, n1, n2, reading)
-                best = optimize_permutations(rho, n1, n2, 2, 1, reading=reading)
+                best = optimize_permutations(rho, n1, n2, reading)
                 f = closed_forms(theta, p, q)
                 for t in sorted(ts):
                     mp, ms = oracle_mixed_bound(c.product, c.sum, best.value, t)

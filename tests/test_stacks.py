@@ -67,8 +67,7 @@ from skewchain.objects import (
     densities_from_words,
     derive_seed,
     derive_seeds,
-    generator,
-    generators,
+    generators_from_words,
     mix_kraus,
     mix_kraus_families,
     random_channel,
@@ -195,65 +194,20 @@ def oracle_rest(prefix, d):
     return sorted(set(range(d)).difference(prefix))
 
 
-def oracle_exhaustive(tables, d, p, q, reading):
-    taus = list(itertools.permutations(range(d), p - 1))
-    sigmas = sorted(taus, key=lambda prefix: (oracle_rest(prefix, d)[0], prefix))
-    rows = np.array(sigmas, dtype=np.intp)
-    cols = np.array(taus, dtype=np.intp)
-    sigma = [None] + [rows[:, k, None] for k in range(p - 1)]
-    tau = [cols[None, :, k] for k in range(p - 1)]
-    values = oracle_value_at(tables, reading, sigma, tau, p, q, d)
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    rest = oracle_rest(sigmas[i], d)
-    sig = (rest[0], *sigmas[i], *rest[1:])
-    tu = (*taus[j], *oracle_rest(taus[j], d))
-    return float(values[i, j]), sig, tu
-
-
-def oracle_sampled(tables, d, p, q, budget, seed, reading):
-    def value(sig, tu):
-        return float(oracle_value_at(tables, reading, sig, tu, p, q, d))
-
-    gen = oracle_generator(seed)
-    ident = tuple(range(d))
-    best = (value(ident, ident), ident, ident)
-    for _ in range(max(0, budget)):
-        sig = tuple(int(x) for x in gen.permutation(d))
-        tu = tuple(int(x) for x in gen.permutation(d))
-        v = value(sig, tu)
-        if v > best[0]:
-            best = (v, sig, tu)
-    improved = True
-    while improved:
-        improved = False
-        _, sig, tu = best
-        for k in range(d - 1):
-            cand = list(sig)
-            cand[k], cand[k + 1] = cand[k + 1], cand[k]
-            v = value(tuple(cand), tu)
-            if v > best[0]:
-                best = (v, tuple(cand), tu)
-                improved = True
-        _, sig, tu = best
-        for k in range(d - 1):
-            cand = list(tu)
-            cand[k], cand[k + 1] = cand[k + 1], cand[k]
-            v = value(sig, tuple(cand))
-            if v > best[0]:
-                best = (v, sig, tuple(cand))
-                improved = True
-    return best
-
-
-def oracle_optimize(data, p, q, budget, seed, reading):
-    """``(value, sigma, tau)`` of one instance's permutation optimum: exact
-    when the prefix pairs fit ``budget``, else sampled."""
+def oracle_optimize(data, reading):
+    """``(value, sigma, tau)`` of one instance's (2, 1) optimum: the first
+    maximum over the labels (sigma[1], tau[0]), in the order in which the
+    lexicographic walk over all (d!)^2 pairs first meets them."""
     d = data.dim
     tables = SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
                              printed=data.stage.tables[Reading.AS_PRINTED][0])
-    if math.perm(d, p - 1) ** 2 <= budget:
-        return oracle_exhaustive(tables, d, p, q, reading)
-    return oracle_sampled(tables, d, p, q, budget, seed, reading)
+    # that walk meets sigma[1] = r first in (smallest unused label, r, the rest ascending)
+    r_order = sorted(range(d), key=lambda r: (oracle_rest((r,), d)[0], r))
+    values = oracle_value_at(tables, reading, [None, np.array(r_order)[:, None]],
+                             [np.arange(d)[None, :]], 2, 1, d)
+    i, j = (int(k) for k in np.unravel_index(int(np.argmax(values)), values.shape))
+    rest = oracle_rest((r_order[i],), d)
+    return float(values[i, j]), (rest[0], r_order[i], *rest[1:]), (j, *oracle_rest((j,), d))
 
 
 # ---------------------------------------------------------------------------
@@ -634,56 +588,26 @@ def found(best):
 
 
 class TestOptimizeBatch:
-    @pytest.mark.parametrize("reading", list(Reading))
-    @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
-    def test_deeper_targets_at_d4(self, reading, target):
-        stage, instances = random_block(4, 5, 17)
-        bests = optimize_batch(stage, *target, reading=reading)  # exact: <= 576 pairs
-        for instance, best in zip(instances, bests):
-            assert (best.p, best.q) == target
-            assert found(best) == oracle_optimize(alone(*instance), *target, 14400, 0, reading)
-
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(2, 4), count=st.integers(1, 5), seed=st.integers(0, 2 ** 20),
            reading=st.sampled_from(list(Reading)), data=st.data())
     def test_random_stacks(self, d, count, seed, reading, data):
-        p, q = data.draw(st.sampled_from(lattice_order(d)))
         stage, instances = random_block(d, count, seed,
                                         data.draw(st.sampled_from(list(Convention))))
-        bests = optimize_batch(stage, p, q, reading=reading)
+        bests = optimize_batch(stage, reading)
         assert [found(best) for best in bests] == [
-            oracle_optimize(alone(*x), p, q, 14400, 0, reading) for x in instances]
+            oracle_optimize(alone(*x), reading) for x in instances]
 
     @pytest.mark.parametrize("reading", list(Reading))
-    @pytest.mark.parametrize("target", [(2, 1), (3, 1), (4, 2)])
-    def test_worked_example_ties_in_split_blocks(self, reading, target):
+    def test_worked_example_ties_in_split_blocks(self, reading):
         # theta = 1/2 makes every candidate 0.0, so only the tie-break decides
         grid = [0.0, 0.5, 1.0]
         inputs = ([example.rho_theta(0.5)] * 9,
                   *zip(*itertools.starmap(example.example_channels,
                                           itertools.product(grid, grid))))
-        bests = optimize_batch(object_stage(*inputs), *target, reading=reading)
+        bests = optimize_batch(object_stage(*inputs), reading)
         for instance, best in zip(zip(*inputs), bests):
-            assert found(best) == oracle_optimize(alone(*instance), *target, 14400, 0, reading)
-
-    @pytest.mark.parametrize("reading", list(Reading))
-    def test_sampled_matches_for_a_fixed_seed(self, reading):
-        stage, instances = random_block(4, 4, 23)
-        for budget in (50, 100):  # (3, 2) at d = 4 has 144 prefix pairs, so both sample
-            bests = optimize_batch(stage, 3, 2, budget, seed=5, reading=reading)
-            assert [found(best) for best in bests] == [
-                oracle_optimize(alone(*x), 3, 2, budget, 5, reading) for x in instances]
-
-    def test_exact_at_the_prefix_pair_count_and_sampled_below(self):
-        # (2, 1) at d = 3 reads sigma[1] and tau[0]: 3 x 3 prefix pairs
-        stage, instances = random_block(3, 4, 31)
-        tables = [SimpleNamespace(product=data.stage.tables[Reading.PRODUCT][0],
-                                  printed=data.stage.tables[Reading.AS_PRINTED][0])
-                  for data in (alone(*x) for x in instances)]
-        assert [found(best) for best in optimize_batch(stage, 2, 1, 9, seed=2)] == [
-            oracle_exhaustive(t, 3, 2, 1, Reading.PRODUCT) for t in tables]
-        assert [found(best) for best in optimize_batch(stage, 2, 1, 8, seed=2)] == [
-            oracle_sampled(t, 3, 2, 1, 8, 2, Reading.PRODUCT) for t in tables]
+            assert found(best) == oracle_optimize(alone(*instance), reading)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +778,7 @@ SEED_CORPUS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 23)
 
 
 class TestSeedingKernel:
-    # every parts length the CLI and the tests derive with: generator (0),
+    # every parts length the CLI and the tests derive with: a plain seed (0),
     # the tests' derive_seed(seed, side) (1), trial_entropies (2), verify (3)
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
     def test_derived_seeds_match_seed_sequence(self, length):
@@ -872,12 +796,11 @@ class TestSeedingKernel:
             oracle_derive_seed(seed, 0, 1) for seed in small]
 
     def test_generators_match_pcg64(self):
-        states = [gen.bit_generator.state for gen in generators(SEED_CORPUS)]
-        assert states == [oracle_generator(seed).bit_generator.state for seed in SEED_CORPUS]
-        for seed in SEED_CORPUS:
-            assert generator(seed).bit_generator.state == oracle_generator(seed).bit_generator.state
-            assert same_bits(generator(seed).standard_normal(7),
-                             oracle_generator(seed).standard_normal(7))
+        gens = generators_from_words(seeding_words([(seed,) for seed in SEED_CORPUS]))
+        assert [gen.bit_generator.state for gen in gens] == [
+            oracle_generator(seed).bit_generator.state for seed in SEED_CORPUS]
+        for gen, seed in zip(gens, SEED_CORPUS):
+            assert same_bits(gen.standard_normal(7), oracle_generator(seed).standard_normal(7))
 
     def test_trial_seeds_derive_each_trial(self):
         derived = iter(derive_seeds(trial_entropies(SEED_CORPUS, 3)))
@@ -888,7 +811,7 @@ class TestSeedingKernel:
     def test_negative_entropy_fails_as_seed_sequence(self):
         with pytest.raises(ValueError) as want:
             oracle_derive_seed(3, -1)
-        for call in (lambda: derive_seed(3, -1), lambda: generator(-1)):
+        for call in (lambda: derive_seed(3, -1), lambda: seeding_words([(-1,)])):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(want.value)
@@ -910,7 +833,7 @@ def oracle_eq_check(name, lhs, rhs, tol):
     return Check(name, "eq", lhs, rhs, tol, dev <= tol, dev)
 
 
-def oracle_verify_checks(data, tol, perm_budget, seed):
+def oracle_verify_checks(data, tol):
     """The checks of one instance, one scalar check at a time."""
     d = data.dim
     chain = data.chains[Reading.PRODUCT]
@@ -948,11 +871,10 @@ def oracle_verify_checks(data, tol, perm_budget, seed):
     checks.append(oracle_ge_check("sum_ge_2sqrt_im", sum_worst, 0.0, tol))
 
     if d >= 2:
-        value, sigma, tau = oracle_optimize(data, 2, 1, perm_budget, seed, Reading.PRODUCT)
-        best = chains.PermutedBound(sigma, tau, 2, 1, value)
-        checks.append(oracle_ge_check("opt_ge_identity", best.value, chain.s_values[(2, 1)], tol))
+        best, _, _ = oracle_optimize(data, Reading.PRODUCT)
+        checks.append(oracle_ge_check("opt_ge_identity", best, chain.s_values[(2, 1)], tol))
         for t in (0.0, 0.5, 1.0):
-            prod_bound = (1.0 - t) * chain.product + t * best.value  # the scalar mix
+            prod_bound = (1.0 - t) * chain.product + t * best  # the scalar mix
             checks.append(oracle_ge_check("mixed_le_product", chain.product, prod_bound, tol))
             checks.append(oracle_ge_check("mixed_ge_cross_term", prod_bound, chain.cross_term,
                                           tol))
@@ -1032,19 +954,21 @@ def block_at(d, count, seed):
 
 class TestVerdictColumns:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])  # d = 1: no lattice, no search
-    @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each row's seed
-    def test_each_row_matches_the_scalar_checks(self, d, budget):
+    def test_each_row_matches_the_scalar_checks(self, d):
         stage, instances = block_at(d, 3, 4 + d)
         rows = injected(stage, 3, d)
-        seeds = [oracle_derive_seed(5, b) for b in range(len(rows.products))]
         tol = 1e-10
-        columns = verdict_columns(rows, tol, budget, seeds)
-        for b, seed in enumerate(seeds):
-            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), tol, budget, seed))
+        columns = verdict_columns(rows, tol)
+        for b in range(len(rows.products)):
+            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), tol))
             assert column_bits(columns, b, tol) == want
-        for instance, seed in zip(instances, seeds):  # verify_chain: a stack of one
-            assert check_bits(verify_chain(*instance, tol, budget, seed).checks) == check_bits(
-                oracle_verify_checks(alone(*instance), tol, budget, seed))
+        if d >= 2:  # optima found ahead, as bounds passes them, give the same bits
+            given = verdict_columns(rows, tol, [best.value for best in optimize_batch(rows)])
+            for b in range(len(rows.products)):
+                assert column_bits(given, b, tol) == column_bits(columns, b, tol)
+        for instance in instances:  # verify_chain: a stack of one
+            assert check_bits(verify_chain(*instance, tol).checks) == check_bits(
+                oracle_verify_checks(alone(*instance), tol))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_invariance_columns_match_the_fold(self, d):
@@ -1064,8 +988,8 @@ class TestVerdictColumns:
         assert got == list(want.values())
 
     @settings(max_examples=50, deadline=None)
-    @given(d=st.integers(1, 4), budget=st.sampled_from([14400, 3]), data=st.data())
-    def test_rows_of_special_values(self, d, budget, data):
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_rows_of_special_values(self, d, data):
         # every value the kernel reads drawn at once, so specials meet each other
         stage, _ = block_at(d, 1, 3 + d)
         values = st.sampled_from(SPECIALS + (1.0, -1.0, 0.25, 3.0))
@@ -1078,24 +1002,13 @@ class TestVerdictColumns:
         for reading in Reading:
             rows.lattices[reading][:] = data.draw(
                 st.lists(st.lists(values, min_size=size, max_size=size), min_size=2, max_size=2))
-        columns = verdict_columns(rows, 1e-10, budget, [4, 5])
-        for b, seed in enumerate([4, 5]):
-            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10, budget, seed))
+        columns = verdict_columns(rows, 1e-10)
+        for b in range(2):
+            want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10))
             assert column_bits(columns, b, 1e-10) == want
         got = invariance_columns(rows, 1)[0].tolist()
         want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
         assert [repr(x) for x in got] == [repr(x) for x in want.values()]
-
-    def test_exact_search_never_hashes_its_seeds(self):
-        # -1 is no seed at all, so only a search that never hashes it gets through
-        stage, _ = block_at(3, 4, 6)
-        got = verdict_columns(stage, 1e-10, 14400, [-1] * 4)
-        want = verdict_columns(stage, 1e-10, 14400, [0] * 4)
-        assert (got.names, got.kinds) == (want.names, want.kinds)
-        for field in ("lhs", "rhs", "passed", "deviation"):
-            assert same_bits(getattr(got, field), getattr(want, field))
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            verdict_columns(stage, 1e-10, 0, [-1] * 4)  # 0 < 3^2 prefix pairs: sampled
 
     @settings(max_examples=200, deadline=None)
     # past 16 entries numpy's reductions run SIMD lanes, which may pick either zero
@@ -1118,7 +1031,7 @@ def oracle_kraus_counts(d, k):
 
 def oracle_instance(d, k, derived):
     """Instance k at dimension d and its invariance trial, built by the
-    one-instance oracles from its derived seeds ``derived`` (parts 0 to 4):
+    one-instance oracles from its derived seeds ``derived``, by part (0, 1, 2 and 4):
     ``(state, channel 1, channel 2, mixed channel 1, mixed channel 2)``."""
     state = DensityMatrix(d, *oracle_random_density(d, (k % d) + 1, derived[0]))
     channels, mixed = [], []
@@ -1134,10 +1047,10 @@ def oracle_instance(d, k, derived):
 
 def oracle_verify_instance(d, k, args):
     """``(checks, invariance deviation)`` of instance k at dimension d, built alone."""
-    derived = [oracle_derive_seed(args.seed, d, k, part) for part in range(5)]
+    derived = {part: oracle_derive_seed(args.seed, d, k, part) for part in (0, 1, 2, 4)}
     state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
     data = alone(state, ch1, ch2)
-    checks = oracle_verify_checks(data, args.tol, args.budget, derived[3])
+    checks = oracle_verify_checks(data, args.tol)
     devs = oracle_invariance(data, [alone(state, mixed1, mixed2)])
     return checks, max(devs.values())
 
@@ -1162,7 +1075,7 @@ def oracle_cmd_verify(args):
     if invariance_worst > args.tol:
         hard_failures += 1
     pairs = [("command", "verify"), ("dims", args.dims), ("instances_per_dim", args.instances),
-             ("seed", args.seed), ("tol", args.tol), ("budget", args.budget),
+             ("seed", args.seed), ("tol", args.tol), ("budget", 14400),
              ("instances_total", total)]
     for name in sorted(stats):
         count, failures, worst = stats[name]
@@ -1228,8 +1141,7 @@ class TestPaddedChunkStage:
 
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(cli, "chain_stage", captured)
-            cli._verify_chunk(d, range(40), argparse.Namespace(seed=seed, tol=1e-10,
-                                                                budget=14400))
+            cli._verify_chunk(d, range(40), argparse.Namespace(seed=seed, tol=1e-10))
         ((args, stage),) = passes
         assert len({pair for pair in zip(*(np.asarray(n).tolist() for n in args[3]))}) == 16
         assert_same_stage(stage, oracle_group_stages(*args))
@@ -1294,9 +1206,8 @@ class TestPaddedChunkStage:
 
 class TestStackedVerify:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("budget", [14400, 3, 0])  # 3 and 0 sample with each instance's seed
-    def test_each_instance_matches_alone(self, d, budget):
-        args = argparse.Namespace(seed=11, tol=1e-10, budget=budget)
+    def test_each_instance_matches_alone(self, d):
+        args = argparse.Namespace(seed=11, tol=1e-10)
         for ks in (range(0, 20), range(5, 38)):  # groups of one to three instances
             columns, deviations = cli._verify_chunk(d, ks, args)
             want = [oracle_verify_instance(d, k, args) for k in ks]
@@ -1334,7 +1245,7 @@ class TestStackedVerify:
             patched.setattr(cli, "chain_stage", captured)
             patched.setattr(cli, "densities_from_words", densities)
             patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
-            cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10, budget=14400))
+            cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10))
         # one stage for the chunk: its instances, then their trials, each
         # family zero-padded to the chunk's largest count on its side
         assert len(stages) == 1 and len(states) == len(ks)
@@ -1345,7 +1256,9 @@ class TestStackedVerify:
         assert ops2.shape[1] == max(n2 for _, n2 in pairs)
         assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs * 2)]
         for j, k in enumerate(ks):
-            derived = cut_seeds([oracle_derive_seed(seed, d, k, part) for part in range(5)])
+            parts = (0, 1, 2, 4)
+            derived = dict(zip(parts, cut_seeds([oracle_derive_seed(seed, d, k, part)
+                                                 for part in parts])))
             state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
             assert same_bits(states[j], state.rho)
             for root in (roots[j], roots[len(ks) + j]):
@@ -1358,9 +1271,8 @@ class TestStackedVerify:
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [
-        ([], None), (["--budget", "0"], 2), (["--budget", "3", "--tol", "1e-18"], 5),
-        (["--tol", "1e-18"], None)], ids=["defaults", "budget0-block2",
-                                          "budget3-tol1e-18-block5", "tol1e-18"])
+        ([], None), ([], 2), (["--tol", "1e-18"], 5), (["--tol", "1e-18"], None)],
+        ids=["defaults", "block2", "tol1e-18-block5", "tol1e-18"])
     def test_verdict_matches_per_instance_loop(self, tmp_path, monkeypatch, seed, flags, block):
         if block is not None:  # chunks of one and of two instances
             monkeypatch.setattr(cli, "_BLOCK", block)
@@ -1401,8 +1313,8 @@ class TestStackedVerify:
         real_columns = cli.verdict_columns
         got_places = []
 
-        def columns_with_specials(stage, tol, budget, seeds):
-            columns = real_columns(stage, tol, budget, seeds)
+        def columns_with_specials(stage, tol):
+            columns = real_columns(stage, tol)
             deviation = columns.deviation.copy()
             for b in range(len(deviation)):
                 column, value = special(got_places)
@@ -1412,8 +1324,8 @@ class TestStackedVerify:
         real_oracle = oracle_verify_checks
         want_places = []
 
-        def oracle_with_specials(data, tol, budget, seed):
-            checks = real_oracle(data, tol, budget, seed)
+        def oracle_with_specials(data, tol):
+            checks = real_oracle(data, tol)
             column, value = special(want_places)
             checks[column % len(checks)] = dataclasses.replace(checks[column % len(checks)],
                                                                deviation=value)
@@ -1442,7 +1354,7 @@ class TestStackedVerify:
                 raise AssertionError("PCG64 hashed its own seed")
             return real_pcg64(seed)
 
-        argv = ["verify", "--dims", "1,2,3", "--instances", "9", "--budget", "3"]
+        argv = ["verify", "--dims", "1,2,3", "--instances", "9"]
         got, want = tmp_path / "got.txt", tmp_path / "want.txt"
         with monkeypatch.context() as patched:
             patched.setattr(np.random, "SeedSequence", refuse)

@@ -93,17 +93,11 @@ def runs(inputs: Path) -> list:
         for reading in READINGS:
             found.append((f"bounds-d{d}-{reading}", bounds + ["--s-reading", reading]))
         found.append((f"bounds-d{d}-t3", bounds + ["--t", "0:1:3"]))
-        found.append((f"bounds-d{d}-budget20", bounds + ["--budget", "20", "--seed", "3"]))
-        found.append((f"bounds-d{d}-as-printed-budget20",
-                      bounds + ["--s-reading", "as-printed", "--budget", "20", "--seed", "3"]))
-        found.append((f"bounds-d{d}-budget0", bounds + ["--budget", "0"]))
 
     for label, extra in (("defaults", []),
                          ("small", ["--instances", "40", "--seed", "0"]),
-                         ("dims1235-budget3", ["--dims", "1,2,3,5", "--instances", "30",
-                                               "--budget", "3"]),
-                         ("d3-budget3", ["--dims", "3", "--budget", "3", "--seed", "7"]),
-                         ("budget0", ["--budget", "0", "--instances", "20"])):
+                         ("dims1235", ["--dims", "1,2,3,5", "--instances", "30"]),
+                         ("d3-seed7", ["--dims", "3", "--seed", "7"])):
         found.append((f"verify-{label}", ["verify", *extra, "--out", "OUT/verdict.txt"]))
 
     for reading in READINGS:
