@@ -18,7 +18,6 @@ from .chains import (
     chain_stage,
     compute_chain,
     invariance_columns,
-    join_stages,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,

@@ -77,7 +77,6 @@ __all__ = [
     "chain_stage",
     "compute_chain",
     "invariance_columns",
-    "join_stages",
     "kraus_invariance_check",
     "lattice_order",
     "mixed_bound",
@@ -117,8 +116,9 @@ def lattice_order(d: int) -> list:
 # of ``_s_tables``, runs once per distinct count pair, over its own pairs.
 # ``stage_from_frames`` is the one builder, over arrays; ``chain_stage`` feeds
 # it the frames of its inputs.  The readers of a pass (``chain_at``,
-# ``verdict_columns``, ``invariance_columns``, ``optimize_batch``) read its
-# stage, and the one-instance functions are stacks of one over them.  The
+# ``verdict_columns``, ``optimize_batch``) read its stage, and the
+# one-instance functions are stacks of one over them; ``invariance_columns``
+# reads a stage of instances and the stages of their mixed trials.  The
 # frames, their column norms and the channel skew informations come from
 # ``skew``'s kernel.
 
@@ -243,33 +243,6 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None, c
                     for reading, rows in tables.items()}
         yield ChainStage(e_skew + f_skew, products, tables, lattices, _cross_terms(overlaps),
                          _Once(functools.partial(_i_values, e_pass, f_pass, overlaps)))
-
-
-def join_stages(stages, rows) -> ChainStage:
-    """The instances of passes of one dimension as one stage: the passes'
-    instances stacked one pass after another, then taken in the order of the
-    indices ``rows``.
-
-    The stage readers (``verdict_columns``, ``invariance_columns`` and
-    ``optimize_batch``) read it as one pass.  Its I values are the passes'
-    own, joined when first read.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    # the passes' I-value sources, not the passes, whose other arrays the join copies
-    sources = [stage.i_source for stage in stages]
-
-    def joined(arrays):
-        return np.concatenate(list(arrays))[rows]
-
-    def keyed(field):
-        return {reading: joined(getattr(stage, field)[reading] for stage in stages)
-                for reading in getattr(stages[0], field)}
-
-    return ChainStage(sums=joined(stage.sums for stage in stages),
-                      products=joined(stage.products for stage in stages),
-                      tables=keyed("tables"), lattices=keyed("lattices"),
-                      cross_terms=joined(stage.cross_terms for stage in stages),
-                      i_source=_Once(lambda: joined(read() for read in sources)))
 
 
 def _instance_stage(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainStage:
@@ -800,8 +773,8 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
         stage.i_values  # computed within the pass, so its exact sums run in parallel too
         return stage
 
-    stages = _run_passes(run, 1 + -(-trials // block))
-    devs = invariance_columns(join_stages(stages, range(trials + 1)), 1)[0].tolist()
+    base, *mixed = _run_passes(run, 1 + -(-trials // block))
+    devs = invariance_columns(base, mixed)[0].tolist()
     return InvarianceReport(trials=trials, tol=tol, deviations=dict(zip(_INVARIANT_NAMES, devs)))
 
 
@@ -844,23 +817,32 @@ _INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_print
                     "cross_term")
 
 
-def invariance_columns(stage: ChainStage, count: int) -> np.ndarray:
-    """The invariance deviations of the first ``count`` instances of a stage,
-    whose rows go on with trial after trial of those instances, mixed: row
-    ``count * (t + 1) + b`` holds trial t of instance b.
+def invariance_columns(base: ChainStage, trials) -> np.ndarray:
+    """The invariance deviations of the instances of ``base``, one row per
+    instance and one column per quantity, in the order of
+    ``InvarianceReport.deviations``.
 
-    One row per instance and one column per quantity, in the order of
-    ``InvarianceReport.deviations``: the quantity's worst ``|mixed - base|``
-    over the trials, as Python's ``max`` from 0.0 over the trials in order.
+    ``trials`` is an iterable of stages whose rows run trial after trial of
+    those instances, each stage holding whole trials: with B instances, row
+    ``B t + b`` of a stage holds its trial t of instance b.  A quantity's
+    deviation is its worst ``|mixed - base|`` over the trials, as Python's
+    ``max`` from 0.0 over the trials in order.  It is folded one stage at a
+    time, as a running ``first_max``: every gap is +0.0 or more, or NaN, so
+    that gives the bits of one fold over every trial.
     """
-    rows = len(stage.products)
-    values = [stage.products[:, None], stage.sums[:, None], stage.i_values,
-              stage.lattices[Reading.PRODUCT], stage.lattices[Reading.AS_PRINTED],
-              stage.cross_terms[:, None]]  # as _INVARIANT_NAMES
-    devs = []
-    for quantity in values:
-        trials = quantity[count:].reshape(rows // count - 1, count, quantity.shape[1])
-        gaps = np.abs(trials - quantity[:count]).transpose(1, 0, 2).reshape(count, -1)
-        # [0.0, ...] keeps max defined where a quantity is empty (the S lattice at d = 1)
-        devs.append(first_max(np.column_stack([np.zeros(count), gaps])))
-    return np.stack(devs, axis=1)
+    count, bases = len(base.products), _invariants(base)
+    worst = np.zeros((count, len(bases)))
+    for stage in trials:
+        for column, (unmixed, mixed) in enumerate(zip(bases, _invariants(stage))):
+            # a leading length, not -1: the S lattice has no columns at d = 1
+            mixed = mixed.reshape(len(mixed) // count, count, mixed.shape[1])
+            gaps = np.abs(mixed - unmixed).transpose(1, 0, 2).reshape(count, -1)
+            worst[:, column] = first_max(np.column_stack([worst[:, column], gaps]))
+    return worst
+
+
+def _invariants(stage: ChainStage) -> list:
+    """A stage's quantities as (rows, values) arrays, as ``_INVARIANT_NAMES``."""
+    return [stage.products[:, None], stage.sums[:, None], stage.i_values,
+            stage.lattices[Reading.PRODUCT], stage.lattices[Reading.AS_PRINTED],
+            stage.cross_terms[:, None]]

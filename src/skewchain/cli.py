@@ -34,7 +34,6 @@ from .chains import (
     chain_at,
     chain_stage,
     invariance_columns,
-    join_stages,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
@@ -186,10 +185,11 @@ def cmd_bounds(args) -> int:
 # verify
 
 
-# Instances per stacked chain pass.  ``verify`` takes each dimension's
-# instances in chunks of ``_BLOCK // 2``, so that its one pass per chunk holds
-# at most the chunk's instances and their invariance trials, each family
-# zero-padded to the chunk's largest Kraus count on its side.  Above d = 16 a
+# Instances and invariance trials per chunk.  ``verify`` takes each
+# dimension's instances in chunks of ``_BLOCK // 2``, so that a chunk's two
+# stacked chain passes, its instances and then their trials, hold at most
+# ``_BLOCK`` together, each family zero-padded to the chunk's largest Kraus
+# count on its side.  Above d = 16 a
 # chunk is cut to ``CHUNK_ENTRIES`` matrix entries per stack of states, and
 # one instance's d x d state must fit in one chunk, so d is at most 128.
 _BLOCK = 128
@@ -212,11 +212,10 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     the words of the trials' mixing unitaries.  The states are generated and
     validated as one stack, the channels and the trials' mixing unitaries as
     one stack per Kraus count.
-    The chunk is one ``chain_stage`` pass, which the verdict and the
-    invariance deviations read: row i holds instance i and row ``count + i``
-    its mixed trial, each side's families zero-padded to the chunk's largest
+    The chunk is two ``chain_stage`` passes, the instances and then their
+    mixed trials, each side's families zero-padded to the chunk's largest
     count on that side, with each instance's true (n1, n2) passed as its
-    counts.
+    counts.  The verdict reads the first, the invariance deviations both.
     """
     ks = list(ks)
     count = len(ks)
@@ -239,12 +238,9 @@ def _verify_chunk(d: int, ks, args) -> tuple:
         mixed = mix_kraus_families(chs, unitaries_from_words(n, trial_words[family]))
         for s in set(side.tolist()):
             ops[s][:, i[side == s], :n] = chs[side == s], mixed[side == s]
-    stacks = [o.reshape(2 * count, -1, d, d) for o in ops]
-    stage = chain_stage(np.concatenate([roots, roots]), *stacks,
-                        tuple(np.concatenate([counts, counts]).T))
-    deviations = invariance_columns(stage, count)
-    verdict = verdict_columns(join_stages([stage], np.arange(count)), args.tol)
-    return verdict, first_max(deviations)
+    base, mixed = (chain_stage(roots, *(o[part] for o in ops), tuple(counts.T))
+                   for part in (0, 1))
+    return verdict_columns(base, args.tol), first_max(invariance_columns(base, [mixed]))
 
 
 def cmd_verify(args) -> int:

@@ -341,25 +341,19 @@ def _seed_pools(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _seeding_words(entropies) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` of each entropy,
-    a sequence of non-negative ints, as one (B, 4) uint64 array from one hash
-    pass.  generate_state hashes the pool's words one after another, so
-    column 0 is ``generate_state(1, np.uint64)``."""
+def seeding_words(entropies) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` of each entropy
+    ``(seed, *parts)``, a sequence of non-negative ints, as one (B, 4) uint64
+    array from one hash pass: the words that seed PCG64.  generate_state
+    hashes the pool's words one after another, so column 0 is
+    ``derive_seed(*entropy)``, and the row of ``(seed,)`` seeds PCG64 as
+    ``PCG64(seed)`` does (``generators_from_words``): a caller may derive
+    seeds and seed generators in the same pass."""
     pools = _seed_pools(*_entropy_words(entropies))
     # generate_state reads the pool cyclically, and SeedSequence reads pairs
     # of its words as little-endian 64-bit words
     state = _hash(pools[:, np.arange(8) % _POOL_SIZE], *_hash_constants(_INIT_B, _MULT_B, 8))
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def seeding_words(entropies) -> np.ndarray:
-    """The four uint64 words that ``SeedSequence(entropy)`` seeds PCG64 with,
-    for each entropy ``(seed, *parts)``, as one (B, 4) array from one hash
-    pass.  Column 0 is ``derive_seed(*entropy)``, and the row of ``(seed,)``
-    seeds PCG64 as ``PCG64(seed)`` does (``generators_from_words``), so a
-    caller may derive seeds and seed generators in the same pass."""
-    return _seeding_words(entropies)
 
 
 @functools.cache
@@ -393,7 +387,7 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def derive_seeds(entropies) -> list:
     """``derive_seed(*entropy)`` of each entropy ``(seed, *parts)``, in one hash pass."""
-    return _seeding_words(entropies)[:, 0].tolist()
+    return seeding_words(entropies)[:, 0].tolist()
 
 
 def _complex_gaussians(words, size: int) -> np.ndarray:
@@ -412,7 +406,7 @@ def _complex_gaussians(words, size: int) -> np.ndarray:
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     """``G G^dag / Tr(G G^dag)`` for a seeded d-by-rank complex Gaussian G."""
-    rhos, sqrts = densities_from_words(d, [rank], _seeding_words([(seed,)]))
+    rhos, sqrts = densities_from_words(d, [rank], seeding_words([(seed,)]))
     return DensityMatrix(dim=d, rho=rhos[0], sqrt_rho=sqrts[0])
 
 
@@ -440,7 +434,7 @@ def densities_from_words(d: int, ranks, words) -> tuple:
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n-by-n unitary with deterministic phase fixing."""
-    return unitaries_from_words(n, _seeding_words([(seed,)]))[0]
+    return unitaries_from_words(n, seeding_words([(seed,)]))[0]
 
 
 def unitaries_from_words(n: int, words) -> np.ndarray:
@@ -471,7 +465,7 @@ def random_channel(d: int, n_kraus: int, convention: Convention = Convention.COL
     exactly, so column-sum completeness is constructive; the row-sum form takes
     the adjoint of each block.
     """
-    ops = channels_from_words(d, n_kraus, _seeding_words([(seed,)]), convention)
+    ops = channels_from_words(d, n_kraus, seeding_words([(seed,)]), convention)
     return _channel(ops[0], convention)
 
 

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from skewchain.chains import (
     Reading,

@@ -17,7 +17,6 @@ from skewchain.chains import (
     chain_stage,
     compute_chain,
     invariance_columns,
-    join_stages,
     kraus_invariance_check,
     lattice_order,
     mixed_bound,
@@ -419,11 +418,9 @@ class TestIValuesOnRead:
         rhos, ch1s, ch2s = zip(*(random_instance(3, seed) for seed in (0, 12, 24)))
         stage = chain_stage(np.array([rho.sqrt_rho for rho in rhos]),
                             *(np.array([ch.operators for ch in chs]) for chs in (ch1s, ch2s)))
-        joined = chains.join_stages([stage, stage], [2, 0, 5])
         assert calls == []
-        assert joined.i_values.shape == (3, 3) and joined.i_values.dtype == np.float64
-        assert joined.i_values is joined.i_values
-        assert same_bits(joined.i_values, stage.i_values[[2, 0, 2]])
+        assert stage.i_values.shape == (3, 3) and stage.i_values.dtype == np.float64
+        assert stage.i_values is stage.i_values
         assert calls == [3]
         for b in range(3):  # reading chains computes no more I values
             i_values = chain_at(stage, b, Reading.PRODUCT).i_values
@@ -446,7 +443,7 @@ class TestIValuesOnRead:
         i_values = chain_at(stage, 0).i_values
         gc.collect()
         assert overlaps[0]() is None  # while the stage itself is alive
-        assert join_stages([stage], [0]).i_values.tolist() == [list(i_values)]
+        assert stage.i_values.tolist() == [list(i_values)]
 
 
 class TestBatchedKernelsMatchLoops:
@@ -930,7 +927,7 @@ class TestKrausInvariance:
         assert report.passed
 
     def test_data_level_form_matches(self):
-        # the instance and its trials as arrays: one stage read by invariance_columns
+        # the instance and its trials as arrays: two stages read by invariance_columns
         rho, ch1, ch2 = random_instance(3, 112)
         direct = kraus_invariance_check(rho, ch1, ch2, trials=2, seed=4)
         ops = []
@@ -938,9 +935,10 @@ class TestKrausInvariance:
             base = np.array([ch.operators] * 2)
             us = unitaries_from_words(ch.n, seeding_words([(derive_seed(4, trial, side),)
                                                            for trial in range(2)]))
-            ops.append(np.concatenate([base[:1], mix_kraus_families(base, us)]))
-        stage = chain_stage(np.array([rho.sqrt_rho] * 3), *ops)
-        assert invariance_columns(stage, 1)[0].tolist() == list(direct.deviations.values())
+            ops.append(mix_kraus_families(base, us))
+        unmixed = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
+        mixed = chain_stage(np.array([rho.sqrt_rho] * 2), *ops)
+        assert invariance_columns(unmixed, [mixed])[0].tolist() == list(direct.deviations.values())
 
     def test_deviations_match_recomputed_chains(self):
         # every quantity of both readings, of the instance the data was built from

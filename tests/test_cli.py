@@ -466,6 +466,22 @@ class TestInputBytesArePinned:
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(out.parent.iterdir())}
 
+    @staticmethod
+    def run_fresh(argv, blas_threads):
+        """The CLI on ``argv`` in a fresh process, with BLAS pinned to
+        ``blas_threads`` threads, or at its default thread count for None."""
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(skewchain.__file__).parents[1])
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        code = "import sys; from skewchain.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=300)
+
+    BOUNDS_D32_SHA256 = {
+        "r.csv": "f2a6d92a01e1d5be95c873a4ab3cd4a0f170396a0dd542302ef0cf2b8001517d",
+        "r.txt": "d1d03e7b2cd3592082ae3969d7da9a14c098cff2e366b257043ebc1b40861c88"}
+
     @pytest.mark.parametrize("case", ["d32", "d4_special_zeros"])
     def test_bounds(self, tmp_path, case):
         if case == "d32":
@@ -477,12 +493,23 @@ class TestInputBytesArePinned:
         out.parent.mkdir()
         assert main(["bounds", *inputs, "--t", "0:1:3", "--out", str(out)]) == 0
         assert self.digests(out) == {
-            "d32": {"r.csv": "f2a6d92a01e1d5be95c873a4ab3cd4a0f170396a0dd542302ef0cf2b8001517d",
-                    "r.txt": "d1d03e7b2cd3592082ae3969d7da9a14c098cff2e366b257043ebc1b40861c88"},
+            "d32": self.BOUNDS_D32_SHA256,
             "d4_special_zeros": {
                 "r.csv": "c7a6b221a2b14ac1232fdb75a1912770a392f733fd66173e639c8aa0d68717d2",
                 "r.txt": "47a2360559d764b571d5026d363c0048890642d711790711ec13e008a6495a84"},
         }[case]
+
+    @pytest.mark.parametrize("blas_threads", ["1", None])
+    def test_bounds_bytes_do_not_depend_on_blas_threads(self, tmp_path, blas_threads):
+        # d32 in a fresh process, at one BLAS thread as the benchmark runs it,
+        # or at the default thread count; the inputs are written here, at the
+        # default count, because the QR of random_channel at n d = 512 rows
+        # gives other last bits at one thread
+        inputs = self.instance(tmp_path, *self.random(32, 16))
+        out = tmp_path / "out" / "r.txt"
+        out.parent.mkdir()
+        self.run_fresh(["bounds", *inputs, "--t", "0:1:3", "--out", str(out)], blas_threads)
+        assert self.digests(out) == self.BOUNDS_D32_SHA256
 
     INVARIANCE_SHA256 = "121b9a4b0d2ad29eb8c4d19ddea162112af91767c892bc3b78b1ec91837199f0"
 
@@ -500,14 +527,7 @@ class TestInputBytesArePinned:
         inputs = self.instance(tmp_path, *self.random(32, 8))
         out = tmp_path / "out" / "inv.txt"
         out.parent.mkdir()
-        env = {name: value for name, value in os.environ.items()
-               if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = str(Path(skewchain.__file__).parents[1])
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        code = "import sys; from skewchain.cli import main; sys.exit(main(sys.argv[1:]))"
-        subprocess.run([sys.executable, "-c", code, "invariance", *inputs, "--trials", "2",
-                        "--out", str(out)], env=env, check=True, timeout=300)
+        self.run_fresh(["invariance", *inputs, "--trials", "2", "--out", str(out)], blas_threads)
         assert self.digests(out) == {"inv.txt": self.INVARIANCE_SHA256}
 
 
@@ -562,10 +582,10 @@ class TestDerivesEachInstanceOnce:
         calls = self.counting(monkeypatch)
         assert main(["verify", "--dims", "2", "--instances", "2",
                      "--out", str(tmp_path / "v.txt")]) == 0
-        # one pass for the chunk, whose instances have the Kraus counts (1, 1)
-        # and (2, 1): both instances, then their invariance trials; both
-        # readings per pass, and one (2, 1) search over the two instances
-        assert calls == {"_i_values": [4], "_lattice_values": [4, 4], "_optimize": [2]}
+        # two passes for the chunk, whose instances have the Kraus counts
+        # (1, 1) and (2, 1): both instances, then their invariance trials;
+        # both readings per pass, and one (2, 1) search over the two instances
+        assert calls == {"_i_values": [2, 2], "_lattice_values": [2, 2, 2, 2], "_optimize": [2]}
 
     def test_bounds(self, tmp_path, example_files, monkeypatch):
         # the report's optimum is the one the verdict checks, so one (2, 1)
@@ -621,7 +641,7 @@ class TestGeneratesEachChunkInFixedPasses:
         """The entropy count of each hash pass of a 20-instance chunk at d = 3,
         and the generators that drew Gaussians, in draw order."""
         passes = []
-        real = objects._seeding_words
+        real = objects.seeding_words
 
         def counted(entropies, *args):
             passes.append(len(entropies))
@@ -634,7 +654,8 @@ class TestGeneratesEachChunkInFixedPasses:
                 drawn.append(self)
                 return super().standard_normal(*args, **kwargs)
 
-        monkeypatch.setattr(objects, "_seeding_words", counted)
+        for module in (objects, cli, chains):  # each module's binding of the one kernel
+            monkeypatch.setattr(module, "seeding_words", counted)
         monkeypatch.setattr(np.random, "Generator", Counted)
         # at d = 3 both channels of the 20 instances take each Kraus count 1..4
         cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10))
@@ -834,7 +855,7 @@ class TestExampleCommand:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in manifest} == manifest
 
-    @pytest.mark.parametrize("case", ["as-printed", "as-printed-t3", "sampled"])
+    @pytest.mark.parametrize("case", ["as-printed", "as-printed-t3", "as-printed-11x7x5"])
     def test_failing_grids_keep_count_and_bytes(self, tmp_path, capsys, case):
         # exit code, failure count and CSV bytes where hard invariants fail, on
         # the t axis and on an 11 x 7 x 5 grid
@@ -930,7 +951,7 @@ class TestInvariance:
         argv = ["invariance", "--state", str(files[0]), "--channel1", str(files[1]),
                 "--channel2", str(files[2]), "--trials", "20", "--seed", "9"]
         passes = []
-        real = objects._seeding_words
+        real = objects.seeding_words
 
         def counted(entropies, *args):
             entropies = list(entropies)
@@ -938,7 +959,8 @@ class TestInvariance:
             return real(entropies, *args)
 
         with monkeypatch.context() as patched:
-            patched.setattr(objects, "_seeding_words", counted)
+            for module in (objects, cli, chains):
+                patched.setattr(module, "seeding_words", counted)
             assert main(argv + ["--out", str(tmp_path / "got.txt")]) == 0
         assert passes == [40, 40]
 

@@ -76,10 +76,11 @@ def test_no_module_imports_a_name_it_does_not_use():
     # no linter is a test dependency, so the unused-import rule is checked here
     assert unused_imports("import os\nfrom .linalg import psd_sqrt, as_matrix\n"
                           "__all__ = ['as_matrix']\n") == ["os", "psd_sqrt"]
-    unused = {path.name: unused_imports(path.read_text())
-              for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))
+    unused = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+              for path in sorted([*(ROOT / "src" / "skewchain").glob("*.py"),
+                                  *(ROOT / "tests").glob("*.py")])
               if path.name != "__init__.py"}
-    assert len(unused) >= 8 and {name: names for name, names in unused.items() if names} == {}
+    assert len(unused) >= 18 and {name: names for name, names in unused.items() if names} == {}
 
 
 def unread_fields(fields, sources) -> list:

@@ -18,7 +18,6 @@ from skewchain.chains import (
     stage_from_frames,
     sum_transfer,
 )
-from skewchain.errors import CompletenessError
 from skewchain.example import (
     CSV_HEADER,
     SweepTable,

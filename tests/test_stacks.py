@@ -26,12 +26,12 @@ from skewchain import chains, cli, example, skew
 from skewchain.chains import (
     HARD_CHECK_NAMES,
     BoundChain,
+    ChainStage,
     Check,
     Reading,
     chain_at,
     chain_stage,
     invariance_columns,
-    join_stages,
     lattice_order,
     optimize_batch,
     trial_entropies,
@@ -926,6 +926,15 @@ def stage_data(stage, b, d):
 SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf)
 
 
+def take(stage, rows):
+    """The instances ``rows`` of a stage, as a stage of copies of its arrays."""
+    i_values = stage.i_values[rows]
+    return ChainStage(stage.sums[rows], stage.products[rows],
+                      {reading: table[rows] for reading, table in stage.tables.items()},
+                      {reading: values[rows] for reading, values in stage.lattices.items()},
+                      stage.cross_terms[rows], lambda: i_values)
+
+
 def injected(stage, count, d):
     """The first ``count`` instances of a stage, then copies of them with one
     special value written over a scalar, or over the first, a middle or the
@@ -936,7 +945,7 @@ def injected(stage, count, d):
         targets += [(target, pos) for pos in sorted({0, size // 2, size - 1}) if size]
     cases = [(b, target, pos, value) for target, pos in targets for value in SPECIALS
              for b in range(count)]
-    out = join_stages([stage], list(range(count)) + [b for b, *_ in cases])
+    out = take(stage, list(range(count)) + [b for b, *_ in cases])
     for row, (_, target, pos, value) in enumerate(cases, start=count):
         if target == "i_values":
             out.i_values[row, pos] = value
@@ -975,17 +984,40 @@ class TestVerdictColumns:
         stage, instances = block_at(d, 3, 7 + d)
         rows = injected(stage, 3, d)
         count = len(rows.products) // 3  # each instance and two trials, specials among all three
-        trials = join_stages([rows], range(3 * count))
-        got = invariance_columns(trials, count)
+        base, trials = take(rows, range(count)), take(rows, range(count, 3 * count))
+        got = invariance_columns(base, [trials])
         for b in range(count):
-            want = oracle_invariance(stage_data(trials, b, d),
-                                     [stage_data(trials, b + t * count, d) for t in (1, 2)])
+            want = oracle_invariance(stage_data(base, b, d),
+                                     [stage_data(trials, b + t * count, d) for t in (0, 1)])
             assert [repr(x) for x in got[b].tolist()] == [repr(x) for x in want.values()]
         # the first instance with the other two as its trials, each built alone
-        alones = [object_stage(*zip(instance)) for instance in instances]
-        got = invariance_columns(join_stages(alones, range(3)), 1)[0].tolist()
+        first, *others = [object_stage(*zip(instance)) for instance in instances]
+        got = invariance_columns(first, others)[0].tolist()
         want = oracle_invariance(alone(*instances[0]), [alone(*x) for x in instances[1:]])
         assert got == list(want.values())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_invariance_fold_by_pass_matches_the_oracle(self, d):
+        # two instances and the trials of ``injected``, specials among them,
+        # cut into two passes at each boundary between trials, into one pass
+        # and into one pass per trial; the base is the clean instances, then
+        # the first block of specials (NaN products) with the rest as trials
+        stage, _ = block_at(d, 2, 11 + d)
+        rows = injected(stage, 2, d)
+        blocks = len(rows.products) // 2
+        for first in (0, 1):
+            base = take(rows, [2 * first, 2 * first + 1])
+            mixed = take(rows, [2 * t + b for t in range(blocks) if t != first for b in (0, 1)])
+            trials = blocks - 1
+            want = [[repr(x) for x in oracle_invariance(
+                stage_data(base, b, d), [stage_data(mixed, 2 * t + b, d)
+                                         for t in range(trials)]).values()] for b in (0, 1)]
+            cuts = [[mixed], [take(mixed, [2 * t, 2 * t + 1]) for t in range(trials)]]
+            cuts += [[take(mixed, range(2 * k)), take(mixed, range(2 * k, 2 * trials))]
+                     for k in range(1, trials)]
+            for passes in cuts:
+                got = invariance_columns(base, passes)
+                assert [[repr(x) for x in row] for row in got.tolist()] == want
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 4), data=st.data())
@@ -994,7 +1026,7 @@ class TestVerdictColumns:
         stage, _ = block_at(d, 1, 3 + d)
         values = st.sampled_from(SPECIALS + (1.0, -1.0, 0.25, 3.0))
         size = len(lattice_order(d))
-        rows = join_stages([stage], [0, 0])
+        rows = take(stage, [0, 0])
         for field in ("products", "sums", "cross_terms"):
             getattr(rows, field)[:] = data.draw(st.lists(values, min_size=2, max_size=2))
         rows.i_values[:] = [tuple(data.draw(st.lists(values, min_size=d, max_size=d)))
@@ -1006,7 +1038,7 @@ class TestVerdictColumns:
         for b in range(2):
             want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10))
             assert column_bits(columns, b, 1e-10) == want
-        got = invariance_columns(rows, 1)[0].tolist()
+        got = invariance_columns(take(rows, [0]), [take(rows, [1])])[0].tolist()
         want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
         assert [repr(x) for x in got] == [repr(x) for x in want.values()]
 
@@ -1107,26 +1139,22 @@ def assert_same_stage(got, want):
         assert same_bits(got[name], want[name]), name
 
 
-def oracle_group_stages(roots, ops1, ops2, counts):
-    """The chunk's stage as ``_verify_chunk`` built it before one pass held
-    the chunk: one unpadded ``chain_stage`` pass per (n1, n2) group, of the
-    group's instances and then their trials, joined back in the one-pass
-    layout (the instances, then their trials)."""
-    count = len(roots) // 2
+def assert_matches_group_passes(stage, roots, ops1, ops2, counts):
+    """Each (n1, n2) group's instances of a padded pass hold the bits of one
+    unpadded ``chain_stage`` pass of the group alone, as ``_verify_chunk``
+    built them before one pass held instances of several counts."""
     groups = {}
-    for i, pair in enumerate(zip(*(np.asarray(n)[:count].tolist() for n in counts))):
+    for i, pair in enumerate(zip(*(np.asarray(n).tolist() for n in counts))):
         groups.setdefault(pair, []).append(i)
-    stages, rows = [], []  # the one-pass row of each row of the joined passes
     for (n1, n2), group in groups.items():
-        picked = group + [count + i for i in group]
-        stages.append(chain_stage(roots[picked], ops1[picked, :n1], ops2[picked, :n2]))
-        rows += picked
-    return join_stages(stages, np.argsort(rows))
+        assert_same_stage(take(stage, group),
+                          chain_stage(roots[group], ops1[group, :n1], ops2[group, :n2]))
 
 
 class TestPaddedChunkStage:
-    # a verify chunk is one pass whose families are zero-padded to the
-    # chunk's largest count on each side, with each instance's true counts
+    # a verify chunk is two passes, its instances and then their trials,
+    # whose families are zero-padded to the chunk's largest count on each
+    # side, with each instance's true counts
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_the_per_group_passes(self, d, seed):
@@ -1142,9 +1170,10 @@ class TestPaddedChunkStage:
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(cli, "chain_stage", captured)
             cli._verify_chunk(d, range(40), argparse.Namespace(seed=seed, tol=1e-10))
-        ((args, stage),) = passes
-        assert len({pair for pair in zip(*(np.asarray(n).tolist() for n in args[3]))}) == 16
-        assert_same_stage(stage, oracle_group_stages(*args))
+        assert len(passes) == 2
+        for args, stage in passes:
+            assert len({pair for pair in zip(*(np.asarray(n).tolist() for n in args[3]))}) == 16
+            assert_matches_group_passes(stage, *args)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
@@ -1163,7 +1192,7 @@ class TestPaddedChunkStage:
         stage = chain_stage(np.array([rho.sqrt_rho for rho, _, _ in instances]), *ops,
                             tuple(np.array(pairs).T))
         for b, instance in enumerate(instances):
-            assert_same_stage(join_stages([stage], [b]), object_stage(*map(list, zip(instance))))
+            assert_same_stage(take(stage, [b]), object_stage(*map(list, zip(instance))))
 
     def test_a_genuine_zero_operator_counts(self):
         # a channel holding an all-zero Kraus operator keeps it in its count:
@@ -1178,7 +1207,7 @@ class TestPaddedChunkStage:
         ops2 = np.stack([np.array(ch2.operators)] * 2)
         stage = chain_stage(np.stack([rho.sqrt_rho] * 2), ops1, ops2, ([3, 4], [2, 2]))
         alone_with_zero = chain_stage(rho.sqrt_rho[None], with_zero[None], ops2[:1])
-        assert_same_stage(join_stages([stage], [0]), alone_with_zero)
+        assert_same_stage(take(stage, [0]), alone_with_zero)
         dropped = chain_stage(rho.sqrt_rho[None], with_zero[None, :2], ops2[:1])
         printed = stage.tables[Reading.AS_PRINTED][0]
         assert not same_bits(printed, dropped.tables[Reading.AS_PRINTED][0])
@@ -1246,25 +1275,26 @@ class TestStackedVerify:
             patched.setattr(cli, "densities_from_words", densities)
             patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
             cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10))
-        # one stage for the chunk: its instances, then their trials, each
+        # two stages for the chunk: its instances, then their trials, each
         # family zero-padded to the chunk's largest count on its side
-        assert len(stages) == 1 and len(states) == len(ks)
-        ((roots, ops1, ops2, counts),) = stages
-        assert len(roots) == len(ops1) == len(ops2) == 2 * len(ks)
+        assert len(stages) == 2 and len(states) == len(ks)
         pairs = [oracle_kraus_counts(d, k) for k in ks]
-        assert ops1.shape[1] == max(n1 for n1, _ in pairs)
-        assert ops2.shape[1] == max(n2 for _, n2 in pairs)
-        assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs * 2)]
+        for roots, ops1, ops2, counts in stages:
+            assert len(roots) == len(ops1) == len(ops2) == len(ks)
+            assert ops1.shape[1] == max(n1 for n1, _ in pairs)
+            assert ops2.shape[1] == max(n2 for _, n2 in pairs)
+            assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs)]
+        (roots, ops1, ops2, _), (mixed_roots, mixed_ops1, mixed_ops2, _) = stages
         for j, k in enumerate(ks):
             parts = (0, 1, 2, 4)
             derived = dict(zip(parts, cut_seeds([oracle_derive_seed(seed, d, k, part)
                                                  for part in parts])))
             state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
             assert same_bits(states[j], state.rho)
-            for root in (roots[j], roots[len(ks) + j]):
+            for root in (roots[j], mixed_roots[j]):
                 assert same_bits(root, state.sqrt_rho)
-            for got, want in ((ops1[j], ch1), (ops2[j], ch2), (ops1[len(ks) + j], mixed1),
-                              (ops2[len(ks) + j], mixed2)):
+            for got, want in ((ops1[j], ch1), (ops2[j], ch2), (mixed_ops1[j], mixed1),
+                              (mixed_ops2[j], mixed2)):
                 n = want.n
                 assert same_bits(got[:n], np.array(want.operators))
                 assert same_bits(got[n:], np.zeros_like(got[n:]))  # +0.0 only
@@ -1296,10 +1326,10 @@ class TestStackedVerify:
             return real(roots, ops1, ops2, counts)
 
         monkeypatch.setattr(cli, "chain_stage", counted)
-        # one pass per chunk of two instances
+        # two passes per chunk of two instances: the instances, then their trials
         assert cli.main(["verify", "--dims", "1", "--instances", "9",
                          "--out", str(tmp_path / "v.txt")]) == 0
-        assert sizes == [4, 4, 4, 4, 2]  # each instance and its trial, once
+        assert sizes == [2, 2, 2, 2, 2, 2, 2, 2, 1, 1]
 
     def test_fold_keeps_python_order_on_special_deviations(self, tmp_path, monkeypatch):
         # real verdicts carry no NaN or -0.0 deviation, so write some in, on

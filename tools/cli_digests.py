@@ -107,7 +107,8 @@ def runs(inputs: Path) -> list:
         found.append((f"example-small-t3-{reading}", example + list(EXAMPLE_SMALL)
                       + ["--t", "0:1:3"]))
 
-    for name, d, n, trials in (("inv4", 4, 3, 20), ("inv32", 32, 32, 4)):
+    # inv4 is one pass of trials, inv16 five passes of four, inv32 passes of one
+    for name, d, n, trials in (("inv4", 4, 3, 20), ("inv16", 16, 16, 20), ("inv32", 32, 32, 4)):
         instance = write_instance(inputs, name, d, n, n)
         found.append((f"invariance-d{d}", ["invariance", *instance, "--trials", str(trials),
                                            "--out", "OUT/invariance.txt"]))
