@@ -9,8 +9,6 @@ variants, and numerical certification of every claimed inequality.
 from .chains import (
     BoundChain,
     ChainStage,
-    ChainVerdict,
-    InvarianceReport,
     PermutedBound,
     Reading,
     VerdictColumns,
@@ -40,7 +38,6 @@ from .errors import (
     TraceNotOneError,
 )
 from .example import (
-    ClosedForms,
     SweepTable,
     closed_forms,
     discrepancy_report,
@@ -49,7 +46,6 @@ from .example import (
     sweep,
 )
 from .linalg import (
-    HermitianEig,
     hermitian_eigendecompose,
     psd_sqrt,
 )

@@ -66,10 +66,7 @@ __all__ = [
     "BoundChain",
     "CHUNK_ENTRIES",
     "ChainStage",
-    "ChainVerdict",
-    "Check",
     "HARD_CHECK_NAMES",
-    "InvarianceReport",
     "PermutedBound",
     "Reading",
     "VerdictColumns",
@@ -313,9 +310,11 @@ def _s_tables(e_norms, f_norms, overlaps, products: np.ndarray, counts) -> tuple
     # BLAS's rounding depends on how many pairs it sums, so each distinct
     # (n1, n2) takes its instances' own n1 n2 pairs, without the padding.
     gram = np.empty((count, d, d), np.complex128)
-    for m1, m2 in set(zip(n1.tolist(), n2.tolist())):
-        rows = (n1 == m1) & (n2 == m2)
-        rows = slice(None) if rows.all() else rows  # a group of every row needs no gather
+    groups = {}  # (n1, n2) -> its rows, ascending
+    for b, pair in enumerate(zip(n1.tolist(), n2.tolist())):
+        groups.setdefault(pair, []).append(b)
+    for (m1, m2), rows in groups.items():
+        rows = slice(None) if len(rows) == count else rows  # a group of every row needs no gather
         flat = overlaps[rows, :m1, :m2]
         flat = flat.reshape(len(flat), -1, d)
         gram[rows] = np.swapaxes(flat, -1, -2) @ flat.conj()
@@ -571,19 +570,6 @@ def mixed_columns(products, sums, optima, t) -> tuple:
 # Verification
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named verification row; ``deviation`` is how far from passing."""
-
-    name: str
-    kind: str  # "ge": lhs >= rhs - tol; "eq": |lhs - rhs| <= tol
-    lhs: float
-    rhs: float
-    tol: float
-    passed: bool
-    deviation: float
-
-
 HARD_CHECK_NAMES = (
     "product_ge_cross_term",
     "product_ge_i1",
@@ -595,52 +581,22 @@ HARD_CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
-    checks: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def hard_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.name in HARD_CHECK_NAMES)
-
-    def by_name(self) -> dict:
-        return {c.name: c for c in self.checks}
-
-
 def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                 tol: float = 1e-10) -> ChainVerdict:
-    """Run every chain check on one instance; failures are reported, not raised.
-
-    Both S-lattice readings are always evaluated; the anchor-identity rows
-    record, per reading, how far the lattice is from the I-chain it claims to
-    refine.  Inequality rows pass when ``lhs >= rhs - tol``; equality rows
-    report their deviation against the same tolerance.
-    """
-    columns = verdict_columns(_instance_stage(rho, ch1, ch2), tol)
-    return ChainVerdict(checks=tuple(
-        Check(name, kind, lhs, rhs, tol, passed, deviation)
-        for name, kind, lhs, rhs, passed, deviation in zip(
-            columns.names, columns.kinds, columns.lhs[0].tolist(), columns.rhs[0].tolist(),
-            columns.passed[0].tolist(), columns.deviation[0].tolist())), tol=tol)
+                 tol: float = 1e-10) -> VerdictColumns:
+    """Run every chain check on one instance, as the one-row ``verdict_columns``
+    of its stage; failures are reported, not raised."""
+    return verdict_columns(_instance_stage(rho, ch1, ch2), tol)
 
 
 @dataclass(frozen=True)
 class VerdictColumns:
     """Every check of each instance of a pass: a row per instance and a column
-    per check, in the order of ``ChainVerdict.checks``.  A name may head more
-    than one column (the mixed bounds, once per t)."""
+    per check, in the order ``verdict_columns`` runs them.  A name may head
+    more than one column (the mixed bounds, once per t)."""
 
     names: tuple
-    kinds: tuple          # "ge": lhs >= rhs - tol; "eq": |lhs - rhs| <= tol
-    lhs: np.ndarray       # (instances, checks) float64, as are rhs and deviation
-    rhs: np.ndarray
-    passed: np.ndarray    # (instances, checks) bool
-    deviation: np.ndarray
+    passed: np.ndarray     # (instances, checks) bool
+    deviation: np.ndarray  # (instances, checks) float64
 
     def by_name(self) -> dict:
         """Each check name's passed flags and deviations, as flat arrays taken
@@ -664,6 +620,9 @@ def verdict_columns(stage: ChainStage, tol: float, optima=None) -> VerdictColumn
     ``None`` runs that search here, once over the instances.  Both S-lattice
     readings are always evaluated; the anchor-identity rows record, per
     reading, how far the lattice is from the I-chain it claims to refine.
+    An inequality row ``lhs >= rhs`` passes when ``lhs >= rhs - tol``, its
+    deviation ``max(rhs - lhs, 0)``; an equality row passes when its deviation
+    ``|lhs - rhs|`` is at most ``tol``.
     """
     product, total, cross = stage.products, stage.sums, stage.cross_terms
     count = len(product)
@@ -720,29 +679,13 @@ def verdict_columns(stage: ChainStage, tol: float, optima=None) -> VerdictColumn
     gap = rhs - lhs
     deviation = np.where(ge, np.where(0.0 > gap, 0.0, gap), np.abs(lhs - rhs))
     passed = np.where(ge, lhs >= rhs - tol, deviation <= tol)
-    return VerdictColumns(tuple(names), tuple(kinds), lhs, rhs, passed, deviation)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Worst-case deviation of each bound quantity under Kraus mixing."""
-
-    trials: int
-    tol: float
-    deviations: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.deviations.values())
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations.values())
+    return VerdictColumns(tuple(names), passed, deviation)
 
 
 def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                           trials: int, seed: int, tol: float = 1e-10) -> InvarianceReport:
-    """Mix both Kraus families by random unitaries and recompute every bound.
+                           trials: int, seed: int) -> dict:
+    """Mix both Kraus families by random unitaries and recompute every bound;
+    return each bound quantity's worst deviation, keyed by name in report order.
 
     The chain quantities are functions of the channels, not of the chosen
     Kraus families, so all deviations should sit at rounding level.
@@ -751,31 +694,30 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     every trial, then the seeding words of each.  The unmixed instance is a
     pass of its own, and the trials run in ``chain_stage`` passes of at most
     ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
-    count; each pass mixes its trials' families in one stacked ``einsum``.
-    ``_run_passes`` runs the passes on a thread pool with a thread per CPU
-    the process may use, at most one per pass; each pass is bit for bit as in
-    a serial loop.
+    count; each pass draws its trials' unitaries from their words and mixes
+    their families in one stacked ``einsum``.  ``_run_passes`` runs the
+    passes on a thread pool with a thread per CPU the process may use, at
+    most one per pass; each pass is bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     words = seeding_words([(s,) for s in derive_seeds(trial_entropies([seed], trials))])
-    unitaries = [unitaries_from_words(ch.n, words[side::2]) for side, ch in enumerate((ch1, ch2))]
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
 
     def run(k):  # pass 0 is the unmixed instance, pass k the trials' block k - 1
         if k == 0:
             stage = _instance_stage(rho, ch1, ch2)
         else:
-            us = [u[(k - 1) * block:k * block] for u in unitaries]
-            ops = [mix_kraus_families(np.repeat(ch.operators[None], len(u), axis=0), u)
-                   for ch, u in zip((ch1, ch2), us)]
-            stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(us[0]), axis=0), *ops)
+            rows = words[2 * (k - 1) * block:2 * k * block]  # trial by trial, u before v
+            ops = [mix_kraus_families(np.repeat(ch.operators[None], len(rows) // 2, axis=0),
+                                      unitaries_from_words(ch.n, rows[side::2]))
+                   for side, ch in enumerate((ch1, ch2))]
+            stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(rows) // 2, axis=0), *ops)
         stage.i_values  # computed within the pass, so its exact sums run in parallel too
         return stage
 
     base, *mixed = _run_passes(run, 1 + -(-trials // block))
-    devs = invariance_columns(base, mixed)[0].tolist()
-    return InvarianceReport(trials=trials, tol=tol, deviations=dict(zip(_INVARIANT_NAMES, devs)))
+    return dict(zip(_INVARIANT_NAMES, invariance_columns(base, mixed)[0].tolist()))
 
 
 def _cpus() -> int:
@@ -820,7 +762,7 @@ _INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_print
 def invariance_columns(base: ChainStage, trials) -> np.ndarray:
     """The invariance deviations of the instances of ``base``, one row per
     instance and one column per quantity, in the order of
-    ``InvarianceReport.deviations``.
+    ``kraus_invariance_check``'s keys.
 
     ``trials`` is an iterable of stages whose rows run trial after trial of
     those instances, each stage holding whole trials: with B instances, row

@@ -36,7 +36,6 @@ from .skew import frame_stack
 
 __all__ = [
     "CSV_HEADER",
-    "ClosedForms",
     "DiscrepancyReport",
     "EXAMPLE_DIM",
     "SweepTable",
@@ -101,18 +100,6 @@ def _q_family_stack(qs) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Reference closed-form values (report columns eq20..eq25)."""
-
-    eq20: float  # product of channel skew informations
-    eq21: float  # tabulated sum form (documented factor-2 discrepancy)
-    eq22: float  # cross-term bound (the lemma1 column)
-    eq23: float  # S21 = I2
-    eq24: float  # S31
-    eq25: float  # S32 = I3
-
-
 def _per_distinct(terms, values) -> np.ndarray:
     """``terms(v)``, a tuple of floats, for each of ``values``, as one array
     row per tuple entry aligned with ``values``; ``terms`` runs once per
@@ -164,10 +151,12 @@ def _form_columns(thetas, ps, qs) -> np.ndarray:
     return np.stack([eq20, eq21, eq22, eq23, eq24, eq25], axis=1)
 
 
-def closed_forms(theta: float, p: float, q: float) -> ClosedForms:
-    """The reference closed forms at the point (theta, p, q)."""
+def closed_forms(theta: float, p: float, q: float) -> dict:
+    """The reference closed forms at (theta, p, q), keyed ``eq20``..``eq25``: the
+    product (eq20), the tabulated sum at twice the pipeline sum (eq21), the
+    cross term (eq22), S21 = I2 (eq23), S31 (eq24) and S32 = I3 (eq25)."""
     point = [[_check_unit(name, value)] for name, value in (("theta", theta), ("p", p), ("q", q))]
-    return ClosedForms(*_form_columns(*point)[0].tolist())
+    return dict(zip(_FORM_NAMES, _form_columns(*point)[0].tolist()))
 
 
 CSV_HEADER = ("theta,p,q,t,product,sum,I1,I2,I3,I4,S21,S31,S32,lemma1,"

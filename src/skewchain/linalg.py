@@ -9,8 +9,6 @@ are fresh and safe to mutate by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -27,12 +25,10 @@ DEFAULT_TOL = 1e-9
 __all__ = [
     "DEFAULT_TOL",
     "FirstFailure",
-    "HermitianEig",
     "as_matrix",
     "first_max",
     "first_min",
     "hermitian_eigendecompose",
-    "hermiticity_defect",
     "hermiticity_defects",
     "max_abs",
     "max_abs_each",
@@ -82,24 +78,6 @@ def first_min(x: np.ndarray) -> np.ndarray:
     return -first_max(-x)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """``max |M - M^dag|``."""
-    return max_abs(m - m.conj().T)
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` ascend; ``eigenvectors`` holds the matching orthonormal
-    eigenvectors as columns, with each column's phase fixed so that its
-    largest-modulus component is real positive (deterministic tie-breaking).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Stacked kernels
 #
@@ -140,7 +118,7 @@ def max_abs_each(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defects(m: np.ndarray) -> np.ndarray:
-    """``hermiticity_defect`` of each matrix of a (B, d, d) stack."""
+    """``max |M - M^dag|`` of each matrix M of a (B, d, d) stack."""
     return max_abs_each(m - _adjoint(m))
 
 
@@ -221,15 +199,20 @@ def _stack_of_one(kernel, m, tol: float):
     return out
 
 
-def hermitian_eigendecompose(m, hermiticity_tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix with validated output.
+def hermitian_eigendecompose(m, hermiticity_tol: float = DEFAULT_TOL) -> tuple:
+    """Eigendecompose a Hermitian matrix with validated output, as
+    ``(eigenvalues, eigenvectors)`` like ``np.linalg.eigh``.
+
+    The eigenvalues ascend; the eigenvectors are the matching orthonormal
+    columns, each column's phase fixed so that its largest-modulus component
+    is real positive (deterministic tie-breaking).
 
     Raises
     ------
     NotSquareError, NotHermitianError, ConvergenceError
     """
     w, v = _stack_of_one(_eigendecompose_stack, m, hermiticity_tol)
-    return HermitianEig(eigenvalues=w[0], eigenvectors=v[0])
+    return w[0], v[0]
 
 
 def psd_sqrt(rho, tol: float = DEFAULT_TOL) -> np.ndarray:

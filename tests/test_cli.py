@@ -892,10 +892,10 @@ INVARIANCE_CASES = [(4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None),
                     (16, 16, 9, 5, None), (32, 4, 3, 5, None), (32, 16, 8, 2, None)]
 
 
-def one_trial_at_a_time(rho, ch1, ch2, trials, seed, tol=1e-10):
-    """The invariance report computed trial by trial: ``compute_chain`` under
-    both readings on the ``mix_kraus``ed channels of each trial, and Python's
-    ``max`` of ``|mixed - base|`` per quantity."""
+def one_trial_at_a_time(rho, ch1, ch2, trials, seed):
+    """The invariance deviations computed trial by trial: ``compute_chain``
+    under both readings on the ``mix_kraus``ed channels of each trial, and
+    Python's ``max`` of ``|mixed - base|`` per quantity."""
     def values(a, b):
         prod = compute_chain(rho, a, b, Reading.PRODUCT)
         printed = compute_chain(rho, a, b, Reading.AS_PRINTED)
@@ -912,7 +912,7 @@ def one_trial_at_a_time(rho, ch1, ch2, trials, seed, tol=1e-10):
                        mix_kraus(ch2, random_unitary(ch2.n, v)))
         for name in base:
             devs[name] = max([devs[name], *(abs(a - b) for a, b in zip(mixed[name], base[name]))])
-    return chains.InvarianceReport(trials=trials, tol=tol, deviations=devs)
+    return devs
 
 
 class TestInvariance:
@@ -971,7 +971,7 @@ class TestInvariance:
     @staticmethod
     def case(monkeypatch, d, n1, n2, trials, entries):
         """The instance of a ``test_matches_one_trial_at_a_time`` case and the
-        oracle's report on it."""
+        oracle's deviations on it."""
         if entries is not None:
             monkeypatch.setattr(chains, "CHUNK_ENTRIES", entries)
         rho = random_density(d, max(1, d // 2), seed=40 + d)
@@ -980,36 +980,41 @@ class TestInvariance:
         return (rho, ch1, ch2), one_trial_at_a_time(rho, ch1, ch2, trials, d)
 
     @staticmethod
-    def assert_same_report(got, want):
-        assert (got.trials, got.tol) == (want.trials, want.tol)
-        assert [repr(v) for v in got.deviations.values()] == \
-            [repr(v) for v in want.deviations.values()]
-        assert list(got.deviations) == list(want.deviations)
+    def assert_same_deviations(got, want):
+        assert [(name, repr(v)) for name, v in got.items()] == \
+            [(name, repr(v)) for name, v in want.items()]
 
     @pytest.mark.parametrize("d, n1, n2, trials, entries", INVARIANCE_CASES)
     def test_matches_one_trial_at_a_time(self, monkeypatch, d, n1, n2, trials, entries):
         instance, want = self.case(monkeypatch, d, n1, n2, trials, entries)
-        sizes = []  # the instance count of each stage pass
-        real = chains.chain_stage
+        sizes, drawn = [], []  # the instance count of each stage pass, of each unitary stack
+        real_stage, real_unitaries = chains.chain_stage, chains.unitaries_from_words
 
         def counted(roots, ops1, ops2):
             sizes.append(len(roots))
-            return real(roots, ops1, ops2)
+            return real_stage(roots, ops1, ops2)
+
+        def counted_unitaries(n, words):
+            drawn.append(len(words))
+            return real_unitaries(n, words)
 
         monkeypatch.setattr(chains, "chain_stage", counted)
+        monkeypatch.setattr(chains, "unitaries_from_words", counted_unitaries)
         got = chains.kraus_invariance_check(*instance, trials, seed=d)
         block = max(1, chains.CHUNK_ENTRIES // (max(n1, n2) * d * d))
-        # the passes may run in any order on several CPUs
-        assert sorted(sizes) == sorted([1] + [block] * (trials // block) + [trials % block] * (
-            trials % block > 0))
-        self.assert_same_report(got, want)
+        trial_passes = [block] * (trials // block) + [trials % block] * (trials % block > 0)
+        # the passes may run in any order on several CPUs; each draws its
+        # own trials' unitaries, one stack per side
+        assert sorted(sizes) == sorted([1] + trial_passes)
+        assert sorted(drawn) == sorted(trial_passes * 2)
+        self.assert_same_deviations(got, want)
 
     @pytest.mark.parametrize("d, n1, n2, trials, entries", INVARIANCE_CASES)
     def test_same_bytes_on_any_cpu_count(self, monkeypatch, d, n1, n2, trials, entries):
         instance, want = self.case(monkeypatch, d, n1, n2, trials, entries)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(chains, "_cpus", lambda: cpus)
-            self.assert_same_report(chains.kraus_invariance_check(*instance, trials, seed=d), want)
+            self.assert_same_deviations(chains.kraus_invariance_check(*instance, trials, seed=d), want)
 
     def test_one_cpu_or_one_pass_starts_no_thread(self, monkeypatch):
         d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # six passes
@@ -1020,7 +1025,7 @@ class TestInvariance:
 
         monkeypatch.setattr(chains, "_cpus", lambda: 1)
         monkeypatch.setattr(threading, "Thread", refused)
-        self.assert_same_report(chains.kraus_invariance_check(*instance, trials, seed=d), want)
+        self.assert_same_deviations(chains.kraus_invariance_check(*instance, trials, seed=d), want)
         monkeypatch.setattr(chains, "_cpus", lambda: 3)
         assert chains._run_passes(lambda k: k + 10, 1) == [10]
 
@@ -1085,6 +1090,27 @@ class TestInvariance:
                      "--channel2", str(ch2), "--trials", "0",
                      "--out", str(tmp_path / "inv.txt")])
         assert code == 2
+
+    def test_too_many_trials_exits_2_before_any_allocation(self, tmp_path, example_files,
+                                                           capsys, monkeypatch):
+        # the refusal comes before the inputs are loaded or any trial is seeded
+        def refused(*args, **kwargs):
+            raise AssertionError("work done before the refusal")
+
+        state, ch1, ch2 = example_files
+        argv = ["invariance", "--state", str(state), "--channel1", str(ch1),
+                "--channel2", str(ch2), "--out", str(tmp_path / "inv.txt"), "--trials"]
+        with monkeypatch.context() as patched:
+            patched.setattr(chains, "trial_entropies", refused)
+            patched.setattr(cli, "_load_instance", refused)
+            assert main(argv + [str(2 ** 18 + 1)]) == 2
+        assert capsys.readouterr().err == f"error: trials must be <= {2 ** 18}\n"
+        assert not (tmp_path / "inv.txt").exists()
+        # the bound itself is accepted; no trial runs here
+        monkeypatch.setattr(cli, "kraus_invariance_check",
+                            lambda rho, ch1, ch2, trials, seed: {"product": float(trials)})
+        assert main(argv + [str(2 ** 18)]) == 1  # 2^18 > tol
+        assert read_report(tmp_path / "inv.txt")["trials"] == str(2 ** 18)
 
     @pytest.mark.parametrize("flag", [["--perm", "sampled"], ["--budget", "3"],
                                       ["--s-reading", "product"]])

@@ -91,17 +91,23 @@ def unread_fields(fields, sources) -> list:
     return [name for name in fields if name not in read]
 
 
+def record_types() -> list:
+    """Every dataclass and namedtuple that a module of the package defines."""
+    return [cls for module in package_modules() for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and (dataclasses.is_dataclass(cls) or hasattr(cls, "_fields"))]
+
+
 def test_every_field_is_read_in_the_package():
     # a field that no code of the package reads is state kept for no reader
     assert unread_fields(("a", "b", "c"), ["x.a\nx.b = 1\n"]) == ["b", "c"]
-    from skewchain.chains import ChainStage
-    from skewchain.example import SweepTable
-    from skewchain.objects import DensityMatrix, KrausChannel
-
+    records = record_types()
+    assert {"ChainStage", "DensityMatrix", "SweepTable", "VerdictColumns"} <= {
+        cls.__name__ for cls in records}
     sources = [path.read_text() for path in sorted((ROOT / "src" / "skewchain").glob("*.py"))]
     unread = {cls.__name__: unread_fields(getattr(cls, "_fields", None)
                                           or [f.name for f in dataclasses.fields(cls)], sources)
-              for cls in (ChainStage, DensityMatrix, KrausChannel, SweepTable)}
+              for cls in records}
     assert {name: fields for name, fields in unread.items() if fields} == {}
 
 

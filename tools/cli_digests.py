@@ -112,6 +112,10 @@ def runs(inputs: Path) -> list:
         instance = write_instance(inputs, name, d, n, n)
         found.append((f"invariance-d{d}", ["invariance", *instance, "--trials", str(trials),
                                            "--out", "OUT/invariance.txt"]))
+    # rounding noise exceeds a zero tolerance: exit 1 and passed = False
+    found.append(("invariance-d4-tol0", ["invariance", *write_instance(inputs, "inv4", 4, 3, 3),
+                                         "--trials", "20", "--tol", "0",
+                                         "--out", "OUT/invariance.txt"]))
 
     d4 = write_instance(inputs, "d4", 4, 3, 2)
     found += [
