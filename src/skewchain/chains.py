@@ -60,7 +60,7 @@ from .objects import (
     seeding_words,
     unitaries_from_words,
 )
-from .skew import channel_skews, column_norms_sq, frame_stack
+from .skew import channel_skews, column_norms_sq, column_overlaps, frame_stack
 
 __all__ = [
     "BoundChain",
@@ -221,8 +221,13 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None, c
     its frames alone, so they are computed once per row of each stack,
     before the first pass, and indexed per instance; the overlaps and
     everything built on them are computed per instance, one pass at a time.
-    Every instance keeps the bits of a stack of one.
+    Each stack is first copied once to column-major form, so that every
+    norm and overlap sums over a contiguous axis (the copy replaces the
+    argument, so a caller's temporary frames are freed).  Every instance
+    keeps the bits of a stack of one.
     """
+    e_frames, f_frames = (np.ascontiguousarray(frames.swapaxes(-1, -2)).swapaxes(-1, -2)
+                          for frames in (e_frames, f_frames))
     e_norms, f_norms = column_norms_sq(e_frames), column_norms_sq(f_frames)
     e_skews, f_skews = channel_skews(e_norms), channel_skews(f_norms)
     e_counts, f_counts = counts or [np.full(len(frames), frames.shape[1])
@@ -231,7 +236,7 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None, c
     for e_rows, f_rows in ((slice(None), slice(None)),) if passes is None else passes:
         e_pass, f_pass = e_norms[e_rows], f_norms[f_rows]
         e_skew, f_skew = e_skews[e_rows], f_skews[f_rows]
-        overlaps = np.einsum("...aij,...bij->...abj", e_frames[e_rows].conj(), f_frames[f_rows])
+        overlaps = column_overlaps(e_frames[e_rows], f_frames[f_rows])
         products = e_skew * f_skew
         tables = dict(zip((Reading.PRODUCT, Reading.AS_PRINTED),
                           _s_tables(e_pass, f_pass, overlaps, products,
@@ -695,9 +700,10 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     pass of its own, and the trials run in ``chain_stage`` passes of at most
     ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
     count; each pass draws its trials' unitaries from their words and mixes
-    their families in one stacked ``einsum``.  ``_run_passes`` runs the
-    passes on a thread pool with a thread per CPU the process may use, at
-    most one per pass; each pass is bit for bit as in a serial loop.
+    their families in one stacked ``einsum`` (``mix_kraus_families``).
+    ``_run_passes`` runs the passes on the calling thread and one helper
+    thread per further CPU the process may use, at most one thread per
+    pass; each pass is bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -728,23 +734,38 @@ def _cpus() -> int:
 
 
 def _run_passes(run, count: int) -> list:
-    """``[run(0), ..., run(count - 1)]``, on a ``ThreadPoolExecutor`` of
-    ``min(_cpus(), count)`` threads; with one CPU or one pass no thread is
-    started.
+    """``[run(0), ..., run(count - 1)]``, run on the calling thread and
+    ``min(_cpus(), count) - 1`` helper threads; with one CPU or one pass no
+    thread is started.  Each thread takes the next pass number from one
+    shared counter, until none is left or some pass has failed.
 
     A failure raises what the lowest failing pass raised, as the serial loop
-    would, once every pool thread has been joined.  Passes not yet started
-    when the caller reaches the failure in pass order are cancelled; a pass
-    queued after the failing one may still have started before then, which
-    only wastes work.
+    would, once every helper has been joined.  Pass numbers are taken in
+    order, so every pass below a failing one was taken before it and runs
+    to its end; a pass taken after it only wastes work.
     """
-    workers = min(_cpus(), count)
-    if workers <= 1:
-        return [run(k) for k in range(count)]
-    from concurrent.futures import ThreadPoolExecutor  # not paid by ``import skewchain``
+    import threading  # numpy has imported it already
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, range(count)))
+    results, failures = [None] * count, {}
+    passes = iter(range(count))  # one ``next`` is atomic under the interpreter lock
+
+    def work():
+        # checked before a pass is taken, so no taken pass is left unrun
+        while not failures and (k := next(passes, None)) is not None:
+            try:
+                results[k] = run(k)
+            except BaseException as exc:  # re-raised below, after the join
+                failures[k] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_cpus(), count) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()  # raises nothing: each thread keeps its failure
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def trial_entropies(seeds, trials: int) -> list:

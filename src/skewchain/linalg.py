@@ -30,7 +30,6 @@ __all__ = [
     "first_min",
     "hermitian_eigendecompose",
     "hermiticity_defects",
-    "max_abs",
     "max_abs_each",
     "psd_sqrt",
     "psd_sqrt_stack",
@@ -51,11 +50,6 @@ def require_square(m: np.ndarray) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(m.shape)
     return m.shape[0]
-
-
-def max_abs(m: np.ndarray) -> float:
-    """Entrywise max-norm ``max |m_ij|`` (0 for empty arrays)."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def first_max(x: np.ndarray) -> np.ndarray:
@@ -113,7 +107,8 @@ class FirstFailure:
 
 
 def max_abs_each(m: np.ndarray) -> np.ndarray:
-    """``max_abs`` of each instance of a stack along its leading axis."""
+    """Entrywise max-norm ``max |m_ij|`` of each instance of a stack along its
+    leading axis (0 for an empty instance)."""
     return np.abs(m).max(axis=tuple(range(1, m.ndim)), initial=0.0)
 
 

@@ -509,7 +509,9 @@ def mix_kraus_families(families, us) -> np.ndarray:
     """``mix_kraus`` of each Kraus family of a (B, n, d, d) stack by its
     unitary of a (B, n, n) stack, as one read-only (B, n, d, d) array.
 
-    The pass runs one stacked unitarity check and one ``einsum``.  A bad
+    The pass runs one stacked unitarity check and one ``einsum``, which sums
+    each entry over a contiguous Kraus axis of the families stored as one
+    (B, d^2, n) array; each entry is summed in Kraus order.  A bad
     stack raises what its first failing unitary raises alone, and unitaries
     that do not form one array what their first failing pair raises in
     ``mix_kraus``.  Completeness is not checked again: mixing by a unitary
@@ -535,4 +537,6 @@ def mix_kraus_families(families, us) -> np.ndarray:
     residuals = max_abs_each(arr.conj().swapaxes(-1, -2) @ arr - np.eye(ops.shape[1]))
     check.record(residuals > 1e-10, lambda b: NotUnitaryError(float(residuals[b]), 1e-10))
     check.raise_first()
-    return _frozen(np.einsum("...ts,...sij->...tij", arr, ops))
+    b, n, d, _ = ops.shape
+    flat = np.ascontiguousarray(ops.reshape(b, n, d * d).swapaxes(-1, -2))
+    return _frozen(np.einsum("...ts,...ks->...tk", arr, flat).reshape(b, n, d, d))

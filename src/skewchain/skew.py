@@ -8,10 +8,11 @@ contract rather than an implementation detail.
 
 This module owns the frame kernel that every other module reads:
 ``frame_stack`` builds the frames of a stack of instances, ``column_norms_sq``
-their squared column norms and ``channel_skews`` the channel skew information
-from those norms.  The one-operator and one-channel functions below are
-stacks of one over the same kernel, so ``skew_info_channel`` carries the bits
-of the skew informations inside a bound chain.
+their squared column norms, ``column_overlaps`` the inner products of their
+columns and ``channel_skews`` the channel skew information from the norms.
+The one-operator and one-channel functions below are stacks of one over the
+same kernel, so ``skew_info_channel`` carries the bits of the skew
+informations inside a bound chain.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .objects import DensityMatrix, KrausChannel
 __all__ = [
     "channel_skews",
     "column_norms_sq",
+    "column_overlaps",
     "commutator_frame",
     "frame_stack",
     "skew_info_channel",
@@ -46,8 +48,23 @@ def frame_stack(sqrt_rhos: np.ndarray, operators: np.ndarray) -> np.ndarray:
 
 
 def column_norms_sq(frames: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of every frame column: (..., n, d, d) frames give (..., n, d)."""
-    return np.einsum("...nij,...nij->...nj", frames.conj(), frames).real
+    """Squared 2-norm of every frame column: (..., n, d, d) frames give (..., n, d).
+
+    This and ``column_overlaps`` sum over a contiguous axis when the frames
+    are stored column-major, as ``stage_from_frames`` stores them.  Any
+    layout gives the same bits, but for the sign of a NaN: each sum runs in
+    row order.
+    """
+    columns = frames.swapaxes(-1, -2)
+    return np.einsum("...nji,...nji->...nj", columns.conj(), columns).real
+
+
+def column_overlaps(e_frames: np.ndarray, f_frames: np.ndarray) -> np.ndarray:
+    """``<col_k(E_a), col_k(F_b)>`` of every column k of every pair of frames:
+    (..., n1, d, d) and (..., n2, d, d) frames give a C-contiguous
+    (..., n1, n2, d) array."""
+    e_columns, f_columns = e_frames.swapaxes(-1, -2), f_frames.swapaxes(-1, -2)
+    return np.einsum("...aji,...bji->...abj", e_columns.conj(), f_columns)
 
 
 def channel_skews(norms: np.ndarray) -> np.ndarray:

@@ -1029,6 +1029,34 @@ class TestInvariance:
         monkeypatch.setattr(chains, "_cpus", lambda: 3)
         assert chains._run_passes(lambda k: k + 10, 1) == [10]
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_caller_runs_passes_beside_at_most_cpus_minus_one_helpers(self, monkeypatch, cpus):
+        real_thread, started = threading.Thread, []
+
+        def counted(*args, **kwargs):
+            started.append(real_thread(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(chains, "_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", counted)
+        # each of the first ``cpus`` passes waits for all of them, so they run
+        # on ``cpus`` threads at once: the helpers and the caller
+        barrier, ran_on = threading.Barrier(cpus, timeout=30), {}
+
+        def run(k):
+            if k < cpus:
+                barrier.wait()
+            ran_on[k] = threading.get_ident()
+            return k + 10
+
+        assert chains._run_passes(run, 2 * cpus) == [k + 10 for k in range(2 * cpus)]
+        assert len(started) == cpus - 1 and not any(t.is_alive() for t in started)
+        assert threading.get_ident() in ran_on.values()
+        for count in range(1, cpus + 2):
+            started.clear()
+            assert chains._run_passes(lambda k: k, count) == list(range(count))
+            assert len(started) == min(cpus, count) - 1
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_lowest_failing_pass_raises_and_no_thread_outlives(self, monkeypatch, cpus):
         # passes 2 and 4 fail, pass 2 after pass 4 in time where they overlap;

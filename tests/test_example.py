@@ -29,7 +29,7 @@ from skewchain.example import (
     write_discrepancy_csv,
     write_sweep_csv,
 )
-from skewchain.linalg import max_abs
+from skewchain.linalg import max_abs_each
 from skewchain.objects import Convention, channel_stack, completeness_residual, density_stack
 from skewchain.skew import frame_stack
 
@@ -47,7 +47,7 @@ def same_bits(a, b):
 
 class TestRhoTheta:
     def test_midpoint_is_maximally_mixed(self):
-        assert max_abs(rho_theta(0.5).rho - np.eye(4) / 4) == 0.0
+        assert max_abs_each((rho_theta(0.5).rho - np.eye(4) / 4)[None])[0] == 0.0
 
     def test_endpoint_spectrum(self):
         for theta in (0.0, 1.0):
@@ -70,12 +70,12 @@ class TestRhoTheta:
 class TestExampleChannels:
     def test_p_zero_first_operator_is_identity(self):
         n1, _ = example_channels(0.0, 0.5)
-        assert max_abs(n1.operators[0] - np.eye(4)) == 0.0
-        assert max_abs(n1.operators[1]) == 0.0
+        assert max_abs_each((n1.operators[0] - np.eye(4))[None])[0] == 0.0
+        assert max_abs_each(n1.operators[1][None])[0] == 0.0
 
     def test_q_one_first_operator(self):
         _, n2 = example_channels(0.5, 1.0)
-        assert max_abs(n2.operators[0] - np.diag([0.0, 1.0, 0.0, 1.0])) == 0.0
+        assert max_abs_each((n2.operators[0] - np.diag([0.0, 1.0, 0.0, 1.0]))[None])[0] == 0.0
 
     def test_row_sum_validation_at_interior_point(self):
         n1, n2 = example_channels(0.5, 0.5)

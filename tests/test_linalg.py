@@ -9,7 +9,7 @@ from skewchain.errors import (
 )
 from skewchain.linalg import (
     hermitian_eigendecompose,
-    max_abs,
+    max_abs_each,
     psd_sqrt,
 )
 
@@ -52,8 +52,8 @@ class TestEigendecompose:
         for _ in range(20):
             m = rand_hermitian(rng, d)
             w, v = hermitian_eigendecompose(m, hermiticity_tol=1e-8)
-            assert max_abs(v.conj().T @ v - np.eye(d)) <= 1e-10
-            assert max_abs((v * w) @ v.conj().T - m) <= 1e-10
+            assert max_abs_each((v.conj().T @ v - np.eye(d))[None])[0] <= 1e-10
+            assert max_abs_each(((v * w) @ v.conj().T - m)[None])[0] <= 1e-10
             assert np.all(np.diff(w) >= 0)
 
     def test_deterministic_for_identical_bits(self):
@@ -88,12 +88,12 @@ class TestPsdSqrt:
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
         proj = np.outer(psi, psi.conj())
-        assert max_abs(psd_sqrt(proj) - proj) <= 1e-12
+        assert max_abs_each((psd_sqrt(proj) - proj)[None])[0] <= 1e-12
 
     def test_two_block_state(self):
         # rho(1) = (P + Q)/2 with rank-1 block projectors, so sqrt = sqrt(2) rho(1)
         rho = rho_theta_matrix(1.0)
-        assert max_abs(psd_sqrt(rho) - np.sqrt(2) * rho) <= 1e-12
+        assert max_abs_each((psd_sqrt(rho) - np.sqrt(2) * rho)[None])[0] <= 1e-12
 
     def test_square_roundtrip_random(self):
         rng = np.random.default_rng(3)
@@ -102,9 +102,9 @@ class TestPsdSqrt:
             s = (g @ g.conj().T)
             s /= np.trace(s).real
             root = psd_sqrt(s)
-            assert max_abs(root @ root - s) <= 1e-10
+            assert max_abs_each((root @ root - s)[None])[0] <= 1e-10
             again = psd_sqrt(root @ root)
-            assert max_abs(again - root) <= 1e-8
+            assert max_abs_each((again - root)[None])[0] <= 1e-8
 
     def test_clamps_tiny_negative_eigenvalues(self):
         m = np.diag([1.0, -1e-12])

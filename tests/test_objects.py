@@ -20,7 +20,7 @@ from skewchain.errors import (
     TraceNotOneError,
 )
 from skewchain.example import example_channels, rho_theta
-from skewchain.linalg import max_abs
+from skewchain.linalg import max_abs_each
 from skewchain.objects import (
     Convention,
     apply_channel,
@@ -49,11 +49,11 @@ class TestValidateDensity:
     def test_maximally_mixed(self):
         dm = validate_density(np.eye(4) / 4)
         assert dm.dim == 4
-        assert max_abs(dm.sqrt_rho - np.eye(4) / 2) <= 1e-12
+        assert max_abs_each((dm.sqrt_rho - np.eye(4) / 2)[None])[0] <= 1e-12
 
     def test_half_theta_state_is_maximally_mixed(self):
         dm = rho_theta(0.5)
-        assert max_abs(dm.rho - np.eye(4) / 4) == 0.0
+        assert max_abs_each((dm.rho - np.eye(4) / 4)[None])[0] == 0.0
 
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOneError) as exc:
@@ -71,7 +71,7 @@ class TestValidateDensity:
 
     def test_sqrt_cache_squares_back(self):
         dm = random_density(5, 3, seed=9)
-        assert max_abs(dm.sqrt_rho @ dm.sqrt_rho - dm.rho) <= 1e-10
+        assert max_abs_each((dm.sqrt_rho @ dm.sqrt_rho - dm.rho)[None])[0] <= 1e-10
 
     def test_stored_arrays_are_readonly(self):
         dm = validate_density(np.eye(2) / 2)
@@ -116,12 +116,12 @@ class TestApplyChannel:
     def test_identity_channel_preserves_state(self):
         dm = random_density(3, 3, seed=1)
         ch = validate_channel([np.eye(3)], Convention.COLUMN_SUM)
-        assert max_abs(apply_channel(ch, dm) - dm.rho) == 0.0
+        assert max_abs_each((apply_channel(ch, dm) - dm.rho)[None])[0] == 0.0
 
     def test_example_channel_at_p_zero_is_identity(self):
         n1, _ = example_channels(0.0, 0.3)
         dm = rho_theta(0.8)
-        assert max_abs(apply_channel(n1, dm) - dm.rho) <= 1e-15
+        assert max_abs_each((apply_channel(n1, dm) - dm.rho)[None])[0] <= 1e-15
 
     def test_f_family_at_q_one_brute_force(self):
         # F1 fixes e1, F2 maps e1 to e0; output verified by direct summation
@@ -130,14 +130,14 @@ class TestApplyChannel:
         rho[1, 1] = 1.0
         out = apply_channel(n2, rho)
         expected = sum(k @ rho @ k.conj().T for k in n2.operators)
-        assert max_abs(out - expected) == 0.0
-        assert max_abs(out - np.diag([1.0, 1.0, 0.0, 0.0])) <= 1e-15
+        assert max_abs_each((out - expected)[None])[0] == 0.0
+        assert max_abs_each((out - np.diag([1.0, 1.0, 0.0, 0.0]))[None])[0] <= 1e-15
 
     def test_output_hermitian(self):
         dm = random_density(4, 2, seed=7)
         ch = random_channel(4, 3, Convention.COLUMN_SUM, seed=8)
         out = apply_channel(ch, dm)
-        assert max_abs(out - out.conj().T) <= 1e-12
+        assert max_abs_each((out - out.conj().T)[None])[0] <= 1e-12
 
     def test_trace_preserved_column_sum(self):
         dm = random_density(3, 3, seed=21)
@@ -179,7 +179,7 @@ class TestRandomObjects:
 
     def test_random_unitary_properties(self):
         u = random_unitary(5, seed=17)
-        assert max_abs(u.conj().T @ u - np.eye(5)) <= 1e-12
+        assert max_abs_each((u.conj().T @ u - np.eye(5))[None])[0] <= 1e-12
         assert np.array_equal(u, random_unitary(5, seed=17))
         scalar = random_unitary(1, seed=3)
         assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-12
@@ -192,7 +192,7 @@ class TestRandomObjects:
     def test_random_channel_single_kraus_is_unitary(self):
         ch = random_channel(3, 1, Convention.COLUMN_SUM, seed=12)
         k = ch.operators[0]
-        assert max_abs(k.conj().T @ k - np.eye(3)) <= 1e-12
+        assert max_abs_each((k.conj().T @ k - np.eye(3))[None])[0] <= 1e-12
 
     def test_random_channel_determinism(self):
         a = random_channel(3, 2, Convention.COLUMN_SUM, seed=5)
@@ -224,28 +224,28 @@ class TestMixKraus:
         ch = random_channel(3, 2, Convention.COLUMN_SUM, seed=4)
         mixed = mix_kraus(ch, np.eye(2))
         for a, b in zip(ch.operators, mixed.operators):
-            assert max_abs(a - b) == 0.0
+            assert max_abs_each((a - b)[None])[0] == 0.0
 
     def test_exchange_swaps_operators(self):
         n1, _ = example_channels(0.3, 0.3)
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         mixed = mix_kraus(n1, swap)
-        assert max_abs(mixed.operators[0] - n1.operators[1]) == 0.0
-        assert max_abs(mixed.operators[1] - n1.operators[0]) == 0.0
+        assert max_abs_each((mixed.operators[0] - n1.operators[1])[None])[0] == 0.0
+        assert max_abs_each((mixed.operators[1] - n1.operators[0])[None])[0] == 0.0
 
     def test_channel_action_unchanged(self):
         dm = random_density(3, 3, seed=31)
         ch = random_channel(3, 3, Convention.COLUMN_SUM, seed=32)
         u = random_unitary(3, seed=33)
         mixed = mix_kraus(ch, u)
-        assert max_abs(apply_channel(ch, dm) - apply_channel(mixed, dm)) <= 1e-10
+        assert max_abs_each((apply_channel(ch, dm) - apply_channel(mixed, dm))[None])[0] <= 1e-10
 
     def test_mix_then_unmix_roundtrip(self):
         ch = random_channel(4, 3, Convention.COLUMN_SUM, seed=41)
         u = random_unitary(3, seed=42)
         back = mix_kraus(mix_kraus(ch, u), u.conj().T)
         for a, b in zip(ch.operators, back.operators):
-            assert max_abs(a - b) <= 1e-12
+            assert max_abs_each((a - b)[None])[0] <= 1e-12
 
     def test_rejects_non_unitary(self):
         ch = random_channel(2, 2, Convention.COLUMN_SUM, seed=1)
@@ -363,7 +363,7 @@ class TestSerialization:
         path = tmp_path / "state.json"
         save_state(path, dm)
         loaded = load_state(path)
-        assert max_abs(loaded.rho - dm.rho) == 0.0
+        assert max_abs_each((loaded.rho - dm.rho)[None])[0] == 0.0
 
     def test_channel_roundtrip(self, tmp_path):
         ch = random_channel(3, 2, Convention.COLUMN_SUM, seed=51)
@@ -372,7 +372,7 @@ class TestSerialization:
         loaded = load_channel(path, tol=1e-9)
         assert loaded.convention == Convention.COLUMN_SUM
         for a, b in zip(ch.operators, loaded.operators):
-            assert max_abs(a - b) == 0.0
+            assert max_abs_each((a - b)[None])[0] == 0.0
 
     def test_field_names_match_schema(self, tmp_path):
         import json

@@ -53,7 +53,7 @@ from skewchain.linalg import (
     first_max,
     first_min,
     hermitian_eigendecompose,
-    max_abs,
+    max_abs_each,
     psd_sqrt,
     require_square,
 )
@@ -99,7 +99,7 @@ def oracle_fix_phases(v):
 
 def oracle_hermiticity_defect(m):
     """``max |M - M^dag|``."""
-    return max_abs(m - m.conj().T)
+    return max_abs_each((m - m.conj().T)[None])[0]
 
 
 def oracle_eigendecompose(m, hermiticity_tol):
@@ -115,9 +115,9 @@ def oracle_eigendecompose(m, hermiticity_tol):
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     v = oracle_fix_phases(v)
     d = arr.shape[0]
-    if max_abs(v.conj().T @ v - np.eye(d)) > 1e-10:
+    if max_abs_each((v.conj().T @ v - np.eye(d))[None])[0] > 1e-10:
         raise ConvergenceError("eigenvector matrix is not unitary to 1e-10")
-    if max_abs((v * w) @ v.conj().T - herm) > 1e-10:
+    if max_abs_each(((v * w) @ v.conj().T - herm)[None])[0] > 1e-10:
         raise ConvergenceError("eigendecomposition does not reconstruct the input to 1e-10")
     return w, v
 
@@ -149,7 +149,7 @@ def oracle_completeness_residual(mats, convention):
     acc = np.zeros((d, d), dtype=np.complex128)
     for k in mats:
         acc += k @ k.conj().T if convention == Convention.ROW_SUM else k.conj().T @ k
-    return max_abs(acc - np.eye(d))
+    return max_abs_each((acc - np.eye(d))[None])[0]
 
 
 def oracle_validate_channel(ops, convention, tol):
@@ -657,7 +657,7 @@ def oracle_mix_kraus(channel, u):
     if n != channel.n:
         raise DimensionMismatchError(
             f"mixing unitary is {n}x{n} but the channel has {channel.n} Kraus operators")
-    residual = max_abs(um.conj().T @ um - np.eye(n))
+    residual = max_abs_each((um.conj().T @ um - np.eye(n))[None])[0]
     if residual > 1e-10:
         raise NotUnitaryError(residual, 1e-10)
     return list(np.einsum("ts,sij->tij", um, np.stack(channel.operators)))

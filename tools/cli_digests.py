@@ -93,6 +93,9 @@ def runs(inputs: Path) -> list:
         for reading in READINGS:
             found.append((f"bounds-d{d}-{reading}", bounds + ["--s-reading", reading]))
         found.append((f"bounds-d{d}-t3", bounds + ["--t", "0:1:3"]))
+    # a column reduction longer than 32
+    found.append(("bounds-d64", ["bounds", *write_instance(inputs, "d64", 64, 3, 2),
+                                 "--out", "OUT/report.txt"]))
 
     for label, extra in (("defaults", []),
                          ("small", ["--instances", "40", "--seed", "0"]),
@@ -112,6 +115,11 @@ def runs(inputs: Path) -> list:
         instance = write_instance(inputs, name, d, n, n)
         found.append((f"invariance-d{d}", ["invariance", *instance, "--trials", str(trials),
                                            "--out", "OUT/invariance.txt"]))
+    # n = d^2 Kraus operators: mixing over more operators than the dimension
+    for d in (2, 3):
+        instance = write_instance(inputs, f"inv{d}n{d * d}", d, d * d, d * d)
+        found.append((f"invariance-d{d}-n{d * d}", ["invariance", *instance, "--trials", "20",
+                                                    "--out", "OUT/invariance.txt"]))
     # rounding noise exceeds a zero tolerance: exit 1 and passed = False
     found.append(("invariance-d4-tol0", ["invariance", *write_instance(inputs, "inv4", 4, 3, 3),
                                          "--trials", "20", "--tol", "0",
