@@ -7,18 +7,15 @@ variants, and numerical certification of every claimed inequality.
 """
 
 from .chains import (
-    BoundChain,
     ChainStage,
-    PermutedBound,
     Reading,
     VerdictColumns,
-    chain_at,
     chain_stage,
     compute_chain,
     invariance_columns,
     kraus_invariance_check,
     lattice_order,
-    mixed_bound,
+    mixed_columns,
     optimize_batch,
     optimize_permutations,
     permute_s,

@@ -63,20 +63,16 @@ from .objects import (
 from .skew import channel_skews, column_norms_sq, column_overlaps, frame_stack
 
 __all__ = [
-    "BoundChain",
     "CHUNK_ENTRIES",
     "ChainStage",
     "HARD_CHECK_NAMES",
-    "PermutedBound",
     "Reading",
     "VerdictColumns",
-    "chain_at",
     "chain_stage",
     "compute_chain",
     "invariance_columns",
     "kraus_invariance_check",
     "lattice_order",
-    "mixed_bound",
     "mixed_columns",
     "optimize_batch",
     "optimize_permutations",
@@ -112,10 +108,11 @@ def lattice_order(d: int) -> list:
 # unchanged.  The one sum whose rounding padding would move, the Gram matrix
 # of ``_s_tables``, runs once per distinct count pair, over its own pairs.
 # ``stage_from_frames`` is the one builder, over arrays; ``chain_stage`` feeds
-# it the frames of its inputs.  The readers of a pass (``chain_at``,
-# ``verdict_columns``, ``optimize_batch``) read its stage, and the
-# one-instance functions are stacks of one over them; ``invariance_columns``
-# reads a stage of instances and the stages of their mixed trials.  The
+# it the frames of its inputs.  The readers of a pass (``verdict_columns``,
+# ``optimize_batch``, ``mixed_columns``, and ``bounds`` reading row 0) read
+# its stage's columns, and the one-instance functions are stacks of one over
+# them (``compute_chain``); ``invariance_columns`` reads a stage of instances
+# and the stages of their mixed trials.  The
 # frames, their column norms and the channel skew informations come from
 # ``skew``'s kernel.
 
@@ -247,8 +244,10 @@ def stage_from_frames(e_frames: np.ndarray, f_frames: np.ndarray, passes=None, c
                          _Once(functools.partial(_i_values, e_pass, f_pass, overlaps)))
 
 
-def _instance_stage(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainStage:
-    """The ``chain_stage`` of one (state, channel, channel) instance, a stack of one."""
+def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel) -> ChainStage:
+    """The ``chain_stage`` of one (state, channel, channel) instance, a stack
+    of one: its product, sum, I-chain, both readings' S-lattices and
+    cross-term bound, each in row 0."""
     return chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
 
 
@@ -420,37 +419,6 @@ def _check_permutation(perm, d: int) -> tuple:
 # Public chain API
 
 
-@dataclass(frozen=True)
-class BoundChain:
-    """All bound values for one (state, channel, channel) instance."""
-
-    dim: int
-    product: float
-    sum: float
-    i_values: tuple
-    s_values: dict
-    cross_term: float
-    s_reading: Reading
-
-
-def compute_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                  reading: Reading = Reading.PRODUCT) -> BoundChain:
-    """Product, sum, I-chain, S-lattice and cross-term bound in one pass."""
-    return chain_at(_instance_stage(rho, ch1, ch2), 0, reading)
-
-
-def chain_at(stage: ChainStage, b: int, reading: Reading = Reading.PRODUCT) -> BoundChain:
-    """Instance ``b`` of a stage as the ``BoundChain`` of ``reading``, its
-    values read from the stage's arrays as Python floats.  It runs no kernel,
-    save the stage's I values when nothing has read them yet."""
-    reading = Reading(reading)
-    d = _stage_dim(stage)
-    return BoundChain(dim=d, product=stage.products[b].item(), sum=stage.sums[b].item(),
-                      i_values=tuple(stage.i_values[b].tolist()),
-                      s_values=dict(zip(lattice_order(d), stage.lattices[reading][b].tolist())),
-                      cross_term=stage.cross_terms[b].item(), s_reading=reading)
-
-
 def sum_transfer(values) -> np.ndarray:
     """The AM-GM transfer ``2 sqrt(x)`` of each product-form bound x, a lower
     bound on the sum of the two skew informations, as a float64 array.
@@ -471,7 +439,7 @@ def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
     ``tau`` the q-slot index; both are 0-based permutations of ``range(d)``.
     The identity pair reproduces the unpermuted chain entry bit for bit.
     """
-    stage = _instance_stage(rho, ch1, ch2)
+    stage = compute_chain(rho, ch1, ch2)
     return _permuted_value(stage.tables, _stage_dim(stage), sigma, tau, p, q, reading)
 
 
@@ -485,18 +453,11 @@ def _permuted_value(tables: dict, d: int, sigma, tau, p: int, q: int,
     return float(_value_at(tables[reading][0], reading, sigma, tau, p, q, d))
 
 
-@dataclass(frozen=True)
-class PermutedBound:
-    """A permutation pair with its S-lattice value at (2, 1)."""
-
-    sigma: tuple
-    tau: tuple
-    value: float
-
-
 def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                          reading: Reading = Reading.PRODUCT) -> PermutedBound:
-    """Maximize the permuted S value at (2, 1) over permutation pairs, exactly.
+                          reading: Reading = Reading.PRODUCT) -> tuple:
+    """Maximize the permuted S value at (2, 1) over permutation pairs, exactly,
+    as the ``optimize_batch`` of a stack of one: ``(values, pairs)``, a (1,)
+    float64 array and a list of one ``(sigma, tau)``.
 
     The value at (2, 1) reads only the labels ``sigma[1]`` and ``tau[0]``, so
     the search enumerates those d^2 pairs and returns exactly what a walk
@@ -508,16 +469,15 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
     update subtracts a deficit that is non-negative for any labels, so every
     permuted walk is non-increasing from (2, 1) on.
     """
-    return optimize_batch(_instance_stage(rho, ch1, ch2), reading)[0]
+    return optimize_batch(compute_chain(rho, ch1, ch2), reading)
 
 
-def optimize_batch(stage: ChainStage, reading: Reading = Reading.PRODUCT) -> list:
-    """``optimize_permutations`` of each instance of a stage, in one search;
-    each gets bit for bit the ``PermutedBound`` it gets alone."""
+def optimize_batch(stage: ChainStage, reading: Reading = Reading.PRODUCT) -> tuple:
+    """``optimize_permutations`` of each instance of a stage, in one search,
+    as ``_optimize``'s ``(values, pairs)``; each instance gets bit for bit
+    what it gets alone."""
     reading = Reading(reading)
-    values, pairs = _optimize(stage.tables[reading], _stage_dim(stage), reading)
-    return [PermutedBound(sigma=sig, tau=tu, value=v)
-            for v, (sig, tu) in zip(values.tolist(), pairs)]
+    return _optimize(stage.tables[reading], _stage_dim(stage), reading)
 
 
 def _stage_dim(stage: ChainStage) -> int:
@@ -553,21 +513,17 @@ def _optimize(rows: np.ndarray, d: int, reading: Reading) -> tuple:
     return values[cells, np.arange(len(rows))], [pairs[cell] for cell in cells]
 
 
-def mixed_bound(chain: BoundChain, best: PermutedBound, t: float) -> tuple:
-    """Convex mixing of the trivial bound with the optimized permuted bound.
-
-    Returns ``(product_bound, sum_bound)`` where the product form mixes
-    S_{1,0} with the optimum and the sum form mixes the plain sum with the
-    optimum's ``sum_transfer``.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return tuple(float(v) for v in mixed_columns(chain.product, chain.sum, best.value, t))
-
-
 def mixed_columns(products, sums, optima, t) -> tuple:
-    """``mixed_bound`` entry by entry, over arguments that broadcast as numpy
-    arrays do: ``(product_bounds, sum_bounds)``.  The weight t is not checked."""
+    """Convex mixing of the trivial bound with the optimized permuted bound,
+    entry by entry over arguments that broadcast as numpy arrays do.
+
+    Returns ``(product_bounds, sum_bounds)``: the product form mixes S_{1,0}
+    with the optimum, the sum form the plain sum with the optimum's
+    ``sum_transfer``.  Every weight t must lie in [0, 1]; NaN does not.
+    """
+    weights = np.asarray(t)
+    if not np.all((weights >= 0.0) & (weights <= 1.0)):
+        raise ValueError(f"t must lie in [0, 1], got {t}")
     return (1.0 - t) * products + t * optima, (1.0 - t) * sums + t * sum_transfer(optima)
 
 
@@ -590,7 +546,7 @@ def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
                  tol: float = 1e-10) -> VerdictColumns:
     """Run every chain check on one instance, as the one-row ``verdict_columns``
     of its stage; failures are reported, not raised."""
-    return verdict_columns(_instance_stage(rho, ch1, ch2), tol)
+    return verdict_columns(compute_chain(rho, ch1, ch2), tol)
 
 
 @dataclass(frozen=True)
@@ -712,7 +668,7 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
 
     def run(k):  # pass 0 is the unmixed instance, pass k the trials' block k - 1
         if k == 0:
-            stage = _instance_stage(rho, ch1, ch2)
+            stage = compute_chain(rho, ch1, ch2)
         else:
             rows = words[2 * (k - 1) * block:2 * k * block]  # trial by trial, u before v
             ops = [mix_kraus_families(np.repeat(ch.operators[None], len(rows) // 2, axis=0),

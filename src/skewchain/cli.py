@@ -31,12 +31,12 @@ from .chains import (
     CHUNK_ENTRIES,
     HARD_CHECK_NAMES,
     Reading,
-    chain_at,
     chain_stage,
+    compute_chain,
     invariance_columns,
     kraus_invariance_check,
     lattice_order,
-    mixed_bound,
+    mixed_columns,
     optimize_batch,
     trial_entropies,
     verdict_columns,
@@ -136,30 +136,33 @@ def cmd_bounds(args) -> int:
     rho, ch1, ch2 = _load_instance(args, args.tol)
     t_grid = parse_grid(args.t)
     reading = Reading(args.s_reading)
-    stage = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
-    chain = chain_at(stage, 0, reading)
-    d = chain.dim
-    best = optimize_batch(stage, reading)[0] if d >= 2 else None
+    d = rho.dim
+    stage = compute_chain(rho, ch1, ch2)
+    # row 0 of the stage as Python floats, whose reprs the report prints
+    product, total, cross = (x[0].item() for x in (stage.products, stage.sums, stage.cross_terms))
+    i_values, s_values = stage.i_values[0].tolist(), stage.lattices[reading][0].tolist()
+    if d >= 2:
+        optima, ((sigma, tau),) = optimize_batch(stage, reading)
+        best = optima[0].item()
+        mixed_products, mixed_sums = mixed_columns(product, total, best, np.array(t_grid))
+        mixed = list(zip(mixed_products.tolist(), mixed_sums.tolist()))
+    else:  # no lattice, so no search and no mix
+        optima, best, mixed = None, float("nan"), [(product, total)] * len(t_grid)
     # the verdict checks the product reading's optimum, which is best under that reading
-    shared = best is not None and reading == Reading.PRODUCT
-    verdict = verdict_columns(stage, args.tol, [best.value] if shared else None)
+    verdict = verdict_columns(stage, args.tol, optima if reading == Reading.PRODUCT else None)
 
     i_names = [f"I{m}" for m in range(1, d + 1)]
     s_names = [f"S{pp}{qq}" for (pp, qq) in lattice_order(d)]
-    s_values = list(chain.s_values.values())  # in lattice_order
-    mixed = [mixed_bound(chain, best, t) if best is not None else (chain.product, chain.sum)
-             for t in t_grid]
     pairs = [("command", "bounds"), ("dim", d), ("s_reading", reading.value),
-             ("product", chain.product), ("sum", chain.sum),
-             ("lemma1", chain.cross_term)]
-    pairs += zip(i_names, chain.i_values)
+             ("product", product), ("sum", total), ("lemma1", cross)]
+    pairs += zip(i_names, i_values)
     pairs += zip(s_names, s_values)
-    if best is not None:
+    if d >= 2:
         pairs.append(("perm_opt.p", 2))
         pairs.append(("perm_opt.q", 1))
-        pairs.append(("perm_opt.value", best.value))
-        pairs.append(("perm_opt.sigma", ",".join(str(i) for i in best.sigma)))
-        pairs.append(("perm_opt.tau", ",".join(str(i) for i in best.tau)))
+        pairs.append(("perm_opt.value", best))
+        pairs.append(("perm_opt.sigma", ",".join(str(i) for i in sigma)))
+        pairs.append(("perm_opt.tau", ",".join(str(i) for i in tau)))
         for t, (mp, ms) in zip(t_grid, mixed):
             pairs.append((f"mixed_product[t={_fmt(t)}]", mp))
             pairs.append((f"mixed_sum[t={_fmt(t)}]", ms))
@@ -174,8 +177,7 @@ def cmd_bounds(args) -> int:
               "lemma1", "perm_opt", "mixed_product", "mixed_sum"]
     lines = [",".join(header)]
     for t, (mp, ms) in zip(t_grid, mixed):
-        fields = [t, chain.product, chain.sum, *chain.i_values, *s_values, chain.cross_term,
-                  best.value if best is not None else float("nan"), mp, ms]
+        fields = [t, product, total, *i_values, *s_values, cross, best, mp, ms]
         lines.append(",".join(format(float(v) + 0.0, ".12g") for v in fields))
     write_text_atomic(Path(args.out).with_suffix(".csv"), "\n".join(lines) + "\n")
     return 0

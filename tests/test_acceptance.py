@@ -16,8 +16,8 @@ from skewchain.chains import (
     compute_chain,
     kraus_invariance_check,
     lattice_order,
-    mixed_bound,
-    optimize_permutations,
+    mixed_columns,
+    optimize_batch,
     verify_chain,
 )
 from skewchain.cli import main
@@ -62,8 +62,7 @@ def suite_instances():
 
 def suite_chains():
     if "chains" not in _cache:
-        _cache["chains"] = [(inst, compute_chain(*inst, Reading.PRODUCT))
-                            for inst in suite_instances()]
+        _cache["chains"] = [(inst, compute_chain(*inst)) for inst in suite_instances()]
     return _cache["chains"]
 
 
@@ -71,7 +70,8 @@ def test_criterion_1_worked_example_golden_values():
     start = time.perf_counter()
     rho = rho_theta(1.0)
     n1, n2 = example_channels(0.5, 0.5)
-    chain = compute_chain(rho, n1, n2)
+    stage = compute_chain(rho, n1, n2)
+    got_product, got_sum, got_cross = stage.products[0], stage.sums[0], stage.cross_terms[0]
 
     # analytic block-diagonalization oracle for this family
     w2 = (1.0 - 2.0 * math.sqrt(1.0 * 0.0)) ** 2
@@ -79,10 +79,10 @@ def test_criterion_1_worked_example_golden_values():
     product = (1.0 - math.sqrt(0.5)) ** 2 * w2 / 4.0
     cross = (1.0 - math.sqrt(0.5)) ** 3 * w2 / 8.0
 
-    half1 = 0.5 * chain.sum  # both channel skew informations coincide here
-    errs = [abs(chain.product - 0.02144661), abs(chain.cross_term - 0.00314078),
+    half1 = 0.5 * got_sum  # both channel skew informations coincide here
+    errs = [abs(got_product - 0.02144661), abs(got_cross - 0.00314078),
             abs(half1 - 0.14644661),
-            abs(chain.product - product), abs(chain.cross_term - cross),
+            abs(got_product - product), abs(got_cross - cross),
             abs(half1 - skew1)]
     elapsed = time.perf_counter() - start
     ok = max(errs) <= 1e-8 and elapsed < 1.0
@@ -97,16 +97,16 @@ def test_criterion_2_closed_form_surfaces():
     grid = [float(v) for v in np.linspace(0.0, 1.0, 51)]
     for p in grid:
         for q in grid:
-            chain = compute_chain(rho_theta(1.0), *example_channels(p, q))
+            stage = compute_chain(rho_theta(1.0), *example_channels(p, q))
             forms = closed_forms(1.0, p, q)
-            worst_product = max(worst_product, abs(chain.product - forms["eq20"]))
-            worst_cross = max(worst_cross, abs(chain.cross_term - forms["eq22"]))
+            worst_product = max(worst_product, abs(stage.products[0] - forms["eq20"]))
+            worst_cross = max(worst_cross, abs(stage.cross_terms[0] - forms["eq22"]))
     n1, n2 = example_channels(0.5, 0.5)
     for theta in np.linspace(0.0, 1.0, 101):
-        chain = compute_chain(rho_theta(float(theta)), n1, n2)
+        stage = compute_chain(rho_theta(float(theta)), n1, n2)
         forms = closed_forms(float(theta), 0.5, 0.5)
-        worst_product = max(worst_product, abs(chain.product - forms["eq20"]))
-        worst_cross = max(worst_cross, abs(chain.cross_term - forms["eq22"]))
+        worst_product = max(worst_product, abs(stage.products[0] - forms["eq20"]))
+        worst_cross = max(worst_cross, abs(stage.cross_terms[0] - forms["eq22"]))
     elapsed = time.perf_counter() - start
     ok = worst_product <= 1e-9 and worst_cross <= 1e-9 and elapsed < 30.0
     _criterion("criterion 2 closed-form surfaces", ok,
@@ -119,13 +119,14 @@ def test_criterion_3_refinement_chain_order():
     violations = 0
     worst_gap = 0.0
     worst_endpoint = 0.0
-    for (rho, ch1, ch2), chain in suite_chains():
-        seq = [chain.product, *chain.i_values]
+    for (rho, ch1, ch2), stage in suite_chains():
+        i_values = stage.i_values[0].tolist()
+        seq = [stage.products[0].item(), *i_values]
         for a, b in zip(seq, seq[1:]):
             if b > a + 1e-10:
                 violations += 1
             worst_gap = max(worst_gap, b - a)
-        endpoint_dev = abs(chain.i_values[-1] - chain.cross_term)
+        endpoint_dev = abs(i_values[-1] - stage.cross_terms[0].item())
         worst_endpoint = max(worst_endpoint, endpoint_dev)
         if endpoint_dev > 1e-12:
             violations += 1
@@ -141,9 +142,9 @@ def test_criterion_4_sum_form_transfer():
     start = time.perf_counter()
     violations = 0
     worst = 0.0
-    for (rho, ch1, ch2), chain in suite_chains():
-        for v in chain.i_values:
-            gap = 2.0 * math.sqrt(max(v, 0.0)) - chain.sum
+    for (rho, ch1, ch2), stage in suite_chains():
+        for v in stage.i_values[0].tolist():
+            gap = 2.0 * math.sqrt(max(v, 0.0)) - stage.sums[0].item()
             worst = max(worst, gap)
             if gap > 1e-10:
                 violations += 1
@@ -178,19 +179,20 @@ def test_criterion_6_mixed_bound_sandwich():
     start = time.perf_counter()
     rho = rho_theta(1.0)
     n1, n2 = example_channels(0.5, 0.5)
-    chain = compute_chain(rho, n1, n2)
+    stage = compute_chain(rho, n1, n2)
     ok = True
     details = []
-    best = optimize_permutations(rho, n1, n2)  # exact: d^2 = 16 label pairs at (2, 1)
+    optima, _ = optimize_batch(stage)  # exact: d^2 = 16 label pairs at (2, 1)
     # the product-reading lattice is non-increasing, so the optimum is at
     # least every identity value, not only S21's
-    for (p, q) in lattice_order(4):
-        if best.value < chain.s_values[(p, q)] - 1e-12:
+    for (p, q), value in zip(lattice_order(4), stage.lattices[Reading.PRODUCT][0]):
+        if optima[0] < value - 1e-12:
             ok = False
             details.append(f"optimum below identity at ({p},{q})")
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        prod_bound, _ = mixed_bound(chain, best, t)
-        if not (chain.cross_term - 1e-10 <= prod_bound <= chain.product + 1e-10):
+    weights = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    prod_bounds, _ = mixed_columns(stage.products, stage.sums, optima, weights)
+    for t, prod_bound in zip(weights.tolist(), prod_bounds.tolist()):
+        if not (stage.cross_terms[0] - 1e-10 <= prod_bound <= stage.products[0] + 1e-10):
             ok = False
             details.append(f"sandwich broken at t={t}")
     elapsed = time.perf_counter() - start

@@ -13,13 +13,13 @@ from skewchain import chains
 from skewchain.chains import (
     HARD_CHECK_NAMES,
     Reading,
-    chain_at,
     chain_stage,
     compute_chain,
     invariance_columns,
     kraus_invariance_check,
     lattice_order,
-    mixed_bound,
+    mixed_columns,
+    optimize_batch,
     optimize_permutations,
     permute_s,
     sum_transfer,
@@ -255,9 +255,19 @@ def instance_lattice_values(tables, reading, d):
     return out
 
 
-def chain_fields(chain):
-    return (chain.dim, chain.product, chain.sum, chain.i_values, chain.s_values,
-            chain.cross_term, chain.s_reading)
+def s_values(stage, reading=Reading.PRODUCT, b=0):
+    """Instance b's S values of ``reading``, read from a stage's lattice
+    column as Python floats keyed by (p, q)."""
+    d = stage.i_values.shape[1]
+    return dict(zip(lattice_order(d), stage.lattices[reading][b].tolist()))
+
+
+def stage_row(stage, b=0):
+    """Instance b of a stage as Python floats: its product, sum, I values,
+    each reading's ``s_values`` and cross term."""
+    return (stage.products[b].item(), stage.sums[b].item(), tuple(stage.i_values[b].tolist()),
+            {reading: s_values(stage, reading, b) for reading in Reading},
+            stage.cross_terms[b].item())
 
 
 def random_instance(d, seed, convention=Convention.COLUMN_SUM):
@@ -338,9 +348,9 @@ def object_stage(rhos, ch1s, ch2s):
 
 class TestStageOnArrays:
     """``chain_stage`` on validated array stacks, bit for bit against the
-    per-pair loops, and ``chain_at`` reading it.  The stage holds no frame
-    columns: the norms are checked on the frames, and the overlaps through
-    the S tables, the cross terms and the I values."""
+    per-pair loops.  The stage holds no frame columns: the norms are checked
+    on the frames, and the overlaps through the S tables, the cross terms and
+    the I values."""
 
     @staticmethod
     def assert_matches(rhos, ch1s, ch2s, tol=DEFAULT_TOL):
@@ -371,11 +381,6 @@ class TestStageOnArrays:
             for reading in Reading:
                 walk = instance_lattice_values(tables, reading, d)
                 assert same_bits(stage.lattices[reading][b], list(walk.values()))
-                chain = chain_at(stage, b, reading)
-                assert same_bits(list(chain.s_values.values()), stage.lattices[reading][b])
-                assert same_bits([chain.product, chain.sum, chain.cross_term, *chain.i_values],
-                                 [stage.products[b], stage.sums[b], stage.cross_terms[b],
-                                  *stage.i_values[b]])
 
     @over_instance_stacks
     def test_random_instances(self, params):
@@ -422,10 +427,7 @@ class TestIValuesOnRead:
         assert stage.i_values.shape == (3, 3) and stage.i_values.dtype == np.float64
         assert stage.i_values is stage.i_values
         assert calls == [3]
-        for b in range(3):  # reading chains computes no more I values
-            i_values = chain_at(stage, b, Reading.PRODUCT).i_values
-            assert type(i_values) is tuple and all(type(v) is float for v in i_values)
-            assert same_bits(i_values, stage.i_values[b])
+        stage.i_values[2]  # a second read computes no more
         assert calls == [3]
 
     def test_read_stage_holds_no_column(self, monkeypatch):
@@ -440,10 +442,10 @@ class TestIValuesOnRead:
         stage = object_stage(*zip(random_instance(4, 5)))
         gc.collect()
         assert overlaps[0]() is not None  # the unread I-value source holds them
-        i_values = chain_at(stage, 0).i_values
+        i_values = stage.i_values.tolist()
         gc.collect()
         assert overlaps[0]() is None  # while the stage itself is alive
-        assert stage.i_values.tolist() == [list(i_values)]
+        assert stage.i_values.tolist() == i_values
 
 
 class TestBatchedKernelsMatchLoops:
@@ -460,14 +462,11 @@ class TestBatchedKernelsMatchLoops:
             assert np.array_equal(stage.tables[Reading.AS_PRINTED][b], np.concatenate(
                 [start, tables["step_printed"].ravel()]))
             skew_1, skew_2 = loop_skews(loop)
-            for reading in Reading:
-                chain = chain_at(stage, b, reading)
-                assert chain_fields(chain) == (
-                    rho.dim, tables["start"], skew_1 + skew_2, loop_i_values(loop),
-                    instance_lattice_values(tables, reading, rho.dim),
-                    loop_cross_term(loop), reading)
-                assert chain_fields(compute_chain(rho, ch1, ch2, reading)) == chain_fields(chain)
-                assert type(chain.product) is float and type(chain.cross_term) is float
+            assert stage_row(stage, b) == (
+                tables["start"], skew_1 + skew_2, loop_i_values(loop),
+                {reading: instance_lattice_values(tables, reading, rho.dim)
+                 for reading in Reading}, loop_cross_term(loop))
+            assert stage_row(compute_chain(rho, ch1, ch2)) == stage_row(stage, b)
 
     @over_instance_stacks
     def test_random_instances(self, params):
@@ -487,7 +486,7 @@ class TestBatchedKernelsMatchLoops:
         # which rejects a state and channels of different dimensions
         rho, ch1, ch2 = random_instance(3, 1)
         small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
-        for call in (compute_chain, lambda *xs: compute_chain(*xs).cross_term, verify_chain,
+        for call in (compute_chain, verify_chain,
                      lambda *xs: permute_s(*xs, (0, 1, 2), (0, 1, 2), 2, 1),
                      optimize_permutations,
                      lambda *xs: kraus_invariance_check(*xs, trials=1, seed=0)):
@@ -535,9 +534,8 @@ class TestSkewInfoMatchesChain:
         stage = object_stage(rhos, ch1s, ch2s)
         for b, (rho, ch1, ch2) in enumerate(zip(rhos, ch1s, ch2s)):
             skew_1, skew_2 = skew_info_channel(rho, ch1), skew_info_channel(rho, ch2)
-            chain = chain_at(stage, b)
-            assert skew_1 + skew_2 == chain.sum
-            assert skew_1 * skew_2 == chain.product
+            assert skew_1 + skew_2 == stage.sums[b]
+            assert skew_1 * skew_2 == stage.products[b]
 
     @over_instance_stacks
     def test_random_instances(self, params):
@@ -550,17 +548,16 @@ class TestSkewInfoMatchesChain:
 class TestCrossTermBound:
     def test_incoherent_point_is_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        assert compute_chain(rho, n1, n2).cross_term == 0.0
+        assert compute_chain(rho, n1, n2).cross_terms[0] == 0.0
 
     def test_identity_channels_give_zero(self):
         rho = random_density(3, 3, seed=5)
         ident = validate_channel([np.eye(3)], Convention.COLUMN_SUM)
-        assert compute_chain(rho, ident, ident).cross_term <= 1e-28
+        assert compute_chain(rho, ident, ident).cross_terms[0] <= 1e-28
 
     def test_worked_example_value(self):
         rho, n1, n2 = example_instance()
-        value = compute_chain(rho, n1, n2).cross_term
-        assert type(value) is float
+        value = compute_chain(rho, n1, n2).cross_terms[0]
         assert value == pytest.approx(oracle_cross_term(rho, n1, n2), abs=1e-14)
         assert value == pytest.approx(0.0031407832308854556, abs=1e-12)
 
@@ -568,88 +565,88 @@ class TestCrossTermBound:
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 100 + seed)
-            assert compute_chain(rho, ch1, ch2).cross_term == pytest.approx(
+            assert compute_chain(rho, ch1, ch2).cross_terms[0] == pytest.approx(
                 oracle_cross_term(rho, ch1, ch2), abs=1e-13)
 
 
 class TestIChain:
     def test_incoherent_point_all_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        chain = compute_chain(rho, n1, n2)
-        assert all(v == 0.0 for v in chain.i_values)
+        assert (compute_chain(rho, n1, n2).i_values == 0.0).all()
 
     def test_worked_example_values(self):
         rho, n1, n2 = example_instance()
-        chain = compute_chain(rho, n1, n2)
+        stage = compute_chain(rho, n1, n2)
+        i_values = stage.i_values[0]
         expected = [oracle_i_m(rho, n1, n2, m) for m in range(1, 5)]
-        for got, want in zip(chain.i_values, expected):
+        for got, want in zip(i_values, expected):
             assert got == pytest.approx(want, abs=1e-13)
-        assert chain.i_values[-1] == pytest.approx(0.0031407832308854556, abs=1e-12)
-        assert chain.product == pytest.approx(0.02144660940672623, abs=1e-12)
-        assert chain.sum == pytest.approx(0.2928932188134524, abs=1e-12)
+        assert i_values[-1] == pytest.approx(0.0031407832308854556, abs=1e-12)
+        assert stage.products[0] == pytest.approx(0.02144660940672623, abs=1e-12)
+        assert stage.sums[0] == pytest.approx(0.2928932188134524, abs=1e-12)
 
     def test_refinement_oracle_on_random(self):
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 30 + seed)
-            chain = compute_chain(rho, ch1, ch2)
+            i_values = compute_chain(rho, ch1, ch2).i_values[0]
             for m in range(1, d + 1):
-                assert chain.i_values[m - 1] == pytest.approx(
+                assert i_values[m - 1] == pytest.approx(
                     oracle_i_m(rho, ch1, ch2, m), abs=1e-12)
 
     def test_monotone_and_endpoint_on_random(self):
         for seed in range(20):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 200 + seed)
-            chain = compute_chain(rho, ch1, ch2)
-            assert chain.product >= chain.i_values[0] - 1e-10
+            product, _, i_values, _, cross_term = stage_row(compute_chain(rho, ch1, ch2))
+            assert product >= i_values[0] - 1e-10
             for m in range(d - 1):
-                assert chain.i_values[m] >= chain.i_values[m + 1] - 1e-10
-            assert chain.i_values[-1] == pytest.approx(chain.cross_term, abs=1e-12)
+                assert i_values[m] >= i_values[m + 1] - 1e-10
+            assert i_values[-1] == pytest.approx(cross_term, abs=1e-12)
 
 
 class TestSChain:
     def test_incoherent_point_all_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
+        stage = compute_chain(rho, n1, n2)
         for reading in Reading:
-            chain = compute_chain(rho, n1, n2, reading)
-            assert all(v == 0.0 for v in chain.s_values.values())
+            assert (stage.lattices[reading] == 0.0).all()
 
     def test_product_reading_matches_oracle(self):
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 300 + seed)
-            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
+            values = s_values(compute_chain(rho, ch1, ch2), Reading.PRODUCT)
             oracle = oracle_s_product(rho, ch1, ch2)
             for key in lattice_order(d):
-                assert chain.s_values[key] == pytest.approx(oracle[key], abs=1e-12)
+                assert values[key] == pytest.approx(oracle[key], abs=1e-12)
 
     def test_as_printed_matches_oracle(self):
         for seed in range(8):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 400 + seed)
-            chain = compute_chain(rho, ch1, ch2, Reading.AS_PRINTED)
+            values = s_values(compute_chain(rho, ch1, ch2), Reading.AS_PRINTED)
             oracle = oracle_s_printed(rho, ch1, ch2)
             for key in lattice_order(d):
-                assert chain.s_values[key] == pytest.approx(oracle[key], abs=1e-10)
+                assert values[key] == pytest.approx(oracle[key], abs=1e-10)
 
     def test_product_reading_anchors_exactly(self):
         # S_{p,p-1} = I_p for every p, and the endpoint equals the cross term
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 500 + seed)
-            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
+            _, _, i_values, lattices, cross_term = stage_row(compute_chain(rho, ch1, ch2))
+            values = lattices[Reading.PRODUCT]
             for p in range(2, d + 1):
-                assert chain.s_values[(p, p - 1)] == pytest.approx(
-                    chain.i_values[p - 1], abs=1e-12)
-            assert chain.s_values[(d, d - 1)] == pytest.approx(chain.cross_term, abs=1e-12)
+                assert values[(p, p - 1)] == pytest.approx(i_values[p - 1], abs=1e-12)
+            assert values[(d, d - 1)] == pytest.approx(cross_term, abs=1e-12)
 
     def test_product_reading_monotone_along_traversal(self):
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 600 + seed)
-            chain = compute_chain(rho, ch1, ch2, Reading.PRODUCT)
-            seq = [chain.product] + [chain.s_values[k] for k in lattice_order(d)]
+            stage = compute_chain(rho, ch1, ch2)
+            seq = [stage.products[0], *stage.lattices[Reading.PRODUCT][0]]
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + 1e-12
 
@@ -657,63 +654,63 @@ class TestSChain:
         # documents why the as-printed reading is report-only: its updates mix
         # quadratic and quartic terms, so the lattice detaches from the I-chain
         rho, ch1, ch2 = example_instance()
-        chain = compute_chain(rho, ch1, ch2, Reading.AS_PRINTED)
-        assert abs(chain.s_values[(2, 1)] - chain.i_values[1]) > 1e-3
+        stage = compute_chain(rho, ch1, ch2)
+        assert abs(s_values(stage, Reading.AS_PRINTED)[(2, 1)] - stage.i_values[0, 1]) > 1e-3
 
     def test_worked_example_product_reading_values(self):
         rho, n1, n2 = example_instance()
-        chain = compute_chain(rho, n1, n2, Reading.PRODUCT)
-        assert chain.s_values[(2, 1)] == pytest.approx(0.01687015286276604, abs=1e-12)
-        assert chain.s_values[(3, 1)] == pytest.approx(0.013437810454795893, abs=1e-12)
-        assert chain.s_values[(3, 2)] == pytest.approx(0.011149582182815795, abs=1e-12)
-        assert chain.s_values[(4, 3)] == pytest.approx(0.0031407832308854556, abs=1e-12)
+        values = s_values(compute_chain(rho, n1, n2), Reading.PRODUCT)
+        assert values[(2, 1)] == pytest.approx(0.01687015286276604, abs=1e-12)
+        assert values[(3, 1)] == pytest.approx(0.013437810454795893, abs=1e-12)
+        assert values[(3, 2)] == pytest.approx(0.011149582182815795, abs=1e-12)
+        assert values[(4, 3)] == pytest.approx(0.0031407832308854556, abs=1e-12)
 
 
 class TestSumChain:
     # the sum-form chain: sum_transfer of the I values and of the S values
     def test_all_zero_chain(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        chain = compute_chain(rho, n1, n2)
-        assert (sum_transfer(chain.i_values) == 0.0).all()
-        assert (sum_transfer(list(chain.s_values.values())) == 0.0).all()
+        stage = compute_chain(rho, n1, n2)
+        assert (sum_transfer(stage.i_values[0]) == 0.0).all()
+        assert (sum_transfer(stage.lattices[Reading.PRODUCT][0]) == 0.0).all()
 
     def test_worked_example_transfer(self):
         rho, n1, n2 = example_instance()
-        i_sums = sum_transfer(compute_chain(rho, n1, n2).i_values)
+        i_sums = sum_transfer(compute_chain(rho, n1, n2).i_values[0])
         assert i_sums[-1] == pytest.approx(0.11208538229199123, abs=1e-10)
 
     def test_monotonicity_inherited(self):
         rho, ch1, ch2 = random_instance(4, 77)
-        i_sums = sum_transfer(compute_chain(rho, ch1, ch2).i_values).tolist()
+        i_sums = sum_transfer(compute_chain(rho, ch1, ch2).i_values[0]).tolist()
         for a, b in zip(i_sums, i_sums[1:]):
             assert b <= a + 1e-12
 
     def test_negative_values_transfer_to_zero(self):
         rho, n1, n2 = example_instance()
-        chain = compute_chain(rho, n1, n2, Reading.AS_PRINTED)
-        s_sums = dict(zip(chain.s_values, sum_transfer(list(chain.s_values.values())).tolist()))
-        assert chain.s_values[(4, 3)] < 0.0
+        values = s_values(compute_chain(rho, n1, n2), Reading.AS_PRINTED)
+        s_sums = dict(zip(values, sum_transfer(list(values.values())).tolist()))
+        assert values[(4, 3)] < 0.0
         assert s_sums[(4, 3)] == 0.0
 
     def test_sum_dominates_transfers(self):
         for seed in range(10):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 700 + seed)
-            chain = compute_chain(rho, ch1, ch2)
-            assert chain.sum >= 2 * math.sqrt(chain.product) - 1e-10
-            for v in sum_transfer(chain.i_values).tolist():
-                assert chain.sum >= v - 1e-10
+            product, total, i_values, _, _ = stage_row(compute_chain(rho, ch1, ch2))
+            assert total >= 2 * math.sqrt(product) - 1e-10
+            for v in sum_transfer(i_values).tolist():
+                assert total >= v - 1e-10
 
 
 class TestPermuteS:
     def test_identity_is_bit_identical_to_chain(self):
         rho, ch1, ch2 = random_instance(4, 88)
+        stage = compute_chain(rho, ch1, ch2)
         for reading in Reading:
-            chain = compute_chain(rho, ch1, ch2, reading)
+            values = s_values(stage, reading)
             ident = (0, 1, 2, 3)
             for (p, q) in lattice_order(4):
-                assert permute_s(rho, ch1, ch2, ident, ident, p, q, reading) \
-                    == chain.s_values[(p, q)]
+                assert permute_s(rho, ch1, ch2, ident, ident, p, q, reading) == values[(p, q)]
 
     def test_incoherent_point_zero_for_all_permutations(self):
         rho, n1, n2 = example_instance(theta=0.5)
@@ -729,25 +726,25 @@ class TestPermuteS:
                                        ch1.convention, tol=1e-9)
         relabeled_2 = validate_channel([perm @ k @ perm.T for k in ch2.operators],
                                        ch2.convention, tol=1e-9)
-        direct = compute_chain(relabeled_rho, relabeled_1, relabeled_2, Reading.PRODUCT)
+        direct = compute_chain(relabeled_rho, relabeled_1, relabeled_2)
         swapped = permute_s(rho, ch1, ch2, (1, 0), (1, 0), 2, 1, Reading.PRODUCT)
-        assert swapped == pytest.approx(direct.s_values[(2, 1)], abs=1e-12)
+        assert swapped == pytest.approx(direct.lattices[Reading.PRODUCT][0, 0], abs=1e-12)
 
     def test_permuted_values_stay_below_product(self):
         for seed in range(5):
             rho, ch1, ch2 = random_instance(3, 800 + seed)
-            chain = compute_chain(rho, ch1, ch2)
+            product = compute_chain(rho, ch1, ch2).products[0]
             for sigma in itertools.permutations(range(3)):
                 for tau in itertools.permutations(range(3)):
                     for (p, q) in lattice_order(3):
                         v = permute_s(rho, ch1, ch2, sigma, tau, p, q, Reading.PRODUCT)
-                        assert v <= chain.product + 1e-12
+                        assert v <= product + 1e-12
 
     def test_start_value_is_permutation_invariant(self):
         # S_{1,0} is the walk's start and never touched by the labels
         rho, ch1, ch2 = random_instance(3, 95)
         stage = object_stage([rho], [ch1], [ch2])
-        product = chain_at(stage, 0).product
+        product = stage.products[0]
         assert stage.tables[Reading.PRODUCT][0, 0] == product
         assert stage.tables[Reading.AS_PRINTED][0, 0] == product
 
@@ -762,9 +759,9 @@ class TestPermuteS:
 class TestOptimizePermutations:
     def test_exhaustive_d2_dominates_identity(self):
         rho, ch1, ch2 = random_instance(2, 97)
-        best = optimize_permutations(rho, ch1, ch2)
+        (best,), _ = optimize_permutations(rho, ch1, ch2)
         ident = permute_s(rho, ch1, ch2, (0, 1), (0, 1), 2, 1)
-        assert best.value >= ident
+        assert best >= ident
 
     def test_exhaustive_matches_brute_maximum(self):
         # the first maximum of permute_s over all (d!)^2 pairs in
@@ -778,34 +775,33 @@ class TestOptimizePermutations:
                         v = permute_s(rho, ch1, ch2, s, t, 2, 1, reading)
                         if brute is None or v > brute[0]:
                             brute = (v, s, t)
-                best = optimize_permutations(rho, ch1, ch2, reading)
-                assert (repr(best.value), best.sigma, best.tau) == (repr(brute[0]), *brute[1:])
+                (best,), ((sigma, tau),) = optimize_permutations(rho, ch1, ch2, reading)
+                assert (repr(best.item()), sigma, tau) == (repr(brute[0]), *brute[1:])
 
     def test_no_deeper_position_beats_the_optimum(self):
         # under the product reading every permuted walk is non-increasing, so
         # no pair at any deeper position exceeds the (2, 1) optimum
         for seed in (101, 102):
             rho, ch1, ch2 = random_instance(4, seed)
-            best = optimize_permutations(rho, ch1, ch2)
+            (best,), _ = optimize_permutations(rho, ch1, ch2)
             deeper = max(permute_s(rho, ch1, ch2, s, t, p, q)
                          for s in itertools.permutations(range(4))
                          for t in itertools.permutations(range(4))
                          for p, q in lattice_order(4)[1:])
-            assert deeper <= best.value
+            assert deeper <= best
 
     def test_incoherent_point_optimum_is_zero(self):
         rho, n1, n2 = example_instance(theta=0.5)
-        best = optimize_permutations(rho, n1, n2)
-        assert best.value == 0.0
+        (best,), _ = optimize_permutations(rho, n1, n2)
+        assert best == 0.0
 
 
 class TestExactSearchMatchesOracle:
     @staticmethod
     def assert_matches_oracle(rho, ch1, ch2):
         for reading in Reading:
-            best = optimize_permutations(rho, ch1, ch2, reading)
-            assert (best.value, best.sigma, best.tau) \
-                == oracle_optimum(rho, ch1, ch2, reading), reading
+            (best,), ((sigma, tau),) = optimize_permutations(rho, ch1, ch2, reading)
+            assert (best.item(), sigma, tau) == oracle_optimum(rho, ch1, ch2, reading), reading
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
@@ -828,40 +824,41 @@ class TestExactSearchMatchesOracle:
             perm.insert(slot, label)
             return perm
 
-        best = optimize_permutations(rho, ch1, ch2)
+        (best,), _ = optimize_permutations(rho, ch1, ch2)
         brute = max(permute_s(rho, ch1, ch2, with_label(r, 1), with_label(s, 0), 2, 1)
                     for r in range(6) for s in range(6))
-        assert best.value == brute
+        assert best == brute
 
 
 class TestMixedBound:
+    @staticmethod
+    def mixed(stage, t):
+        """``mixed_columns`` of a stage's rows and their product-reading optima."""
+        optima, _ = optimize_batch(stage)
+        return mixed_columns(stage.products, stage.sums, optima, t)
+
     def test_endpoints(self):
-        rho, ch1, ch2 = random_instance(3, 102)
-        chain = compute_chain(rho, ch1, ch2)
-        best = optimize_permutations(rho, ch1, ch2)
-        prod0, sum0 = mixed_bound(chain, best, 0.0)
-        assert prod0 == chain.product
-        assert sum0 == chain.sum
-        prod1, sum1 = mixed_bound(chain, best, 1.0)
-        assert prod1 == best.value
-        assert sum1 == pytest.approx(2 * math.sqrt(best.value), abs=1e-15)
+        stage = compute_chain(*random_instance(3, 102))
+        (best,), _ = optimize_batch(stage)
+        (prod0,), (sum0,) = self.mixed(stage, 0.0)
+        assert (prod0, sum0) == (stage.products[0], stage.sums[0])
+        (prod1,), (sum1,) = self.mixed(stage, 1.0)
+        assert prod1 == best
+        assert sum1 == pytest.approx(2 * math.sqrt(best), abs=1e-15)
 
     def test_midpoint_sandwich(self):
-        rho, n1, n2 = example_instance()
-        chain = compute_chain(rho, n1, n2)
-        best = optimize_permutations(rho, n1, n2)
-        prod, _ = mixed_bound(chain, best, 0.5)
-        assert prod == pytest.approx((chain.product + best.value) / 2, abs=1e-15)
-        assert chain.cross_term - 1e-10 <= prod <= chain.product + 1e-10
+        stage = compute_chain(*example_instance())
+        (best,), _ = optimize_batch(stage)
+        (prod,), _ = self.mixed(stage, 0.5)
+        assert prod == pytest.approx((stage.products[0] + best) / 2, abs=1e-15)
+        assert stage.cross_terms[0] - 1e-10 <= prod <= stage.products[0] + 1e-10
 
     def test_invalid_t(self):
-        rho, ch1, ch2 = random_instance(2, 103)
-        chain = compute_chain(rho, ch1, ch2)
-        best = optimize_permutations(rho, ch1, ch2)
-        with pytest.raises(ValueError):
-            mixed_bound(chain, best, 1.5)
-        with pytest.raises(ValueError):
-            mixed_bound(chain, best, -0.1)
+        stage = compute_chain(*random_instance(2, 103))
+        for t in (1.5, -0.1, math.nan, np.array([0.0, 1.5]), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                self.mixed(stage, t)
+        self.mixed(stage, np.array([0.0, -0.0, 0.5, 1.0]))  # the closed interval, -0.0 in it
 
 
 class TestVerifyChain:
@@ -910,8 +907,8 @@ class TestKrausInvariance:
         rho, n1, n2 = example_instance()
         base = compute_chain(rho, n1, n2)
         mixed = compute_chain(rho, mix_kraus(n1, np.eye(2)), mix_kraus(n2, np.eye(2)))
-        assert mixed.product == base.product
-        assert mixed.cross_term == base.cross_term
+        assert mixed.products == base.products
+        assert mixed.cross_terms == base.cross_terms
 
     def test_worked_example_twenty_trials(self):
         rho, n1, n2 = example_instance()
@@ -947,12 +944,11 @@ class TestKrausInvariance:
         trials, seed = 3, 6
 
         def values(r, a, b):
-            prod = compute_chain(r, a, b, Reading.PRODUCT)
-            printed = compute_chain(r, a, b, Reading.AS_PRINTED)
-            return {"product": (prod.product,), "sum": (prod.sum,), "i_values": prod.i_values,
-                    "s_values": tuple(prod.s_values.values()),
-                    "s_values_as_printed": tuple(printed.s_values.values()),
-                    "cross_term": (prod.cross_term,)}
+            product, total, i_values, lattices, cross_term = stage_row(compute_chain(r, a, b))
+            return {"product": (product,), "sum": (total,), "i_values": i_values,
+                    "s_values": tuple(lattices[Reading.PRODUCT].values()),
+                    "s_values_as_printed": tuple(lattices[Reading.AS_PRINTED].values()),
+                    "cross_term": (cross_term,)}
 
         base = values(rho, ch1, ch2)
         want = dict.fromkeys(base, 0.0)

@@ -482,21 +482,39 @@ class TestInputBytesArePinned:
         "r.csv": "f2a6d92a01e1d5be95c873a4ab3cd4a0f170396a0dd542302ef0cf2b8001517d",
         "r.txt": "d1d03e7b2cd3592082ae3969d7da9a14c098cff2e366b257043ebc1b40861c88"}
 
-    @pytest.mark.parametrize("case", ["d32", "d4_special_zeros"])
+    @pytest.mark.parametrize("case", ["d32", "d4_special_zeros", "d1_t3", "d4_as_printed_t3"])
     def test_bounds(self, tmp_path, case):
+        # d1_t3 runs no search: no perm_opt or mixed lines, and a nan perm_opt
+        # in the CSV; d4_as_printed_t3 reports the as-printed optimum, and its
+        # verdict checks the product one.  Both were pinned before ``bounds``
+        # read its stage's columns in place of a per-instance record
+        extra = []
         if case == "d32":
             inputs = self.instance(tmp_path, *self.random(32, 16))
-        else:
+        elif case == "d4_special_zeros":
             inputs = self.instance(tmp_path, rho_theta(0.9), example_channels(0.3, 0.7),
                                    special_zeros=True)
+        elif case == "d1_t3":
+            inputs = self.instance(tmp_path, random_density(1, 1, seed=171), (
+                random_channel(1, 1, Convention.COLUMN_SUM, seed=172),
+                random_channel(1, 1, Convention.ROW_SUM, seed=173)))
+        else:
+            inputs = self.instance(tmp_path, *self.random(4, 3))
+            extra = ["--s-reading", "as-printed"]
         out = tmp_path / "out" / "r.txt"
         out.parent.mkdir()
-        assert main(["bounds", *inputs, "--t", "0:1:3", "--out", str(out)]) == 0
+        assert main(["bounds", *inputs, *extra, "--t", "0:1:3", "--out", str(out)]) == 0
         assert self.digests(out) == {
             "d32": self.BOUNDS_D32_SHA256,
             "d4_special_zeros": {
                 "r.csv": "c7a6b221a2b14ac1232fdb75a1912770a392f733fd66173e639c8aa0d68717d2",
                 "r.txt": "47a2360559d764b571d5026d363c0048890642d711790711ec13e008a6495a84"},
+            "d1_t3": {
+                "r.csv": "e40cc93d01934c76fb963c246018bfdbb0e1c0408099ff0d40d1ea351927a54c",
+                "r.txt": "6de863057b2e70e4d8647474f67cdf21360600fc9ed2e826eb5bbc403fcf3f66"},
+            "d4_as_printed_t3": {
+                "r.csv": "61307bb014bc5f1778fe911bd8f06c05816bc647687e74a72f926ce079dd35dc",
+                "r.txt": "e63599902ca5091527d94480e6eb24b54af760c9161442971def5a1940e2a01c"},
         }[case]
 
     @pytest.mark.parametrize("blas_threads", ["1", None])
@@ -845,7 +863,7 @@ class TestExampleCommand:
             raise AssertionError("example built a per-point object")
 
         for module, name in ((objects, "KrausChannel"), (objects, "DensityMatrix"),
-                             (chains, "chain_at"), (chains, "BoundChain")):
+                             (chains, "compute_chain")):
             monkeypatch.setattr(module, name, refuse)
         golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "example-small.json"
         manifest = json.loads(golden.read_text())
@@ -893,16 +911,16 @@ INVARIANCE_CASES = [(4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None),
 
 
 def one_trial_at_a_time(rho, ch1, ch2, trials, seed):
-    """The invariance deviations computed trial by trial: ``compute_chain``
-    under both readings on the ``mix_kraus``ed channels of each trial, and
-    Python's ``max`` of ``|mixed - base|`` per quantity."""
+    """The invariance deviations computed trial by trial: the columns of the
+    ``compute_chain`` stage of the ``mix_kraus``ed channels of each trial, both
+    readings, and Python's ``max`` of ``|mixed - base|`` per quantity."""
     def values(a, b):
-        prod = compute_chain(rho, a, b, Reading.PRODUCT)
-        printed = compute_chain(rho, a, b, Reading.AS_PRINTED)
-        return {"product": (prod.product,), "sum": (prod.sum,), "i_values": prod.i_values,
-                "s_values": tuple(prod.s_values.values()),
-                "s_values_as_printed": tuple(printed.s_values.values()),
-                "cross_term": (prod.cross_term,)}
+        stage = compute_chain(rho, a, b)
+        return {"product": stage.products.tolist(), "sum": stage.sums.tolist(),
+                "i_values": stage.i_values[0].tolist(),
+                "s_values": stage.lattices[Reading.PRODUCT][0].tolist(),
+                "s_values_as_printed": stage.lattices[Reading.AS_PRINTED][0].tolist(),
+                "cross_term": stage.cross_terms.tolist()}
 
     base = values(ch1, ch2)
     devs = dict.fromkeys(base, 0.0)

@@ -114,7 +114,8 @@ def test_every_field_is_read_in_the_package():
 def test_import_loads_no_random_argparse_cli_or_thread_pool():
     # import time is part of every CLI run: the package import must not pull
     # in numpy.random (seeding defers it to first use), argparse, the CLI or
-    # concurrent.futures (the invariance passes import their pool when used)
+    # concurrent.futures (the invariance passes run on plain threads, and
+    # import threading only inside the function that starts them)
     code = ("import sys, skewchain; "
             "print(sorted(m for m in ('numpy.random', 'argparse', 'skewchain.cli', "
             "'concurrent.futures') if m in sys.modules))")

@@ -1,19 +1,17 @@
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from skewchain import chains, cli, example
 from skewchain.chains import (
-    BoundChain,
     Reading,
     chain_stage,
     compute_chain,
     lattice_order,
-    mixed_bound,
+    mixed_columns,
     optimize_permutations,
     stage_from_frames,
     sum_transfer,
@@ -115,25 +113,25 @@ class TestClosedForms:
                 for q in (0.1, 0.9):
                     rho = rho_theta(theta)
                     n1, n2 = example_channels(p, q)
-                    chain = compute_chain(rho, n1, n2)
+                    stage = compute_chain(rho, n1, n2)
                     forms = closed_forms(theta, p, q)
-                    assert chain.product == pytest.approx(forms["eq20"], abs=1e-10)
-                    assert chain.cross_term == pytest.approx(forms["eq22"], abs=1e-10)
+                    assert stage.products[0] == pytest.approx(forms["eq20"], abs=1e-10)
+                    assert stage.cross_terms[0] == pytest.approx(forms["eq22"], abs=1e-10)
 
     def test_eq21_is_twice_the_pipeline_sum(self):
         rho = rho_theta(1.0)
         n1, n2 = example_channels(0.5, 0.5)
-        chain = compute_chain(rho, n1, n2)
+        total = compute_chain(rho, n1, n2).sums[0]
         forms = closed_forms(1.0, 0.5, 0.5)
-        assert chain.sum == pytest.approx(0.2928932188134524, abs=1e-12)
-        assert forms["eq21"] == pytest.approx(2.0 * chain.sum, abs=1e-12)
+        assert total == pytest.approx(0.2928932188134524, abs=1e-12)
+        assert forms["eq21"] == pytest.approx(2.0 * total, abs=1e-12)
 
     def test_eq23_matches_product_reading_s21(self):
         rho = rho_theta(0.9)
         n1, n2 = example_channels(0.3, 0.6)
-        chain = compute_chain(rho, n1, n2, Reading.PRODUCT)
+        s21 = compute_chain(rho, n1, n2).lattices[Reading.PRODUCT][0, 0]
         forms = closed_forms(0.9, 0.3, 0.6)
-        assert chain.s_values[(2, 1)] == pytest.approx(forms["eq23"], abs=1e-10)
+        assert s21 == pytest.approx(forms["eq23"], abs=1e-10)
 
 
 class TestSymmetries:
@@ -141,9 +139,8 @@ class TestSymmetries:
         for theta in (0.0, 0.15, 0.4):
             a = compute_chain(rho_theta(theta), *example_channels(0.35, 0.8))
             b = compute_chain(rho_theta(1.0 - theta), *example_channels(0.35, 0.8))
-            assert a.product == pytest.approx(b.product, abs=1e-10)
-            assert a.sum == pytest.approx(b.sum, abs=1e-10)
-            assert a.cross_term == pytest.approx(b.cross_term, abs=1e-10)
+            for column in ("products", "sums", "cross_terms"):
+                assert getattr(a, column)[0] == pytest.approx(getattr(b, column)[0], abs=1e-10)
 
     def test_pq_swap_invariance_of_product(self):
         # swapping (p, q) together with the channel roles fixes the product;
@@ -153,7 +150,7 @@ class TestSymmetries:
         n1b, n2b = example_channels(0.7, 0.3)
         a = compute_chain(rho, n1a, n2a)
         b = compute_chain(rho, n1b, n2b)
-        assert a.product == pytest.approx(b.product, abs=1e-10)
+        assert a.products[0] == pytest.approx(b.products[0], abs=1e-10)
 
 
 class TestSweep:
@@ -307,15 +304,15 @@ def oracle_sweep_rows(thetas, ps, qs, ts, reading):
             for q in sorted(qs):
                 rho = rho_theta(theta)
                 n1, n2 = example_channels(p, q)
-                c = compute_chain(rho, n1, n2, reading)
-                best = optimize_permutations(rho, n1, n2, reading)
+                c = compute_chain(rho, n1, n2)
+                product, total, cross = (x[0].item() for x in (c.products, c.sums, c.cross_terms))
+                (best,), _ = optimize_permutations(rho, n1, n2, reading)
                 f = closed_forms(theta, p, q)
                 for t in sorted(ts):
-                    mp, ms = oracle_mixed_bound(c.product, c.sum, best.value, t)
-                    rows.append([theta, p, q, t, c.product, c.sum, *c.i_values,
-                                 c.s_values[(2, 1)], c.s_values[(3, 1)], c.s_values[(3, 2)],
-                                 c.cross_term, best.value, mp, ms,
-                                 *f.values()])
+                    mp, ms = oracle_mixed_bound(product, total, best.item(), t)
+                    rows.append([theta, p, q, t, product, total, *c.i_values[0].tolist(),
+                                 *c.lattices[reading][0, :3].tolist(),  # S21, S31, S32
+                                 cross, best.item(), mp, ms, *f.values()])
     return rows
 
 
@@ -325,7 +322,8 @@ def oracle_transfer(x):
 
 
 def oracle_mixed_bound(product, total, value, t):
-    """``mixed_bound``'s two convex mixes, the sum side through ``oracle_transfer``."""
+    """``mixed_columns``'s two convex mixes of scalars, the sum side through
+    ``oracle_transfer``."""
     return (1.0 - t) * product + t * value, (1.0 - t) * total + t * oracle_transfer(value)
 
 
@@ -379,8 +377,8 @@ class TestStackedPassesMatchPointOracle:
     def test_mixed_columns_match_mixed_bound_on_any_optimum(self, monkeypatch):
         # optima no valid instance reaches: NaN, negative, -0.0, subnormal and
         # infinite, put in the stages' S21 column, which perm_opt reads; the
-        # sweep, mixed_bound and sum_transfer all transfer them as the scalar
-        # formula does
+        # sweep, mixed_columns on scalars and sum_transfer all transfer them as
+        # the scalar formula does
         optima = [math.nan, -1e-3, -0.0, 0.0, 5e-324, 0.25, math.inf, -math.inf]
         real = example._chain_blocks
 
@@ -396,20 +394,16 @@ class TestStackedPassesMatchPointOracle:
         rows = [dict(zip(FIELDS, row)) for row in table.columns.tolist()]
         expected = [oracle_mixed_bound(r["product"], r["sum"], r["perm_opt"], r["t"])
                     for r in rows]
-        got = [mixed_bound(SimpleNamespace(product=r["product"], sum=r["sum"]),
-                           SimpleNamespace(value=r["perm_opt"]), r["t"]) for r in rows]
+        got = [mixed_columns(r["product"], r["sum"], r["perm_opt"], r["t"]) for r in rows]
         assert same_bits(column(table, "perm_opt"), np.repeat(optima, 4))
         assert same_bits(table.columns[:, [FIELDS.index("mixed_product"),
                                            FIELDS.index("mixed_sum")]], np.array(expected))
-        assert [tuple(map(repr, pair)) for pair in got] == [
-            tuple(map(repr, pair)) for pair in expected]  # Python floats, bit for bit
-        positions = lattice_order(5)
-        s_values = dict(zip(positions, itertools.islice(itertools.cycle(optima), len(positions))))
-        chain = BoundChain(5, 1.0, 2.0, tuple(optima), s_values, 0.0, Reading.PRODUCT)
-        assert [repr(v) for v in sum_transfer(chain.i_values).tolist()] == [
-            repr(oracle_transfer(v)) for v in optima]
-        assert [repr(v) for v in sum_transfer(list(chain.s_values.values())).tolist()] == [
-            repr(oracle_transfer(v)) for v in s_values.values()]
+        assert [tuple(repr(float(v)) for v in pair) for pair in got] == [
+            tuple(map(repr, pair)) for pair in expected]  # scalars, bit for bit
+        s_values = list(itertools.islice(itertools.cycle(optima), len(lattice_order(5))))
+        for values in (optima, s_values):  # an I-chain row and an S-lattice row
+            assert [repr(v) for v in sum_transfer(values).tolist()] == [
+                repr(oracle_transfer(v)) for v in values]
 
     def test_hard_failures_on_nan_entries(self):
         rng = np.random.default_rng(11)
@@ -514,8 +508,7 @@ class TestBuildsEachInputOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep built a per-point object")
 
-        monkeypatch.setattr(chains, "chain_at", refuse)
-        monkeypatch.setattr(chains, "BoundChain", refuse)
+        monkeypatch.setattr(chains, "compute_chain", refuse)
         table = sweep(TIE_THETAS, TIE_PS, TIE_QS, t_grid=[0.0, 1.0])
         assert len(table) == len(TIE_THETAS) * len(TIE_PS) * len(TIE_QS) * 2
         assert sorted(calls["_rho_stack"]) == sorted(set(TIE_THETAS))
@@ -528,8 +521,7 @@ class TestBuildsEachInputOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("the report built a per-point chain object")
 
-        monkeypatch.setattr(chains, "chain_at", refuse)
-        monkeypatch.setattr(chains, "BoundChain", refuse)
+        monkeypatch.setattr(chains, "compute_chain", refuse)
         grid = [(t, p, q) for t in TIE_THETAS for p in TIE_PS for q in TIE_QS]
         report = discrepancy_report(grid)
         assert report.numeric.shape == (len(grid), 6)

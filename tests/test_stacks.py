@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 from skewchain import chains, cli, example, skew
 from skewchain.chains import (
     HARD_CHECK_NAMES,
-    BoundChain,
     ChainStage,
     Reading,
-    chain_at,
     chain_stage,
     invariance_columns,
     lattice_order,
@@ -587,8 +585,9 @@ def alone(rho, ch1, ch2):
     return stage_data(object_stage([rho], [ch1], [ch2]), 0, rho.dim)
 
 
-def found(best):
-    return best.value, best.sigma, best.tau
+def found(values, pairs):
+    """Each instance's ``(value, sigma, tau)`` of a search's ``(values, pairs)``."""
+    return [(v, sigma, tau) for v, (sigma, tau) in zip(values.tolist(), pairs)]
 
 
 class TestOptimizeBatch:
@@ -598,8 +597,7 @@ class TestOptimizeBatch:
     def test_random_stacks(self, d, count, seed, reading, data):
         stage, instances = random_block(d, count, seed,
                                         data.draw(st.sampled_from(list(Convention))))
-        bests = optimize_batch(stage, reading)
-        assert [found(best) for best in bests] == [
+        assert found(*optimize_batch(stage, reading)) == [
             oracle_optimize(alone(*x), reading) for x in instances]
 
     @pytest.mark.parametrize("reading", list(Reading))
@@ -609,9 +607,8 @@ class TestOptimizeBatch:
         inputs = ([example.rho_theta(0.5)] * 9,
                   *zip(*itertools.starmap(example.example_channels,
                                           itertools.product(grid, grid))))
-        bests = optimize_batch(object_stage(*inputs), reading)
-        for instance, best in zip(zip(*inputs), bests):
-            assert found(best) == oracle_optimize(alone(*instance), reading)
+        assert found(*optimize_batch(object_stage(*inputs), reading)) == [
+            oracle_optimize(alone(*instance), reading) for instance in zip(*inputs)]
 
 
 # ---------------------------------------------------------------------------
@@ -919,11 +916,11 @@ def stage_data(stage, b, d):
     """What the scalar oracles read of instance b of a stage."""
     return SimpleNamespace(dim=d, stage=SimpleNamespace(
         tables={reading: stage.tables[reading][b:b + 1] for reading in Reading}),
-        chains={reading: BoundChain(d, stage.products[b].item(), stage.sums[b].item(),
-                                    tuple(stage.i_values[b].tolist()),
-                                    dict(zip(lattice_order(d),
-                                             stage.lattices[reading][b].tolist())),
-                                    stage.cross_terms[b].item(), reading) for reading in Reading})
+        chains={reading: SimpleNamespace(
+            product=stage.products[b].item(), sum=stage.sums[b].item(),
+            i_values=tuple(stage.i_values[b].tolist()),
+            s_values=dict(zip(lattice_order(d), stage.lattices[reading][b].tolist())),
+            cross_term=stage.cross_terms[b].item()) for reading in Reading})
 
 
 SPECIALS = (math.nan, 0.0, -0.0, math.inf, -math.inf)
@@ -975,7 +972,7 @@ class TestVerdictColumns:
             want = check_bits(oracle_verify_checks(stage_data(rows, b, d), tol))
             assert column_bits(columns, b) == want
         if d >= 2:  # optima found ahead, as bounds passes them, give the same bits
-            given = verdict_columns(rows, tol, [best.value for best in optimize_batch(rows)])
+            given = verdict_columns(rows, tol, optimize_batch(rows)[0])
             for b in range(len(rows.products)):
                 assert column_bits(given, b) == column_bits(columns, b)
         for instance in instances:  # verify_chain: a stack of one
@@ -1433,7 +1430,7 @@ def oracle_row(formula, params, numeric, printed):
 
 def oracle_chain_targets(params):
     """Each (theta, p, q) point's product-reading (product, sum, cross term,
-    S21, S31, S32), read by ``chain_at`` from stages of the points' objects,
+    S21, S31, S32), read from the columns of stages of the points' objects,
     in passes of ``example._BLOCK`` points."""
     targets = []
     for start in range(0, len(params), example._BLOCK):
@@ -1441,10 +1438,9 @@ def oracle_chain_targets(params):
         pairs = [example.example_channels(p, q) for _, p, q in block]
         stage = object_stage([example.rho_theta(theta) for theta, _, _ in block],
                              [n1 for n1, _ in pairs], [n2 for _, n2 in pairs])
-        for b in range(len(block)):
-            chain = chain_at(stage, b, Reading.PRODUCT)
-            targets.append((chain.product, chain.sum, chain.cross_term, chain.s_values[(2, 1)],
-                            chain.s_values[(3, 1)], chain.s_values[(3, 2)]))
+        lattices = stage.lattices[Reading.PRODUCT][:, :3]  # (2, 1), (3, 1), (3, 2)
+        targets += zip(stage.products.tolist(), stage.sums.tolist(),
+                       stage.cross_terms.tolist(), *lattices.T.tolist())
     return targets
 
 

@@ -93,6 +93,9 @@ def runs(inputs: Path) -> list:
         for reading in READINGS:
             found.append((f"bounds-d{d}-{reading}", bounds + ["--s-reading", reading]))
         found.append((f"bounds-d{d}-t3", bounds + ["--t", "0:1:3"]))
+        # the report's optimum from the as-printed search, the verdict's from the product one
+        found.append((f"bounds-d{d}-as-printed-t3",
+                      bounds + ["--s-reading", "as-printed", "--t", "0:1:3"]))
     # a column reduction longer than 32
     found.append(("bounds-d64", ["bounds", *write_instance(inputs, "d64", 64, 3, 2),
                                  "--out", "OUT/report.txt"]))
