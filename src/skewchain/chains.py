@@ -58,6 +58,7 @@ from .objects import (
     derive_seeds,
     mix_kraus_families,
     seeding_words,
+    trial_entropies,
     unitaries_from_words,
 )
 from .skew import channel_skews, column_norms_sq, column_overlaps, frame_stack
@@ -79,7 +80,6 @@ __all__ = [
     "permute_s",
     "stage_from_frames",
     "sum_transfer",
-    "trial_entropies",
     "verdict_columns",
     "verify_chain",
 ]
@@ -652,34 +652,33 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     Kraus families, so all deviations should sit at rounding level.
 
     The trials' unitaries come from two hash passes: the seeds u and v of
-    every trial, then the seeding words of each.  The unmixed instance is a
-    pass of its own, and the trials run in ``chain_stage`` passes of at most
+    every trial, then the seeding words of each.  The unmixed stage is built
+    first; then the trials run in ``chain_stage`` passes of at most
     ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
-    count; each pass draws its trials' unitaries from their words and mixes
-    their families in one stacked ``einsum`` (``mix_kraus_families``).
-    ``_run_passes`` runs the passes on the calling thread and one helper
-    thread per further CPU the process may use, at most one thread per
-    pass; each pass is bit for bit as in a serial loop.
+    count.  Each pass mixes its trials' families in one stacked ``einsum``
+    (``mix_kraus_families``) and returns its ``invariance_columns`` row, and
+    the rows are folded.  ``_run_passes`` runs the passes on the calling
+    thread and one helper thread per further CPU the process may use, at
+    most one thread per pass; each pass is bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     words = seeding_words([(s,) for s in derive_seeds(trial_entropies([seed], trials))])
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
+    base = compute_chain(rho, ch1, ch2)
+    base.i_values  # a ``_Once``: read first here, never by two threads at once
 
-    def run(k):  # pass 0 is the unmixed instance, pass k the trials' block k - 1
-        if k == 0:
-            stage = compute_chain(rho, ch1, ch2)
-        else:
-            rows = words[2 * (k - 1) * block:2 * k * block]  # trial by trial, u before v
-            ops = [mix_kraus_families(np.repeat(ch.operators[None], len(rows) // 2, axis=0),
-                                      unitaries_from_words(ch.n, rows[side::2]))
-                   for side, ch in enumerate((ch1, ch2))]
-            stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(rows) // 2, axis=0), *ops)
-        stage.i_values  # computed within the pass, so its exact sums run in parallel too
-        return stage
+    def run(k):  # the trials' block k
+        rows = words[2 * k * block:2 * (k + 1) * block]  # trial by trial, u before v
+        ops = [mix_kraus_families(np.repeat(ch.operators[None], len(rows) // 2, axis=0),
+                                  unitaries_from_words(ch.n, rows[side::2]))
+               for side, ch in enumerate((ch1, ch2))]
+        stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(rows) // 2, axis=0), *ops)
+        return invariance_columns(base, [stage])[0]
 
-    base, *mixed = _run_passes(run, 1 + -(-trials // block))
-    return dict(zip(_INVARIANT_NAMES, invariance_columns(base, mixed)[0].tolist()))
+    pass_rows = _run_passes(run, -(-trials // block))
+    worst = first_max(np.column_stack([np.zeros(len(_INVARIANT_NAMES)), *pass_rows]))
+    return dict(zip(_INVARIANT_NAMES, worst.tolist()))
 
 
 def _cpus() -> int:
@@ -722,13 +721,6 @@ def _run_passes(run, count: int) -> list:
     if failures:
         raise failures[min(failures)]
     return results
-
-
-def trial_entropies(seeds, trials: int) -> list:
-    """The entropies ``(seed, trial, side)`` that ``derive_seed`` turns into
-    the mixing-unitary seeds of ``kraus_invariance_check`` at each seed: seed
-    by seed, trial by trial, u (side 1) before v (side 2)."""
-    return [(seed, trial, side) for seed in seeds for trial in range(trials) for side in (1, 2)]
 
 
 # The bound quantities that Kraus mixing must leave unchanged, in report order.

@@ -38,20 +38,12 @@ from .chains import (
     lattice_order,
     mixed_columns,
     optimize_batch,
-    trial_entropies,
     verdict_columns,
 )
 from .errors import SkewchainError
 from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
 from .linalg import DEFAULT_TOL, first_max
-from .objects import (
-    channels_from_words,
-    densities_from_words,
-    derive_seeds,
-    mix_kraus_families,
-    seeding_words,
-    unitaries_from_words,
-)
+from .objects import verify_instances
 from .serialize import load_channel, load_state, write_text_atomic
 
 
@@ -205,43 +197,12 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     """The ``VerdictColumns`` of the instances k of ``ks`` at dimension d, and
     each one's invariance deviation, in the order of ``ks`` (which ascend).
 
-    Each instance draws from its own derived seeds and generators, as it
-    would alone: parts 0, 1 and 2 seed its state and its two channels, and
-    part 4 its invariance trial; each seed derives from its part's number,
-    so the numbers stay as they are.  The chunk hashes them in three passes,
-    one per derivation level: the derived seeds; then the trials' unitary
-    seeds together with the seeding words of every state and channel; then
-    the words of the trials' mixing unitaries.  The states are generated and
-    validated as one stack, the channels and the trials' mixing unitaries as
-    one stack per Kraus count.
-    The chunk is two ``chain_stage`` passes, the instances and then their
-    mixed trials, each side's families zero-padded to the chunk's largest
-    count on that side, with each instance's true (n1, n2) passed as its
-    counts.  The verdict reads the first, the invariance deviations both.
+    The chunk is ``verify_instances`` and two ``chain_stage`` passes, the
+    instances and their mixed trials; the verdict reads the first, the
+    invariance deviations both.
     """
-    ks = list(ks)
-    count = len(ks)
-    derived = derive_seeds([(args.seed, d, k, part) for k in ks for part in (0, 1, 2, 4)])
-    # rows 2i and 2i + 1 derive instance i's trial seeds u and v; then come
-    # the words of the states, of the channels 1 and of the channels 2
-    words = seeding_words(trial_entropies(derived[3::4], 1)
-                          + [(seed,) for part in range(3) for seed in derived[part::4]])
-    trial_words = seeding_words([(seed,) for seed in words[:2 * count, 0].tolist()])
-    _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
-    counts = np.array([(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks])
-    # each side's families as one stack zero-padded to the side's largest
-    # count: the instances, then their mixed trials
-    ops = [np.zeros((2, count, n, d, d), np.complex128) for n in counts.max(axis=0).tolist()]
-    flat = counts.ravel()  # family 2i + side is instance i's channel on that side
-    for n in dict.fromkeys(flat.tolist()):
-        family = np.flatnonzero(flat == n)
-        i, side = np.divmod(family, 2)
-        chs = channels_from_words(d, n, words[(3 + side) * count + i])
-        mixed = mix_kraus_families(chs, unitaries_from_words(n, trial_words[family]))
-        for s in set(side.tolist()):
-            ops[s][:, i[side == s], :n] = chs[side == s], mixed[side == s]
-    base, mixed = (chain_stage(roots, *(o[part] for o in ops), tuple(counts.T))
-                   for part in (0, 1))
+    roots, families, mixed_families, counts = verify_instances(args.seed, d, ks)
+    base, mixed = (chain_stage(roots, *ops, counts) for ops in (families, mixed_families))
     return verdict_columns(base, args.tol), first_max(invariance_columns(base, [mixed]))
 
 
@@ -352,8 +313,8 @@ def cmd_example(args) -> int:
 # invariance
 
 
-# The most trials ``invariance`` runs.  Every pass's stage is kept until the
-# deviations are folded, so the trials bound the memory of a run.
+# The most trials ``invariance`` runs.  Each pass of trials is folded as it
+# finishes, so memory does not grow with them; the bound caps the run's time.
 _MAX_TRIALS = 2 ** 18
 
 

@@ -58,9 +58,11 @@ __all__ = [
     "random_density",
     "random_unitary",
     "seeding_words",
+    "trial_entropies",
     "unitaries_from_words",
     "validate_channel",
     "validate_density",
+    "verify_instances",
 ]
 
 
@@ -390,6 +392,13 @@ def derive_seeds(entropies) -> list:
     return seeding_words(entropies)[:, 0].tolist()
 
 
+def trial_entropies(seeds, trials: int) -> list:
+    """The entropies ``(seed, trial, side)`` that ``derive_seed`` turns into
+    the mixing-unitary seeds of each seed's trials: seed by seed, trial by
+    trial, u (side 1) before v (side 2)."""
+    return [(seed, trial, side) for seed in seeds for trial in range(trials) for side in (1, 2)]
+
+
 def _complex_gaussians(words, size: int) -> np.ndarray:
     """``(x + 1j y) / sqrt(2)`` for ``size`` standard Gaussian pairs from the
     generator that each row of ``words`` seeds, as a (B, size) complex array.
@@ -540,3 +549,42 @@ def mix_kraus_families(families, us) -> np.ndarray:
     b, n, d, _ = ops.shape
     flat = np.ascontiguousarray(ops.reshape(b, n, d * d).swapaxes(-1, -2))
     return _frozen(np.einsum("...ts,...ks->...tk", arr, flat).reshape(b, n, d, d))
+
+
+def verify_instances(seed: int, d: int, ks) -> tuple:
+    """The instances k of ``ks`` at dimension d that ``verify`` certifies,
+    as stacks in the order of ``ks``: ``(roots, families, mixed_families,
+    counts)``.  They are the states' square roots; each side's Kraus
+    families, zero-padded to that side's largest count; the same families
+    mixed by each instance's one trial; and the pair of (B,) arrays of each
+    instance's own counts (n1, n2).
+
+    Each instance draws from its own derived seeds and generators, as it
+    would alone: parts 0, 1 and 2 of ``(seed, d, k, part)`` seed its state
+    and its two channels, and part 4 its trial.  The instances are hashed
+    in three passes, one per derivation level: the derived seeds; then the
+    trials' unitary seeds (rows 2i and 2i + 1 for instance i's u and v)
+    with the seeding words of every state and channel; then the words of
+    the trials' mixing unitaries.  The states are generated as one stack,
+    the channels and the trials' unitaries as one stack per Kraus count.
+    """
+    ks = list(ks)
+    count = len(ks)
+    derived = derive_seeds([(seed, d, k, part) for k in ks for part in (0, 1, 2, 4)])
+    # the trials' seeds, then the words of the states, the channels 1 and 2
+    words = seeding_words(trial_entropies(derived[3::4], 1)
+                          + [(s,) for part in range(3) for s in derived[part::4]])
+    trial_words = seeding_words([(s,) for s in words[:2 * count, 0].tolist()])
+    _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])
+    counts = np.array([(min((k % 4) + 1, d * d), min(((k // 4) % 4) + 1, d * d)) for k in ks])
+    ops = [np.zeros((2, count, n, d, d), np.complex128) for n in counts.max(axis=0).tolist()]
+    flat = counts.ravel()  # family 2i + side is instance i's channel on that side
+    for n in dict.fromkeys(flat.tolist()):
+        family = np.flatnonzero(flat == n)
+        i, side = np.divmod(family, 2)
+        chs = channels_from_words(d, n, words[(3 + side) * count + i])
+        mixed = mix_kraus_families(chs, unitaries_from_words(n, trial_words[family]))
+        for s in set(side.tolist()):
+            ops[s][:, i[side == s], :n] = chs[side == s], mixed[side == s]
+    families, mixed_families = zip(*ops)
+    return roots, families, mixed_families, tuple(counts.T)

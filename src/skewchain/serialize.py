@@ -69,8 +69,7 @@ def _stack_from_pairs(matrices: list) -> np.ndarray:
         raise ValueError("matrix must be a nested array of [re, im] pairs" if len(matrices) == 1
                          else "matrices must be nested arrays of [re, im] pairs, all of one shape"
                          ) from None
-    arr = arr.reshape(len(matrices), n_rows, n_cols, 2)
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(np.complex128).reshape(len(matrices), n_rows, n_cols)
 
 
 def _chained(items: list) -> tuple:

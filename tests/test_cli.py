@@ -1,4 +1,3 @@
-import argparse
 import ast
 import hashlib
 import json
@@ -7,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -649,7 +649,7 @@ class TestDerivesEachInstanceOnce:
 
 
 class TestGeneratesEachChunkInFixedPasses:
-    # a verify chunk hashes its seeds once per derivation level, whatever
+    # verify_instances hashes a chunk's seeds once per derivation level, whatever
     # Kraus counts it holds: the derived seeds, four parts per instance; the
     # trials' unitary seeds with the words of every state and channel; the
     # trials' unitaries' words.  Each generator draws its real and imaginary
@@ -672,11 +672,10 @@ class TestGeneratesEachChunkInFixedPasses:
                 drawn.append(self)
                 return super().standard_normal(*args, **kwargs)
 
-        for module in (objects, cli, chains):  # each module's binding of the one kernel
-            monkeypatch.setattr(module, "seeding_words", counted)
+        monkeypatch.setattr(objects, "seeding_words", counted)
         monkeypatch.setattr(np.random, "Generator", Counted)
         # at d = 3 both channels of the 20 instances take each Kraus count 1..4
-        cli._verify_chunk(3, range(20), argparse.Namespace(seed=5, tol=1e-10))
+        objects.verify_instances(5, 3, range(20))
         return passes, drawn
 
     def test_verify_chunk(self, monkeypatch):
@@ -778,7 +777,7 @@ class TestVerify:
         def refuse(d, *args):
             raise Allocated(d)
 
-        monkeypatch.setattr(cli, "densities_from_words", refuse)
+        monkeypatch.setattr(objects, "densities_from_words", refuse)
         out = tmp_path / "v.txt"
         assert main(["verify", "--dims", dims, "--instances", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
@@ -796,7 +795,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("a state was generated")
 
-        monkeypatch.setattr(cli, "densities_from_words", refuse)
+        monkeypatch.setattr(objects, "densities_from_words", refuse)
         out = tmp_path / "v.txt"
         assert main(["verify", "--dims", dims, "--instances", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
@@ -902,8 +901,8 @@ class TestExampleCommand:
         assert not out.exists()
 
 
-# (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed instance's
-# own pass, the trials in one pass; in passes of 2 (a patched constant), the
+# (d, n1, n2, trials, CHUNK_ENTRIES or None): after the unmixed stage, the
+# trials in one pass; in passes of 2 (a patched constant), the
 # last one partial; of 32, then 8; of 4, then 1; of 4, then 1, at d = 32; of
 # one each
 INVARIANCE_CASES = [(4, 4, 3, 20, None), (4, 3, 2, 9, 96), (8, 8, 5, 40, None),
@@ -924,7 +923,7 @@ def one_trial_at_a_time(rho, ch1, ch2, trials, seed):
 
     base = values(ch1, ch2)
     devs = dict.fromkeys(base, 0.0)
-    derived = iter(objects.derive_seeds(chains.trial_entropies([seed], trials)))
+    derived = iter(objects.derive_seeds(objects.trial_entropies([seed], trials)))
     for u, v in zip(derived, derived):
         mixed = values(mix_kraus(ch1, random_unitary(ch1.n, u)),
                        mix_kraus(ch2, random_unitary(ch2.n, v)))
@@ -977,7 +976,7 @@ class TestInvariance:
             return real(entropies, *args)
 
         with monkeypatch.context() as patched:
-            for module in (objects, cli, chains):
+            for module in (objects, chains):  # each module's binding of the one kernel
                 patched.setattr(module, "seeding_words", counted)
             assert main(argv + ["--out", str(tmp_path / "got.txt")]) == 0
         assert passes == [40, 40]
@@ -1035,7 +1034,7 @@ class TestInvariance:
             self.assert_same_deviations(chains.kraus_invariance_check(*instance, trials, seed=d), want)
 
     def test_one_cpu_or_one_pass_starts_no_thread(self, monkeypatch):
-        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # six passes
+        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # five passes of trials
         instance, want = self.case(monkeypatch, *case)
 
         def refused(*args, **kwargs):
@@ -1079,7 +1078,7 @@ class TestInvariance:
     def test_lowest_failing_pass_raises_and_no_thread_outlives(self, monkeypatch, cpus):
         # passes 2 and 4 fail, pass 2 after pass 4 in time where they overlap;
         # pass 2's error surfaces as in the serial loop, after every helper ended
-        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # six passes
+        d, _, _, trials, _ = case = INVARIANCE_CASES[1]  # five passes of trials
         instance, _ = self.case(monkeypatch, *case)
         monkeypatch.setattr(chains, "_cpus", lambda: cpus)
         real = chains._run_passes
@@ -1107,6 +1106,28 @@ class TestInvariance:
             assert {0, 1} <= set(done)
             if cpus == 1:
                 assert done == [0, 1]
+
+    def test_memory_barely_grows_with_the_trials(self, monkeypatch):
+        # each pass's stage is dropped once its row of deviations is taken, so
+        # only the trials' seeds and rows grow with the trial count.  At d = 32
+        # with two Kraus operators a side, a pass holds 8 trials, and a stage
+        # holds about 25 KiB per trial: keeping every pass's stage until one
+        # final fold peaked about 2 990 KiB higher at 128 trials than at 8,
+        # and the fold per pass 45 KiB.  The bound is 1 KiB per added trial.
+        monkeypatch.setattr(chains, "_cpus", lambda: 1)  # one pass in flight
+        instance = (random_density(32, 32, seed=61),
+                    random_channel(32, 2, Convention.COLUMN_SUM, seed=62),
+                    random_channel(32, 2, Convention.ROW_SUM, seed=63))
+        chains.kraus_invariance_check(*instance, 8, seed=0)  # caches filled before measuring
+        peaks = []
+        for trials in (8, 128):
+            tracemalloc.start()
+            try:
+                chains.kraus_invariance_check(*instance, trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (128 - 8) * 1024
 
     def test_channels_at_the_completeness_tolerance_pass(self, tmp_path):
         # invariance loads its inputs at 1e-9.  Each channel here is scaled to

@@ -342,9 +342,28 @@ class TestSerialization:
         path = tmp_path / "channel.json"
         path.write_text(json.dumps({"dim": 4, "kraus": pairs.tolist(), "convention": "column_sum"},
                                    indent=1))
-        loaded = load_channel(path, tol=1e-9)
-        expected = pairs[..., 0] + 1j * pairs[..., 1]  # the written bits; repr round-trips
-        assert np.array(loaded.operators).tobytes() == expected.tobytes()
+        loaded = np.array(load_channel(path, tol=1e-9).operators)
+        # each part keeps the written bits, signed zeros included; repr round-trips
+        assert loaded.real.tobytes() == pairs[..., 0].tobytes()
+        assert loaded.imag.tobytes() == pairs[..., 1].tobytes()
+
+    def test_signed_zero_parts_round_trip(self, tmp_path):
+        # -0.0 in a real part, an imaginary part and both, beside +0.0
+        half = np.sqrt(0.5)
+        state = validate_density(_complex([[0.5, -0.0], [0.0, 0.5]],
+                                          [[-0.0, -0.0], [0.0, 0.0]]))
+        channel = validate_channel(_complex([[[half, -0.0], [-0.0, half]],
+                                             [[half, 0.0], [-0.0, half]]],
+                                            [[[-0.0, 0.0], [-0.0, -0.0]],
+                                             [[0.0, -0.0], [0.0, 0.0]]]))
+        save_state(tmp_path / "state.json", state)
+        save_channel(tmp_path / "channel.json", channel)
+        for got, want in ((load_state(tmp_path / "state.json").rho, state.rho),
+                          (load_channel(tmp_path / "channel.json").operators,
+                           channel.operators)):
+            assert np.signbit(want.real).any() and np.signbit(want.imag).any()
+            assert got.real.tobytes() == want.real.tobytes()
+            assert got.imag.tobytes() == want.imag.tobytes()
 
     @pytest.mark.parametrize("load, doc, key", [
         (load_state, {"matrix": []}, "dim"),
@@ -437,15 +456,23 @@ class TestSerialization:
             "missing_dir": [], "target_is_dir": ["missing", "missing/out.txt"]}[case]
 
 
+def _complex(re, im) -> np.ndarray:
+    """The complex array of the parts ``re`` and ``im``, each part's bits kept."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def _oracle_matrix(obj) -> np.ndarray:
-    """The decoder that the loaders used before: numpy walks the nested list."""
+    """The decoder that the loaders used before, numpy walking the nested
+    list, with each part's bits kept."""
     try:
         arr = np.asarray(obj, dtype=float)
     except TypeError:  # an object or null where a number belongs
         arr = None
     if arr is None or arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix must be a nested array of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _complex(arr[..., 0], arr[..., 1])
 
 
 def _oracle_load(doc):

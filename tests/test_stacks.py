@@ -32,7 +32,6 @@ from skewchain.chains import (
     invariance_columns,
     lattice_order,
     optimize_batch,
-    trial_entropies,
     verdict_columns,
     verify_chain,
 )
@@ -71,9 +70,11 @@ from skewchain.objects import (
     random_density,
     random_unitary,
     seeding_words,
+    trial_entropies,
     unitaries_from_words,
     validate_channel,
     validate_density,
+    verify_instances,
 )
 from skewchain.objects import channel_stack, density_stack
 
@@ -1245,59 +1246,27 @@ class TestStackedVerify:
             assert [repr(x) for x in deviations.tolist()] == [repr(x) for _, x in want]
 
     @settings(max_examples=30, deadline=None)
-    @given(d=st.integers(1, 5), ks=st.lists(st.integers(0, 200), min_size=1, max_size=10,
-                                            unique=True),
-           seed=st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 64, 2 ** 80)),
-           cut=st.sampled_from([None, 2 ** 32, 3]))
-    def test_chunk_builds_what_the_oracles_build(self, d, ks, seed, cut):
-        # every state, channel and mixed family of a chunk, with mixed ranks
-        # and Kraus counts (up to d^2 at d <= 2); ``cut`` takes each derived
-        # seed below 2^32, to one word, or to 0, 1 and 2
-        def cut_seeds(seeds):
-            return seeds if cut is None else [seed % cut for seed in seeds]
-
-        ks = sorted(ks)
-        stages, states = [], []
-        real_stage, real_derive = cli.chain_stage, cli.derive_seeds
-        real_densities = cli.densities_from_words
-
-        def captured(roots, ops1, ops2, counts):
-            stages.append((roots, ops1, ops2, counts))
-            return real_stage(roots, ops1, ops2, counts)
-
-        def densities(*args):
-            made = real_densities(*args)
-            states.extend(made[0])
-            return made
-
-        with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(cli, "chain_stage", captured)
-            patched.setattr(cli, "densities_from_words", densities)
-            patched.setattr(cli, "derive_seeds", lambda entropies: cut_seeds(real_derive(entropies)))
-            cli._verify_chunk(d, ks, argparse.Namespace(seed=seed, tol=1e-10))
-        # two stages for the chunk: its instances, then their trials, each
-        # family zero-padded to the chunk's largest count on its side
-        assert len(stages) == 2 and len(states) == len(ks)
+    @given(d=st.integers(1, 5), start=st.integers(0, 200),
+           seed=st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 64, 2 ** 80)))
+    def test_chunk_builds_what_the_oracles_build(self, d, start, seed):
+        # every state, channel and mixed family of 16 consecutive instances,
+        # which take every (n1, n2) pair (a count is at most d^2) and mixed
+        # ranks; each family zero-padded to the largest count on its side
+        ks = range(start, start + 16)
+        roots, families, mixed_families, counts = verify_instances(seed, d, ks)
         pairs = [oracle_kraus_counts(d, k) for k in ks]
-        for roots, ops1, ops2, counts in stages:
-            assert len(roots) == len(ops1) == len(ops2) == len(ks)
-            assert ops1.shape[1] == max(n1 for n1, _ in pairs)
-            assert ops2.shape[1] == max(n2 for _, n2 in pairs)
-            assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs)]
-        (roots, ops1, ops2, _), (mixed_roots, mixed_ops1, mixed_ops2, _) = stages
+        assert len(set(pairs)) == min(d * d, 4) ** 2
+        assert [np.asarray(n).tolist() for n in counts] == [list(side) for side in zip(*pairs)]
+        for ops in (families, mixed_families):
+            assert [side.shape for side in ops] == [(16, max(n), d, d) for n in zip(*pairs)]
         for j, k in enumerate(ks):
-            parts = (0, 1, 2, 4)
-            derived = dict(zip(parts, cut_seeds([oracle_derive_seed(seed, d, k, part)
-                                                 for part in parts])))
-            state, ch1, ch2, mixed1, mixed2 = oracle_instance(d, k, derived)
-            assert same_bits(states[j], state.rho)
-            for root in (roots[j], mixed_roots[j]):
-                assert same_bits(root, state.sqrt_rho)
-            for got, want in ((ops1[j], ch1), (ops2[j], ch2), (mixed_ops1[j], mixed1),
-                              (mixed_ops2[j], mixed2)):
+            derived = {part: oracle_derive_seed(seed, d, k, part) for part in (0, 1, 2, 4)}
+            state, *channels = oracle_instance(d, k, derived)
+            assert same_bits(roots[j], state.sqrt_rho)
+            for got, want in zip((*families, *mixed_families), channels):
                 n = want.n
-                assert same_bits(got[:n], np.array(want.operators))
-                assert same_bits(got[n:], np.zeros_like(got[n:]))  # +0.0 only
+                assert same_bits(got[j, :n], np.array(want.operators))
+                assert same_bits(got[j, n:], np.zeros_like(got[j, n:]))  # +0.0 only
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     @pytest.mark.parametrize("flags, block", [

@@ -123,6 +123,11 @@ def runs(inputs: Path) -> list:
         instance = write_instance(inputs, f"inv{d}n{d * d}", d, d * d, d * d)
         found.append((f"invariance-d{d}-n{d * d}", ["invariance", *instance, "--trials", "20",
                                                     "--out", "OUT/invariance.txt"]))
+    # one trial pass after the unmixed stage; trial passes of 64, 64 and 2
+    for label, name, d, n, trials in (("invariance-d32-trials1", "inv32", 32, 32, 1),
+                                      ("invariance-d4-n16-trials130", "inv4n16", 4, 16, 130)):
+        found.append((label, ["invariance", *write_instance(inputs, name, d, n, n),
+                              "--trials", str(trials), "--out", "OUT/invariance.txt"]))
     # rounding noise exceeds a zero tolerance: exit 1 and passed = False
     found.append(("invariance-d4-tol0", ["invariance", *write_instance(inputs, "inv4", 4, 3, 3),
                                          "--trials", "20", "--tol", "0",
