@@ -17,10 +17,8 @@ from .chains import (
     lattice_order,
     mixed_columns,
     optimize_batch,
-    optimize_permutations,
     permute_s,
     verdict_columns,
-    verify_chain,
 )
 from .errors import (
     CompletenessError,

@@ -76,12 +76,10 @@ __all__ = [
     "lattice_order",
     "mixed_columns",
     "optimize_batch",
-    "optimize_permutations",
     "permute_s",
     "stage_from_frames",
     "sum_transfer",
     "verdict_columns",
-    "verify_chain",
 ]
 
 
@@ -108,13 +106,12 @@ def lattice_order(d: int) -> list:
 # unchanged.  The one sum whose rounding padding would move, the Gram matrix
 # of ``_s_tables``, runs once per distinct count pair, over its own pairs.
 # ``stage_from_frames`` is the one builder, over arrays; ``chain_stage`` feeds
-# it the frames of its inputs.  The readers of a pass (``verdict_columns``,
-# ``optimize_batch``, ``mixed_columns``, and ``bounds`` reading row 0) read
-# its stage's columns, and the one-instance functions are stacks of one over
-# them (``compute_chain``); ``invariance_columns`` reads a stage of instances
-# and the stages of their mixed trials.  The
-# frames, their column norms and the channel skew informations come from
-# ``skew``'s kernel.
+# it the frames of its inputs.  Every reader takes a stage and reads its
+# columns (``verdict_columns``, ``optimize_batch``, ``permute_s``,
+# ``mixed_columns``, and ``bounds`` reading row 0); ``invariance_columns``
+# reads a stage of instances and a stage of their mixed trials.  One
+# instance is a stack of one (``compute_chain``).  The frames, their column
+# norms and the channel skew informations come from ``skew``'s kernel.
 
 # Matrix entries per stack of a pass's inputs: ``verify`` cuts its chunks of
 # states, and ``kraus_invariance_check`` its passes of Kraus families, to at
@@ -125,14 +122,18 @@ CHUNK_ENTRIES = 2 ** 14
 
 class _Once:
     """The value of ``make()``, computed on the first call and kept; ``make``,
-    and the arrays it holds, are dropped then."""
+    and the arrays it holds, are dropped then.  Threads may make the first
+    calls at once: each may compute the value, and every one returns the
+    same bits."""
 
     def __init__(self, make):
         self._make = make
 
     def __call__(self):
-        if self._make is not None:
-            self._value, self._make = self._make(), None
+        make = self._make  # read once: another thread may clear it
+        if make is not None:
+            self._value = make()
+            self._make = None  # cleared after the store: a reader of None finds the value
         return self._value
 
 
@@ -430,34 +431,29 @@ def sum_transfer(values) -> np.ndarray:
     return 2.0 * np.sqrt(np.where(x > 0.0, x, 0.0))
 
 
-def permute_s(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-              sigma, tau, p: int, q: int,
-              reading: Reading = Reading.PRODUCT) -> float:
-    """S-lattice value at (p, q) with column labels permuted by (sigma, tau).
+def permute_s(stage: ChainStage, sigma, tau, p: int, q: int,
+              reading: Reading = Reading.PRODUCT) -> np.ndarray:
+    """S-lattice value at (p, q) of each instance of a stage, with column
+    labels permuted by (sigma, tau), as a (B,) float64 array.
 
     ``sigma`` relabels the index resolved in the p-slot of each update and
     ``tau`` the q-slot index; both are 0-based permutations of ``range(d)``.
-    The identity pair reproduces the unpermuted chain entry bit for bit.
+    The identity pair reproduces the unpermuted chain entry bit for bit, and
+    each instance gets the bits it gets in a stack of one.
     """
-    stage = compute_chain(rho, ch1, ch2)
-    return _permuted_value(stage.tables, _stage_dim(stage), sigma, tau, p, q, reading)
-
-
-def _permuted_value(tables: dict, d: int, sigma, tau, p: int, q: int,
-                    reading: Reading) -> float:
-    """The permuted S value of the one instance whose stage holds ``tables``."""
+    d = _stage_dim(stage)
     _check_position(p, q, d)
     sigma = _check_permutation(sigma, d)
     tau = _check_permutation(tau, d)
     reading = Reading(reading)
-    return float(_value_at(tables[reading][0], reading, sigma, tau, p, q, d))
+    return _value_at(stage.tables[reading].T, reading, sigma, tau, p, q, d)
 
 
-def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                          reading: Reading = Reading.PRODUCT) -> tuple:
+def optimize_batch(stage: ChainStage, reading: Reading = Reading.PRODUCT) -> tuple:
     """Maximize the permuted S value at (2, 1) over permutation pairs, exactly,
-    as the ``optimize_batch`` of a stack of one: ``(values, pairs)``, a (1,)
-    float64 array and a list of one ``(sigma, tau)``.
+    for each instance of a stage in one search: ``_optimize``'s ``(values,
+    pairs)``, a (B,) float64 array and each instance's ``(sigma, tau)``.
+    Each instance gets bit for bit what it gets alone.
 
     The value at (2, 1) reads only the labels ``sigma[1]`` and ``tau[0]``, so
     the search enumerates those d^2 pairs and returns exactly what a walk
@@ -469,13 +465,6 @@ def optimize_permutations(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChann
     update subtracts a deficit that is non-negative for any labels, so every
     permuted walk is non-increasing from (2, 1) on.
     """
-    return optimize_batch(compute_chain(rho, ch1, ch2), reading)
-
-
-def optimize_batch(stage: ChainStage, reading: Reading = Reading.PRODUCT) -> tuple:
-    """``optimize_permutations`` of each instance of a stage, in one search,
-    as ``_optimize``'s ``(values, pairs)``; each instance gets bit for bit
-    what it gets alone."""
     reading = Reading(reading)
     return _optimize(stage.tables[reading], _stage_dim(stage), reading)
 
@@ -496,7 +485,7 @@ def _optimize(rows: np.ndarray, d: int, reading: Reading) -> tuple:
     ``start + step[r, s]`` (as printed), scanning r = sigma[1] as 1, 2, ...,
     d-1, 0 and s = tau[0] as 0, ..., d-1, the order in which the full walk
     meets them.  Each instance keeps its first maximum in that scan, completed
-    as ``optimize_permutations`` says, once per distinct winning cell.
+    as ``optimize_batch`` says, once per distinct winning cell.
     """
     _check_position(2, 1, d)
     r_scan = [*range(1, d), 0]
@@ -540,13 +529,6 @@ HARD_CHECK_NAMES = (
     "mixed_ge_cross_term",
     "opt_ge_identity",
 )
-
-
-def verify_chain(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel,
-                 tol: float = 1e-10) -> VerdictColumns:
-    """Run every chain check on one instance, as the one-row ``verdict_columns``
-    of its stage; failures are reported, not raised."""
-    return verdict_columns(compute_chain(rho, ch1, ch2), tol)
 
 
 @dataclass(frozen=True)
@@ -651,30 +633,33 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
     The chain quantities are functions of the channels, not of the chosen
     Kraus families, so all deviations should sit at rounding level.
 
-    The trials' unitaries come from two hash passes: the seeds u and v of
-    every trial, then the seeding words of each.  The unmixed stage is built
-    first; then the trials run in ``chain_stage`` passes of at most
-    ``CHUNK_ENTRIES // (n d^2)`` instances (one at least), n the larger Kraus
-    count.  Each pass mixes its trials' families in one stacked ``einsum``
-    (``mix_kraus_families``) and returns its ``invariance_columns`` row, and
-    the rows are folded.  ``_run_passes`` runs the passes on the calling
-    thread and one helper thread per further CPU the process may use, at
-    most one thread per pass; each pass is bit for bit as in a serial loop.
+    The unmixed stage is built first; then the trials run in ``chain_stage``
+    passes of at most ``CHUNK_ENTRIES // (n d^2)`` instances (one at least),
+    n the larger Kraus count.  Each pass seeds its own trials in two hash
+    passes (the seeds u and v of each trial, then the seeding words of
+    each), so memory grows with the passes in flight, not with the trials.
+    It mixes its trials' families in one stacked ``einsum``
+    (``mix_kraus_families``) and returns its ``invariance_columns`` row.
+    The rows are folded by one ``first_max`` from 0.0: every gap is +0.0 or
+    more, or NaN, so that gives the bits of one fold over every trial in
+    order.  ``_run_passes`` runs the passes on the calling thread and one
+    helper thread per further CPU the process may use, at most one thread
+    per pass; each pass is bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = seeding_words([(s,) for s in derive_seeds(trial_entropies([seed], trials))])
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
     base = compute_chain(rho, ch1, ch2)
-    base.i_values  # a ``_Once``: read first here, never by two threads at once
+    base.i_values  # a ``_Once``: read here, so the passes need not each compute it
 
     def run(k):  # the trials' block k
-        rows = words[2 * k * block:2 * (k + 1) * block]  # trial by trial, u before v
-        ops = [mix_kraus_families(np.repeat(ch.operators[None], len(rows) // 2, axis=0),
-                                  unitaries_from_words(ch.n, rows[side::2]))
+        entropies = trial_entropies([seed], range(k * block, min((k + 1) * block, trials)))
+        words = seeding_words([(s,) for s in derive_seeds(entropies)])  # u before v
+        ops = [mix_kraus_families(np.repeat(ch.operators[None], len(words) // 2, axis=0),
+                                  unitaries_from_words(ch.n, words[side::2]))
                for side, ch in enumerate((ch1, ch2))]
-        stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(rows) // 2, axis=0), *ops)
-        return invariance_columns(base, [stage])[0]
+        stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(words) // 2, axis=0), *ops)
+        return invariance_columns(base, stage)[0]
 
     pass_rows = _run_passes(run, -(-trials // block))
     worst = first_max(np.column_stack([np.zeros(len(_INVARIANT_NAMES)), *pass_rows]))
@@ -728,27 +713,23 @@ _INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_print
                     "cross_term")
 
 
-def invariance_columns(base: ChainStage, trials) -> np.ndarray:
+def invariance_columns(base: ChainStage, mixed: ChainStage) -> np.ndarray:
     """The invariance deviations of the instances of ``base``, one row per
     instance and one column per quantity, in the order of
     ``kraus_invariance_check``'s keys.
 
-    ``trials`` is an iterable of stages whose rows run trial after trial of
-    those instances, each stage holding whole trials: with B instances, row
-    ``B t + b`` of a stage holds its trial t of instance b.  A quantity's
-    deviation is its worst ``|mixed - base|`` over the trials, as Python's
-    ``max`` from 0.0 over the trials in order.  It is folded one stage at a
-    time, as a running ``first_max``: every gap is +0.0 or more, or NaN, so
-    that gives the bits of one fold over every trial.
+    ``mixed`` is a stage whose rows run trial after trial of those
+    instances: with B instances, row ``B t + b`` holds trial t of instance b.
+    A quantity's deviation is its worst ``|mixed - base|`` over the trials,
+    as Python's ``max`` from 0.0 over the trials in order (``first_max``).
     """
-    count, bases = len(base.products), _invariants(base)
-    worst = np.zeros((count, len(bases)))
-    for stage in trials:
-        for column, (unmixed, mixed) in enumerate(zip(bases, _invariants(stage))):
-            # a leading length, not -1: the S lattice has no columns at d = 1
-            mixed = mixed.reshape(len(mixed) // count, count, mixed.shape[1])
-            gaps = np.abs(mixed - unmixed).transpose(1, 0, 2).reshape(count, -1)
-            worst[:, column] = first_max(np.column_stack([worst[:, column], gaps]))
+    count = len(base.products)
+    worst = np.zeros((count, len(_INVARIANT_NAMES)))
+    for column, (unmixed, trials) in enumerate(zip(_invariants(base), _invariants(mixed))):
+        # a leading length, not -1: the S lattice has no columns at d = 1
+        trials = trials.reshape(len(trials) // count, count, trials.shape[1])
+        gaps = np.abs(trials - unmixed).transpose(1, 0, 2).reshape(count, -1)
+        worst[:, column] = first_max(np.column_stack([worst[:, column], gaps]))
     return worst
 
 

@@ -203,7 +203,7 @@ def _verify_chunk(d: int, ks, args) -> tuple:
     """
     roots, families, mixed_families, counts = verify_instances(args.seed, d, ks)
     base, mixed = (chain_stage(roots, *ops, counts) for ops in (families, mixed_families))
-    return verdict_columns(base, args.tol), first_max(invariance_columns(base, [mixed]))
+    return verdict_columns(base, args.tol), first_max(invariance_columns(base, mixed))
 
 
 def cmd_verify(args) -> int:

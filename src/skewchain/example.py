@@ -245,7 +245,7 @@ def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,),
     The permutation-optimized column is S21: on this family every (sigma, tau)
     pair gives (2, 1) the identity walk's value under either reading, as
     ``tests/test_example_symbolic.py`` proves, so no search runs
-    (``optimize_permutations`` searches any other instance).  The mixed
+    (``optimize_batch`` searches any other instance).  The mixed
     columns convex-combine it with the trivial bounds at each t, by
     ``mixed_columns``.  Each state and Kraus family is validated once, as
     arrays; the chains come from stacked passes that run across theta and

@@ -392,11 +392,12 @@ def derive_seeds(entropies) -> list:
     return seeding_words(entropies)[:, 0].tolist()
 
 
-def trial_entropies(seeds, trials: int) -> list:
+def trial_entropies(seeds, trials) -> list:
     """The entropies ``(seed, trial, side)`` that ``derive_seed`` turns into
-    the mixing-unitary seeds of each seed's trials: seed by seed, trial by
-    trial, u (side 1) before v (side 2)."""
-    return [(seed, trial, side) for seed in seeds for trial in range(trials) for side in (1, 2)]
+    the mixing-unitary seeds of each seed's trials, whose numbers are the
+    ints of ``trials`` (a ``range``, read once per seed): seed by seed, trial
+    by trial, u (side 1) before v (side 2)."""
+    return [(seed, trial, side) for seed in seeds for trial in trials for side in (1, 2)]
 
 
 def _complex_gaussians(words, size: int) -> np.ndarray:
@@ -572,7 +573,7 @@ def verify_instances(seed: int, d: int, ks) -> tuple:
     count = len(ks)
     derived = derive_seeds([(seed, d, k, part) for k in ks for part in (0, 1, 2, 4)])
     # the trials' seeds, then the words of the states, the channels 1 and 2
-    words = seeding_words(trial_entropies(derived[3::4], 1)
+    words = seeding_words(trial_entropies(derived[3::4], range(1))
                           + [(s,) for part in range(3) for s in derived[part::4]])
     trial_words = seeding_words([(s,) for s in words[:2 * count, 0].tolist()])
     _, roots = densities_from_words(d, [(k % d) + 1 for k in ks], words[2 * count:3 * count])

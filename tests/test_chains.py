@@ -1,6 +1,8 @@
+import dis
 import gc
 import itertools
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -20,12 +22,10 @@ from skewchain.chains import (
     lattice_order,
     mixed_columns,
     optimize_batch,
-    optimize_permutations,
     permute_s,
     sum_transfer,
-    verify_chain,
+    verdict_columns,
     _mod_sq,
-    _permuted_value,
 )
 from skewchain.errors import DimensionMismatchError
 from skewchain.example import example_channels, rho_theta
@@ -140,11 +140,11 @@ def oracle_s_printed(dm, ch1, ch2):
 def oracle_optimum(rho, ch1, ch2, reading):
     """Exhaustive permutation search at (2, 1): all (d!)^2 pairs in
     lexicographic order, first maximum kept.  The optimizer's exact search must reproduce it bit for bit."""
-    tables = object_stage([rho], [ch1], [ch2]).tables
+    stage = object_stage([rho], [ch1], [ch2])
     best = None
     for sig in itertools.permutations(range(rho.dim)):
         for tu in itertools.permutations(range(rho.dim)):
-            v = _permuted_value(tables, rho.dim, sig, tu, 2, 1, reading)
+            (v,) = permute_s(stage, sig, tu, 2, 1, reading).tolist()
             if best is None or v > best[0]:
                 best = (v, sig, tu)
     return best
@@ -447,6 +447,52 @@ class TestIValuesOnRead:
         assert overlaps[0]() is None  # while the stage itself is alive
         assert stage.i_values.tolist() == i_values
 
+    def test_first_reads_from_threads_at_once_agree(self):
+        # four threads read a fresh stage's I values behind one barrier.  A
+        # tracer holds each one on the first line past the source's "not yet
+        # computed" test until all four stand there; one runs on, and the
+        # others go on only once its read has returned, so they find the
+        # source already spent.  Every thread gets the bits of a lone read.
+        instance = random_instance(4, 7)
+        want = compute_chain(*instance).i_values
+        stage = compute_chain(*instance)
+        call = chains._Once.__call__.__code__
+        ops = list(dis.get_instructions(call))
+        body = next(ops[i + 1].positions.lineno
+                    for i, op in enumerate(ops) if op.opname.startswith("POP_JUMP"))
+        start, inside, first_done, got = (threading.Barrier(4, timeout=10),
+                                          threading.Barrier(4, timeout=10),
+                                          threading.Event(), [])
+
+        def trace(frame, event, arg):
+            if frame.f_code is not call:
+                return None
+
+            def line(frame, event, arg):
+                if event == "line" and frame.f_lineno == body and inside.wait():
+                    first_done.wait(10)  # every thread but one waits for that one
+                return line
+            return line
+
+        def read():
+            start.wait()
+            try:
+                got.append(stage.i_values)
+            except BaseException as exc:
+                got.append(exc)
+            first_done.set()
+
+        threading.settrace(trace)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+        finally:
+            threading.settrace(None)
+        for thread in threads:
+            thread.join()
+        assert len(got) == 4 and all(same_bits(values, want) for values in got), got
+
 
 class TestBatchedKernelsMatchLoops:
     @staticmethod
@@ -482,14 +528,11 @@ class TestBatchedKernelsMatchLoops:
         self.assert_matches_loops(*worked_example_stack())
 
     def test_rejects_mixed_shapes_and_empty_stacks(self):
-        # every one-instance function is a stack of one over ``chain_stage``,
+        # both functions of (rho, ch1, ch2) are stacks of one over ``chain_stage``,
         # which rejects a state and channels of different dimensions
         rho, ch1, ch2 = random_instance(3, 1)
         small = random_channel(2, 1, Convention.COLUMN_SUM, seed=3)
-        for call in (compute_chain, verify_chain,
-                     lambda *xs: permute_s(*xs, (0, 1, 2), (0, 1, 2), 2, 1),
-                     optimize_permutations,
-                     lambda *xs: kraus_invariance_check(*xs, trials=1, seed=0)):
+        for call in (compute_chain, lambda *xs: kraus_invariance_check(*xs, trials=1, seed=0)):
             for args in ((rho, small, ch2), (rho, ch1, small)):
                 with pytest.raises(DimensionMismatchError):
                     call(*args)
@@ -710,12 +753,12 @@ class TestPermuteS:
             values = s_values(stage, reading)
             ident = (0, 1, 2, 3)
             for (p, q) in lattice_order(4):
-                assert permute_s(rho, ch1, ch2, ident, ident, p, q, reading) == values[(p, q)]
+                assert permute_s(stage, ident, ident, p, q, reading)[0] == values[(p, q)]
 
     def test_incoherent_point_zero_for_all_permutations(self):
-        rho, n1, n2 = example_instance(theta=0.5)
+        stage = compute_chain(*example_instance(theta=0.5))
         for sigma in itertools.permutations(range(4)):
-            assert permute_s(rho, n1, n2, sigma, sigma[::-1], 2, 1) == 0.0
+            assert permute_s(stage, sigma, sigma[::-1], 2, 1)[0] == 0.0
 
     def test_transposition_equals_relabeling_oracle_d2(self):
         # relabeling the basis before the chain equals permuting inside it
@@ -727,17 +770,18 @@ class TestPermuteS:
         relabeled_2 = validate_channel([perm @ k @ perm.T for k in ch2.operators],
                                        ch2.convention, tol=1e-9)
         direct = compute_chain(relabeled_rho, relabeled_1, relabeled_2)
-        swapped = permute_s(rho, ch1, ch2, (1, 0), (1, 0), 2, 1, Reading.PRODUCT)
+        stage = compute_chain(rho, ch1, ch2)
+        (swapped,) = permute_s(stage, (1, 0), (1, 0), 2, 1, Reading.PRODUCT)
         assert swapped == pytest.approx(direct.lattices[Reading.PRODUCT][0, 0], abs=1e-12)
 
     def test_permuted_values_stay_below_product(self):
         for seed in range(5):
-            rho, ch1, ch2 = random_instance(3, 800 + seed)
-            product = compute_chain(rho, ch1, ch2).products[0]
+            stage = compute_chain(*random_instance(3, 800 + seed))
+            product = stage.products[0]
             for sigma in itertools.permutations(range(3)):
                 for tau in itertools.permutations(range(3)):
                     for (p, q) in lattice_order(3):
-                        v = permute_s(rho, ch1, ch2, sigma, tau, p, q, Reading.PRODUCT)
+                        (v,) = permute_s(stage, sigma, tau, p, q, Reading.PRODUCT)
                         assert v <= product + 1e-12
 
     def test_start_value_is_permutation_invariant(self):
@@ -748,59 +792,83 @@ class TestPermuteS:
         assert stage.tables[Reading.PRODUCT][0, 0] == product
         assert stage.tables[Reading.AS_PRINTED][0, 0] == product
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_stack_gives_each_instance_its_stack_of_one_bits(self, d):
+        # five instances of mixed Kraus counts in one stage, zero-padded and
+        # passed with their counts; every position, both readings, the
+        # identity pair and seeded random pairs
+        instances = [random_instance(d, 31 * d + b) for b in range(5)]
+        counts = tuple(np.array([x[side].n for x in instances]) for side in (1, 2))
+        assert all(len(set(n.tolist())) > 1 for n in counts)
+        ops = [np.zeros((5, n.max(), d, d), np.complex128) for n in counts]
+        for b, (_, ch1, ch2) in enumerate(instances):
+            ops[0][b, :ch1.n], ops[1][b, :ch2.n] = ch1.operators, ch2.operators
+        stage = chain_stage(np.array([x[0].sqrt_rho for x in instances]), *ops, counts)
+        alone = [compute_chain(*x) for x in instances]
+        rng = np.random.default_rng(d)
+        pairs = [(range(d), range(d))] + [(rng.permutation(d), rng.permutation(d))
+                                          for _ in range(4)]
+        for reading in Reading:
+            for sigma, tau in pairs:
+                for p, q in lattice_order(d):
+                    got = permute_s(stage, sigma, tau, p, q, reading)
+                    want = np.concatenate([permute_s(one, sigma, tau, p, q, reading)
+                                           for one in alone])
+                    assert got.shape == (5,) and same_bits(got, want), (reading, p, q)
+
     def test_invalid_permutation_rejected(self):
-        rho, ch1, ch2 = random_instance(2, 96)
+        stage = compute_chain(*random_instance(2, 96))
         with pytest.raises(ValueError):
-            permute_s(rho, ch1, ch2, (0, 0), (0, 1), 2, 1)
+            permute_s(stage, (0, 0), (0, 1), 2, 1)
         with pytest.raises(ValueError):
-            permute_s(rho, ch1, ch2, (0, 1), (0, 1), 1, 1)
+            permute_s(stage, (0, 1), (0, 1), 1, 1)
 
 
 class TestOptimizePermutations:
     def test_exhaustive_d2_dominates_identity(self):
-        rho, ch1, ch2 = random_instance(2, 97)
-        (best,), _ = optimize_permutations(rho, ch1, ch2)
-        ident = permute_s(rho, ch1, ch2, (0, 1), (0, 1), 2, 1)
+        stage = compute_chain(*random_instance(2, 97))
+        (best,), _ = optimize_batch(stage)
+        (ident,) = permute_s(stage, (0, 1), (0, 1), 2, 1)
         assert best >= ident
 
     def test_exhaustive_matches_brute_maximum(self):
         # the first maximum of permute_s over all (d!)^2 pairs in
         # lexicographic order, value and pair bit for bit
         for d, seed in ((2, 98), (2, 99), (3, 98), (3, 100)):
-            rho, ch1, ch2 = random_instance(d, seed)
+            stage = compute_chain(*random_instance(d, seed))
             for reading in Reading:
                 brute = None
                 for s in itertools.permutations(range(d)):
                     for t in itertools.permutations(range(d)):
-                        v = permute_s(rho, ch1, ch2, s, t, 2, 1, reading)
+                        (v,) = permute_s(stage, s, t, 2, 1, reading).tolist()
                         if brute is None or v > brute[0]:
                             brute = (v, s, t)
-                (best,), ((sigma, tau),) = optimize_permutations(rho, ch1, ch2, reading)
+                (best,), ((sigma, tau),) = optimize_batch(stage, reading)
                 assert (repr(best.item()), sigma, tau) == (repr(brute[0]), *brute[1:])
 
     def test_no_deeper_position_beats_the_optimum(self):
         # under the product reading every permuted walk is non-increasing, so
         # no pair at any deeper position exceeds the (2, 1) optimum
         for seed in (101, 102):
-            rho, ch1, ch2 = random_instance(4, seed)
-            (best,), _ = optimize_permutations(rho, ch1, ch2)
-            deeper = max(permute_s(rho, ch1, ch2, s, t, p, q)
+            stage = compute_chain(*random_instance(4, seed))
+            (best,), _ = optimize_batch(stage)
+            deeper = max(permute_s(stage, s, t, p, q)[0]
                          for s in itertools.permutations(range(4))
                          for t in itertools.permutations(range(4))
                          for p, q in lattice_order(4)[1:])
             assert deeper <= best
 
     def test_incoherent_point_optimum_is_zero(self):
-        rho, n1, n2 = example_instance(theta=0.5)
-        (best,), _ = optimize_permutations(rho, n1, n2)
+        (best,), _ = optimize_batch(compute_chain(*example_instance(theta=0.5)))
         assert best == 0.0
 
 
 class TestExactSearchMatchesOracle:
     @staticmethod
     def assert_matches_oracle(rho, ch1, ch2):
+        stage = compute_chain(rho, ch1, ch2)
         for reading in Reading:
-            (best,), ((sigma, tau),) = optimize_permutations(rho, ch1, ch2, reading)
+            (best,), ((sigma, tau),) = optimize_batch(stage, reading)
             assert (best.item(), sigma, tau) == oracle_optimum(rho, ch1, ch2, reading), reading
 
     @settings(max_examples=25, deadline=None)
@@ -824,8 +892,9 @@ class TestExactSearchMatchesOracle:
             perm.insert(slot, label)
             return perm
 
-        (best,), _ = optimize_permutations(rho, ch1, ch2)
-        brute = max(permute_s(rho, ch1, ch2, with_label(r, 1), with_label(s, 0), 2, 1)
+        stage = compute_chain(rho, ch1, ch2)
+        (best,), _ = optimize_batch(stage)
+        brute = max(permute_s(stage, with_label(r, 1), with_label(s, 0), 2, 1)[0]
                     for r in range(6) for s in range(6))
         assert best == brute
 
@@ -863,21 +932,20 @@ class TestMixedBound:
 
 class TestVerifyChain:
     def test_incoherent_point_all_pass(self):
-        rho, n1, n2 = example_instance(theta=0.5)
-        verdict = verify_chain(rho, n1, n2, tol=1e-10)
+        verdict = verdict_columns(compute_chain(*example_instance(theta=0.5)), 1e-10)
         assert verdict.passed.shape == (1, len(verdict.names)) and verdict.passed.all()
 
     def test_random_instances_pass_hard_checks(self):
         for seed in range(12):
             d = 2 + seed % 3
             rho, ch1, ch2 = random_instance(d, 900 + seed)
-            verdict = verify_chain(rho, ch1, ch2, tol=1e-10)
+            verdict = verdict_columns(compute_chain(rho, ch1, ch2), 1e-10)
             failed = [name for name, ok in zip(verdict.names, verdict.passed[0]) if not ok]
             assert not set(failed) & set(HARD_CHECK_NAMES), failed
 
     def test_anchor_rows_exist_for_both_readings(self):
         rho, ch1, ch2 = random_instance(4, 104)
-        names = set(verify_chain(rho, ch1, ch2).names)
+        names = set(verdict_columns(compute_chain(rho, ch1, ch2), 1e-10).names)
         for label in ("product", "as_printed"):
             assert f"anchor_s21_eq_i2[{label}]" in names
             assert f"anchor_s32_eq_i3[{label}]" in names
@@ -886,20 +954,21 @@ class TestVerifyChain:
 
     def test_product_reading_anchors_pass_as_printed_fail(self):
         rho, ch1, ch2 = random_instance(4, 105)
-        verdict = verify_chain(rho, ch1, ch2, tol=1e-10)
+        verdict = verdict_columns(compute_chain(rho, ch1, ch2), 1e-10)
         by_name = verdict.by_name()  # name -> (passed, deviations)
         assert by_name["anchor_endpoint_eq_cross_term[product]"][0].all()
         assert not by_name["anchor_endpoint_eq_cross_term[as_printed]"][0].any()
 
     def test_hard_names_are_a_subset_of_emitted_checks(self):
         rho, ch1, ch2 = random_instance(3, 106)
-        assert set(HARD_CHECK_NAMES) <= set(verify_chain(rho, ch1, ch2).names)
+        assert set(HARD_CHECK_NAMES) <= set(verdict_columns(compute_chain(rho, ch1, ch2),
+                                                            1e-10).names)
 
     def test_dimension_mismatch(self):
         rho = random_density(3, 3, seed=1)
         ch = random_channel(2, 2, Convention.COLUMN_SUM, seed=2)
         with pytest.raises(DimensionMismatchError):
-            verify_chain(rho, ch, ch)
+            verdict_columns(compute_chain(rho, ch, ch), 1e-10)
 
 
 class TestKrausInvariance:
@@ -936,7 +1005,7 @@ class TestKrausInvariance:
             ops.append(mix_kraus_families(base, us))
         unmixed = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
         mixed = chain_stage(np.array([rho.sqrt_rho] * 2), *ops)
-        assert invariance_columns(unmixed, [mixed])[0].tolist() == list(direct.values())
+        assert invariance_columns(unmixed, mixed)[0].tolist() == list(direct.values())
 
     def test_deviations_match_recomputed_chains(self):
         # every quantity of both readings, of the instance the data was built from

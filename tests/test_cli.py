@@ -923,7 +923,7 @@ def one_trial_at_a_time(rho, ch1, ch2, trials, seed):
 
     base = values(ch1, ch2)
     devs = dict.fromkeys(base, 0.0)
-    derived = iter(objects.derive_seeds(objects.trial_entropies([seed], trials)))
+    derived = iter(objects.derive_seeds(objects.trial_entropies([seed], range(trials))))
     for u, v in zip(derived, derived):
         mixed = values(mix_kraus(ch1, random_unitary(ch1.n, u)),
                        mix_kraus(ch2, random_unitary(ch2.n, v)))
@@ -958,9 +958,9 @@ class TestInvariance:
         assert code == 1
 
     def test_seeds_trials_in_two_passes(self, tmp_path, monkeypatch):
-        # the trials' unitary seeds in one hash pass and their generators'
-        # words in a second, whatever the trial count; the report keeps the
-        # bytes of the one-unitary-at-a-time loop
+        # each pass of trials hashes its unitary seeds in one hash pass and
+        # their generators' words in a second; here the 20 trials are one
+        # pass.  The report keeps the bytes of the one-unitary-at-a-time loop
         files = [tmp_path / name for name in ("state.json", "c1.json", "c2.json")]
         save_state(files[0], random_density(4, 2, seed=31))
         save_channel(files[1], random_channel(4, 3, Convention.COLUMN_SUM, seed=32))
@@ -1128,6 +1128,28 @@ class TestInvariance:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < (128 - 8) * 1024
+
+    def test_seeding_memory_does_not_grow_with_the_trials(self, monkeypatch):
+        # each pass seeds its own trials, so no seed or word of a later pass
+        # exists before it runs.  At d = 32 with two Kraus operators a side
+        # (8 trials per pass), seeding every trial up front peaked about
+        # 330 KiB higher at 1 024 trials than at 8, and seeding per pass
+        # 47 KiB: each of the 128 passes keeps its row of six deviations
+        # until the final fold.  The bound is 96 KiB in all
+        monkeypatch.setattr(chains, "_cpus", lambda: 1)  # one pass in flight
+        instance = (random_density(32, 32, seed=61),
+                    random_channel(32, 2, Convention.COLUMN_SUM, seed=62),
+                    random_channel(32, 2, Convention.ROW_SUM, seed=63))
+        chains.kraus_invariance_check(*instance, 8, seed=0)  # caches filled before measuring
+        peaks = []
+        for trials in (8, 1024):
+            tracemalloc.start()
+            try:
+                chains.kraus_invariance_check(*instance, trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 96 * 1024, peaks
 
     def test_channels_at_the_completeness_tolerance_pass(self, tmp_path):
         # invariance loads its inputs at 1e-9.  Each channel here is scaled to

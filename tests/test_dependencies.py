@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -138,6 +139,17 @@ def test_every_name_in_all_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_only_two_chain_functions_take_an_instance():
+    # every other chain reader takes a stage, so an alias that rebuilds the
+    # stage of (rho, ch1, ch2) for one answer cannot return unnoticed
+    from skewchain import chains
+
+    takers = [name for name in chains.__all__ if callable(member := getattr(chains, name))
+              and not isinstance(member, type)
+              and "rho" in inspect.signature(member).parameters]
+    assert takers == ["compute_chain", "kraus_invariance_check"]
 
 
 def test_package_exports_only_public_module_names():

@@ -12,7 +12,7 @@ from skewchain.chains import (
     compute_chain,
     lattice_order,
     mixed_columns,
-    optimize_permutations,
+    optimize_batch,
     stage_from_frames,
     sum_transfer,
 )
@@ -192,12 +192,12 @@ class TestSweep:
         assert table.hard_failures(tol=1e-9) == 0
 
     def test_rows_satisfy_full_verification(self):
-        from skewchain.chains import HARD_CHECK_NAMES, verify_chain
+        from skewchain.chains import HARD_CHECK_NAMES, verdict_columns
 
         table = sweep([0.0, 0.7, 1.0], [0.3, 1.0], [0.0, 0.6])
         for theta, p, q in table.columns[:, :3].tolist():
             n1, n2 = example_channels(p, q)
-            verdict = verify_chain(rho_theta(theta), n1, n2, tol=1e-9)
+            verdict = verdict_columns(compute_chain(rho_theta(theta), n1, n2), 1e-9)
             failed = {name for name, ok in zip(verdict.names, verdict.passed[0]) if not ok}
             assert not failed & set(HARD_CHECK_NAMES), failed
 
@@ -292,7 +292,7 @@ class TestDiscrepancyReport:
 
 # ---------------------------------------------------------------------------
 # Per-point oracles for the stacked sweep and report: every grid point built
-# and computed on its own, as the one-instance functions do it.
+# and computed on its own, as a stack of one (``compute_chain``).
 
 
 def oracle_sweep_rows(thetas, ps, qs, ts, reading):
@@ -306,7 +306,7 @@ def oracle_sweep_rows(thetas, ps, qs, ts, reading):
                 n1, n2 = example_channels(p, q)
                 c = compute_chain(rho, n1, n2)
                 product, total, cross = (x[0].item() for x in (c.products, c.sums, c.cross_terms))
-                (best,), _ = optimize_permutations(rho, n1, n2, reading)
+                (best,), _ = optimize_batch(c, reading)
                 f = closed_forms(theta, p, q)
                 for t in sorted(ts):
                     mp, ms = oracle_mixed_bound(product, total, best.item(), t)

@@ -33,7 +33,6 @@ from skewchain.chains import (
     lattice_order,
     optimize_batch,
     verdict_columns,
-    verify_chain,
 )
 from skewchain.errors import (
     CompletenessError,
@@ -805,10 +804,11 @@ class TestSeedingKernel:
             assert same_bits(gen.standard_normal(7), oracle_generator(seed).standard_normal(7))
 
     def test_trial_seeds_derive_each_trial(self):
-        derived = iter(derive_seeds(trial_entropies(SEED_CORPUS, 3)))
-        assert list(zip(derived, derived)) == [
-            (oracle_derive_seed(seed, t, 1), oracle_derive_seed(seed, t, 2))
-            for seed in SEED_CORPUS for t in range(3)]
+        for trials in (range(3), range(2, 5)):  # the first pass's trials, and a later one's
+            derived = iter(derive_seeds(trial_entropies(SEED_CORPUS, trials)))
+            assert list(zip(derived, derived)) == [
+                (oracle_derive_seed(seed, t, 1), oracle_derive_seed(seed, t, 2))
+                for seed in SEED_CORPUS for t in trials]
 
     def test_negative_entropy_fails_as_seed_sequence(self):
         with pytest.raises(ValueError) as want:
@@ -976,8 +976,9 @@ class TestVerdictColumns:
             given = verdict_columns(rows, tol, optimize_batch(rows)[0])
             for b in range(len(rows.products)):
                 assert column_bits(given, b) == column_bits(columns, b)
-        for instance in instances:  # verify_chain: a stack of one
-            assert column_bits(verify_chain(*instance, tol), 0) == check_bits(
+        for instance in instances:  # a stack of one
+            alone_columns = verdict_columns(object_stage(*zip(instance)), tol)
+            assert column_bits(alone_columns, 0) == check_bits(
                 oracle_verify_checks(alone(*instance), tol))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -986,13 +987,13 @@ class TestVerdictColumns:
         rows = injected(stage, 3, d)
         count = len(rows.products) // 3  # each instance and two trials, specials among all three
         base, trials = take(rows, range(count)), take(rows, range(count, 3 * count))
-        got = invariance_columns(base, [trials])
+        got = invariance_columns(base, trials)
         for b in range(count):
             want = oracle_invariance(stage_data(base, b, d),
                                      [stage_data(trials, b + t * count, d) for t in (0, 1)])
             assert [repr(x) for x in got[b].tolist()] == [repr(x) for x in want.values()]
-        # the first instance with the other two as its trials, each built alone
-        first, *others = [object_stage(*zip(instance)) for instance in instances]
+        # the first instance alone with the other two as its trials, stacked
+        first, others = object_stage(*zip(instances[0])), object_stage(*zip(*instances[1:]))
         got = invariance_columns(first, others)[0].tolist()
         want = oracle_invariance(alone(*instances[0]), [alone(*x) for x in instances[1:]])
         assert got == list(want.values())
@@ -1001,8 +1002,10 @@ class TestVerdictColumns:
     def test_invariance_fold_by_pass_matches_the_oracle(self, d):
         # two instances and the trials of ``injected``, specials among them,
         # cut into two passes at each boundary between trials, into one pass
-        # and into one pass per trial; the base is the clean instances, then
-        # the first block of specials (NaN products) with the rest as trials
+        # and into one pass per trial, whose rows are folded as
+        # ``kraus_invariance_check`` folds them; the base is the clean
+        # instances, then the first block of specials (NaN products) with the
+        # rest as trials
         stage, _ = block_at(d, 2, 11 + d)
         rows = injected(stage, 2, d)
         blocks = len(rows.products) // 2
@@ -1017,7 +1020,8 @@ class TestVerdictColumns:
             cuts += [[take(mixed, range(2 * k)), take(mixed, range(2 * k, 2 * trials))]
                      for k in range(1, trials)]
             for passes in cuts:
-                got = invariance_columns(base, passes)
+                pass_rows = [invariance_columns(base, part) for part in passes]
+                got = first_max(np.stack([np.zeros_like(pass_rows[0]), *pass_rows], axis=-1))
                 assert [[repr(x) for x in row] for row in got.tolist()] == want
 
     @settings(max_examples=50, deadline=None)
@@ -1039,7 +1043,7 @@ class TestVerdictColumns:
         for b in range(2):
             want = check_bits(oracle_verify_checks(stage_data(rows, b, d), 1e-10))
             assert column_bits(columns, b) == want
-        got = invariance_columns(take(rows, [0]), [take(rows, [1])])[0].tolist()
+        got = invariance_columns(take(rows, [0]), take(rows, [1]))[0].tolist()
         want = oracle_invariance(stage_data(rows, 0, d), [stage_data(rows, 1, d)])
         assert [repr(x) for x in got] == [repr(x) for x in want.values()]
 
@@ -1341,7 +1345,7 @@ class TestStackedVerify:
 
     def test_builds_nothing_per_instance(self, tmp_path, monkeypatch):
         # the chunk's seeds come from one hash pass and its checks are
-        # columns: no SeedSequence, no int-seeded PCG64, no one-instance verdict
+        # columns: no SeedSequence, no int-seeded PCG64, no one-instance stage
         def refuse(*args, **kwargs):
             raise AssertionError("built per instance")
 
@@ -1357,7 +1361,7 @@ class TestStackedVerify:
         with monkeypatch.context() as patched:
             patched.setattr(np.random, "SeedSequence", refuse)
             patched.setattr(np.random, "PCG64", pcg64)
-            patched.setattr(chains, "verify_chain", refuse)
+            patched.setattr(chains, "compute_chain", refuse)
             code = cli.main(argv + ["--out", str(got)])
         assert code == 0
         assert code == oracle_cmd_verify(cli.build_parser().parse_args(argv + ["--out", str(want)]))
