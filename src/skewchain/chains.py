@@ -52,15 +52,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import first_max, first_min
-from .objects import (
-    DensityMatrix,
-    KrausChannel,
-    derive_seeds,
-    mix_kraus_families,
-    seeding_words,
-    trial_entropies,
-    unitaries_from_words,
-)
+from .objects import DensityMatrix, KrausChannel, invariance_trials
 from .skew import channel_skews, column_norms_sq, column_overlaps, frame_stack
 
 __all__ = [
@@ -109,9 +101,10 @@ def lattice_order(d: int) -> list:
 # it the frames of its inputs.  Every reader takes a stage and reads its
 # columns (``verdict_columns``, ``optimize_batch``, ``permute_s``,
 # ``mixed_columns``, and ``bounds`` reading row 0); ``invariance_columns``
-# reads a stage of instances and a stage of their mixed trials.  One
-# instance is a stack of one (``compute_chain``).  The frames, their column
-# norms and the channel skew informations come from ``skew``'s kernel.
+# reads a stage of instances, or of one, and a stage of their mixed trials,
+# row against row.  One instance is a stack of one (``compute_chain``).
+# The frames, their column norms and the channel skew informations come
+# from ``skew``'s kernel.
 
 # Matrix entries per stack of a pass's inputs: ``verify`` cuts its chunks of
 # states, and ``kraus_invariance_check`` its passes of Kraus families, to at
@@ -635,35 +628,31 @@ def kraus_invariance_check(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChan
 
     The unmixed stage is built first; then the trials run in ``chain_stage``
     passes of at most ``CHUNK_ENTRIES // (n d^2)`` instances (one at least),
-    n the larger Kraus count.  Each pass seeds its own trials in two hash
-    passes (the seeds u and v of each trial, then the seeding words of
-    each), so memory grows with the passes in flight, not with the trials.
-    It mixes its trials' families in one stacked ``einsum``
-    (``mix_kraus_families``) and returns its ``invariance_columns`` row.
-    The rows are folded by one ``first_max`` from 0.0: every gap is +0.0 or
-    more, or NaN, so that gives the bits of one fold over every trial in
-    order.  ``_run_passes`` runs the passes on the calling thread and one
-    helper thread per further CPU the process may use, at most one thread
-    per pass; each pass is bit for bit as in a serial loop.
+    n the larger Kraus count.  Each pass draws its own trials
+    (``invariance_trials``), so memory grows with the passes in flight, not
+    with the trials, and writes the worst of its trials' rows of
+    ``invariance_columns`` into its own row of one array, which is folded
+    by one ``first_max`` from 0.0.  Every deviation is +0.0 or more, so
+    that gives the bits of one fold over every trial in order.
+    ``_run_passes`` runs the passes on the calling thread and one helper
+    thread per further CPU the process may use, at most one thread per
+    pass; each pass is bit for bit as in a serial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     block = max(1, CHUNK_ENTRIES // (max(ch1.n, ch2.n) * rho.dim ** 2))
     base = compute_chain(rho, ch1, ch2)
     base.i_values  # a ``_Once``: read here, so the passes need not each compute it
+    passes = -(-trials // block)
+    rows = np.zeros((passes + 1, len(_INVARIANT_NAMES)))  # row 0 starts the fold
 
     def run(k):  # the trials' block k
-        entropies = trial_entropies([seed], range(k * block, min((k + 1) * block, trials)))
-        words = seeding_words([(s,) for s in derive_seeds(entropies)])  # u before v
-        ops = [mix_kraus_families(np.repeat(ch.operators[None], len(words) // 2, axis=0),
-                                  unitaries_from_words(ch.n, words[side::2]))
-               for side, ch in enumerate((ch1, ch2))]
-        stage = chain_stage(np.repeat(rho.sqrt_rho[None], len(words) // 2, axis=0), *ops)
-        return invariance_columns(base, stage)[0]
+        numbers = range(k * block, min((k + 1) * block, trials))
+        stage = chain_stage(*invariance_trials(rho, ch1, ch2, seed, numbers))
+        rows[k + 1] = first_max(invariance_columns(base, stage).T)
 
-    pass_rows = _run_passes(run, -(-trials // block))
-    worst = first_max(np.column_stack([np.zeros(len(_INVARIANT_NAMES)), *pass_rows]))
-    return dict(zip(_INVARIANT_NAMES, worst.tolist()))
+    _run_passes(run, passes)
+    return dict(zip(_INVARIANT_NAMES, first_max(rows.T).tolist()))
 
 
 def _cpus() -> int:
@@ -673,8 +662,8 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_passes(run, count: int) -> list:
-    """``[run(0), ..., run(count - 1)]``, run on the calling thread and
+def _run_passes(run, count: int) -> None:
+    """Call ``run(0)``, ..., ``run(count - 1)`` on the calling thread and
     ``min(_cpus(), count) - 1`` helper threads; with one CPU or one pass no
     thread is started.  Each thread takes the next pass number from one
     shared counter, until none is left or some pass has failed.
@@ -686,14 +675,14 @@ def _run_passes(run, count: int) -> list:
     """
     import threading  # numpy has imported it already
 
-    results, failures = [None] * count, {}
+    failures = {}
     passes = iter(range(count))  # one ``next`` is atomic under the interpreter lock
 
     def work():
         # checked before a pass is taken, so no taken pass is left unrun
         while not failures and (k := next(passes, None)) is not None:
             try:
-                results[k] = run(k)
+                run(k)
             except BaseException as exc:  # re-raised below, after the join
                 failures[k] = exc
 
@@ -705,7 +694,6 @@ def _run_passes(run, count: int) -> list:
         helper.join()
     if failures:
         raise failures[min(failures)]
-    return results
 
 
 # The bound quantities that Kraus mixing must leave unchanged, in report order.
@@ -714,22 +702,19 @@ _INVARIANT_NAMES = ("product", "sum", "i_values", "s_values", "s_values_as_print
 
 
 def invariance_columns(base: ChainStage, mixed: ChainStage) -> np.ndarray:
-    """The invariance deviations of the instances of ``base``, one row per
+    """The invariance deviations of each instance of ``mixed`` against the
+    same row of ``base``, or against ``base``'s one row: one row per mixed
     instance and one column per quantity, in the order of
-    ``kraus_invariance_check``'s keys.
-
-    ``mixed`` is a stage whose rows run trial after trial of those
-    instances: with B instances, row ``B t + b`` holds trial t of instance b.
-    A quantity's deviation is its worst ``|mixed - base|`` over the trials,
-    as Python's ``max`` from 0.0 over the trials in order (``first_max``).
+    ``kraus_invariance_check``'s keys.  A quantity's deviation is its worst
+    ``|mixed - base|``, as Python's ``max`` from 0.0 over its values in
+    order (``first_max``), so it is +0.0 or more, never NaN.
     """
-    count = len(base.products)
-    worst = np.zeros((count, len(_INVARIANT_NAMES)))
-    for column, (unmixed, trials) in enumerate(zip(_invariants(base), _invariants(mixed))):
-        # a leading length, not -1: the S lattice has no columns at d = 1
-        trials = trials.reshape(len(trials) // count, count, trials.shape[1])
-        gaps = np.abs(trials - unmixed).transpose(1, 0, 2).reshape(count, -1)
-        worst[:, column] = first_max(np.column_stack([worst[:, column], gaps]))
+    if len(base.products) not in (1, len(mixed.products)):
+        raise ValueError(f"{len(base.products)} base rows for {len(mixed.products)} mixed rows")
+    worst = np.zeros((len(mixed.products), len(_INVARIANT_NAMES)))
+    for column, (unmixed, values) in enumerate(zip(_invariants(base), _invariants(mixed))):
+        worst[:, column] = first_max(np.column_stack([worst[:, column],
+                                                      np.abs(values - unmixed)]))
     return worst
 
 

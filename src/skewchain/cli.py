@@ -40,7 +40,6 @@ from .chains import (
     optimize_batch,
     verdict_columns,
 )
-from .errors import SkewchainError
 from .example import discrepancy_report, sweep, write_discrepancy_csv, write_sweep_csv
 from .linalg import DEFAULT_TOL, first_max
 from .objects import verify_instances
@@ -54,8 +53,8 @@ class ConfigError(Exception):
 # The most rows a table may have: the |t| rows of ``bounds``, and the
 # |p| |q| |t| rows of the surface and the |theta| |t| rows of the curve of
 # ``example``.  Each table is held whole, with its CSV text: at the limit a
-# 512 x 512 surface peaks at about 0.4 GB, and a curve of 2^18 thetas, each of
-# which builds its own state, at about 0.8 GB.
+# 512 x 512 surface peaks at about 390 MiB, and a curve of 2^18 thetas, each of
+# which builds its own state, at about 810 MiB (a run's ``ru_maxrss``).
 _MAX_ROWS = 2 ** 18
 
 
@@ -81,8 +80,6 @@ def _grid_spec(spec: str) -> tuple:
 
 
 def _grid(start: float, stop: float, count: int) -> list:
-    if count == 1:
-        return [start]
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -109,7 +106,7 @@ def _load_instance(args, tol: float) -> tuple:
     try:
         rho, ch1, ch2 = (load_state(args.state, tol=tol), load_channel(args.channel1, tol=tol),
                          load_channel(args.channel2, tol=tol))
-    except (SkewchainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: every SkewchainError too
         raise ConfigError(f"input rejected: {exc}") from exc
     if ch1.dim != rho.dim or ch2.dim != rho.dim:
         raise ConfigError(f"input rejected: state dim {rho.dim} vs channel dims "
@@ -313,8 +310,8 @@ def cmd_example(args) -> int:
 # invariance
 
 
-# The most trials ``invariance`` runs.  Each pass of trials is folded as it
-# finishes, so memory does not grow with them; the bound caps the run's time.
+# The most trials ``invariance`` runs.  A pass of trials keeps only its six
+# deviations (48 B), so the bound caps the run's time, not its memory.
 _MAX_TRIALS = 2 ** 18
 
 

@@ -234,8 +234,9 @@ def _chain_blocks(points: np.ndarray):
         frames.append((frame_stack(roots[theta_rows[first]], ops[rows[first]]), index))
     (e, e_index), (f, f_index) = frames
     spans = _blocks(len(points))
-    yield from zip(spans, stage_from_frames(e, f, [(e_index[span], f_index[span])
-                                                   for span in spans]))
+    stages = stage_from_frames(e, f, [(e_index[span], f_index[span]) for span in spans])
+    del frames, e, f  # the builder's column-major copies replace them
+    yield from zip(spans, stages)
 
 
 def sweep(theta_grid, p_grid, q_grid, t_grid=(1.0,),

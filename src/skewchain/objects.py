@@ -52,6 +52,7 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "generators_from_words",
+    "invariance_trials",
     "mix_kraus",
     "mix_kraus_families",
     "random_channel",
@@ -550,6 +551,22 @@ def mix_kraus_families(families, us) -> np.ndarray:
     b, n, d, _ = ops.shape
     flat = np.ascontiguousarray(ops.reshape(b, n, d * d).swapaxes(-1, -2))
     return _frozen(np.einsum("...ts,...ks->...tk", arr, flat).reshape(b, n, d, d))
+
+
+def invariance_trials(rho: DensityMatrix, ch1: KrausChannel, ch2: KrausChannel, seed: int,
+                      trials) -> tuple:
+    """The ``chain_stage`` inputs ``(roots, ops1, ops2)`` of the trials whose
+    numbers are the ints of ``trials`` (a ``range``): each trial t is the
+    instance with ``ch1`` mixed by ``random_unitary(ch1.n, derive_seed(seed,
+    t, 1))`` and ``ch2`` by that of ``derive_seed(seed, t, 2)``.  The seeds are
+    hashed in two passes (the seeds u and v of each trial, then the seeding
+    words of each), and each side's families are mixed in one stacked
+    ``mix_kraus_families`` call."""
+    words = seeding_words([(s,) for s in derive_seeds(trial_entropies([seed], trials))])
+    ops = [mix_kraus_families(np.repeat(ch.operators[None], len(trials), axis=0),
+                              unitaries_from_words(ch.n, words[side::2]))  # u before v
+           for side, ch in enumerate((ch1, ch2))]
+    return np.repeat(rho.sqrt_rho[None], len(trials), axis=0), *ops
 
 
 def verify_instances(seed: int, d: int, ks) -> tuple:

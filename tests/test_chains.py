@@ -44,7 +44,7 @@ from skewchain.objects import (
     validate_channel,
     validate_density,
 )
-from skewchain.linalg import DEFAULT_TOL
+from skewchain.linalg import DEFAULT_TOL, first_max
 from skewchain.skew import column_norms_sq, frame_stack, skew_info_channel
 
 # ---------------------------------------------------------------------------
@@ -994,7 +994,8 @@ class TestKrausInvariance:
         assert all(v <= 1e-12 for v in deviations.values()), deviations
 
     def test_data_level_form_matches(self):
-        # the instance and its trials as arrays: two stages read by invariance_columns
+        # the instance and its trials as arrays: two stages read by
+        # invariance_columns, one row per trial, folded over the trials
         rho, ch1, ch2 = random_instance(3, 112)
         direct = kraus_invariance_check(rho, ch1, ch2, trials=2, seed=4)
         ops = []
@@ -1005,7 +1006,9 @@ class TestKrausInvariance:
             ops.append(mix_kraus_families(base, us))
         unmixed = chain_stage(rho.sqrt_rho[None], ch1.operators[None], ch2.operators[None])
         mixed = chain_stage(np.array([rho.sqrt_rho] * 2), *ops)
-        assert invariance_columns(unmixed, mixed)[0].tolist() == list(direct.values())
+        rows = invariance_columns(unmixed, mixed)
+        assert rows.shape == (2, 6)
+        assert first_max(rows.T).tolist() == list(direct.values())
 
     def test_deviations_match_recomputed_chains(self):
         # every quantity of both readings, of the instance the data was built from

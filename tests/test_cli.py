@@ -58,6 +58,8 @@ class TestParseGrid:
     def test_single_value(self):
         assert parse_grid("0.5") == [0.5]
         assert parse_grid("0.5:0.5:1") == [0.5]
+        # one point is linspace's too: a negative zero start reads as 0.0 at any count
+        assert [repr(v) for v in parse_grid("-0") + parse_grid("-0:1:2")] == ["0.0", "0.0", "1.0"]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(Exception):
@@ -976,8 +978,7 @@ class TestInvariance:
             return real(entropies, *args)
 
         with monkeypatch.context() as patched:
-            for module in (objects, chains):  # each module's binding of the one kernel
-                patched.setattr(module, "seeding_words", counted)
+            patched.setattr(objects, "seeding_words", counted)
             assert main(argv + ["--out", str(tmp_path / "got.txt")]) == 0
         assert passes == [40, 40]
 
@@ -1005,7 +1006,7 @@ class TestInvariance:
     def test_matches_one_trial_at_a_time(self, monkeypatch, d, n1, n2, trials, entries):
         instance, want = self.case(monkeypatch, d, n1, n2, trials, entries)
         sizes, drawn = [], []  # the instance count of each stage pass, of each unitary stack
-        real_stage, real_unitaries = chains.chain_stage, chains.unitaries_from_words
+        real_stage, real_unitaries = chains.chain_stage, objects.unitaries_from_words
 
         def counted(roots, ops1, ops2):
             sizes.append(len(roots))
@@ -1016,7 +1017,7 @@ class TestInvariance:
             return real_unitaries(n, words)
 
         monkeypatch.setattr(chains, "chain_stage", counted)
-        monkeypatch.setattr(chains, "unitaries_from_words", counted_unitaries)
+        monkeypatch.setattr(objects, "unitaries_from_words", counted_unitaries)
         got = chains.kraus_invariance_check(*instance, trials, seed=d)
         block = max(1, chains.CHUNK_ENTRIES // (max(n1, n2) * d * d))
         trial_passes = [block] * (trials // block) + [trials % block] * (trials % block > 0)
@@ -1044,7 +1045,9 @@ class TestInvariance:
         monkeypatch.setattr(threading, "Thread", refused)
         self.assert_same_deviations(chains.kraus_invariance_check(*instance, trials, seed=d), want)
         monkeypatch.setattr(chains, "_cpus", lambda: 3)
-        assert chains._run_passes(lambda k: k + 10, 1) == [10]
+        ran = []
+        assert chains._run_passes(ran.append, 1) is None
+        assert ran == [0]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_caller_runs_passes_beside_at_most_cpus_minus_one_helpers(self, monkeypatch, cpus):
@@ -1064,14 +1067,16 @@ class TestInvariance:
             if k < cpus:
                 barrier.wait()
             ran_on[k] = threading.get_ident()
-            return k + 10
 
-        assert chains._run_passes(run, 2 * cpus) == [k + 10 for k in range(2 * cpus)]
+        assert chains._run_passes(run, 2 * cpus) is None
+        assert sorted(ran_on) == list(range(2 * cpus))
         assert len(started) == cpus - 1 and not any(t.is_alive() for t in started)
         assert threading.get_ident() in ran_on.values()
         for count in range(1, cpus + 2):
             started.clear()
-            assert chains._run_passes(lambda k: k, count) == list(range(count))
+            ran = []  # list.append is atomic under the interpreter lock
+            chains._run_passes(ran.append, count)
+            assert sorted(ran) == list(range(count))
             assert len(started) == min(cpus, count) - 1
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -1090,9 +1095,8 @@ class TestInvariance:
                     time.sleep(0.005)
                 if k in (2, 4):
                     raise ValueError(f"pass {k}")
-                stage = run(k)
+                run(k)
                 done.append(k)
-                return stage
 
             return real(run_k, count)
 
@@ -1131,11 +1135,12 @@ class TestInvariance:
 
     def test_seeding_memory_does_not_grow_with_the_trials(self, monkeypatch):
         # each pass seeds its own trials, so no seed or word of a later pass
-        # exists before it runs.  At d = 32 with two Kraus operators a side
-        # (8 trials per pass), seeding every trial up front peaked about
-        # 330 KiB higher at 1 024 trials than at 8, and seeding per pass
-        # 47 KiB: each of the 128 passes keeps its row of six deviations
-        # until the final fold.  The bound is 96 KiB in all
+        # exists before it runs, and writes its six deviations into its row
+        # of one array of 48 B per pass.  At d = 32 with two Kraus operators a
+        # side (8 trials per pass), seeding every trial up front peaked about
+        # 330 KiB higher at 1 024 trials than at 8; seeding per pass but
+        # keeping a row object per pass until the final fold 42 to 56 KiB,
+        # and one array of pass rows 12 to 17 KiB.  The bound is 28 KiB in all
         monkeypatch.setattr(chains, "_cpus", lambda: 1)  # one pass in flight
         instance = (random_density(32, 32, seed=61),
                     random_channel(32, 2, Convention.COLUMN_SUM, seed=62),
@@ -1149,7 +1154,7 @@ class TestInvariance:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 96 * 1024, peaks
+        assert peaks[1] - peaks[0] < 28 * 1024, peaks
 
     def test_channels_at_the_completeness_tolerance_pass(self, tmp_path):
         # invariance loads its inputs at 1e-9.  Each channel here is scaled to
@@ -1190,7 +1195,7 @@ class TestInvariance:
         argv = ["invariance", "--state", str(state), "--channel1", str(ch1),
                 "--channel2", str(ch2), "--out", str(tmp_path / "inv.txt"), "--trials"]
         with monkeypatch.context() as patched:
-            patched.setattr(chains, "trial_entropies", refused)
+            patched.setattr(objects, "trial_entropies", refused)
             patched.setattr(cli, "_load_instance", refused)
             assert main(argv + [str(2 ** 18 + 1)]) == 2
         assert capsys.readouterr().err == f"error: trials must be <= {2 ** 18}\n"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -465,6 +466,24 @@ class TestFactoredFrames:
         assert len(spans) == (1 if block is None else -(-len(points) // block))
         assert (len(e), len(f)) == (len({(t, p) for t, p, _ in grid}),
                                     len({(t, q) for t, _, q in grid}))
+
+    def test_c_order_frames_are_freed_once_a_stage_is_yielded(self, monkeypatch):
+        # the builder copies each frame stack to column-major form, so the
+        # row-major stacks must not outlive the first pass
+        refs = []
+
+        def tracked(roots, ops):
+            frames = frame_stack(roots, ops)
+            refs.append(weakref.ref(frames))
+            return frames
+
+        monkeypatch.setattr(example, "_BLOCK", 3)  # several passes
+        monkeypatch.setattr(example, "frame_stack", tracked)
+        points = np.array(list(itertools.product((0.2, 0.7), (0.0, 0.4), (1.0, 0.3))))
+        blocks = example._chain_blocks(points)
+        next(blocks)
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+        assert len(list(blocks)) == 2
 
 
 class TestBuildsEachInputOnce:

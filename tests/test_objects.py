@@ -26,6 +26,7 @@ from skewchain.objects import (
     apply_channel,
     completeness_residual,
     derive_seed,
+    invariance_trials,
     mix_kraus,
     random_channel,
     random_density,
@@ -256,6 +257,22 @@ class TestMixKraus:
         ch = random_channel(2, 2, Convention.COLUMN_SUM, seed=1)
         with pytest.raises(DimensionMismatchError):
             mix_kraus(ch, np.eye(3))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 40])
+    def test_invariance_trials_mix_each_trial_as_alone(self, seed):
+        # trial t mixes side s by the unitary of derive_seed(seed, t, s),
+        # bit for bit as one mix_kraus call per trial and side
+        rho = random_density(3, 2, seed=51)
+        chs = (random_channel(3, 4, Convention.COLUMN_SUM, seed=52),
+               random_channel(3, 2, Convention.ROW_SUM, seed=53))
+        trials = range(3, 7)
+        roots, *ops = invariance_trials(rho, *chs, seed, trials)
+        assert roots.shape == (4, 3, 3) and roots.tobytes() == rho.sqrt_rho.tobytes() * 4
+        for side, (ch, stack) in enumerate(zip(chs, ops), start=1):
+            assert stack.shape == (4, ch.n, 3, 3)
+            for row, t in zip(stack, trials):
+                want = mix_kraus(ch, random_unitary(ch.n, derive_seed(seed, t, side)))
+                assert row.tobytes() == want.operators.tobytes()
 
 
 def _kraus_sources(tmp_path) -> dict:

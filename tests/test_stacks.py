@@ -986,43 +986,56 @@ class TestVerdictColumns:
         stage, instances = block_at(d, 3, 7 + d)
         rows = injected(stage, 3, d)
         count = len(rows.products) // 3  # each instance and two trials, specials among all three
-        base, trials = take(rows, range(count)), take(rows, range(count, 3 * count))
+        # the base rows repeated, so that mixed row t count + b meets instance b
+        base, trials = take(rows, list(range(count)) * 2), take(rows, range(count, 3 * count))
         got = invariance_columns(base, trials)
+        assert got.shape == (2 * count, 6)
         for b in range(count):
+            for t in (0, 1):
+                want = oracle_invariance(stage_data(base, b, d),
+                                         [stage_data(trials, b + t * count, d)])
+                assert [repr(x) for x in got[b + t * count].tolist()] == \
+                    [repr(x) for x in want.values()]
+            # each trial's row folded from 0.0 is the fold over both trials
             want = oracle_invariance(stage_data(base, b, d),
                                      [stage_data(trials, b + t * count, d) for t in (0, 1)])
-            assert [repr(x) for x in got[b].tolist()] == [repr(x) for x in want.values()]
-        # the first instance alone with the other two as its trials, stacked
+            folded = first_max(np.stack([np.zeros(6), got[b], got[b + count]], axis=-1))
+            assert [repr(x) for x in folded.tolist()] == [repr(x) for x in want.values()]
+        # the first instance alone, broadcast against the other two as its trials
         first, others = object_stage(*zip(instances[0])), object_stage(*zip(*instances[1:]))
-        got = invariance_columns(first, others)[0].tolist()
+        got = first_max(invariance_columns(first, others).T).tolist()
         want = oracle_invariance(alone(*instances[0]), [alone(*x) for x in instances[1:]])
         assert got == list(want.values())
+        # neither one base row nor one per mixed row
+        for base_rows, mixed_rows in (([0, 1], [0, 1, 2]), ([0, 1], [0]), ([0, 1, 2], [0, 1])):
+            with pytest.raises(ValueError, match="base rows for"):
+                invariance_columns(take(rows, base_rows), take(rows, mixed_rows))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_invariance_fold_by_pass_matches_the_oracle(self, d):
-        # two instances and the trials of ``injected``, specials among them,
-        # cut into two passes at each boundary between trials, into one pass
-        # and into one pass per trial, whose rows are folded as
+        # each of two instances with the trials of ``injected``, specials
+        # among them, cut into two passes at each boundary between trials,
+        # into one pass and into one pass per trial, whose rows are folded as
         # ``kraus_invariance_check`` folds them; the base is the clean
         # instances, then the first block of specials (NaN products) with the
         # rest as trials
         stage, _ = block_at(d, 2, 11 + d)
         rows = injected(stage, 2, d)
         blocks = len(rows.products) // 2
-        for first in (0, 1):
-            base = take(rows, [2 * first, 2 * first + 1])
-            mixed = take(rows, [2 * t + b for t in range(blocks) if t != first for b in (0, 1)])
+        for first, b in itertools.product((0, 1), (0, 1)):
+            base = take(rows, [2 * first + b])
+            mixed = take(rows, [2 * t + b for t in range(blocks) if t != first])
             trials = blocks - 1
-            want = [[repr(x) for x in oracle_invariance(
-                stage_data(base, b, d), [stage_data(mixed, 2 * t + b, d)
-                                         for t in range(trials)]).values()] for b in (0, 1)]
-            cuts = [[mixed], [take(mixed, [2 * t, 2 * t + 1]) for t in range(trials)]]
-            cuts += [[take(mixed, range(2 * k)), take(mixed, range(2 * k, 2 * trials))]
+            want = [repr(x) for x in oracle_invariance(
+                stage_data(base, 0, d), [stage_data(mixed, t, d) for t in range(trials)]).values()]
+            cuts = [[mixed], [take(mixed, [t]) for t in range(trials)]]
+            cuts += [[take(mixed, range(k)), take(mixed, range(k, trials))]
                      for k in range(1, trials)]
             for passes in cuts:
-                pass_rows = [invariance_columns(base, part) for part in passes]
-                got = first_max(np.stack([np.zeros_like(pass_rows[0]), *pass_rows], axis=-1))
-                assert [[repr(x) for x in row] for row in got.tolist()] == want
+                pass_rows = np.zeros((len(passes) + 1, 6))
+                for k, part in enumerate(passes):
+                    pass_rows[k + 1] = first_max(invariance_columns(base, part).T)
+                assert [repr(x) for x in first_max(pass_rows.T).tolist()] == want
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(1, 4), data=st.data())

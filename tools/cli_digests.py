@@ -112,6 +112,9 @@ def runs(inputs: Path) -> list:
         found.append((f"example-small-{reading}", example + list(EXAMPLE_SMALL)))
         found.append((f"example-small-t3-{reading}", example + list(EXAMPLE_SMALL)
                       + ["--t", "0:1:3"]))
+    # a curve of 300 distinct thetas: three stacked passes over one set of frames
+    found.append(("example-curve-300", ["example", "--theta", "0:1:300", "--p", "0.5",
+                                        "--q", "0.5", "--out", "OUT"]))
 
     # inv4 is one pass of trials, inv16 five passes of four, inv32 passes of one
     for name, d, n, trials in (("inv4", 4, 3, 20), ("inv16", 16, 16, 20), ("inv32", 32, 32, 4)):
